@@ -17,6 +17,9 @@ The two canonical involutions on ±[n] are τ₀ = (1,−1)(2,−2)···(n,−n
 (mirror) and τ₂ = (−1,2)(−2,3)···(−n,1) (successor gluing); boundary
 walks of one-vertex gluings are cycles of τ₂τ₁.
 
+Frames are immutable, so every constructor caches its result: each
+n (and cut) is built, and checked, once per process.
+
 The torus and Klein constructors verify on construction that the
 product formula produces exactly the displayed two-cycle form:
 
@@ -38,6 +41,7 @@ torus constructor rejects v = n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .perms import Permutation, compose, signed_ground, unsigned_ground
 
@@ -54,12 +58,14 @@ __all__ = [
 ]
 
 
+@cache
 def tau0(n: int) -> Permutation:
     """The mirror involution (1,−1)(2,−2)···(n,−n) on ±[n]."""
     g = signed_ground(n)
     return Permutation.from_cycles(g, [(i, -i) for i in range(1, n + 1)])
 
 
+@cache
 def tau2(n: int) -> Permutation:
     """The successor gluing (−1,2)(−2,3)···(−n,1) on ±[n]."""
     g = signed_ground(n)
@@ -68,11 +74,13 @@ def tau2(n: int) -> Permutation:
     )
 
 
+@cache
 def full_cycle(n: int) -> Permutation:
     """1ₙ = (1, 2, ..., n) on [n]."""
     return Permutation.from_cycles(unsigned_ground(n), [tuple(range(1, n + 1))])
 
 
+@cache
 def annulus_cycle(n: int) -> Permutation:
     """1̃ₙ = (1, ..., n)(−n, ..., −1) on ±[n]; equals τ₂·τ₀."""
     g = signed_ground(n)
@@ -80,7 +88,8 @@ def annulus_cycle(n: int) -> Permutation:
         g,
         [tuple(range(1, n + 1)), tuple(range(-n, 0))],
     )
-    assert gamma == compose(tau2(n), tau0(n))
+    if gamma != compose(tau2(n), tau0(n)):
+        raise AssertionError("annulus cycle differs from tau2·tau0")
     return gamma
 
 
@@ -114,6 +123,7 @@ def annulus_frame(n: int) -> AnnularFrame:
     return AnnularFrame("annulus", n, annulus_cycle(n))
 
 
+@cache
 def torus_frame(n: int, u: int, v: int) -> AnnularFrame:
     """The annulus obtained by cutting a torus gluing along (u−1, v).
 
@@ -134,10 +144,12 @@ def torus_frame(n: int, u: int, v: int) -> AnnularFrame:
             tuple(range(1, u)) + tuple(range(v + 1, n + 1)),
         ],
     )
-    assert gamma == displayed, "torus frame product and displayed forms differ"
+    if gamma != displayed:
+        raise AssertionError("torus frame product and displayed forms differ")
     return AnnularFrame("torus", n, gamma, u, v)
 
 
+@cache
 def klein_frame(n: int, u: int, v: int) -> AnnularFrame:
     """The annulus obtained by cutting a Klein-bottle gluing at (u, v).
 
@@ -166,5 +178,6 @@ def klein_frame(n: int, u: int, v: int) -> AnnularFrame:
         + tuple(range(1 - v, -u + 1))
     )
     displayed = Permutation.from_cycles(g, [upper, lower])
-    assert gamma == displayed, "klein frame product and displayed forms differ"
+    if gamma != displayed:
+        raise AssertionError("klein frame product and displayed forms differ")
     return AnnularFrame("klein", n, gamma, u, v)

@@ -20,6 +20,15 @@ label to an odd one; on ±[2n] the black set B(n) = odd positives ∪
 even negatives is preserved.  The grade p counts white vertices: the
 cycles of the face walk supported on odd labels (orientable) or half
 the cycles of τ₂τ₁ supported on the white labels (non-orientable).
+``family_a_tilde`` / ``family_b_tilde`` walk the constructive bipartite
+streams of :mod:`annular.streams`, which build only these gluings
+instead of filtering all pairings.
+
+Every statistic (genus, Euler genus, twist, both white grades) has one
+private kernel working on raw index images against the cached frames;
+the public functions taking a :class:`Permutation` are thin wrappers
+over them, and the family builders call the kernels directly, wrapping
+elements in :class:`Pairing` only when a family tuple is returned.
 
 Hypermap forms shrink the white vertices to points: an orientable
 bipartite pairing of [2n] becomes a permutation of [n]; a
@@ -32,19 +41,23 @@ reductions are grade-preserving bijections.
 
 from __future__ import annotations
 
-from .frames import annulus_cycle, full_cycle, tau0, tau2
+from functools import cache
+
+from .frames import annulus_cycle, full_cycle, tau2
 from .perms import (
     Pairing,
     Permutation,
+    _inverse_image,
     compose,
     inverse,
     num_cycles,
-    restricted_cycle_count,
     signed_ground,
     unsigned_ground,
 )
 from .streams import (
     EnumerationBudget,
+    bipartite_pairing_images,
+    bipartite_signed_symmetric_pairing_images,
     pairings,
     permutations,
     signed_symmetric_pairings,
@@ -87,19 +100,152 @@ class MonochromaticityError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
+# index-space kernels
+#
+# Each statistic is computed once, here, on a raw image tuple.  The face
+# walk π⁻¹1ₙ is traversed as its inverse 1ₙ⁻¹π (same cycles, no inverse
+# of π needed); the boundary walk is τ₂τ₁ itself.
+# ---------------------------------------------------------------------------
+
+@cache
+def _disk_walk(size: int) -> tuple[int, ...]:
+    """Image of 1ₙ⁻¹ on [size]."""
+    return _inverse_image(full_cycle(size).image)
+
+
+@cache
+def _odd_mask(size: int) -> bytes:
+    """1 at the indices of the odd labels of [size]."""
+    return bytes((i + 1) % 2 for i in range(size))
+
+
+@cache
+def _white_mask(m: int) -> bytes:
+    """1 at the indices of the white labels W(m) of ±[2m]."""
+    ground = signed_ground(2 * m)
+    white = set(white_labels(m))
+    return bytes(ground.label(i) in white for i in range(ground.size))
+
+
+def _cycle_count(outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
+    """Number of cycles of x -> outer[inner[x]]."""
+    seen = bytearray(len(inner))
+    count = 0
+    for i in range(len(inner)):
+        if seen[i]:
+            continue
+        count += 1
+        j = i
+        while not seen[j]:
+            seen[j] = 1
+            j = outer[inner[j]]
+    return count
+
+
+def _coloured_cycle_count(
+    outer: tuple[int, ...], inner: tuple[int, ...], colour: bytes
+) -> int | None:
+    """Cycles of x -> outer[inner[x]] inside colour 1; None if one mixes colours."""
+    seen = bytearray(len(inner))
+    count = 0
+    for i in range(len(inner)):
+        if seen[i]:
+            continue
+        c = colour[i]
+        j = i
+        while not seen[j]:
+            if colour[j] != c:
+                return None
+            seen[j] = 1
+            j = outer[inner[j]]
+        count += c
+    return count
+
+
+def _orientable_genus(img: tuple[int, ...]) -> int:
+    size = len(img)
+    faces = _cycle_count(_disk_walk(size), img)
+    twice_genus = size // 2 + 1 - faces
+    if twice_genus < 0 or twice_genus % 2:
+        raise ValueError(
+            f"impossible face count {faces} for a one-vertex gluing of [{size}]"
+        )
+    return twice_genus // 2
+
+
+def _euler_genus(img: tuple[int, ...]) -> int:
+    n = len(img) // 2
+    boundary = _cycle_count(tau2(n).image, img)
+    twice_k = n + 2 - boundary
+    if twice_k < 0 or twice_k % 2:
+        raise ValueError(
+            f"impossible boundary count {boundary} for a gluing of ±[{n}]"
+        )
+    return twice_k // 2
+
+
+def _has_twist(img: tuple[int, ...], first_positive: int) -> bool:
+    """Some positive label maps to a positive one.
+
+    Positive labels hold the indices from ``first_positive`` on: n on
+    ±[n], 0 on [n].
+    """
+    return any(j >= first_positive for j in img[first_positive:])
+
+
+def _orientable_white_grade(img: tuple[int, ...]) -> int:
+    size = len(img)
+    grade = _coloured_cycle_count(_disk_walk(size), img, _odd_mask(size))
+    if grade is None:
+        pi = Permutation._make(unsigned_ground(size), img)
+        faces = compose(inverse(pi), full_cycle(size))
+        _raise_mixed_cycle(faces, range(1, size + 1, 2))
+    return grade
+
+
+def _nonorientable_white_grade(img: tuple[int, ...]) -> int:
+    n = len(img) // 2
+    white_cycles = _coloured_cycle_count(tau2(n).image, img, _white_mask(n // 2))
+    if white_cycles is None:
+        tau1 = Permutation._make(signed_ground(n), img)
+        _raise_mixed_cycle(compose(tau2(n), tau1), black_labels(n // 2))
+    if white_cycles % 2:
+        raise ValueError(
+            f"white boundary count {white_cycles} is odd; "
+            "expected mirror-paired boundary walks"
+        )
+    return white_cycles // 2
+
+
+def _raise_mixed_cycle(perm: Permutation, black) -> None:
+    """Raise for the first cycle (by minimal label) mixing the colour classes.
+
+    Reached only after a kernel met a mixed cycle; it rebuilds the label
+    cycles so the message names the cycle as before.
+    """
+    black = set(black)
+    for cyc in perm.cycles():
+        in_black = sum(1 for x in cyc if x in black)
+        if in_black not in (0, len(cyc)):
+            raise MonochromaticityError(
+                f"cycle {cyc} mixes colour classes; object is not bipartite"
+            )
+    raise AssertionError("no mixed cycle found")
+
+
+def _same_ground(perm: Permutation, frame: Permutation) -> None:
+    if perm.domain != frame.domain:
+        raise ValueError("compose requires equal ground sets")
+
+
+# ---------------------------------------------------------------------------
 # genus / Euler genus
 # ---------------------------------------------------------------------------
 
 def orientable_genus(pi: Pairing) -> int:
     """Genus of the orientable one-vertex gluing encoded by a pairing of [n]."""
-    n = pi.domain.n
-    faces = num_cycles(compose(inverse(pi), full_cycle(n)))
-    twice_genus = n // 2 + 1 - faces
-    if twice_genus < 0 or twice_genus % 2:
-        raise ValueError(
-            f"impossible face count {faces} for a one-vertex gluing of [{n}]"
-        )
-    return twice_genus // 2
+    _same_ground(pi, full_cycle(pi.domain.n))
+    return _orientable_genus(pi.image)
 
 
 def nonorientable_euler_genus(tau1: Pairing) -> int:
@@ -110,20 +256,14 @@ def nonorientable_euler_genus(tau1: Pairing) -> int:
     at least one twist (otherwise the gluing is orientable and the
     right invariant is :func:`orientable_genus` of its positive part).
     """
-    n = tau1.domain.n
-    boundary = num_cycles(compose(tau2(n), tau1))
-    twice_k = n + 2 - boundary
-    if twice_k < 0 or twice_k % 2:
-        raise ValueError(
-            f"impossible boundary count {boundary} for a gluing of ±[{n}]"
-        )
-    return twice_k // 2
+    _same_ground(tau1, tau2(tau1.domain.n))
+    return _euler_genus(tau1.image)
 
 
 def has_twist(tau1: Permutation) -> bool:
     """True iff some positive label maps to a positive label (a Möbius pair)."""
-    n = tau1.domain.n
-    return any(tau1(a) > 0 for a in range(1, n + 1))
+    dom = tau1.domain
+    return _has_twist(tau1.image, dom.size - dom.n)
 
 
 def has_hat_twist(tau1: Permutation) -> bool:
@@ -147,7 +287,9 @@ def family_a(
     if n % 2:
         return ()
     return tuple(
-        p for p in pairings(n, cap=cap, budget=budget) if orientable_genus(p) == g
+        p
+        for p in pairings(n, cap=cap, budget=budget)
+        if _orientable_genus(p.image) == g
     )
 
 
@@ -160,7 +302,7 @@ def family_a_counts(
     """Histogram g -> |a(n, g)| in one pass over the pairing stream."""
     counts: dict[int, int] = {}
     for p in pairings(n, cap=cap, budget=budget):
-        g = orientable_genus(p)
+        g = _orientable_genus(p.image)
         counts[g] = counts.get(g, 0) + 1
     return counts
 
@@ -178,7 +320,7 @@ def family_b(
     return tuple(
         t
         for t in signed_symmetric_pairings(n, cap=cap, budget=budget)
-        if has_twist(t) and nonorientable_euler_genus(t) == k
+        if _has_twist(t.image, n) and _euler_genus(t.image) == k
     )
 
 
@@ -191,9 +333,9 @@ def family_b_counts(
     """Histogram k -> |b(n, k)| over the twisted mirror-symmetric gluings."""
     counts: dict[int, int] = {}
     for t in signed_symmetric_pairings(n, cap=cap, budget=budget):
-        if not has_twist(t):
+        if not _has_twist(t.image, n):
             continue
-        k = nonorientable_euler_genus(t)
+        k = _euler_genus(t.image)
         counts[k] = counts.get(k, 0) + 1
     return counts
 
@@ -225,43 +367,25 @@ def is_bipartite_signed_pairing(tau1: Permutation) -> bool:
     return all(tau1(b) in black for b in black)
 
 
-def _assert_monochromatic(perm: Permutation, black: set[int], white: set[int]) -> None:
-    for cyc in perm.cycles():
-        in_black = sum(1 for x in cyc if x in black)
-        if in_black not in (0, len(cyc)):
-            raise MonochromaticityError(
-                f"cycle {cyc} mixes colour classes; object is not bipartite"
-            )
-
-
 def orientable_white_grade(pi: Pairing) -> int:
     """p = number of odd-supported face cycles of a bipartite pairing of [2n]."""
-    size = pi.domain.n
-    faces = compose(inverse(pi), full_cycle(size))
-    odds = set(range(1, size, 2))
-    evens = set(range(2, size + 1, 2))
-    _assert_monochromatic(faces, odds, evens)
-    return restricted_cycle_count(faces, odds)
+    _same_ground(pi, full_cycle(pi.domain.n))
+    return _orientable_white_grade(pi.image)
 
 
 def nonorientable_white_grade(tau1: Pairing) -> int:
     """p with 2p = number of white-supported boundary cycles on ±[2n]."""
-    m = tau1.domain.n // 2
-    walk = compose(tau2(2 * m), tau1)
-    black = set(black_labels(m))
-    white = set(white_labels(m))
-    _assert_monochromatic(walk, black, white)
-    white_cycles = restricted_cycle_count(walk, white)
-    if white_cycles % 2:
-        raise ValueError(
-            f"white boundary count {white_cycles} is odd; "
-            "expected mirror-paired boundary walks"
-        )
-    return white_cycles // 2
+    _same_ground(tau1, tau2(2 * (tau1.domain.n // 2)))
+    return _nonorientable_white_grade(tau1.image)
 
 
 # ---------------------------------------------------------------------------
 # bipartite families ã(n, g, p), b̃(n, k, p)  — on [2n] / ±[2n]
+#
+# Built from the constructive bipartite streams: n! gluings for ã and
+# (2n−1)!! for b̃ (twist-free ones skipped), not the (2n−1)!! resp.
+# (2n−1)!!·2^n pairings a filter would scan.  Caps apply to the ground
+# size, 2n resp. 4n; a budget counts the bipartite gluings built.
 # ---------------------------------------------------------------------------
 
 def family_a_tilde(
@@ -272,14 +396,13 @@ def family_a_tilde(
     cap: int | None = None,
     budget: EnumerationBudget | None = None,
 ) -> tuple[Pairing, ...]:
-    """Bipartite pairings of [2n] with genus g and white grade p."""
-    out = []
-    for pi in pairings(2 * n, cap=cap, budget=budget):
-        if not is_bipartite_pairing(pi):
-            continue
-        if orientable_genus(pi) == g and orientable_white_grade(pi) == p:
-            out.append(pi)
-    return tuple(out)
+    """Bipartite pairings of [2n] with genus g and white grade p, in stream order."""
+    ground = unsigned_ground(2 * n)
+    return tuple(
+        Pairing._make(ground, img)
+        for img in bipartite_pairing_images(2 * n, cap=cap, budget=budget)
+        if _orientable_genus(img) == g and _orientable_white_grade(img) == p
+    )
 
 
 def family_a_tilde_counts(
@@ -290,10 +413,8 @@ def family_a_tilde_counts(
 ) -> dict[tuple[int, int], int]:
     """Histogram (g, p) -> |ã(n, g, p)| in one pass."""
     counts: dict[tuple[int, int], int] = {}
-    for pi in pairings(2 * n, cap=cap, budget=budget):
-        if not is_bipartite_pairing(pi):
-            continue
-        key = (orientable_genus(pi), orientable_white_grade(pi))
+    for img in bipartite_pairing_images(2 * n, cap=cap, budget=budget):
+        key = (_orientable_genus(img), _orientable_white_grade(img))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
@@ -309,13 +430,16 @@ def family_b_tilde(
     """Bipartite twisted mirror-symmetric gluings of ±[2n], Euler genus k, grade p."""
     if k < 1:
         raise ValueError("Euler genus k must be >= 1 for twisted gluings")
-    out = []
-    for t in signed_symmetric_pairings(2 * n, cap=cap, budget=budget):
-        if not is_bipartite_signed_pairing(t) or not has_twist(t):
-            continue
-        if nonorientable_euler_genus(t) == k and nonorientable_white_grade(t) == p:
-            out.append(t)
-    return tuple(out)
+    ground = signed_ground(2 * n)
+    return tuple(
+        Pairing._make(ground, img)
+        for img in bipartite_signed_symmetric_pairing_images(
+            2 * n, cap=cap, budget=budget
+        )
+        if _has_twist(img, 2 * n)
+        and _euler_genus(img) == k
+        and _nonorientable_white_grade(img) == p
+    )
 
 
 def family_b_tilde_counts(
@@ -326,10 +450,10 @@ def family_b_tilde_counts(
 ) -> dict[tuple[int, int], int]:
     """Histogram (k, p) -> |b̃(n, k, p)| in one pass."""
     counts: dict[tuple[int, int], int] = {}
-    for t in signed_symmetric_pairings(2 * n, cap=cap, budget=budget):
-        if not is_bipartite_signed_pairing(t) or not has_twist(t):
+    for img in bipartite_signed_symmetric_pairing_images(2 * n, cap=cap, budget=budget):
+        if not _has_twist(img, 2 * n):
             continue
-        key = (nonorientable_euler_genus(t), nonorientable_white_grade(t))
+        key = (_euler_genus(img), _nonorientable_white_grade(img))
         counts[key] = counts.get(key, 0) + 1
     return counts
 

@@ -1,6 +1,7 @@
 """Deterministic enumeration streams with caps and budgets.
 
-Four element streams feed every family construction in the package:
+Four element streams feed the Wick sums, the plain gluing families and
+the non-crossing families:
 
 * :func:`pairings` — perfect matchings of a ground set;
 * :func:`signed_symmetric_pairings` — mirror-symmetric matchings of ±[n]
@@ -9,6 +10,20 @@ Four element streams feed every family construction in the package:
 * :func:`signed_symmetric_permutations` — permutations of ±[n] whose
   cycle set is mirror-closed in the strong sense τ₀ττ₀ = τ⁻¹ with
   τ₀τ fixed-point free, obtained by brute-force filtering.
+
+Two constructive streams build the bipartite gluing families directly
+and yield raw index images, for the index-space kernels in
+:mod:`annular.maps`:
+
+* :func:`bipartite_pairing_images` — the (n/2)! pairings of [n] whose
+  pairs join an odd label to an even one;
+* :func:`bipartite_signed_symmetric_pairing_images` — the (n−1)!!
+  mirror-symmetric pairings of ±[n] that preserve the black set
+  B(n/2), one per unsigned pairing of [n] with every twist forced.
+
+Each yields exactly the elements of the corresponding filter of
+:func:`pairings` / :func:`signed_symmetric_pairings`, in the same order,
+without visiting the rejected ones.
 
 Each stream has a documented deterministic order, an ``n``-cap guarding
 against accidental combinatorial explosions (overridable per call), and
@@ -38,6 +53,8 @@ __all__ = [
     "pairings_of",
     "signed_pairings",
     "signed_symmetric_pairings",
+    "bipartite_pairing_images",
+    "bipartite_signed_symmetric_pairing_images",
     "permutations",
     "signed_symmetric_permutations",
     "double_factorial",
@@ -172,11 +189,15 @@ def double_factorial(m: int) -> int:
 # pairings
 # ---------------------------------------------------------------------------
 
-def _pairing_images(size: int) -> Iterator[tuple[int, ...]]:
+def _pairing_images(size: int, step: int = 1) -> Iterator[tuple[int, ...]]:
     """Index-space images of all matchings of 0..size-1.
 
     Deterministic order: the smallest unmatched index is paired with
-    each larger unmatched index in ascending order, recursively.
+    each larger unmatched index in ascending order, recursively.  With
+    ``step=2`` only indices at odd distance (opposite parity) are
+    paired; every partial matching of that kind still extends to a full
+    one, so this prunes the search to the bipartite matchings and yields
+    them in the order of the unrestricted stream.
     """
     if size % 2:
         return
@@ -189,7 +210,7 @@ def _pairing_images(size: int) -> Iterator[tuple[int, ...]]:
         if i == size:
             yield tuple(image)
             return
-        for j in range(i + 1, size):
+        for j in range(i + 1, size, step):
             if image[j] == -1:
                 image[i], image[j] = j, i
                 yield from rec(i + 1)
@@ -284,6 +305,80 @@ def signed_symmetric_pairings(
         Pairing._make(ground, img) for img in _signed_symmetric_pairing_images(n)
     )
     return _budgeted(inner, budget, f"signed symmetric pairings of ±[{n}]")
+
+
+# ---------------------------------------------------------------------------
+# bipartite pairings (constructive, index images)
+# ---------------------------------------------------------------------------
+
+def bipartite_pairing_images(
+    n: int,
+    *,
+    cap: int | None = None,
+    budget: EnumerationBudget | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Index images of the (n/2)! pairings of [n] joining odd to even labels.
+
+    Exactly the images of ``p in pairings(n) if is_bipartite_pairing(p)``,
+    in the same order, built by the pruned search of
+    :func:`_pairing_images` (empty stream for odd n).  The cap applies
+    to the ground size n, as for :func:`pairings`; a budget counts the
+    bipartite elements built.
+    """
+    _check_cap("bipartite pairing enumeration", n, cap, DEFAULT_PAIRING_CAP)
+    return _budgeted(_pairing_images(n, 2), budget, f"bipartite pairings of [{n}]")
+
+
+def _bipartite_signed_symmetric_pairing_images(n: int) -> Iterator[tuple[int, ...]]:
+    """Mirror-symmetric pairings of ±[n] preserving B(n/2), as index images.
+
+    A pair {a, b} of an unsigned pairing keeps the black set B =
+    odd positives ∪ even negatives only with one twist: untwisted,
+    (a,−b)(−a,b), when a and b differ in parity, and twisted,
+    (a,b)(−a,−b), when they agree.  In index space +a sits at n+a−1 and
+    −a at n−a, so the unsigned pair of indices (i, j) becomes the pairs
+    (n+i, n−1−j)(n−1−i, n+j) or (n+i, n+j)(n−1−i, n−1−j).
+    """
+    for img in _pairing_images(n):
+        out = [-1] * (2 * n)
+        for i, j in enumerate(img):
+            if i > j:
+                continue
+            if (j - i) % 2:
+                x, y, z, w = n + i, n - 1 - j, n - 1 - i, n + j
+            else:
+                x, y, z, w = n + i, n + j, n - 1 - i, n - 1 - j
+            out[x], out[y] = y, x
+            out[z], out[w] = w, z
+        yield tuple(out)
+
+
+def bipartite_signed_symmetric_pairing_images(
+    n: int,
+    *,
+    cap: int | None = None,
+    budget: EnumerationBudget | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Index images of the (n−1)!! bipartite mirror-symmetric pairings of ±[n].
+
+    Exactly the images of ``t in signed_symmetric_pairings(n) if
+    is_bipartite_signed_pairing(t)``, in the same order: each pair's
+    twist is forced by the parity of its labels, so there is one element
+    per unsigned pairing of [n], in :func:`pairings` order (empty for
+    odd n).  The cap applies to the ground size 2n, as for
+    :func:`signed_symmetric_pairings`; a budget counts the elements built.
+    """
+    _check_cap(
+        "bipartite signed symmetric pairing enumeration",
+        2 * n,
+        cap,
+        DEFAULT_PAIRING_CAP,
+    )
+    return _budgeted(
+        _bipartite_signed_symmetric_pairing_images(n),
+        budget,
+        f"bipartite signed symmetric pairings of ±[{n}]",
+    )
 
 
 # ---------------------------------------------------------------------------

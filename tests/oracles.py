@@ -154,13 +154,36 @@ def ref_is_delta_symmetric(p: dict) -> bool:
 
 
 def ref_signed_symmetric_pairings(n: int) -> list[dict]:
-    """Brute-force delta-symmetric pairings of ±[n] (as dicts)."""
+    """Brute-force delta-symmetric pairings of ±[n] (as dicts).
+
+    The smallest-first search of :func:`ref_all_pairings`, cut where a
+    chosen pair {a, b} has b = -a or its mirror {-a, -b} is already split
+    (one side matched elsewhere); no cut removes a delta-symmetric
+    pairing, and every survivor is still checked with
+    :func:`ref_is_delta_symmetric`.  Same result and order as filtering
+    all (2n-1)!! pairings, without holding them in memory.
+    """
     labels = [x for x in range(-n, n + 1) if x != 0]
     out = []
-    for pairs in ref_all_pairings(labels):
-        p = pairing_to_map(pairs)
-        if ref_is_delta_symmetric(p):
-            out.append(p)
+    p: dict = {}
+
+    def extend(rest: list) -> None:
+        if not rest:
+            if ref_is_delta_symmetric(p):
+                out.append(dict(p))
+            return
+        first = rest[0]
+        for k in range(1, len(rest)):
+            other = rest[k]
+            if other == -first:
+                continue
+            if p.get(-first, -other) != -other or p.get(-other, -first) != -first:
+                continue
+            p[first], p[other] = other, first
+            extend(rest[1:k] + rest[k + 1:])
+            del p[first], p[other]
+
+    extend(labels)
     return out
 
 

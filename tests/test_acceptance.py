@@ -94,8 +94,8 @@ def test_criterion_03_wick_equals_genus_expansion():
     orders = {
         "GUE": (2, 4, 6, 8, 10, 12),
         "GOE": (2, 4, 6, 8, 10),
-        "LUE": (1, 2, 3, 4, 5, 6),
-        "LOE": (1, 2, 3, 4),
+        "LUE": (1, 2, 3, 4, 5, 6, 7, 8),
+        "LOE": (1, 2, 3, 4, 5),
     }
     checked = 0
     for ensemble, ns in orders.items():

@@ -1,6 +1,11 @@
 """Canonical permutations and reference frames."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import annular.frames
 
 from annular.frames import (
     annulus_cycle,
@@ -120,3 +125,16 @@ def test_klein_frame_rejects_bad_parameters():
 def test_frames_are_hashable_and_comparable():
     assert torus_frame(6, 2, 4) == torus_frame(6, 2, 4)
     assert torus_frame(6, 2, 4) != torus_frame(6, 2, 5)
+
+
+def test_frame_checks_are_explicit_raises():
+    # `python -O` strips assert statements; the frame consistency checks
+    # must survive it.
+    tree = ast.parse(Path(annular.frames.__file__).read_text())
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_frames_are_cached():
+    assert tau2(6) is tau2(6)
+    assert annulus_cycle(6) is annulus_cycle(6)
+    assert klein_frame(6, 2, 4) is klein_frame(6, 2, 4)

@@ -41,6 +41,8 @@ from annular.perms import (
     unsigned_ground,
 )
 from annular.streams import (
+    CapExceeded,
+    EnumerationBudget,
     double_factorial,
     pairings,
     signed_symmetric_pairings,
@@ -169,6 +171,27 @@ def test_white_grade_rejects_non_bipartite():
         orientable_white_grade(Pairing.from_pairs(g, [(1, 3), (2, 4)]))
 
 
+def test_nonorientable_white_grade_rejects_non_bipartite():
+    mixed = Pairing.from_pairs(signed_ground(4), [(1, 2), (-1, -2), (3, 4), (-3, -4)])
+    with pytest.raises(MonochromaticityError, match="mixes colour classes"):
+        nonorientable_white_grade(mixed)
+
+
+def test_statistics_reject_mismatched_ground_sets():
+    signed = next(signed_symmetric_pairings(4))
+    unsigned = next(pairings(4))
+    odd_signed = Pairing.from_pairs(signed_ground(3), [(1, -2), (-1, 2), (3, -3)])
+    for stat, arg in (
+        (orientable_genus, signed),
+        (orientable_white_grade, signed),
+        (nonorientable_euler_genus, unsigned),
+        (nonorientable_white_grade, unsigned),
+        (nonorientable_white_grade, odd_signed),
+    ):
+        with pytest.raises(ValueError, match="equal ground sets"):
+            stat(arg)
+
+
 # ---------------------------------------------------------------------------
 # bipartite families ã(n, g, p), b̃(n, k, p)
 # ---------------------------------------------------------------------------
@@ -179,7 +202,7 @@ def test_family_a_tilde_small_counts():
     assert family_a_tilde_counts(3) == {(0, 1): 1, (0, 2): 3, (0, 3): 1, (1, 1): 1}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_family_a_tilde_counts_match_reference(n):
     assert family_a_tilde_counts(n) == ref_family_a_tilde_counts(n)
 
@@ -203,9 +226,56 @@ def test_family_b_tilde_smallest_case():
     assert only.cycle_string() == "(-4,-2)(-3,-1)(1,3)(2,4)"
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_family_b_tilde_counts_match_reference(n):
     assert family_b_tilde_counts(n) == ref_family_b_tilde_counts(n)
+
+
+def test_tilde_family_caps_apply_to_the_ground_size():
+    with pytest.raises(CapExceeded):
+        family_a_tilde_counts(9)
+    with pytest.raises(CapExceeded):
+        family_b_tilde_counts(5)
+    with pytest.raises(CapExceeded):
+        family_a_tilde(9, 0, 1)
+    with pytest.raises(CapExceeded):
+        family_b_tilde(5, 1, 1)
+
+
+def test_tilde_family_budget_counts_built_gluings():
+    # ã(3, ·, ·) builds 3! = 6 bipartite pairings, b̃(2, ·, ·) builds 3!! = 3
+    assert sum(family_a_tilde_counts(3, budget=EnumerationBudget(6)).values()) == 6
+    with pytest.raises(CapExceeded):
+        family_a_tilde_counts(3, budget=EnumerationBudget(5))
+    assert family_b_tilde_counts(2, budget=EnumerationBudget(3)) == {(1, 1): 1}
+    with pytest.raises(CapExceeded):
+        family_b_tilde(2, 1, 1, budget=EnumerationBudget(2))
+
+
+def test_tilde_families_match_filtered_pairing_streams_in_order():
+    for n in (1, 2, 3, 4):
+        for g in range(0, 3):
+            for p in range(1, n + 1):
+                want = tuple(
+                    pi
+                    for pi in pairings(2 * n)
+                    if is_bipartite_pairing(pi)
+                    and orientable_genus(pi) == g
+                    and orientable_white_grade(pi) == p
+                )
+                assert family_a_tilde(n, g, p) == want
+    for n in (1, 2, 3):
+        for k in range(1, 4):
+            for p in range(1, n + 1):
+                want = tuple(
+                    t
+                    for t in signed_symmetric_pairings(2 * n)
+                    if is_bipartite_signed_pairing(t)
+                    and has_twist(t)
+                    and nonorientable_euler_genus(t) == k
+                    and nonorientable_white_grade(t) == p
+                )
+                assert family_b_tilde(n, k, p) == want
 
 
 def test_bipartite_signed_predicate():

@@ -242,3 +242,8 @@ def test_budget_propagates():
         wick_moment("GUE", 6, budget=tight)
     with pytest.raises(CapExceeded):
         genus_expansion_moment("GOE", 4, budget=tight)
+    # the bipartite families count the gluings they build: 4! = 24 at LUE 4
+    with pytest.raises(CapExceeded):
+        genus_expansion_moment("LUE", 4, budget=tight)
+    with pytest.raises(CapExceeded):
+        genus_expansion_moment("LOE", 3, budget=tight)

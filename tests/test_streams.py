@@ -1,12 +1,17 @@
 """Stream tests: deterministic orders, counts, caps, budgets, slices."""
 
+from math import factorial
+
 import pytest
 
+from annular.maps import is_bipartite_pairing, is_bipartite_signed_pairing
 from annular.perms import Pairing, signed_ground, unsigned_ground
 from annular.streams import (
     CapExceeded,
     EnumerationBudget,
     BudgetedStream,
+    bipartite_pairing_images,
+    bipartite_signed_symmetric_pairing_images,
     double_factorial,
     pairings,
     pairings_of,
@@ -86,6 +91,48 @@ def test_signed_symmetric_pairings_equal_brute_force_filter():
 def test_signed_symmetric_pairings_all_delta_symmetric():
     for p in signed_symmetric_pairings(4):
         assert oracles.ref_is_delta_symmetric(p.mapping())
+
+
+# ------------------------------------------------------- bipartite streams
+@pytest.mark.parametrize("n", range(0, 8))
+def test_bipartite_pairing_images_equal_filtered_stream_in_order(n):
+    filtered = [p.image for p in pairings(2 * n) if is_bipartite_pairing(p)]
+    built = list(bipartite_pairing_images(2 * n))
+    assert built == filtered
+    assert len(built) == factorial(n)
+
+
+@pytest.mark.parametrize("m", range(0, 6))
+def test_forced_twist_stream_equals_filtered_stream_in_order(m):
+    filtered = [
+        t.image
+        for t in signed_symmetric_pairings(2 * m, cap=20)
+        if is_bipartite_signed_pairing(t)
+    ]
+    built = list(bipartite_signed_symmetric_pairing_images(2 * m, cap=20))
+    assert built == filtered
+    assert len(built) == double_factorial(2 * m - 1)
+
+
+def test_bipartite_streams_odd_sizes_are_empty():
+    assert list(bipartite_pairing_images(5)) == []
+    assert list(bipartite_signed_symmetric_pairing_images(3)) == []
+
+
+def test_bipartite_streams_caps_apply_to_ground_size():
+    with pytest.raises(CapExceeded):
+        bipartite_pairing_images(18)
+    with pytest.raises(CapExceeded):
+        bipartite_signed_symmetric_pairing_images(10)
+    bipartite_pairing_images(18, cap=18)
+    bipartite_signed_symmetric_pairing_images(10, cap=20)
+
+
+def test_bipartite_stream_budget_counts_built_elements():
+    # 24 bipartite pairings of [8] are built; none of the other 81 is visited
+    assert len(list(bipartite_pairing_images(8, budget=EnumerationBudget(24)))) == 24
+    with pytest.raises(CapExceeded):
+        list(bipartite_pairing_images(8, budget=EnumerationBudget(23)))
 
 
 # ------------------------------------------------------------- permutations
