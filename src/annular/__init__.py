@@ -34,7 +34,6 @@ from .streams import (  # noqa: F401
     permutations,
     signed_symmetric_pairings,
     signed_symmetric_permutations,
-    stream_slice,
 )
 from .frames import (  # noqa: F401
     AnnularFrame,
@@ -70,6 +69,7 @@ from .noncrossing import (  # noqa: F401
     family_nc,
     is_delta_symmetric,
     is_noncrossing,
+    member_witnesses,
 )
 from .bijections import (  # noqa: F401
     BijectionReport,

@@ -8,11 +8,16 @@ exhaustive verification drivers that check, size by size, that each map
 is a bijection between independently constructed sets.
 
 The two code paths share no family-construction logic: the gluing side
-filters raw enumeration streams by cycle-count statistics, while the
-annular side filters by geometric non-crossing conditions.  Agreement is
-therefore a genuine cross-check, and the drivers report any discrepancy
-(a non-injective image, an image outside the target family, or a target
-member never hit) rather than raising.
+selects from enumeration streams by cycle-count statistics, while the
+annular side passes each element of its source stream through the
+geometric non-crossing membership test of
+:func:`annular.noncrossing.member_witnesses`.  Agreement is therefore a
+genuine cross-check, and the drivers report any discrepancy (a
+non-injective image, an image outside the target family, or a target
+member never hit) rather than raising.  The one stream both sides read,
+:func:`annular.streams.signed_symmetric_permutations` (b̂ versus
+NCdelta_p / NCK_p), is checked element by element against a brute-force
+oracle in the test suite, so an element missing from it cannot hide.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ notation contains commas).  Diagnostics go to stderr.  Exit codes:
 3 verification failure (the report is still emitted).
 
 Apart from the measured ``timing_ms`` field, output is a deterministic
-byte-for-byte function of the arguments (and seed); ``--threads``
-selects the worker-pool width but can never change any output.
+byte-for-byte function of the arguments (and seed).  ``--max-elements``
+bounds the enumeration streams of every subcommand except ``classify``,
+which tests its one permutation directly and enumerates nothing.
 """
 
 from __future__ import annotations
@@ -66,10 +67,11 @@ from .moments import Ensemble, wick_moment
 from .montecarlo import GENERATOR_NAME, mc_moment
 from .noncrossing import (
     GRADED_TAGS,
+    UNION_TAGS,
     NCFamilyId,
     family_nc,
     is_delta_symmetric,
-    is_noncrossing,
+    member_witnesses,
 )
 from .perms import (
     Permutation,
@@ -86,7 +88,7 @@ from .streams import CapExceeded, EnumerationBudget, budget_from_environment
 
 __all__ = ["main", "classify_permutation", "SCHEMA_VERSION"]
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 
 EXIT_OK = 0
 EXIT_CAP = 1
@@ -167,13 +169,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="cap every enumeration stream at K elements (overrides the "
         "ANNULAR_MAX_ELEMENTS environment variable); exceeding it exits 1",
     )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        metavar="T",
-        help="worker-pool width; outputs are identical for every T",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="read the permutation on the signed set {-n..-1, 1..n}",
     )
-    _add_common(p_classify)
 
     p_conj = sub.add_parser(
         "conjecture",
@@ -271,11 +265,6 @@ def _resolve_budget(args: argparse.Namespace) -> EnumerationBudget | None:
     return budget_from_environment()
 
 
-def _check_threads(args: argparse.Namespace) -> None:
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
-
-
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
@@ -289,7 +278,6 @@ def _params_enumerate(args) -> dict:
         "p": args.p,
         "limit": args.limit,
         "max_elements": args.max_elements,
-        "threads": args.threads,
     }
 
 
@@ -309,7 +297,8 @@ def _require_grade_args(
             raise UsageError(f"family {tag!r} does not take {flag}")
 
 
-def cmd_enumerate(args, budget) -> tuple[dict, int, list | None]:
+def cmd_enumerate(args) -> tuple[dict, int, list | None]:
+    budget = _resolve_budget(args)
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     if args.limit is not None and args.limit < 0:
@@ -385,11 +374,11 @@ def _params_verify(args) -> dict:
         "n": args.n,
         "p": args.p,
         "max_elements": args.max_elements,
-        "threads": args.threads,
     }
 
 
-def cmd_verify(args, budget) -> tuple[dict, int, list | None]:
+def cmd_verify(args) -> tuple[dict, int, list | None]:
+    budget = _resolve_budget(args)
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     tag = args.bijection
@@ -442,11 +431,11 @@ def _params_moment(args) -> dict:
         "samples": args.samples if args.mc else None,
         "seed": args.seed if args.mc else None,
         "max_elements": args.max_elements,
-        "threads": args.threads,
     }
 
 
-def cmd_moment(args, budget) -> tuple[dict, int, list | None]:
+def cmd_moment(args) -> tuple[dict, int, list | None]:
+    budget = _resolve_budget(args)
     ensemble = Ensemble.parse(args.ensemble)
     if args.symbolic == (args.dim is not None):
         raise UsageError("choose exactly one of --symbolic or --dim N")
@@ -524,8 +513,6 @@ def _params_classify(args) -> dict:
         "perm": args.perm,
         "n": args.n,
         "signed": args.signed,
-        "max_elements": args.max_elements,
-        "threads": args.threads,
     }
 
 
@@ -536,20 +523,23 @@ def _try_pairing(pi: Permutation):
         return None
 
 
-def _nc_membership(result: list, fid: NCFamilyId, pi: Permutation, budget) -> None:
-    """Append a membership entry (with witnesses for union families)."""
-    family = family_nc(fid, budget=budget)
-    if pi not in family:
-        return
-    entry: dict = {"family": fid.tag, "n": fid.n}
-    if fid.p is not None:
-        entry["p"] = fid.p
-    if family.witness_table is not None:
-        entry["witnesses"] = [list(w) for w in family.witnesses_for(pi)]
-    result.append(entry)
+def _nc_memberships(pi: Permutation, fids: list[NCFamilyId]) -> list[dict]:
+    """One entry per family of ``fids`` containing π, with union witnesses."""
+    entries = []
+    for fid in fids:
+        witnesses = member_witnesses(fid, pi)
+        if witnesses is None:
+            continue
+        entry: dict = {"family": fid.tag, "n": fid.n}
+        if fid.p is not None:
+            entry["p"] = fid.p
+        if fid.tag in UNION_TAGS:
+            entry["witnesses"] = [list(w) for w in witnesses]
+        entries.append(entry)
+    return entries
 
 
-def _classify_unsigned(pi: Permutation, n: int, budget) -> list[dict]:
+def _classify_unsigned(pi: Permutation, n: int) -> list[dict]:
     memberships: list[dict] = []
     pairing = _try_pairing(pi)
     if pairing is not None:
@@ -572,25 +562,14 @@ def _classify_unsigned(pi: Permutation, n: int, budget) -> list[dict]:
         memberships.append(
             {"family": "a-hat", "n": n, "genus": doubled_genus // 2, "p": p}
         )
-    if is_noncrossing(pi, full_cycle(n)):
-        memberships.append({"family": "NC", "n": n})
-        if pairing is not None:
-            memberships.append({"family": "NC2", "n": n})
-    if n >= 3:
-        if pairing is not None:
-            _nc_membership(memberships, NCFamilyId("NC2T", n), pi, budget)
-            if n % 2 == 0 and is_bipartite_pairing(pairing):
-                _nc_membership(
-                    memberships,
-                    NCFamilyId("NC2T_bip", n, orientable_white_grade(pairing)),
-                    pi,
-                    budget,
-                )
-        _nc_membership(memberships, NCFamilyId("NCT_p", n, p), pi, budget)
-    return memberships
+    fids = [NCFamilyId("NC", n), NCFamilyId("NC2", n), NCFamilyId("NC2T", n)]
+    if pairing is not None and is_bipartite_pairing(pairing):
+        fids.append(NCFamilyId("NC2T_bip", n, orientable_white_grade(pairing)))
+    fids.append(NCFamilyId("NCT_p", n, p))
+    return memberships + _nc_memberships(pi, fids)
 
 
-def _classify_signed(pi: Permutation, n: int, budget) -> list[dict]:
+def _classify_signed(pi: Permutation, n: int) -> list[dict]:
     memberships: list[dict] = []
     mirror = conjugate(pi, tau0(n)) == inverse(pi)
     pairing = _try_pairing(pi)
@@ -613,47 +592,32 @@ def _classify_signed(pi: Permutation, n: int, budget) -> list[dict]:
             k = n - p + 1 - boundary // 2
             if k >= 1:
                 memberships.append({"family": "b-hat", "n": n, "k": k, "p": p})
+    # δ-symmetric permutations have an even cycle count, so p >= 1 below.
+    # NC2K_bip and NC2delta_bip are gated on B -> B although their
+    # members carry W -> B; see the known-defect test in test_cli.
     delta = is_delta_symmetric(pi)
-    if delta and is_noncrossing(pi, annulus_cycle(n)):
-        memberships.append({"family": "NCdelta", "n": n})
-        if pairing is not None:
-            memberships.append({"family": "NC2delta", "n": n})
-        if num_cycles(pi) % 2 == 0:
-            _nc_membership(
-                memberships, NCFamilyId("NCdelta_p", n, num_cycles(pi) // 2), pi, budget
-            )
-    if n >= 2:
-        if pairing is not None:
-            _nc_membership(memberships, NCFamilyId("NC2K", n), pi, budget)
-            if n % 2 == 0 and is_bipartite_signed_pairing(pairing):
-                _nc_membership(
-                    memberships,
-                    NCFamilyId("NC2K_bip", n, nonorientable_white_grade(pairing)),
-                    pi,
-                    budget,
-                )
-        if delta and num_cycles(pi) % 2 == 0:
-            _nc_membership(
-                memberships, NCFamilyId("NCK_p", n, num_cycles(pi) // 2), pi, budget
-            )
+    half = num_cycles(pi) // 2
+    fids = [NCFamilyId("NCdelta", n), NCFamilyId("NC2delta", n)]
+    if delta:
+        fids.append(NCFamilyId("NCdelta_p", n, half))
+    fids.append(NCFamilyId("NC2K", n))
+    if pairing is not None and n % 2 == 0 and is_bipartite_signed_pairing(pairing):
+        fids.append(NCFamilyId("NC2K_bip", n, nonorientable_white_grade(pairing)))
+    if delta:
+        fids.append(NCFamilyId("NCK_p", n, half))
     if pairing is not None and is_bipartite_signed_pairing(pairing) and mirror:
-        _nc_membership(
-            memberships,
-            NCFamilyId("NC2delta_bip", n, nonorientable_white_grade(pairing)),
-            pi,
-            budget,
-        )
-    return memberships
+        fids.append(NCFamilyId("NC2delta_bip", n, nonorientable_white_grade(pairing)))
+    return memberships + _nc_memberships(pi, fids)
 
 
-def classify_permutation(
-    text: str, n: int, *, signed: bool = False, budget=None
-) -> dict:
+def classify_permutation(text: str, n: int, *, signed: bool = False) -> dict:
     """Parse ``text`` on [n] or ±[n] and report every family membership.
 
+    Each non-crossing membership is decided by the family's own
+    membership test, so no family is built and no size cap applies.
     Union-family memberships carry their (u, v) frame witnesses; graded
     memberships carry the grade.  Raises ``ValueError`` on a parse
-    failure and propagates ``CapExceeded`` from the membership scans.
+    failure.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -670,19 +634,15 @@ def classify_permutation(
     if signed:
         report["mirror_symmetric"] = conjugate(pi, tau0(n)) == inverse(pi)
         report["delta_symmetric"] = is_delta_symmetric(pi)
-        report["memberships"] = _classify_signed(pi, n, budget)
+        report["memberships"] = _classify_signed(pi, n)
     else:
-        report["memberships"] = _classify_unsigned(pi, n, budget)
+        report["memberships"] = _classify_unsigned(pi, n)
     return report
 
 
-def cmd_classify(args, budget) -> tuple[dict, int, list | None]:
+def cmd_classify(args) -> tuple[dict, int, list | None]:
     try:
-        result = classify_permutation(
-            args.perm, args.n, signed=args.signed, budget=budget
-        )
-    except CapExceeded:
-        raise
+        result = classify_permutation(args.perm, args.n, signed=args.signed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return result, EXIT_OK, None
@@ -696,11 +656,11 @@ def _params_conjecture(args) -> dict:
     return {
         "max_n": args.max_n,
         "max_elements": args.max_elements,
-        "threads": args.threads,
     }
 
 
-def cmd_conjecture(args, budget) -> tuple[dict, int, list | None]:
+def cmd_conjecture(args) -> tuple[dict, int, list | None]:
+    budget = _resolve_budget(args)
     if args.max_n < 1:
         raise UsageError("--max-n must be >= 1")
     rows = conjecture_table(args.max_n, budget=budget)
@@ -751,9 +711,7 @@ def main(argv: list[str] | None = None) -> int:
     parameters = params_fn(args)
     start = time.perf_counter()
     try:
-        _check_threads(args)
-        budget = _resolve_budget(args)
-        result, code, csv_rows = handler(args, budget)
+        result, code, csv_rows = handler(args)
     except CapExceeded as exc:
         result = {
             "error": {

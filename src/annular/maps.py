@@ -360,11 +360,23 @@ def is_bipartite_pairing(pi: Pairing) -> bool:
     return all(pi(a) % 2 for a in range(2, size + 1, 2))
 
 
+@cache
+def _black_mask(n: int) -> tuple[tuple[int, ...], bytes]:
+    """The indices of B(n // 2) inside ±[n], and a mask with 1 at them."""
+    ground = signed_ground(n)
+    black = set(black_labels(n // 2))
+    mask = bytes(ground.label(i) in black for i in range(ground.size))
+    return tuple(i for i, b in enumerate(mask) if b), mask
+
+
 def is_bipartite_signed_pairing(tau1: Permutation) -> bool:
     """On ±[2n]: the black set B(n) is carried to itself."""
-    m = tau1.domain.n // 2
-    black = set(black_labels(m))
-    return all(tau1(b) in black for b in black)
+    indices, mask = _black_mask(tau1.domain.n)
+    img = tau1.image
+    for i in indices:
+        if not mask[img[i]]:
+            return False
+    return True
 
 
 def orientable_white_grade(pi: Pairing) -> int:

@@ -51,6 +51,14 @@ frame would degenerate to a single cycle.
 Graded bipartite tags read their inner sets as the ungraded (u, v)
 members and measure grades against the canonical disk/annulus frames,
 exactly as the displayed conditions state.
+
+Each family is defined once, as a test on one element: the conditions
+of its source stream (the permutations or pairings of [n], or the
+δ-symmetric ones of ±[n]), the grade, and the non-crossing condition.
+For a union tag the anchor fixes v from u, so each u names at most one
+cut, and only a cut that passes the head condition has its frame
+built.  :func:`member_witnesses` applies the test to any permutation;
+:func:`family_nc` runs the source stream through it.
 """
 
 from __future__ import annotations
@@ -58,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frames import annulus_cycle, full_cycle, klein_frame, torus_frame
-from .maps import black_labels, white_labels
+from .maps import black_labels, is_bipartite_pairing, white_labels
 from .perms import (
     Permutation,
     compose,
@@ -68,13 +76,14 @@ from .perms import (
     num_cycles,
     restricted_cycle_count,
     signed_ground,
+    unsigned_ground,
 )
 from .streams import (
     EnumerationBudget,
     pairings,
     permutations,
-    permutations_of,
     signed_symmetric_pairings,
+    signed_symmetric_permutations,
 )
 
 __all__ = [
@@ -84,6 +93,7 @@ __all__ = [
     "NCFamilyId",
     "NCFamily",
     "family_nc",
+    "member_witnesses",
     "UNGRADED_TAGS",
     "GRADED_TAGS",
     "UNION_TAGS",
@@ -244,8 +254,31 @@ def _finalize(
 
 
 # ---------------------------------------------------------------------------
-# family builders
+# membership: one test per tag
 # ---------------------------------------------------------------------------
+
+#: The source stream of each tag: (on ±[n], pairings only).  Signed
+#: sources are the δ-symmetric pairings / permutations of ±[n].
+_SOURCE = {
+    "NC": (False, False),
+    "NC2": (False, True),
+    "NCdelta": (True, False),
+    "NC2delta": (True, True),
+    "NC2T": (False, True),
+    "NC2K": (True, True),
+    "NC2delta_bip": (True, True),
+    "NC2T_bip": (False, True),
+    "NC2K_bip": (True, True),
+    "NCdelta_p": (True, False),
+    "NCT_p": (False, False),
+    "NCK_p": (True, False),
+}
+
+_KLEIN_TAGS = ("NC2K", "NC2K_bip", "NCK_p")
+_HYPERMAP_TAGS = ("NCT_p", "NCK_p")
+#: Required parity of v − u on the bipartite unions.
+_CUT_PARITY = {"NC2T_bip": 1, "NC2K_bip": 0}
+
 
 def _alternating_signed(pi: Permutation, m: int) -> bool:
     """Every white label of ±[2m] is sent into the black set."""
@@ -266,150 +299,90 @@ def _odd_grade(pi: Permutation) -> int:
     return restricted_cycle_count(faces, range(1, size, 2))
 
 
-def _is_bipartite_unsigned(pi: Permutation) -> bool:
-    size = pi.domain.n
-    return all(pi(a) % 2 for a in range(2, size + 1, 2))
+def _graded(fid: NCFamilyId, pi: Permutation) -> bool:
+    """The grade and colour conditions of a graded tag; True for the others."""
+    tag, p, m = fid.tag, fid.p, fid.n // 2
+    if tag == "NCT_p":
+        return num_cycles(pi) == p
+    if tag in ("NCdelta_p", "NCK_p"):
+        return num_cycles(pi) == 2 * p
+    if tag == "NC2T_bip":
+        return is_bipartite_pairing(pi) and _odd_grade(pi) == p
+    if tag in ("NC2delta_bip", "NC2K_bip"):
+        return _alternating_signed(pi, m) and _black_grade_doubled(pi, m) == 2 * p
+    return True
 
 
-def _disk_family(fid: NCFamilyId, budget, *, pairs_only: bool) -> NCFamily:
-    n = fid.n
-    gamma = full_cycle(n)
-    stream = pairings(n, budget=budget) if pairs_only else permutations(n, budget=budget)
-    return _finalize(fid, [pi for pi in stream if is_noncrossing(pi, gamma)])
+def _cut_range(n: int, klein: bool) -> range:
+    """Labels a cut u < v may use: up to n on Klein frames, below n on torus ones."""
+    return range(1, n + 1 if klein else n)
 
 
-def _annulus_family(
-    fid: NCFamilyId, budget, *, pairs_only: bool, grade: int | None = None
-) -> NCFamily:
-    n = fid.n
-    gamma = annulus_cycle(n)
-    if pairs_only:
-        stream = signed_symmetric_pairings(n, budget=budget)
-        candidates = (pi for pi in stream)
-    else:
-        stream = permutations_of(signed_ground(n), budget=budget)
-        candidates = (pi for pi in stream if is_delta_symmetric(pi))
+def _union_witnesses(
+    fid: NCFamilyId, pi: Permutation
+) -> tuple[tuple[int, int], ...] | None:
+    """The cuts (u, v) whose frame admits π, or None when there is none.
+
+    The anchor is π for the pairing unions and π⁻¹ for the hypermap
+    unions.  A torus cut needs anchor(u) = v and no a < u with
+    anchor(a) in [u, v]; a Klein cut needs anchor(u) = −v and no a < u
+    with anchor(a) < 0.  So each u names at most one v, and only a cut
+    passing both conditions has its frame built and tested.
+    """
+    n, tag = fid.n, fid.tag
+    klein = tag in _KLEIN_TAGS
+    anchor = inverse(pi) if tag in _HYPERMAP_TAGS else pi
+    parity = _CUT_PARITY.get(tag)
+    cuts = _cut_range(n, klein)
     found = []
-    for pi in candidates:
-        if grade is not None and num_cycles(pi) != 2 * grade:
+    for u in cuts:
+        v = -anchor(u) if klein else anchor(u)
+        if v <= u or v not in cuts:
             continue
-        if is_noncrossing(pi, gamma):
-            found.append(pi)
-    return _finalize(fid, found)
-
-
-def _bip_annulus_family(fid: NCFamilyId, budget) -> NCFamily:
-    n, p = fid.n, fid.p
-    m = n // 2
-    gamma = annulus_cycle(n)
-    found = []
-    for pi in signed_symmetric_pairings(n, budget=budget):
-        if not _alternating_signed(pi, m):
+        if parity is not None and (v - u) % 2 != parity:
             continue
-        if not is_noncrossing(pi, gamma):
+        head = [anchor(a) for a in range(1, u)]
+        blocked = any(x < 0 for x in head) if klein else any(u <= x <= v for x in head)
+        if blocked:
             continue
-        if _black_grade_doubled(pi, m) == 2 * p:
-            found.append(pi)
-    return _finalize(fid, found)
+        frame = klein_frame(n, u, v) if klein else torus_frame(n, u, v)
+        if is_noncrossing(pi, frame.gamma):
+            found.append((u, v))
+    return tuple(found) or None
 
 
-def _torus_parameters(n: int, parity: int | None) -> list[tuple[int, int]]:
-    return [
-        (u, v)
-        for u in range(1, n)
-        for v in range(u + 1, n)
-        if parity is None or (v - u) % 2 == parity
-    ]
+def _member_test(
+    fid: NCFamilyId, pi: Permutation
+) -> tuple[tuple[int, int], ...] | None:
+    """Membership of an element of the tag's source stream."""
+    if not _graded(fid, pi):
+        return None
+    if fid.tag in UNION_TAGS:
+        return _union_witnesses(fid, pi)
+    gamma = annulus_cycle(fid.n) if _SOURCE[fid.tag][0] else full_cycle(fid.n)
+    return () if is_noncrossing(pi, gamma) else None
 
 
-def _klein_parameters(n: int, parity: int | None) -> list[tuple[int, int]]:
-    return [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if parity is None or (v - u) % 2 == parity
-    ]
+def member_witnesses(
+    family_id: NCFamilyId, pi: Permutation
+) -> tuple[tuple[int, int], ...] | None:
+    """Whether ``pi`` belongs to the family, without building the family.
 
-
-def _torus_pairing_family(fid: NCFamilyId, budget, *, bipartite: bool) -> NCFamily:
-    n = fid.n
-    candidates = []
-    for pi in pairings(n, budget=budget):
-        if bipartite and not (_is_bipartite_unsigned(pi) and _odd_grade(pi) == fid.p):
-            continue
-        candidates.append(pi)
-    found: dict[Permutation, list[tuple[int, int]]] = {}
-    for u, v in _torus_parameters(n, 1 if bipartite else None):
-        gamma = torus_frame(n, u, v).gamma
-        banned = set(range(u, v + 1))
-        for pi in candidates:
-            if pi(u) != v:
-                continue
-            if any(pi(a) in banned for a in range(1, u)):
-                continue
-            if is_noncrossing(pi, gamma):
-                found.setdefault(pi, []).append((u, v))
-    return _finalize(fid, found)
-
-
-def _klein_pairing_family(fid: NCFamilyId, budget, *, bipartite: bool) -> NCFamily:
-    n = fid.n
-    candidates = []
-    for pi in signed_symmetric_pairings(n, budget=budget):
-        if bipartite and not _alternating_signed(pi, n // 2):
-            continue
-        if bipartite and _black_grade_doubled(pi, n // 2) != 2 * fid.p:
-            continue
-        candidates.append(pi)
-    found: dict[Permutation, list[tuple[int, int]]] = {}
-    for u, v in _klein_parameters(n, 0 if bipartite else None):
-        gamma = klein_frame(n, u, v).gamma
-        for pi in candidates:
-            if pi(u) != -v:
-                continue
-            if any(pi(a) < 0 for a in range(1, u)):
-                continue
-            if is_noncrossing(pi, gamma):
-                found.setdefault(pi, []).append((u, v))
-    return _finalize(fid, found)
-
-
-def _torus_permutation_family(fid: NCFamilyId, budget) -> NCFamily:
-    n, p = fid.n, fid.p
-    candidates = [pi for pi in permutations(n, budget=budget) if num_cycles(pi) == p]
-    found: dict[Permutation, list[tuple[int, int]]] = {}
-    for u, v in _torus_parameters(n, None):
-        gamma = torus_frame(n, u, v).gamma
-        banned = set(range(u, v + 1))
-        for pi in candidates:
-            inv = inverse(pi)
-            if inv(u) != v:
-                continue
-            if any(inv(a) in banned for a in range(1, u)):
-                continue
-            if is_noncrossing(pi, gamma):
-                found.setdefault(pi, []).append((u, v))
-    return _finalize(fid, found)
-
-
-def _klein_permutation_family(fid: NCFamilyId, budget) -> NCFamily:
-    n, p = fid.n, fid.p
-    candidates = [
-        (pi, inverse(pi))
-        for pi in permutations_of(signed_ground(n), budget=budget)
-        if num_cycles(pi) == 2 * p and is_delta_symmetric(pi)
-    ]
-    found: dict[Permutation, list[tuple[int, int]]] = {}
-    for u, v in _klein_parameters(n, None):
-        gamma = klein_frame(n, u, v).gamma
-        for pi, inv in candidates:
-            if inv(u) != -v:
-                continue
-            if any(inv(a) < 0 for a in range(1, u)):
-                continue
-            if is_noncrossing(pi, gamma):
-                found.setdefault(pi, []).append((u, v))
-    return _finalize(fid, found)
+    Returns None for a non-member.  For a member it returns the sorted
+    (u, v) witnesses of a union tag, and () for any other tag.  The
+    conditions of the family's source stream (ground set, pairing,
+    δ-symmetry) are checked here, and then the same per-element test
+    that :func:`family_nc` applies to its stream.
+    """
+    signed, pairs_only = _SOURCE[family_id.tag]
+    ground = signed_ground(family_id.n) if signed else unsigned_ground(family_id.n)
+    if pi.domain != ground:
+        return None
+    if pairs_only and not (pi.is_involution() and pi.is_fixed_point_free()):
+        return None
+    if signed and not is_delta_symmetric(pi):
+        return None
+    return _member_test(family_id, pi)
 
 
 def family_nc(
@@ -419,33 +392,22 @@ def family_nc(
 ) -> NCFamily:
     """Materialize the family named by ``family_id``.
 
-    Members are produced by filtering the matching enumeration stream
-    and are returned in a canonical sorted order; union families also
-    carry their (u, v) witnesses.
+    Members are the elements of the tag's source stream that pass the
+    membership test of :func:`member_witnesses`, returned in a canonical
+    sorted order; union families also carry their (u, v) witnesses.  A
+    budget counts the source elements.
     """
     tag = family_id.tag
-    if tag == "NC":
-        return _disk_family(family_id, budget, pairs_only=False)
-    if tag == "NC2":
-        return _disk_family(family_id, budget, pairs_only=True)
-    if tag == "NCdelta":
-        return _annulus_family(family_id, budget, pairs_only=False)
-    if tag == "NC2delta":
-        return _annulus_family(family_id, budget, pairs_only=True)
-    if tag == "NC2T":
-        return _torus_pairing_family(family_id, budget, bipartite=False)
-    if tag == "NC2K":
-        return _klein_pairing_family(family_id, budget, bipartite=False)
-    if tag == "NC2delta_bip":
-        return _bip_annulus_family(family_id, budget)
-    if tag == "NC2T_bip":
-        return _torus_pairing_family(family_id, budget, bipartite=True)
-    if tag == "NC2K_bip":
-        return _klein_pairing_family(family_id, budget, bipartite=True)
-    if tag == "NCdelta_p":
-        return _annulus_family(family_id, budget, pairs_only=False, grade=family_id.p)
-    if tag == "NCT_p":
-        return _torus_permutation_family(family_id, budget)
-    if tag == "NCK_p":
-        return _klein_permutation_family(family_id, budget)
-    raise ValueError(f"unknown family tag {tag!r}")
+    if tag not in _SOURCE:
+        raise ValueError(f"unknown family tag {tag!r}")
+    signed, pairs_only = _SOURCE[tag]
+    if pairs_only:
+        source = signed_symmetric_pairings if signed else pairings
+    else:
+        source = signed_symmetric_permutations if signed else permutations
+    found = {}
+    for pi in source(family_id.n, budget=budget):
+        witnesses = _member_test(family_id, pi)
+        if witnesses is not None:
+            found[pi] = witnesses
+    return _finalize(family_id, found if tag in UNION_TAGS else list(found))

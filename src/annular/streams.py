@@ -9,7 +9,7 @@ the non-crossing families:
 * :func:`permutations` — all permutations of a ground set;
 * :func:`signed_symmetric_permutations` — permutations of ±[n] whose
   cycle set is mirror-closed in the strong sense τ₀ττ₀ = τ⁻¹ with
-  τ₀τ fixed-point free, obtained by brute-force filtering.
+  τ₀τ fixed-point free, built as τ₀σ over the pairings σ of ±[n].
 
 Two constructive streams build the bipartite gluing families directly
 and yield raw index images, for the index-space kernels in
@@ -28,9 +28,7 @@ without visiting the rejected ones.
 Each stream has a documented deterministic order, an ``n``-cap guarding
 against accidental combinatorial explosions (overridable per call), and
 an optional :class:`EnumerationBudget` limiting the number of elements
-produced.  ``stream_slice`` exposes the k-th residue class of any
-stream's order, so independent workers can split an enumeration without
-coordination and their union is exactly the plain stream.
+produced.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import permutations as _iter_permutations, product as _iter_product
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from .perms import GroundSet, Pairing, Permutation, signed_ground, unsigned_ground
 
@@ -58,7 +56,6 @@ __all__ = [
     "permutations",
     "signed_symmetric_permutations",
     "double_factorial",
-    "stream_slice",
     "budget_from_environment",
 ]
 
@@ -66,7 +63,7 @@ __all__ = [
 DEFAULT_PAIRING_CAP = 16
 #: Largest ground-set size for which all permutations are enumerated.
 DEFAULT_PERMUTATION_CAP = 9
-#: Largest n for the brute-force filtered stream over all (2n)! permutations.
+#: Largest n for the signed symmetric permutation stream.
 DEFAULT_SIGNED_PERMUTATION_CAP = 4
 
 MAX_ELEMENTS_ENV_VAR = "ANNULAR_MAX_ELEMENTS"
@@ -418,13 +415,12 @@ def signed_symmetric_permutations(
 ) -> Iterator[Permutation]:
     """Permutations τ of ±[n] with τ₀ττ₀ = τ⁻¹ and τ₀τ fixed-point free.
 
-    Brute-force filter over all (2n)! permutations of ±[n] in
-    lexicographic image order (the order inherited from the full
-    stream).  In index space, with the mirror M(i) = 2n−1−i, the two
-    conditions read image[M(image[i])] = M(i) for all i (mirror
-    symmetry) and image[i] ≠ M(i) for all i (no label maps to its
-    negative).  At n=1 the stream is exactly {identity}: the swap
-    (1,−1) fails the second condition.
+    These are exactly the δ-symmetric permutations of ±[n]: the two
+    conditions say that σ = τ₀τ is a pairing of ±[n], so the stream is
+    {τ₀σ : σ a pairing of ±[n]}, (2n−1)!! elements.  In index space,
+    with the mirror M(i) = 2n−1−i, τ has image M(σ(i)).  The images are
+    sorted, which gives lexicographic image order.  At n=1 the stream is
+    exactly {identity}.
     """
     _check_cap(
         "signed symmetric permutation enumeration",
@@ -433,38 +429,7 @@ def signed_symmetric_permutations(
         DEFAULT_SIGNED_PERMUTATION_CAP,
     )
     ground = signed_ground(n)
-    size = 2 * n
-    last = size - 1
-
-    def gen() -> Iterator[Permutation]:
-        for img in _iter_permutations(range(size)):
-            ok = True
-            for i in range(size):
-                j = img[i]
-                if j == last - i or img[last - j] != last - i:
-                    ok = False
-                    break
-            if ok:
-                yield Permutation._make(ground, img)
-
-    return _budgeted(gen(), budget, f"signed symmetric permutations of ±[{n}]")
-
-
-# ---------------------------------------------------------------------------
-# slicing
-# ---------------------------------------------------------------------------
-
-def stream_slice(stream: Iterable, index: int, count: int) -> Iterator:
-    """Every ``count``-th element starting at position ``index``.
-
-    The ``count`` slices of a stream partition it: interleaving slice
-    0..count-1 in round-robin order reproduces the stream exactly, so
-    workers can process slices independently and merge deterministically.
-    """
-    if count <= 0:
-        raise ValueError("count must be positive")
-    if not 0 <= index < count:
-        raise ValueError("index must satisfy 0 <= index < count")
-    for pos, item in enumerate(stream):
-        if pos % count == index:
-            yield item
+    last = 2 * n - 1
+    images = sorted(tuple(last - j for j in img) for img in _pairing_images(2 * n))
+    inner = (Permutation._make(ground, img) for img in images)
+    return _budgeted(inner, budget, f"signed symmetric permutations of ±[{n}]")

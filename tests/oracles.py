@@ -192,6 +192,75 @@ def ref_permutations(labels) -> list[dict]:
     return [dict(zip(labels, img)) for img in iter_permutations(labels)]
 
 
+def ref_signed_symmetric_permutations(n: int) -> list[dict]:
+    """Brute-force delta-symmetric permutations of ±[n] (as dicts).
+
+    Every permutation of ±[n] in lexicographic order, kept when no label
+    maps to its negative and p(-p(x)) = -x for every x.
+    """
+    labels = [x for x in range(-n, n + 1) if x != 0]
+    return [
+        p
+        for p in ref_permutations(labels)
+        if all(p[x] != -x and p[-p[x]] == -x for x in labels)
+    ]
+
+
+def ref_from_cycles(n: int, cycles, signed: bool = False) -> dict:
+    """The permutation with the given cycles on [n] or ±[n]; fixed elsewhere."""
+    labels = range(-n, n + 1) if signed else range(1, n + 1)
+    p = {x: x for x in labels if x != 0}
+    for cyc in cycles:
+        for i, x in enumerate(cyc):
+            p[x] = cyc[(i + 1) % len(cyc)]
+    return p
+
+
+def ref_torus_frame(n: int, u: int, v: int) -> dict:
+    """(u, ..., v)(1, ..., u-1, v+1, ..., n) on [n]."""
+    rest = list(range(1, u)) + list(range(v + 1, n + 1))
+    return ref_from_cycles(n, [list(range(u, v + 1)), rest])
+
+
+def ref_klein_frame(n: int, u: int, v: int) -> dict:
+    """(u..v-1, 1-u..-1, -n..-v)(v..n, 1..u-1, 1-v..-u) on ±[n]."""
+    upper = list(range(u, v)) + list(range(1 - u, 0)) + list(range(-n, -v + 1))
+    lower = list(range(v, n + 1)) + list(range(1, u)) + list(range(1 - v, -u + 1))
+    return ref_from_cycles(n, [upper, lower], signed=True)
+
+
+def ref_union_witnesses(
+    p: dict, n: int, *, klein: bool, hypermap: bool, parity: int | None = None
+) -> list[tuple[int, int]]:
+    """Every cut (u, v) whose torus / Klein frame admits p.
+
+    The anchor is p (pairing unions) or its inverse (hypermap unions).
+    Torus cuts run over 1 <= u < v < n and need anchor(u) = v with no
+    a < u sent into [u, v]; Klein cuts run over 1 <= u < v <= n and need
+    anchor(u) = -v with no a < u sent to a negative label.  Then p must
+    be non-crossing against the frame.
+    """
+    anchor = ref_inverse(p) if hypermap else p
+    top = n if klein else n - 1
+    out = []
+    for u in range(1, top + 1):
+        for v in range(u + 1, top + 1):
+            if parity is not None and (v - u) % 2 != parity:
+                continue
+            head = [anchor[a] for a in range(1, u)]
+            if klein:
+                if anchor[u] != -v or any(x < 0 for x in head):
+                    continue
+                gamma = ref_klein_frame(n, u, v)
+            else:
+                if anchor[u] != v or any(u <= x <= v for x in head):
+                    continue
+                gamma = ref_torus_frame(n, u, v)
+            if ref_is_noncrossing(p, gamma):
+                out.append((u, v))
+    return out
+
+
 def ref_catalan(n: int) -> int:
     value = Fraction(1)
     for k in range(n):
@@ -305,13 +374,8 @@ def ref_family_a_hat_counts(n: int) -> dict[tuple[int, int], int]:
 
 def ref_family_b_hat_counts(n: int) -> dict[tuple[int, int], int]:
     """(k, p) histogram over mirror-symmetric twisted permutations of ±[n]."""
-    labels = [x for x in range(-n, n + 1) if x != 0]
     counts: dict[tuple[int, int], int] = {}
-    for p in ref_permutations(labels):
-        if any(p[-p[x]] != -x for x in labels):
-            continue
-        if any(p[x] == -x for x in labels):
-            continue
+    for p in ref_signed_symmetric_permutations(n):
         if not any(p[a] < 0 for a in range(1, n + 1)):
             continue
         halves = ref_num_cycles(p)

@@ -15,6 +15,7 @@ from annular.noncrossing import (
     family_nc,
     is_delta_symmetric,
     is_noncrossing,
+    member_witnesses,
 )
 from annular.perms import (
     Pairing,
@@ -30,6 +31,7 @@ from annular.streams import (
     permutations,
     permutations_of,
     signed_pairings,
+    signed_symmetric_permutations,
 )
 
 from oracles import (
@@ -43,6 +45,10 @@ from oracles import (
     ref_is_noncrossing,
     ref_join_blocks,
     ref_num_cycles,
+    ref_permutations,
+    ref_signed_symmetric_pairings,
+    ref_signed_symmetric_permutations,
+    ref_union_witnesses,
 )
 
 
@@ -174,6 +180,33 @@ def test_family_respects_budget():
         family_nc(NCFamilyId("NC", 4), budget=budget)
 
 
+def test_delta_family_budget_counts_delta_symmetric_elements():
+    # The source is the 105 delta-symmetric permutations of ±[4], not
+    # the 40,320 permutations a filter would scan.
+    assert len(family_nc(NCFamilyId("NCdelta", 4), budget=EnumerationBudget(105))) > 0
+    with pytest.raises(CapExceeded):
+        family_nc(NCFamilyId("NCdelta", 4), budget=EnumerationBudget(104))
+    with pytest.raises(CapExceeded) as info:
+        family_nc(NCFamilyId("NCK_p", 5, 1))
+    assert (info.value.requested, info.value.cap) == (5, 4)
+
+
+def test_member_witnesses_checks_the_source_conditions():
+    g4, s2 = unsigned_ground(4), signed_ground(2)
+    # wrong ground set
+    assert member_witnesses(NCFamilyId("NC2", 4), parse_cycles("(1,2)", s2)) is None
+    assert member_witnesses(NCFamilyId("NC", 3), Permutation.identity(g4)) is None
+    # not a pairing
+    assert member_witnesses(NCFamilyId("NC2", 4), parse_cycles("(1,2)", g4)) is None
+    assert member_witnesses(NCFamilyId("NC", 4), parse_cycles("(1,2)", g4)) == ()
+    # not delta-symmetric
+    annular = NCFamilyId("NC2delta", 2)
+    assert member_witnesses(annular, parse_cycles("(1,-1)(2,-2)", s2)) is None
+    assert member_witnesses(annular, parse_cycles("(1,-2)(-1,2)", s2)) == ()
+    torus = NCFamilyId("NC2T", 4)
+    assert member_witnesses(torus, parse_cycles("(1,3)(2,4)", g4)) == ((1, 3),)
+
+
 # ---------------------------------------------------------------------------
 # disk families
 # ---------------------------------------------------------------------------
@@ -272,6 +305,54 @@ def test_torus_members_are_noncrossing_at_their_witnesses():
             assert pi(u) == v
             assert is_noncrossing(pi, gamma)
             assert all(pi(a) not in range(u, v + 1) for a in range(1, u))
+
+
+def _key(d: dict) -> tuple:
+    return tuple(sorted(d.items()))
+
+
+def _assert_union_matches_oracle(fid, source, **kind):
+    fam = family_nc(fid)
+    got = {_key(pi.mapping()): list(fam.witnesses_for(pi)) for pi in fam}
+    want = {}
+    for p in source:
+        ws = ref_union_witnesses(p, fid.n, **kind)
+        if ws:
+            want[_key(p)] = ws
+    assert got == want
+
+
+def test_union_families_match_dict_oracle():
+    for n in range(1, 9):
+        pairs = [pairing_to_map(ps) for ps in ref_all_pairings(list(range(1, n + 1)))]
+        _assert_union_matches_oracle(
+            NCFamilyId("NC2T", n), pairs, klein=False, hypermap=False
+        )
+    for n in range(1, 7):
+        _assert_union_matches_oracle(
+            NCFamilyId("NC2K", n),
+            ref_signed_symmetric_pairings(n),
+            klein=True,
+            hypermap=False,
+        )
+    for n in range(1, 6):
+        perms = ref_permutations(range(1, n + 1))
+        for p in range(1, n + 1):
+            _assert_union_matches_oracle(
+                NCFamilyId("NCT_p", n, p),
+                [d for d in perms if ref_num_cycles(d) == p],
+                klein=False,
+                hypermap=True,
+            )
+    for n in range(1, 4):
+        perms = ref_signed_symmetric_permutations(n)
+        for p in range(1, n + 1):
+            _assert_union_matches_oracle(
+                NCFamilyId("NCK_p", n, p),
+                [d for d in perms if ref_num_cycles(d) == 2 * p],
+                klein=True,
+                hypermap=True,
+            )
 
 
 def test_witnesses_unavailable_for_plain_families():

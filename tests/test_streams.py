@@ -1,4 +1,4 @@
-"""Stream tests: deterministic orders, counts, caps, budgets, slices."""
+"""Stream tests: deterministic orders, counts, caps, budgets."""
 
 from math import factorial
 
@@ -19,7 +19,6 @@ from annular.streams import (
     signed_pairings,
     signed_symmetric_pairings,
     signed_symmetric_permutations,
-    stream_slice,
 )
 
 import oracles
@@ -155,28 +154,13 @@ def test_signed_symmetric_permutations_n1_is_identity_only():
     assert got[0].is_identity()
 
 
-def _ref_signed_symmetric_permutations(n):
-    labels = [x for x in range(-n, n + 1) if x != 0]
-    out = []
-    for perm in oracles.ref_permutations(labels):
-        if any(perm[x] == -x for x in labels):
-            continue
-        if all(perm[-perm[x]] == -x for x in labels):
-            out.append(perm)
-    return out
-
-
 def test_signed_symmetric_permutations_match_reference():
-    for n in (1, 2, 3):
-        got = {p.cycle_string() for p in signed_symmetric_permutations(n)}
-        want = set()
-        for ref in _ref_signed_symmetric_permutations(n):
-            cycles = oracles.ref_cycles(ref)
-            want.add(
-                "".join(
-                    "(" + ",".join(map(str, c)) + ")" for c in cycles if len(c) > 1
-                )
-            )
+    # The whole capped range, element by element and in order: b-hat and
+    # the delta-symmetric non-crossing families both read this stream.
+    for n in (1, 2, 3, 4):
+        got = [p.mapping() for p in signed_symmetric_permutations(n)]
+        want = oracles.ref_signed_symmetric_permutations(n)
+        assert len(got) == double_factorial(2 * n - 1)
         assert got == want
 
 
@@ -226,19 +210,3 @@ def test_budget_validation():
         EnumerationBudget(-1)
     with pytest.raises(ValueError):
         EnumerationBudget(5, on_overflow="explode")
-
-
-# ------------------------------------------------------------------- slices
-def test_stream_slice_partitions_stream():
-    full = [p.pairs() for p in pairings(6)]
-    k = 3
-    slices = [
-        [p.pairs() for p in stream_slice(pairings(6), i, k)] for i in range(k)
-    ]
-    # round-robin interleave reproduces the stream
-    rebuilt = []
-    for pos in range(len(full)):
-        rebuilt.append(slices[pos % k][pos // k])
-    assert rebuilt == full
-    with pytest.raises(ValueError):
-        list(stream_slice(pairings(4), 3, 3))
