@@ -72,9 +72,11 @@ from .noncrossing import (  # noqa: F401
     member_witnesses,
 )
 from .bijections import (  # noqa: F401
+    BIJECTIONS,
     BijectionReport,
     ConjectureRow,
     conjecture_table,
+    verify,
     verify_a_hat_equality,
     verify_a_tilde_equality,
     verify_lemma3,

@@ -4,15 +4,19 @@ Every moment contribution can be listed two ways: as a gluing of edge
 labels around one or two vertices (the ``family_*`` builders in
 :mod:`annular.maps`) or as a non-crossing annular object (the families in
 :mod:`annular.noncrossing`).  This module holds the conversion maps and
-exhaustive verification drivers that check, size by size, that each map
-is a bijection between independently constructed sets.
+one table, :data:`BIJECTIONS`, naming each claimed bijection by its CLI
+tag: the gluing-side builder, the annular-side builder, the map between
+them, and whether the claim is graded by a part count p.
+:func:`verify` checks one entry exhaustively, size by size; the
+``verify_*`` names are one-line shorthands for it, and the CLI and
+:func:`conjecture_table` read the same table.
 
 The two code paths share no family-construction logic: the gluing side
 selects from enumeration streams by cycle-count statistics, while the
 annular side passes each element of its source stream through the
 geometric non-crossing membership test of
 :func:`annular.noncrossing.member_witnesses`.  Agreement is therefore a
-genuine cross-check, and the drivers report any discrepancy (a
+genuine cross-check, and :func:`verify` reports any discrepancy (a
 non-injective image, an image outside the target family, or a target
 member never hit) rather than raising.  The one stream both sides read,
 :func:`annular.streams.signed_symmetric_permutations` (b̂ versus
@@ -23,6 +27,7 @@ oracle in the test suite, so an element missing from it cannot hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .frames import tau0
 from .maps import (
@@ -45,14 +50,12 @@ __all__ = [
     "WITNESS_CAP",
     "BijectionReport",
     "ConjectureRow",
+    "Bijection",
+    "BIJECTIONS",
     "phi1",
     "phi1_inverse",
     "phi2",
-    "phi2_inverse",
-    "phi1_tilde",
-    "phi2_tilde",
-    "phi1_hat",
-    "phi2_hat",
+    "verify",
     "verify_phi1",
     "verify_phi2",
     "verify_torus_equality",
@@ -167,7 +170,8 @@ def phi1(tau1: Pairing) -> Permutation:
 
 
 def phi1_inverse(pi: Permutation) -> Permutation:
-    """Recover the gluing from its annular pairing (negation is an involution)."""
+    """Recover the gluing from its annular pairing under :func:`phi1` or
+    :func:`phi2` (negation is an involution)."""
     return _glue_with_negation(pi)
 
 
@@ -175,30 +179,6 @@ def phi2(tau1: Pairing) -> Permutation:
     """Send a twisted Euler-genus-2 gluing to its Klein-frame annular pairing."""
     _require_twisted_member(tau1, 2)
     return _glue_with_negation(tau1)
-
-
-def phi2_inverse(pi: Permutation) -> Permutation:
-    return _glue_with_negation(pi)
-
-
-def phi1_tilde(tau1: Pairing) -> Permutation:
-    """Bipartite graded variant of :func:`phi1`; same gluing formula."""
-    return _glue_with_negation(tau1)
-
-
-def phi2_tilde(tau1: Pairing) -> Permutation:
-    """Bipartite graded variant of :func:`phi2`; same gluing formula."""
-    return _glue_with_negation(tau1)
-
-
-def phi1_hat(tau1: Permutation) -> Permutation:
-    """Hypermap variant: on mirror-symmetric permutations, conjugating by
-    label negation equals inversion, so the image is simply the inverse."""
-    return inverse(tau1)
-
-
-def phi2_hat(tau1: Permutation) -> Permutation:
-    return inverse(tau1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,161 +242,141 @@ def _identity(x: Permutation) -> Permutation:
     return x
 
 
-def _require_even(n: int) -> None:
-    if n < 2 or n % 2:
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Bijection:
+    """One claimed bijection: both sides and the map between them.
+
+    ``domain`` and ``codomain`` take ``(n, p, budget)``, with ``p`` None
+    when the entry is not ``graded``; the domain is a gluing family of
+    :mod:`annular.maps`, the codomain a family of
+    :mod:`annular.noncrossing`.
+    """
+
+    domain: Callable
+    codomain: Callable
+    map: Callable[[Permutation], Permutation]
+    graded: bool
+
+
+#: CLI tag -> bijection, in CLI order.  Each builder is a lambda over a
+#: module-level name, looked up at call time: an entry reads as the two
+#: calls it makes, and a wrapper rebound over that name (a tracer's) is seen.
+BIJECTIONS: dict[str, Bijection] = {
+    # twisted Euler-genus-1 gluings of ±[n] -> mirror-symmetric annular pairings
+    "phi1": Bijection(
+        lambda n, p, b: family_b(n, 1, budget=b),
+        lambda n, p, b: family_nc(NCFamilyId("NC2delta", n), budget=b),
+        _glue_with_negation,
+        graded=False,
+    ),
+    # twisted Euler-genus-2 gluings of ±[n] -> Klein-frame annular pairings
+    "phi2": Bijection(
+        lambda n, p, b: family_b(n, 2, budget=b),
+        lambda n, p, b: family_nc(NCFamilyId("NC2K", n), budget=b),
+        _glue_with_negation,
+        graded=False,
+    ),
+    # genus-1 gluings of [n] and torus-frame annular pairings: equal sets
+    "torus-eq": Bijection(
+        lambda n, p, b: family_a(n, 1, budget=b),
+        lambda n, p, b: family_nc(NCFamilyId("NC2T", n), budget=b),
+        _identity,
+        graded=False,
+    ),
+    # graded bipartite variants: gluings of ±[2n] / [2n]
+    "phi1-tilde": Bijection(
+        lambda n, p, b: family_b_tilde(n, 1, p, budget=b),
+        lambda n, p, b: family_nc(NCFamilyId("NC2delta_bip", 2 * n, p), budget=b),
+        _glue_with_negation,
+        graded=True,
+    ),
+    "phi2-tilde": Bijection(
+        lambda n, p, b: family_b_tilde(n, 2, p, budget=b),
+        lambda n, p, b: family_nc(NCFamilyId("NC2K_bip", 2 * n, p), budget=b),
+        _glue_with_negation,
+        graded=True,
+    ),
+    "a-tilde-eq": Bijection(
+        lambda n, p, b: family_a_tilde(n, 1, p, budget=b),
+        lambda n, p, b: family_nc(NCFamilyId("NC2T_bip", 2 * n, p), budget=b),
+        _identity,
+        graded=True,
+    ),
+    # graded hypermap variants on ±[n] / [n]: on mirror-symmetric
+    # permutations, conjugating by label negation equals inversion, so the
+    # image is simply the inverse
+    "phi1-hat": Bijection(
+        lambda n, p, b: family_b_hat(n, 1, p, budget=b),
+        lambda n, p, b: family_nc(NCFamilyId("NCdelta_p", n, p), budget=b),
+        inverse,
+        graded=True,
+    ),
+    "phi2-hat": Bijection(
+        lambda n, p, b: family_b_hat(n, 2, p, budget=b),
+        lambda n, p, b: family_nc(NCFamilyId("NCK_p", n, p), budget=b),
+        inverse,
+        graded=True,
+    ),
+    "a-hat-eq": Bijection(
+        lambda n, p, b: family_a_hat(n, 1, p, budget=b),
+        lambda n, p, b: family_nc(NCFamilyId("NCT_p", n, p), budget=b),
+        _identity,
+        graded=True,
+    ),
+}
+
+
+def verify(
+    tag: str,
+    n: int,
+    p: int | None = None,
+    *,
+    budget: EnumerationBudget | None = None,
+    witness_cap: int | None = WITNESS_CAP,
+) -> BijectionReport:
+    """Exhaustively check the bijection ``BIJECTIONS[tag]`` at size n.
+
+    A graded entry needs the grade p and names its report
+    ``"<tag>(p=<p>)"``; an ungraded one takes no p, needs a positive
+    even n, and names its report by the bare tag.
+    """
+    entry = BIJECTIONS[tag]
+    if entry.graded == (p is None):
+        need = "needs a grade p" if entry.graded else "takes no grade p"
+        raise ValueError(f"bijection {tag!r} {need}")
+    if not entry.graded and (n < 2 or n % 2):
         raise ValueError("n must be a positive even integer")
+    name = f"{tag}(p={p})" if entry.graded else tag
+    domain = entry.domain(n, p, budget)
+    codomain = entry.codomain(n, p, budget)
+    return _verify(name, n, domain, codomain, entry.map, witness_cap=witness_cap)
 
 
-# ---------------------------------------------------------------------------
-# ungraded pairing-level drivers
-# ---------------------------------------------------------------------------
-
-def verify_phi1(
-    n: int,
-    *,
-    budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
-    """Twisted Euler-genus-1 gluings of ±[n] versus mirror-symmetric
-    non-crossing annular pairings, via gluing with label negation."""
-    _require_even(n)
-    domain = family_b(n, 1, budget=budget)
-    codomain = family_nc(NCFamilyId("NC2delta", n), budget=budget)
-    return _verify(
-        "phi1", n, domain, codomain, _glue_with_negation, witness_cap=witness_cap
-    )
+def _driver(tag: str) -> Callable[..., BijectionReport]:
+    """The ``verify_*`` shorthand for one entry: ``(n)``, or ``(n, p)`` when graded."""
+    if BIJECTIONS[tag].graded:
+        def driver(n, p, *, budget=None, witness_cap=WITNESS_CAP):
+            return verify(tag, n, p, budget=budget, witness_cap=witness_cap)
+    else:
+        def driver(n, *, budget=None, witness_cap=WITNESS_CAP):
+            return verify(tag, n, budget=budget, witness_cap=witness_cap)
+    driver.__doc__ = f"``verify({tag!r}, ...)``; see :data:`BIJECTIONS`."
+    return driver
 
 
-def verify_phi2(
-    n: int,
-    *,
-    budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
-    """Twisted Euler-genus-2 gluings of ±[n] versus Klein-frame
-    non-crossing annular pairings."""
-    _require_even(n)
-    domain = family_b(n, 2, budget=budget)
-    codomain = family_nc(NCFamilyId("NC2K", n), budget=budget)
-    return _verify(
-        "phi2", n, domain, codomain, _glue_with_negation, witness_cap=witness_cap
-    )
-
-
-def verify_torus_equality(
-    n: int,
-    *,
-    budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
-    """Genus-1 gluings of [n] versus torus-frame non-crossing annular
-    pairings — claimed equal as sets, so the map is the identity."""
-    _require_even(n)
-    left = family_a(n, 1, budget=budget)
-    right = family_nc(NCFamilyId("NC2T", n), budget=budget)
-    return _verify("torus-eq", n, left, right, _identity, witness_cap=witness_cap)
-
-
-# ---------------------------------------------------------------------------
-# graded bipartite pairing-level drivers (families on ±[2n] / [2n])
-# ---------------------------------------------------------------------------
-
-def verify_phi1_tilde(
-    n: int,
-    p: int,
-    *,
-    budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
-    domain = family_b_tilde(n, 1, p, budget=budget)
-    codomain = family_nc(NCFamilyId("NC2delta_bip", 2 * n, p), budget=budget)
-    return _verify(
-        f"phi1-tilde(p={p})",
-        n,
-        domain,
-        codomain,
-        _glue_with_negation,
-        witness_cap=witness_cap,
-    )
-
-
-def verify_phi2_tilde(
-    n: int,
-    p: int,
-    *,
-    budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
-    domain = family_b_tilde(n, 2, p, budget=budget)
-    codomain = family_nc(NCFamilyId("NC2K_bip", 2 * n, p), budget=budget)
-    return _verify(
-        f"phi2-tilde(p={p})",
-        n,
-        domain,
-        codomain,
-        _glue_with_negation,
-        witness_cap=witness_cap,
-    )
-
-
-def verify_a_tilde_equality(
-    n: int,
-    p: int,
-    *,
-    budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
-    left = family_a_tilde(n, 1, p, budget=budget)
-    right = family_nc(NCFamilyId("NC2T_bip", 2 * n, p), budget=budget)
-    return _verify(
-        f"a-tilde-eq(p={p})", n, left, right, _identity, witness_cap=witness_cap
-    )
-
-
-# ---------------------------------------------------------------------------
-# graded permutation-level drivers (families on ±[n] / [n])
-# ---------------------------------------------------------------------------
-
-def verify_phi1_hat(
-    n: int,
-    p: int,
-    *,
-    budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
-    domain = family_b_hat(n, 1, p, budget=budget)
-    codomain = family_nc(NCFamilyId("NCdelta_p", n, p), budget=budget)
-    return _verify(
-        f"phi1-hat(p={p})", n, domain, codomain, phi1_hat, witness_cap=witness_cap
-    )
-
-
-def verify_phi2_hat(
-    n: int,
-    p: int,
-    *,
-    budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
-    domain = family_b_hat(n, 2, p, budget=budget)
-    codomain = family_nc(NCFamilyId("NCK_p", n, p), budget=budget)
-    return _verify(
-        f"phi2-hat(p={p})", n, domain, codomain, phi2_hat, witness_cap=witness_cap
-    )
-
-
-def verify_a_hat_equality(
-    n: int,
-    p: int,
-    *,
-    budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
-    left = family_a_hat(n, 1, p, budget=budget)
-    right = family_nc(NCFamilyId("NCT_p", n, p), budget=budget)
-    return _verify(
-        f"a-hat-eq(p={p})", n, left, right, _identity, witness_cap=witness_cap
-    )
+verify_phi1 = _driver("phi1")
+verify_phi2 = _driver("phi2")
+verify_torus_equality = _driver("torus-eq")
+verify_phi1_tilde = _driver("phi1-tilde")
+verify_phi2_tilde = _driver("phi2-tilde")
+verify_a_tilde_equality = _driver("a-tilde-eq")
+verify_phi1_hat = _driver("phi1-hat")
+verify_phi2_hat = _driver("phi2-hat")
+verify_a_hat_equality = _driver("a-hat-eq")
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +445,11 @@ def conjecture_table(
     against |graded mirror-symmetric annular pairings of ±[2n]| for
     n ≤ max_n and every p.  The equality is only surmised, so rows carry
     an ``equal`` flag and no verdict."""
+    entry = BIJECTIONS["phi1-tilde"]
     rows: list[ConjectureRow] = []
     for n in range(1, max_n + 1):
         for p in range(1, n + 1):
-            twisted = len(family_b_tilde(n, 1, p, budget=budget))
-            annular = len(family_nc(NCFamilyId("NC2delta_bip", 2 * n, p), budget=budget))
+            twisted = len(entry.domain(n, p, budget))
+            annular = len(entry.codomain(n, p, budget))
             rows.append(ConjectureRow(n=n, p=p, twisted_count=twisted, annular_count=annular))
     return tuple(rows)

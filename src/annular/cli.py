@@ -33,19 +33,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .bijections import (
-    conjecture_table,
-    verify_a_hat_equality,
-    verify_a_tilde_equality,
-    verify_lemma3,
-    verify_phi1,
-    verify_phi1_hat,
-    verify_phi1_tilde,
-    verify_phi2,
-    verify_phi2_hat,
-    verify_phi2_tilde,
-    verify_torus_equality,
-)
+from .bijections import BIJECTIONS, conjecture_table, verify, verify_lemma3
 from .frames import annulus_cycle, full_cycle, tau0
 from .maps import (
     family_a,
@@ -123,33 +111,7 @@ RIBBON_TAGS = {
 
 FAMILY_TAGS = tuple(RIBBON_TAGS) + tuple(NC_TAGS)
 
-BIJECTION_TAGS = (
-    "phi1",
-    "phi2",
-    "torus-eq",
-    "phi1-tilde",
-    "phi2-tilde",
-    "a-tilde-eq",
-    "phi1-hat",
-    "phi2-hat",
-    "a-hat-eq",
-    "lemma3",
-)
-
-_GRADED_VERIFIERS = {
-    "phi1-tilde": verify_phi1_tilde,
-    "phi2-tilde": verify_phi2_tilde,
-    "a-tilde-eq": verify_a_tilde_equality,
-    "phi1-hat": verify_phi1_hat,
-    "phi2-hat": verify_phi2_hat,
-    "a-hat-eq": verify_a_hat_equality,
-}
-
-_UNGRADED_VERIFIERS = {
-    "phi1": verify_phi1,
-    "phi2": verify_phi2,
-    "torus-eq": verify_torus_equality,
-}
+BIJECTION_TAGS = (*BIJECTIONS, "lemma3")
 
 
 class UsageError(ValueError):
@@ -382,27 +344,20 @@ def cmd_verify(args) -> tuple[dict, int, list | None]:
     if args.n < 1:
         raise UsageError("--n must be >= 1")
     tag = args.bijection
+    entry = BIJECTIONS.get(tag)  # None for lemma3
+    graded = entry is not None and entry.graded
+    if args.p is not None and not graded:
+        raise UsageError(f"bijection {tag!r} does not take --p")
+    if args.p is not None and not 1 <= args.p <= args.n:
+        raise UsageError("--p must lie in 1..n")
     try:
-        if tag in _UNGRADED_VERIFIERS:
-            if args.p is not None:
-                raise UsageError(f"bijection {tag!r} does not take --p")
-            reports = [_UNGRADED_VERIFIERS[tag](args.n, budget=budget)]
-        elif tag in _GRADED_VERIFIERS:
-            fn = _GRADED_VERIFIERS[tag]
-            if args.p is not None:
-                if not 1 <= args.p <= args.n:
-                    raise UsageError("--p must lie in 1..n")
-                reports = [fn(args.n, args.p, budget=budget)]
-            else:
-                reports = [fn(args.n, p, budget=budget) for p in range(1, args.n + 1)]
-        else:  # lemma3
-            if args.p is not None:
-                raise UsageError("bijection 'lemma3' does not take --p")
+        if entry is None:
             reports = list(verify_lemma3(args.n, budget=budget))
-    except CapExceeded:
-        raise
-    except UsageError:
-        raise
+        elif graded:
+            grades = range(1, args.n + 1) if args.p is None else [args.p]
+            reports = [verify(tag, args.n, p, budget=budget) for p in grades]
+        else:
+            reports = [verify(tag, args.n, budget=budget)]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

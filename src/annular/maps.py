@@ -74,6 +74,7 @@ __all__ = [
     "family_a_counts",
     "family_b_counts",
     "black_labels",
+    "black_mask",
     "white_labels",
     "is_bipartite_pairing",
     "is_bipartite_signed_pairing",
@@ -361,7 +362,7 @@ def is_bipartite_pairing(pi: Pairing) -> bool:
 
 
 @cache
-def _black_mask(n: int) -> tuple[tuple[int, ...], bytes]:
+def black_mask(n: int) -> tuple[tuple[int, ...], bytes]:
     """The indices of B(n // 2) inside ±[n], and a mask with 1 at them."""
     ground = signed_ground(n)
     black = set(black_labels(n // 2))
@@ -371,7 +372,7 @@ def _black_mask(n: int) -> tuple[tuple[int, ...], bytes]:
 
 def is_bipartite_signed_pairing(tau1: Permutation) -> bool:
     """On ±[2n]: the black set B(n) is carried to itself."""
-    indices, mask = _black_mask(tau1.domain.n)
+    indices, mask = black_mask(tau1.domain.n)
     img = tau1.image
     for i in indices:
         if not mask[img[i]]:

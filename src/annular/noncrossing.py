@@ -66,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frames import annulus_cycle, full_cycle, klein_frame, torus_frame
-from .maps import black_labels, is_bipartite_pairing, white_labels
+from .maps import black_labels, black_mask, is_bipartite_pairing
 from .perms import (
     Permutation,
     compose,
@@ -282,8 +282,9 @@ _CUT_PARITY = {"NC2T_bip": 1, "NC2K_bip": 0}
 
 def _alternating_signed(pi: Permutation, m: int) -> bool:
     """Every white label of ±[2m] is sent into the black set."""
-    black = set(black_labels(m))
-    return all(pi(w) in black for w in white_labels(m))
+    _, black = black_mask(2 * m)
+    img = pi.image
+    return all(black[img[i]] for i, b in enumerate(black) if not b)
 
 
 def _black_grade_doubled(pi: Permutation, m: int) -> int:

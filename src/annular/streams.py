@@ -261,25 +261,20 @@ def _signed_symmetric_pairing_images(n: int) -> Iterator[tuple[int, ...]]:
     twisted contributes (a,b)(−a,−b).  Order: unsigned pairings in
     :func:`pairings` order; within one, twist tuples in lexicographic
     order with untwisted (False) first, bits aligned with the pairs
-    sorted by smaller element.
+    sorted by smaller element.  In index space +a sits at n+a−1 and −a
+    at n−a, as in :func:`_bipartite_signed_symmetric_pairing_images`.
     """
-    size = 2 * n
-    # index of label x in ±[n]: negatives first
-    def idx(x: int) -> int:
-        return x + n if x < 0 else n + x - 1
-
     for img in _pairing_images(n):
-        pairs = [(i + 1, j + 1) for i, j in enumerate(img) if i < j]
-        m = len(pairs)
-        for twists in _iter_product((False, True), repeat=m):
-            out = [-1] * size
-            for (a, b), twisted in zip(pairs, twists):
+        pairs = [(i, j) for i, j in enumerate(img) if i < j]
+        for twists in _iter_product((False, True), repeat=len(pairs)):
+            out = [-1] * (2 * n)
+            for (i, j), twisted in zip(pairs, twists):
                 if twisted:
-                    x, y, z, w = a, b, -a, -b
+                    x, y, z, w = n + i, n + j, n - 1 - i, n - 1 - j
                 else:
-                    x, y, z, w = a, -b, -a, b
-                out[idx(x)], out[idx(y)] = idx(y), idx(x)
-                out[idx(z)], out[idx(w)] = idx(w), idx(z)
+                    x, y, z, w = n + i, n - 1 - j, n - 1 - i, n + j
+                out[x], out[y] = y, x
+                out[z], out[w] = w, z
             yield tuple(out)
 
 

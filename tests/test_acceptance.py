@@ -15,16 +15,12 @@ import time
 from fractions import Fraction
 
 from annular.bijections import (
+    BIJECTIONS,
     conjecture_table,
-    verify_a_hat_equality,
-    verify_a_tilde_equality,
+    verify,
     verify_lemma3,
     verify_phi1,
-    verify_phi1_hat,
-    verify_phi1_tilde,
     verify_phi2,
-    verify_phi2_hat,
-    verify_phi2_tilde,
     verify_torus_equality,
 )
 from annular.frames import annulus_frame, disk_frame, klein_frame, torus_frame
@@ -230,19 +226,13 @@ def test_criterion_08_subleading_coefficients_count_families():
 
 def test_criterion_09_graded_and_reduction_bijections():
     start = time.monotonic()
-    graded = (
-        verify_phi1_tilde,
-        verify_phi2_tilde,
-        verify_a_tilde_equality,
-        verify_phi1_hat,
-        verify_phi2_hat,
-        verify_a_hat_equality,
-    )
+    graded = [tag for tag, entry in BIJECTIONS.items() if entry.graded]
+    assert len(graded) == 6, f"criterion 09: FAIL — graded entries {graded}"
     checked = 0
     for n in (1, 2, 3):
-        for fn in graded:
+        for tag in graded:
             for p in range(1, n + 1):
-                report = fn(n, p)
+                report = verify(tag, n, p)
                 assert report.verified, (
                     f"criterion 09: FAIL — {report.name} at n={n}: "
                     f"{report.failures[:3]}"

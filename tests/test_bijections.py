@@ -3,21 +3,18 @@
 import pytest
 
 from annular.bijections import (
+    BIJECTIONS,
     BijectionReport,
     conjecture_table,
     phi1,
     phi1_inverse,
     phi2,
-    phi2_inverse,
-    verify_a_hat_equality,
-    verify_a_tilde_equality,
+    verify,
     verify_lemma3,
     verify_phi1,
     verify_phi1_hat,
-    verify_phi1_tilde,
     verify_phi2,
     verify_phi2_hat,
-    verify_phi2_tilde,
     verify_torus_equality,
     _verify,
 )
@@ -44,7 +41,7 @@ def test_phi1_round_trip_on_whole_domain():
     for t in family_b(4, 1):
         assert phi1_inverse(phi1(t)) == t
     for t in family_b(4, 2):
-        assert phi2_inverse(phi2(t)) == t
+        assert phi1_inverse(phi2(t)) == t
 
 
 def test_phi1_rejects_non_members():
@@ -94,10 +91,25 @@ def test_verify_torus_equality(n, size):
     assert report.domain_size == report.codomain_size == size
 
 
-@pytest.mark.parametrize("fn", [verify_phi1, verify_phi2, verify_torus_equality])
-def test_ungraded_drivers_reject_odd_n(fn):
-    with pytest.raises(ValueError):
-        fn(3)
+UNGRADED = [tag for tag, entry in BIJECTIONS.items() if not entry.graded]
+GRADED = [tag for tag, entry in BIJECTIONS.items() if entry.graded]
+
+
+@pytest.mark.parametrize("tag", UNGRADED)
+def test_ungraded_drivers_reject_odd_n(tag):
+    with pytest.raises(ValueError, match="positive even integer"):
+        verify(tag, 3)
+
+
+def test_registry_order_and_grades():
+    assert UNGRADED == ["phi1", "phi2", "torus-eq"]
+    assert GRADED == [
+        "phi1-tilde", "phi2-tilde", "a-tilde-eq", "phi1-hat", "phi2-hat", "a-hat-eq"
+    ]
+    with pytest.raises(ValueError, match="takes no grade"):
+        verify("phi1", 4, 1)
+    with pytest.raises(ValueError, match="needs a grade"):
+        verify("phi1-hat", 3)
 
 
 # ---------------------------------------------------------------------------
@@ -105,35 +117,28 @@ def test_ungraded_drivers_reject_odd_n(fn):
 # ---------------------------------------------------------------------------
 
 GRADED_SIZES = {
-    # (driver, n, p) -> common size of both sides
-    (verify_phi1_tilde, 2, 1): 1,
-    (verify_phi1_tilde, 3, 1): 3,
-    (verify_phi1_tilde, 3, 2): 3,
-    (verify_phi2_tilde, 3, 1): 3,
-    (verify_a_tilde_equality, 3, 1): 1,
-    (verify_phi1_hat, 2, 1): 1,
-    (verify_phi1_hat, 3, 1): 3,
-    (verify_phi1_hat, 3, 2): 3,
-    (verify_phi2_hat, 3, 1): 3,
-    (verify_a_hat_equality, 3, 1): 1,
+    # (tag, n, p) -> common size of both sides
+    ("phi1-tilde", 2, 1): 1,
+    ("phi1-tilde", 3, 1): 3,
+    ("phi1-tilde", 3, 2): 3,
+    ("phi2-tilde", 3, 1): 3,
+    ("a-tilde-eq", 3, 1): 1,
+    ("phi1-hat", 2, 1): 1,
+    ("phi1-hat", 3, 1): 3,
+    ("phi1-hat", 3, 2): 3,
+    ("phi2-hat", 3, 1): 3,
+    ("a-hat-eq", 3, 1): 1,
 }
 
 
 def test_graded_drivers_all_small_sizes():
-    drivers = (
-        verify_phi1_tilde,
-        verify_phi2_tilde,
-        verify_a_tilde_equality,
-        verify_phi1_hat,
-        verify_phi2_hat,
-        verify_a_hat_equality,
-    )
     for n in (1, 2, 3):
         for p in range(1, n + 1):
-            for fn in drivers:
-                report = fn(n, p)
+            for tag in GRADED:
+                report = verify(tag, n, p)
                 assert report.verified, report.failures
-                expected = GRADED_SIZES.get((fn, n, p), 0)
+                assert report.name == f"{tag}(p={p})"
+                expected = GRADED_SIZES.get((tag, n, p), 0)
                 assert report.domain_size == expected
                 assert report.codomain_size == expected
 

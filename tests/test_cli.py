@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from annular.cli import SCHEMA_VERSION, classify_permutation, main
+from annular.bijections import BIJECTIONS
+from annular.cli import SCHEMA_VERSION, build_parser, classify_permutation, main
 from annular.noncrossing import NCFamilyId, family_nc
 from annular.streams import permutations, signed_symmetric_permutations
 
@@ -189,6 +190,17 @@ def test_verify_lemma3(capsys):
     assert code == 0
     assert rec["result"]["all_verified"] is True
     assert len(rec["result"]["reports"]) == 7
+
+
+def test_verify_choices_and_report_names_follow_the_registry(capsys):
+    verify_parser = build_parser()._subparsers._group_actions[0].choices["verify"]
+    (choices,) = [a.choices for a in verify_parser._actions if a.dest == "bijection"]
+    assert tuple(choices) == (*BIJECTIONS, "lemma3")
+    for tag, entry in BIJECTIONS.items():
+        code, rec, _, _ = run(capsys, "verify", "--bijection", tag, "--n", "2")
+        assert code == 0
+        names = [r["name"] for r in rec["result"]["reports"]]
+        assert names == ([f"{tag}(p=1)", f"{tag}(p=2)"] if entry.graded else [tag])
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Stream tests: deterministic orders, counts, caps, budgets."""
 
+from itertools import product
 from math import factorial
 
 import pytest
@@ -67,6 +68,22 @@ def test_signed_symmetric_pairings_n2_order():
     got = [p.cycle_string() for p in signed_symmetric_pairings(2)]
     # untwisted assignment first, then twisted
     assert got == ["(-2,1)(-1,2)", "(-2,-1)(1,2)"]
+
+
+@pytest.mark.parametrize("n", range(0, 9, 2))
+def test_signed_symmetric_pairings_documented_order(n):
+    # unsigned pairings in `pairings` order; within one, twist tuples in
+    # lexicographic order, untwisted first, one bit per pair by smaller label
+    ground = signed_ground(n)
+    want = []
+    for base in pairings(n):
+        pairs = base.pairs()
+        for twists in product((False, True), repeat=len(pairs)):
+            cycles = []
+            for (a, b), twisted in zip(pairs, twists):
+                cycles += [(a, b), (-a, -b)] if twisted else [(a, -b), (-a, b)]
+            want.append(Pairing.from_pairs(ground, cycles))
+    assert list(signed_symmetric_pairings(n)) == want
 
 
 def test_signed_symmetric_pairings_counts():
