@@ -47,6 +47,7 @@ from .frames import (  # noqa: F401
     torus_frame,
 )
 from .maps import (  # noqa: F401
+    GLUINGS,
     family_a,
     family_a_counts,
     family_a_hat,
@@ -57,6 +58,9 @@ from .maps import (  # noqa: F401
     family_b_hat,
     family_b_tilde,
     family_b_tilde_counts,
+    gluing_counts,
+    gluing_groups,
+    gluing_key,
     hypermap_from_bipartite_nonorientable,
     hypermap_from_bipartite_orientable,
     nonorientable_euler_genus,

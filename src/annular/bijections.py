@@ -27,6 +27,7 @@ oracle in the test suite, so an element missing from it cannot hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 from .frames import tau0
@@ -37,6 +38,7 @@ from .maps import (
     family_b,
     family_b_hat,
     family_b_tilde,
+    gluing_groups,
     has_twist,
     hypermap_from_bipartite_nonorientable,
     hypermap_from_bipartite_orientable,
@@ -396,36 +398,29 @@ def verify_lemma3(
     nonempty, orientable cases first; a key where only one side is
     populated yields a failing report rather than an error.
     """
+    if n < 1:  # no grade p in 1..n
+        return ()
     reports: list[BijectionReport] = []
-    for g in range(0, n // 2 + 1):
-        for p in range(1, n + 1):
-            domain = family_a_tilde(n, g, p, budget=budget)
-            codomain = family_a_hat(n, g, p, budget=budget)
+    for bipartite, hypermap, reduction, side, grade, grades in (
+        ("a-tilde", "a-hat", hypermap_from_bipartite_orientable,
+         "orientable", "g", range(0, n // 2 + 1)),
+        ("b-tilde", "b-hat", hypermap_from_bipartite_nonorientable,
+         "nonorientable", "k", range(1, n + 1)),
+    ):
+        domains = gluing_groups(bipartite, n, budget=budget)
+        codomains = gluing_groups(hypermap, n, budget=budget)
+        for key in product(grades, range(1, n + 1)):
+            domain = domains.get(key, ())
+            codomain = codomains.get(key, ())
             if not domain and not codomain:
                 continue
             reports.append(
                 _verify(
-                    f"lemma3-orientable(g={g},p={p})",
+                    f"lemma3-{side}({grade}={key[0]},p={key[1]})",
                     n,
                     domain,
                     codomain,
-                    hypermap_from_bipartite_orientable,
-                    witness_cap=witness_cap,
-                )
-            )
-    for k in range(1, n + 1):
-        for p in range(1, n + 1):
-            domain = family_b_tilde(n, k, p, budget=budget)
-            codomain = family_b_hat(n, k, p, budget=budget)
-            if not domain and not codomain:
-                continue
-            reports.append(
-                _verify(
-                    f"lemma3-nonorientable(k={k},p={p})",
-                    n,
-                    domain,
-                    codomain,
-                    hypermap_from_bipartite_nonorientable,
+                    reduction,
                     witness_cap=witness_cap,
                 )
             )

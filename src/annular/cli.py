@@ -20,7 +20,10 @@ notation contains commas).  Diagnostics go to stderr.  Exit codes:
 Apart from the measured ``timing_ms`` field, output is a deterministic
 byte-for-byte function of the arguments (and seed).  ``--max-elements``
 bounds the enumeration streams of every subcommand except ``classify``,
-which tests its one permutation directly and enumerates nothing.
+which tests its one permutation directly and enumerates nothing.  The
+gluing families of ``enumerate`` and ``classify`` are the entries of
+:data:`annular.maps.GLUINGS`, so a ``classify`` gluing membership is
+exactly membership in the family that ``enumerate`` builds.
 """
 
 from __future__ import annotations
@@ -34,22 +37,13 @@ import time
 from fractions import Fraction
 
 from .bijections import BIJECTIONS, conjecture_table, verify, verify_lemma3
-from .frames import annulus_cycle, full_cycle, tau0
+from .frames import tau0
 from .maps import (
-    family_a,
-    family_a_hat,
-    family_a_tilde,
-    family_b,
-    family_b_hat,
-    family_b_tilde,
-    has_hat_twist,
-    has_twist,
-    is_bipartite_pairing,
+    GLUINGS,
+    gluing_family,
+    gluing_key,
     is_bipartite_signed_pairing,
-    nonorientable_euler_genus,
     nonorientable_white_grade,
-    orientable_genus,
-    orientable_white_grade,
 )
 from .moments import Ensemble, wick_moment
 from .montecarlo import GENERATOR_NAME, mc_moment
@@ -63,8 +57,6 @@ from .noncrossing import (
 )
 from .perms import (
     Permutation,
-    as_pairing,
-    compose,
     conjugate,
     inverse,
     num_cycles,
@@ -99,17 +91,7 @@ NC_TAGS = {
     "nc-k-p": "NCK_p",
 }
 
-#: Gluing/hypermap families: tag -> (enumerator, grade parameter, takes p).
-RIBBON_TAGS = {
-    "a": (family_a, "genus", False),
-    "b": (family_b, "k", False),
-    "a-tilde": (family_a_tilde, "genus", True),
-    "b-tilde": (family_b_tilde, "k", True),
-    "a-hat": (family_a_hat, "genus", True),
-    "b-hat": (family_b_hat, "k", True),
-}
-
-FAMILY_TAGS = tuple(RIBBON_TAGS) + tuple(NC_TAGS)
+FAMILY_TAGS = tuple(GLUINGS) + tuple(NC_TAGS)
 
 BIJECTION_TAGS = (*BIJECTIONS, "lemma3")
 
@@ -223,7 +205,7 @@ def _resolve_budget(args: argparse.Namespace) -> EnumerationBudget | None:
     if args.max_elements is not None:
         if args.max_elements < 0:
             raise UsageError("--max-elements must be >= 0")
-        return EnumerationBudget(args.max_elements, on_overflow="error")
+        return EnumerationBudget(args.max_elements)
     return budget_from_environment()
 
 
@@ -267,21 +249,16 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
         raise UsageError("--limit must be >= 0")
     tag = args.family
     witness_table = None
-    if tag in RIBBON_TAGS:
-        enumerate_fn, grade_flag, takes_p = RIBBON_TAGS[tag]
+    if tag in GLUINGS:
+        grades = GLUINGS[tag].grades
         _require_grade_args(
-            tag, args, genus=grade_flag == "genus", k=grade_flag == "k", p=takes_p
+            tag, args, genus="genus" in grades, k="k" in grades, p="p" in grades
         )
-        grade = args.genus if grade_flag == "genus" else args.k
-        if grade_flag == "genus" and grade < 0:
+        if "genus" in grades and args.genus < 0:
             raise UsageError("--genus must be >= 0")
+        grade = tuple(getattr(args, name) for name in grades)
         try:
-            if takes_p:
-                members = enumerate_fn(args.n, grade, args.p, budget=budget)
-            else:
-                members = enumerate_fn(args.n, grade, budget=budget)
-        except CapExceeded:
-            raise
+            members = gluing_family(tag, args.n, grade, budget=budget)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         members = tuple(sorted(members, key=lambda q: q.sort_key()))
@@ -411,8 +388,6 @@ def cmd_moment(args) -> tuple[dict, int, list | None]:
 
     try:
         poly = wick_moment(ensemble, args.order, budget=budget)
-    except CapExceeded:
-        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -471,13 +446,6 @@ def _params_classify(args) -> dict:
     }
 
 
-def _try_pairing(pi: Permutation):
-    try:
-        return as_pairing(pi)
-    except ValueError:
-        return None
-
-
 def _nc_memberships(pi: Permutation, fids: list[NCFamilyId]) -> list[dict]:
     """One entry per family of ``fids`` containing π, with union witnesses."""
     entries = []
@@ -494,104 +462,65 @@ def _nc_memberships(pi: Permutation, fids: list[NCFamilyId]) -> list[dict]:
     return entries
 
 
-def _classify_unsigned(pi: Permutation, n: int) -> list[dict]:
-    memberships: list[dict] = []
-    pairing = _try_pairing(pi)
-    if pairing is not None:
-        g = orientable_genus(pairing)
-        memberships.append({"family": "a", "n": n, "genus": g})
-        if is_bipartite_pairing(pairing):
-            memberships.append(
-                {
-                    "family": "a-tilde",
-                    "n": n // 2,
-                    "genus": g,
-                    "p": orientable_white_grade(pairing),
-                }
-            )
-    # hypermap grading: part count p and face count fix the genus
-    p = num_cycles(pi)
-    faces = num_cycles(compose(inverse(pi), full_cycle(n)))
-    doubled_genus = n - p + 1 - faces
-    if doubled_genus >= 0 and doubled_genus % 2 == 0:
-        memberships.append(
-            {"family": "a-hat", "n": n, "genus": doubled_genus // 2, "p": p}
-        )
-    fids = [NCFamilyId("NC", n), NCFamilyId("NC2", n), NCFamilyId("NC2T", n)]
-    if pairing is not None and is_bipartite_pairing(pairing):
-        fids.append(NCFamilyId("NC2T_bip", n, orientable_white_grade(pairing)))
-    fids.append(NCFamilyId("NCT_p", n, p))
-    return memberships + _nc_memberships(pi, fids)
-
-
-def _classify_signed(pi: Permutation, n: int) -> list[dict]:
-    memberships: list[dict] = []
-    mirror = conjugate(pi, tau0(n)) == inverse(pi)
-    pairing = _try_pairing(pi)
-    if pairing is not None and mirror and has_twist(pairing):
-        k = nonorientable_euler_genus(pairing)
-        memberships.append({"family": "b", "n": n, "k": k})
-        if is_bipartite_signed_pairing(pairing):
-            memberships.append(
-                {
-                    "family": "b-tilde",
-                    "n": n // 2,
-                    "k": k,
-                    "p": nonorientable_white_grade(pairing),
-                }
-            )
-    if mirror and has_hat_twist(pi) and num_cycles(pi) % 2 == 0:
-        p = num_cycles(pi) // 2
-        boundary = num_cycles(compose(annulus_cycle(n), pi))
-        if boundary % 2 == 0:
-            k = n - p + 1 - boundary // 2
-            if k >= 1:
-                memberships.append({"family": "b-hat", "n": n, "k": k, "p": p})
-    # δ-symmetric permutations have an even cycle count, so p >= 1 below.
+def _signed_fids(pi: Permutation, n: int, mirror: bool, pairing: bool) -> list[NCFamilyId]:
     # NC2K_bip and NC2delta_bip are gated on B -> B although their
     # members carry W -> B; see the known-defect test in test_cli.
+    bipartite = pairing and n % 2 == 0 and is_bipartite_signed_pairing(pi)
+    # δ-symmetric permutations have an even cycle count, so p >= 1 below.
     delta = is_delta_symmetric(pi)
     half = num_cycles(pi) // 2
     fids = [NCFamilyId("NCdelta", n), NCFamilyId("NC2delta", n)]
     if delta:
         fids.append(NCFamilyId("NCdelta_p", n, half))
     fids.append(NCFamilyId("NC2K", n))
-    if pairing is not None and n % 2 == 0 and is_bipartite_signed_pairing(pairing):
-        fids.append(NCFamilyId("NC2K_bip", n, nonorientable_white_grade(pairing)))
+    if bipartite:
+        fids.append(NCFamilyId("NC2K_bip", n, nonorientable_white_grade(pi)))
     if delta:
         fids.append(NCFamilyId("NCK_p", n, half))
-    if pairing is not None and is_bipartite_signed_pairing(pairing) and mirror:
-        fids.append(NCFamilyId("NC2delta_bip", n, nonorientable_white_grade(pairing)))
-    return memberships + _nc_memberships(pi, fids)
+    if bipartite and mirror:
+        fids.append(NCFamilyId("NC2delta_bip", n, nonorientable_white_grade(pi)))
+    return fids
 
 
 def classify_permutation(text: str, n: int, *, signed: bool = False) -> dict:
     """Parse ``text`` on [n] or ±[n] and report every family membership.
 
-    Each non-crossing membership is decided by the family's own
-    membership test, so no family is built and no size cap applies.
-    Union-family memberships carry their (u, v) frame witnesses; graded
-    memberships carry the grade.  Raises ``ValueError`` on a parse
-    failure.
+    Each membership is decided by the family's own membership test —
+    :func:`annular.maps.gluing_key` for a gluing family,
+    :func:`annular.noncrossing.member_witnesses` for a non-crossing one —
+    so no family is built and no size cap applies.  Union-family
+    memberships carry their (u, v) frame witnesses; graded memberships
+    carry the grades.  Raises ``ValueError`` on a parse failure.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     domain = signed_ground(n) if signed else unsigned_ground(n)
     pi = parse_cycles(text, domain)
-    pairing = _try_pairing(pi)
+    pairing = pi.is_involution() and pi.is_fixed_point_free()
     report = {
         "permutation": pi.cycle_string(),
         "n": n,
         "signed": signed,
         "cycle_count": num_cycles(pi),
-        "is_pairing": pairing is not None,
+        "is_pairing": pairing,
     }
+    gluings = {}  # tag -> entry, for every gluing family holding π
+    for tag, entry in GLUINGS.items():
+        key = gluing_key(tag, pi)
+        if key is not None:
+            size = n // 2 if entry.doubled else n
+            gluings[tag] = {"family": tag, "n": size, **dict(zip(entry.grades, key))}
     if signed:
-        report["mirror_symmetric"] = conjugate(pi, tau0(n)) == inverse(pi)
+        mirror = conjugate(pi, tau0(n)) == inverse(pi)
+        report["mirror_symmetric"] = mirror
         report["delta_symmetric"] = is_delta_symmetric(pi)
-        report["memberships"] = _classify_signed(pi, n)
+        fids = _signed_fids(pi, n, mirror, pairing)
     else:
-        report["memberships"] = _classify_unsigned(pi, n)
+        fids = [NCFamilyId("NC", n), NCFamilyId("NC2", n), NCFamilyId("NC2T", n)]
+        if "a-tilde" in gluings:
+            fids.append(NCFamilyId("NC2T_bip", n, gluings["a-tilde"]["p"]))
+        fids.append(NCFamilyId("NCT_p", n, num_cycles(pi)))
+    report["memberships"] = [*gluings.values(), *_nc_memberships(pi, fids)]
     return report
 
 

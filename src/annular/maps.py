@@ -20,37 +20,48 @@ label to an odd one; on ±[2n] the black set B(n) = odd positives ∪
 even negatives is preserved.  The grade p counts white vertices: the
 cycles of the face walk supported on odd labels (orientable) or half
 the cycles of τ₂τ₁ supported on the white labels (non-orientable).
-``family_a_tilde`` / ``family_b_tilde`` walk the constructive bipartite
-streams of :mod:`annular.streams`, which build only these gluings
-instead of filtering all pairings.
-
-Every statistic (genus, Euler genus, twist, both white grades) has one
-private kernel working on raw index images against the cached frames;
-the public functions taking a :class:`Permutation` are thin wrappers
-over them, and the family builders call the kernels directly, wrapping
-elements in :class:`Pairing` only when a family tuple is returned.
 
 Hypermap forms shrink the white vertices to points: an orientable
 bipartite pairing of [2n] becomes a permutation of [n]; a
 non-orientable bipartite gluing of ±[2n] becomes a mirror-symmetric
 permutation of ±[n].  ``hypermap_*`` implement these reductions, and
-``family_a_hat`` / ``family_b_hat`` enumerate the reduced families
-directly from their own definitions — the test suite checks that the
-reductions are grade-preserving bijections.
+the families â and b̂ are defined directly on permutations — the test
+suite checks that the reductions are grade-preserving bijections.
+
+Every statistic (genus, Euler genus, twist, both white grades) has one
+private kernel working on raw index images against the cached frames;
+the public functions taking a :class:`Permutation` are thin wrappers
+over them.
+
+Each gluing family is one entry of :data:`GLUINGS`, keyed by its CLI
+tag: a source stream of index images (``ã``/``b̃`` read the
+constructive bipartite streams of :mod:`annular.streams`, which build
+only these gluings instead of filtering all pairings), a ground, grade
+names, and one key kernel mapping an image to its grades.
+:func:`gluing_groups` and :func:`gluing_counts` run the stream through
+the kernel in one pass; :func:`gluing_key` checks the stream's
+conditions on one permutation and applies the same kernel, so a
+membership it reports is exactly a builder's.  The ``family_*`` names
+are one-line shorthands over the table.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from collections import Counter
+from dataclasses import dataclass
+from functools import cache, partial
+from operator import attrgetter
+from typing import Callable, Iterator
 
 from .frames import annulus_cycle, full_cycle, tau2
 from .perms import (
+    GroundSet,
     Pairing,
     Permutation,
     _inverse_image,
+    _num_cycles_image,
     compose,
     inverse,
-    num_cycles,
     signed_ground,
     unsigned_ground,
 )
@@ -69,6 +80,12 @@ __all__ = [
     "nonorientable_euler_genus",
     "has_twist",
     "has_hat_twist",
+    "Gluing",
+    "GLUINGS",
+    "gluing_groups",
+    "gluing_counts",
+    "gluing_family",
+    "gluing_key",
     "family_a",
     "family_b",
     "family_a_counts",
@@ -191,7 +208,7 @@ def _has_twist(img: tuple[int, ...], first_positive: int) -> bool:
     Positive labels hold the indices from ``first_positive`` on: n on
     ±[n], 0 on [n].
     """
-    return any(j >= first_positive for j in img[first_positive:])
+    return max(img[first_positive:], default=-1) >= first_positive
 
 
 def _orientable_white_grade(img: tuple[int, ...]) -> int:
@@ -274,74 +291,6 @@ def has_hat_twist(tau1: Permutation) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# plain families a(n, g), b(n, k)
-# ---------------------------------------------------------------------------
-
-def family_a(
-    n: int,
-    g: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> tuple[Pairing, ...]:
-    """Pairings of [n] of genus g, in stream order."""
-    if n % 2:
-        return ()
-    return tuple(
-        p
-        for p in pairings(n, cap=cap, budget=budget)
-        if _orientable_genus(p.image) == g
-    )
-
-
-def family_a_counts(
-    n: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> dict[int, int]:
-    """Histogram g -> |a(n, g)| in one pass over the pairing stream."""
-    counts: dict[int, int] = {}
-    for p in pairings(n, cap=cap, budget=budget):
-        g = _orientable_genus(p.image)
-        counts[g] = counts.get(g, 0) + 1
-    return counts
-
-
-def family_b(
-    n: int,
-    k: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> tuple[Pairing, ...]:
-    """Twisted mirror-symmetric gluings of ±[n] of Euler genus k ≥ 1."""
-    if k < 1:
-        raise ValueError("Euler genus k must be >= 1 for twisted gluings")
-    return tuple(
-        t
-        for t in signed_symmetric_pairings(n, cap=cap, budget=budget)
-        if _has_twist(t.image, n) and _euler_genus(t.image) == k
-    )
-
-
-def family_b_counts(
-    n: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> dict[int, int]:
-    """Histogram k -> |b(n, k)| over the twisted mirror-symmetric gluings."""
-    counts: dict[int, int] = {}
-    for t in signed_symmetric_pairings(n, cap=cap, budget=budget):
-        if not _has_twist(t.image, n):
-            continue
-        k = _euler_genus(t.image)
-        counts[k] = counts.get(k, 0) + 1
-    return counts
-
-
-# ---------------------------------------------------------------------------
 # bipartite structure
 # ---------------------------------------------------------------------------
 
@@ -393,135 +342,262 @@ def nonorientable_white_grade(tau1: Pairing) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bipartite families ã(n, g, p), b̃(n, k, p)  — on [2n] / ±[2n]
+# the gluing families: one table
 #
-# Built from the constructive bipartite streams: n! gluings for ã and
-# (2n−1)!! for b̃ (twist-free ones skipped), not the (2n−1)!! resp.
-# (2n−1)!!·2^n pairings a filter would scan.  Caps apply to the ground
-# size, 2n resp. 4n; a budget counts the bipartite gluings built.
+# Each family is a source stream of index images and one key kernel
+# mapping an image to its grade tuple (None: in no family of the tag).
 # ---------------------------------------------------------------------------
 
-def family_a_tilde(
-    n: int,
-    g: int,
-    p: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> tuple[Pairing, ...]:
-    """Bipartite pairings of [2n] with genus g and white grade p, in stream order."""
-    ground = unsigned_ground(2 * n)
-    return tuple(
-        Pairing._make(ground, img)
-        for img in bipartite_pairing_images(2 * n, cap=cap, budget=budget)
-        if _orientable_genus(img) == g and _orientable_white_grade(img) == p
-    )
+#: The index images of a stream of permutations.
+_images = partial(map, attrgetter("image"))
 
 
-def family_a_tilde_counts(
-    n: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> dict[tuple[int, int], int]:
-    """Histogram (g, p) -> |ã(n, g, p)| in one pass."""
-    counts: dict[tuple[int, int], int] = {}
-    for img in bipartite_pairing_images(2 * n, cap=cap, budget=budget):
-        key = (_orientable_genus(img), _orientable_white_grade(img))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _is_delta_symmetric(img: tuple[int, ...]) -> bool:
+    """No label sent to its negative, and π(−π(x)) = −x (mirror i ↦ last − i)."""
+    last = len(img) - 1
+    return all(j != last - i and img[last - j] == last - i for i, j in enumerate(img))
 
 
-def family_b_tilde(
-    n: int,
-    k: int,
-    p: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> tuple[Pairing, ...]:
-    """Bipartite twisted mirror-symmetric gluings of ±[2n], Euler genus k, grade p."""
-    if k < 1:
-        raise ValueError("Euler genus k must be >= 1 for twisted gluings")
-    ground = signed_ground(2 * n)
-    return tuple(
-        Pairing._make(ground, img)
-        for img in bipartite_signed_symmetric_pairing_images(
-            2 * n, cap=cap, budget=budget
-        )
-        if _has_twist(img, 2 * n)
-        and _euler_genus(img) == k
-        and _nonorientable_white_grade(img) == p
-    )
+def _b_key(img: tuple[int, ...]) -> tuple[int] | None:
+    return (_euler_genus(img),) if _has_twist(img, len(img) // 2) else None
 
 
-def family_b_tilde_counts(
-    n: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> dict[tuple[int, int], int]:
-    """Histogram (k, p) -> |b̃(n, k, p)| in one pass."""
-    counts: dict[tuple[int, int], int] = {}
-    for img in bipartite_signed_symmetric_pairing_images(2 * n, cap=cap, budget=budget):
-        if not _has_twist(img, 2 * n):
-            continue
-        key = (_euler_genus(img), _nonorientable_white_grade(img))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _b_tilde_key(img: tuple[int, ...]) -> tuple[int, int] | None:
+    if not _has_twist(img, len(img) // 2):
+        return None
+    return _euler_genus(img), _nonorientable_white_grade(img)
 
 
-# ---------------------------------------------------------------------------
-# hypermap families â(n, g, p), b̂(n, k, p)  — on [n] / ±[n]
-# ---------------------------------------------------------------------------
-
-def family_a_hat(
-    n: int,
-    g: int,
-    p: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> tuple[Permutation, ...]:
-    """Permutations of [n] with #(π) = p and #(π⁻¹1ₙ) = n − p + 1 − 2g."""
-    gamma = full_cycle(n)
-    want_faces = n - p + 1 - 2 * g
-    out = []
-    for pi in permutations(n, cap=cap, budget=budget):
-        if num_cycles(pi) != p:
-            continue
-        if num_cycles(compose(inverse(pi), gamma)) == want_faces:
-            out.append(pi)
-    return tuple(out)
+def _a_hat_key(img: tuple[int, ...]) -> tuple[int, int]:
+    """(g, p) with #(π) = p and #(π⁻¹1ₙ) = n − p + 1 − 2g."""
+    n = len(img)
+    p = _num_cycles_image(img)
+    return (n - p + 1 - _cycle_count(_disk_walk(n), img)) // 2, p
 
 
-def family_b_hat(
-    n: int,
-    k: int,
-    p: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> tuple[Permutation, ...]:
-    """Mirror-symmetric permutations of ±[n] encoding twisted hypermaps.
+def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
+    """(k, p) with #(τ₁) = 2p, #(1̃ₙτ₁) = 2(n − p + 1 − k) and k ≥ 1.
 
-    Filter of the mirror-symmetric permutation stream by
-    #(τ₁) = 2p, #(1̃ₙτ₁) = 2(n − p + 1 − k), and the hypermap twist
-    condition (some positive label maps to a negative one).
+    None as well without the hypermap twist: some positive label (index
+    ≥ n) mapped to a negative one.
     """
-    if k < 1:
-        raise ValueError("Euler genus k must be >= 1 for twisted hypermaps")
-    gamma = annulus_cycle(n)
-    want_boundary = 2 * (n - p + 1 - k)
-    out = []
-    for t in signed_symmetric_permutations(n, cap=cap, budget=budget):
-        if num_cycles(t) != 2 * p:
-            continue
-        if not has_hat_twist(t):
-            continue
-        if num_cycles(compose(gamma, t)) == want_boundary:
-            out.append(t)
-    return tuple(out)
+    n = len(img) // 2
+    gamma = annulus_cycle(n).image
+    if min(img[n:], default=n) >= n:
+        return None
+    cycles = _num_cycles_image(img)
+    boundary = _cycle_count(gamma, img)
+    if cycles % 2 or boundary % 2:
+        return None
+    k = n - cycles // 2 + 1 - boundary // 2
+    return (k, cycles // 2) if k >= 1 else None
+
+
+@dataclass(frozen=True)
+class Gluing:
+    """One gluing family: its source stream, ground, grades and key kernel.
+
+    ``source(n, cap, budget)`` yields index images on ±[size] when
+    ``signed``, else on [size], where size is 2n when ``doubled`` (the
+    bipartite families) and n otherwise.  Its elements are pairings when
+    ``pairs``, δ-symmetric when ``signed``, bipartite when ``doubled``.
+    ``key`` maps an image to its grades, named by ``grades``.
+    """
+
+    source: Callable[..., Iterator[tuple[int, ...]]]
+    signed: bool
+    doubled: bool
+    pairs: bool
+    grades: tuple[str, ...]
+    key: Callable[[tuple[int, ...]], tuple[int, ...] | None]
+
+
+#: CLI tag -> gluing family, in CLI order.  Each source is a lambda over
+#: a module-level stream name, looked up at call time, so a wrapper
+#: rebound over that name (a tracer's) is seen.  Caps apply to the
+#: stream's ground; a budget counts the elements the stream yields
+#: (for ã/b̃, the bipartite gluings built).
+GLUINGS: dict[str, Gluing] = {
+    # pairings of [n] by genus g
+    "a": Gluing(
+        lambda n, cap, budget: _images(pairings(n, cap=cap, budget=budget)),
+        signed=False, doubled=False, pairs=True, grades=("genus",),
+        key=lambda img: (_orientable_genus(img),),
+    ),
+    # twisted mirror-symmetric gluings of ±[n] by Euler genus k ≥ 1
+    "b": Gluing(
+        lambda n, cap, budget: _images(
+            signed_symmetric_pairings(n, cap=cap, budget=budget)
+        ),
+        signed=True, doubled=False, pairs=True, grades=("k",), key=_b_key,
+    ),
+    # bipartite pairings of [2n] by genus g and white grade p
+    "a-tilde": Gluing(
+        lambda n, cap, budget: bipartite_pairing_images(2 * n, cap=cap, budget=budget),
+        signed=False, doubled=True, pairs=True, grades=("genus", "p"),
+        key=lambda img: (_orientable_genus(img), _orientable_white_grade(img)),
+    ),
+    # bipartite twisted mirror-symmetric gluings of ±[2n] by (k, p)
+    "b-tilde": Gluing(
+        lambda n, cap, budget: bipartite_signed_symmetric_pairing_images(
+            2 * n, cap=cap, budget=budget
+        ),
+        signed=True, doubled=True, pairs=True, grades=("k", "p"), key=_b_tilde_key,
+    ),
+    # hypermaps: permutations of [n] by genus g and part count p
+    "a-hat": Gluing(
+        lambda n, cap, budget: _images(permutations(n, cap=cap, budget=budget)),
+        signed=False, doubled=False, pairs=False, grades=("genus", "p"), key=_a_hat_key,
+    ),
+    # twisted hypermaps: δ-symmetric permutations of ±[n] by (k, p)
+    "b-hat": Gluing(
+        lambda n, cap, budget: _images(
+            signed_symmetric_permutations(n, cap=cap, budget=budget)
+        ),
+        signed=True, doubled=False, pairs=False, grades=("k", "p"), key=_b_hat_key,
+    ),
+}
+
+
+def _member(entry: Gluing, n: int) -> Callable[[tuple[int, ...]], Permutation]:
+    """Wraps an image of the family at size n: a Pairing if it holds pairings."""
+    size = 2 * n if entry.doubled else n
+    ground = signed_ground(size) if entry.signed else unsigned_ground(size)
+    return partial(Pairing._make if entry.pairs else Permutation._make, ground)
+
+
+def gluing_groups(
+    tag: str,
+    n: int,
+    *,
+    cap: int | None = None,
+    budget: EnumerationBudget | None = None,
+) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
+    """Grade tuple -> members of family ``tag`` at size n, in stream order.
+
+    One pass over the source stream.
+    """
+    entry = GLUINGS[tag]
+    member = _member(entry, n)
+    groups: dict[tuple[int, ...], list[Permutation]] = {}
+    for img in entry.source(n, cap, budget):
+        key = entry.key(img)
+        if key is not None:
+            groups.setdefault(key, []).append(member(img))
+    return {key: tuple(members) for key, members in groups.items()}
+
+
+def gluing_counts(
+    tag: str,
+    n: int,
+    *,
+    cap: int | None = None,
+    budget: EnumerationBudget | None = None,
+) -> dict[tuple[int, ...], int]:
+    """Histogram grade tuple -> family size, in one pass, building no members."""
+    entry = GLUINGS[tag]
+    counts = Counter(map(entry.key, entry.source(n, cap, budget)))
+    counts.pop(None, None)
+    return dict(counts)
+
+
+def gluing_family(
+    tag: str,
+    n: int,
+    grade: tuple[int, ...],
+    *,
+    cap: int | None = None,
+    budget: EnumerationBudget | None = None,
+) -> tuple[Permutation, ...]:
+    """Members of family ``tag`` at size n and grades ``grade``, in stream order.
+
+    A family graded by Euler genus needs k ≥ 1.  An odd number of labels
+    has no pairing, so family a on odd n is empty before any cap check.
+    """
+    entry = GLUINGS[tag]
+    if entry.grades[0] == "k" and grade[0] < 1:
+        twisted = "gluings" if entry.pairs else "hypermaps"
+        raise ValueError(f"Euler genus k must be >= 1 for twisted {twisted}")
+    if entry.pairs and n % 2 and not (entry.signed or entry.doubled):
+        return ()
+    member = _member(entry, n)
+    return tuple(
+        member(img) for img in entry.source(n, cap, budget) if entry.key(img) == grade
+    )
+
+
+def gluing_key(tag: str, pi: Permutation) -> tuple[int, ...] | None:
+    """π's grades in family ``tag``, or None when π is in none of its families.
+
+    The size comes from π's ground.  The conditions of the source stream
+    (ground, pairing, δ-symmetry — on a pairing, mirror symmetry with no
+    (r,−r) pair, which forces an even n — and the bipartite colouring)
+    are checked first, then the key kernel of :func:`gluing_groups`: π
+    is a member of ``gluing_groups(tag, n)[key]`` exactly when this
+    returns key.
+    """
+    entry = GLUINGS[tag]
+    if pi.domain.kind != (GroundSet.SIGNED if entry.signed else GroundSet.UNSIGNED):
+        return None
+    if entry.pairs and not (pi.is_involution() and pi.is_fixed_point_free()):
+        return None
+    if entry.signed and not _is_delta_symmetric(pi.image):
+        return None
+    if entry.doubled and not (
+        is_bipartite_signed_pairing(pi) if entry.signed else is_bipartite_pairing(pi)
+    ):
+        return None
+    return entry.key(pi.image)
+
+
+def family_a(n: int, g: int, *, cap=None, budget=None) -> tuple[Pairing, ...]:
+    """Pairings of [n] of genus g, in stream order."""
+    return gluing_family("a", n, (g,), cap=cap, budget=budget)
+
+
+def family_a_counts(n: int, *, cap=None, budget=None) -> dict[int, int]:
+    """Histogram g -> |a(n, g)| in one pass over the pairing stream."""
+    return {g: c for (g,), c in gluing_counts("a", n, cap=cap, budget=budget).items()}
+
+
+def family_b(n: int, k: int, *, cap=None, budget=None) -> tuple[Pairing, ...]:
+    """Twisted mirror-symmetric gluings of ±[n] of Euler genus k ≥ 1."""
+    return gluing_family("b", n, (k,), cap=cap, budget=budget)
+
+
+def family_b_counts(n: int, *, cap=None, budget=None) -> dict[int, int]:
+    """Histogram k -> |b(n, k)| over the twisted mirror-symmetric gluings."""
+    return {k: c for (k,), c in gluing_counts("b", n, cap=cap, budget=budget).items()}
+
+
+def family_a_tilde(n: int, g: int, p: int, *, cap=None, budget=None) -> tuple[Pairing, ...]:
+    """Bipartite pairings of [2n] with genus g and white grade p, in stream order."""
+    return gluing_family("a-tilde", n, (g, p), cap=cap, budget=budget)
+
+
+def family_a_tilde_counts(n: int, *, cap=None, budget=None) -> dict[tuple[int, int], int]:
+    """Histogram (g, p) -> |ã(n, g, p)| in one pass."""
+    return gluing_counts("a-tilde", n, cap=cap, budget=budget)
+
+
+def family_b_tilde(n: int, k: int, p: int, *, cap=None, budget=None) -> tuple[Pairing, ...]:
+    """Bipartite twisted mirror-symmetric gluings of ±[2n], Euler genus k, grade p."""
+    return gluing_family("b-tilde", n, (k, p), cap=cap, budget=budget)
+
+
+def family_b_tilde_counts(n: int, *, cap=None, budget=None) -> dict[tuple[int, int], int]:
+    """Histogram (k, p) -> |b̃(n, k, p)| in one pass."""
+    return gluing_counts("b-tilde", n, cap=cap, budget=budget)
+
+
+def family_a_hat(n: int, g: int, p: int, *, cap=None, budget=None) -> tuple[Permutation, ...]:
+    """Permutations of [n] with #(π) = p and #(π⁻¹1ₙ) = n − p + 1 − 2g."""
+    return gluing_family("a-hat", n, (g, p), cap=cap, budget=budget)
+
+
+def family_b_hat(n: int, k: int, p: int, *, cap=None, budget=None) -> tuple[Permutation, ...]:
+    """Twisted hypermaps on ±[n] with Euler genus k ≥ 1 and #(τ₁) = 2p."""
+    return gluing_family("b-hat", n, (k, p), cap=cap, budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -82,20 +82,14 @@ class CapExceeded(RuntimeError):
 class EnumerationBudget:
     """A hard limit on how many elements a stream may yield.
 
-    ``on_overflow`` selects the behaviour when the limit is hit:
-    ``"error"`` raises :class:`CapExceeded`; ``"truncate"`` ends the
-    stream quietly and records the truncation on the budget wrapper
-    (see :func:`_budgeted`).
+    A stream asked for one element more raises :class:`CapExceeded`.
     """
 
     max_elements: int
-    on_overflow: str = "error"
 
     def __post_init__(self):
         if self.max_elements < 0:
             raise ValueError("max_elements must be >= 0")
-        if self.on_overflow not in ("error", "truncate"):
-            raise ValueError("on_overflow must be 'error' or 'truncate'")
 
 
 def budget_from_environment() -> EnumerationBudget | None:
@@ -109,15 +103,11 @@ def budget_from_environment() -> EnumerationBudget | None:
         raise ValueError(
             f"{MAX_ELEMENTS_ENV_VAR} must be an integer, got {raw!r}"
         ) from exc
-    return EnumerationBudget(limit, on_overflow="error")
+    return EnumerationBudget(limit)
 
 
 class BudgetedStream:
-    """Iterator wrapper enforcing an :class:`EnumerationBudget`.
-
-    After exhaustion, ``truncated`` reports whether the underlying
-    stream was cut short by a ``truncate`` budget.
-    """
+    """Iterator wrapper enforcing an :class:`EnumerationBudget`."""
 
     def __init__(self, inner: Iterator, budget: EnumerationBudget, what: str):
         self._inner = inner
@@ -125,7 +115,6 @@ class BudgetedStream:
         self._what = what
         self._count = 0
         self._done = False
-        self.truncated = False
 
     def __iter__(self):
         return self
@@ -135,22 +124,14 @@ class BudgetedStream:
             raise StopIteration
         if self._count >= self._budget.max_elements:
             # Peek once to distinguish "exactly at the limit" from overflow.
-            try:
-                next(self._inner)
-            except StopIteration:
-                self._done = True
-                raise
-            if self._budget.on_overflow == "error":
-                self._done = True
-                raise CapExceeded(
-                    f"{self._what} exceeded the element budget "
-                    f"({self._budget.max_elements})",
-                    requested=self._count + 1,
-                    cap=self._budget.max_elements,
-                )
-            self.truncated = True
             self._done = True
-            raise StopIteration
+            next(self._inner)
+            raise CapExceeded(
+                f"{self._what} exceeded the element budget "
+                f"({self._budget.max_elements})",
+                requested=self._count + 1,
+                cap=self._budget.max_elements,
+            )
         item = next(self._inner)
         self._count += 1
         return item

@@ -222,7 +222,7 @@ def test_report_determinism_and_payload():
 
 
 def test_budget_propagates():
-    budget = EnumerationBudget(max_elements=3, on_overflow="error")
+    budget = EnumerationBudget(max_elements=3)
     with pytest.raises(CapExceeded):
         verify_phi1(6, budget=budget)
 

@@ -9,7 +9,17 @@ import pytest
 
 from annular.bijections import BIJECTIONS
 from annular.cli import SCHEMA_VERSION, build_parser, classify_permutation, main
+from annular.frames import tau0
+from annular.maps import (
+    family_a,
+    family_a_hat,
+    family_a_tilde,
+    family_b,
+    family_b_hat,
+    family_b_tilde,
+)
 from annular.noncrossing import NCFamilyId, family_nc
+from annular.perms import Permutation, conjugate, inverse, signed_ground
 from annular.streams import permutations, signed_symmetric_permutations
 
 RECORD_KEYS = {"schema_version", "command", "parameters", "result", "timing_ms"}
@@ -386,6 +396,10 @@ def test_classify_enumerates_nothing(capsys):
     )
     assert code == 0
     assert rec["result"]["delta_symmetric"] is True
+    # an odd signed ground has no bipartite gluing to grade
+    code, rec, _, _ = run(capsys, "classify", "--perm", "(1,-1)", "--n", "1", "--signed")
+    assert code == 0
+    assert rec["result"]["memberships"] == []
 
 
 def _nc_entries(pi, fids, families):
@@ -409,35 +423,96 @@ def _nc_entries(pi, fids, families):
 KNOWN_CLASSIFY_DEFECT_TAGS = {"NC2delta_bip", "NC2K_bip"}
 
 
-def _classify_nc_entries(pi, n, signed):
-    report = classify_permutation(pi.cycle_string(), n, signed=signed)
-    return [
-        m for m in report["memberships"]
-        if m["family"].startswith("NC")
-        and m["family"] not in KNOWN_CLASSIFY_DEFECT_TAGS
+def _split_entries(memberships):
+    """(gluing entries, NC entries) of a classify report, known defects dropped."""
+    nc = [
+        m for m in memberships
+        if m["family"].startswith("NC") and m["family"] not in KNOWN_CLASSIFY_DEFECT_TAGS
     ]
+    return [m for m in memberships if not m["family"].startswith("NC")], nc
 
 
-def test_classify_agrees_with_family_membership():
+def _classify_entries(pi, n, signed):
+    report = classify_permutation(pi.cycle_string(), n, signed=signed)
+    return _split_entries(report["memberships"])
+
+
+def _gluing_entries_by_member(n, signed):
+    """Member -> classify-style entries, from the built gluing families on
+    ±[n] (b, b̃, b̂) or [n] (a, ã, â), in that order."""
+    half = n // 2
+    even = n % 2 == 0
+    if signed:
+        builders = [
+            ("b", family_b, n, ("k",), [(k,) for k in range(1, n + 2)]),
+            ("b-tilde", family_b_tilde, half, ("k", "p"),
+             [(k, p) for k in range(1, n + 1) for p in range(1, half + 1)] if even else []),
+            ("b-hat", family_b_hat, n, ("k", "p"),
+             [(k, p) for k in range(1, n + 1) for p in range(1, n + 1)]),
+        ]
+    else:
+        builders = [
+            ("a", family_a, n, ("genus",), [(g,) for g in range(0, half + 1)]),
+            ("a-tilde", family_a_tilde, half, ("genus", "p"),
+             [(g, p) for g in range(0, half + 1) for p in range(1, half + 1)] if even else []),
+            ("a-hat", family_a_hat, n, ("genus", "p"),
+             [(g, p) for g in range(0, half + 1) for p in range(1, n + 1)]),
+        ]
+    by_member = {}
+    for tag, builder, size, names, grade_tuples in builders:
+        for grades in grade_tuples:
+            entry = {"family": tag, "n": size, **dict(zip(names, grades))}
+            for member in builder(size, *grades):
+                by_member.setdefault(member, []).append(entry)
+    return by_member
+
+
+def test_classify_agrees_with_family_membership(capsys):
     families = {}
     for n in range(1, 7):
         fids = [NCFamilyId("NC", n), NCFamilyId("NC2", n), NCFamilyId("NC2T", n)]
         if n % 2 == 0:
             fids += [NCFamilyId("NC2T_bip", n, p) for p in range(1, n // 2 + 1)]
         fids += [NCFamilyId("NCT_p", n, p) for p in range(1, n + 1)]
+        gluings = _gluing_entries_by_member(n, signed=False)
         for pi in permutations(n):
-            assert _classify_nc_entries(pi, n, False) == _nc_entries(pi, fids, families)
+            got_gluings, got_nc = _classify_entries(pi, n, False)
+            assert got_gluings == gluings.get(pi, [])
+            assert got_nc == _nc_entries(pi, fids, families)
     # every delta-symmetric permutation of ±[n], n <= 4, which includes
     # every signed symmetric pairing of ±[4]
+    signed_fids = {}
     for n in range(1, 5):
         fids = [NCFamilyId("NCdelta", n), NCFamilyId("NC2delta", n)]
         fids += [NCFamilyId("NCdelta_p", n, p) for p in range(1, n + 1)]
         fids.append(NCFamilyId("NC2K", n))
         fids += [NCFamilyId("NCK_p", n, p) for p in range(1, n + 1)]
+        signed_fids[n] = fids
+        gluings = _gluing_entries_by_member(n, signed=True)
         for pi in signed_symmetric_permutations(n):
-            got = _classify_nc_entries(pi, n, True)
+            got_gluings, got_nc = _classify_entries(pi, n, True)
+            assert got_gluings == gluings.get(pi, [])
             want = _nc_entries(pi, fids, families)
-            assert sorted(map(str, got)) == sorted(map(str, want))
+            assert sorted(map(str, got_nc)) == sorted(map(str, want))
+    # mirror-symmetric permutations of ±[n] that are not delta-symmetric
+    # (a label sent to its negative) belong to no family, and exit 0
+    mirror_only = 0
+    for n in range(1, 4):
+        ground = signed_ground(n)
+        delta = set(signed_symmetric_permutations(n))
+        for pi in permutations(2 * n):
+            pi = Permutation(ground, pi.image)
+            if pi in delta or conjugate(pi, tau0(n)) != inverse(pi):
+                continue
+            mirror_only += 1
+            code, rec, _, _ = run(
+                capsys, "classify", "--perm", pi.cycle_string(), "--n", str(n), "--signed"
+            )
+            assert code == 0
+            got_gluings, got_nc = _split_entries(rec["result"]["memberships"])
+            assert got_gluings == []
+            assert got_nc == _nc_entries(pi, signed_fids[n], families) == []
+    assert mirror_only == 69
 
 
 def test_classify_rejects_removed_options(capsys):

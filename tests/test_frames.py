@@ -127,10 +127,14 @@ def test_frames_are_hashable_and_comparable():
     assert torus_frame(6, 2, 4) != torus_frame(6, 2, 5)
 
 
-def test_frame_checks_are_explicit_raises():
-    # `python -O` strips assert statements; the frame consistency checks
-    # must survive it.
-    tree = ast.parse(Path(annular.frames.__file__).read_text())
+PACKAGE_MODULES = sorted(Path(annular.frames.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: p.stem)
+def test_invariant_checks_are_explicit_raises(path):
+    # `python -O` strips assert statements; the invariant checks of
+    # every module must survive it.
+    tree = ast.parse(path.read_text())
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 

@@ -237,7 +237,7 @@ def test_invalid_order():
 
 
 def test_budget_propagates():
-    tight = EnumerationBudget(max_elements=2, on_overflow="error")
+    tight = EnumerationBudget(max_elements=2)
     with pytest.raises(CapExceeded):
         wick_moment("GUE", 6, budget=tight)
     with pytest.raises(CapExceeded):

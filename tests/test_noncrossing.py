@@ -175,7 +175,7 @@ def test_family_nc_rejects_unknown_tag_via_id():
 
 
 def test_family_respects_budget():
-    budget = EnumerationBudget(max_elements=2, on_overflow="error")
+    budget = EnumerationBudget(max_elements=2)
     with pytest.raises(CapExceeded):
         family_nc(NCFamilyId("NC", 4), budget=budget)
 

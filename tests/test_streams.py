@@ -202,28 +202,20 @@ def test_caps_raise_eagerly():
     permutations(10, cap=10)
 
 
-def test_budget_error_and_truncate():
-    budget = EnumerationBudget(2, on_overflow="error")
+def test_budget_overflow_raises():
+    budget = EnumerationBudget(2)
     stream = pairings(6, budget=budget)
     next(stream), next(stream)
     with pytest.raises(CapExceeded):
         next(stream)
 
-    budget = EnumerationBudget(2, on_overflow="truncate")
-    stream = pairings(6, budget=budget)
-    got = list(stream)
-    assert len(got) == 2
-    assert isinstance(stream, BudgetedStream) and stream.truncated
-
     # a budget equal to the stream length is not an overflow
-    budget = EnumerationBudget(3, on_overflow="error")
+    budget = EnumerationBudget(3)
     stream = pairings(4, budget=budget)
+    assert isinstance(stream, BudgetedStream)
     assert len(list(stream)) == 3
-    assert not stream.truncated
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
         EnumerationBudget(-1)
-    with pytest.raises(ValueError):
-        EnumerationBudget(5, on_overflow="explode")
