@@ -225,20 +225,14 @@ def _params_enumerate(args) -> dict:
     }
 
 
-def _require_grade_args(
-    tag: str, args, *, genus: bool, k: bool, p: bool
-) -> None:
-    wanted = {"--genus": genus, "--k": k, "--p": p}
-    given = {
-        "--genus": args.genus is not None,
-        "--k": args.k is not None,
-        "--p": args.p is not None,
-    }
-    for flag, need in wanted.items():
-        if need and not given[flag]:
-            raise UsageError(f"family {tag!r} requires {flag}")
-        if not need and given[flag]:
-            raise UsageError(f"family {tag!r} does not take {flag}")
+def _require_grade_args(tag: str, args, grades: tuple[str, ...]) -> None:
+    """Exactly the grade flags named by ``grades`` are given."""
+    for name in ("genus", "k", "p"):
+        given = getattr(args, name) is not None
+        if name in grades and not given:
+            raise UsageError(f"family {tag!r} requires --{name}")
+        if name not in grades and given:
+            raise UsageError(f"family {tag!r} does not take --{name}")
 
 
 def cmd_enumerate(args) -> tuple[dict, int, list | None]:
@@ -251,9 +245,7 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
     witness_table = None
     if tag in GLUINGS:
         grades = GLUINGS[tag].grades
-        _require_grade_args(
-            tag, args, genus="genus" in grades, k="k" in grades, p="p" in grades
-        )
+        _require_grade_args(tag, args, grades)
         if "genus" in grades and args.genus < 0:
             raise UsageError("--genus must be >= 0")
         grade = tuple(getattr(args, name) for name in grades)
@@ -265,7 +257,7 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
     else:
         lib_tag = NC_TAGS[tag]
         p = args.p if lib_tag in GRADED_TAGS else None
-        _require_grade_args(tag, args, genus=False, k=False, p=lib_tag in GRADED_TAGS)
+        _require_grade_args(tag, args, ("p",) if lib_tag in GRADED_TAGS else ())
         try:
             fid = NCFamilyId(lib_tag, args.n, p)
         except ValueError as exc:
@@ -462,12 +454,13 @@ def _nc_memberships(pi: Permutation, fids: list[NCFamilyId]) -> list[dict]:
     return entries
 
 
-def _signed_fids(pi: Permutation, n: int, mirror: bool, pairing: bool) -> list[NCFamilyId]:
+def _signed_fids(
+    pi: Permutation, n: int, mirror: bool, delta: bool, pairing: bool
+) -> list[NCFamilyId]:
     # NC2K_bip and NC2delta_bip are gated on B -> B although their
     # members carry W -> B; see the known-defect test in test_cli.
     bipartite = pairing and n % 2 == 0 and is_bipartite_signed_pairing(pi)
     # δ-symmetric permutations have an even cycle count, so p >= 1 below.
-    delta = is_delta_symmetric(pi)
     half = num_cycles(pi) // 2
     fids = [NCFamilyId("NCdelta", n), NCFamilyId("NC2delta", n)]
     if delta:
@@ -512,9 +505,10 @@ def classify_permutation(text: str, n: int, *, signed: bool = False) -> dict:
             gluings[tag] = {"family": tag, "n": size, **dict(zip(entry.grades, key))}
     if signed:
         mirror = conjugate(pi, tau0(n)) == inverse(pi)
+        delta = is_delta_symmetric(pi)
         report["mirror_symmetric"] = mirror
-        report["delta_symmetric"] = is_delta_symmetric(pi)
-        fids = _signed_fids(pi, n, mirror, pairing)
+        report["delta_symmetric"] = delta
+        fids = _signed_fids(pi, n, mirror, delta, pairing)
     else:
         fids = [NCFamilyId("NC", n), NCFamilyId("NC2", n), NCFamilyId("NC2T", n)]
         if "a-tilde" in gluings:

@@ -28,10 +28,11 @@ permutation of ±[n].  ``hypermap_*`` implement these reductions, and
 the families â and b̂ are defined directly on permutations — the test
 suite checks that the reductions are grade-preserving bijections.
 
-Every statistic (genus, Euler genus, twist, both white grades) has one
-private kernel working on raw index images against the cached frames;
-the public functions taking a :class:`Permutation` are thin wrappers
-over them.
+Every statistic (genus, Euler genus, both twists, both white grades,
+δ-symmetry) has one private kernel working on raw index images against
+the cached frames; the public functions taking a :class:`Permutation`
+(here and :func:`annular.noncrossing.is_delta_symmetric`) are thin
+wrappers over them.
 
 Each gluing family is one entry of :data:`GLUINGS`, keyed by its CLI
 tag: a source stream of index images (``ã``/``b̃`` read the
@@ -208,7 +209,13 @@ def _has_twist(img: tuple[int, ...], first_positive: int) -> bool:
     Positive labels hold the indices from ``first_positive`` on: n on
     ±[n], 0 on [n].
     """
-    return max(img[first_positive:], default=-1) >= first_positive
+    return any(j >= first_positive for j in img[first_positive:])
+
+
+def _has_hat_twist(img: tuple[int, ...]) -> bool:
+    """On ±[n]: some positive label (index ≥ n) maps to a negative one."""
+    n = len(img) // 2
+    return any(j < n for j in img[n:])
 
 
 def _orientable_white_grade(img: tuple[int, ...]) -> int:
@@ -286,8 +293,7 @@ def has_twist(tau1: Permutation) -> bool:
 
 def has_hat_twist(tau1: Permutation) -> bool:
     """Hypermap twist condition: some positive label maps to a negative one."""
-    n = tau1.domain.n
-    return any(tau1(a) < 0 for a in range(1, n + 1))
+    return _has_hat_twist(tau1.image)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +359,10 @@ _images = partial(map, attrgetter("image"))
 
 
 def _is_delta_symmetric(img: tuple[int, ...]) -> bool:
-    """No label sent to its negative, and π(−π(x)) = −x (mirror i ↦ last − i)."""
+    """On ±[n]: no label sent to its negative, and π(−π(x)) = −x.
+
+    Negation is the index mirror i ↦ last − i.
+    """
     last = len(img) - 1
     return all(j != last - i and img[last - j] == last - i for i, j in enumerate(img))
 
@@ -378,19 +387,23 @@ def _a_hat_key(img: tuple[int, ...]) -> tuple[int, int]:
 def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
     """(k, p) with #(τ₁) = 2p, #(1̃ₙτ₁) = 2(n − p + 1 − k) and k ≥ 1.
 
-    None as well without the hypermap twist: some positive label (index
-    ≥ n) mapped to a negative one.
+    None as well without the hypermap twist.
     """
-    n = len(img) // 2
-    gamma = annulus_cycle(n).image
-    if min(img[n:], default=n) >= n:
+    if not _has_hat_twist(img):
         return None
+    n = len(img) // 2
     cycles = _num_cycles_image(img)
-    boundary = _cycle_count(gamma, img)
+    boundary = _cycle_count(annulus_cycle(n).image, img)
     if cycles % 2 or boundary % 2:
         return None
     k = n - cycles // 2 + 1 - boundary // 2
     return (k, cycles // 2) if k >= 1 else None
+
+
+def _framed(frame: Callable[[int], object], n: int) -> int:
+    """n, once the n-frame the key reads is built: n < 1 raises before the stream."""
+    frame(n)
+    return n
 
 
 @dataclass(frozen=True)
@@ -446,13 +459,15 @@ GLUINGS: dict[str, Gluing] = {
     ),
     # hypermaps: permutations of [n] by genus g and part count p
     "a-hat": Gluing(
-        lambda n, cap, budget: _images(permutations(n, cap=cap, budget=budget)),
+        lambda n, cap, budget: _images(
+            permutations(_framed(_disk_walk, n), cap=cap, budget=budget)
+        ),
         signed=False, doubled=False, pairs=False, grades=("genus", "p"), key=_a_hat_key,
     ),
     # twisted hypermaps: δ-symmetric permutations of ±[n] by (k, p)
     "b-hat": Gluing(
         lambda n, cap, budget: _images(
-            signed_symmetric_permutations(n, cap=cap, budget=budget)
+            signed_symmetric_permutations(_framed(annulus_cycle, n), cap=cap, budget=budget)
         ),
         signed=True, doubled=False, pairs=False, grades=("k", "p"), key=_b_hat_key,
     ),
@@ -511,15 +526,14 @@ def gluing_family(
 ) -> tuple[Permutation, ...]:
     """Members of family ``tag`` at size n and grades ``grade``, in stream order.
 
-    A family graded by Euler genus needs k ≥ 1.  An odd number of labels
-    has no pairing, so family a on odd n is empty before any cap check.
+    A family graded by Euler genus needs k ≥ 1.
     """
     entry = GLUINGS[tag]
     if entry.grades[0] == "k" and grade[0] < 1:
         twisted = "gluings" if entry.pairs else "hypermaps"
         raise ValueError(f"Euler genus k must be >= 1 for twisted {twisted}")
-    if entry.pairs and n % 2 and not (entry.signed or entry.doubled):
-        return ()
+    if tag == "a" and n % 2:
+        return ()  # [n] has no pairing: empty before any cap check
     member = _member(entry, n)
     return tuple(
         member(img) for img in entry.source(n, cap, budget) if entry.key(img) == grade

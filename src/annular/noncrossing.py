@@ -66,8 +66,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .frames import annulus_cycle, full_cycle, klein_frame, torus_frame
-from .maps import black_labels, black_mask, is_bipartite_pairing
+from .maps import _is_delta_symmetric, black_labels, black_mask, is_bipartite_pairing
 from .perms import (
+    GroundSet,
     Permutation,
     compose,
     inverse,
@@ -157,11 +158,9 @@ def is_delta_symmetric(pi: Permutation) -> bool:
     family, and what keeps the families aligned with the
     mirror-symmetric gluing streams.
     """
-    for x in pi.domain.labels():
-        image = pi(x)
-        if image == -x or pi(-image) != -x:
-            return False
-    return True
+    if pi.domain.kind != GroundSet.SIGNED:
+        raise ValueError("δ-symmetry is defined on ±[n]")
+    return _is_delta_symmetric(pi.image)
 
 
 # ---------------------------------------------------------------------------

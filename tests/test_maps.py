@@ -337,6 +337,12 @@ def test_family_b_hat_total(n):
 def test_family_b_hat_smallest_case():
     assert [t.cycle_string() for t in family_b_hat(2, 1, 1)] == ["(-2,1)(-1,2)"]
     assert family_b_hat(1, 1, 1) == ()
+    # n = 0 has no frame: ValueError before the stream spends a budget
+    for build, grade in ((family_a_hat, 0), (family_b_hat, 1)):
+        with pytest.raises(ValueError, match="empty cycle"):
+            build(0, grade, 1)
+        with pytest.raises(ValueError, match="empty cycle"):
+            build(0, grade, 1, budget=EnumerationBudget(0))
 
 
 def test_hat_twist_predicate():
