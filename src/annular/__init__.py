@@ -21,9 +21,7 @@ from .perms import (  # noqa: F401
     is_jointly_transitive,
     num_cycles,
     parse_cycles,
-    restrict,
     signed_ground,
-    subset_ground,
     unsigned_ground,
 )
 from .streams import (  # noqa: F401

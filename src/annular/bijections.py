@@ -39,10 +39,9 @@ from .maps import (
     family_b_hat,
     family_b_tilde,
     gluing_groups,
-    has_twist,
+    gluing_key,
     hypermap_from_bipartite_nonorientable,
     hypermap_from_bipartite_orientable,
-    nonorientable_euler_genus,
 )
 from .noncrossing import NCFamilyId, family_nc
 from .perms import Pairing, Permutation, compose, inverse
@@ -146,28 +145,14 @@ def _glue_with_negation(tau1: Permutation) -> Permutation:
     return compose(tau1, tau0(n))
 
 
-def _require_twisted_member(tau1: Pairing, k: int) -> None:
-    labels = tau1.domain.labels()
-    if min(labels) >= 0:
-        raise ValueError("input must live on a signed domain")
-    for x in labels:
-        if tau1(x) == -x:
-            raise ValueError("input pairs a label with its own negation")
-        if tau1(-x) != -tau1(x):
-            raise ValueError("input is not mirror-symmetric")
-    if not has_twist(tau1):
-        raise ValueError("input has no twisted pair")
-    if nonorientable_euler_genus(tau1) != k:
-        raise ValueError(f"input does not have Euler genus {k}")
-
-
 def phi1(tau1: Pairing) -> Permutation:
     """Send a twisted Euler-genus-1 gluing to its annular pairing.
 
     The image is mirror-symmetric and non-crossing with respect to the
     two-cycle annular frame; the inverse map is :func:`phi1_inverse`.
     """
-    _require_twisted_member(tau1, 1)
+    if gluing_key("b", tau1) != (1,):
+        raise ValueError("input is not a twisted gluing of Euler genus 1")
     return _glue_with_negation(tau1)
 
 
@@ -179,7 +164,8 @@ def phi1_inverse(pi: Permutation) -> Permutation:
 
 def phi2(tau1: Pairing) -> Permutation:
     """Send a twisted Euler-genus-2 gluing to its Klein-frame annular pairing."""
-    _require_twisted_member(tau1, 2)
+    if gluing_key("b", tau1) != (2,):
+        raise ValueError("input is not a twisted gluing of Euler genus 2")
     return _glue_with_negation(tau1)
 
 

@@ -18,7 +18,10 @@ The two canonical involutions on ±[n] are τ₀ = (1,−1)(2,−2)···(n,−n
 walks of one-vertex gluings are cycles of τ₂τ₁.
 
 Frames are immutable, so every constructor caches its result: each
-n (and cut) is built, and checked, once per process.
+n (and cut) is built, and checked, once per process.  The bipartite
+colourings are cached the same way: the black and white label sets
+B(m), W(m) of ±[2m] and their index masks, and the odd-label mask of
+[n], read by the colour kernels of every route.
 
 The torus and Klein constructors verify on construction that the
 product formula produces exactly the displayed two-cycle form:
@@ -55,6 +58,9 @@ __all__ = [
     "annulus_frame",
     "torus_frame",
     "klein_frame",
+    "black_labels",
+    "white_labels",
+    "black_mask",
 ]
 
 
@@ -181,3 +187,42 @@ def klein_frame(n: int, u: int, v: int) -> AnnularFrame:
     if gamma != displayed:
         raise AssertionError("klein frame product and displayed forms differ")
     return AnnularFrame("klein", n, gamma, u, v)
+
+
+# ---------------------------------------------------------------------------
+# bipartite colourings
+# ---------------------------------------------------------------------------
+
+@cache
+def black_labels(m: int) -> tuple[int, ...]:
+    """B(m) = odd positives ∪ even negatives inside ±[2m], ascending."""
+    return tuple(sorted(list(range(1, 2 * m, 2)) + [-2 * i for i in range(1, m + 1)]))
+
+
+@cache
+def white_labels(m: int) -> tuple[int, ...]:
+    """W(m) = even positives ∪ odd negatives inside ±[2m], ascending."""
+    return tuple(sorted(list(range(2, 2 * m + 1, 2)) + [1 - 2 * i for i in range(1, m + 1)]))
+
+
+@cache
+def black_mask(n: int) -> tuple[tuple[int, ...], bytes]:
+    """The indices of B(n // 2) inside ±[n], and a mask with 1 at them."""
+    ground = signed_ground(n)
+    black = set(black_labels(n // 2))
+    mask = bytes(ground.label(i) in black for i in range(ground.size))
+    return tuple(i for i, b in enumerate(mask) if b), mask
+
+
+@cache
+def _white_mask(m: int) -> bytes:
+    """1 at the indices of the white labels W(m) of ±[2m]."""
+    ground = signed_ground(2 * m)
+    white = set(white_labels(m))
+    return bytes(ground.label(i) in white for i in range(ground.size))
+
+
+@cache
+def _odd_mask(size: int) -> bytes:
+    """1 at the indices of the odd labels of [size]."""
+    return bytes((i + 1) % 2 for i in range(size))

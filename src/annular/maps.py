@@ -28,11 +28,14 @@ permutation of ±[n].  ``hypermap_*`` implement these reductions, and
 the families â and b̂ are defined directly on permutations — the test
 suite checks that the reductions are grade-preserving bijections.
 
-Every statistic (genus, Euler genus, both twists, both white grades,
-δ-symmetry) has one private kernel working on raw index images against
-the cached frames; the public functions taking a :class:`Permutation`
-(here and :func:`annular.noncrossing.is_delta_symmetric`) are thin
-wrappers over them.
+Every statistic (genus, Euler genus, both twists, both white grades)
+has one private kernel working on raw index images against the cached
+frames; the public functions taking a :class:`Permutation` are thin
+wrappers over them.  The kernels count cycles only through the shared
+index-space kernels of :mod:`annular.perms` (which also holds the
+δ-symmetry test) and read the bipartite colourings cached in
+:mod:`annular.frames`, the same ones the Wick sum and the non-crossing
+side read; this module imports neither of those routes.
 
 Each gluing family is one entry of :data:`GLUINGS`, keyed by its CLI
 tag: a source stream of index images (``ã``/``b̃`` read the
@@ -54,12 +57,24 @@ from functools import cache, partial
 from operator import attrgetter
 from typing import Callable, Iterator
 
-from .frames import annulus_cycle, full_cycle, tau2
+from .frames import (
+    _odd_mask,
+    _white_mask,
+    annulus_cycle,
+    black_labels,
+    black_mask,
+    full_cycle,
+    tau2,
+    white_labels,
+)
 from .perms import (
     GroundSet,
     Pairing,
     Permutation,
+    _coloured_cycle_count,
+    _cycle_count,
     _inverse_image,
+    _is_delta_symmetric,
     _num_cycles_image,
     compose,
     inverse,
@@ -91,9 +106,6 @@ __all__ = [
     "family_b",
     "family_a_counts",
     "family_b_counts",
-    "black_labels",
-    "black_mask",
-    "white_labels",
     "is_bipartite_pairing",
     "is_bipartite_signed_pairing",
     "orientable_white_grade",
@@ -130,55 +142,6 @@ class MonochromaticityError(AssertionError):
 def _disk_walk(size: int) -> tuple[int, ...]:
     """Image of 1ₙ⁻¹ on [size]."""
     return _inverse_image(full_cycle(size).image)
-
-
-@cache
-def _odd_mask(size: int) -> bytes:
-    """1 at the indices of the odd labels of [size]."""
-    return bytes((i + 1) % 2 for i in range(size))
-
-
-@cache
-def _white_mask(m: int) -> bytes:
-    """1 at the indices of the white labels W(m) of ±[2m]."""
-    ground = signed_ground(2 * m)
-    white = set(white_labels(m))
-    return bytes(ground.label(i) in white for i in range(ground.size))
-
-
-def _cycle_count(outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
-    """Number of cycles of x -> outer[inner[x]]."""
-    seen = bytearray(len(inner))
-    count = 0
-    for i in range(len(inner)):
-        if seen[i]:
-            continue
-        count += 1
-        j = i
-        while not seen[j]:
-            seen[j] = 1
-            j = outer[inner[j]]
-    return count
-
-
-def _coloured_cycle_count(
-    outer: tuple[int, ...], inner: tuple[int, ...], colour: bytes
-) -> int | None:
-    """Cycles of x -> outer[inner[x]] inside colour 1; None if one mixes colours."""
-    seen = bytearray(len(inner))
-    count = 0
-    for i in range(len(inner)):
-        if seen[i]:
-            continue
-        c = colour[i]
-        j = i
-        while not seen[j]:
-            if colour[j] != c:
-                return None
-            seen[j] = 1
-            j = outer[inner[j]]
-        count += c
-    return count
 
 
 def _orientable_genus(img: tuple[int, ...]) -> int:
@@ -300,29 +263,10 @@ def has_hat_twist(tau1: Permutation) -> bool:
 # bipartite structure
 # ---------------------------------------------------------------------------
 
-def black_labels(m: int) -> tuple[int, ...]:
-    """B(m) = odd positives ∪ even negatives inside ±[2m], ascending."""
-    return tuple(sorted(list(range(1, 2 * m, 2)) + [-2 * i for i in range(1, m + 1)]))
-
-
-def white_labels(m: int) -> tuple[int, ...]:
-    """W(m) = even positives ∪ odd negatives inside ±[2m], ascending."""
-    return tuple(sorted(list(range(2, 2 * m + 1, 2)) + [1 - 2 * i for i in range(1, m + 1)]))
-
-
 def is_bipartite_pairing(pi: Pairing) -> bool:
     """On [2n]: every pair joins an even label with an odd label."""
-    size = pi.domain.n
-    return all(pi(a) % 2 for a in range(2, size + 1, 2))
-
-
-@cache
-def black_mask(n: int) -> tuple[tuple[int, ...], bytes]:
-    """The indices of B(n // 2) inside ±[n], and a mask with 1 at them."""
-    ground = signed_ground(n)
-    black = set(black_labels(n // 2))
-    mask = bytes(ground.label(i) in black for i in range(ground.size))
-    return tuple(i for i, b in enumerate(mask) if b), mask
+    odd = _odd_mask(pi.domain.size)
+    return all(odd[j] for i, j in enumerate(pi.image) if not odd[i])
 
 
 def is_bipartite_signed_pairing(tau1: Permutation) -> bool:
@@ -356,15 +300,6 @@ def nonorientable_white_grade(tau1: Pairing) -> int:
 
 #: The index images of a stream of permutations.
 _images = partial(map, attrgetter("image"))
-
-
-def _is_delta_symmetric(img: tuple[int, ...]) -> bool:
-    """On ±[n]: no label sent to its negative, and π(−π(x)) = −x.
-
-    Negation is the index mirror i ↦ last − i.
-    """
-    last = len(img) - 1
-    return all(j != last - i and img[last - j] == last - i for i, j in enumerate(img))
 
 
 def _b_key(img: tuple[int, ...]) -> tuple[int] | None:

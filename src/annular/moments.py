@@ -4,8 +4,13 @@
 an exact weight over raw gluing candidates (pairings, twisted
 mirror-symmetric gluings, permutations).  ``genus_expansion_moment``
 instead multiplies family counts by the dimension powers their genus
-dictates.  The two take disjoint code paths through the combinatorics,
-so their agreement (enforced in tests) cross-checks both.
+dictates.  The two share no family construction: the Wick sum filters
+its own streams and keys each element with the index-space cycle
+kernels of :mod:`annular.perms` against cached frames and colour masks
+of :mod:`annular.frames`, while the genus route reads only the
+``family_*_counts`` histograms of :mod:`annular.maps`.  Only that
+low-level algebra is shared, so their agreement (enforced in tests)
+cross-checks both.
 
 ``wick_oracle_smallN`` is the ground truth for everything else: it sums
 covariances over literal matrix index tuples, never touching the
@@ -25,17 +30,14 @@ from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
-from .frames import full_cycle, tau2
+from .frames import _white_mask, black_mask, full_cycle, tau2
 from .maps import (
-    black_labels,
     family_a_counts,
     family_a_tilde_counts,
     family_b_counts,
     family_b_tilde_counts,
-    is_bipartite_signed_pairing,
-    white_labels,
 )
-from .perms import compose, inverse, num_cycles, restricted_cycle_count
+from .perms import _coloured_cycle_count, _cycle_count, _inverse_image, _num_cycles_image
 from .polynomial import MomentPolynomial
 from .streams import (
     CapExceeded,
@@ -132,17 +134,16 @@ def wick_moment(
     counts: dict[tuple[int, int], int] = {}
 
     if ensemble.kind == "GUE":
-        gamma = full_cycle(n)
+        walk = _inverse_image(full_cycle(n).image)
         for pi in pairings(n, cap=n, budget=budget):
-            boundaries = num_cycles(compose(inverse(pi), gamma))
-            key = (boundaries, 0)
+            key = (_cycle_count(walk, pi.image), 0)
             counts[key] = counts.get(key, 0) + 1
         prefactor = Fraction(1, 2 ** (n // 2))
 
     elif ensemble.kind == "GOE":
-        mirror_shift = tau2(n)
+        mirror_shift = tau2(n).image
         for t in signed_symmetric_pairings(n, cap=2 * n, budget=budget):
-            doubled = num_cycles(compose(mirror_shift, t))
+            doubled = _cycle_count(mirror_shift, t.image)
             if doubled % 2:
                 raise AssertionError("boundary count of a gluing must be even")
             key = (doubled // 2, 0)
@@ -150,24 +151,24 @@ def wick_moment(
         prefactor = Fraction(1, 2**n)
 
     elif ensemble.kind == "LUE":
-        gamma = full_cycle(n)
+        walk = _inverse_image(full_cycle(n).image)
         for pi in permutations(n, cap=n, budget=budget):
-            blocks = num_cycles(pi)
-            boundaries = num_cycles(compose(inverse(pi), gamma))
-            key = (blocks + boundaries, blocks)
+            img = pi.image
+            blocks = _num_cycles_image(img)
+            key = (blocks + _cycle_count(walk, img), blocks)
             counts[key] = counts.get(key, 0) + 1
         prefactor = Fraction(1)
 
     else:  # LOE
-        mirror_shift = tau2(2 * n)
-        black = black_labels(n)
-        white = white_labels(n)
+        mirror_shift = tau2(2 * n).image
+        black_indices, black = black_mask(2 * n)
+        white = _white_mask(n)
         for t in signed_symmetric_pairings(2 * n, cap=4 * n, budget=budget):
-            if not is_bipartite_signed_pairing(t):
+            img = t.image
+            if not all(black[img[i]] for i in black_indices):
                 continue
-            product = compose(mirror_shift, t)
-            white_doubled = restricted_cycle_count(product, white)
-            black_doubled = restricted_cycle_count(product, black)
+            white_doubled = _coloured_cycle_count(mirror_shift, img, white)
+            black_doubled = _coloured_cycle_count(mirror_shift, img, black)
             if white_doubled % 2 or black_doubled % 2:
                 raise AssertionError("split boundary counts must be even")
             key = ((black_doubled + white_doubled) // 2, white_doubled // 2)

@@ -30,8 +30,9 @@ The families built here, keyed by :class:`NCFamilyId` tags:
 * ``NC2T_bip`` / ``NC2K_bip`` / ``NC2delta_bip``: the graded bipartite
   refinements — every pair joins the two colour classes, and the grade
   p counts the black-supported cycles of π⁻¹1̃ₙ (annular/Klein) or the
-  odd-supported cycles of π⁻¹1ₙ (torus).  The torus union keeps only
-  v − u odd, the Klein union only v − u even.
+  odd-supported cycles of π⁻¹1ₙ (torus).  The torus union has only
+  v − u odd, the Klein union only v − u even: the colouring forces it,
+  since the anchor pair (u, ±v) joins the two classes.
 * ``NCdelta_p`` / ``NCT_p`` / ``NCK_p``: permutation-level graded
   families with #(π) = 2p (signed) or #(π) = p (unsigned) and the
   anchor conditions π⁻¹(u) = v (torus) / π⁻¹(u) = −v (Klein; the
@@ -59,23 +60,39 @@ For a union tag the anchor fixes v from u, so each u names at most one
 cut, and only a cut that passes the head condition has its frame
 built.  :func:`member_witnesses` applies the test to any permutation;
 :func:`family_nc` runs the source stream through it.
+
+The test reads only the element's index image.  One kernel decides
+"non-crossing with respect to γ" from three cycle counts against the
+cached image of γ⁻¹ (and, if they fit, the join); one colour kernel
+checks the bipartite colouring and counts the grade.  Both count cycles
+through the shared kernels of :mod:`annular.perms` and read the frames
+and colourings of :mod:`annular.frames`; nothing here comes from the
+gluing side (:mod:`annular.maps`), so the bijection checks between the
+two remain a cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .frames import annulus_cycle, full_cycle, klein_frame, torus_frame
-from .maps import _is_delta_symmetric, black_labels, black_mask, is_bipartite_pairing
+from .frames import (
+    _odd_mask,
+    annulus_cycle,
+    black_mask,
+    full_cycle,
+    klein_frame,
+    torus_frame,
+)
 from .perms import (
     GroundSet,
     Permutation,
-    compose,
-    inverse,
-    is_jointly_transitive,
-    join_block_count,
-    num_cycles,
-    restricted_cycle_count,
+    _coloured_cycle_count,
+    _cycle_count,
+    _inverse_image,
+    _is_delta_symmetric,
+    _join_block_count_images,
+    _num_cycles_image,
     signed_ground,
     unsigned_ground,
 )
@@ -127,22 +144,39 @@ def _require_same_domain(pi: Permutation, gamma: Permutation) -> None:
         )
 
 
+@lru_cache(maxsize=256)
+def _frame_walk(gamma: Permutation) -> tuple[tuple[int, ...], int]:
+    """The image of γ⁻¹ and #(γ), once per reference permutation."""
+    return _inverse_image(gamma.image), _num_cycles_image(gamma.image)
+
+
+def _cycle_total(img: tuple[int, ...], gamma: Permutation) -> int:
+    """#(π) + #(π⁻¹γ) + #(γ) for π given by its image.
+
+    #(π⁻¹γ) is read as #(γ⁻¹π), its inverse, so π is never inverted.
+    """
+    walk, cycles = _frame_walk(gamma)
+    return _num_cycles_image(img) + _cycle_count(walk, img) + cycles
+
+
+def _noncrossing(img: tuple[int, ...], gamma: Permutation) -> bool:
+    """The image kernel of :func:`is_noncrossing`; the join only if the count fits."""
+    if _cycle_total(img, gamma) != len(img) + 2:
+        return False
+    return _join_block_count_images(img, gamma.image) <= 1
+
+
 def is_noncrossing(pi: Permutation, gamma: Permutation) -> bool:
     """Joint transitivity plus the genus-zero cycle-count identity."""
     _require_same_domain(pi, gamma)
-    if not is_jointly_transitive(pi, gamma):
-        return False
-    n = pi.domain.size
-    total = num_cycles(pi) + num_cycles(compose(inverse(pi), gamma)) + num_cycles(gamma)
-    return total == n + 2
+    return _noncrossing(pi.image, gamma)
 
 
 def euler_defect(pi: Permutation, gamma: Permutation) -> int:
     """n + 2·#(π∨γ) − (#(π) + #(π⁻¹γ) + #(γ)); non-negative and even."""
     _require_same_domain(pi, gamma)
-    n = pi.domain.size
-    total = num_cycles(pi) + num_cycles(compose(inverse(pi), gamma)) + num_cycles(gamma)
-    return n + 2 * join_block_count(pi, gamma) - total
+    blocks = _join_block_count_images(pi.image, gamma.image)
+    return pi.domain.size + 2 * blocks - _cycle_total(pi.image, gamma)
 
 
 def is_delta_symmetric(pi: Permutation) -> bool:
@@ -275,92 +309,82 @@ _SOURCE = {
 
 _KLEIN_TAGS = ("NC2K", "NC2K_bip", "NCK_p")
 _HYPERMAP_TAGS = ("NCT_p", "NCK_p")
-#: Required parity of v − u on the bipartite unions.
-_CUT_PARITY = {"NC2T_bip": 1, "NC2K_bip": 0}
 
 
-def _alternating_signed(pi: Permutation, m: int) -> bool:
-    """Every white label of ±[2m] is sent into the black set."""
-    _, black = black_mask(2 * m)
-    img = pi.image
-    return all(black[img[i]] for i, b in enumerate(black) if not b)
+def _colour_grade(img: tuple[int, ...], *, signed: bool) -> int | None:
+    """The bipartite grade of π, or None when π is not bipartite.
+
+    Colour 1 is B(n/2) on ±[n] and the odd labels on [n]; π must send
+    every label of colour 0 into colour 1.  The grade is the number of
+    colour-1 cycles of π⁻¹γ, for γ = 1̃ₙ on ±[n] and 1ₙ on [n].
+    """
+    n = len(img) // 2 if signed else len(img)
+    colour = black_mask(n)[1] if signed else _odd_mask(n)
+    if not all(colour[j] for i, j in enumerate(img) if not colour[i]):
+        return None
+    walk = _frame_walk(annulus_cycle(n) if signed else full_cycle(n))[0]
+    return _coloured_cycle_count(walk, img, colour)
 
 
-def _black_grade_doubled(pi: Permutation, m: int) -> int:
-    """#((π⁻¹1̃ₙ)|_B(m)) for π on ±[2m]; cycles must be colour-pure."""
-    faces = compose(inverse(pi), annulus_cycle(2 * m))
-    return restricted_cycle_count(faces, black_labels(m))
-
-
-def _odd_grade(pi: Permutation) -> int:
-    """#((π⁻¹1ₙ)|odds) for π on [n], n even; cycles must be parity-pure."""
-    size = pi.domain.n
-    faces = compose(inverse(pi), full_cycle(size))
-    return restricted_cycle_count(faces, range(1, size, 2))
-
-
-def _graded(fid: NCFamilyId, pi: Permutation) -> bool:
+def _graded(fid: NCFamilyId, img: tuple[int, ...]) -> bool:
     """The grade and colour conditions of a graded tag; True for the others."""
-    tag, p, m = fid.tag, fid.p, fid.n // 2
+    tag, p = fid.tag, fid.p
     if tag == "NCT_p":
-        return num_cycles(pi) == p
+        return _num_cycles_image(img) == p
     if tag in ("NCdelta_p", "NCK_p"):
-        return num_cycles(pi) == 2 * p
+        return _num_cycles_image(img) == 2 * p
     if tag == "NC2T_bip":
-        return is_bipartite_pairing(pi) and _odd_grade(pi) == p
+        return _colour_grade(img, signed=False) == p
     if tag in ("NC2delta_bip", "NC2K_bip"):
-        return _alternating_signed(pi, m) and _black_grade_doubled(pi, m) == 2 * p
+        return _colour_grade(img, signed=True) == 2 * p
     return True
 
 
-def _cut_range(n: int, klein: bool) -> range:
-    """Labels a cut u < v may use: up to n on Klein frames, below n on torus ones."""
-    return range(1, n + 1 if klein else n)
-
-
 def _union_witnesses(
-    fid: NCFamilyId, pi: Permutation
+    fid: NCFamilyId, img: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...] | None:
     """The cuts (u, v) whose frame admits π, or None when there is none.
 
     The anchor is π for the pairing unions and π⁻¹ for the hypermap
-    unions.  A torus cut needs anchor(u) = v and no a < u with
-    anchor(a) in [u, v]; a Klein cut needs anchor(u) = −v and no a < u
-    with anchor(a) < 0.  So each u names at most one v, and only a cut
-    passing both conditions has its frame built and tested.
+    unions, read off the image.  A torus cut needs anchor(u) = v and no
+    a < u with anchor(a) in [u, v]; a Klein cut needs anchor(u) = −v
+    and no a < u with anchor(a) < 0.  So each u names at most one v,
+    and only a cut passing both conditions has its frame built and
+    tested.  Label a ≥ 1 sits at index first + a − 1, where first is
+    n on ±[n] and 0 on [n].
     """
     n, tag = fid.n, fid.tag
     klein = tag in _KLEIN_TAGS
-    anchor = inverse(pi) if tag in _HYPERMAP_TAGS else pi
-    parity = _CUT_PARITY.get(tag)
-    cuts = _cut_range(n, klein)
+    anchor = _inverse_image(img) if tag in _HYPERMAP_TAGS else img
+    top = n if klein else n - 1  # largest label a cut may use
+    first = n if klein else 0
     found = []
-    for u in cuts:
-        v = -anchor(u) if klein else anchor(u)
-        if v <= u or v not in cuts:
+    for u in range(1, top + 1):
+        j = anchor[first + u - 1]
+        # anchor(u) is −v (Klein) or v; a positive Klein anchor gives v ≤ 0
+        v = n - j if klein else j + 1
+        if v <= u or v > top:
             continue
-        if parity is not None and (v - u) % 2 != parity:
-            continue
-        head = [anchor(a) for a in range(1, u)]
-        blocked = any(x < 0 for x in head) if klein else any(u <= x <= v for x in head)
+        head = anchor[first:first + u - 1]
+        blocked = any(x < n for x in head) if klein else any(u <= x + 1 <= v for x in head)
         if blocked:
             continue
         frame = klein_frame(n, u, v) if klein else torus_frame(n, u, v)
-        if is_noncrossing(pi, frame.gamma):
+        if _noncrossing(img, frame.gamma):
             found.append((u, v))
     return tuple(found) or None
 
 
 def _member_test(
-    fid: NCFamilyId, pi: Permutation
+    fid: NCFamilyId, img: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...] | None:
-    """Membership of an element of the tag's source stream."""
-    if not _graded(fid, pi):
+    """Membership of the image of an element of the tag's source stream."""
+    if not _graded(fid, img):
         return None
     if fid.tag in UNION_TAGS:
-        return _union_witnesses(fid, pi)
+        return _union_witnesses(fid, img)
     gamma = annulus_cycle(fid.n) if _SOURCE[fid.tag][0] else full_cycle(fid.n)
-    return () if is_noncrossing(pi, gamma) else None
+    return () if _noncrossing(img, gamma) else None
 
 
 def member_witnesses(
@@ -380,9 +404,9 @@ def member_witnesses(
         return None
     if pairs_only and not (pi.is_involution() and pi.is_fixed_point_free()):
         return None
-    if signed and not is_delta_symmetric(pi):
+    if signed and not _is_delta_symmetric(pi.image):
         return None
-    return _member_test(family_id, pi)
+    return _member_test(family_id, pi.image)
 
 
 def family_nc(
@@ -407,7 +431,7 @@ def family_nc(
         source = signed_symmetric_permutations if signed else permutations
     found = {}
     for pi in source(family_id.n, budget=budget):
-        witnesses = _member_test(family_id, pi)
+        witnesses = _member_test(family_id, pi.image)
         if witnesses is not None:
             found[pi] = witnesses
     return _finalize(family_id, found if tag in UNION_TAGS else list(found))

@@ -8,7 +8,7 @@ involutions, i.e. perfect matchings written as products of 2-cycles.
 
 Ground sets
 -----------
-Two primary kinds are supported:
+Two kinds are supported:
 
 * ``unsigned``: the set [n] = {1, 2, ..., n};
 * ``signed``: the set ±[n] = {-n, ..., -1, 1, ..., n} (no zero).
@@ -18,10 +18,17 @@ order, so on a signed set the index of -k is n-k and the index of +k is
 n+k-1.  This layout makes negation an index involution
 ``i -> size-1-i``, which the mirror-symmetry predicates exploit.
 
-A third kind, ``subset``, carries an explicit sorted label tuple.  It
-exists so that :func:`restrict` can return an honest Permutation when a
-permutation is restricted to an invariant subset that is neither [n]
-nor ±[n] (for instance a colour class of a bipartition).
+Index-space kernels
+-------------------
+The three routes that cross-check each other (the Wick sum, the genus
+expansion and the non-crossing side) share only the per-element
+algebra below, on raw image tuples: ``_num_cycles_image`` (#π),
+``_cycle_count`` (# of x ↦ outer[inner[x]], e.g. a face walk γ⁻¹π
+without inverting π), ``_coloured_cycle_count`` (the same cycles inside
+one colour class of a 0/1 mask, None when a cycle mixes the classes)
+and ``_is_delta_symmetric``.  Every cycle count in the package goes
+through them; the public functions on :class:`Permutation` objects are
+thin wrappers.
 
 Composition convention
 ----------------------
@@ -57,12 +64,10 @@ __all__ = [
     "Pairing",
     "unsigned_ground",
     "signed_ground",
-    "subset_ground",
     "compose",
     "inverse",
     "conjugate",
     "num_cycles",
-    "restrict",
     "restricted_cycle_count",
     "is_jointly_transitive",
     "join_block_count",
@@ -76,44 +81,24 @@ class GroundSet:
     Parameters
     ----------
     kind:
-        ``"unsigned"`` for [n], ``"signed"`` for ±[n], or ``"subset"``
-        for an explicit label set (pass ``labels``).
+        ``"unsigned"`` for [n], ``"signed"`` for ±[n].
     n:
-        The size parameter: |[n]| = n, |±[n]| = 2n.  For ``subset``
-        grounds ``n`` is the number of labels.
-    labels:
-        Only for ``subset`` grounds: the labels, in any order; they are
-        stored sorted ascending.
+        The size parameter: |[n]| = n, |±[n]| = 2n.
     """
 
     UNSIGNED = "unsigned"
     SIGNED = "signed"
-    SUBSET = "subset"
 
-    __slots__ = ("kind", "n", "size", "_labels")
+    __slots__ = ("kind", "n", "size")
 
-    def __init__(self, kind: str, n: int, labels: Sequence[int] | None = None):
-        if kind not in (self.UNSIGNED, self.SIGNED, self.SUBSET):
+    def __init__(self, kind: str, n: int):
+        if kind not in (self.UNSIGNED, self.SIGNED):
             raise ValueError(f"unknown ground-set kind: {kind!r}")
-        if kind == self.SUBSET:
-            if labels is None:
-                raise ValueError("subset ground set requires explicit labels")
-            lab = tuple(sorted(labels))
-            if len(set(lab)) != len(lab):
-                raise ValueError("subset labels must be distinct")
-            object.__setattr__(self, "_labels", lab)
-            n = len(lab)
-            size = n
-        else:
-            if labels is not None:
-                raise ValueError("labels are only accepted for subset grounds")
-            if n < 0:
-                raise ValueError(f"ground-set parameter n must be >= 0, got {n}")
-            object.__setattr__(self, "_labels", None)
-            size = n if kind == self.UNSIGNED else 2 * n
+        if n < 0:
+            raise ValueError(f"ground-set parameter n must be >= 0, got {n}")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "size", n if kind == self.UNSIGNED else 2 * n)
 
     # GroundSet is immutable.
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -124,25 +109,18 @@ class GroundSet:
         """All labels in ascending order (== index order)."""
         if self.kind == self.UNSIGNED:
             return tuple(range(1, self.n + 1))
-        if self.kind == self.SIGNED:
-            return tuple(range(-self.n, 0)) + tuple(range(1, self.n + 1))
-        return self._labels
+        return tuple(range(-self.n, 0)) + tuple(range(1, self.n + 1))
 
     def index(self, label: int) -> int:
         """Index of ``label`` in 0..size-1; raises ValueError if absent."""
         if self.kind == self.UNSIGNED:
             if 1 <= label <= self.n:
                 return label - 1
-        elif self.kind == self.SIGNED:
+        else:
             if -self.n <= label <= -1:
                 return label + self.n
             if 1 <= label <= self.n:
                 return self.n + label - 1
-        else:
-            try:
-                return self._labels.index(label)
-            except ValueError:
-                pass
         raise ValueError(f"label {label} is not in {self}")
 
     def label(self, i: int) -> int:
@@ -151,9 +129,7 @@ class GroundSet:
             raise ValueError(f"index {i} out of range for {self}")
         if self.kind == self.UNSIGNED:
             return i + 1
-        if self.kind == self.SIGNED:
-            return i - self.n if i < self.n else i - self.n + 1
-        return self._labels[i]
+        return i - self.n if i < self.n else i - self.n + 1
 
     def __contains__(self, label: int) -> bool:
         try:
@@ -167,21 +143,15 @@ class GroundSet:
             return True
         if not isinstance(other, GroundSet):
             return NotImplemented
-        return (
-            self.kind == other.kind
-            and self.n == other.n
-            and self._labels == other._labels
-        )
+        return self.kind == other.kind and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.n, self._labels))
+        return hash((self.kind, self.n))
 
     def __repr__(self) -> str:
         if self.kind == self.UNSIGNED:
             return f"GroundSet([{self.n}])"
-        if self.kind == self.SIGNED:
-            return f"GroundSet(±[{self.n}])"
-        return f"GroundSet({{{', '.join(map(str, self._labels))}}})"
+        return f"GroundSet(±[{self.n}])"
 
 
 _UNSIGNED_CACHE: dict[int, GroundSet] = {}
@@ -202,11 +172,6 @@ def signed_ground(n: int) -> GroundSet:
     if g is None:
         g = _SIGNED_CACHE[n] = GroundSet(GroundSet.SIGNED, n)
     return g
-
-
-def subset_ground(labels: Iterable[int]) -> GroundSet:
-    """An explicit ground set on the given labels (sorted ascending)."""
-    return GroundSet(GroundSet.SUBSET, 0, labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +205,50 @@ def _num_cycles_image(p: Sequence[int]) -> int:
                 seen[j] = 1
                 j = p[j]
     return count
+
+
+def _cycle_count(outer: Sequence[int], inner: Sequence[int]) -> int:
+    """Number of cycles of x -> outer[inner[x]]."""
+    seen = bytearray(len(inner))
+    count = 0
+    for i in range(len(inner)):
+        if seen[i]:
+            continue
+        count += 1
+        j = i
+        while not seen[j]:
+            seen[j] = 1
+            j = outer[inner[j]]
+    return count
+
+
+def _coloured_cycle_count(
+    outer: Sequence[int], inner: Sequence[int], colour: bytes
+) -> int | None:
+    """Cycles of x -> outer[inner[x]] inside colour 1; None if one mixes colours."""
+    seen = bytearray(len(inner))
+    count = 0
+    for i in range(len(inner)):
+        if seen[i]:
+            continue
+        c = colour[i]
+        j = i
+        while not seen[j]:
+            if colour[j] != c:
+                return None
+            seen[j] = 1
+            j = outer[inner[j]]
+        count += c
+    return count
+
+
+def _is_delta_symmetric(img: Sequence[int]) -> bool:
+    """On ±[n]: no label sent to its negative, and π(−π(x)) = −x.
+
+    Negation is the index mirror i ↦ last − i.
+    """
+    last = len(img) - 1
+    return all(j != last - i and img[last - j] == last - i for i, j in enumerate(img))
 
 
 def _cycles_of_image(p: Sequence[int]) -> list[list[int]]:
@@ -371,9 +380,6 @@ class Permutation:
         """Image of a label under the permutation."""
         return self.domain.label(self.image[self.domain.index(label)])
 
-    def apply_index(self, i: int) -> int:
-        return self.image[i]
-
     def is_identity(self) -> bool:
         return all(j == i for i, j in enumerate(self.image))
 
@@ -383,10 +389,6 @@ class Permutation:
 
     def is_fixed_point_free(self) -> bool:
         return all(j != i for i, j in enumerate(self.image))
-
-    def fixed_points(self) -> tuple[int, ...]:
-        dom = self.domain
-        return tuple(dom.label(i) for i, j in enumerate(self.image) if i == j)
 
     # -- algebra -----------------------------------------------------
     def compose(self, other: "Permutation") -> "Permutation":
@@ -477,11 +479,6 @@ class Pairing(Permutation):
         super().__init__(domain, image)
         self._check_pairing()
 
-    @classmethod
-    def _make(cls, domain: GroundSet, image: tuple[int, ...]) -> "Pairing":
-        self = super()._make(domain, image)
-        return self
-
     def _check_pairing(self) -> None:
         img = self.image
         for i, j in enumerate(img):
@@ -523,15 +520,6 @@ class Pairing(Permutation):
         return tuple(out)
 
 
-def as_pairing(p: Permutation) -> Pairing:
-    """View a fixed-point-free involutive Permutation as a Pairing."""
-    if isinstance(p, Pairing):
-        return p
-    q = Pairing._make(p.domain, p.image)
-    q._check_pairing()
-    return q
-
-
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
@@ -554,54 +542,23 @@ def num_cycles(p: Permutation) -> int:
     return p.num_cycles()
 
 
-def restrict(p: Permutation, labels: Iterable[int]) -> Permutation:
-    """The permutation induced by ``p`` on an invariant label subset.
-
-    Raises ``ValueError`` if the subset is not invariant under ``p``.
-    The result lives on a ``subset`` ground set carrying exactly the
-    given labels (sorted ascending).
-    """
-    lab = tuple(sorted(labels))
-    lab_set = set(lab)
-    if len(lab) != len(lab_set):
-        raise ValueError("restriction labels must be distinct")
-    for x in lab:
-        y = p(x)
-        if y not in lab_set:
-            raise ValueError(
-                f"subset is not invariant: {x} maps to {y} outside it"
-            )
-    sub = subset_ground(lab)
-    image = tuple(sub.index(p(x)) for x in lab)
-    return Permutation._make(sub, image)
-
-
 def restricted_cycle_count(p: Permutation, labels: Iterable[int]) -> int:
     """Number of cycles of ``p`` restricted to an invariant label subset.
 
-    Equivalent to ``num_cycles(restrict(p, labels))`` but without
-    building the restricted object; used in the grading statistics.
+    Raises ``ValueError`` if the subset is not invariant under ``p``.
     """
     dom = p.domain
     img = p.image
-    idx = [dom.index(x) for x in labels]
-    idx_set = set(idx)
-    for i in idx:
-        if img[i] not in idx_set:
-            raise ValueError(
-                f"subset is not invariant: {dom.label(i)} maps to "
-                f"{dom.label(img[i])} outside it"
-            )
-    seen = set()
-    count = 0
-    for i in idx:
-        if i in seen:
-            continue
-        count += 1
-        j = i
-        while j not in seen:
-            seen.add(j)
-            j = img[j]
+    inside = bytearray(dom.size)
+    for x in labels:
+        inside[dom.index(x)] = 1
+    count = _coloured_cycle_count(img, range(dom.size), inside)
+    if count is None:
+        i = next(i for i, j in enumerate(img) if inside[i] and not inside[j])
+        raise ValueError(
+            f"subset is not invariant: {dom.label(i)} maps to "
+            f"{dom.label(img[i])} outside it"
+        )
     return count
 
 

@@ -138,6 +138,38 @@ def test_invariant_checks_are_explicit_raises(path):
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
+def _imports_from(module: str, source: str) -> set[str]:
+    """Names the package module ``module`` imports from its sibling ``source``.
+
+    ``from . import source`` counts as importing the whole module, "*".
+    """
+    tree = ast.parse((Path(annular.frames.__file__).parent / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        target = f"{'.' * node.level}{node.module or ''}"
+        if target in (f".{source}", f"annular.{source}"):
+            names.update(alias.name for alias in node.names)
+        elif target in (".", "annular") and source in [a.name for a in node.names]:
+            names.add("*")
+    return names
+
+
+def test_routes_do_not_import_each_other():
+    # The Wick sum, the genus expansion and the non-crossing side must
+    # stay independent: they share perms/frames, never each other.
+    assert _imports_from("noncrossing", "maps") == set()
+    assert _imports_from("moments", "maps") == {
+        "family_a_counts",
+        "family_b_counts",
+        "family_a_tilde_counts",
+        "family_b_tilde_counts",
+    }
+    assert _imports_from("maps", "noncrossing") == set()
+    assert _imports_from("maps", "moments") == set()
+
+
 def test_frames_are_cached():
     assert tau2(6) is tau2(6)
     assert annulus_cycle(6) is annulus_cycle(6)

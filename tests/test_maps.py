@@ -4,10 +4,9 @@ from math import factorial
 
 import pytest
 
-from annular.frames import annulus_cycle, full_cycle
+from annular.frames import annulus_cycle, black_labels, full_cycle, white_labels
 from annular.maps import (
     MonochromaticityError,
-    black_labels,
     family_a,
     family_a_counts,
     family_a_hat,
@@ -28,7 +27,6 @@ from annular.maps import (
     nonorientable_white_grade,
     orientable_genus,
     orientable_white_grade,
-    white_labels,
 )
 from annular.perms import (
     Pairing,

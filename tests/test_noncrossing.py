@@ -37,8 +37,11 @@ from annular.streams import (
 from oracles import (
     pairing_to_map,
     ref_all_pairings,
+    ref_annulus_cycle,
+    ref_black_white,
     ref_catalan,
     ref_compose,
+    ref_cycle_count_on,
     ref_full_cycle,
     ref_inverse,
     ref_is_delta_symmetric,
@@ -322,6 +325,19 @@ def _assert_union_matches_oracle(fid, source, **kind):
     assert got == want
 
 
+def _bipartite_grade(p: dict, n: int, *, signed: bool) -> int | None:
+    """The colour-1 cycles of p⁻¹γ, or None when a pair stays in one class.
+
+    Colour 1 is B(n/2) on ±[n], against γ = 1̃ₙ, and the odd labels on
+    [n], against γ = 1ₙ.
+    """
+    colour = ref_black_white(n // 2)[0] if signed else set(range(1, n + 1, 2))
+    if any((x in colour) == (y in colour) for x, y in p.items()):
+        return None
+    gamma = ref_annulus_cycle(n) if signed else ref_full_cycle(n)
+    return ref_cycle_count_on(ref_compose(ref_inverse(p), gamma), colour)
+
+
 def test_union_families_match_dict_oracle():
     for n in range(1, 9):
         pairs = [pairing_to_map(ps) for ps in ref_all_pairings(list(range(1, n + 1)))]
@@ -353,6 +369,31 @@ def test_union_families_match_dict_oracle():
                 klein=True,
                 hypermap=True,
             )
+    for n in range(2, 9, 2):
+        pairs = [pairing_to_map(ps) for ps in ref_all_pairings(list(range(1, n + 1)))]
+        for p in range(1, n // 2 + 2):
+            _assert_union_matches_oracle(
+                NCFamilyId("NC2T_bip", n, p),
+                [d for d in pairs if _bipartite_grade(d, n, signed=False) == p],
+                klein=False,
+                hypermap=False,
+                parity=1,
+            )
+    for n in range(2, 9, 2):
+        pairs = ref_signed_symmetric_pairings(n)
+        for p in range(1, n // 2 + 2):
+            graded = [d for d in pairs if _bipartite_grade(d, n, signed=True) == 2 * p]
+            if n <= 6:
+                _assert_union_matches_oracle(
+                    NCFamilyId("NC2K_bip", n, p),
+                    graded,
+                    klein=True,
+                    hypermap=False,
+                    parity=0,
+                )
+            gamma = ref_annulus_cycle(n)
+            got = {_key(pi.mapping()) for pi in family_nc(NCFamilyId("NC2delta_bip", n, p))}
+            assert got == {_key(d) for d in graded if ref_is_noncrossing(d, gamma)}
 
 
 def test_witnesses_unavailable_for_plain_families():

@@ -11,7 +11,6 @@ from annular.perms import (
     GroundSet,
     Pairing,
     Permutation,
-    as_pairing,
     compose,
     conjugate,
     inverse,
@@ -19,10 +18,8 @@ from annular.perms import (
     join_block_count,
     num_cycles,
     parse_cycles,
-    restrict,
     restricted_cycle_count,
     signed_ground,
-    subset_ground,
     unsigned_ground,
 )
 
@@ -60,9 +57,6 @@ def test_ground_equality_and_errors():
         unsigned_ground(4).index(0)
     with pytest.raises(ValueError):
         GroundSet("weird", 3)
-    sub = subset_ground([3, 1, 5])
-    assert sub.labels() == (1, 3, 5)
-    assert sub.index(5) == 2
 
 
 # ---------------------------------------------------------------- composition
@@ -157,20 +151,13 @@ def test_compose_and_cycles_match_oracle_random(img_p, img_q):
 def test_restrict_invariant_subset():
     g = unsigned_ground(6)
     p = parse_cycles("(2,6)(3,5)", g)
-    r = restrict(p, {1, 4})
-    assert r.is_identity()
-    assert r.num_cycles() == 2
     assert restricted_cycle_count(p, {1, 4}) == 2
-    r2 = restrict(p, {2, 6, 4})
-    assert r2.num_cycles() == 2
-    assert r2.mapping() == {2: 6, 6: 2, 4: 4}
+    assert restricted_cycle_count(p, {2, 6, 4}) == 2
 
 
 def test_restrict_rejects_non_invariant_subset():
     g = unsigned_ground(6)
     p = parse_cycles("(1,2,3)", g)
-    with pytest.raises(ValueError):
-        restrict(p, {1, 2})
     with pytest.raises(ValueError):
         restricted_cycle_count(p, {1, 2})
 
@@ -236,8 +223,6 @@ def test_pairing_validation():
     p = Pairing.from_pairs(g, [(1, 3), (2, 4)])
     assert p.pairs() == ((1, 3), (2, 4))
     assert p.is_involution() and p.is_fixed_point_free()
-    q = parse_cycles("(1,3)(2,4)", g)
-    assert as_pairing(q) == p
     with pytest.raises(ValueError):
         Pairing.from_pairs(g, [(1, 3), (2, 3)])
     with pytest.raises(ValueError):
