@@ -18,10 +18,13 @@ The two canonical involutions on ±[n] are τ₀ = (1,−1)(2,−2)···(n,−n
 walks of one-vertex gluings are cycles of τ₂τ₁.
 
 Frames are immutable, so every constructor caches its result: each
-n (and cut) is built, and checked, once per process.  The bipartite
-colourings are cached the same way: the black and white label sets
-B(m), W(m) of ±[2m] and their index masks, and the odd-label mask of
-[n], read by the colour kernels of every route.
+n (and cut) is built, and checked, once per process.  What the cycle
+kernels of :mod:`annular.perms` read of a reference permutation γ, the
+image of γ⁻¹ and #(γ), is cached the same way by :func:`gamma_walk`.
+So are the bipartite colourings: the black and white label sets B(m),
+W(m) of ±[2m], their index masks, and the odd-label mask of [n].  The
+two colour tests every route applies to an index image,
+:func:`sends_into` and :func:`keeps_black`, sit beside the masks.
 
 The torus and Klein constructors verify on construction that the
 product formula produces exactly the displayed two-cycle form:
@@ -46,7 +49,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .perms import Permutation, compose, signed_ground, unsigned_ground
+from .perms import (
+    Permutation,
+    _inverse_image,
+    _num_cycles_image,
+    compose,
+    signed_ground,
+    unsigned_ground,
+)
 
 __all__ = [
     "tau0",
@@ -58,9 +68,14 @@ __all__ = [
     "annulus_frame",
     "torus_frame",
     "klein_frame",
+    "gamma_walk",
     "black_labels",
     "white_labels",
     "black_mask",
+    "white_mask",
+    "odd_mask",
+    "sends_into",
+    "keeps_black",
 ]
 
 
@@ -189,6 +204,18 @@ def klein_frame(n: int, u: int, v: int) -> AnnularFrame:
     return AnnularFrame("klein", n, gamma, u, v)
 
 
+@cache
+def gamma_walk(gamma: Permutation) -> tuple[tuple[int, ...], int]:
+    """The image of γ⁻¹ and #(γ), once per reference permutation γ.
+
+    The cycle kernels count π⁻¹γ as its inverse γ⁻¹π, so π is never
+    inverted.  Every γ the package builds is one of the frames above,
+    each already held without bound by its constructor's cache; a γ
+    passed to :func:`annular.noncrossing.is_noncrossing` is kept too.
+    """
+    return _inverse_image(gamma.image), _num_cycles_image(gamma.image)
+
+
 # ---------------------------------------------------------------------------
 # bipartite colourings
 # ---------------------------------------------------------------------------
@@ -215,7 +242,7 @@ def black_mask(n: int) -> tuple[tuple[int, ...], bytes]:
 
 
 @cache
-def _white_mask(m: int) -> bytes:
+def white_mask(m: int) -> bytes:
     """1 at the indices of the white labels W(m) of ±[2m]."""
     ground = signed_ground(2 * m)
     white = set(white_labels(m))
@@ -223,6 +250,17 @@ def _white_mask(m: int) -> bytes:
 
 
 @cache
-def _odd_mask(size: int) -> bytes:
+def odd_mask(size: int) -> bytes:
     """1 at the indices of the odd labels of [size]."""
     return bytes((i + 1) % 2 for i in range(size))
+
+
+def sends_into(img: tuple[int, ...], mask: bytes) -> bool:
+    """Every index outside the mask's class is sent into it."""
+    return all(mask[j] for i, j in enumerate(img) if not mask[i])
+
+
+def keeps_black(img: tuple[int, ...]) -> bool:
+    """On ±[n]: the black set B(n // 2) is carried to itself."""
+    indices, mask = black_mask(len(img) // 2)
+    return all(mask[img[i]] for i in indices)

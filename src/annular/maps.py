@@ -33,9 +33,9 @@ has one private kernel working on raw index images against the cached
 frames; the public functions taking a :class:`Permutation` are thin
 wrappers over them.  The kernels count cycles only through the shared
 index-space kernels of :mod:`annular.perms` (which also holds the
-δ-symmetry test) and read the bipartite colourings cached in
-:mod:`annular.frames`, the same ones the Wick sum and the non-crossing
-side read; this module imports neither of those routes.
+δ-symmetry test) and read the walks, colour masks and colour tests
+cached in :mod:`annular.frames`, the same ones the Wick sum and the
+non-crossing side read; this module imports neither of those routes.
 
 Each gluing family is one entry of :data:`GLUINGS`, keyed by its CLI
 tag: a source stream of index images (``ã``/``b̃`` read the
@@ -53,19 +53,21 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterator
 
 from .frames import (
-    _odd_mask,
-    _white_mask,
     annulus_cycle,
     black_labels,
-    black_mask,
     full_cycle,
+    gamma_walk,
+    keeps_black,
+    odd_mask,
+    sends_into,
     tau2,
     white_labels,
+    white_mask,
 )
 from .perms import (
     GroundSet,
@@ -73,7 +75,6 @@ from .perms import (
     Permutation,
     _coloured_cycle_count,
     _cycle_count,
-    _inverse_image,
     _is_delta_symmetric,
     _num_cycles_image,
     compose,
@@ -138,15 +139,9 @@ class MonochromaticityError(AssertionError):
 # of π needed); the boundary walk is τ₂τ₁ itself.
 # ---------------------------------------------------------------------------
 
-@cache
-def _disk_walk(size: int) -> tuple[int, ...]:
-    """Image of 1ₙ⁻¹ on [size]."""
-    return _inverse_image(full_cycle(size).image)
-
-
 def _orientable_genus(img: tuple[int, ...]) -> int:
     size = len(img)
-    faces = _cycle_count(_disk_walk(size), img)
+    faces = _cycle_count(gamma_walk(full_cycle(size))[0], img)
     twice_genus = size // 2 + 1 - faces
     if twice_genus < 0 or twice_genus % 2:
         raise ValueError(
@@ -183,7 +178,7 @@ def _has_hat_twist(img: tuple[int, ...]) -> bool:
 
 def _orientable_white_grade(img: tuple[int, ...]) -> int:
     size = len(img)
-    grade = _coloured_cycle_count(_disk_walk(size), img, _odd_mask(size))
+    grade = _coloured_cycle_count(gamma_walk(full_cycle(size))[0], img, odd_mask(size))
     if grade is None:
         pi = Permutation._make(unsigned_ground(size), img)
         faces = compose(inverse(pi), full_cycle(size))
@@ -193,7 +188,7 @@ def _orientable_white_grade(img: tuple[int, ...]) -> int:
 
 def _nonorientable_white_grade(img: tuple[int, ...]) -> int:
     n = len(img) // 2
-    white_cycles = _coloured_cycle_count(tau2(n).image, img, _white_mask(n // 2))
+    white_cycles = _coloured_cycle_count(tau2(n).image, img, white_mask(n // 2))
     if white_cycles is None:
         tau1 = Permutation._make(signed_ground(n), img)
         _raise_mixed_cycle(compose(tau2(n), tau1), black_labels(n // 2))
@@ -265,18 +260,12 @@ def has_hat_twist(tau1: Permutation) -> bool:
 
 def is_bipartite_pairing(pi: Pairing) -> bool:
     """On [2n]: every pair joins an even label with an odd label."""
-    odd = _odd_mask(pi.domain.size)
-    return all(odd[j] for i, j in enumerate(pi.image) if not odd[i])
+    return sends_into(pi.image, odd_mask(pi.domain.size))
 
 
 def is_bipartite_signed_pairing(tau1: Permutation) -> bool:
     """On ±[2n]: the black set B(n) is carried to itself."""
-    indices, mask = black_mask(tau1.domain.n)
-    img = tau1.image
-    for i in indices:
-        if not mask[img[i]]:
-            return False
-    return True
+    return keeps_black(tau1.image)
 
 
 def orientable_white_grade(pi: Pairing) -> int:
@@ -316,7 +305,7 @@ def _a_hat_key(img: tuple[int, ...]) -> tuple[int, int]:
     """(g, p) with #(π) = p and #(π⁻¹1ₙ) = n − p + 1 − 2g."""
     n = len(img)
     p = _num_cycles_image(img)
-    return (n - p + 1 - _cycle_count(_disk_walk(n), img)) // 2, p
+    return (n - p + 1 - _cycle_count(gamma_walk(full_cycle(n))[0], img)) // 2, p
 
 
 def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
@@ -395,7 +384,7 @@ GLUINGS: dict[str, Gluing] = {
     # hypermaps: permutations of [n] by genus g and part count p
     "a-hat": Gluing(
         lambda n, cap, budget: _images(
-            permutations(_framed(_disk_walk, n), cap=cap, budget=budget)
+            permutations(_framed(full_cycle, n), cap=cap, budget=budget)
         ),
         signed=False, doubled=False, pairs=False, grades=("genus", "p"), key=_a_hat_key,
     ),

@@ -6,9 +6,9 @@ mirror-symmetric gluings, permutations).  ``genus_expansion_moment``
 instead multiplies family counts by the dimension powers their genus
 dictates.  The two share no family construction: the Wick sum filters
 its own streams and keys each element with the index-space cycle
-kernels of :mod:`annular.perms` against cached frames and colour masks
-of :mod:`annular.frames`, while the genus route reads only the
-``family_*_counts`` histograms of :mod:`annular.maps`.  Only that
+kernels of :mod:`annular.perms` against the cached walks, colour masks
+and colour tests of :mod:`annular.frames`, while the genus route reads
+only the ``family_*_counts`` histograms of :mod:`annular.maps`.  Only that
 low-level algebra is shared, so their agreement (enforced in tests)
 cross-checks both.
 
@@ -30,14 +30,14 @@ from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
-from .frames import _white_mask, black_mask, full_cycle, tau2
+from .frames import black_mask, full_cycle, gamma_walk, keeps_black, tau2, white_mask
 from .maps import (
     family_a_counts,
     family_a_tilde_counts,
     family_b_counts,
     family_b_tilde_counts,
 )
-from .perms import _coloured_cycle_count, _cycle_count, _inverse_image, _num_cycles_image
+from .perms import _coloured_cycle_count, _cycle_count, _num_cycles_image
 from .polynomial import MomentPolynomial
 from .streams import (
     CapExceeded,
@@ -134,7 +134,7 @@ def wick_moment(
     counts: dict[tuple[int, int], int] = {}
 
     if ensemble.kind == "GUE":
-        walk = _inverse_image(full_cycle(n).image)
+        walk = gamma_walk(full_cycle(n))[0]
         for pi in pairings(n, cap=n, budget=budget):
             key = (_cycle_count(walk, pi.image), 0)
             counts[key] = counts.get(key, 0) + 1
@@ -151,7 +151,7 @@ def wick_moment(
         prefactor = Fraction(1, 2**n)
 
     elif ensemble.kind == "LUE":
-        walk = _inverse_image(full_cycle(n).image)
+        walk = gamma_walk(full_cycle(n))[0]
         for pi in permutations(n, cap=n, budget=budget):
             img = pi.image
             blocks = _num_cycles_image(img)
@@ -161,11 +161,10 @@ def wick_moment(
 
     else:  # LOE
         mirror_shift = tau2(2 * n).image
-        black_indices, black = black_mask(2 * n)
-        white = _white_mask(n)
+        black, white = black_mask(2 * n)[1], white_mask(n)
         for t in signed_symmetric_pairings(2 * n, cap=4 * n, budget=budget):
             img = t.image
-            if not all(black[img[i]] for i in black_indices):
+            if not keeps_black(img):
                 continue
             white_doubled = _coloured_cycle_count(mirror_shift, img, white)
             black_doubled = _coloured_cycle_count(mirror_shift, img, black)

@@ -65,23 +65,24 @@ The test reads only the element's index image.  One kernel decides
 "non-crossing with respect to γ" from three cycle counts against the
 cached image of γ⁻¹ (and, if they fit, the join); one colour kernel
 checks the bipartite colouring and counts the grade.  Both count cycles
-through the shared kernels of :mod:`annular.perms` and read the frames
-and colourings of :mod:`annular.frames`; nothing here comes from the
-gluing side (:mod:`annular.maps`), so the bijection checks between the
-two remain a cross-check.
+through the shared kernels of :mod:`annular.perms` and read the frames,
+walks, colour masks and colour tests of :mod:`annular.frames`; nothing
+here comes from the gluing side (:mod:`annular.maps`), so the bijection
+checks between the two remain a cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .frames import (
-    _odd_mask,
     annulus_cycle,
     black_mask,
     full_cycle,
+    gamma_walk,
     klein_frame,
+    odd_mask,
+    sends_into,
     torus_frame,
 )
 from .perms import (
@@ -144,18 +145,12 @@ def _require_same_domain(pi: Permutation, gamma: Permutation) -> None:
         )
 
 
-@lru_cache(maxsize=256)
-def _frame_walk(gamma: Permutation) -> tuple[tuple[int, ...], int]:
-    """The image of γ⁻¹ and #(γ), once per reference permutation."""
-    return _inverse_image(gamma.image), _num_cycles_image(gamma.image)
-
-
 def _cycle_total(img: tuple[int, ...], gamma: Permutation) -> int:
     """#(π) + #(π⁻¹γ) + #(γ) for π given by its image.
 
     #(π⁻¹γ) is read as #(γ⁻¹π), its inverse, so π is never inverted.
     """
-    walk, cycles = _frame_walk(gamma)
+    walk, cycles = gamma_walk(gamma)
     return _num_cycles_image(img) + _cycle_count(walk, img) + cycles
 
 
@@ -319,10 +314,10 @@ def _colour_grade(img: tuple[int, ...], *, signed: bool) -> int | None:
     colour-1 cycles of π⁻¹γ, for γ = 1̃ₙ on ±[n] and 1ₙ on [n].
     """
     n = len(img) // 2 if signed else len(img)
-    colour = black_mask(n)[1] if signed else _odd_mask(n)
-    if not all(colour[j] for i, j in enumerate(img) if not colour[i]):
+    colour = black_mask(n)[1] if signed else odd_mask(n)
+    if not sends_into(img, colour):
         return None
-    walk = _frame_walk(annulus_cycle(n) if signed else full_cycle(n))[0]
+    walk = gamma_walk(annulus_cycle(n) if signed else full_cycle(n))[0]
     return _coloured_cycle_count(walk, img, colour)
 
 

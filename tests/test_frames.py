@@ -12,6 +12,7 @@ from annular.frames import (
     annulus_frame,
     disk_frame,
     full_cycle,
+    gamma_walk,
     klein_frame,
     tau0,
     tau2,
@@ -174,3 +175,4 @@ def test_frames_are_cached():
     assert tau2(6) is tau2(6)
     assert annulus_cycle(6) is annulus_cycle(6)
     assert klein_frame(6, 2, 4) is klein_frame(6, 2, 4)
+    assert gamma_walk(full_cycle(6)) is gamma_walk(full_cycle(6))
