@@ -65,6 +65,7 @@ from .maps import (  # noqa: F401
     orientable_genus,
 )
 from .noncrossing import (  # noqa: F401
+    NONCROSSING,
     NCFamily,
     NCFamilyId,
     euler_defect,

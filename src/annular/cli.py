@@ -21,9 +21,11 @@ Apart from the measured ``timing_ms`` field, output is a deterministic
 byte-for-byte function of the arguments (and seed).  ``--max-elements``
 bounds the enumeration streams of every subcommand except ``classify``,
 which tests its one permutation directly and enumerates nothing.  The
-gluing families of ``enumerate`` and ``classify`` are the entries of
-:data:`annular.maps.GLUINGS`, so a ``classify`` gluing membership is
-exactly membership in the family that ``enumerate`` builds.
+families of ``enumerate`` and ``classify`` are the entries of the tables
+:data:`annular.maps.GLUINGS` and :data:`annular.noncrossing.NONCROSSING`
+(which holds the non-crossing CLI tags and grade kernels), so a
+``classify`` membership is exactly membership in the family that
+``enumerate`` builds, at the grade the family's own kernel reads.
 """
 
 from __future__ import annotations
@@ -38,18 +40,11 @@ from fractions import Fraction
 
 from .bijections import BIJECTIONS, conjecture_table, verify, verify_lemma3
 from .frames import tau0
-from .maps import (
-    GLUINGS,
-    gluing_family,
-    gluing_key,
-    is_bipartite_signed_pairing,
-    nonorientable_white_grade,
-)
+from .maps import GLUINGS, gluing_family, gluing_key
 from .moments import Ensemble, wick_moment
 from .montecarlo import GENERATOR_NAME, mc_moment
 from .noncrossing import (
-    GRADED_TAGS,
-    UNION_TAGS,
+    NONCROSSING,
     NCFamilyId,
     family_nc,
     is_delta_symmetric,
@@ -76,22 +71,9 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 
 #: CLI family tag -> library tag for the non-crossing families.
-NC_TAGS = {
-    "nc": "NC",
-    "nc2": "NC2",
-    "nc-delta": "NCdelta",
-    "nc2-delta": "NC2delta",
-    "nc2-t": "NC2T",
-    "nc2-k": "NC2K",
-    "nc2-delta-bip": "NC2delta_bip",
-    "nc2-t-bip": "NC2T_bip",
-    "nc2-k-bip": "NC2K_bip",
-    "nc-delta-p": "NCdelta_p",
-    "nc-t-p": "NCT_p",
-    "nc-k-p": "NCK_p",
-}
+NC_TAGS = {entry.cli: tag for tag, entry in NONCROSSING.items()}
 
-FAMILY_TAGS = tuple(GLUINGS) + tuple(NC_TAGS)
+FAMILY_TAGS = (*GLUINGS, *NC_TAGS)
 
 BIJECTION_TAGS = (*BIJECTIONS, "lemma3")
 
@@ -256,10 +238,9 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
         members = tuple(sorted(members, key=lambda q: q.sort_key()))
     else:
         lib_tag = NC_TAGS[tag]
-        p = args.p if lib_tag in GRADED_TAGS else None
-        _require_grade_args(tag, args, ("p",) if lib_tag in GRADED_TAGS else ())
+        _require_grade_args(tag, args, ("p",) if NONCROSSING[lib_tag].grade else ())
         try:
-            fid = NCFamilyId(lib_tag, args.n, p)
+            fid = NCFamilyId(lib_tag, args.n, args.p)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         family = family_nc(fid, budget=budget)
@@ -438,41 +419,36 @@ def _params_classify(args) -> dict:
     }
 
 
-def _nc_memberships(pi: Permutation, fids: list[NCFamilyId]) -> list[dict]:
-    """One entry per family of ``fids`` containing π, with union witnesses."""
+#: Non-crossing families that ``classify`` does not report.  Their
+#: members carry W → B; ``classify`` once gated them on B → B, so it has
+#: never reported them.  Reporting them changes ``classify`` output that
+#: the benchmark reference records (``classify-signed-*``), so it waits
+#: for a change that re-records that reference.
+_UNREPORTED = ("NC2K_bip", "NC2delta_bip")
+
+
+def _nc_memberships(pi: Permutation, n: int, signed: bool) -> list[dict]:
+    """One entry per non-crossing family on π's ground holding π, in table order.
+
+    A graded family is tested at the grade its own kernel reads off π.
+    """
     entries = []
-    for fid in fids:
-        witnesses = member_witnesses(fid, pi)
+    for tag, entry in NONCROSSING.items():
+        if entry.signed != signed or tag in _UNREPORTED or (entry.even_n and n % 2):
+            continue
+        p = entry.grade(pi.image) if entry.grade else None
+        if entry.grade and (p is None or p < 1):
+            continue
+        witnesses = member_witnesses(NCFamilyId(tag, n, p), pi)
         if witnesses is None:
             continue
-        entry: dict = {"family": fid.tag, "n": fid.n}
-        if fid.p is not None:
-            entry["p"] = fid.p
-        if fid.tag in UNION_TAGS:
-            entry["witnesses"] = [list(w) for w in witnesses]
-        entries.append(entry)
+        found: dict = {"family": tag, "n": n}
+        if p is not None:
+            found["p"] = p
+        if entry.cut is not None:
+            found["witnesses"] = [list(w) for w in witnesses]
+        entries.append(found)
     return entries
-
-
-def _signed_fids(
-    pi: Permutation, n: int, mirror: bool, delta: bool, pairing: bool
-) -> list[NCFamilyId]:
-    # NC2K_bip and NC2delta_bip are gated on B -> B although their
-    # members carry W -> B; see the known-defect test in test_cli.
-    bipartite = pairing and n % 2 == 0 and is_bipartite_signed_pairing(pi)
-    # δ-symmetric permutations have an even cycle count, so p >= 1 below.
-    half = num_cycles(pi) // 2
-    fids = [NCFamilyId("NCdelta", n), NCFamilyId("NC2delta", n)]
-    if delta:
-        fids.append(NCFamilyId("NCdelta_p", n, half))
-    fids.append(NCFamilyId("NC2K", n))
-    if bipartite:
-        fids.append(NCFamilyId("NC2K_bip", n, nonorientable_white_grade(pi)))
-    if delta:
-        fids.append(NCFamilyId("NCK_p", n, half))
-    if bipartite and mirror:
-        fids.append(NCFamilyId("NC2delta_bip", n, nonorientable_white_grade(pi)))
-    return fids
 
 
 def classify_permutation(text: str, n: int, *, signed: bool = False) -> dict:
@@ -489,32 +465,23 @@ def classify_permutation(text: str, n: int, *, signed: bool = False) -> dict:
         raise ValueError("n must be >= 1")
     domain = signed_ground(n) if signed else unsigned_ground(n)
     pi = parse_cycles(text, domain)
-    pairing = pi.is_involution() and pi.is_fixed_point_free()
     report = {
         "permutation": pi.cycle_string(),
         "n": n,
         "signed": signed,
         "cycle_count": num_cycles(pi),
-        "is_pairing": pairing,
+        "is_pairing": pi.is_involution() and pi.is_fixed_point_free(),
     }
-    gluings = {}  # tag -> entry, for every gluing family holding π
+    gluings = []  # one entry per gluing family holding π
     for tag, entry in GLUINGS.items():
         key = gluing_key(tag, pi)
         if key is not None:
             size = n // 2 if entry.doubled else n
-            gluings[tag] = {"family": tag, "n": size, **dict(zip(entry.grades, key))}
+            gluings.append({"family": tag, "n": size, **dict(zip(entry.grades, key))})
     if signed:
-        mirror = conjugate(pi, tau0(n)) == inverse(pi)
-        delta = is_delta_symmetric(pi)
-        report["mirror_symmetric"] = mirror
-        report["delta_symmetric"] = delta
-        fids = _signed_fids(pi, n, mirror, delta, pairing)
-    else:
-        fids = [NCFamilyId("NC", n), NCFamilyId("NC2", n), NCFamilyId("NC2T", n)]
-        if "a-tilde" in gluings:
-            fids.append(NCFamilyId("NC2T_bip", n, gluings["a-tilde"]["p"]))
-        fids.append(NCFamilyId("NCT_p", n, num_cycles(pi)))
-    report["memberships"] = [*gluings.values(), *_nc_memberships(pi, fids)]
+        report["mirror_symmetric"] = conjugate(pi, tau0(n)) == inverse(pi)
+        report["delta_symmetric"] = is_delta_symmetric(pi)
+    report["memberships"] = gluings + _nc_memberships(pi, n, signed)
     return report
 
 

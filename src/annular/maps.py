@@ -139,9 +139,11 @@ class MonochromaticityError(AssertionError):
 # of π needed); the boundary walk is τ₂τ₁ itself.
 # ---------------------------------------------------------------------------
 
-def _orientable_genus(img: tuple[int, ...]) -> int:
+def _orientable_genus(img: tuple[int, ...], faces: int | None = None) -> int:
+    """g from the face count, walked here unless the caller already has it."""
     size = len(img)
-    faces = _cycle_count(gamma_walk(full_cycle(size))[0], img)
+    if faces is None:
+        faces = _cycle_count(gamma_walk(full_cycle(size))[0], img)
     twice_genus = size // 2 + 1 - faces
     if twice_genus < 0 or twice_genus % 2:
         raise ValueError(
@@ -150,9 +152,11 @@ def _orientable_genus(img: tuple[int, ...]) -> int:
     return twice_genus // 2
 
 
-def _euler_genus(img: tuple[int, ...]) -> int:
+def _euler_genus(img: tuple[int, ...], boundary: int | None = None) -> int:
+    """k from the boundary count, walked here unless the caller already has it."""
     n = len(img) // 2
-    boundary = _cycle_count(tau2(n).image, img)
+    if boundary is None:
+        boundary = _cycle_count(tau2(n).image, img)
     twice_k = n + 2 - boundary
     if twice_k < 0 or twice_k % 2:
         raise ValueError(
@@ -176,28 +180,31 @@ def _has_hat_twist(img: tuple[int, ...]) -> bool:
     return any(j < n for j in img[n:])
 
 
-def _orientable_white_grade(img: tuple[int, ...]) -> int:
+def _orientable_faces(img: tuple[int, ...]) -> tuple[int, int]:
+    """(faces, odd-supported faces) of a bipartite pairing, from one face walk."""
     size = len(img)
-    grade = _coloured_cycle_count(gamma_walk(full_cycle(size))[0], img, odd_mask(size))
-    if grade is None:
+    counts = _coloured_cycle_count(gamma_walk(full_cycle(size))[0], img, odd_mask(size))
+    if counts is None:
         pi = Permutation._make(unsigned_ground(size), img)
         faces = compose(inverse(pi), full_cycle(size))
         _raise_mixed_cycle(faces, range(1, size + 1, 2))
-    return grade
+    return counts
 
 
-def _nonorientable_white_grade(img: tuple[int, ...]) -> int:
+def _nonorientable_boundaries(img: tuple[int, ...]) -> tuple[int, int]:
+    """(boundaries, half the white ones) of a bipartite gluing, from one walk."""
     n = len(img) // 2
-    white_cycles = _coloured_cycle_count(tau2(n).image, img, white_mask(n // 2))
-    if white_cycles is None:
+    counts = _coloured_cycle_count(tau2(n).image, img, white_mask(n // 2))
+    if counts is None:
         tau1 = Permutation._make(signed_ground(n), img)
         _raise_mixed_cycle(compose(tau2(n), tau1), black_labels(n // 2))
+    boundary, white_cycles = counts
     if white_cycles % 2:
         raise ValueError(
             f"white boundary count {white_cycles} is odd; "
             "expected mirror-paired boundary walks"
         )
-    return white_cycles // 2
+    return boundary, white_cycles // 2
 
 
 def _raise_mixed_cycle(perm: Permutation, black) -> None:
@@ -271,13 +278,13 @@ def is_bipartite_signed_pairing(tau1: Permutation) -> bool:
 def orientable_white_grade(pi: Pairing) -> int:
     """p = number of odd-supported face cycles of a bipartite pairing of [2n]."""
     _same_ground(pi, full_cycle(pi.domain.n))
-    return _orientable_white_grade(pi.image)
+    return _orientable_faces(pi.image)[1]
 
 
 def nonorientable_white_grade(tau1: Pairing) -> int:
     """p with 2p = number of white-supported boundary cycles on ±[2n]."""
     _same_ground(tau1, tau2(2 * (tau1.domain.n // 2)))
-    return _nonorientable_white_grade(tau1.image)
+    return _nonorientable_boundaries(tau1.image)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +302,16 @@ def _b_key(img: tuple[int, ...]) -> tuple[int] | None:
     return (_euler_genus(img),) if _has_twist(img, len(img) // 2) else None
 
 
+def _a_tilde_key(img: tuple[int, ...]) -> tuple[int, int]:
+    faces, p = _orientable_faces(img)
+    return _orientable_genus(img, faces), p
+
+
 def _b_tilde_key(img: tuple[int, ...]) -> tuple[int, int] | None:
     if not _has_twist(img, len(img) // 2):
         return None
-    return _euler_genus(img), _nonorientable_white_grade(img)
+    boundary, p = _nonorientable_boundaries(img)
+    return _euler_genus(img, boundary), p
 
 
 def _a_hat_key(img: tuple[int, ...]) -> tuple[int, int]:
@@ -371,8 +384,7 @@ GLUINGS: dict[str, Gluing] = {
     # bipartite pairings of [2n] by genus g and white grade p
     "a-tilde": Gluing(
         lambda n, cap, budget: bipartite_pairing_images(2 * n, cap=cap, budget=budget),
-        signed=False, doubled=True, pairs=True, grades=("genus", "p"),
-        key=lambda img: (_orientable_genus(img), _orientable_white_grade(img)),
+        signed=False, doubled=True, pairs=True, grades=("genus", "p"), key=_a_tilde_key,
     ),
     # bipartite twisted mirror-symmetric gluings of ±[2n] by (k, p)
     "b-tilde": Gluing(

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
-from .frames import black_mask, full_cycle, gamma_walk, keeps_black, tau2, white_mask
+from .frames import full_cycle, gamma_walk, keeps_black, tau2, white_mask
 from .maps import (
     family_a_counts,
     family_a_tilde_counts,
@@ -161,16 +161,16 @@ def wick_moment(
 
     else:  # LOE
         mirror_shift = tau2(2 * n).image
-        black, white = black_mask(2 * n)[1], white_mask(n)
+        white = white_mask(n)
         for t in signed_symmetric_pairings(2 * n, cap=4 * n, budget=budget):
             img = t.image
             if not keeps_black(img):
                 continue
-            white_doubled = _coloured_cycle_count(mirror_shift, img, white)
-            black_doubled = _coloured_cycle_count(mirror_shift, img, black)
-            if white_doubled % 2 or black_doubled % 2:
+            # B(n) and W(n) split ±[2n], so the black cycles are the others
+            doubled, white_doubled = _coloured_cycle_count(mirror_shift, img, white)
+            if white_doubled % 2 or (doubled - white_doubled) % 2:
                 raise AssertionError("split boundary counts must be even")
-            key = ((black_doubled + white_doubled) // 2, white_doubled // 2)
+            key = (doubled // 2, white_doubled // 2)
             counts[key] = counts.get(key, 0) + 1
         prefactor = Fraction(1, 2**n)
 

@@ -10,7 +10,8 @@ counter-based Philox generator keyed by the pair (s, b), so the estimate
 depends only on (seed, samples) — never on scheduling or worker count.
 Normal variates come from numpy's ziggurat implementation
 (``Generator.standard_normal``); for complex matrices the real parts of
-a block are drawn before the imaginary parts.
+a block are drawn before the imaginary parts.  The variance merges
+per-block (count, mean, M2) summaries, so a large mean cannot cancel it.
 
 Entry variances follow the ensemble definitions: every real Gaussian
 component has variance 1/2, so complex entries have total variance 1.
@@ -86,6 +87,13 @@ def _trace_power(matrices: np.ndarray, n: int) -> np.ndarray:
     return traces.real if np.iscomplexobj(traces) else traces
 
 
+def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
+    """Chan's merge of two (count, mean, M2 = Σ squared deviations) summaries."""
+    (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
+    n, delta = na + nb, mean_b - mean_a
+    return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
+
+
 def mc_moment(
     ensemble: Ensemble | str,
     n: int,
@@ -119,7 +127,7 @@ def mc_moment(
         raise ValueError("M applies to the Laguerre ensembles only")
 
     total = 0.0
-    total_sq = 0.0
+    moments = (0, 0.0, 0.0)
     done = 0
     block_index = 0
     while done < samples:
@@ -135,12 +143,14 @@ def mc_moment(
             matrices = np.conj(np.transpose(g, (0, 2, 1))) @ g
         traces = _trace_power(matrices, n)
         total += float(traces.sum())
-        total_sq += float((traces * traces).sum())
+        block_mean = float(traces.mean())
+        deviations = traces - block_mean
+        moments = _merge_moments(moments, (size, block_mean, float(deviations @ deviations)))
         done += size
         block_index += 1
 
     mean = total / samples
-    variance = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
+    variance = moments[2] / (samples - 1)
     std_error = math.sqrt(variance / samples)
     return McEstimate(
         mean=mean,

@@ -53,13 +53,18 @@ Graded bipartite tags read their inner sets as the ungraded (u, v)
 members and measure grades against the canonical disk/annulus frames,
 exactly as the displayed conditions state.
 
-Each family is defined once, as a test on one element: the conditions
-of its source stream (the permutations or pairings of [n], or the
-δ-symmetric ones of ±[n]), the grade, and the non-crossing condition.
-For a union tag the anchor fixes v from u, so each u names at most one
-cut, and only a cut that passes the head condition has its frame
-built.  :func:`member_witnesses` applies the test to any permutation;
-:func:`family_nc` runs the source stream through it.
+Each family is defined once, as one entry of :data:`NONCROSSING`: its
+CLI tag, its source stream (the permutations or pairings of [n], or the
+δ-symmetric ones of ±[n]), its cut (none, torus or Klein) and anchor
+(π, or π⁻¹ for the hypermap unions), its grade kernel, and whether it
+needs an even n.  :class:`NCFamilyId`, the CLI's ``enumerate`` and
+``classify`` and the test below all read that entry.  A member passes
+one test on one element: the source conditions, the grade its kernel
+reads, and the non-crossing condition.  For a union tag the anchor
+fixes v from u, so each u names at most one cut, and only a cut that
+passes the head condition has its frame built.  :func:`member_witnesses`
+applies the test to any permutation; :func:`family_nc` runs the source
+stream through it.
 
 The test reads only the element's index image.  One kernel decides
 "non-crossing with respect to γ" from three cycle counts against the
@@ -74,6 +79,8 @@ checks between the two remain a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .frames import (
     annulus_cycle,
@@ -109,29 +116,13 @@ __all__ = [
     "is_noncrossing",
     "euler_defect",
     "is_delta_symmetric",
+    "NCEntry",
+    "NONCROSSING",
     "NCFamilyId",
     "NCFamily",
     "family_nc",
     "member_witnesses",
-    "UNGRADED_TAGS",
-    "GRADED_TAGS",
-    "UNION_TAGS",
-    "ALL_TAGS",
 ]
-
-UNGRADED_TAGS = ("NC", "NC2", "NCdelta", "NC2delta", "NC2T", "NC2K")
-GRADED_TAGS = (
-    "NC2delta_bip",
-    "NC2T_bip",
-    "NC2K_bip",
-    "NCdelta_p",
-    "NCT_p",
-    "NCK_p",
-)
-ALL_TAGS = UNGRADED_TAGS + GRADED_TAGS
-UNION_TAGS = ("NC2T", "NC2K", "NC2T_bip", "NC2K_bip", "NCT_p", "NCK_p")
-
-_EVEN_N_TAGS = ("NC2delta_bip", "NC2T_bip", "NC2K_bip")
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +184,83 @@ def is_delta_symmetric(pi: Permutation) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the non-crossing families: one table
+# ---------------------------------------------------------------------------
+
+def _colour_grade(img: tuple[int, ...], *, signed: bool) -> int | None:
+    """The bipartite grade p of π, or None when π is not bipartite.
+
+    Colour 1 is B(n/2) on ±[n] and the odd labels on [n]; π must send
+    every label of colour 0 into colour 1.  p is the number of colour-1
+    cycles of π⁻¹γ for γ = 1ₙ on [n], and half of it for γ = 1̃ₙ on ±[n]
+    (None when that number is odd).
+    """
+    n = len(img) // 2 if signed else len(img)
+    colour = black_mask(n)[1] if signed else odd_mask(n)
+    if not sends_into(img, colour):
+        return None
+    walk = gamma_walk(annulus_cycle(n) if signed else full_cycle(n))[0]
+    counts = _coloured_cycle_count(walk, img, colour)
+    if counts is None or signed and counts[1] % 2:
+        return None
+    return counts[1] // 2 if signed else counts[1]
+
+
+def _half_cycles(img: tuple[int, ...]) -> int | None:
+    """p with #(π) = 2p, or None when #(π) is odd."""
+    cycles = _num_cycles_image(img)
+    return None if cycles % 2 else cycles // 2
+
+
+_odd_grade = partial(_colour_grade, signed=False)
+_black_grade = partial(_colour_grade, signed=True)
+
+
+@dataclass(frozen=True)
+class NCEntry:
+    """One non-crossing family: its CLI tag, source stream, cut and grade.
+
+    The source is the permutations (or, with ``pairs``, the pairings) of
+    [n], or their δ-symmetric forms on ±[n] when ``signed``.  ``cut`` is
+    None for the disk/annulus frame, else ``"torus"`` or ``"klein"``: a
+    union over the cuts (u, v), anchored on π, or on π⁻¹ when
+    ``hypermap``.  ``grade`` maps an image to its grade p (None: in no
+    grade); it is None for an ungraded family.  ``even_n`` families
+    exist only for even n.
+    """
+
+    cli: str
+    signed: bool = False
+    pairs: bool = False
+    cut: str | None = None
+    hypermap: bool = False
+    grade: Callable[[tuple[int, ...]], int | None] | None = None
+    even_n: bool = False
+
+
+#: Library tag -> non-crossing family: the unsigned families, then the
+#: signed ones, each in the order ``classify`` reports them.
+NONCROSSING: dict[str, NCEntry] = {
+    "NC": NCEntry("nc"),
+    "NC2": NCEntry("nc2", pairs=True),
+    "NC2T": NCEntry("nc2-t", pairs=True, cut="torus"),
+    "NC2T_bip": NCEntry("nc2-t-bip", pairs=True, cut="torus", grade=_odd_grade, even_n=True),
+    "NCT_p": NCEntry("nc-t-p", cut="torus", hypermap=True, grade=_num_cycles_image),
+    "NCdelta": NCEntry("nc-delta", signed=True),
+    "NC2delta": NCEntry("nc2-delta", signed=True, pairs=True),
+    "NCdelta_p": NCEntry("nc-delta-p", signed=True, grade=_half_cycles),
+    "NC2K": NCEntry("nc2-k", signed=True, pairs=True, cut="klein"),
+    "NC2K_bip": NCEntry(
+        "nc2-k-bip", signed=True, pairs=True, cut="klein", grade=_black_grade, even_n=True
+    ),
+    "NCK_p": NCEntry("nc-k-p", signed=True, cut="klein", hypermap=True, grade=_half_cycles),
+    "NC2delta_bip": NCEntry(
+        "nc2-delta-bip", signed=True, pairs=True, grade=_black_grade, even_n=True
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # family identifiers and results
 # ---------------------------------------------------------------------------
 
@@ -205,16 +273,17 @@ class NCFamilyId:
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tag not in ALL_TAGS:
-            raise ValueError(f"unknown family tag {self.tag!r}; known: {ALL_TAGS}")
+        entry = NONCROSSING.get(self.tag)
+        if entry is None:
+            raise ValueError(f"unknown family tag {self.tag!r}; known: {(*NONCROSSING,)}")
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        graded = self.tag in GRADED_TAGS
+        graded = entry.grade is not None
         if graded and (self.p is None or self.p < 1):
             raise ValueError(f"family {self.tag} requires a grade p >= 1")
         if not graded and self.p is not None:
             raise ValueError(f"family {self.tag} takes no grade")
-        if self.tag in _EVEN_N_TAGS and self.n % 2:
+        if entry.even_n and self.n % 2:
             raise ValueError(f"family {self.tag} requires even n")
 
     def describe(self) -> str:
@@ -269,74 +338,12 @@ class NCFamily:
         )
 
 
-def _finalize(
-    family_id: NCFamilyId,
-    found: dict[Permutation, list[tuple[int, int]]] | list[Permutation],
-) -> NCFamily:
-    if isinstance(found, dict):
-        members = tuple(sorted(found, key=lambda q: q.sort_key()))
-        table = tuple(tuple(sorted(found[pi])) for pi in members)
-        return NCFamily(family_id, members, table)
-    members = tuple(sorted(found, key=lambda q: q.sort_key()))
-    return NCFamily(family_id, members)
-
-
 # ---------------------------------------------------------------------------
 # membership: one test per tag
 # ---------------------------------------------------------------------------
 
-#: The source stream of each tag: (on ±[n], pairings only).  Signed
-#: sources are the δ-symmetric pairings / permutations of ±[n].
-_SOURCE = {
-    "NC": (False, False),
-    "NC2": (False, True),
-    "NCdelta": (True, False),
-    "NC2delta": (True, True),
-    "NC2T": (False, True),
-    "NC2K": (True, True),
-    "NC2delta_bip": (True, True),
-    "NC2T_bip": (False, True),
-    "NC2K_bip": (True, True),
-    "NCdelta_p": (True, False),
-    "NCT_p": (False, False),
-    "NCK_p": (True, False),
-}
-
-_KLEIN_TAGS = ("NC2K", "NC2K_bip", "NCK_p")
-_HYPERMAP_TAGS = ("NCT_p", "NCK_p")
-
-
-def _colour_grade(img: tuple[int, ...], *, signed: bool) -> int | None:
-    """The bipartite grade of π, or None when π is not bipartite.
-
-    Colour 1 is B(n/2) on ±[n] and the odd labels on [n]; π must send
-    every label of colour 0 into colour 1.  The grade is the number of
-    colour-1 cycles of π⁻¹γ, for γ = 1̃ₙ on ±[n] and 1ₙ on [n].
-    """
-    n = len(img) // 2 if signed else len(img)
-    colour = black_mask(n)[1] if signed else odd_mask(n)
-    if not sends_into(img, colour):
-        return None
-    walk = gamma_walk(annulus_cycle(n) if signed else full_cycle(n))[0]
-    return _coloured_cycle_count(walk, img, colour)
-
-
-def _graded(fid: NCFamilyId, img: tuple[int, ...]) -> bool:
-    """The grade and colour conditions of a graded tag; True for the others."""
-    tag, p = fid.tag, fid.p
-    if tag == "NCT_p":
-        return _num_cycles_image(img) == p
-    if tag in ("NCdelta_p", "NCK_p"):
-        return _num_cycles_image(img) == 2 * p
-    if tag == "NC2T_bip":
-        return _colour_grade(img, signed=False) == p
-    if tag in ("NC2delta_bip", "NC2K_bip"):
-        return _colour_grade(img, signed=True) == 2 * p
-    return True
-
-
 def _union_witnesses(
-    fid: NCFamilyId, img: tuple[int, ...]
+    fid: NCFamilyId, entry: NCEntry, img: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...] | None:
     """The cuts (u, v) whose frame admits π, or None when there is none.
 
@@ -348,9 +355,9 @@ def _union_witnesses(
     tested.  Label a ≥ 1 sits at index first + a − 1, where first is
     n on ±[n] and 0 on [n].
     """
-    n, tag = fid.n, fid.tag
-    klein = tag in _KLEIN_TAGS
-    anchor = _inverse_image(img) if tag in _HYPERMAP_TAGS else img
+    n = fid.n
+    klein = entry.cut == "klein"
+    anchor = _inverse_image(img) if entry.hypermap else img
     top = n if klein else n - 1  # largest label a cut may use
     first = n if klein else 0
     found = []
@@ -371,14 +378,14 @@ def _union_witnesses(
 
 
 def _member_test(
-    fid: NCFamilyId, img: tuple[int, ...]
+    fid: NCFamilyId, entry: NCEntry, img: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...] | None:
     """Membership of the image of an element of the tag's source stream."""
-    if not _graded(fid, img):
+    if entry.grade is not None and entry.grade(img) != fid.p:
         return None
-    if fid.tag in UNION_TAGS:
-        return _union_witnesses(fid, img)
-    gamma = annulus_cycle(fid.n) if _SOURCE[fid.tag][0] else full_cycle(fid.n)
+    if entry.cut is not None:
+        return _union_witnesses(fid, entry, img)
+    gamma = annulus_cycle(fid.n) if entry.signed else full_cycle(fid.n)
     return () if _noncrossing(img, gamma) else None
 
 
@@ -393,15 +400,15 @@ def member_witnesses(
     δ-symmetry) are checked here, and then the same per-element test
     that :func:`family_nc` applies to its stream.
     """
-    signed, pairs_only = _SOURCE[family_id.tag]
-    ground = signed_ground(family_id.n) if signed else unsigned_ground(family_id.n)
-    if pi.domain != ground:
+    entry = NONCROSSING[family_id.tag]
+    n = family_id.n
+    if pi.domain != (signed_ground(n) if entry.signed else unsigned_ground(n)):
         return None
-    if pairs_only and not (pi.is_involution() and pi.is_fixed_point_free()):
+    if entry.pairs and not (pi.is_involution() and pi.is_fixed_point_free()):
         return None
-    if signed and not _is_delta_symmetric(pi.image):
+    if entry.signed and not _is_delta_symmetric(pi.image):
         return None
-    return _member_test(family_id, pi.image)
+    return _member_test(family_id, entry, pi.image)
 
 
 def family_nc(
@@ -416,17 +423,18 @@ def family_nc(
     sorted order; union families also carry their (u, v) witnesses.  A
     budget counts the source elements.
     """
-    tag = family_id.tag
-    if tag not in _SOURCE:
-        raise ValueError(f"unknown family tag {tag!r}")
-    signed, pairs_only = _SOURCE[tag]
-    if pairs_only:
-        source = signed_symmetric_pairings if signed else pairings
+    entry = NONCROSSING.get(family_id.tag)
+    if entry is None:
+        raise ValueError(f"unknown family tag {family_id.tag!r}")
+    if entry.pairs:
+        source = signed_symmetric_pairings if entry.signed else pairings
     else:
-        source = signed_symmetric_permutations if signed else permutations
+        source = signed_symmetric_permutations if entry.signed else permutations
     found = {}
     for pi in source(family_id.n, budget=budget):
-        witnesses = _member_test(family_id, pi.image)
+        witnesses = _member_test(family_id, entry, pi.image)
         if witnesses is not None:
             found[pi] = witnesses
-    return _finalize(family_id, found if tag in UNION_TAGS else list(found))
+    members = tuple(sorted(found, key=lambda q: q.sort_key()))
+    table = tuple(found[pi] for pi in members) if entry.cut else None
+    return NCFamily(family_id, members, table)

@@ -24,11 +24,11 @@ The three routes that cross-check each other (the Wick sum, the genus
 expansion and the non-crossing side) share only the per-element
 algebra below, on raw image tuples: ``_num_cycles_image`` (#π),
 ``_cycle_count`` (# of x ↦ outer[inner[x]], e.g. a face walk γ⁻¹π
-without inverting π), ``_coloured_cycle_count`` (the same cycles inside
-one colour class of a 0/1 mask, None when a cycle mixes the classes)
-and ``_is_delta_symmetric``.  Every cycle count in the package goes
-through them; the public functions on :class:`Permutation` objects are
-thin wrappers.
+without inverting π), ``_coloured_cycle_count`` (from one walk, the
+same cycles and those inside one colour class of a 0/1 mask, None when
+a cycle mixes the classes) and ``_is_delta_symmetric``.  Every cycle
+count in the package goes through them; the public functions on
+:class:`Permutation` objects are thin wrappers.
 
 Composition convention
 ----------------------
@@ -224,10 +224,10 @@ def _cycle_count(outer: Sequence[int], inner: Sequence[int]) -> int:
 
 def _coloured_cycle_count(
     outer: Sequence[int], inner: Sequence[int], colour: bytes
-) -> int | None:
-    """Cycles of x -> outer[inner[x]] inside colour 1; None if one mixes colours."""
+) -> tuple[int, int] | None:
+    """(cycles, colour-1 cycles) of x -> outer[inner[x]], one walk; None if one mixes."""
     seen = bytearray(len(inner))
-    count = 0
+    count = inside = 0
     for i in range(len(inner)):
         if seen[i]:
             continue
@@ -238,8 +238,9 @@ def _coloured_cycle_count(
                 return None
             seen[j] = 1
             j = outer[inner[j]]
-        count += c
-    return count
+        count += 1
+        inside += c
+    return count, inside
 
 
 def _is_delta_symmetric(img: Sequence[int]) -> bool:
@@ -552,14 +553,14 @@ def restricted_cycle_count(p: Permutation, labels: Iterable[int]) -> int:
     inside = bytearray(dom.size)
     for x in labels:
         inside[dom.index(x)] = 1
-    count = _coloured_cycle_count(img, range(dom.size), inside)
-    if count is None:
+    counts = _coloured_cycle_count(img, range(dom.size), inside)
+    if counts is None:
         i = next(i for i, j in enumerate(img) if inside[i] and not inside[j])
         raise ValueError(
             f"subset is not invariant: {dom.label(i)} maps to "
             f"{dom.label(img[i])} outside it"
         )
-    return count
+    return counts[1]
 
 
 def is_jointly_transitive(p: Permutation, q: Permutation) -> bool:

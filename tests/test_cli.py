@@ -11,6 +11,7 @@ from annular.bijections import BIJECTIONS
 from annular.cli import SCHEMA_VERSION, build_parser, classify_permutation, main
 from annular.frames import tau0
 from annular.maps import (
+    GLUINGS,
     family_a,
     family_a_hat,
     family_a_tilde,
@@ -18,7 +19,7 @@ from annular.maps import (
     family_b_hat,
     family_b_tilde,
 )
-from annular.noncrossing import NCFamilyId, family_nc
+from annular.noncrossing import NONCROSSING, NCFamilyId, family_nc
 from annular.perms import Permutation, conjugate, inverse, signed_ground
 from annular.streams import permutations, signed_symmetric_permutations
 
@@ -200,6 +201,12 @@ def test_verify_lemma3(capsys):
     assert code == 0
     assert rec["result"]["all_verified"] is True
     assert len(rec["result"]["reports"]) == 7
+
+
+def test_enumerate_choices_follow_the_family_tables():
+    enum_parser = build_parser()._subparsers._group_actions[0].choices["enumerate"]
+    (choices,) = [a.choices for a in enum_parser._actions if a.dest == "family"]
+    assert tuple(choices) == (*GLUINGS, *(e.cli for e in NONCROSSING.values()))
 
 
 def test_verify_choices_and_report_names_follow_the_registry(capsys):
@@ -396,10 +403,15 @@ def test_classify_enumerates_nothing(capsys):
     )
     assert code == 0
     assert rec["result"]["delta_symmetric"] is True
-    # an odd signed ground has no bipartite gluing to grade
+    # an odd signed ground has no bipartite gluing to grade, and half of
+    # one cycle is grade 0: no family is tested at a grade below 1
     code, rec, _, _ = run(capsys, "classify", "--perm", "(1,-1)", "--n", "1", "--signed")
     assert code == 0
     assert rec["result"]["memberships"] == []
+    # an odd n skips the even-n bipartite family instead of failing on it
+    code, rec, _, _ = run(capsys, "classify", "--n", "3", "--perm", "(1,2,3)")
+    assert code == 0
+    assert [m["family"] for m in rec["result"]["memberships"]] == ["a-hat", "NC"]
 
 
 def _nc_entries(pi, fids, families):
@@ -419,7 +431,7 @@ def _nc_entries(pi, fids, families):
     return out
 
 
-# classify gates these two on B -> B, which their members never satisfy.
+# classify skips these two (cli._UNREPORTED), although they have members.
 KNOWN_CLASSIFY_DEFECT_TAGS = {"NC2delta_bip", "NC2K_bip"}
 
 
@@ -523,7 +535,7 @@ def test_classify_rejects_removed_options(capsys):
                "--symbolic", "--threads", "1")[0] == 2
 
 
-@pytest.mark.xfail(strict=True, reason="classify tests NC2delta_bip on B -> B")
+@pytest.mark.xfail(strict=True, reason="classify does not report NC2delta_bip")
 def test_classify_reports_bipartite_annular_membership(capsys):
     perm = "(-1,3)(1,-3)(-2,4)(2,-4)"
     pi = family_nc(NCFamilyId("NC2delta_bip", 4, 1)).members[0]

@@ -169,6 +169,8 @@ def test_routes_do_not_import_each_other():
     }
     assert _imports_from("maps", "noncrossing") == set()
     assert _imports_from("maps", "moments") == set()
+    # the CLI reads the gluing table, never a gluing-side kernel
+    assert _imports_from("cli", "maps") == {"GLUINGS", "gluing_family", "gluing_key"}
 
 
 def test_frames_are_cached():

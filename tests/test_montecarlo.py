@@ -60,6 +60,24 @@ def test_block_partition_contract():
     assert math.isclose(reconstructed, big.mean, rel_tol=1e-12)
 
 
+def test_variance_merge_survives_a_large_mean():
+    # Σx² − n·mean² cancels catastrophically at a mean of 10⁹; the
+    # per-block merge matches numpy's two-pass variance.
+    rng = np.random.default_rng(0)
+    for shift in (1e8, 1e9):
+        values = shift + rng.standard_normal(100_000)
+        moments = (0, 0.0, 0.0)
+        for start in range(0, values.size, BLOCK_SIZE):
+            block = values[start:start + BLOCK_SIZE]
+            deviations = block - block.mean()
+            block_moments = (block.size, float(block.mean()), float(deviations @ deviations))
+            moments = mc._merge_moments(moments, block_moments)
+        count, mean, m2 = moments
+        assert count == values.size
+        assert math.isclose(mean, values.mean(), rel_tol=1e-15)
+        assert math.isclose(m2 / (count - 1), np.var(values, ddof=1), rel_tol=1e-9)
+
+
 def test_odd_sample_counts_supported():
     est = mc_moment("GUE", 2, 3, samples=BLOCK_SIZE + 1, seed=5)
     assert est.samples == BLOCK_SIZE + 1

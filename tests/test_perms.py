@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from annular.perms import (
     GroundSet,
+    _coloured_cycle_count,
     Pairing,
     Permutation,
     compose,
@@ -153,6 +154,14 @@ def test_restrict_invariant_subset():
     p = parse_cycles("(2,6)(3,5)", g)
     assert restricted_cycle_count(p, {1, 4}) == 2
     assert restricted_cycle_count(p, {2, 6, 4}) == 2
+
+
+def test_coloured_cycle_count_walks_once_for_both_counts():
+    # (all cycles, colour-1 cycles) of x -> outer[inner[x]]; None on a mixed cycle
+    img = parse_cycles("(2,6)(3,5)", unsigned_ground(6)).image
+    identity = range(6)
+    assert _coloured_cycle_count(img, identity, bytes([1, 0, 0, 1, 0, 0])) == (4, 2)
+    assert _coloured_cycle_count(img, identity, bytes([0, 1, 0, 0, 0, 0])) is None
 
 
 def test_restrict_rejects_non_invariant_subset():
