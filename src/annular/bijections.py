@@ -1,12 +1,14 @@
 """Explicit maps between gluing families and non-crossing annular families.
 
 Every moment contribution can be listed two ways: as a gluing of edge
-labels around one or two vertices (the ``family_*`` builders in
-:mod:`annular.maps`) or as a non-crossing annular object (the families in
-:mod:`annular.noncrossing`).  This module holds the conversion maps and
-one table, :data:`BIJECTIONS`, naming each claimed bijection by its CLI
-tag: the gluing-side builder, the annular-side builder, the map between
-them, and whether the claim is graded by a part count p.
+labels around one or two vertices (the families of
+:data:`annular.maps.GLUINGS`) or as a non-crossing annular object (the
+families of :data:`annular.noncrossing.NONCROSSING`).  This module holds
+the conversion maps and one table, :data:`BIJECTIONS`, naming each
+claimed bijection by its CLI tag as a row over those two tables: a
+gluing tag and its leading grade (g or k), a non-crossing tag, and the
+map between them.  Whether a claim is graded by a part count p, and
+whether it lives on ±[2n] / [2n], is read from the tables, not restated.
 :func:`verify` checks one entry exhaustively, size by size; the
 ``verify_*`` names are one-line shorthands for it, and the CLI and
 :func:`conjecture_table` read the same table.
@@ -27,23 +29,19 @@ oracle in the test suite, so an element missing from it cannot hide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 from .frames import tau0
 from .maps import (
-    family_a,
-    family_a_hat,
-    family_a_tilde,
-    family_b,
-    family_b_hat,
-    family_b_tilde,
+    GLUINGS,
+    gluing_counts,
+    gluing_family,
     gluing_groups,
     gluing_key,
     hypermap_from_bipartite_nonorientable,
     hypermap_from_bipartite_orientable,
 )
-from .noncrossing import NCFamilyId, family_nc
+from .noncrossing import NONCROSSING, NCFamilyId, family_nc
 from .perms import Pairing, Permutation, compose, inverse
 from .streams import EnumerationBudget
 
@@ -236,85 +234,51 @@ def _identity(x: Permutation) -> Permutation:
 
 @dataclass(frozen=True)
 class Bijection:
-    """One claimed bijection: both sides and the map between them.
+    """One claimed bijection: a row over the two family tables.
 
-    ``domain`` and ``codomain`` take ``(n, p, budget)``, with ``p`` None
-    when the entry is not ``graded``; the domain is a gluing family of
-    :mod:`annular.maps`, the codomain a family of
-    :mod:`annular.noncrossing`.
+    The domain is the gluing family ``GLUINGS[gluing]`` at leading grade
+    ``first`` (g or k), the codomain the non-crossing family
+    ``NONCROSSING[nc]``, and ``map`` carries the one onto the other.
     """
 
-    domain: Callable
-    codomain: Callable
+    gluing: str
+    first: int
+    nc: str
     map: Callable[[Permutation], Permutation]
-    graded: bool
+
+    @property
+    def graded(self) -> bool:
+        """Both sides are read at a part count p: the non-crossing family is graded."""
+        return NONCROSSING[self.nc].grade is not None
+
+    def domain(self, n: int, p: int | None, budget=None) -> tuple[Permutation, ...]:
+        grade = (self.first, p) if self.graded else (self.first,)
+        return gluing_family(self.gluing, n, grade, budget=budget)
+
+    def codomain(self, n: int, p: int | None, budget=None):
+        """The annular family, on ±[2n] / [2n] when the gluings are bipartite."""
+        size = 2 * n if GLUINGS[self.gluing].doubled else n
+        return family_nc(NCFamilyId(self.nc, size, p), budget=budget)
 
 
-#: CLI tag -> bijection, in CLI order.  Each builder is a lambda over a
-#: module-level name, looked up at call time: an entry reads as the two
-#: calls it makes, and a wrapper rebound over that name (a tracer's) is seen.
+#: CLI tag -> bijection, in CLI order.
 BIJECTIONS: dict[str, Bijection] = {
     # twisted Euler-genus-1 gluings of ±[n] -> mirror-symmetric annular pairings
-    "phi1": Bijection(
-        lambda n, p, b: family_b(n, 1, budget=b),
-        lambda n, p, b: family_nc(NCFamilyId("NC2delta", n), budget=b),
-        _glue_with_negation,
-        graded=False,
-    ),
+    "phi1": Bijection("b", 1, "NC2delta", _glue_with_negation),
     # twisted Euler-genus-2 gluings of ±[n] -> Klein-frame annular pairings
-    "phi2": Bijection(
-        lambda n, p, b: family_b(n, 2, budget=b),
-        lambda n, p, b: family_nc(NCFamilyId("NC2K", n), budget=b),
-        _glue_with_negation,
-        graded=False,
-    ),
+    "phi2": Bijection("b", 2, "NC2K", _glue_with_negation),
     # genus-1 gluings of [n] and torus-frame annular pairings: equal sets
-    "torus-eq": Bijection(
-        lambda n, p, b: family_a(n, 1, budget=b),
-        lambda n, p, b: family_nc(NCFamilyId("NC2T", n), budget=b),
-        _identity,
-        graded=False,
-    ),
+    "torus-eq": Bijection("a", 1, "NC2T", _identity),
     # graded bipartite variants: gluings of ±[2n] / [2n]
-    "phi1-tilde": Bijection(
-        lambda n, p, b: family_b_tilde(n, 1, p, budget=b),
-        lambda n, p, b: family_nc(NCFamilyId("NC2delta_bip", 2 * n, p), budget=b),
-        _glue_with_negation,
-        graded=True,
-    ),
-    "phi2-tilde": Bijection(
-        lambda n, p, b: family_b_tilde(n, 2, p, budget=b),
-        lambda n, p, b: family_nc(NCFamilyId("NC2K_bip", 2 * n, p), budget=b),
-        _glue_with_negation,
-        graded=True,
-    ),
-    "a-tilde-eq": Bijection(
-        lambda n, p, b: family_a_tilde(n, 1, p, budget=b),
-        lambda n, p, b: family_nc(NCFamilyId("NC2T_bip", 2 * n, p), budget=b),
-        _identity,
-        graded=True,
-    ),
+    "phi1-tilde": Bijection("b-tilde", 1, "NC2delta_bip", _glue_with_negation),
+    "phi2-tilde": Bijection("b-tilde", 2, "NC2K_bip", _glue_with_negation),
+    "a-tilde-eq": Bijection("a-tilde", 1, "NC2T_bip", _identity),
     # graded hypermap variants on ±[n] / [n]: on mirror-symmetric
     # permutations, conjugating by label negation equals inversion, so the
     # image is simply the inverse
-    "phi1-hat": Bijection(
-        lambda n, p, b: family_b_hat(n, 1, p, budget=b),
-        lambda n, p, b: family_nc(NCFamilyId("NCdelta_p", n, p), budget=b),
-        inverse,
-        graded=True,
-    ),
-    "phi2-hat": Bijection(
-        lambda n, p, b: family_b_hat(n, 2, p, budget=b),
-        lambda n, p, b: family_nc(NCFamilyId("NCK_p", n, p), budget=b),
-        inverse,
-        graded=True,
-    ),
-    "a-hat-eq": Bijection(
-        lambda n, p, b: family_a_hat(n, 1, p, budget=b),
-        lambda n, p, b: family_nc(NCFamilyId("NCT_p", n, p), budget=b),
-        _identity,
-        graded=True,
-    ),
+    "phi1-hat": Bijection("b-hat", 1, "NCdelta_p", inverse),
+    "phi2-hat": Bijection("b-hat", 2, "NCK_p", inverse),
+    "a-hat-eq": Bijection("a-hat", 1, "NCT_p", _identity),
 }
 
 
@@ -387,25 +351,19 @@ def verify_lemma3(
     if n < 1:  # no grade p in 1..n
         return ()
     reports: list[BijectionReport] = []
-    for bipartite, hypermap, reduction, side, grade, grades in (
-        ("a-tilde", "a-hat", hypermap_from_bipartite_orientable,
-         "orientable", "g", range(0, n // 2 + 1)),
-        ("b-tilde", "b-hat", hypermap_from_bipartite_nonorientable,
-         "nonorientable", "k", range(1, n + 1)),
+    for bipartite, hypermap, reduction, side, grade in (
+        ("a-tilde", "a-hat", hypermap_from_bipartite_orientable, "orientable", "g"),
+        ("b-tilde", "b-hat", hypermap_from_bipartite_nonorientable, "nonorientable", "k"),
     ):
         domains = gluing_groups(bipartite, n, budget=budget)
         codomains = gluing_groups(hypermap, n, budget=budget)
-        for key in product(grades, range(1, n + 1)):
-            domain = domains.get(key, ())
-            codomain = codomains.get(key, ())
-            if not domain and not codomain:
-                continue
+        for key in sorted(domains.keys() | codomains.keys()):
             reports.append(
                 _verify(
                     f"lemma3-{side}({grade}={key[0]},p={key[1]})",
                     n,
-                    domain,
-                    codomain,
+                    domains.get(key, ()),
+                    codomains.get(key, ()),
                     reduction,
                     witness_cap=witness_cap,
                 )
@@ -429,8 +387,10 @@ def conjecture_table(
     entry = BIJECTIONS["phi1-tilde"]
     rows: list[ConjectureRow] = []
     for n in range(1, max_n + 1):
+        twisted = gluing_counts(entry.gluing, n, budget=budget)
         for p in range(1, n + 1):
-            twisted = len(entry.domain(n, p, budget))
             annular = len(entry.codomain(n, p, budget))
-            rows.append(ConjectureRow(n=n, p=p, twisted_count=twisted, annular_count=annular))
+            rows.append(
+                ConjectureRow(n, p, twisted.get((entry.first, p), 0), annular)
+            )
     return tuple(rows)

@@ -423,9 +423,7 @@ def family_nc(
     sorted order; union families also carry their (u, v) witnesses.  A
     budget counts the source elements.
     """
-    entry = NONCROSSING.get(family_id.tag)
-    if entry is None:
-        raise ValueError(f"unknown family tag {family_id.tag!r}")
+    entry = NONCROSSING[family_id.tag]
     if entry.pairs:
         source = signed_symmetric_pairings if entry.signed else pairings
     else:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import annular.maps
 from annular.bijections import (
     BIJECTIONS,
     BijectionReport,
@@ -18,7 +19,8 @@ from annular.bijections import (
     verify_torus_equality,
     _verify,
 )
-from annular.maps import family_b, family_b_tilde_counts
+from annular.maps import GLUINGS, family_b, family_b_tilde_counts, gluing_groups
+from annular.noncrossing import NONCROSSING
 from annular.perms import Pairing, parse_cycles, signed_ground, unsigned_ground
 from annular.streams import CapExceeded, EnumerationBudget
 
@@ -106,6 +108,14 @@ def test_registry_order_and_grades():
     assert GRADED == [
         "phi1-tilde", "phi2-tilde", "a-tilde-eq", "phi1-hat", "phi2-hat", "a-hat-eq"
     ]
+    for tag, entry in BIJECTIONS.items():
+        assert entry.gluing in GLUINGS and entry.nc in NONCROSSING, tag
+        gluing = GLUINGS[entry.gluing]
+        nc = NONCROSSING[entry.nc]
+        assert gluing.signed == nc.signed, tag
+        assert gluing.pairs == nc.pairs, tag
+        assert entry.graded == (len(gluing.grades) == 2), tag
+        assert entry.first >= 1, tag
     with pytest.raises(ValueError, match="takes no grade"):
         verify("phi1", 4, 1)
     with pytest.raises(ValueError, match="needs a grade"):
@@ -181,6 +191,15 @@ def test_lemma3_skips_empty_grades():
     names = {r.name for r in verify_lemma3(2)}
     assert "lemma3-nonorientable(k=2,p=2)" not in names
     assert "lemma3-nonorientable(k=1,p=1)" in names
+    for n in range(1, 5):
+        expected = []
+        for bipartite, hypermap, side, grade in (
+            ("a-tilde", "a-hat", "orientable", "g"),
+            ("b-tilde", "b-hat", "nonorientable", "k"),
+        ):
+            keys = gluing_groups(bipartite, n).keys() | gluing_groups(hypermap, n).keys()
+            expected += [f"lemma3-{side}({grade}={a},p={b})" for a, b in sorted(keys)]
+        assert [r.name for r in verify_lemma3(n)] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +265,19 @@ def test_conjecture_table_rows():
         hist = family_b_tilde_counts(n)
         for p in range(1, n + 1):
             assert counts[(n, p)][0] == hist.get((1, p), 0)
+
+
+def test_conjecture_table_builds_each_twisted_side_once(monkeypatch):
+    calls = []
+    stream = annular.maps.bipartite_signed_symmetric_pairing_images
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stream(*args, **kwargs)
+
+    monkeypatch.setattr(annular.maps, "bipartite_signed_symmetric_pairing_images", counted)
+    conjecture_table(3)
+    assert len(calls) == 3  # one b̃ histogram per n, not one family per (n, p)
 
 
 def test_conjecture_row_payload():

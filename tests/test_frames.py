@@ -171,6 +171,21 @@ def test_routes_do_not_import_each_other():
     assert _imports_from("maps", "moments") == set()
     # the CLI reads the gluing table, never a gluing-side kernel
     assert _imports_from("cli", "maps") == {"GLUINGS", "gluing_family", "gluing_key"}
+    # the bijection rows name both tables, never a family shorthand
+    assert _imports_from("bijections", "noncrossing") == {
+        "NONCROSSING",
+        "NCFamilyId",
+        "family_nc",
+    }
+    assert _imports_from("bijections", "maps") == {
+        "GLUINGS",
+        "gluing_counts",
+        "gluing_family",
+        "gluing_groups",
+        "gluing_key",
+        "hypermap_from_bipartite_orientable",
+        "hypermap_from_bipartite_nonorientable",
+    }
 
 
 def test_frames_are_cached():

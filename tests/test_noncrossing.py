@@ -171,10 +171,10 @@ def test_family_id_validation():
 
 
 def test_family_nc_rejects_unknown_tag_via_id():
-    fid = NCFamilyId("NC2", 4)
-    object.__setattr__(fid, "tag", "bogus")
-    with pytest.raises(ValueError):
-        family_nc(fid)
+    # family_nc reads NONCROSSING by the id's tag; the id is where an
+    # unknown tag is refused, before any family is built
+    with pytest.raises(ValueError, match="unknown family tag 'bogus'"):
+        family_nc(NCFamilyId("bogus", 4))
 
 
 def test_family_respects_budget():
