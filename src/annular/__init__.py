@@ -18,7 +18,6 @@ from .perms import (  # noqa: F401
     conjugate,
     inverse,
     join_block_count,
-    is_jointly_transitive,
     num_cycles,
     parse_cycles,
     signed_ground,
@@ -73,6 +72,7 @@ from .noncrossing import (  # noqa: F401
     is_delta_symmetric,
     is_noncrossing,
     member_witnesses,
+    nc_groups,
 )
 from .bijections import (  # noqa: F401
     BIJECTIONS,
@@ -82,6 +82,7 @@ from .bijections import (  # noqa: F401
     verify,
     verify_a_hat_equality,
     verify_a_tilde_equality,
+    verify_grades,
     verify_lemma3,
     verify_phi1,
     verify_phi1_hat,

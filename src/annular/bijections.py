@@ -9,9 +9,11 @@ claimed bijection by its CLI tag as a row over those two tables: a
 gluing tag and its leading grade (g or k), a non-crossing tag, and the
 map between them.  Whether a claim is graded by a part count p, and
 whether it lives on ±[2n] / [2n], is read from the tables, not restated.
-:func:`verify` checks one entry exhaustively, size by size; the
-``verify_*`` names are one-line shorthands for it, and the CLI and
-:func:`conjecture_table` read the same table.
+:func:`verify` checks one entry exhaustively at one size and grade; the
+``verify_*`` names are one-line shorthands for it.  :func:`verify_grades`,
+:func:`verify_lemma3` and :func:`conjecture_table` read every grade p in
+:func:`grades` from one grouped pass per side
+(:func:`annular.maps.gluing_groups`, :func:`annular.noncrossing.nc_groups`).
 
 The two code paths share no family-construction logic: the gluing side
 selects from enumeration streams by cycle-count statistics, while the
@@ -28,7 +30,7 @@ oracle in the test suite, so an element missing from it cannot hide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from .frames import tau0
@@ -41,7 +43,7 @@ from .maps import (
     hypermap_from_bipartite_nonorientable,
     hypermap_from_bipartite_orientable,
 )
-from .noncrossing import NONCROSSING, NCFamilyId, family_nc
+from .noncrossing import NONCROSSING, NCFamilyId, family_nc, nc_groups
 from .perms import Pairing, Permutation, compose, inverse
 from .streams import EnumerationBudget
 
@@ -54,7 +56,9 @@ __all__ = [
     "phi1",
     "phi1_inverse",
     "phi2",
+    "grades",
     "verify",
+    "verify_grades",
     "verify_phi1",
     "verify_phi2",
     "verify_torus_equality",
@@ -124,13 +128,7 @@ class ConjectureRow:
         return self.twisted_count == self.annular_count
 
     def to_payload(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "twisted_count": self.twisted_count,
-            "annular_count": self.annular_count,
-            "equal": self.equal,
-        }
+        return {**asdict(self), "equal": self.equal}
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +226,11 @@ def _identity(x: Permutation) -> Permutation:
     return x
 
 
+def grades(n: int) -> range:
+    """The part counts p at which a graded claim of size n is read: 1..n."""
+    return range(1, n + 1)
+
+
 # ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
@@ -251,14 +254,9 @@ class Bijection:
         """Both sides are read at a part count p: the non-crossing family is graded."""
         return NONCROSSING[self.nc].grade is not None
 
-    def domain(self, n: int, p: int | None, budget=None) -> tuple[Permutation, ...]:
-        grade = (self.first, p) if self.graded else (self.first,)
-        return gluing_family(self.gluing, n, grade, budget=budget)
-
-    def codomain(self, n: int, p: int | None, budget=None):
-        """The annular family, on ±[2n] / [2n] when the gluings are bipartite."""
-        size = 2 * n if GLUINGS[self.gluing].doubled else n
-        return family_nc(NCFamilyId(self.nc, size, p), budget=budget)
+    def annular_n(self, n: int) -> int:
+        """The annular side's size: 2n (±[2n] / [2n]) when the gluings are bipartite."""
+        return 2 * n if GLUINGS[self.gluing].doubled else n
 
 
 #: CLI tag -> bijection, in CLI order.
@@ -303,19 +301,16 @@ def verify(
     if not entry.graded and (n < 2 or n % 2):
         raise ValueError("n must be a positive even integer")
     name = f"{tag}(p={p})" if entry.graded else tag
-    domain = entry.domain(n, p, budget)
-    codomain = entry.codomain(n, p, budget)
+    grade = (entry.first, p) if entry.graded else (entry.first,)
+    domain = gluing_family(entry.gluing, n, grade, budget=budget)
+    codomain = family_nc(NCFamilyId(entry.nc, entry.annular_n(n), p), budget=budget)
     return _verify(name, n, domain, codomain, entry.map, witness_cap=witness_cap)
 
 
 def _driver(tag: str) -> Callable[..., BijectionReport]:
     """The ``verify_*`` shorthand for one entry: ``(n)``, or ``(n, p)`` when graded."""
-    if BIJECTIONS[tag].graded:
-        def driver(n, p, *, budget=None, witness_cap=WITNESS_CAP):
-            return verify(tag, n, p, budget=budget, witness_cap=witness_cap)
-    else:
-        def driver(n, *, budget=None, witness_cap=WITNESS_CAP):
-            return verify(tag, n, budget=budget, witness_cap=witness_cap)
+    def driver(n, p=None, *, budget=None, witness_cap=WITNESS_CAP):
+        return verify(tag, n, p, budget=budget, witness_cap=witness_cap)
     driver.__doc__ = f"``verify({tag!r}, ...)``; see :data:`BIJECTIONS`."
     return driver
 
@@ -329,6 +324,34 @@ verify_a_tilde_equality = _driver("a-tilde-eq")
 verify_phi1_hat = _driver("phi1-hat")
 verify_phi2_hat = _driver("phi2-hat")
 verify_a_hat_equality = _driver("a-hat-eq")
+
+
+def verify_grades(
+    tag: str,
+    n: int,
+    *,
+    budget: EnumerationBudget | None = None,
+    witness_cap: int | None = WITNESS_CAP,
+) -> tuple[BijectionReport, ...]:
+    """``verify(tag, n, p)`` for every p in ``grades(n)``, from one grouped pass per side.
+
+    Each report equals the one :func:`verify` gives at its grade, and a
+    budget raises as :func:`verify` does at p = 1.
+    """
+    entry = BIJECTIONS[tag]
+    if not entry.graded:
+        raise ValueError(f"bijection {tag!r} takes no grade p")
+    if not grades(n):
+        return ()
+    domains = gluing_groups(entry.gluing, n, budget=budget)
+    codomains = nc_groups(entry.nc, entry.annular_n(n), budget=budget)
+    return tuple(
+        _verify(
+            f"{tag}(p={p})", n, domains.get((entry.first, p), ()), codomains.get(p, ()),
+            entry.map, witness_cap=witness_cap,
+        )
+        for p in grades(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +371,7 @@ def verify_lemma3(
     nonempty, orientable cases first; a key where only one side is
     populated yields a failing report rather than an error.
     """
-    if n < 1:  # no grade p in 1..n
+    if not grades(n):
         return ()
     reports: list[BijectionReport] = []
     for bipartite, hypermap, reduction, side, grade in (
@@ -358,16 +381,9 @@ def verify_lemma3(
         domains = gluing_groups(bipartite, n, budget=budget)
         codomains = gluing_groups(hypermap, n, budget=budget)
         for key in sorted(domains.keys() | codomains.keys()):
-            reports.append(
-                _verify(
-                    f"lemma3-{side}({grade}={key[0]},p={key[1]})",
-                    n,
-                    domains.get(key, ()),
-                    codomains.get(key, ()),
-                    reduction,
-                    witness_cap=witness_cap,
-                )
-            )
+            name = f"lemma3-{side}({grade}={key[0]},p={key[1]})"
+            domain, codomain = domains.get(key, ()), codomains.get(key, ())
+            reports.append(_verify(name, n, domain, codomain, reduction, witness_cap=witness_cap))
     return tuple(reports)
 
 
@@ -388,9 +404,9 @@ def conjecture_table(
     rows: list[ConjectureRow] = []
     for n in range(1, max_n + 1):
         twisted = gluing_counts(entry.gluing, n, budget=budget)
-        for p in range(1, n + 1):
-            annular = len(entry.codomain(n, p, budget))
-            rows.append(
-                ConjectureRow(n, p, twisted.get((entry.first, p), 0), annular)
-            )
+        annular = nc_groups(entry.nc, entry.annular_n(n), budget=budget)
+        rows += (
+            ConjectureRow(n, p, twisted.get((entry.first, p), 0), len(annular.get(p, ())))
+            for p in grades(n)
+        )
     return tuple(rows)

@@ -4,7 +4,9 @@ Four core subcommands plus one evidence table:
 
 * ``enumerate`` — list a gluing or non-crossing family with its count;
 * ``verify``    — exhaustively check one of the named bijections or set
-  equalities and report the outcome;
+  equalities and report the outcome (a graded one at ``--p``, or at
+  every grade from one grouped pass per side:
+  :func:`annular.bijections.verify_grades`);
 * ``moment``    — a matrix-ensemble moment, symbolically or evaluated,
   optionally with a Monte Carlo cross-check;
 * ``classify``  — every family membership of a single permutation;
@@ -38,7 +40,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .bijections import BIJECTIONS, conjecture_table, verify, verify_lemma3
+from .bijections import BIJECTIONS, conjecture_table, grades, verify, verify_grades, verify_lemma3
 from .frames import tau0
 from .maps import GLUINGS, gluing_family, gluing_key
 from .moments import Ensemble, wick_moment
@@ -129,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--bijection", required=True, choices=BIJECTION_TAGS)
     p_verify.add_argument("--n", required=True, type=int)
     p_verify.add_argument(
-        "--p", type=int, default=None, help="single grade (default: all grades)"
+        "--p", type=int, default=None, help="one grade (default: all grades, one pass per side)"
     )
     _add_common(p_verify)
 
@@ -195,25 +197,13 @@ def _resolve_budget(args: argparse.Namespace) -> EnumerationBudget | None:
 # enumerate
 # ---------------------------------------------------------------------------
 
-def _params_enumerate(args) -> dict:
-    return {
-        "family": args.family,
-        "n": args.n,
-        "genus": args.genus,
-        "k": args.k,
-        "p": args.p,
-        "limit": args.limit,
-        "max_elements": args.max_elements,
-    }
-
-
-def _require_grade_args(tag: str, args, grades: tuple[str, ...]) -> None:
-    """Exactly the grade flags named by ``grades`` are given."""
+def _require_grade_args(tag: str, args, names: tuple[str, ...]) -> None:
+    """Exactly the grade flags named by ``names`` are given."""
     for name in ("genus", "k", "p"):
         given = getattr(args, name) is not None
-        if name in grades and not given:
+        if name in names and not given:
             raise UsageError(f"family {tag!r} requires --{name}")
-        if name not in grades and given:
+        if name not in names and given:
             raise UsageError(f"family {tag!r} does not take --{name}")
 
 
@@ -226,11 +216,11 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
     tag = args.family
     witness_table = None
     if tag in GLUINGS:
-        grades = GLUINGS[tag].grades
-        _require_grade_args(tag, args, grades)
-        if "genus" in grades and args.genus < 0:
+        names = GLUINGS[tag].grades
+        _require_grade_args(tag, args, names)
+        if "genus" in names and args.genus < 0:
             raise UsageError("--genus must be >= 0")
-        grade = tuple(getattr(args, name) for name in grades)
+        grade = tuple(getattr(args, name) for name in names)
         try:
             members = gluing_family(tag, args.n, grade, budget=budget)
         except ValueError as exc:
@@ -257,12 +247,9 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
         "listed": shown,
         "truncated_listing": shown < count,
     }
-    if args.genus is not None:
-        result["genus"] = args.genus
-    if args.k is not None:
-        result["k"] = args.k
-    if args.p is not None:
-        result["p"] = args.p
+    for name in ("genus", "k", "p"):
+        if getattr(args, name) is not None:
+            result[name] = getattr(args, name)
     if witness_table is not None:
         result["witnesses"] = [
             [list(w) for w in ws] for ws in witness_table[:shown]
@@ -280,15 +267,6 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
 # verify
 # ---------------------------------------------------------------------------
 
-def _params_verify(args) -> dict:
-    return {
-        "bijection": args.bijection,
-        "n": args.n,
-        "p": args.p,
-        "max_elements": args.max_elements,
-    }
-
-
 def cmd_verify(args) -> tuple[dict, int, list | None]:
     budget = _resolve_budget(args)
     if args.n < 1:
@@ -298,16 +276,15 @@ def cmd_verify(args) -> tuple[dict, int, list | None]:
     graded = entry is not None and entry.graded
     if args.p is not None and not graded:
         raise UsageError(f"bijection {tag!r} does not take --p")
-    if args.p is not None and not 1 <= args.p <= args.n:
+    if args.p is not None and args.p not in grades(args.n):
         raise UsageError("--p must lie in 1..n")
     try:
         if entry is None:
-            reports = list(verify_lemma3(args.n, budget=budget))
-        elif graded:
-            grades = range(1, args.n + 1) if args.p is None else [args.p]
-            reports = [verify(tag, args.n, p, budget=budget) for p in grades]
+            reports = verify_lemma3(args.n, budget=budget)
+        elif graded and args.p is None:
+            reports = verify_grades(tag, args.n, budget=budget)
         else:
-            reports = [verify(tag, args.n, budget=budget)]
+            reports = [verify(tag, args.n, args.p, budget=budget)]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -324,20 +301,6 @@ def cmd_verify(args) -> tuple[dict, int, list | None]:
 # ---------------------------------------------------------------------------
 # moment
 # ---------------------------------------------------------------------------
-
-def _params_moment(args) -> dict:
-    return {
-        "ensemble": args.ensemble,
-        "order": args.order,
-        "symbolic": args.symbolic,
-        "dim": args.dim,
-        "rect_dim": args.rect_dim,
-        "mc": args.mc,
-        "samples": args.samples if args.mc else None,
-        "seed": args.seed if args.mc else None,
-        "max_elements": args.max_elements,
-    }
-
 
 def cmd_moment(args) -> tuple[dict, int, list | None]:
     budget = _resolve_budget(args)
@@ -410,14 +373,6 @@ def cmd_moment(args) -> tuple[dict, int, list | None]:
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
-
-def _params_classify(args) -> dict:
-    return {
-        "perm": args.perm,
-        "n": args.n,
-        "signed": args.signed,
-    }
-
 
 #: Non-crossing families that ``classify`` does not report.  Their
 #: members carry W → B; ``classify`` once gated them on B → B, so it has
@@ -497,13 +452,6 @@ def cmd_classify(args) -> tuple[dict, int, list | None]:
 # conjecture table
 # ---------------------------------------------------------------------------
 
-def _params_conjecture(args) -> dict:
-    return {
-        "max_n": args.max_n,
-        "max_elements": args.max_elements,
-    }
-
-
 def cmd_conjecture(args) -> tuple[dict, int, list | None]:
     budget = _resolve_budget(args)
     if args.max_n < 1:
@@ -516,11 +464,8 @@ def cmd_conjecture(args) -> tuple[dict, int, list | None]:
     }
     csv_rows = None
     if args.format == "csv":
-        csv_rows = [["n", "p", "twisted_count", "annular_count", "equal"]]
-        csv_rows += [
-            [row.n, row.p, row.twisted_count, row.annular_count, row.equal]
-            for row in rows
-        ]
+        columns = ["n", "p", "twisted_count", "annular_count", "equal"]
+        csv_rows = [columns, *([row[c] for c in columns] for row in result["rows"])]
     return result, EXIT_OK, csv_rows
 
 
@@ -528,12 +473,17 @@ def cmd_conjecture(args) -> tuple[dict, int, list | None]:
 # driver
 # ---------------------------------------------------------------------------
 
+#: Subcommand -> (handler, the arguments its record echoes as parameters).
 _HANDLERS = {
-    "enumerate": (cmd_enumerate, _params_enumerate),
-    "verify": (cmd_verify, _params_verify),
-    "moment": (cmd_moment, _params_moment),
-    "classify": (cmd_classify, _params_classify),
-    "conjecture": (cmd_conjecture, _params_conjecture),
+    "enumerate": (cmd_enumerate, ("family", "n", "genus", "k", "p", "limit", "max_elements")),
+    "verify": (cmd_verify, ("bijection", "n", "p", "max_elements")),
+    "moment": (
+        cmd_moment,
+        ("ensemble", "order", "symbolic", "dim", "rect_dim", "mc", "samples", "seed",
+         "max_elements"),
+    ),
+    "classify": (cmd_classify, ("perm", "n", "signed")),
+    "conjecture": (cmd_conjecture, ("max_n", "max_elements")),
 }
 
 
@@ -552,8 +502,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage, 0 on --help
         return int(exc.code or 0)
 
-    handler, params_fn = _HANDLERS[args.command]
-    parameters = params_fn(args)
+    handler, names = _HANDLERS[args.command]
+    parameters = {name: getattr(args, name) for name in names}
+    if args.command == "moment" and not args.mc:  # the sampler's settings are unused
+        parameters.update(samples=None, seed=None)
     start = time.perf_counter()
     try:
         result, code, csv_rows = handler(args)

@@ -96,7 +96,6 @@ __all__ = [
     "orientable_genus",
     "nonorientable_euler_genus",
     "has_twist",
-    "has_hat_twist",
     "Gluing",
     "GLUINGS",
     "gluing_groups",
@@ -254,11 +253,6 @@ def has_twist(tau1: Permutation) -> bool:
     """True iff some positive label maps to a positive label (a Möbius pair)."""
     dom = tau1.domain
     return _has_twist(tau1.image, dom.size - dom.n)
-
-
-def has_hat_twist(tau1: Permutation) -> bool:
-    """Hypermap twist condition: some positive label maps to a negative one."""
-    return _has_hat_twist(tau1.image)
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,10 @@ one test on one element: the source conditions, the grade its kernel
 reads, and the non-crossing condition.  For a union tag the anchor
 fixes v from u, so each u names at most one cut, and only a cut that
 passes the head condition has its frame built.  :func:`member_witnesses`
-applies the test to any permutation; :func:`family_nc` runs the source
-stream through it.
+applies the test to any permutation.  :func:`nc_groups` runs the source
+stream through it once for every grade, keying each member by the grade
+its entry's kernel reads; :func:`family_nc` is the same pass at one
+grade, which skips an element of another grade before building a frame.
 
 The test reads only the element's index image.  One kernel decides
 "non-crossing with respect to γ" from three cycle counts against the
@@ -121,6 +123,7 @@ __all__ = [
     "NCFamilyId",
     "NCFamily",
     "family_nc",
+    "nc_groups",
     "member_witnesses",
 ]
 
@@ -343,7 +346,7 @@ class NCFamily:
 # ---------------------------------------------------------------------------
 
 def _union_witnesses(
-    fid: NCFamilyId, entry: NCEntry, img: tuple[int, ...]
+    entry: NCEntry, n: int, img: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...] | None:
     """The cuts (u, v) whose frame admits π, or None when there is none.
 
@@ -355,7 +358,6 @@ def _union_witnesses(
     tested.  Label a ≥ 1 sits at index first + a − 1, where first is
     n on ±[n] and 0 on [n].
     """
-    n = fid.n
     klein = entry.cut == "klein"
     anchor = _inverse_image(img) if entry.hypermap else img
     top = n if klein else n - 1  # largest label a cut may use
@@ -377,15 +379,13 @@ def _union_witnesses(
     return tuple(found) or None
 
 
-def _member_test(
-    fid: NCFamilyId, entry: NCEntry, img: tuple[int, ...]
+def _noncrossing_test(
+    entry: NCEntry, n: int, img: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...] | None:
-    """Membership of the image of an element of the tag's source stream."""
-    if entry.grade is not None and entry.grade(img) != fid.p:
-        return None
+    """The non-crossing test of an element of the tag's source stream, at any grade."""
     if entry.cut is not None:
-        return _union_witnesses(fid, entry, img)
-    gamma = annulus_cycle(fid.n) if entry.signed else full_cycle(fid.n)
+        return _union_witnesses(entry, n, img)
+    gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
     return () if _noncrossing(img, gamma) else None
 
 
@@ -398,7 +398,8 @@ def member_witnesses(
     (u, v) witnesses of a union tag, and () for any other tag.  The
     conditions of the family's source stream (ground set, pairing,
     δ-symmetry) are checked here, and then the same per-element test
-    that :func:`family_nc` applies to its stream.
+    that :func:`family_nc` applies to its stream: the grade, then the
+    non-crossing condition.
     """
     entry = NONCROSSING[family_id.tag]
     n = family_id.n
@@ -408,7 +409,55 @@ def member_witnesses(
         return None
     if entry.signed and not _is_delta_symmetric(pi.image):
         return None
-    return _member_test(family_id, entry, pi.image)
+    if entry.grade is not None and entry.grade(pi.image) != family_id.p:
+        return None
+    return _noncrossing_test(entry, n, pi.image)
+
+
+def _scan(
+    tag: str, n: int, p: int | None, budget: EnumerationBudget | None
+) -> dict[int | None, dict[Permutation, tuple]]:
+    """Grade -> {member: witnesses} of ``tag`` at size n, from one pass.
+
+    With ``p`` set, only grade p is kept, and an element of another
+    grade is skipped before any frame is built.  An ungraded tag's key
+    is None.
+    """
+    entry = NONCROSSING[tag]
+    if entry.pairs:
+        source = signed_symmetric_pairings if entry.signed else pairings
+    else:
+        source = signed_symmetric_permutations if entry.signed else permutations
+    found: dict[int | None, dict[Permutation, tuple]] = {}
+    for pi in source(n, budget=budget):
+        grade = entry.grade(pi.image) if entry.grade else None
+        if entry.grade and (grade is None or p is not None and grade != p):
+            continue
+        witnesses = _noncrossing_test(entry, n, pi.image)
+        if witnesses is not None:
+            found.setdefault(grade, {})[pi] = witnesses
+    return found
+
+
+def _family(family_id: NCFamilyId, found: dict[Permutation, tuple]) -> NCFamily:
+    members = tuple(sorted(found, key=lambda q: q.sort_key()))
+    table = tuple(found[pi] for pi in members) if NONCROSSING[family_id.tag].cut else None
+    return NCFamily(family_id, members, table)
+
+
+def nc_groups(
+    tag: str, n: int, *, budget: EnumerationBudget | None = None
+) -> dict[int | None, NCFamily]:
+    """Grade p -> the family ``NCFamilyId(tag, n, p)``, for every nonempty grade.
+
+    One pass over the tag's source stream; each family equals the one
+    :func:`family_nc` builds.  An ungraded tag's one key is None.  A
+    budget counts the source elements.
+    """
+    entry = NONCROSSING.get(tag)  # NCFamilyId checks the tag and n before the stream
+    NCFamilyId(tag, n, 1 if entry and entry.grade else None)
+    found = _scan(tag, n, None, budget)
+    return {p: _family(NCFamilyId(tag, n, p), found[p]) for p in sorted(found)}
 
 
 def family_nc(
@@ -421,18 +470,8 @@ def family_nc(
     Members are the elements of the tag's source stream that pass the
     membership test of :func:`member_witnesses`, returned in a canonical
     sorted order; union families also carry their (u, v) witnesses.  A
-    budget counts the source elements.
+    budget counts the source elements.  This is the pass of
+    :func:`nc_groups` at one grade.
     """
-    entry = NONCROSSING[family_id.tag]
-    if entry.pairs:
-        source = signed_symmetric_pairings if entry.signed else pairings
-    else:
-        source = signed_symmetric_permutations if entry.signed else permutations
-    found = {}
-    for pi in source(family_id.n, budget=budget):
-        witnesses = _member_test(family_id, entry, pi.image)
-        if witnesses is not None:
-            found[pi] = witnesses
-    members = tuple(sorted(found, key=lambda q: q.sort_key()))
-    table = tuple(found[pi] for pi in members) if entry.cut else None
-    return NCFamily(family_id, members, table)
+    found = _scan(family_id.tag, family_id.n, family_id.p, budget)
+    return _family(family_id, found.get(family_id.p, {}))

@@ -69,7 +69,6 @@ __all__ = [
     "conjugate",
     "num_cycles",
     "restricted_cycle_count",
-    "is_jointly_transitive",
     "join_block_count",
     "parse_cycles",
 ]
@@ -561,11 +560,6 @@ def restricted_cycle_count(p: Permutation, labels: Iterable[int]) -> int:
             f"{dom.label(img[i])} outside it"
         )
     return counts[1]
-
-
-def is_jointly_transitive(p: Permutation, q: Permutation) -> bool:
-    """True iff the group generated by p and q acts transitively."""
-    return join_block_count(p, q) <= 1
 
 
 def join_block_count(p: Permutation, q: Permutation) -> int:

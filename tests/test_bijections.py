@@ -11,6 +11,7 @@ from annular.bijections import (
     phi1_inverse,
     phi2,
     verify,
+    verify_grades,
     verify_lemma3,
     verify_phi1,
     verify_phi1_hat,
@@ -151,6 +152,30 @@ def test_graded_drivers_all_small_sizes():
                 expected = GRADED_SIZES.get((tag, n, p), 0)
                 assert report.domain_size == expected
                 assert report.codomain_size == expected
+
+
+def _payloads_or_error(build):
+    try:
+        return [report.to_payload() for report in build()]
+    except (CapExceeded, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "requested", None), getattr(exc, "cap", None)
+
+
+@pytest.mark.parametrize("budget", [None, 0, 3, 50])
+@pytest.mark.parametrize("tag", GRADED)
+def test_verify_grades_equals_verify_at_each_grade(tag, budget):
+    budget = None if budget is None else EnumerationBudget(budget)
+    for n in range(1, 5):
+        per_grade = _payloads_or_error(
+            lambda: [verify(tag, n, p, budget=budget) for p in range(1, n + 1)]
+        )
+        assert _payloads_or_error(lambda: verify_grades(tag, n, budget=budget)) == per_grade
+    assert verify_grades(tag, 0) == ()
+
+
+def test_verify_grades_rejects_ungraded_entries():
+    with pytest.raises(ValueError, match="takes no grade p"):
+        verify_grades("phi1", 4)
 
 
 def test_graded_driver_at_larger_size():

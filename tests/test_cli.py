@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from annular.bijections import BIJECTIONS
+import annular.maps
+import annular.noncrossing
+from annular.bijections import BIJECTIONS, conjecture_table
 from annular.cli import SCHEMA_VERSION, build_parser, classify_permutation, main
 from annular.frames import tau0
 from annular.maps import (
@@ -201,6 +203,49 @@ def test_verify_lemma3(capsys):
     assert code == 0
     assert rec["result"]["all_verified"] is True
     assert len(rec["result"]["reports"]) == 7
+
+
+SOURCE_STREAMS = (
+    "pairings",
+    "permutations",
+    "signed_symmetric_pairings",
+    "signed_symmetric_permutations",
+    "bipartite_pairing_images",
+    "bipartite_signed_symmetric_pairing_images",
+)
+
+
+@pytest.fixture
+def stream_calls(monkeypatch):
+    """Calls of the source streams each side binds, by side: maps, noncrossing."""
+    monkeypatch.delenv("ANNULAR_MAX_ELEMENTS", raising=False)
+    calls = {"maps": 0, "noncrossing": 0}
+    for module in (annular.maps, annular.noncrossing):
+        side = module.__name__.rpartition(".")[2]
+        for name in SOURCE_STREAMS:
+            stream = getattr(module, name, None)
+            if stream is None:
+                continue
+
+            def counted(*args, stream=stream, side=side, **kwargs):
+                calls[side] += 1
+                return stream(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("tag", [tag for tag, e in BIJECTIONS.items() if e.graded])
+def test_graded_verify_runs_each_side_once(capsys, stream_calls, tag):
+    # one grouped pass per side serves every grade (three passes each at n = 3 before)
+    code, rec, _, _ = run(capsys, "verify", "--bijection", tag, "--n", "3")
+    assert code == 0 and len(rec["result"]["reports"]) == 3
+    assert stream_calls == {"maps": 1, "noncrossing": 1}
+
+
+def test_conjecture_table_runs_the_annular_source_once_per_n(stream_calls):
+    conjecture_table(3)
+    assert stream_calls == {"maps": 3, "noncrossing": 3}  # not one per (n, p)
 
 
 def test_enumerate_choices_follow_the_family_tables():

@@ -176,6 +176,7 @@ def test_routes_do_not_import_each_other():
         "NONCROSSING",
         "NCFamilyId",
         "family_nc",
+        "nc_groups",
     }
     assert _imports_from("bijections", "maps") == {
         "GLUINGS",

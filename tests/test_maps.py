@@ -7,6 +7,7 @@ import pytest
 from annular.frames import annulus_cycle, black_labels, full_cycle, white_labels
 from annular.maps import (
     MonochromaticityError,
+    _has_hat_twist,
     family_a,
     family_a_counts,
     family_a_hat,
@@ -17,7 +18,6 @@ from annular.maps import (
     family_b_hat,
     family_b_tilde,
     family_b_tilde_counts,
-    has_hat_twist,
     has_twist,
     hypermap_from_bipartite_nonorientable,
     hypermap_from_bipartite_orientable,
@@ -345,8 +345,8 @@ def test_family_b_hat_smallest_case():
 
 def test_hat_twist_predicate():
     g = signed_ground(2)
-    assert has_hat_twist(parse_cycles("(-2,1)(-1,2)", g))
-    assert not has_hat_twist(parse_cycles("(1,2)(-2,-1)", g))
+    assert _has_hat_twist(parse_cycles("(-2,1)(-1,2)", g).image)
+    assert not _has_hat_twist(parse_cycles("(1,2)(-2,-1)", g).image)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +385,7 @@ def test_nonorientable_reduction_preserves_grades(n):
         for x in red.domain.labels():
             assert red(-red(x)) == -x
             assert red(x) != -x
-        assert has_hat_twist(red)
+        assert _has_hat_twist(red.image)
         # grades agree with the invariants recomputed on the image
         p = num_cycles(red) // 2
         boundary = num_cycles(compose(gamma, red)) // 2

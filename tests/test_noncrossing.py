@@ -10,12 +10,14 @@ from annular.maps import (
     family_b_tilde_counts,
 )
 from annular.noncrossing import (
+    NONCROSSING,
     NCFamilyId,
     euler_defect,
     family_nc,
     is_delta_symmetric,
     is_noncrossing,
     member_witnesses,
+    nc_groups,
 )
 from annular.perms import (
     Pairing,
@@ -28,9 +30,11 @@ from annular.perms import (
 from annular.streams import (
     CapExceeded,
     EnumerationBudget,
+    pairings,
     permutations,
     permutations_of,
     signed_pairings,
+    signed_symmetric_pairings,
     signed_symmetric_permutations,
 )
 
@@ -192,6 +196,73 @@ def test_delta_family_budget_counts_delta_symmetric_elements():
     with pytest.raises(CapExceeded) as info:
         family_nc(NCFamilyId("NCK_p", 5, 1))
     assert (info.value.requested, info.value.cap) == (5, 4)
+
+
+#: The sizes at which the family tests of this file build each family.
+GROUPED_SIZES = {
+    "NC": range(1, 6),
+    "NC2": range(1, 9),
+    "NC2T": range(1, 9),
+    "NC2T_bip": range(2, 9, 2),
+    "NCT_p": range(1, 6),
+    "NCdelta": range(1, 5),
+    "NC2delta": range(1, 7),
+    "NCdelta_p": range(1, 5),
+    "NC2K": range(1, 7),
+    "NC2K_bip": range(2, 7, 2),
+    "NCK_p": range(1, 4),
+    "NC2delta_bip": range(2, 9, 2),
+}
+
+
+def _source(tag):
+    entry = NONCROSSING[tag]
+    if entry.pairs:
+        return signed_symmetric_pairings if entry.signed else pairings
+    return signed_symmetric_permutations if entry.signed else permutations
+
+
+def _raised(build):
+    with pytest.raises(CapExceeded) as info:
+        build()
+    return str(info.value), info.value.requested, info.value.cap
+
+
+@pytest.mark.parametrize("tag", GROUPED_SIZES)
+def test_nc_groups_equal_family_nc_grade_by_grade(tag):
+    assert set(GROUPED_SIZES) == set(NONCROSSING)
+    graded = NONCROSSING[tag].grade is not None
+    for n in GROUPED_SIZES[tag]:
+        groups = nc_groups(tag, n)
+        grades = range(1, n + 2) if graded else [None]
+        assert set(groups) <= set(grades)
+        for p in grades:
+            fid = NCFamilyId(tag, n, p)
+            want, got = family_nc(fid), groups.get(p)
+            if not want.members:
+                assert got is None
+                continue
+            assert got.family_id == fid
+            assert got.members == want.members
+            assert got.witness_table == want.witness_table
+    # a budget one below the source size fails both alike; the size itself passes
+    n = GROUPED_SIZES[tag][1]
+    size = sum(1 for _ in _source(tag)(n))
+    fid = NCFamilyId(tag, n, 1 if graded else None)
+    below = EnumerationBudget(size - 1)
+    assert _raised(lambda: nc_groups(tag, n, budget=below)) == _raised(
+        lambda: family_nc(fid, budget=below)
+    )
+    assert nc_groups(tag, n, budget=EnumerationBudget(size)).keys() == nc_groups(tag, n).keys()
+
+
+def test_nc_groups_check_the_tag_and_n_before_the_stream():
+    with pytest.raises(ValueError, match="unknown family tag 'bogus'; known: "):
+        nc_groups("bogus", 4)
+    with pytest.raises(ValueError, match="even n"):
+        nc_groups("NC2T_bip", 3)
+    with pytest.raises(ValueError, match="positive"):
+        nc_groups("NC", 0)
 
 
 def test_member_witnesses_checks_the_source_conditions():

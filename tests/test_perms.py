@@ -15,7 +15,6 @@ from annular.perms import (
     compose,
     conjugate,
     inverse,
-    is_jointly_transitive,
     join_block_count,
     num_cycles,
     parse_cycles,
@@ -178,10 +177,8 @@ def test_join_block_count_and_transitivity():
     q = parse_cycles("(2,3)", g)
     # orbits of p: {1,2},{3,4},{5},{6}; q merges {1,2,3,4}
     assert join_block_count(p, q) == 3
-    assert not is_jointly_transitive(p, q)
     full = Permutation.from_cycles(g, [tuple(range(1, 7))])
     assert join_block_count(p, full) == 1
-    assert is_jointly_transitive(p, full)
     assert join_block_count(p, q) == oracles.ref_join_blocks(p.mapping(), q.mapping())
 
 
