@@ -26,7 +26,6 @@ from .perms import (  # noqa: F401
 from .streams import (  # noqa: F401
     CapExceeded,
     EnumerationBudget,
-    budget_from_environment,
     pairings,
     permutations,
     signed_symmetric_pairings,

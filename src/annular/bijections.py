@@ -72,6 +72,7 @@ __all__ = [
     "conjecture_table",
 ]
 
+#: Most witnesses, and most failures, that one report keeps.
 WITNESS_CAP = 100
 
 
@@ -169,17 +170,10 @@ def phi2(tau1: Pairing) -> Permutation:
 # verification core
 # ---------------------------------------------------------------------------
 
-def _verify(
-    name: str,
-    n: int,
-    domain,
-    codomain,
-    fn,
-    *,
-    witness_cap: int | None = WITNESS_CAP,
-) -> BijectionReport:
+def _verify(name: str, n: int, domain, codomain, fn) -> BijectionReport:
     """Exhaustively map ``domain`` through ``fn`` and compare against
-    ``codomain`` two-sidedly.  Discrepancies become report failures."""
+    ``codomain`` two-sidedly.  Discrepancies become report failures; a
+    report keeps at most :data:`WITNESS_CAP` witnesses and failures."""
     domain = tuple(domain)
     codomain_set = frozenset(codomain)
     witnesses: list[tuple[str, str]] = []
@@ -188,7 +182,7 @@ def _verify(
     injective = True
     for t in domain:
         image = fn(t)
-        if witness_cap is None or len(witnesses) < witness_cap:
+        if len(witnesses) < WITNESS_CAP:
             witnesses.append((t.cycle_string(), image.cycle_string()))
         previous = hit.get(image)
         if previous is not None:
@@ -208,8 +202,7 @@ def _verify(
     for pi in missed:
         failures.append(f"target member {pi.cycle_string()} is never hit")
     surjective = not missed
-    if witness_cap is not None:
-        failures = failures[:witness_cap]
+    failures = failures[:WITNESS_CAP]
     return BijectionReport(
         name=name,
         n=n,
@@ -286,7 +279,6 @@ def verify(
     p: int | None = None,
     *,
     budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
 ) -> BijectionReport:
     """Exhaustively check the bijection ``BIJECTIONS[tag]`` at size n.
 
@@ -304,13 +296,13 @@ def verify(
     grade = (entry.first, p) if entry.graded else (entry.first,)
     domain = gluing_family(entry.gluing, n, grade, budget=budget)
     codomain = family_nc(NCFamilyId(entry.nc, entry.annular_n(n), p), budget=budget)
-    return _verify(name, n, domain, codomain, entry.map, witness_cap=witness_cap)
+    return _verify(name, n, domain, codomain, entry.map)
 
 
 def _driver(tag: str) -> Callable[..., BijectionReport]:
     """The ``verify_*`` shorthand for one entry: ``(n)``, or ``(n, p)`` when graded."""
-    def driver(n, p=None, *, budget=None, witness_cap=WITNESS_CAP):
-        return verify(tag, n, p, budget=budget, witness_cap=witness_cap)
+    def driver(n, p=None, *, budget=None):
+        return verify(tag, n, p, budget=budget)
     driver.__doc__ = f"``verify({tag!r}, ...)``; see :data:`BIJECTIONS`."
     return driver
 
@@ -331,7 +323,6 @@ def verify_grades(
     n: int,
     *,
     budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
 ) -> tuple[BijectionReport, ...]:
     """``verify(tag, n, p)`` for every p in ``grades(n)``, from one grouped pass per side.
 
@@ -347,8 +338,8 @@ def verify_grades(
     codomains = nc_groups(entry.nc, entry.annular_n(n), budget=budget)
     return tuple(
         _verify(
-            f"{tag}(p={p})", n, domains.get((entry.first, p), ()), codomains.get(p, ()),
-            entry.map, witness_cap=witness_cap,
+            f"{tag}(p={p})", n,
+            domains.get((entry.first, p), ()), codomains.get(p, ()), entry.map,
         )
         for p in grades(n)
     )
@@ -362,7 +353,6 @@ def verify_lemma3(
     n: int,
     *,
     budget: EnumerationBudget | None = None,
-    witness_cap: int | None = WITNESS_CAP,
 ) -> tuple[BijectionReport, ...]:
     """Check that the half-edge reductions carry each graded bipartite
     gluing family bijectively onto the matching hypermap family.
@@ -383,7 +373,7 @@ def verify_lemma3(
         for key in sorted(domains.keys() | codomains.keys()):
             name = f"lemma3-{side}({grade}={key[0]},p={key[1]})"
             domain, codomain = domains.get(key, ()), codomains.get(key, ())
-            reports.append(_verify(name, n, domain, codomain, reduction, witness_cap=witness_cap))
+            reports.append(_verify(name, n, domain, codomain, reduction))
     return tuple(reports)
 
 

@@ -61,7 +61,7 @@ from .perms import (
     signed_ground,
     unsigned_ground,
 )
-from .streams import CapExceeded, EnumerationBudget, budget_from_environment
+from .streams import CapExceeded, EnumerationBudget
 
 __all__ = ["main", "classify_permutation", "SCHEMA_VERSION"]
 
@@ -94,8 +94,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="K",
-        help="cap every enumeration stream at K elements (overrides the "
-        "ANNULAR_MAX_ELEMENTS environment variable); exceeding it exits 1",
+        help="cap every enumeration stream at K elements; exceeding it exits 1 "
+        "(without the flag no budget applies)",
     )
 
 
@@ -186,11 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_budget(args: argparse.Namespace) -> EnumerationBudget | None:
-    if args.max_elements is not None:
-        if args.max_elements < 0:
-            raise UsageError("--max-elements must be >= 0")
-        return EnumerationBudget(args.max_elements)
-    return budget_from_environment()
+    if args.max_elements is None:
+        return None
+    if args.max_elements < 0:
+        raise UsageError("--max-elements must be >= 0")
+    return EnumerationBudget(args.max_elements)
 
 
 # ---------------------------------------------------------------------------

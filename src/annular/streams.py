@@ -23,20 +23,21 @@ and yield raw index images, for the index-space kernels in
 
 Each yields exactly the elements of the corresponding filter of
 :func:`pairings` / :func:`signed_symmetric_pairings`, in the same order,
-without visiting the rejected ones.
+without visiting the rejected ones.  Both mirror-symmetric streams read
+one expansion, :func:`_mirror_pair_images`, and differ only in the
+twists they pass it.
 
 Each stream has a documented deterministic order, an ``n``-cap guarding
 against accidental combinatorial explosions (overridable per call), and
 an optional :class:`EnumerationBudget` limiting the number of elements
-produced.
+produced; a budget is only ever passed in, never read from elsewhere.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import permutations as _iter_permutations, product as _iter_product
-from typing import Iterator
+from itertools import islice, permutations as _iter_permutations, product as _iter_product
+from typing import Callable, Iterable, Iterator
 
 from .perms import GroundSet, Pairing, Permutation, signed_ground, unsigned_ground
 
@@ -46,7 +47,6 @@ __all__ = [
     "DEFAULT_PAIRING_CAP",
     "DEFAULT_PERMUTATION_CAP",
     "DEFAULT_SIGNED_PERMUTATION_CAP",
-    "MAX_ELEMENTS_ENV_VAR",
     "pairings",
     "pairings_of",
     "signed_pairings",
@@ -56,7 +56,6 @@ __all__ = [
     "permutations",
     "signed_symmetric_permutations",
     "double_factorial",
-    "budget_from_environment",
 ]
 
 #: Largest ground-set size for which matchings are enumerated by default.
@@ -65,8 +64,6 @@ DEFAULT_PAIRING_CAP = 16
 DEFAULT_PERMUTATION_CAP = 9
 #: Largest n for the signed symmetric permutation stream.
 DEFAULT_SIGNED_PERMUTATION_CAP = 4
-
-MAX_ELEMENTS_ENV_VAR = "ANNULAR_MAX_ELEMENTS"
 
 
 class CapExceeded(RuntimeError):
@@ -92,55 +89,22 @@ class EnumerationBudget:
             raise ValueError("max_elements must be >= 0")
 
 
-def budget_from_environment() -> EnumerationBudget | None:
-    """Budget from the ANNULAR_MAX_ELEMENTS environment variable, if set."""
-    raw = os.environ.get(MAX_ELEMENTS_ENV_VAR)
-    if raw is None or raw == "":
-        return None
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{MAX_ELEMENTS_ENV_VAR} must be an integer, got {raw!r}"
-        ) from exc
-    return EnumerationBudget(limit)
-
-
-class BudgetedStream:
-    """Iterator wrapper enforcing an :class:`EnumerationBudget`."""
-
-    def __init__(self, inner: Iterator, budget: EnumerationBudget, what: str):
-        self._inner = inner
-        self._budget = budget
-        self._what = what
-        self._count = 0
-        self._done = False
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self._done:
-            raise StopIteration
-        if self._count >= self._budget.max_elements:
-            # Peek once to distinguish "exactly at the limit" from overflow.
-            self._done = True
-            next(self._inner)
-            raise CapExceeded(
-                f"{self._what} exceeded the element budget "
-                f"({self._budget.max_elements})",
-                requested=self._count + 1,
-                cap=self._budget.max_elements,
-            )
-        item = next(self._inner)
-        self._count += 1
-        return item
-
-
 def _budgeted(it: Iterator, budget: EnumerationBudget | None, what: str):
+    """``it``, raising :class:`CapExceeded` if it has more than the budget's elements."""
     if budget is None:
         return it
-    return BudgetedStream(it, budget, what)
+    limit = budget.max_elements
+
+    def within():
+        yield from islice(it, limit)
+        for _ in it:  # one element more than the budget
+            raise CapExceeded(
+                f"{what} exceeded the element budget ({limit})",
+                requested=limit + 1,
+                cap=limit,
+            )
+
+    return within()
 
 
 def _check_cap(what: str, n: int, cap: int | None, default_cap: int) -> None:
@@ -233,21 +197,25 @@ def signed_pairings(
 # signed symmetric pairings
 # ---------------------------------------------------------------------------
 
-def _signed_symmetric_pairing_images(n: int) -> Iterator[tuple[int, ...]]:
+def _mirror_pair_images(
+    n: int, twist_tuples: Callable[[list[tuple[int, int]]], Iterable]
+) -> Iterator[tuple[int, ...]]:
     """Index images of mirror-symmetric pairings of ±[n] with no (r,−r) pair.
 
-    Constructive: every such pairing is an unsigned pairing of [n]
-    together with an independent twist bit per pair.  For a pair
-    {a, b} (a < b): untwisted contributes the 2-cycles (a,−b)(−a,b),
-    twisted contributes (a,b)(−a,−b).  Order: unsigned pairings in
-    :func:`pairings` order; within one, twist tuples in lexicographic
-    order with untwisted (False) first, bits aligned with the pairs
-    sorted by smaller element.  In index space +a sits at n+a−1 and −a
-    at n−a, as in :func:`_bipartite_signed_symmetric_pairing_images`.
+    Every such pairing is an unsigned pairing of [n] together with a
+    twist bit per pair.  For a pair {a, b} (a < b): untwisted
+    contributes the 2-cycles (a,−b)(−a,b), twisted contributes
+    (a,b)(−a,−b).  ``twist_tuples(pairs)`` gives the twist tuples to
+    expand for one unsigned pairing, bits aligned with its index pairs
+    (i, j), i < j, sorted by i.  Order: unsigned pairings in
+    :func:`pairings` order; within one, ``twist_tuples`` order.  In
+    index space +a sits at n+a−1 and −a at n−a, so the pair (i, j)
+    becomes (n+i, n−1−j)(n−1−i, n+j) untwisted and (n+i, n+j)(n−1−i,
+    n−1−j) twisted.
     """
     for img in _pairing_images(n):
         pairs = [(i, j) for i, j in enumerate(img) if i < j]
-        for twists in _iter_product((False, True), repeat=len(pairs)):
+        for twists in twist_tuples(pairs):
             out = [-1] * (2 * n)
             for (i, j), twisted in zip(pairs, twists):
                 if twisted:
@@ -269,14 +237,18 @@ def signed_symmetric_pairings(
 
     Exactly the pairings that commute with the mirror involution
     τ₀ = (1,−1)···(n,−n) and contain no (r,−r) pair; empty for odd n.
+    Order: unsigned pairings in :func:`pairings` order; within one,
+    twist tuples in lexicographic order with untwisted (False) first,
+    bits aligned with the pairs sorted by smaller element.
     """
     _check_cap(
         "signed symmetric pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP
     )
     ground = signed_ground(n)
-    inner = (
-        Pairing._make(ground, img) for img in _signed_symmetric_pairing_images(n)
+    images = _mirror_pair_images(
+        n, lambda pairs: _iter_product((False, True), repeat=len(pairs))
     )
+    inner = (Pairing._make(ground, img) for img in images)
     return _budgeted(inner, budget, f"signed symmetric pairings of ±[{n}]")
 
 
@@ -302,30 +274,6 @@ def bipartite_pairing_images(
     return _budgeted(_pairing_images(n, 2), budget, f"bipartite pairings of [{n}]")
 
 
-def _bipartite_signed_symmetric_pairing_images(n: int) -> Iterator[tuple[int, ...]]:
-    """Mirror-symmetric pairings of ±[n] preserving B(n/2), as index images.
-
-    A pair {a, b} of an unsigned pairing keeps the black set B =
-    odd positives ∪ even negatives only with one twist: untwisted,
-    (a,−b)(−a,b), when a and b differ in parity, and twisted,
-    (a,b)(−a,−b), when they agree.  In index space +a sits at n+a−1 and
-    −a at n−a, so the unsigned pair of indices (i, j) becomes the pairs
-    (n+i, n−1−j)(n−1−i, n+j) or (n+i, n+j)(n−1−i, n−1−j).
-    """
-    for img in _pairing_images(n):
-        out = [-1] * (2 * n)
-        for i, j in enumerate(img):
-            if i > j:
-                continue
-            if (j - i) % 2:
-                x, y, z, w = n + i, n - 1 - j, n - 1 - i, n + j
-            else:
-                x, y, z, w = n + i, n + j, n - 1 - i, n - 1 - j
-            out[x], out[y] = y, x
-            out[z], out[w] = w, z
-        yield tuple(out)
-
-
 def bipartite_signed_symmetric_pairing_images(
     n: int,
     *,
@@ -335,10 +283,11 @@ def bipartite_signed_symmetric_pairing_images(
     """Index images of the (n−1)!! bipartite mirror-symmetric pairings of ±[n].
 
     Exactly the images of ``t in signed_symmetric_pairings(n) if
-    is_bipartite_signed_pairing(t)``, in the same order: each pair's
-    twist is forced by the parity of its labels, so there is one element
-    per unsigned pairing of [n], in :func:`pairings` order (empty for
-    odd n).  The cap applies to the ground size 2n, as for
+    is_bipartite_signed_pairing(t)``, in the same order: a pair keeps
+    the black set B = odd positives ∪ even negatives only when it is
+    twisted exactly if its labels agree in parity, so there is one
+    element per unsigned pairing of [n], in :func:`pairings` order
+    (empty for odd n).  The cap applies to the ground size 2n, as for
     :func:`signed_symmetric_pairings`; a budget counts the elements built.
     """
     _check_cap(
@@ -347,11 +296,9 @@ def bipartite_signed_symmetric_pairing_images(
         cap,
         DEFAULT_PAIRING_CAP,
     )
-    return _budgeted(
-        _bipartite_signed_symmetric_pairing_images(n),
-        budget,
-        f"bipartite signed symmetric pairings of ±[{n}]",
-    )
+    # one twist tuple: twisted exactly where the labels agree in parity
+    images = _mirror_pair_images(n, lambda pairs: ([(j - i) % 2 == 0 for i, j in pairs],))
+    return _budgeted(images, budget, f"bipartite signed symmetric pairings of ±[{n}]")
 
 
 # ---------------------------------------------------------------------------

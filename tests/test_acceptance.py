@@ -342,10 +342,10 @@ def _random_frame(rng: random.Random, n: int, signed: bool):
 def test_criterion_12_odd_moments_vanish_and_defect_is_even():
     for n in (1, 3, 5, 7, 9):
         for ensemble in ("GUE", "GOE"):
-            assert wick_moment(ensemble, n).is_zero, (
+            assert wick_moment(ensemble, n).is_zero(), (
                 f"criterion 12: FAIL — {ensemble} m{n} nonzero"
             )
-            assert genus_expansion_moment(ensemble, n).is_zero, (
+            assert genus_expansion_moment(ensemble, n).is_zero(), (
                 f"criterion 12: FAIL — {ensemble} m{n} nonzero (genus expansion)"
             )
     rng = random.Random(20260815)

@@ -5,6 +5,7 @@ import pytest
 import annular.maps
 from annular.bijections import (
     BIJECTIONS,
+    WITNESS_CAP,
     BijectionReport,
     conjecture_table,
     phi1,
@@ -23,7 +24,7 @@ from annular.bijections import (
 from annular.maps import GLUINGS, family_b, family_b_tilde_counts, gluing_groups
 from annular.noncrossing import NONCROSSING
 from annular.perms import Pairing, parse_cycles, signed_ground, unsigned_ground
-from annular.streams import CapExceeded, EnumerationBudget
+from annular.streams import CapExceeded, EnumerationBudget, permutations
 
 from oracles import ref_family_b_hat_counts, ref_narayana
 
@@ -248,11 +249,16 @@ def test_report_failure_paths_are_recorded():
 
 
 def test_report_witness_cap():
-    report = verify_phi1(6, witness_cap=3)
-    assert len(report.witnesses) == 3
-    assert report.domain_size == 22
-    full = verify_phi1(6, witness_cap=None)
-    assert len(full.witnesses) == 22
+    # the cap binds once a family outgrows it: 420 torus pairings of [10]
+    report = verify("torus-eq", 10)
+    assert WITNESS_CAP == 100
+    assert (report.domain_size, len(report.witnesses)) == (420, WITNESS_CAP)
+    assert report.verified
+    # below the cap every domain element is a witness
+    assert len(verify_phi1(6).witnesses) == 22
+    # failures are capped alike: 120 images outside an empty target
+    off_target = _verify("x", 5, permutations(5), (), lambda t: t)
+    assert len(off_target.failures) == WITNESS_CAP
 
 
 def test_report_determinism_and_payload():

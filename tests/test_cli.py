@@ -144,19 +144,6 @@ def test_enumerate_cap_exit_and_payload(capsys):
     assert error["cap"] == 10
 
 
-def test_environment_cap_and_flag_priority(capsys, monkeypatch):
-    monkeypatch.setenv("ANNULAR_MAX_ELEMENTS", "10")
-    code, _, _, _ = run(capsys, "enumerate", "--family", "a", "--n", "8", "--genus", "0")
-    assert code == 1
-    code, rec, _, _ = run(
-        capsys,
-        "enumerate", "--family", "a", "--n", "8", "--genus", "0",
-        "--max-elements", "200",
-    )
-    assert code == 0
-    assert rec["result"]["count"] == 14  # planar pairings of [8]
-
-
 # -- verify -----------------------------------------------------------------
 
 def test_verify_torus_equality(capsys):
@@ -218,7 +205,6 @@ SOURCE_STREAMS = (
 @pytest.fixture
 def stream_calls(monkeypatch):
     """Calls of the source streams each side binds, by side: maps, noncrossing."""
-    monkeypatch.delenv("ANNULAR_MAX_ELEMENTS", raising=False)
     calls = {"maps": 0, "noncrossing": 0}
     for module in (annular.maps, annular.noncrossing):
         side = module.__name__.rpartition(".")[2]

@@ -189,6 +189,25 @@ def test_routes_do_not_import_each_other():
     }
 
 
+def test_no_module_reads_the_environment():
+    # a budget or any other setting arrives as an argument or a CLI flag
+    for path in sorted(Path(annular.frames.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads = [
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+        ]
+        reads += [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "os"
+            for alias in node.names
+            if alias.name in ("environ", "getenv")
+        ]
+        assert reads == [], f"{path.name} reads the environment"
+
+
 def test_frames_are_cached():
     assert tau2(6) is tau2(6)
     assert annulus_cycle(6) is annulus_cycle(6)

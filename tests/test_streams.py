@@ -10,7 +10,6 @@ from annular.perms import Pairing, signed_ground, unsigned_ground
 from annular.streams import (
     CapExceeded,
     EnumerationBudget,
-    BudgetedStream,
     bipartite_pairing_images,
     bipartite_signed_symmetric_pairing_images,
     double_factorial,
@@ -70,7 +69,7 @@ def test_signed_symmetric_pairings_n2_order():
     assert got == ["(-2,1)(-1,2)", "(-2,-1)(1,2)"]
 
 
-@pytest.mark.parametrize("n", range(0, 9, 2))
+@pytest.mark.parametrize("n", range(0, 11, 2))
 def test_signed_symmetric_pairings_documented_order(n):
     # unsigned pairings in `pairings` order; within one, twist tuples in
     # lexicographic order, untwisted first, one bit per pair by smaller label
@@ -83,7 +82,7 @@ def test_signed_symmetric_pairings_documented_order(n):
             for (a, b), twisted in zip(pairs, twists):
                 cycles += [(a, b), (-a, -b)] if twisted else [(a, -b), (-a, b)]
             want.append(Pairing.from_pairs(ground, cycles))
-    assert list(signed_symmetric_pairings(n)) == want
+    assert list(signed_symmetric_pairings(n, cap=20)) == want
 
 
 def test_signed_symmetric_pairings_counts():
@@ -120,13 +119,23 @@ def test_bipartite_pairing_images_equal_filtered_stream_in_order(n):
 
 @pytest.mark.parametrize("m", range(0, 6))
 def test_forced_twist_stream_equals_filtered_stream_in_order(m):
+    # one element per unsigned pairing in `pairings` order, each pair
+    # twisted exactly when its labels agree in parity, built in label
+    # space apart from the expansion the stream shares with
+    # signed_symmetric_pairings
+    ground = signed_ground(2 * m)
+    want = []
+    for base in pairings(2 * m):
+        cycles = []
+        for a, b in base.pairs():
+            cycles += [(a, b), (-a, -b)] if a % 2 == b % 2 else [(a, -b), (-a, b)]
+        want.append(Pairing.from_pairs(ground, cycles))
     filtered = [
-        t.image
-        for t in signed_symmetric_pairings(2 * m, cap=20)
-        if is_bipartite_signed_pairing(t)
+        t for t in signed_symmetric_pairings(2 * m, cap=20) if is_bipartite_signed_pairing(t)
     ]
+    assert filtered == want
     built = list(bipartite_signed_symmetric_pairing_images(2 * m, cap=20))
-    assert built == filtered
+    assert built == [t.image for t in want]
     assert len(built) == double_factorial(2 * m - 1)
 
 
@@ -212,8 +221,29 @@ def test_budget_overflow_raises():
     # a budget equal to the stream length is not an overflow
     budget = EnumerationBudget(3)
     stream = pairings(4, budget=budget)
-    assert isinstance(stream, BudgetedStream)
     assert len(list(stream)) == 3
+
+
+@pytest.mark.parametrize(
+    "stream, size, what",
+    [
+        (lambda budget: pairings(6, budget=budget), 15, "pairings of GroundSet([6])"),
+        (
+            lambda budget: bipartite_pairing_images(6, budget=budget),
+            6,
+            "bipartite pairings of [6]",
+        ),
+    ],
+    ids=["pairings", "bipartite_pairing_images"],
+)
+def test_budget_overflow_contract(stream, size, what):
+    # every budget K below the stream length: requested K + 1, cap K
+    for k in range(size):
+        with pytest.raises(CapExceeded) as info:
+            list(stream(EnumerationBudget(k)))
+        assert (info.value.requested, info.value.cap) == (k + 1, k)
+        assert str(info.value) == f"{what} exceeded the element budget ({k})"
+    assert len(list(stream(EnumerationBudget(size)))) == size
 
 
 def test_budget_validation():
