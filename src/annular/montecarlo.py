@@ -1,20 +1,52 @@
-"""Monte Carlo estimation of 𝔼 Tr Mⁿ by direct matrix sampling.
+"""Monte Carlo estimation of 𝔼 Tr Mⁿ by matrix sampling.
 
-This is the third, fully independent computation of the moments: draw
-Ginibre matrices, symmetrize (Gaussian cases) or square up (Laguerre
-cases), and average the trace of the n-th power.
+This is the third, fully independent computation of the moments.
+``mc_moment`` draws the Dumitriu–Edelman models (I. Dumitriu and
+A. Edelman, "Matrix models for beta ensembles", J. Math. Phys. 43,
+2002): a symmetric tridiagonal T with the Hermite law, or W = BBᵀ with
+B lower bidiagonal for the Laguerre law.  Their eigenvalues have exactly
+the law of the dense matrices, and Tr Mⁿ depends on the eigenvalues
+alone, so every sample's trace has the distribution of the literal
+route: draw Ginibre matrices, symmetrize (Gaussian cases) or square up
+(Laguerre cases), and take the trace of the n-th matrix power.  The
+models need about 2N variates per sample instead of 2N² or 2MN, and
+Tr Tⁿ comes from a banded power of T (``_band_trace_power``).  The
+literal route stays as a private reference (``_dense_traces``) that the
+tests run through the same block loop.
+
+Entry variances follow the ensemble definitions: every real Gaussian
+component of the dense matrices has variance 1/2, so complex entries
+have total variance 1, and β = 2 (complex) or 1 (real).  The
+tridiagonal models carry the same scale:
+
+* Hermite, N×N: diagonal √½·z, off-diagonal ½·χ_{β(N−k)} for
+  k = 1..N−1 (the norm of the N−k entries that one Householder step of
+  the dense matrix folds into one, each component of variance ¼).
+* Laguerre: with n = min(N, M) and m = max(N, M), B is n×n with
+  diagonal √½·χ_{β(m−k)} for k = 0..n−1 and sub-diagonal √½·χ_{βk} for
+  k = n−1..1.  For M < N the N×N matrix G†G has rank M and the nonzero
+  spectrum of GG†, so Tr (G†G)ⁿ = Tr (GG†)ⁿ for n ≥ 1 and both orders of
+  N and M reduce to the n×n model.
 
 Reproducibility contract: samples are partitioned into fixed blocks of
 ``BLOCK_SIZE``; block ``b`` of a run with seed ``s`` uses the
 counter-based Philox generator keyed by the pair (s, b), so the estimate
 depends only on (seed, samples) — never on scheduling or worker count.
 Normal variates come from numpy's ziggurat implementation
-(``Generator.standard_normal``); for complex matrices the real parts of
-a block are drawn before the imaginary parts.  The variance merges
-per-block (count, mean, M2) summaries, so a large mean cannot cancel it.
+(``Generator.standard_normal``); a χ_k variate is √(2·Gamma(k/2)), with
+the gamma variate from ``Generator.standard_gamma``.  Within a block of
+``size`` samples the draw order is:
 
-Entry variances follow the ensemble definitions: every real Gaussian
-component has variance 1/2, so complex entries have total variance 1.
+* Hermite: the (size, N) diagonal normals, then the (size, N−1) gamma
+  variates of the off-diagonal, row-major;
+* Laguerre: the (size, n) gamma variates of B's diagonal, then the
+  (size, n−1) ones of its sub-diagonal, each row-major;
+* the dense reference: the Ginibre entries as one (size, N, N) or
+  (size, M, N) array, row-major; for complex matrices all real parts
+  before all imaginary parts.
+
+The variance merges per-block (count, mean, M2) summaries, so a large
+mean cannot cancel it.
 """
 
 from __future__ import annotations
@@ -30,7 +62,10 @@ __all__ = ["BLOCK_SIZE", "GENERATOR_NAME", "McEstimate", "mc_moment"]
 
 BLOCK_SIZE = 8192
 
-GENERATOR_NAME = "philox-counter(key=[seed,block]) + ziggurat normals"
+GENERATOR_NAME = (
+    "tridiagonal Dumitriu-Edelman models, banded trace; "
+    "philox-counter(key=[seed,block]) + ziggurat normals + gamma"
+)
 
 _ROOT_HALF = math.sqrt(0.5)
 
@@ -87,6 +122,75 @@ def _trace_power(matrices: np.ndarray, n: int) -> np.ndarray:
     return traces.real if np.iscomplexobj(traces) else traces
 
 
+def _dense_traces(rng, ensemble: Ensemble, n: int, N: int, M, size: int) -> np.ndarray:
+    draw = _draw_complex if ensemble.is_complex else _draw_real
+    if ensemble.is_gaussian:
+        g = draw(rng, (size, N, N))
+        matrices = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
+    else:
+        g = draw(rng, (size, M, N))
+        matrices = np.conj(np.transpose(g, (0, 2, 1))) @ g
+    return _trace_power(matrices, n)
+
+
+def _draw_tridiagonal(rng, ensemble: Ensemble, N: int, M, size: int):
+    """The (diagonal, off-diagonal) of ``size`` tridiagonal models, in draw order.
+
+    χ_k is drawn as √(2·Gamma(k/2)), so ½·χ_k = √(Gamma(k/2)/2) and
+    √½·χ_k = √Gamma(k/2).
+    """
+    half_beta = 1.0 if ensemble.is_complex else 0.5
+    if ensemble.is_gaussian:
+        diagonal = rng.standard_normal((size, N)) * _ROOT_HALF
+        gamma = rng.standard_gamma(half_beta * np.arange(N - 1, 0, -1.0), (size, N - 1))
+        return diagonal, np.sqrt(0.5 * gamma)
+    n, m = min(N, M), max(N, M)
+    d = np.sqrt(rng.standard_gamma(half_beta * np.arange(m, m - n, -1.0), (size, n)))
+    e = np.sqrt(rng.standard_gamma(half_beta * np.arange(n - 1, 0, -1.0), (size, n - 1)))
+    # BBᵀ for B with diagonal d and sub-diagonal e (B[k+1, k] = e[k]).
+    diagonal = d * d
+    diagonal[:, 1:] += e * e
+    return diagonal, d[:, :-1] * e
+
+
+def _band_trace_power(diagonal: np.ndarray, off: np.ndarray, n: int) -> np.ndarray:
+    """Tr Tⁿ for each symmetric tridiagonal T of a batch: O(N·n) memory, O(N·n²) work.
+
+    ``diagonal`` is (batch, N) and ``off`` (batch, N−1) holds T[k, k+1].
+    T^k is kept as its diagonals d = 0..k, band[d, j] = T^k[j − d, j];
+    the lower ones are their mirror images, since T^k is symmetric.
+    Multiplying by T on the right gives T^{k+1}[j − d, j] = T^k[j − d, j]·T[j, j]
+    + T^k[j − d, j − 1]·T[j − 1, j] + T^k[j − d, j + 1]·T[j + 1, j].  With
+    h = ⌊n/2⌋, Tr T^{2h} = ‖T^h‖²_F and Tr T^{2h+1} = ⟨T^h, T^{h+1}⟩.
+    """
+    batch, N = diagonal.shape
+    half, top = n // 2, n // 2 + n % 2
+    # Row r holds diagonal d = r − 1, so row 0 is the mirror of d = 1;
+    # column j + 1 holds column j, and the padding row and columns stay 0.
+    # The batch is the last axis so that every slice is contiguous in it.
+    bands = np.zeros((2, top + 3, N + 2, batch))
+    bands[0, 1, 1:N + 1] = 1.0
+    pad = np.zeros((N + 1, batch))
+    pad[1:N] = off.T
+    diagonal, left, right = diagonal.T, pad[:N], pad[1:]
+    scratch = np.empty((top + 1, N, batch))
+    for k in range(1, top + 1):  # T^{k−1} → T^k, which has k + 1 diagonals
+        src, dst = bands[(k - 1) % 2], bands[k % 2]
+        inner, term = dst[1:k + 2, 1:N + 1], scratch[:k + 1]
+        np.multiply(src[1:k + 2, 1:N + 1], diagonal, out=inner)
+        np.multiply(src[:k + 1, :N], left, out=term)
+        inner += term
+        np.multiply(src[2:k + 3, 2:], right, out=term)
+        inner += term
+        dst[0, 1:N + 1] = dst[2, 2:]
+    a, b = bands[half % 2], bands[top % 2]
+    return 2 * np.einsum("djb,djb->b", a[2:], b[2:]) + np.einsum("jb,jb->b", a[1], b[1])
+
+
+def _tridiagonal_traces(rng, ensemble: Ensemble, n: int, N: int, M, size: int) -> np.ndarray:
+    return _band_trace_power(*_draw_tridiagonal(rng, ensemble, N, M, size), n)
+
+
 def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
     """Chan's merge of two (count, mean, M2 = Σ squared deviations) summaries."""
     (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
@@ -105,9 +209,19 @@ def mc_moment(
 ) -> McEstimate:
     """Estimate 𝔼 Tr Mⁿ from ``samples`` independent matrix draws.
 
-    Gaussian cases build H = (G + G*)/2 from an N×N Ginibre matrix;
-    Laguerre cases build W = G*G from an M×N one.  Deterministic for a
-    given (seed, samples) pair regardless of execution order.
+    Each sample is a Dumitriu–Edelman model with the eigenvalue law of
+    H = (G + G*)/2 for an N×N Ginibre matrix G (Gaussian cases) or of
+    W = G*G for an M×N one (Laguerre cases).  Deterministic for a given
+    (seed, samples) regardless of execution order.
+    """
+    return _estimate(_tridiagonal_traces, ensemble, n, N, M, samples=samples, seed=seed)
+
+
+def _estimate(block_traces, ensemble, n, N, M, *, samples, seed) -> McEstimate:
+    """``mc_moment`` with the per-block trace sampler as a parameter.
+
+    ``block_traces(rng, ensemble, n, N, M, size)`` returns one block's
+    traces; ``_dense_traces`` gives the literal route's estimates.
     """
     ensemble = Ensemble.parse(ensemble)
     if n < 1:
@@ -132,16 +246,7 @@ def mc_moment(
     block_index = 0
     while done < samples:
         size = min(BLOCK_SIZE, samples - done)
-        rng = _block_rng(seed, block_index)
-        if ensemble.is_gaussian:
-            draw = _draw_complex if ensemble.is_complex else _draw_real
-            g = draw(rng, (size, N, N))
-            matrices = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
-        else:
-            draw = _draw_complex if ensemble.is_complex else _draw_real
-            g = draw(rng, (size, M, N))
-            matrices = np.conj(np.transpose(g, (0, 2, 1))) @ g
-        traces = _trace_power(matrices, n)
+        traces = block_traces(_block_rng(seed, block_index), ensemble, n, N, M, size)
         total += float(traces.sum())
         block_mean = float(traces.mean())
         deviations = traces - block_mean

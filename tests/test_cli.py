@@ -21,6 +21,7 @@ from annular.maps import (
     family_b_hat,
     family_b_tilde,
 )
+from annular.montecarlo import GENERATOR_NAME, mc_moment
 from annular.noncrossing import NONCROSSING, NCFamilyId, family_nc
 from annular.perms import Permutation, conjugate, inverse, signed_ground
 from annular.streams import permutations, signed_symmetric_permutations
@@ -333,7 +334,8 @@ def test_moment_mc_payload_and_reproducibility(capsys):
     mc = first["result"]["mc"]
     assert mc["samples"] == 2000
     assert mc["seed"] == 7
-    assert "generator" in mc
+    assert mc["generator"] == GENERATOR_NAME
+    assert mc["mean"] == mc_moment("LOE", 2, 4, 8, samples=2000, seed=7).mean
     assert math.isfinite(mc["z_score"])
     code, second, _, _ = run(capsys, *argv)
     assert code == 0

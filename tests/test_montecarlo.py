@@ -2,12 +2,48 @@
 
 import math
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from annular import montecarlo as mc
 from annular.moments import wick_moment
 from annular.montecarlo import BLOCK_SIZE, McEstimate, mc_moment
+
+#: Dense-route estimates recorded while it was ``mc_moment``'s sampler,
+#: as (ensemble, n, N, M, samples, seed, mean, std_error).
+DENSE_PINS = (
+    ("GUE", 3, 3, None, 8193, 5, 0.06687310561161774, 0.07073971071734698),
+    ("GOE", 4, 4, None, 8193, 2026, 14.371007917263936, 0.15104762214101206),
+    ("LUE", 3, 3, 5, 8193, 11, 1188.3879796549973, 11.742742625534419),
+    ("LOE", 2, 4, 2, 8193, 7, 13.819833292636266, 0.16223463949448316),
+    ("GUE", 2, 1, None, 300, 0, 0.47264763840308605, 0.0391008291681587),
+    ("LOE", 5, 2, 3, 16401, 1099511627779, 1282.70173832187, 67.1558842617479),
+)
+
+
+def _exact(ensemble, n, N, M=None) -> float:
+    c = Fraction(M, N) if M is not None else Fraction(1)
+    return float(wick_moment(ensemble, n).evaluate(N, c))
+
+
+def _dense(ensemble, n, N, M=None, *, samples, seed):
+    """The literal route's estimate: Ginibre matrices through the same block loop."""
+    return mc._estimate(mc._dense_traces, ensemble, n, N, M, samples=samples, seed=seed)
+
+
+def _tridiagonal(diagonal, off):
+    """The dense symmetric tridiagonal matrices of a batch."""
+    batch, N = diagonal.shape
+    t = np.zeros((batch, N, N))
+    i = np.arange(N)
+    t[:, i, i] = diagonal
+    t[:, i[:-1], i[1:]] = off
+    t[:, i[1:], i[:-1]] = off
+    return t
 
 
 def test_deterministic_for_fixed_seed():
@@ -30,19 +66,21 @@ def test_estimate_fields():
 
 
 def test_gaussian_estimates_near_exact():
-    for ens, n in (("GUE", 2), ("GUE", 4), ("GOE", 2), ("GOE", 4)):
-        exact = float(wick_moment(ens, n).evaluate(5))
-        est = mc_moment(ens, n, 5, samples=20_000, seed=42)
-        assert abs(est.mean - exact) <= 5 * est.std_error
+    for ens in ("GUE", "GOE"):
+        for n, N in ((2, 5), (3, 5), (4, 5), (5, 4), (2, 1), (3, 1), (4, 1)):
+            est = mc_moment(ens, n, N, samples=20_000, seed=42)
+            assert abs(est.mean - _exact(ens, n, N)) <= 5 * est.std_error, (ens, n, N)
 
 
 def test_laguerre_estimates_near_exact():
-    from fractions import Fraction
-
-    for ens, n, N, M in (("LUE", 1, 4, 8), ("LUE", 2, 4, 8), ("LOE", 2, 4, 8)):
-        exact = float(wick_moment(ens, n).evaluate(N, Fraction(M, N)))
-        est = mc_moment(ens, n, N, M, samples=20_000, seed=7)
-        assert abs(est.mean - exact) <= 5 * est.std_error
+    # M > N, M = N, M < N and N = 1 all reduce to the min(N, M) model.
+    shapes = ((4, 8), (4, 4), (5, 3), (1, 1), (1, 3), (3, 1))
+    for ens in ("LUE", "LOE"):
+        for N, M in shapes:
+            for n in (1, 2, 3, 4):
+                est = mc_moment(ens, n, N, M, samples=20_000, seed=7)
+                exact = _exact(ens, n, N, M)
+                assert abs(est.mean - exact) <= 5 * est.std_error, (ens, n, N, M)
 
 
 def test_block_partition_contract():
@@ -50,14 +88,96 @@ def test_block_partition_contract():
     # fixed block layout: extending a run appends block 1 without
     # altering block 0's contribution.
     seed, N, extra_n = 11, 3, 500
-    small = mc_moment("GOE", 2, N, samples=BLOCK_SIZE, seed=seed)
-    big = mc_moment("GOE", 2, N, samples=BLOCK_SIZE + extra_n, seed=seed)
+    small = _dense("GOE", 2, N, samples=BLOCK_SIZE, seed=seed)
+    big = _dense("GOE", 2, N, samples=BLOCK_SIZE + extra_n, seed=seed)
     rng = mc._block_rng(seed, 1)
     g = mc._draw_real(rng, (extra_n, N, N))
     h = 0.5 * (g + np.transpose(g, (0, 2, 1)))
     extra = mc._trace_power(h, 2)
     reconstructed = (small.mean * BLOCK_SIZE + extra.sum()) / (BLOCK_SIZE + extra_n)
     assert math.isclose(reconstructed, big.mean, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "ensemble, N, M", [("GOE", 3, None), ("GUE", 4, None), ("LOE", 3, 5), ("LUE", 4, 2)]
+)
+def test_block_partition_contract_tridiagonal(ensemble, N, M):
+    # The tridiagonal sampler's documented draw order, rebuilt by hand:
+    # block 1 of the longer run is the appended block.
+    seed, n, extra_n = 11, 3, 500
+    small = mc_moment(ensemble, n, N, M, samples=BLOCK_SIZE, seed=seed)
+    big = mc_moment(ensemble, n, N, M, samples=BLOCK_SIZE + extra_n, seed=seed)
+    rng = mc._block_rng(seed, 1)
+    half_beta = 1.0 if ensemble in ("GUE", "LUE") else 0.5
+
+    def chi(start, stop):  # χ_{βk} for k = start, start − 1, ..., stop + 1
+        k = np.arange(start, stop, -1.0)
+        return np.sqrt(2 * rng.standard_gamma(half_beta * k, (extra_n, k.size)))
+
+    if M is None:
+        diagonal = rng.standard_normal((extra_n, N)) * math.sqrt(0.5)
+        t = _tridiagonal(diagonal, 0.5 * chi(N - 1, 0))
+    else:
+        k, m = min(N, M), max(N, M)
+        chi_diagonal, chi_sub = chi(m, m - k), chi(k - 1, 0)
+        b = np.zeros((extra_n, k, k))
+        i = np.arange(k)
+        b[:, i, i] = math.sqrt(0.5) * chi_diagonal
+        b[:, i[1:], i[:-1]] = math.sqrt(0.5) * chi_sub
+        t = b @ np.transpose(b, (0, 2, 1))
+    extra = mc._trace_power(t, n)
+    reconstructed = (small.mean * BLOCK_SIZE + extra.sum()) / (BLOCK_SIZE + extra_n)
+    assert math.isclose(reconstructed, big.mean, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("pin", DENSE_PINS)
+def test_dense_route_reproduces_recorded_estimates(pin):
+    ensemble, n, N, M, samples, seed, mean, std_error = pin
+    est = _dense(ensemble, n, N, M, samples=samples, seed=seed)
+    assert (est.mean, est.std_error) == (mean, std_error)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda N: st.tuples(
+            arrays(np.float64, (3, N), elements=st.floats(-4, 4)),
+            arrays(np.float64, (3, N - 1), elements=st.floats(-4, 4)),
+        )
+    ),
+    st.integers(1, 9),
+)
+def test_band_trace_power_matches_dense_power(matrices, n):
+    diagonal, off = matrices
+    t = _tridiagonal(diagonal, off)
+    band = mc._band_trace_power(diagonal, off, n)
+    dense = mc._trace_power(t, n)
+    # Both sum the same closed walks in different orders; bound the
+    # rounding by the sum of their absolute weights.
+    scale = mc._trace_power(np.abs(t), n)
+    assert np.all(np.abs(band - dense) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "ensemble, n, N, M",
+    [("GUE", 3, 3, None), ("GOE", 4, 3, None), ("LUE", 3, 3, 5), ("LOE", 2, 4, 2)],
+)
+def test_dense_route_and_mc_moment_agree(ensemble, n, N, M):
+    # Two independent samples of one law: the difference of the means
+    # has standard error √(se₁² + se₂²).
+    dense = _dense(ensemble, n, N, M, samples=20_000, seed=3)
+    tri = mc_moment(ensemble, n, N, M, samples=20_000, seed=4)
+    assert abs(dense.mean - tri.mean) <= 5 * math.hypot(dense.std_error, tri.std_error)
+
+
+@pytest.mark.parametrize(
+    "ensemble, n, N, M",
+    [("GUE", 4, 10, None), ("GOE", 4, 10, None), ("LUE", 2, 10, 20), ("LOE", 2, 10, 20)],
+)
+def test_dense_route_at_acceptance_scale(ensemble, n, N, M):
+    # The literal route at criterion 11's configurations, seed and size.
+    est = _dense(ensemble, n, N, M, samples=100_000, seed=2026)
+    assert abs(est.mean - _exact(ensemble, n, N, M)) <= 4 * est.std_error
 
 
 def test_variance_merge_survives_a_large_mean():
