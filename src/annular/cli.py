@@ -39,6 +39,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .bijections import BIJECTIONS, conjecture_table, grades, verify, verify_grades, verify_lemma3
 from .frames import tau0
@@ -99,6 +100,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annular",
@@ -496,9 +498,8 @@ def _emit(record: dict, csv_rows: list | None, stdout) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage, 0 on --help
         return int(exc.code or 0)
 

@@ -54,7 +54,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import Callable, Iterator
 
 from .frames import (
@@ -84,6 +83,7 @@ from .perms import (
 )
 from .streams import (
     EnumerationBudget,
+    _images,
     bipartite_pairing_images,
     bipartite_signed_symmetric_pairing_images,
     pairings,
@@ -287,10 +287,6 @@ def nonorientable_white_grade(tau1: Pairing) -> int:
 # Each family is a source stream of index images and one key kernel
 # mapping an image to its grade tuple (None: in no family of the tag).
 # ---------------------------------------------------------------------------
-
-#: The index images of a stream of permutations.
-_images = partial(map, attrgetter("image"))
-
 
 def _b_key(img: tuple[int, ...]) -> tuple[int] | None:
     return (_euler_genus(img),) if _has_twist(img, len(img) // 2) else None

@@ -101,7 +101,7 @@ class McEstimate:
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, block_index]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, block_index], np.uint64)))
 
 
 def _draw_real(rng: np.random.Generator, shape) -> np.ndarray:

@@ -54,19 +54,19 @@ members and measure grades against the canonical disk/annulus frames,
 exactly as the displayed conditions state.
 
 Each family is defined once, as one entry of :data:`NONCROSSING`: its
-CLI tag, its source stream (the permutations or pairings of [n], or the
-δ-symmetric ones of ±[n]), its cut (none, torus or Klein) and anchor
-(π, or π⁻¹ for the hypermap unions), its grade kernel, and whether it
-needs an even n.  :class:`NCFamilyId`, the CLI's ``enumerate`` and
-``classify`` and the test below all read that entry.  A member passes
-one test on one element: the source conditions, the grade its kernel
-reads, and the non-crossing condition.  For a union tag the anchor
-fixes v from u, so each u names at most one cut, and only a cut that
-passes the head condition has its frame built.  :func:`member_witnesses`
-applies the test to any permutation.  :func:`nc_groups` runs the source
-stream through it once for every grade, keying each member by the grade
-its entry's kernel reads; :func:`family_nc` is the same pass at one
-grade, which skips an element of another grade before building a frame.
+CLI tag, the stream of index images that builds it, its cut (none,
+torus or Klein) and anchor (π, or π⁻¹ for the hypermap unions), its
+grade kernel, and whether it needs an even n.  The bipartite tags read
+the colour-class streams of :mod:`annular.streams`, which build only
+the pairings joining the two classes.  :class:`NCFamilyId`, the CLI's
+``enumerate`` and ``classify`` and the test below all read that entry.
+A member passes one test on one element: the source conditions, the
+grade its kernel reads, and the non-crossing condition.
+:func:`member_witnesses` applies the test to any permutation.
+:func:`nc_groups` runs the source stream through it once for every
+grade; :func:`family_nc` is the same pass at one grade, which skips an
+element of another grade before building a frame.  Only the kept
+images become members.
 
 The test reads only the element's index image.  One kernel decides
 "non-crossing with respect to γ" from three cycle counts against the
@@ -82,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from .frames import (
     annulus_cycle,
@@ -96,6 +96,7 @@ from .frames import (
 )
 from .perms import (
     GroundSet,
+    Pairing,
     Permutation,
     _coloured_cycle_count,
     _cycle_count,
@@ -108,10 +109,13 @@ from .perms import (
 )
 from .streams import (
     EnumerationBudget,
+    _images,
+    bipartite_pairing_images,
     pairings,
     permutations,
     signed_symmetric_pairings,
     signed_symmetric_permutations,
+    white_to_black_pairing_images,
 )
 
 __all__ = [
@@ -223,16 +227,17 @@ _black_grade = partial(_colour_grade, signed=True)
 class NCEntry:
     """One non-crossing family: its CLI tag, source stream, cut and grade.
 
-    The source is the permutations (or, with ``pairs``, the pairings) of
-    [n], or their δ-symmetric forms on ±[n] when ``signed``.  ``cut`` is
-    None for the disk/annulus frame, else ``"torus"`` or ``"klein"``: a
-    union over the cuts (u, v), anchored on π, or on π⁻¹ when
-    ``hypermap``.  ``grade`` maps an image to its grade p (None: in no
-    grade); it is None for an ungraded family.  ``even_n`` families
-    exist only for even n.
+    ``source(n, budget)`` yields index images of permutations (or, with
+    ``pairs``, pairings) of [n], or of δ-symmetric ones of ±[n] when
+    ``signed``.  ``cut`` is None for the disk/annulus frame, else
+    ``"torus"`` or ``"klein"``: a union over the cuts (u, v), anchored
+    on π, or on π⁻¹ when ``hypermap``.  ``grade`` maps an image to its
+    grade p (None: in no grade); it is None for an ungraded family.
+    ``even_n`` families exist only for even n.
     """
 
     cli: str
+    source: Callable[..., Iterator[tuple[int, ...]]]
     signed: bool = False
     pairs: bool = False
     cut: str | None = None
@@ -242,24 +247,41 @@ class NCEntry:
 
 
 #: Library tag -> non-crossing family: the unsigned families, then the
-#: signed ones, each in the order ``classify`` reports them.
+#: signed ones, each in the order ``classify`` reports them.  Each source
+#: is a lambda over a module-level stream name, looked up at call time,
+#: so a wrapper rebound over that name (a tracer's) is seen.
 NONCROSSING: dict[str, NCEntry] = {
-    "NC": NCEntry("nc"),
-    "NC2": NCEntry("nc2", pairs=True),
-    "NC2T": NCEntry("nc2-t", pairs=True, cut="torus"),
-    "NC2T_bip": NCEntry("nc2-t-bip", pairs=True, cut="torus", grade=_odd_grade, even_n=True),
-    "NCT_p": NCEntry("nc-t-p", cut="torus", hypermap=True, grade=_num_cycles_image),
-    "NCdelta": NCEntry("nc-delta", signed=True),
-    "NC2delta": NCEntry("nc2-delta", signed=True, pairs=True),
-    "NCdelta_p": NCEntry("nc-delta-p", signed=True, grade=_half_cycles),
-    "NC2K": NCEntry("nc2-k", signed=True, pairs=True, cut="klein"),
+    "NC": NCEntry("nc", lambda n, budget: _images(permutations(n, budget=budget))),
+    "NC2": NCEntry("nc2", lambda n, budget: _images(pairings(n, budget=budget)), pairs=True),
+    "NC2T": NCEntry(
+        "nc2-t", lambda n, budget: _images(pairings(n, budget=budget)), pairs=True, cut="torus"),
+    "NC2T_bip": NCEntry(
+        "nc2-t-bip", lambda n, budget: bipartite_pairing_images(n, budget=budget),
+        pairs=True, cut="torus", grade=_odd_grade, even_n=True),
+    "NCT_p": NCEntry(
+        "nc-t-p", lambda n, budget: _images(permutations(n, budget=budget)),
+        cut="torus", hypermap=True, grade=_num_cycles_image),
+    "NCdelta": NCEntry(
+        "nc-delta", lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget)),
+        signed=True),
+    "NC2delta": NCEntry(
+        "nc2-delta", lambda n, budget: _images(signed_symmetric_pairings(n, budget=budget)),
+        signed=True, pairs=True),
+    "NCdelta_p": NCEntry(
+        "nc-delta-p", lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget)),
+        signed=True, grade=_half_cycles),
+    "NC2K": NCEntry(
+        "nc2-k", lambda n, budget: _images(signed_symmetric_pairings(n, budget=budget)),
+        signed=True, pairs=True, cut="klein"),
     "NC2K_bip": NCEntry(
-        "nc2-k-bip", signed=True, pairs=True, cut="klein", grade=_black_grade, even_n=True
-    ),
-    "NCK_p": NCEntry("nc-k-p", signed=True, cut="klein", hypermap=True, grade=_half_cycles),
+        "nc2-k-bip", lambda n, budget: white_to_black_pairing_images(n, budget=budget),
+        signed=True, pairs=True, cut="klein", grade=_black_grade, even_n=True),
+    "NCK_p": NCEntry(
+        "nc-k-p", lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget)),
+        signed=True, cut="klein", hypermap=True, grade=_half_cycles),
     "NC2delta_bip": NCEntry(
-        "nc2-delta-bip", signed=True, pairs=True, grade=_black_grade, even_n=True
-    ),
+        "nc2-delta-bip", lambda n, budget: white_to_black_pairing_images(n, budget=budget),
+        signed=True, pairs=True, grade=_black_grade, even_n=True),
 }
 
 
@@ -416,33 +438,32 @@ def member_witnesses(
 
 def _scan(
     tag: str, n: int, p: int | None, budget: EnumerationBudget | None
-) -> dict[int | None, dict[Permutation, tuple]]:
-    """Grade -> {member: witnesses} of ``tag`` at size n, from one pass.
+) -> dict[int | None, dict[tuple[int, ...], tuple]]:
+    """Grade -> {member image: witnesses} of ``tag`` at size n, from one pass.
 
     With ``p`` set, only grade p is kept, and an element of another
     grade is skipped before any frame is built.  An ungraded tag's key
     is None.
     """
     entry = NONCROSSING[tag]
-    if entry.pairs:
-        source = signed_symmetric_pairings if entry.signed else pairings
-    else:
-        source = signed_symmetric_permutations if entry.signed else permutations
-    found: dict[int | None, dict[Permutation, tuple]] = {}
-    for pi in source(n, budget=budget):
-        grade = entry.grade(pi.image) if entry.grade else None
+    found: dict[int | None, dict[tuple[int, ...], tuple]] = {}
+    for img in entry.source(n, budget):
+        grade = entry.grade(img) if entry.grade else None
         if entry.grade and (grade is None or p is not None and grade != p):
             continue
-        witnesses = _noncrossing_test(entry, n, pi.image)
+        witnesses = _noncrossing_test(entry, n, img)
         if witnesses is not None:
-            found.setdefault(grade, {})[pi] = witnesses
+            found.setdefault(grade, {})[img] = witnesses
     return found
 
 
-def _family(family_id: NCFamilyId, found: dict[Permutation, tuple]) -> NCFamily:
-    members = tuple(sorted(found, key=lambda q: q.sort_key()))
-    table = tuple(found[pi] for pi in members) if NONCROSSING[family_id.tag].cut else None
-    return NCFamily(family_id, members, table)
+def _family(family_id: NCFamilyId, found: dict[tuple[int, ...], tuple]) -> NCFamily:
+    entry = NONCROSSING[family_id.tag]
+    ground = (signed_ground if entry.signed else unsigned_ground)(family_id.n)
+    make = Pairing._make if entry.pairs else Permutation._make
+    images = sorted(found)  # by image, the members' sort key
+    table = tuple(found[img] for img in images) if entry.cut else None
+    return NCFamily(family_id, tuple(make(ground, img) for img in images), table)
 
 
 def nc_groups(

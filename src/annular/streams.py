@@ -1,7 +1,7 @@
 """Deterministic enumeration streams with caps and budgets.
 
-Four element streams feed the Wick sums, the plain gluing families and
-the non-crossing families:
+Four element streams feed the Wick sums and the non-bipartite gluing
+and non-crossing families:
 
 * :func:`pairings` — perfect matchings of a ground set;
 * :func:`signed_symmetric_pairings` — mirror-symmetric matchings of ±[n]
@@ -11,20 +11,22 @@ the non-crossing families:
   cycle set is mirror-closed in the strong sense τ₀ττ₀ = τ⁻¹ with
   τ₀τ fixed-point free, built as τ₀σ over the pairings σ of ±[n].
 
-Two constructive streams build the bipartite gluing families directly
-and yield raw index images, for the index-space kernels in
-:mod:`annular.maps`:
+Three constructive streams build the bipartite families directly, as
+index images for the kernels of :mod:`annular.maps` and
+:mod:`annular.noncrossing`:
 
 * :func:`bipartite_pairing_images` — the (n/2)! pairings of [n] whose
-  pairs join an odd label to an even one;
-* :func:`bipartite_signed_symmetric_pairing_images` — the (n−1)!!
-  mirror-symmetric pairings of ±[n] that preserve the black set
-  B(n/2), one per unsigned pairing of [n] with every twist forced.
+  pairs join an odd label to an even one (ã and NC2T_bip);
+* :func:`bipartite_signed_symmetric_pairing_images` /
+  :func:`white_to_black_pairing_images` — the (n−1)!! mirror-symmetric
+  pairings of ±[n] that keep the black set B(n/2) (b̃) / send the white
+  labels into it (NC2delta_bip and NC2K_bip), one per unsigned pairing
+  of [n] with every twist forced by label parity.
 
 Each yields exactly the elements of the corresponding filter of
 :func:`pairings` / :func:`signed_symmetric_pairings`, in the same order,
-without visiting the rejected ones.  Both mirror-symmetric streams read
-one expansion, :func:`_mirror_pair_images`, and differ only in the
+without visiting the rejected ones.  The three mirror-symmetric streams
+read one expansion, :func:`_mirror_pair_images`, and differ only in the
 twists they pass it.
 
 Each stream has a documented deterministic order, an ``n``-cap guarding
@@ -36,7 +38,9 @@ produced; a budget is only ever passed in, never read from elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice, permutations as _iter_permutations, product as _iter_product
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .perms import GroundSet, Pairing, Permutation, signed_ground, unsigned_ground
@@ -53,6 +57,7 @@ __all__ = [
     "signed_symmetric_pairings",
     "bipartite_pairing_images",
     "bipartite_signed_symmetric_pairing_images",
+    "white_to_black_pairing_images",
     "permutations",
     "signed_symmetric_permutations",
     "double_factorial",
@@ -116,6 +121,10 @@ def _check_cap(what: str, n: int, cap: int | None, default_cap: int) -> None:
             requested=n,
             cap=effective,
         )
+
+
+#: The index images of a stream of permutations.
+_images = partial(map, attrgetter("image"))
 
 
 def double_factorial(m: int) -> int:
@@ -299,6 +308,26 @@ def bipartite_signed_symmetric_pairing_images(
     # one twist tuple: twisted exactly where the labels agree in parity
     images = _mirror_pair_images(n, lambda pairs: ([(j - i) % 2 == 0 for i, j in pairs],))
     return _budgeted(images, budget, f"bipartite signed symmetric pairings of ±[{n}]")
+
+
+def white_to_black_pairing_images(
+    n: int,
+    *,
+    cap: int | None = None,
+    budget: EnumerationBudget | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Index images of the (n−1)!! mirror-symmetric pairings of ±[n] sending W into B.
+
+    Exactly the images of the elements of :func:`signed_symmetric_pairings`
+    that send every white label to a black one, in the same order: each
+    pair is twisted exactly if its labels differ in parity, the rule
+    opposite to :func:`bipartite_signed_symmetric_pairing_images`'s
+    (empty for odd n).  The cap applies to the ground size 2n; a budget
+    counts the elements built.
+    """
+    _check_cap("white-to-black pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP)
+    images = _mirror_pair_images(n, lambda pairs: ([(j - i) % 2 == 1 for i, j in pairs],))
+    return _budgeted(images, budget, f"white-to-black pairings of ±[{n}]")
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,7 @@ SOURCE_STREAMS = (
     "signed_symmetric_permutations",
     "bipartite_pairing_images",
     "bipartite_signed_symmetric_pairing_images",
+    "white_to_black_pairing_images",
 )
 
 
@@ -233,6 +234,31 @@ def test_graded_verify_runs_each_side_once(capsys, stream_calls, tag):
 def test_conjecture_table_runs_the_annular_source_once_per_n(stream_calls):
     conjecture_table(3)
     assert stream_calls == {"maps": 3, "noncrossing": 3}  # not one per (n, p)
+
+
+def test_parser_is_built_once_and_reused_across_calls(capsys):
+    assert build_parser() is build_parser()
+    calls = [
+        ("moment", "--ensemble", "gue", "--order", "4", "--symbolic"),
+        ("enumerate", "--family", "bogus", "--n", "2"),  # usage error, exit 2
+        ("enumerate", "--family", "nc2-t-bip", "--n", "4", "--p", "1"),
+        ("verify", "--bijection", "phi1-tilde", "--n", "18"),  # cap, exit 1
+        ("moment", "--ensemble", "gue", "--order", "4", "--symbolic"),
+    ]
+
+    def outcomes():
+        out = []
+        for argv in calls:
+            code, rec, _, err = run(capsys, *argv)
+            if rec is not None:
+                rec.pop("timing_ms")
+            out.append((code, rec, err))
+        return out
+
+    first = outcomes()
+    assert [code for code, _, _ in first] == [0, 2, 0, 1, 0]
+    assert first[0] == first[-1]
+    assert outcomes() == first
 
 
 def test_enumerate_choices_follow_the_family_tables():

@@ -1,6 +1,7 @@
 """Monte Carlo sampling: reproducibility and statistical agreement."""
 
 import math
+import warnings
 
 from fractions import Fraction
 
@@ -52,6 +53,19 @@ def test_deterministic_for_fixed_seed():
     assert a == b
     c = mc_moment("GUE", 2, 4, samples=4000, seed=100)
     assert c.mean != a.mean
+
+
+def test_seeds_at_and_above_2_63_give_their_own_streams():
+    # the Philox key is built as uint64, not through float64, so seeds
+    # 2**63 and 2**63 + 1 differ and 2**64 - 1 is not read as seed 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean = {
+            seed: mc_moment("GUE", 2, 2, samples=200, seed=seed).mean
+            for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)
+        }
+    assert mean[2**63] != mean[2**63 + 1]
+    assert mean[2**64 - 1] != mean[0]
 
 
 def test_estimate_fields():

@@ -215,13 +215,6 @@ GROUPED_SIZES = {
 }
 
 
-def _source(tag):
-    entry = NONCROSSING[tag]
-    if entry.pairs:
-        return signed_symmetric_pairings if entry.signed else pairings
-    return signed_symmetric_permutations if entry.signed else permutations
-
-
 def _raised(build):
     with pytest.raises(CapExceeded) as info:
         build()
@@ -247,13 +240,39 @@ def test_nc_groups_equal_family_nc_grade_by_grade(tag):
             assert got.witness_table == want.witness_table
     # a budget one below the source size fails both alike; the size itself passes
     n = GROUPED_SIZES[tag][1]
-    size = sum(1 for _ in _source(tag)(n))
+    size = sum(1 for _ in NONCROSSING[tag].source(n, None))
     fid = NCFamilyId(tag, n, 1 if graded else None)
     below = EnumerationBudget(size - 1)
     assert _raised(lambda: nc_groups(tag, n, budget=below)) == _raised(
         lambda: family_nc(fid, budget=below)
     )
     assert nc_groups(tag, n, budget=EnumerationBudget(size)).keys() == nc_groups(tag, n).keys()
+
+
+@pytest.mark.parametrize("tag", GROUPED_SIZES)
+def test_families_miss_no_element_of_the_unfiltered_stream(tag):
+    # each entry's source must hold every element the membership test
+    # accepts: filter the whole stream that its signed/pairs fields name
+    # with member_witnesses alone
+    entry = NONCROSSING[tag]
+    if entry.pairs:
+        unfiltered = signed_symmetric_pairings if entry.signed else pairings
+    else:
+        unfiltered = signed_symmetric_permutations if entry.signed else permutations
+    for n in GROUPED_SIZES[tag]:
+        for p in range(1, n + 2) if entry.grade else [None]:
+            fid = NCFamilyId(tag, n, p)
+            accepted = {}
+            for pi in unfiltered(n):
+                witnesses = member_witnesses(fid, pi)
+                if witnesses is not None:
+                    accepted[pi] = witnesses
+            fam = family_nc(fid)
+            assert fam.members == tuple(sorted(accepted, key=lambda q: q.sort_key()))
+            assert all(type(pi) is type(q) for pi in fam.members for q in accepted)
+            assert fam.witness_table == (
+                tuple(accepted[pi] for pi in fam.members) if entry.cut else None
+            )
 
 
 def test_nc_groups_check_the_tag_and_n_before_the_stream():

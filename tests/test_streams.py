@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 
+from annular.frames import black_labels, white_labels
 from annular.maps import is_bipartite_pairing, is_bipartite_signed_pairing
 from annular.perms import Pairing, signed_ground, unsigned_ground
 from annular.streams import (
@@ -19,6 +20,7 @@ from annular.streams import (
     signed_pairings,
     signed_symmetric_pairings,
     signed_symmetric_permutations,
+    white_to_black_pairing_images,
 )
 
 import oracles
@@ -120,37 +122,48 @@ def test_bipartite_pairing_images_equal_filtered_stream_in_order(n):
 @pytest.mark.parametrize("m", range(0, 6))
 def test_forced_twist_stream_equals_filtered_stream_in_order(m):
     # one element per unsigned pairing in `pairings` order, each pair
-    # twisted exactly when its labels agree in parity, built in label
-    # space apart from the expansion the stream shares with
-    # signed_symmetric_pairings
+    # twisted exactly when its labels agree in parity (B -> B, for b-tilde)
+    # or differ in parity (W -> B, for the bipartite annular families),
+    # built in label space apart from the expansion the streams share
+    # with signed_symmetric_pairings
     ground = signed_ground(2 * m)
-    want = []
-    for base in pairings(2 * m):
-        cycles = []
-        for a, b in base.pairs():
-            cycles += [(a, b), (-a, -b)] if a % 2 == b % 2 else [(a, -b), (-a, b)]
-        want.append(Pairing.from_pairs(ground, cycles))
-    filtered = [
-        t for t in signed_symmetric_pairings(2 * m, cap=20) if is_bipartite_signed_pairing(t)
-    ]
-    assert filtered == want
-    built = list(bipartite_signed_symmetric_pairing_images(2 * m, cap=20))
-    assert built == [t.image for t in want]
-    assert len(built) == double_factorial(2 * m - 1)
+    streams = {
+        True: (bipartite_signed_symmetric_pairing_images, is_bipartite_signed_pairing),
+        False: (
+            white_to_black_pairing_images,
+            lambda t: {t(w) for w in white_labels(m)} <= set(black_labels(m)),
+        ),
+    }
+    for agree, (stream, keeps) in streams.items():
+        want = []
+        for base in pairings(2 * m):
+            cycles = []
+            for a, b in base.pairs():
+                twisted = (a % 2 == b % 2) == agree
+                cycles += [(a, b), (-a, -b)] if twisted else [(a, -b), (-a, b)]
+            want.append(Pairing.from_pairs(ground, cycles))
+        filtered = [t for t in signed_symmetric_pairings(2 * m, cap=20) if keeps(t)]
+        assert filtered == want
+        built = list(stream(2 * m, cap=20))
+        assert built == [t.image for t in want]
+        assert len(built) == double_factorial(2 * m - 1)
 
 
 def test_bipartite_streams_odd_sizes_are_empty():
     assert list(bipartite_pairing_images(5)) == []
     assert list(bipartite_signed_symmetric_pairing_images(3)) == []
+    assert list(white_to_black_pairing_images(3)) == []
 
 
 def test_bipartite_streams_caps_apply_to_ground_size():
     with pytest.raises(CapExceeded):
         bipartite_pairing_images(18)
-    with pytest.raises(CapExceeded):
-        bipartite_signed_symmetric_pairing_images(10)
+    for stream in (bipartite_signed_symmetric_pairing_images, white_to_black_pairing_images):
+        with pytest.raises(CapExceeded) as info:
+            stream(10)
+        assert (info.value.requested, info.value.cap) == (20, 16)
+        stream(10, cap=20)
     bipartite_pairing_images(18, cap=18)
-    bipartite_signed_symmetric_pairing_images(10, cap=20)
 
 
 def test_bipartite_stream_budget_counts_built_elements():
@@ -233,8 +246,13 @@ def test_budget_overflow_raises():
             6,
             "bipartite pairings of [6]",
         ),
+        (
+            lambda budget: white_to_black_pairing_images(6, budget=budget),
+            15,
+            "white-to-black pairings of ±[6]",
+        ),
     ],
-    ids=["pairings", "bipartite_pairing_images"],
+    ids=["pairings", "bipartite_pairing_images", "white_to_black_pairing_images"],
 )
 def test_budget_overflow_contract(stream, size, what):
     # every budget K below the stream length: requested K + 1, cap K
