@@ -22,9 +22,10 @@ n (and cut) is built, and checked, once per process.  What the cycle
 kernels of :mod:`annular.perms` read of a reference permutation γ, the
 image of γ⁻¹ and #(γ), is cached the same way by :func:`gamma_walk`.
 So are the bipartite colourings: the black and white label sets B(m),
-W(m) of ±[2m], their index masks, and the odd-label mask of [n].  The
-two colour tests every route applies to an index image,
-:func:`sends_into` and :func:`keeps_black`, sit beside the masks.
+W(m) of ±[2m], the index mask of B (W is the rest, since the two split
+±[2m]), and the odd-label mask of [n].  The two colour tests every
+route applies to an index image, :func:`sends_into` and
+:func:`keeps_black`, sit beside the masks.
 
 The torus and Klein constructors verify on construction that the
 product formula produces exactly the displayed two-cycle form:
@@ -72,7 +73,6 @@ __all__ = [
     "black_labels",
     "white_labels",
     "black_mask",
-    "white_mask",
     "odd_mask",
     "sends_into",
     "keeps_black",
@@ -239,14 +239,6 @@ def black_mask(n: int) -> tuple[tuple[int, ...], bytes]:
     black = set(black_labels(n // 2))
     mask = bytes(ground.label(i) in black for i in range(ground.size))
     return tuple(i for i, b in enumerate(mask) if b), mask
-
-
-@cache
-def white_mask(m: int) -> bytes:
-    """1 at the indices of the white labels W(m) of ±[2m]."""
-    ground = signed_ground(2 * m)
-    white = set(white_labels(m))
-    return bytes(ground.label(i) in white for i in range(ground.size))
 
 
 @cache

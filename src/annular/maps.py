@@ -59,6 +59,7 @@ from typing import Callable, Iterator
 from .frames import (
     annulus_cycle,
     black_labels,
+    black_mask,
     full_cycle,
     gamma_walk,
     keeps_black,
@@ -66,7 +67,6 @@ from .frames import (
     sends_into,
     tau2,
     white_labels,
-    white_mask,
 )
 from .perms import (
     GroundSet,
@@ -193,11 +193,12 @@ def _orientable_faces(img: tuple[int, ...]) -> tuple[int, int]:
 def _nonorientable_boundaries(img: tuple[int, ...]) -> tuple[int, int]:
     """(boundaries, half the white ones) of a bipartite gluing, from one walk."""
     n = len(img) // 2
-    counts = _coloured_cycle_count(tau2(n).image, img, white_mask(n // 2))
+    counts = _coloured_cycle_count(tau2(n).image, img, black_mask(n)[1])
     if counts is None:
         tau1 = Permutation._make(signed_ground(n), img)
         _raise_mixed_cycle(compose(tau2(n), tau1), black_labels(n // 2))
-    boundary, white_cycles = counts
+    boundary, black_cycles = counts
+    white_cycles = boundary - black_cycles  # B and W split ±[n]
     if white_cycles % 2:
         raise ValueError(
             f"white boundary count {white_cycles} is odd; "
@@ -400,13 +401,6 @@ GLUINGS: dict[str, Gluing] = {
 }
 
 
-def _member(entry: Gluing, n: int) -> Callable[[tuple[int, ...]], Permutation]:
-    """Wraps an image of the family at size n: a Pairing if it holds pairings."""
-    size = 2 * n if entry.doubled else n
-    ground = signed_ground(size) if entry.signed else unsigned_ground(size)
-    return partial(Pairing._make if entry.pairs else Permutation._make, ground)
-
-
 def gluing_groups(
     tag: str,
     n: int,
@@ -416,10 +410,13 @@ def gluing_groups(
 ) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
     """Grade tuple -> members of family ``tag`` at size n, in stream order.
 
-    One pass over the source stream.
+    One pass over the source stream; members are Pairings if the family
+    holds pairings.
     """
     entry = GLUINGS[tag]
-    member = _member(entry, n)
+    size = 2 * n if entry.doubled else n
+    ground = signed_ground(size) if entry.signed else unsigned_ground(size)
+    member = partial(Pairing._make if entry.pairs else Permutation._make, ground)
     groups: dict[tuple[int, ...], list[Permutation]] = {}
     for img in entry.source(n, cap, budget):
         key = entry.key(img)
@@ -452,18 +449,18 @@ def gluing_family(
 ) -> tuple[Permutation, ...]:
     """Members of family ``tag`` at size n and grades ``grade``, in stream order.
 
-    A family graded by Euler genus needs k ≥ 1.
+    The group of ``grade`` in one :func:`gluing_groups` pass.  A family
+    graded by Euler genus needs k ≥ 1, and one graded by p needs p ≥ 1.
     """
     entry = GLUINGS[tag]
     if entry.grades[0] == "k" and grade[0] < 1:
         twisted = "gluings" if entry.pairs else "hypermaps"
         raise ValueError(f"Euler genus k must be >= 1 for twisted {twisted}")
+    if entry.grades[-1] == "p" and grade[-1] < 1:
+        raise ValueError(f"family {tag} requires a grade p >= 1")
     if tag == "a" and n % 2:
         return ()  # [n] has no pairing: empty before any cap check
-    member = _member(entry, n)
-    return tuple(
-        member(img) for img in entry.source(n, cap, budget) if entry.key(img) == grade
-    )
+    return gluing_groups(tag, n, cap=cap, budget=budget).get(tuple(grade), ())
 
 
 def gluing_key(tag: str, pi: Permutation) -> tuple[int, ...] | None:

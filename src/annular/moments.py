@@ -14,8 +14,9 @@ cross-checks both.
 
 ``wick_oracle_smallN`` is the ground truth for everything else: it sums
 covariances over literal matrix index tuples, never touching the
-combinatorial machinery.  It is exponentially slow and guarded by a
-feasibility cap.
+combinatorial machinery.  It is exponentially slow and refuses more
+than ``ORACLE_FEASIBILITY_CAP`` index tuples.  It and ``mc_moment``
+check n, N and M through one method, ``Ensemble.check_dimensions``.
 
 Conventions (checked against the oracle): every real Gaussian entry has
 variance 1/2; complex entries add an independent imaginary part of
@@ -30,7 +31,7 @@ from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
-from .frames import full_cycle, gamma_walk, keeps_black, tau2, white_mask
+from .frames import black_mask, full_cycle, gamma_walk, keeps_black, tau2
 from .maps import (
     family_a_counts,
     family_a_tilde_counts,
@@ -94,6 +95,20 @@ class Ensemble:
     @property
     def is_complex(self) -> bool:
         return self.kind in ("GUE", "LUE")
+
+    def check_dimensions(self, n: int, N: int, M: int | None) -> None:
+        """Raise ``ValueError`` unless n, N ≥ 1 and M ≥ 1 is given exactly when Laguerre."""
+        if n < 1:
+            raise ValueError("moment order must be a positive integer")
+        if N < 1:
+            raise ValueError("dimension N must be a positive integer")
+        if self.is_laguerre:
+            if M is None:
+                raise ValueError(f"{self.kind} requires the rectangular dimension M")
+            if M < 1:
+                raise ValueError("dimension M must be a positive integer")
+        elif M is not None:
+            raise ValueError("M applies to the Laguerre ensembles only")
 
 
 def _check_order(ensemble: Ensemble, n: int, max_order: int | None) -> None:
@@ -161,14 +176,15 @@ def wick_moment(
 
     else:  # LOE
         mirror_shift = tau2(2 * n).image
-        white = white_mask(n)
+        black = black_mask(2 * n)[1]
         for t in signed_symmetric_pairings(2 * n, cap=4 * n, budget=budget):
             img = t.image
             if not keeps_black(img):
                 continue
-            # B(n) and W(n) split ±[2n], so the black cycles are the others
-            doubled, white_doubled = _coloured_cycle_count(mirror_shift, img, white)
-            if white_doubled % 2 or (doubled - white_doubled) % 2:
+            # B(n) and W(n) split ±[2n], so the white cycles are the others
+            doubled, black_doubled = _coloured_cycle_count(mirror_shift, img, black)
+            white_doubled = doubled - black_doubled
+            if white_doubled % 2 or black_doubled % 2:
                 raise AssertionError("split boundary counts must be even")
             key = (doubled // 2, white_doubled // 2)
             counts[key] = counts.get(key, 0) + 1
@@ -266,12 +282,7 @@ def _position_pairings(positions: tuple[int, ...]):
 
 
 def wick_oracle_smallN(
-    ensemble: Ensemble | str,
-    n: int,
-    N: int,
-    M: int | None = None,
-    *,
-    feasibility_cap: int = ORACLE_FEASIBILITY_CAP,
+    ensemble: Ensemble | str, n: int, N: int, M: int | None = None
 ) -> Fraction:
     """Ground-truth moment at a concrete dimension by brute-force index
     summation.
@@ -281,26 +292,14 @@ def wick_oracle_smallN(
     computed from first principles (pairings of the factors for real
     entries, factor matchings for complex entries).  Cost is
     N^n (Gaussian) or (N·M)^n (Laguerre) tuples and is refused above
-    ``feasibility_cap``.
+    ``ORACLE_FEASIBILITY_CAP``.
     """
     ensemble = Ensemble.parse(ensemble)
-    if n < 1:
-        raise ValueError("moment order must be a positive integer")
-    if N < 1:
-        raise ValueError("dimension N must be a positive integer")
-    if ensemble.is_laguerre:
-        if M is None:
-            raise ValueError(f"{ensemble.kind} requires the rectangular dimension M")
-        if M < 1:
-            raise ValueError("dimension M must be a positive integer")
-        work = (N * M) ** n
-    else:
-        if M is not None:
-            raise ValueError("M applies to the Laguerre ensembles only")
-        work = N**n
-    if work > feasibility_cap:
+    ensemble.check_dimensions(n, N, M)
+    work = (N * M) ** n if ensemble.is_laguerre else N**n
+    if work > ORACLE_FEASIBILITY_CAP:
         raise CapExceeded(
-            f"oracle index sum of size {work} exceeds the cap {feasibility_cap}"
+            f"oracle index sum of size {work} exceeds the cap {ORACLE_FEASIBILITY_CAP}"
         )
 
     if ensemble.is_gaussian:

@@ -224,21 +224,11 @@ def _estimate(block_traces, ensemble, n, N, M, *, samples, seed) -> McEstimate:
     traces; ``_dense_traces`` gives the literal route's estimates.
     """
     ensemble = Ensemble.parse(ensemble)
-    if n < 1:
-        raise ValueError("moment order must be a positive integer")
-    if N < 1:
-        raise ValueError("dimension N must be a positive integer")
+    ensemble.check_dimensions(n, N, M)
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
-    if ensemble.is_laguerre:
-        if M is None:
-            raise ValueError(f"{ensemble.kind} requires the rectangular dimension M")
-        if M < 1:
-            raise ValueError("dimension M must be a positive integer")
-    elif M is not None:
-        raise ValueError("M applies to the Laguerre ensembles only")
 
     total = 0.0
     moments = (0, 0.0, 0.0)

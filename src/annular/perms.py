@@ -27,8 +27,9 @@ algebra below, on raw image tuples: ``_num_cycles_image`` (#π),
 without inverting π), ``_coloured_cycle_count`` (from one walk, the
 same cycles and those inside one colour class of a 0/1 mask, None when
 a cycle mixes the classes) and ``_is_delta_symmetric``.  Every cycle
-count in the package goes through them; the public functions on
-:class:`Permutation` objects are thin wrappers.
+count in the package goes through them.  ``compose``, ``inverse``,
+``conjugate``, ``num_cycles`` and ``restricted_cycle_count`` are the
+algebra of :class:`Permutation` objects: plain functions over them.
 
 Composition convention
 ----------------------
@@ -56,6 +57,7 @@ insensitive to cycle rotation/order.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
@@ -153,24 +155,16 @@ class GroundSet:
         return f"GroundSet(±[{self.n}])"
 
 
-_UNSIGNED_CACHE: dict[int, GroundSet] = {}
-_SIGNED_CACHE: dict[int, GroundSet] = {}
-
-
+@cache
 def unsigned_ground(n: int) -> GroundSet:
     """The ground set [n] (cached, so repeated calls share one object)."""
-    g = _UNSIGNED_CACHE.get(n)
-    if g is None:
-        g = _UNSIGNED_CACHE[n] = GroundSet(GroundSet.UNSIGNED, n)
-    return g
+    return GroundSet(GroundSet.UNSIGNED, n)
 
 
+@cache
 def signed_ground(n: int) -> GroundSet:
     """The ground set ±[n] (cached)."""
-    g = _SIGNED_CACHE.get(n)
-    if g is None:
-        g = _SIGNED_CACHE[n] = GroundSet(GroundSet.SIGNED, n)
-    return g
+    return GroundSet(GroundSet.SIGNED, n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +172,7 @@ def signed_ground(n: int) -> GroundSet:
 #
 # Hot loops in the enumeration modules work on plain image tuples and only
 # wrap survivors in Permutation objects.  These helpers are the single
-# implementation of the corresponding Permutation methods.
+# implementation of the module-level operations below.
 # ---------------------------------------------------------------------------
 
 def _compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -390,34 +384,6 @@ class Permutation:
     def is_fixed_point_free(self) -> bool:
         return all(j != i for i, j in enumerate(self.image))
 
-    # -- algebra -----------------------------------------------------
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self·other: the map x -> self(other(x))."""
-        if self.domain != other.domain:
-            raise ValueError("compose requires equal ground sets")
-        return Permutation._make(
-            self.domain, _compose_images(self.image, other.image)
-        )
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.compose(other)
-
-    def inverse(self) -> "Permutation":
-        return Permutation._make(self.domain, _inverse_image(self.image))
-
-    def conjugate_by(self, q: "Permutation") -> "Permutation":
-        """q·self·q⁻¹ (relabel self along q)."""
-        if self.domain != q.domain:
-            raise ValueError("conjugate requires equal ground sets")
-        q_img = q.image
-        inv_q = _inverse_image(q_img)
-        img = tuple(q_img[self.image[inv_q[i]]] for i in range(len(q_img)))
-        return Permutation._make(self.domain, img)
-
-    def num_cycles(self) -> int:
-        """Number of cycles, fixed points included."""
-        return _num_cycles_image(self.image)
-
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Disjoint label cycles, fixed points included.
 
@@ -526,20 +492,28 @@ class Pairing(Permutation):
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The product p·q : x -> p(q(x))."""
-    return p.compose(q)
+    if p.domain != q.domain:
+        raise ValueError("compose requires equal ground sets")
+    return Permutation._make(p.domain, _compose_images(p.image, q.image))
 
 
 def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
+    return Permutation._make(p.domain, _inverse_image(p.image))
 
 
 def conjugate(p: Permutation, q: Permutation) -> Permutation:
     """q·p·q⁻¹: the permutation p with labels relabelled along q."""
-    return p.conjugate_by(q)
+    if p.domain != q.domain:
+        raise ValueError("conjugate requires equal ground sets")
+    q_img = q.image
+    inv_q = _inverse_image(q_img)
+    img = tuple(q_img[p.image[inv_q[i]]] for i in range(len(q_img)))
+    return Permutation._make(p.domain, img)
 
 
 def num_cycles(p: Permutation) -> int:
-    return p.num_cycles()
+    """Number of cycles, fixed points included."""
+    return _num_cycles_image(p.image)
 
 
 def restricted_cycle_count(p: Permutation, labels: Iterable[int]) -> int:

@@ -90,6 +90,8 @@ class EnumerationBudget:
     max_elements: int
 
     def __post_init__(self):
+        if not isinstance(self.max_elements, int):
+            raise ValueError(f"max_elements must be an integer, got {self.max_elements!r}")
         if self.max_elements < 0:
             raise ValueError("max_elements must be >= 0")
 

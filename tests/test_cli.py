@@ -120,6 +120,8 @@ def test_enumerate_csv_is_count_only(capsys):
         ("enumerate", "--family", "a", "--n", "0", "--genus", "0"),
         ("enumerate", "--family", "nc2-delta-bip", "--n", "3", "--p", "1"),  # odd n
         ("enumerate", "--family", "a", "--n", "4", "--genus", "0", "--limit", "-1"),
+        ("enumerate", "--family", "a-tilde", "--n", "2", "--genus", "0", "--p", "0"),
+        ("enumerate", "--family", "b-hat", "--n", "2", "--k", "1", "--p", "-1"),
     ],
 )
 def test_enumerate_usage_errors(capsys, argv):

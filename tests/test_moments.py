@@ -126,12 +126,16 @@ def test_oracle_interpolation_recovers_polynomial():
 
 
 def test_oracle_validation():
-    with pytest.raises(ValueError):
-        wick_oracle_smallN("LUE", 2, 3)  # missing M
-    with pytest.raises(ValueError):
-        wick_oracle_smallN("GUE", 2, 3, 4)  # M given for a Gaussian ensemble
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="LUE requires the rectangular dimension M"):
+        wick_oracle_smallN("LUE", 2, 3)
+    with pytest.raises(ValueError, match="M applies to the Laguerre ensembles only"):
+        wick_oracle_smallN("GUE", 2, 3, 4)
+    with pytest.raises(ValueError, match="moment order must be a positive integer"):
         wick_oracle_smallN("GUE", 0, 3)
+    with pytest.raises(ValueError, match="dimension N must be a positive integer"):
+        wick_oracle_smallN("GOE", 2, 0)
+    with pytest.raises(ValueError, match="dimension M must be a positive integer"):
+        wick_oracle_smallN("LOE", 2, 3, 0)
     with pytest.raises(CapExceeded):
         wick_oracle_smallN("GUE", 12, 5)  # 5^12 index tuples is over the cap
 

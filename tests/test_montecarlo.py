@@ -234,14 +234,19 @@ def test_standard_error_shrinks_with_samples():
 def test_validation():
     with pytest.raises(ValueError):
         mc_moment("GUE", 2, 4, samples=50, seed=1)  # too few samples
-    with pytest.raises(ValueError):
-        mc_moment("LUE", 2, 4, samples=500, seed=1)  # missing M
-    with pytest.raises(ValueError):
-        mc_moment("GUE", 2, 4, 8, samples=500, seed=1)  # M for Gaussian
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="LUE requires the rectangular dimension M"):
+        mc_moment("LUE", 2, 4, samples=500, seed=1)
+    with pytest.raises(ValueError, match="M applies to the Laguerre ensembles only"):
+        mc_moment("GUE", 2, 4, 8, samples=500, seed=1)
+    with pytest.raises(ValueError, match="dimension N must be a positive integer"):
         mc_moment("GUE", 2, 0, samples=500, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="moment order must be a positive integer"):
         mc_moment("GUE", 0, 4, samples=500, seed=1)
+    with pytest.raises(ValueError, match="dimension M must be a positive integer"):
+        mc_moment("LOE", 2, 4, 0, samples=500, seed=1)
+    # the dimension rules come before the samples and seed rules
+    with pytest.raises(ValueError, match="dimension M must be a positive integer"):
+        mc_moment("LUE", 2, 4, 0, samples=50, seed=-1)
     with pytest.raises(ValueError):
         mc_moment("GUE", 2, 4, samples=500, seed=-1)
     with pytest.raises(ValueError):

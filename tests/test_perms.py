@@ -241,8 +241,10 @@ def test_permutation_validation():
         Permutation(g, (0, 0, 1))
     with pytest.raises(ValueError):
         Permutation(g, (0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="compose requires equal ground sets"):
         compose(Permutation.identity(g), Permutation.identity(unsigned_ground(4)))
+    with pytest.raises(ValueError, match="conjugate requires equal ground sets"):
+        conjugate(Permutation.identity(g), Permutation.identity(unsigned_ground(4)))
 
 
 def test_hash_and_equality():

@@ -265,5 +265,6 @@ def test_budget_overflow_contract(stream, size, what):
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        EnumerationBudget(-1)
+    for bad in (-1, 1.5, "3"):
+        with pytest.raises(ValueError):
+            EnumerationBudget(bad)
