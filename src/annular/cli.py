@@ -17,7 +17,10 @@ Each invocation writes exactly one JSON document to stdout (CSV instead
 where ``--format csv`` is supported: counts and tables only, since cycle
 notation contains commas).  Diagnostics go to stderr.  Exit codes:
 0 success/verified, 1 enumeration cap exceeded, 2 usage error,
-3 verification failure (the report is still emitted).
+3 verification failure (the report is still emitted).  A usage error is
+any ``ValueError``: each input rule is checked once, where the value
+enters the library, and its message is the library's own; the handlers
+here check only combinations of flags.
 
 Apart from the measured ``timing_ms`` field, output is a deterministic
 byte-for-byte function of the arguments (and seed).  ``--max-elements``
@@ -79,10 +82,6 @@ NC_TAGS = {entry.cli: tag for tag, entry in NONCROSSING.items()}
 FAMILY_TAGS = (*GLUINGS, *NC_TAGS)
 
 BIJECTION_TAGS = (*BIJECTIONS, "lemma3")
-
-
-class UsageError(ValueError):
-    """A post-parse argument problem; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_budget(args: argparse.Namespace) -> EnumerationBudget | None:
-    if args.max_elements is None:
-        return None
-    if args.max_elements < 0:
-        raise UsageError("--max-elements must be >= 0")
-    return EnumerationBudget(args.max_elements)
+    return None if args.max_elements is None else EnumerationBudget(args.max_elements)
 
 
 # ---------------------------------------------------------------------------
@@ -204,38 +199,27 @@ def _require_grade_args(tag: str, args, names: tuple[str, ...]) -> None:
     for name in ("genus", "k", "p"):
         given = getattr(args, name) is not None
         if name in names and not given:
-            raise UsageError(f"family {tag!r} requires --{name}")
+            raise ValueError(f"family {tag!r} requires --{name}")
         if name not in names and given:
-            raise UsageError(f"family {tag!r} does not take --{name}")
+            raise ValueError(f"family {tag!r} does not take --{name}")
 
 
 def cmd_enumerate(args) -> tuple[dict, int, list | None]:
     budget = _resolve_budget(args)
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
     if args.limit is not None and args.limit < 0:
-        raise UsageError("--limit must be >= 0")
+        raise ValueError("--limit must be >= 0")
     tag = args.family
     witness_table = None
     if tag in GLUINGS:
         names = GLUINGS[tag].grades
         _require_grade_args(tag, args, names)
-        if "genus" in names and args.genus < 0:
-            raise UsageError("--genus must be >= 0")
         grade = tuple(getattr(args, name) for name in names)
-        try:
-            members = gluing_family(tag, args.n, grade, budget=budget)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        members = gluing_family(tag, args.n, grade, budget=budget)
         members = tuple(sorted(members, key=lambda q: q.sort_key()))
     else:
         lib_tag = NC_TAGS[tag]
         _require_grade_args(tag, args, ("p",) if NONCROSSING[lib_tag].grade else ())
-        try:
-            fid = NCFamilyId(lib_tag, args.n, args.p)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        family = family_nc(fid, budget=budget)
+        family = family_nc(NCFamilyId(lib_tag, args.n, args.p), budget=budget)
         members = family.members
         witness_table = family.witness_table
 
@@ -272,23 +256,20 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
 def cmd_verify(args) -> tuple[dict, int, list | None]:
     budget = _resolve_budget(args)
     if args.n < 1:
-        raise UsageError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     tag = args.bijection
     entry = BIJECTIONS.get(tag)  # None for lemma3
     graded = entry is not None and entry.graded
     if args.p is not None and not graded:
-        raise UsageError(f"bijection {tag!r} does not take --p")
+        raise ValueError(f"bijection {tag!r} does not take --p")
     if args.p is not None and args.p not in grades(args.n):
-        raise UsageError("--p must lie in 1..n")
-    try:
-        if entry is None:
-            reports = verify_lemma3(args.n, budget=budget)
-        elif graded and args.p is None:
-            reports = verify_grades(tag, args.n, budget=budget)
-        else:
-            reports = [verify(tag, args.n, args.p, budget=budget)]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError("--p must lie in 1..n")
+    if entry is None:
+        reports = verify_lemma3(args.n, budget=budget)
+    elif graded and args.p is None:
+        reports = verify_grades(tag, args.n, budget=budget)
+    else:
+        reports = [verify(tag, args.n, args.p, budget=budget)]
 
     all_verified = all(r.verified for r in reports)
     result = {
@@ -308,26 +289,14 @@ def cmd_moment(args) -> tuple[dict, int, list | None]:
     budget = _resolve_budget(args)
     ensemble = Ensemble.parse(args.ensemble)
     if args.symbolic == (args.dim is not None):
-        raise UsageError("choose exactly one of --symbolic or --dim N")
+        raise ValueError("choose exactly one of --symbolic or --dim N")
     if args.mc and args.dim is None:
-        raise UsageError("--mc requires numeric mode (--dim N)")
+        raise ValueError("--mc requires numeric mode (--dim N)")
     if args.rect_dim is not None and not ensemble.is_laguerre:
-        raise UsageError("--rect-dim applies to Laguerre ensembles only")
+        raise ValueError("--rect-dim applies to Laguerre ensembles only")
     if args.dim is not None:
-        if args.dim < 1:
-            raise UsageError("--dim must be >= 1")
-        if ensemble.is_laguerre:
-            if args.rect_dim is None:
-                raise UsageError(
-                    f"ensemble {ensemble.kind} requires --rect-dim M with --dim"
-                )
-            if args.rect_dim < 1:
-                raise UsageError("--rect-dim must be >= 1")
-
-    try:
-        poly = wick_moment(ensemble, args.order, budget=budget)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        ensemble.check_dimensions(args.order, args.dim, args.rect_dim)
+    poly = wick_moment(ensemble, args.order, budget=budget)
 
     result: dict = {
         "ensemble": ensemble.kind,
@@ -350,17 +319,9 @@ def cmd_moment(args) -> tuple[dict, int, list | None]:
     result["value_float"] = float(value)
 
     if args.mc:
-        try:
-            estimate = mc_moment(
-                ensemble,
-                args.order,
-                args.dim,
-                args.rect_dim,
-                samples=args.samples,
-                seed=args.seed,
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        estimate = mc_moment(
+            ensemble, args.order, args.dim, args.rect_dim, samples=args.samples, seed=args.seed
+        )
         exact = float(value)
         if estimate.std_error > 0:
             z = (estimate.mean - exact) / estimate.std_error
@@ -443,11 +404,7 @@ def classify_permutation(text: str, n: int, *, signed: bool = False) -> dict:
 
 
 def cmd_classify(args) -> tuple[dict, int, list | None]:
-    try:
-        result = classify_permutation(args.perm, args.n, signed=args.signed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return result, EXIT_OK, None
+    return classify_permutation(args.perm, args.n, signed=args.signed), EXIT_OK, None
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +414,7 @@ def cmd_classify(args) -> tuple[dict, int, list | None]:
 def cmd_conjecture(args) -> tuple[dict, int, list | None]:
     budget = _resolve_budget(args)
     if args.max_n < 1:
-        raise UsageError("--max-n must be >= 1")
+        raise ValueError("--max-n must be >= 1")
     rows = conjecture_table(args.max_n, budget=budget)
     result = {
         "rows": [row.to_payload() for row in rows],
@@ -520,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
             }
         }
         code, csv_rows = EXIT_CAP, None
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"annular {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

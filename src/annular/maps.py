@@ -43,7 +43,9 @@ constructive bipartite streams of :mod:`annular.streams`, which build
 only these gluings instead of filtering all pairings), a ground, grade
 names, and one key kernel mapping an image to its grades.
 :func:`gluing_groups` and :func:`gluing_counts` run the stream through
-the kernel in one pass; :func:`gluing_key` checks the stream's
+the kernel in one pass; they and :func:`gluing_family` check the tag
+and n ≥ 1 first, in one helper, so a bad input raises ``ValueError``
+before any stream starts.  :func:`gluing_key` checks the stream's
 conditions on one permutation and applies the same kernel, so a
 membership it reports is exactly a builder's.  The ``family_*`` names
 are one-line shorthands over the table.
@@ -328,12 +330,6 @@ def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
     return (k, cycles // 2) if k >= 1 else None
 
 
-def _framed(frame: Callable[[int], object], n: int) -> int:
-    """n, once the n-frame the key reads is built: n < 1 raises before the stream."""
-    frame(n)
-    return n
-
-
 @dataclass(frozen=True)
 class Gluing:
     """One gluing family: its source stream, ground, grades and key kernel.
@@ -386,19 +382,27 @@ GLUINGS: dict[str, Gluing] = {
     ),
     # hypermaps: permutations of [n] by genus g and part count p
     "a-hat": Gluing(
-        lambda n, cap, budget: _images(
-            permutations(_framed(full_cycle, n), cap=cap, budget=budget)
-        ),
+        lambda n, cap, budget: _images(permutations(n, cap=cap, budget=budget)),
         signed=False, doubled=False, pairs=False, grades=("genus", "p"), key=_a_hat_key,
     ),
     # twisted hypermaps: δ-symmetric permutations of ±[n] by (k, p)
     "b-hat": Gluing(
         lambda n, cap, budget: _images(
-            signed_symmetric_permutations(_framed(annulus_cycle, n), cap=cap, budget=budget)
+            signed_symmetric_permutations(n, cap=cap, budget=budget)
         ),
         signed=True, doubled=False, pairs=False, grades=("k", "p"), key=_b_hat_key,
     ),
 }
+
+
+def _entry(tag: str, n: int) -> Gluing:
+    """``GLUINGS[tag]``; ``ValueError`` for an unknown tag or n < 1, before any stream."""
+    entry = GLUINGS.get(tag)
+    if entry is None:
+        raise ValueError(f"unknown gluing family {tag!r}; known: {(*GLUINGS,)}")
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    return entry
 
 
 def gluing_groups(
@@ -413,7 +417,7 @@ def gluing_groups(
     One pass over the source stream; members are Pairings if the family
     holds pairings.
     """
-    entry = GLUINGS[tag]
+    entry = _entry(tag, n)
     size = 2 * n if entry.doubled else n
     ground = signed_ground(size) if entry.signed else unsigned_ground(size)
     member = partial(Pairing._make if entry.pairs else Permutation._make, ground)
@@ -433,7 +437,7 @@ def gluing_counts(
     budget: EnumerationBudget | None = None,
 ) -> dict[tuple[int, ...], int]:
     """Histogram grade tuple -> family size, in one pass, building no members."""
-    entry = GLUINGS[tag]
+    entry = _entry(tag, n)
     counts = Counter(map(entry.key, entry.source(n, cap, budget)))
     counts.pop(None, None)
     return dict(counts)
@@ -450,9 +454,12 @@ def gluing_family(
     """Members of family ``tag`` at size n and grades ``grade``, in stream order.
 
     The group of ``grade`` in one :func:`gluing_groups` pass.  A family
-    graded by Euler genus needs k ≥ 1, and one graded by p needs p ≥ 1.
+    graded by genus needs g ≥ 0, one graded by Euler genus k ≥ 1, and
+    one graded by p needs p ≥ 1.
     """
-    entry = GLUINGS[tag]
+    entry = _entry(tag, n)
+    if entry.grades[0] == "genus" and grade[0] < 0:
+        raise ValueError("genus g must be >= 0")
     if entry.grades[0] == "k" and grade[0] < 1:
         twisted = "gluings" if entry.pairs else "hypermaps"
         raise ValueError(f"Euler genus k must be >= 1 for twisted {twisted}")

@@ -4,19 +4,21 @@
 an exact weight over raw gluing candidates (pairings, twisted
 mirror-symmetric gluings, permutations).  ``genus_expansion_moment``
 instead multiplies family counts by the dimension powers their genus
-dictates.  The two share no family construction: the Wick sum filters
-its own streams and keys each element with the index-space cycle
-kernels of :mod:`annular.perms` against the cached walks, colour masks
-and colour tests of :mod:`annular.frames`, while the genus route reads
-only the ``family_*_counts`` histograms of :mod:`annular.maps`.  Only that
-low-level algebra is shared, so their agreement (enforced in tests)
-cross-checks both.
+dictates.  Both raise ``CapExceeded`` above ``DEFAULT_ORDER_CAPS``
+before enumerating anything.  The two share no family construction:
+the Wick sum filters its own streams and keys each element with the
+index-space cycle kernels of :mod:`annular.perms` against the cached
+walks, colour masks and colour tests of :mod:`annular.frames`, while
+the genus route reads only the ``family_*_counts`` histograms of
+:mod:`annular.maps`.  Only that low-level algebra is shared, so their
+agreement (enforced in tests) cross-checks both.
 
 ``wick_oracle_smallN`` is the ground truth for everything else: it sums
 covariances over literal matrix index tuples, never touching the
 combinatorial machinery.  It is exponentially slow and refuses more
-than ``ORACLE_FEASIBILITY_CAP`` index tuples.  It and ``mc_moment``
-check n, N and M through one method, ``Ensemble.check_dimensions``.
+than ``ORACLE_FEASIBILITY_CAP`` index tuples.  It, ``mc_moment`` and
+the CLI's numeric mode check n, N and M through one method,
+``Ensemble.check_dimensions``; each positivity message is written once.
 
 Conventions (checked against the oracle): every real Gaussian entry has
 variance 1/2; complex entries add an independent imaginary part of
@@ -98,23 +100,24 @@ class Ensemble:
 
     def check_dimensions(self, n: int, N: int, M: int | None) -> None:
         """Raise ``ValueError`` unless n, N ≥ 1 and M ≥ 1 is given exactly when Laguerre."""
-        if n < 1:
-            raise ValueError("moment order must be a positive integer")
-        if N < 1:
-            raise ValueError("dimension N must be a positive integer")
+        _check_positive("moment order", n)
+        _check_positive("dimension N", N)
         if self.is_laguerre:
             if M is None:
                 raise ValueError(f"{self.kind} requires the rectangular dimension M")
-            if M < 1:
-                raise ValueError("dimension M must be a positive integer")
+            _check_positive("dimension M", M)
         elif M is not None:
             raise ValueError("M applies to the Laguerre ensembles only")
 
 
-def _check_order(ensemble: Ensemble, n: int, max_order: int | None) -> None:
-    if n < 1:
-        raise ValueError("moment order must be a positive integer")
-    cap = DEFAULT_ORDER_CAPS[ensemble.kind] if max_order is None else max_order
+def _check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer")
+
+
+def _check_order(ensemble: Ensemble, n: int) -> None:
+    _check_positive("moment order", n)
+    cap = DEFAULT_ORDER_CAPS[ensemble.kind]
     if n > cap:
         raise CapExceeded(
             f"moment order {n} exceeds the {ensemble.kind} cap of {cap}"
@@ -130,7 +133,6 @@ def wick_moment(
     n: int,
     *,
     budget: EnumerationBudget | None = None,
-    max_order: int | None = None,
 ) -> MomentPolynomial:
     """Exact moment polynomial via the pairing/permutation Wick sum.
 
@@ -142,7 +144,7 @@ def wick_moment(
     identically zero.
     """
     ensemble = Ensemble.parse(ensemble)
-    _check_order(ensemble, n, max_order)
+    _check_order(ensemble, n)
     if ensemble.is_gaussian and n % 2:
         return MomentPolynomial.zero()
 
@@ -204,7 +206,6 @@ def genus_expansion_moment(
     n: int,
     *,
     budget: EnumerationBudget | None = None,
-    max_order: int | None = None,
 ) -> MomentPolynomial:
     """Exact moment polynomial assembled from enumerated family sizes.
 
@@ -214,7 +215,7 @@ def genus_expansion_moment(
     respectively for GUE, GOE, LUE, LOE.
     """
     ensemble = Ensemble.parse(ensemble)
-    _check_order(ensemble, n, max_order)
+    _check_order(ensemble, n)
     if ensemble.is_gaussian and n % 2:
         return MomentPolynomial.zero()
 
@@ -252,7 +253,6 @@ def correction_coefficient(
     n_power: int,
     *,
     budget: EnumerationBudget | None = None,
-    max_order: int | None = None,
 ) -> MomentPolynomial:
     """Coefficient of N^n_power in the exact moment, as a polynomial in c.
 
@@ -260,7 +260,7 @@ def correction_coefficient(
     the subleading GOE coefficient times 2^n is the count of twisted
     Euler-genus-1 gluings.
     """
-    poly = wick_moment(ensemble, n, budget=budget, max_order=max_order)
+    poly = wick_moment(ensemble, n, budget=budget)
     return poly.coefficient(n_power)
 
 

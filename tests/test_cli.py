@@ -122,6 +122,14 @@ def test_enumerate_csv_is_count_only(capsys):
         ("enumerate", "--family", "a", "--n", "4", "--genus", "0", "--limit", "-1"),
         ("enumerate", "--family", "a-tilde", "--n", "2", "--genus", "0", "--p", "0"),
         ("enumerate", "--family", "b-hat", "--n", "2", "--k", "1", "--p", "-1"),
+        ("enumerate", "--family", "a", "--n", "4", "--genus", "0", "--max-elements", "-1"),
+        ("enumerate", "--family", "a", "--n", "4", "--genus", "-1"),
+        ("enumerate", "--family", "b", "--n", "0", "--k", "1"),
+        ("enumerate", "--family", "b", "--n", "-1", "--k", "1"),
+        ("enumerate", "--family", "b-tilde", "--n", "0", "--k", "1", "--p", "1"),
+        ("enumerate", "--family", "b-tilde", "--n", "-1", "--k", "1", "--p", "1"),
+        ("enumerate", "--family", "nc2", "--n", "0"),
+        ("enumerate", "--family", "nc2", "--n", "-1"),
     ],
 )
 def test_enumerate_usage_errors(capsys, argv):
@@ -287,6 +295,7 @@ def test_verify_choices_and_report_names_follow_the_registry(capsys):
         ("verify", "--bijection", "lemma3", "--n", "3", "--p", "1"),
         ("verify", "--bijection", "phi1-hat", "--n", "3", "--p", "7"),
         ("verify", "--bijection", "phi1", "--n", "0"),
+        ("verify", "--bijection", "torus-eq", "--n", "4", "--max-elements", "-1"),
     ],
 )
 def test_verify_usage_errors(capsys, argv):
@@ -394,6 +403,9 @@ def test_moment_order_above_cap_exits_1(capsys):
             "moment", "--ensemble", "gue", "--order", "2", "--dim", "3",
             "--mc", "--samples", "50", "--seed", "1",
         ),
+        ("moment", "--ensemble", "gue", "--order", "4", "--symbolic", "--max-elements", "-1"),
+        ("moment", "--ensemble", "lue", "--order", "2", "--dim", "3", "--rect-dim", "0"),
+        ("moment", "--ensemble", "loe", "--order", "2", "--dim", "3"),  # missing M
     ],
 )
 def test_moment_usage_errors(capsys, argv):
@@ -641,6 +653,19 @@ def test_conjecture_table_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,p,twisted_count,annular_count,equal"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("conjecture", "--max-n", "0"),
+        ("conjecture", "--max-n", "2", "--max-elements", "-1"),
+    ],
+)
+def test_conjecture_usage_errors(capsys, argv):
+    code, rec, _, _ = run(capsys, *argv)
+    assert code == 2
+    assert rec is None
 
 
 # -- wiring -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from annular.frames import annulus_cycle, black_labels, full_cycle, white_labels
 from annular.maps import (
+    GLUINGS,
     MonochromaticityError,
     _has_hat_twist,
     family_a,
@@ -18,6 +19,9 @@ from annular.maps import (
     family_b_hat,
     family_b_tilde,
     family_b_tilde_counts,
+    gluing_counts,
+    gluing_family,
+    gluing_groups,
     has_twist,
     hypermap_from_bipartite_nonorientable,
     hypermap_from_bipartite_orientable,
@@ -335,12 +339,35 @@ def test_family_b_hat_total(n):
 def test_family_b_hat_smallest_case():
     assert [t.cycle_string() for t in family_b_hat(2, 1, 1)] == ["(-2,1)(-1,2)"]
     assert family_b_hat(1, 1, 1) == ()
-    # n = 0 has no frame: ValueError before the stream spends a budget
-    for build, grade in ((family_a_hat, 0), (family_b_hat, 1)):
-        with pytest.raises(ValueError, match="empty cycle"):
-            build(0, grade, 1)
-        with pytest.raises(ValueError, match="empty cycle"):
-            build(0, grade, 1, budget=EnumerationBudget(0))
+
+
+#: The three gluing-table entry points; ``gluing_family`` reads the grade.
+GLUING_CALLS = {
+    "gluing_groups": lambda tag, n, grade, budget: gluing_groups(tag, n, budget=budget),
+    "gluing_counts": lambda tag, n, grade, budget: gluing_counts(tag, n, budget=budget),
+    "gluing_family": lambda tag, n, grade, budget: gluing_family(tag, n, grade, budget=budget),
+}
+
+
+@pytest.mark.parametrize("budget", [None, EnumerationBudget(0)])
+@pytest.mark.parametrize("call", GLUING_CALLS)
+@pytest.mark.parametrize(
+    "tag, n, grade, message",
+    [
+        (tag, n, (1,) * len(entry.grades), "n must be a positive integer")
+        for tag, entry in GLUINGS.items()
+        for n in (0, -1)
+    ]
+    + [("zz", 4, (1,), r"unknown gluing family 'zz'; known: \('a', 'b', ")],
+)
+def test_gluing_side_rejects_a_bad_size_or_tag_before_the_stream(
+    tag, n, grade, message, call, budget
+):
+    # a ValueError every time (grade 1 is one each family takes), never a
+    # value and never the budget's CapExceeded: b, b-tilde and a-tilde once
+    # returned an empty family at some n <= 0
+    with pytest.raises(ValueError, match=message):
+        GLUING_CALLS[call](tag, n, grade, budget)
 
 
 def test_hat_twist_predicate():
