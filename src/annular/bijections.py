@@ -327,13 +327,12 @@ def verify_grades(
     """``verify(tag, n, p)`` for every p in ``grades(n)``, from one grouped pass per side.
 
     Each report equals the one :func:`verify` gives at its grade, and a
-    budget raises as :func:`verify` does at p = 1.
+    budget raises as :func:`verify` does at p = 1.  The gluing side
+    rejects n < 1 with ``ValueError`` before any stream starts.
     """
     entry = BIJECTIONS[tag]
     if not entry.graded:
         raise ValueError(f"bijection {tag!r} takes no grade p")
-    if not grades(n):
-        return ()
     domains = gluing_groups(entry.gluing, n, budget=budget)
     codomains = nc_groups(entry.nc, entry.annular_n(n), budget=budget)
     return tuple(
@@ -359,10 +358,9 @@ def verify_lemma3(
 
     One report per (grade, part-count) key at which either side is
     nonempty, orientable cases first; a key where only one side is
-    populated yields a failing report rather than an error.
+    populated yields a failing report rather than an error.  The gluing
+    side rejects n < 1 with ``ValueError`` before any stream starts.
     """
-    if not grades(n):
-        return ()
     reports: list[BijectionReport] = []
     for bipartite, hypermap, reduction, side, grade in (
         ("a-tilde", "a-hat", hypermap_from_bipartite_orientable, "orientable", "g"),
@@ -389,7 +387,9 @@ def conjecture_table(
     """Tabulate |twisted Euler-genus-1 bipartite gluings of ±[2n], grade p|
     against |graded mirror-symmetric annular pairings of ±[2n]| for
     n ≤ max_n and every p.  The equality is only surmised, so rows carry
-    an ``equal`` flag and no verdict."""
+    an ``equal`` flag and no verdict.  ``ValueError`` for max_n < 1."""
+    if max_n < 1:
+        raise ValueError("max_n must be a positive integer")
     entry = BIJECTIONS["phi1-tilde"]
     rows: list[ConjectureRow] = []
     for n in range(1, max_n + 1):

@@ -255,8 +255,6 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
 
 def cmd_verify(args) -> tuple[dict, int, list | None]:
     budget = _resolve_budget(args)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     tag = args.bijection
     entry = BIJECTIONS.get(tag)  # None for lemma3
     graded = entry is not None and entry.graded
@@ -413,8 +411,6 @@ def cmd_classify(args) -> tuple[dict, int, list | None]:
 
 def cmd_conjecture(args) -> tuple[dict, int, list | None]:
     budget = _resolve_budget(args)
-    if args.max_n < 1:
-        raise ValueError("--max-n must be >= 1")
     rows = conjecture_table(args.max_n, budget=budget)
     result = {
         "rows": [row.to_payload() for row in rows],

@@ -38,14 +38,17 @@ cached in :mod:`annular.frames`, the same ones the Wick sum and the
 non-crossing side read; this module imports neither of those routes.
 
 Each gluing family is one entry of :data:`GLUINGS`, keyed by its CLI
-tag: a source stream of index images (``ã``/``b̃`` read the
+tag: a source of numpy blocks of index images (``ã``/``b̃`` read the
 constructive bipartite streams of :mod:`annular.streams`, which build
 only these gluings instead of filtering all pairings), a ground, grade
-names, and one key kernel mapping an image to its grades.
-:func:`gluing_groups` and :func:`gluing_counts` run the stream through
-the kernel in one pass; they and :func:`gluing_family` check the tag
-and n ≥ 1 first, in one helper, so a bad input raises ``ValueError``
-before any stream starts.  :func:`gluing_key` checks the stream's
+names, a key kernel mapping one image to its grades and its batched
+form mapping a block to its members' grade rows.  :func:`gluing_groups`
+runs the rows through the per-image key in one pass, and
+:func:`gluing_counts` the blocks through the batched one; a row the
+per-image key would reject with an error is handed to it, so both raise
+the same error.  They and :func:`gluing_family` check the tag and n ≥ 1
+first, in one helper, so a bad input raises ``ValueError`` before any
+stream starts.  :func:`gluing_key` checks the stream's
 conditions on one permutation and applies the same kernel, so a
 membership it reports is exactly a builder's.  The ``family_*`` names
 are one-line shorthands over the table.
@@ -53,10 +56,11 @@ are one-line shorthands over the table.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .frames import (
     annulus_cycle,
@@ -76,7 +80,9 @@ from .perms import (
     Permutation,
     _coloured_cycle_count,
     _cycle_count,
+    _cycle_counts,
     _is_delta_symmetric,
+    _key_counts,
     _num_cycles_image,
     compose,
     inverse,
@@ -85,13 +91,13 @@ from .perms import (
 )
 from .streams import (
     EnumerationBudget,
-    _images,
-    bipartite_pairing_images,
-    bipartite_signed_symmetric_pairing_images,
-    pairings,
-    permutations,
-    signed_symmetric_pairings,
-    signed_symmetric_permutations,
+    _bipartite_pairing_blocks,
+    _bipartite_signed_symmetric_pairing_blocks,
+    _pairings_of_blocks,
+    _permutations_of_blocks,
+    _rows,
+    _signed_symmetric_pairings_blocks,
+    _signed_symmetric_permutations_blocks,
 )
 
 __all__ = [
@@ -291,6 +297,10 @@ def nonorientable_white_grade(tau1: Pairing) -> int:
 # mapping an image to its grade tuple (None: in no family of the tag).
 # ---------------------------------------------------------------------------
 
+def _a_key(img: tuple[int, ...]) -> tuple[int]:
+    return (_orientable_genus(img),)
+
+
 def _b_key(img: tuple[int, ...]) -> tuple[int] | None:
     return (_euler_genus(img),) if _has_twist(img, len(img) // 2) else None
 
@@ -330,67 +340,134 @@ def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
     return (k, cycles // 2) if k >= 1 else None
 
 
+# The same keys, batched: each maps a block of images to the grade rows of
+# its members, in row order.  A row the per-image key would reject with an
+# error is handed to that key, so the error and its message are the same.
+
+def _raise_at_first(key: Callable, block: np.ndarray, bad: np.ndarray) -> None:
+    """Run the per-image ``key`` on the first ``bad`` row of ``block``, which raises."""
+    if bad.any():
+        key(tuple(block[bad.argmax()].tolist()))
+        raise AssertionError("the batched and per-image keys disagree")
+
+
+def _odd(values: np.ndarray) -> np.ndarray:
+    return values % 2 == 1
+
+
+def _a_keys(block: np.ndarray) -> np.ndarray:
+    size = block.shape[1]
+    twice_genus = size // 2 + 1 - _cycle_counts(gamma_walk(full_cycle(size))[0], block)
+    _raise_at_first(_a_key, block, (twice_genus < 0) | _odd(twice_genus))
+    return (twice_genus // 2)[:, None]
+
+
+def _b_keys(block: np.ndarray) -> np.ndarray:
+    n = block.shape[1] // 2
+    block = block[(block[:, n:] >= n).any(axis=1)]  # twisted
+    twice_k = n + 2 - _cycle_counts(tau2(n).image, block)
+    _raise_at_first(_b_key, block, (twice_k < 0) | _odd(twice_k))
+    return (twice_k // 2)[:, None]
+
+
+def _a_tilde_keys(block: np.ndarray) -> np.ndarray:
+    size = block.shape[1]
+    walk = gamma_walk(full_cycle(size))[0]
+    faces, p, mixed = _cycle_counts(walk, block, odd_mask(size))
+    twice_genus = size // 2 + 1 - faces
+    _raise_at_first(_a_tilde_key, block, mixed | (twice_genus < 0) | _odd(twice_genus))
+    return np.column_stack((twice_genus // 2, p))
+
+
+def _b_tilde_keys(block: np.ndarray) -> np.ndarray:
+    n = block.shape[1] // 2
+    block = block[(block[:, n:] >= n).any(axis=1)]  # twisted
+    boundary, black_cycles, mixed = _cycle_counts(tau2(n).image, block, black_mask(n)[1])
+    white_cycles = boundary - black_cycles  # B and W split ±[n]
+    twice_k = n + 2 - boundary
+    bad = mixed | _odd(white_cycles) | (twice_k < 0) | _odd(twice_k)
+    _raise_at_first(_b_tilde_key, block, bad)
+    return np.column_stack((twice_k // 2, white_cycles // 2))
+
+
+def _a_hat_keys(block: np.ndarray) -> np.ndarray:
+    n = block.shape[1]
+    p = _cycle_counts(range(n), block)
+    faces = _cycle_counts(gamma_walk(full_cycle(n))[0], block)
+    return np.column_stack(((n - p + 1 - faces) // 2, p))
+
+
+def _b_hat_keys(block: np.ndarray) -> np.ndarray:
+    n = block.shape[1] // 2
+    block = block[(block[:, n:] < n).any(axis=1)]  # hypermap twist
+    cycles = _cycle_counts(range(2 * n), block)
+    boundary = _cycle_counts(annulus_cycle(n).image, block)
+    k = n - cycles // 2 + 1 - boundary // 2
+    member = ~_odd(cycles) & ~_odd(boundary) & (k >= 1)
+    return np.column_stack((k, cycles // 2))[member]
+
+
 @dataclass(frozen=True)
 class Gluing:
-    """One gluing family: its source stream, ground, grades and key kernel.
+    """One gluing family: its source blocks, ground, grades and key kernels.
 
-    ``source(n, cap, budget)`` yields index images on ±[size] when
-    ``signed``, else on [size], where size is 2n when ``doubled`` (the
-    bipartite families) and n otherwise.  Its elements are pairings when
-    ``pairs``, δ-symmetric when ``signed``, bipartite when ``doubled``.
-    ``key`` maps an image to its grades, named by ``grades``.
+    ``source(n, cap, budget)`` yields blocks of index images on ±[size]
+    when ``signed``, else on [size], where size is 2n when ``doubled``
+    (the bipartite families) and n otherwise.  Its elements are pairings
+    when ``pairs``, δ-symmetric when ``signed``, bipartite when
+    ``doubled``.  ``key`` maps one image to its grades, named by
+    ``grades`` (None: in no family of the tag); ``keys`` maps a block to
+    the grade rows of its members, in row order.
     """
 
-    source: Callable[..., Iterator[tuple[int, ...]]]
+    source: Callable[..., Iterator[np.ndarray]]
     signed: bool
     doubled: bool
     pairs: bool
     grades: tuple[str, ...]
     key: Callable[[tuple[int, ...]], tuple[int, ...] | None]
+    keys: Callable[[np.ndarray], np.ndarray]
 
 
 #: CLI tag -> gluing family, in CLI order.  Each source is a lambda over
-#: a module-level stream name, looked up at call time, so a wrapper
-#: rebound over that name (a tracer's) is seen.  Caps apply to the
-#: stream's ground; a budget counts the elements the stream yields
+#: a module-level block-stream name, looked up at call time, so a wrapper
+#: rebound over that name (a test's call counter) is seen.  Caps apply to
+#: the stream's ground; a budget counts the elements the stream yields
 #: (for ã/b̃, the bipartite gluings built).
 GLUINGS: dict[str, Gluing] = {
     # pairings of [n] by genus g
     "a": Gluing(
-        lambda n, cap, budget: _images(pairings(n, cap=cap, budget=budget)),
-        signed=False, doubled=False, pairs=True, grades=("genus",),
-        key=lambda img: (_orientable_genus(img),),
+        lambda n, cap, budget: _pairings_of_blocks(unsigned_ground(n), cap, budget),
+        signed=False, doubled=False, pairs=True, grades=("genus",), key=_a_key, keys=_a_keys,
     ),
     # twisted mirror-symmetric gluings of ±[n] by Euler genus k ≥ 1
     "b": Gluing(
-        lambda n, cap, budget: _images(
-            signed_symmetric_pairings(n, cap=cap, budget=budget)
-        ),
-        signed=True, doubled=False, pairs=True, grades=("k",), key=_b_key,
+        lambda n, cap, budget: _signed_symmetric_pairings_blocks(n, cap, budget),
+        signed=True, doubled=False, pairs=True, grades=("k",), key=_b_key, keys=_b_keys,
     ),
     # bipartite pairings of [2n] by genus g and white grade p
     "a-tilde": Gluing(
-        lambda n, cap, budget: bipartite_pairing_images(2 * n, cap=cap, budget=budget),
-        signed=False, doubled=True, pairs=True, grades=("genus", "p"), key=_a_tilde_key,
+        lambda n, cap, budget: _bipartite_pairing_blocks(2 * n, cap, budget),
+        signed=False, doubled=True, pairs=True, grades=("genus", "p"),
+        key=_a_tilde_key, keys=_a_tilde_keys,
     ),
     # bipartite twisted mirror-symmetric gluings of ±[2n] by (k, p)
     "b-tilde": Gluing(
-        lambda n, cap, budget: bipartite_signed_symmetric_pairing_images(
-            2 * n, cap=cap, budget=budget
-        ),
-        signed=True, doubled=True, pairs=True, grades=("k", "p"), key=_b_tilde_key,
+        lambda n, cap, budget: _bipartite_signed_symmetric_pairing_blocks(2 * n, cap, budget),
+        signed=True, doubled=True, pairs=True, grades=("k", "p"),
+        key=_b_tilde_key, keys=_b_tilde_keys,
     ),
     # hypermaps: permutations of [n] by genus g and part count p
     "a-hat": Gluing(
-        lambda n, cap, budget: _images(permutations(n, cap=cap, budget=budget)),
-        signed=False, doubled=False, pairs=False, grades=("genus", "p"), key=_a_hat_key,
+        lambda n, cap, budget: _permutations_of_blocks(unsigned_ground(n), cap, budget),
+        signed=False, doubled=False, pairs=False, grades=("genus", "p"),
+        key=_a_hat_key, keys=_a_hat_keys,
     ),
     # twisted hypermaps: δ-symmetric permutations of ±[n] by (k, p)
     "b-hat": Gluing(
-        lambda n, cap, budget: _images(
-            signed_symmetric_permutations(n, cap=cap, budget=budget)
-        ),
-        signed=True, doubled=False, pairs=False, grades=("k", "p"), key=_b_hat_key,
+        lambda n, cap, budget: _signed_symmetric_permutations_blocks(n, cap, budget),
+        signed=True, doubled=False, pairs=False, grades=("k", "p"),
+        key=_b_hat_key, keys=_b_hat_keys,
     ),
 }
 
@@ -422,7 +499,7 @@ def gluing_groups(
     ground = signed_ground(size) if entry.signed else unsigned_ground(size)
     member = partial(Pairing._make if entry.pairs else Permutation._make, ground)
     groups: dict[tuple[int, ...], list[Permutation]] = {}
-    for img in entry.source(n, cap, budget):
+    for img in _rows(entry.source(n, cap, budget)):
         key = entry.key(img)
         if key is not None:
             groups.setdefault(key, []).append(member(img))
@@ -436,11 +513,14 @@ def gluing_counts(
     cap: int | None = None,
     budget: EnumerationBudget | None = None,
 ) -> dict[tuple[int, ...], int]:
-    """Histogram grade tuple -> family size, in one pass, building no members."""
+    """Histogram grade tuple -> family size, in one pass, building no members.
+
+    The source is read a block at a time through the batched key kernel;
+    grades appear in the order of their first member, as in
+    :func:`gluing_groups`.
+    """
     entry = _entry(tag, n)
-    counts = Counter(map(entry.key, entry.source(n, cap, budget)))
-    counts.pop(None, None)
-    return dict(counts)
+    return _key_counts(map(entry.keys, entry.source(n, cap, budget)))
 
 
 def gluing_family(

@@ -6,12 +6,15 @@ mirror-symmetric gluings, permutations).  ``genus_expansion_moment``
 instead multiplies family counts by the dimension powers their genus
 dictates.  Both raise ``CapExceeded`` above ``DEFAULT_ORDER_CAPS``
 before enumerating anything.  The two share no family construction:
-the Wick sum filters its own streams and keys each element with the
-index-space cycle kernels of :mod:`annular.perms` against the cached
-walks, colour masks and colour tests of :mod:`annular.frames`, while
-the genus route reads only the ``family_*_counts`` histograms of
+the Wick sum reads the blocks of its own streams (LOE filters the
+gluings that keep the black set itself, as a mask per block) and keys
+each row with the batched cycle kernel of :mod:`annular.perms` against
+the cached walks and colour masks of :mod:`annular.frames`, while the
+genus route reads only the ``family_*_counts`` histograms of
 :mod:`annular.maps`.  Only that low-level algebra is shared, so their
-agreement (enforced in tests) cross-checks both.
+agreement (enforced in tests) cross-checks both.  The invariants the sum
+relies on (even boundary counts, monochromatic walks of a bipartite
+gluing) are explicit raises.
 
 ``wick_oracle_smallN`` is the ground truth for everything else: it sums
 covariances over literal matrix index tuples, never touching the
@@ -33,21 +36,23 @@ from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
-from .frames import black_mask, full_cycle, gamma_walk, keeps_black, tau2
+import numpy as np
+
+from .frames import black_mask, full_cycle, gamma_walk, tau2
 from .maps import (
     family_a_counts,
     family_a_tilde_counts,
     family_b_counts,
     family_b_tilde_counts,
 )
-from .perms import _coloured_cycle_count, _cycle_count, _num_cycles_image
+from .perms import _cycle_counts, _key_counts, unsigned_ground
 from .polynomial import MomentPolynomial
 from .streams import (
     CapExceeded,
     EnumerationBudget,
-    pairings,
-    permutations,
-    signed_symmetric_pairings,
+    _pairings_of_blocks,
+    _permutations_of_blocks,
+    _signed_symmetric_pairings_blocks,
 )
 
 __all__ = [
@@ -148,53 +153,68 @@ def wick_moment(
     if ensemble.is_gaussian and n % 2:
         return MomentPolynomial.zero()
 
-    counts: dict[tuple[int, int], int] = {}
-
     if ensemble.kind == "GUE":
         walk = gamma_walk(full_cycle(n))[0]
-        for pi in pairings(n, cap=n, budget=budget):
-            key = (_cycle_count(walk, pi.image), 0)
-            counts[key] = counts.get(key, 0) + 1
+        blocks = _pairings_of_blocks(unsigned_ground(n), n, budget)
+        keys = (_gue_keys(walk, block) for block in blocks)
         prefactor = Fraction(1, 2 ** (n // 2))
 
     elif ensemble.kind == "GOE":
         mirror_shift = tau2(n).image
-        for t in signed_symmetric_pairings(n, cap=2 * n, budget=budget):
-            doubled = _cycle_count(mirror_shift, t.image)
-            if doubled % 2:
-                raise AssertionError("boundary count of a gluing must be even")
-            key = (doubled // 2, 0)
-            counts[key] = counts.get(key, 0) + 1
+        blocks = _signed_symmetric_pairings_blocks(n, 2 * n, budget)
+        keys = (_goe_keys(mirror_shift, block) for block in blocks)
         prefactor = Fraction(1, 2**n)
 
     elif ensemble.kind == "LUE":
         walk = gamma_walk(full_cycle(n))[0]
-        for pi in permutations(n, cap=n, budget=budget):
-            img = pi.image
-            blocks = _num_cycles_image(img)
-            key = (blocks + _cycle_count(walk, img), blocks)
-            counts[key] = counts.get(key, 0) + 1
+        blocks = _permutations_of_blocks(unsigned_ground(n), n, budget)
+        keys = (_lue_keys(walk, block) for block in blocks)
         prefactor = Fraction(1)
 
     else:  # LOE
         mirror_shift = tau2(2 * n).image
-        black = black_mask(2 * n)[1]
-        for t in signed_symmetric_pairings(2 * n, cap=4 * n, budget=budget):
-            img = t.image
-            if not keeps_black(img):
-                continue
-            # B(n) and W(n) split ±[2n], so the white cycles are the others
-            doubled, black_doubled = _coloured_cycle_count(mirror_shift, img, black)
-            white_doubled = doubled - black_doubled
-            if white_doubled % 2 or black_doubled % 2:
-                raise AssertionError("split boundary counts must be even")
-            key = (doubled // 2, white_doubled // 2)
-            counts[key] = counts.get(key, 0) + 1
+        blocks = _signed_symmetric_pairings_blocks(2 * n, 4 * n, budget)
+        keys = (_loe_keys(mirror_shift, black_mask(2 * n), block) for block in blocks)
         prefactor = Fraction(1, 2**n)
 
     return MomentPolynomial(
-        tuple((key, prefactor * cnt) for key, cnt in counts.items())
+        tuple((key, prefactor * cnt) for key, cnt in _key_counts(keys).items())
     )
+
+
+# Each maps a block of stream images to its rows' (N power, c power) keys.
+
+def _gue_keys(walk: tuple[int, ...], block: np.ndarray) -> np.ndarray:
+    faces = _cycle_counts(walk, block)
+    return np.column_stack((faces, np.zeros_like(faces)))
+
+
+def _goe_keys(mirror_shift: tuple[int, ...], block: np.ndarray) -> np.ndarray:
+    doubled = _cycle_counts(mirror_shift, block)
+    if (doubled % 2).any():
+        raise AssertionError("boundary count of a gluing must be even")
+    return np.column_stack((doubled // 2, np.zeros_like(doubled)))
+
+
+def _lue_keys(walk: tuple[int, ...], block: np.ndarray) -> np.ndarray:
+    parts = _cycle_counts(range(block.shape[1]), block)
+    return np.column_stack((parts + _cycle_counts(walk, block), parts))
+
+
+def _loe_keys(
+    mirror_shift: tuple[int, ...], black: tuple[tuple[int, ...], bytes], block: np.ndarray
+) -> np.ndarray:
+    """Keys of the rows that keep the black set; the others are no LOE gluing."""
+    indices, mask = black
+    block = block[np.frombuffer(mask, dtype=np.uint8)[block[:, indices]].all(axis=1)]
+    doubled, black_doubled, mixed = _cycle_counts(mirror_shift, block, mask)
+    if mixed.any():
+        raise AssertionError("a boundary walk of a bipartite gluing mixes black and white labels")
+    # B(n) and W(n) split ±[2n], so the white cycles are the others
+    white_doubled = doubled - black_doubled
+    if (white_doubled % 2).any() or (black_doubled % 2).any():
+        raise AssertionError("split boundary counts must be even")
+    return np.column_stack((doubled // 2, white_doubled // 2))
 
 
 # ---------------------------------------------------------------------------

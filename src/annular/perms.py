@@ -26,8 +26,11 @@ algebra below, on raw image tuples: ``_num_cycles_image`` (#π),
 ``_cycle_count`` (# of x ↦ outer[inner[x]], e.g. a face walk γ⁻¹π
 without inverting π), ``_coloured_cycle_count`` (from one walk, the
 same cycles and those inside one colour class of a 0/1 mask, None when
-a cycle mixes the classes) and ``_is_delta_symmetric``.  Every cycle
-count in the package goes through them.  ``compose``, ``inverse``,
+a cycle mixes the classes) and ``_is_delta_symmetric``.
+``_cycle_counts`` is the batched form of the two walk kernels for a
+numpy block of images, one row per image, and ``_key_counts`` tallies
+the key rows computed from such blocks.  Every cycle count in the
+package goes through them.  ``compose``, ``inverse``,
 ``conjugate``, ``num_cycles`` and ``restricted_cycle_count`` are the
 algebra of :class:`Permutation` objects: plain functions over them.
 
@@ -57,8 +60,11 @@ insensitive to cycle rotation/order.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "GroundSet",
@@ -234,6 +240,45 @@ def _coloured_cycle_count(
         count += 1
         inside += c
     return count, inside
+
+
+def _cycle_counts(outer: Sequence[int], block: np.ndarray, colour: bytes | None = None):
+    """Per row of ``block``: the cycles of x -> outer[row[x]], all rows in one pass.
+
+    The batched form of :func:`_cycle_count` (without ``colour``) and of
+    :func:`_coloured_cycle_count` (with it), for a 2-D block of index
+    images.  Each position takes the least index of its orbit by
+    pointer doubling, ⌈log₂ size⌉ rounds over the flattened block, and
+    a cycle is counted at its least index.  With a 0/1 ``colour`` mask
+    it returns (cycles, colour-1 cycles, mixed), where mixed flags the
+    rows with a cycle that meets both colour classes; their counts are
+    meaningless.
+    """
+    rows, size = block.shape
+    offsets = np.arange(rows)[:, None] * size
+    step = (np.asarray(outer, dtype=np.intp)[block] + offsets).ravel()
+    least = np.arange(rows * size)
+    for _ in range((size - 1).bit_length()):
+        np.minimum(least, least.take(step), out=least)
+        step = step.take(step)
+    heads = (least == np.arange(rows * size)).reshape(rows, size)
+    cycles = heads.sum(axis=1)
+    if colour is None:
+        return cycles
+    mask = np.tile(np.frombuffer(colour, dtype=np.uint8).astype(bool), rows)
+    mixed = (mask != mask[least]).reshape(rows, size).any(axis=1)
+    return cycles, (heads & mask.reshape(rows, size)).sum(axis=1), mixed
+
+
+def _key_counts(keys: Iterable[np.ndarray]) -> dict[tuple[int, ...], int]:
+    """Key tuple -> rows carrying it, over blocks of rows of int keys.
+
+    Keys appear in the order of their first row.
+    """
+    counts: Counter[tuple[int, ...]] = Counter()
+    for block in keys:
+        counts.update(zip(*block.T.tolist()))
+    return dict(counts)
 
 
 def _is_delta_symmetric(img: Sequence[int]) -> bool:

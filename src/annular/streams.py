@@ -25,23 +25,37 @@ index images for the kernels of :mod:`annular.maps` and
 
 Each yields exactly the elements of the corresponding filter of
 :func:`pairings` / :func:`signed_symmetric_pairings`, in the same order,
-without visiting the rejected ones.  The three mirror-symmetric streams
-read one expansion, :func:`_mirror_pair_images`, and differ only in the
-twists they pass it.
+without visiting the rejected ones.
+
+Every stream is built as numpy blocks of index images, one element per
+row and at most ``_ROWS`` rows a block, and yields the rows.  There is
+one block builder per construction: :func:`_pairing_blocks` (matchings,
+optionally only the bipartite ones), :func:`_mirror_pair_blocks` (the
+three mirror-symmetric streams, which differ only in the twist rule they
+pass it) and :func:`_permutation_blocks`.  The exact routes of
+:mod:`annular.moments` and :mod:`annular.maps` read the capped,
+budgeted blocks (the ``_*_blocks`` functions named after each stream);
+the public streams are their rows, as tuples or as
+:class:`~annular.perms.Pairing`/:class:`~annular.perms.Permutation`.
 
 Each stream has a documented deterministic order, an ``n``-cap guarding
 against accidental combinatorial explosions (overridable per call), and
 an optional :class:`EnumerationBudget` limiting the number of elements
 produced; a budget is only ever passed in, never read from elsewhere.
+It cuts the block that holds the first element over the budget and
+raises only when that element is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice, permutations as _iter_permutations, product as _iter_product
+from functools import cache, partial, wraps
+from itertools import chain, islice, permutations as _iter_permutations
+from math import factorial
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .perms import GroundSet, Pairing, Permutation, signed_ground, unsigned_ground
 
@@ -96,20 +110,31 @@ class EnumerationBudget:
             raise ValueError("max_elements must be >= 0")
 
 
-def _budgeted(it: Iterator, budget: EnumerationBudget | None, what: str):
-    """``it``, raising :class:`CapExceeded` if it has more than the budget's elements."""
+def _budgeted(
+    blocks: Iterator[np.ndarray], budget: EnumerationBudget | None, what: str
+) -> Iterator[np.ndarray]:
+    """``blocks`` cut to the budget's elements; :class:`CapExceeded` when one more exists.
+
+    The rows within the allowance are yielded first, so a consumer that
+    takes at most the budget's elements never raises.
+    """
     if budget is None:
-        return it
+        return blocks
     limit = budget.max_elements
 
     def within():
-        yield from islice(it, limit)
-        for _ in it:  # one element more than the budget
-            raise CapExceeded(
-                f"{what} exceeded the element budget ({limit})",
-                requested=limit + 1,
-                cap=limit,
-            )
+        left = limit
+        for block in blocks:
+            if len(block) > left:  # the block holds element limit + 1
+                if left:
+                    yield block[:left]
+                raise CapExceeded(
+                    f"{what} exceeded the element budget ({limit})",
+                    requested=limit + 1,
+                    cap=limit,
+                )
+            left -= len(block)
+            yield block
 
     return within()
 
@@ -128,6 +153,21 @@ def _check_cap(what: str, n: int, cap: int | None, default_cap: int) -> None:
 #: The index images of a stream of permutations.
 _images = partial(map, attrgetter("image"))
 
+#: Most rows in one block, whatever the stream's length: 4 kB per column
+#: of intp (80 kB on ±[10]).  Larger blocks raise the peak memory of the
+#: exact routes more than they save time.
+_ROWS = 512
+
+
+def _rows(blocks: Iterable[np.ndarray]) -> Iterator[tuple[int, ...]]:
+    """The rows of ``blocks`` as image tuples, one block at a time."""
+    return chain.from_iterable(map(tuple, block.tolist()) for block in blocks)
+
+
+def _members(cls: type[Permutation], ground: GroundSet, blocks) -> Iterator[Permutation]:
+    """``cls`` objects on ``ground`` built from the rows of ``blocks``."""
+    return map(partial(cls._make, ground), _rows(blocks))
+
 
 def double_factorial(m: int) -> int:
     """(m)!! — the number of pairings of an m-set is (m-1)!! for even m."""
@@ -139,38 +179,214 @@ def double_factorial(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pairings
+# block builders (index space, no cap or budget)
 # ---------------------------------------------------------------------------
 
-def _pairing_images(size: int, step: int = 1) -> Iterator[tuple[int, ...]]:
-    """Index-space images of all matchings of 0..size-1.
+def _once_when_small(count: Callable[..., int]):
+    """Decorate a block builder: a stream of one block is built once per process.
 
-    Deterministic order: the smallest unmatched index is paired with
-    each larger unmatched index in ascending order, recursively.  With
-    ``step=2`` only indices at odd distance (opposite parity) are
-    paired; every partial matching of that kind still extends to a full
-    one, so this prunes the search to the bipartite matchings and yields
-    them in the order of the unrestricted stream.
+    ``count(*args)`` is the number of elements the builder yields.  At
+    most ``_ROWS`` of them make one block, which is kept, read-only,
+    like the frames of :mod:`annular.frames`: a small stream then costs
+    no numpy calls after its first use.  Longer streams are built anew.
     """
-    if size % 2:
+    def decorate(build):
+        @cache
+        def built(*args) -> tuple[np.ndarray, ...]:
+            blocks = tuple(build(*args))
+            for block in blocks:
+                block.flags.writeable = False
+            return blocks
+
+        @wraps(build)
+        def blocks(*args) -> Iterator[np.ndarray]:
+            return iter(built(*args)) if count(*args) <= _ROWS else build(*args)
+
+        return blocks
+
+    return decorate
+
+
+def _matchings(size: int, step: int = 1) -> int:
+    """How many matchings :func:`_pairing_blocks` builds."""
+    if size < 0 or size % 2:
+        return 0
+    return double_factorial(size - 1) if step == 1 else factorial(size // 2)
+
+
+@_once_when_small(_matchings)
+def _pairing_blocks(size: int, step: int = 1) -> Iterator[np.ndarray]:
+    """Blocks of the index images of all matchings of 0..size-1.
+
+    Built level by level: each partial matching pairs its smallest
+    unmatched index with each larger unmatched one in ascending order,
+    and children follow their parent row by row, which is the
+    depth-first order of that recursion.  With ``step=2`` only indices
+    at odd distance (opposite parity) are paired; every partial matching
+    of that kind still extends to a full one, so this builds exactly the
+    bipartite matchings, in the order of the unrestricted stream.  A
+    level is expanded in row ranges, so no block exceeds ``_ROWS`` rows.
+    Empty for odd or negative size.
+    """
+    if size >= 0 and size % 2 == 0:
+        yield from _extend(np.full((1, size), -1, dtype=np.intp), step)
+
+
+def _extend(level: np.ndarray, step: int) -> Iterator[np.ndarray]:
+    """The full matchings below the rows of ``level``, in order (-1: unmatched)."""
+    unmatched = int((level[0] < 0).sum())  # the same on every row of a level
+    if not unmatched:
+        yield level
         return
-    image = [-1] * size
+    width = unmatched - 1 if step == 1 else unmatched // 2  # children per row
+    parents = max(1, _ROWS // width)
+    columns = np.arange(level.shape[1])
+    for lo in range(0, len(level), parents):
+        rows = level[lo : lo + parents]
+        free = rows < 0
+        first = free.argmax(axis=1)
+        free[np.arange(len(rows)), first] = False
+        if step == 2:
+            free &= (columns - first[:, None]) % 2 == 1
+        partner = np.nonzero(free)[1]  # row by row, ascending
+        parent = np.repeat(np.arange(len(rows)), width)
+        child = rows[parent]
+        at = np.arange(len(child))
+        child[at, first[parent]] = partner
+        child[at, partner] = first[parent]
+        yield from _extend(child, step)
 
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        i = start
-        while i < size and image[i] != -1:
-            i += 1
-        if i == size:
-            yield tuple(image)
-            return
-        for j in range(i + 1, size, step):
-            if image[j] == -1:
-                image[i], image[j] = j, i
-                yield from rec(i + 1)
-                image[i], image[j] = -1, -1
 
-    yield from rec(0)
+@_once_when_small(lambda n, rule: _matchings(n) * (2 ** (n // 2) if rule == "every" else 1))
+def _mirror_pair_blocks(n: int, rule: str) -> Iterator[np.ndarray]:
+    """Blocks of the index images of mirror-symmetric pairings of ±[n] with no (r,−r) pair.
 
+    Every such pairing is an unsigned pairing of [n] together with a
+    twist bit per pair.  For a pair {a, b} (a < b): untwisted
+    contributes the 2-cycles (a,−b)(−a,b), twisted contributes
+    (a,b)(−a,−b).  The twists follow ``rule``: ``"every"`` expands each
+    unsigned pairing into all its twist tuples in lexicographic order,
+    untwisted (0) first, bits aligned with its index pairs (i, j),
+    i < j, sorted by i; ``"agree"`` twists exactly the pairs whose
+    labels agree in parity and ``"differ"`` those whose labels differ.
+    Order: unsigned pairings in :func:`pairings` order, then twist
+    tuples.  In index space +a sits at n+a−1 and −a at n−a, so the pair
+    (i, j) becomes (n+i, n−1−j)(n−1−i, n+j) untwisted and (n+i, n+j)
+    (n−1−i, n−1−j) twisted.
+    """
+    half = n // 2
+    tuples = 2**half if rule == "every" else 1
+    parents = max(1, _ROWS // tuples)
+    shifts = np.arange(half - 1, -1, -1)
+    for block in _pairing_blocks(n):
+        for lo in range(0, len(block), parents):
+            rows = block[lo : lo + parents]
+            i = np.nonzero(rows > np.arange(n))[1].reshape(len(rows), half)
+            j = np.take_along_axis(rows, i, axis=1)
+            if rule != "every":
+                yield _mirror(n, i, j, (j - i) % 2 == (rule == "differ"))
+                continue
+            for first in range(0, tuples, _ROWS):
+                t = np.arange(first, min(tuples, first + _ROWS))
+                bits = (t[:, None] >> shifts) & 1 == 1
+                yield _mirror(
+                    n,
+                    np.repeat(i, len(t), axis=0),
+                    np.repeat(j, len(t), axis=0),
+                    np.tile(bits, (len(rows), 1)),
+                )
+
+
+def _mirror(n: int, i: np.ndarray, j: np.ndarray, twisted: np.ndarray) -> np.ndarray:
+    """One image per row of the pairs (i, j) of [n] and their twist bits."""
+    out = np.empty((len(i), 2 * n), dtype=np.intp)
+    row = np.arange(len(i))[:, None]
+    out[row, n + i] = np.where(twisted, n + j, n - 1 - j)
+    out[row, n + j] = np.where(twisted, n + i, n - 1 - i)
+    out[row, n - 1 - i] = np.where(twisted, n - 1 - j, n + j)
+    out[row, n - 1 - j] = np.where(twisted, n - 1 - i, n + i)
+    return out
+
+
+@_once_when_small(factorial)
+def _permutation_blocks(size: int) -> Iterator[np.ndarray]:
+    """Blocks of all images of 0..size-1 in lexicographic order."""
+    if not size:
+        yield np.zeros((1, 0), dtype=np.intp)
+        return
+    images = _iter_permutations(range(size))
+    row = np.dtype((np.intp, size))
+    while len(block := np.fromiter(islice(images, _ROWS), dtype=row)):
+        yield block
+
+
+# ---------------------------------------------------------------------------
+# capped, budgeted block streams (what the exact routes read)
+#
+# Each checks its cap when called and counts its budget in elements.  The
+# public stream of the same name yields their rows.
+# ---------------------------------------------------------------------------
+
+def _pairings_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:
+    _check_cap("pairing enumeration", ground.size, cap, DEFAULT_PAIRING_CAP)
+    return _budgeted(_pairing_blocks(ground.size), budget, f"pairings of {ground!r}")
+
+
+def _signed_symmetric_pairings_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
+    _check_cap("signed symmetric pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP)
+    return _budgeted(
+        _mirror_pair_blocks(n, "every"), budget, f"signed symmetric pairings of ±[{n}]"
+    )
+
+
+def _bipartite_pairing_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
+    _check_cap("bipartite pairing enumeration", n, cap, DEFAULT_PAIRING_CAP)
+    return _budgeted(_pairing_blocks(n, 2), budget, f"bipartite pairings of [{n}]")
+
+
+def _bipartite_signed_symmetric_pairing_blocks(
+    n: int, cap=None, budget=None
+) -> Iterator[np.ndarray]:
+    _check_cap(
+        "bipartite signed symmetric pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP
+    )
+    return _budgeted(
+        _mirror_pair_blocks(n, "agree"), budget, f"bipartite signed symmetric pairings of ±[{n}]"
+    )
+
+
+def _permutations_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:
+    _check_cap("permutation enumeration", ground.size, cap, DEFAULT_PERMUTATION_CAP)
+    return _budgeted(_permutation_blocks(ground.size), budget, f"permutations of {ground!r}")
+
+
+def _signed_symmetric_permutations_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
+    _check_cap(
+        "signed symmetric permutation enumeration", n, cap, DEFAULT_SIGNED_PERMUTATION_CAP
+    )
+    return _budgeted(
+        _mirrored_pairings(n), budget, f"signed symmetric permutations of ±[{n}]"
+    )
+
+
+@_once_when_small(lambda n: _matchings(2 * n))
+def _mirrored_pairings(n: int) -> Iterator[np.ndarray]:
+    """τ₀σ over the pairings σ of ±[n], in lexicographic image order.
+
+    With the mirror M(i) = 2n−1−i, τ₀σ has image M(σ(i)).  The pairings
+    come in lexicographic image order (two of them first differ at the
+    smallest index still unmatched where they branch, ascending), and M
+    reverses it, so the stream is the mirrored pairings last to first,
+    built whole before its first block.
+    """
+    images = (2 * n - 1 - np.concatenate(list(_pairing_blocks(2 * n))))[::-1]
+    for lo in range(0, len(images), _ROWS):
+        yield images[lo : lo + _ROWS]
+
+
+# ---------------------------------------------------------------------------
+# pairings
+# ---------------------------------------------------------------------------
 
 def pairings_of(
     ground: GroundSet,
@@ -178,10 +394,12 @@ def pairings_of(
     cap: int | None = None,
     budget: EnumerationBudget | None = None,
 ) -> Iterator[Pairing]:
-    """All pairings of an arbitrary ground set, smallest-label-first order."""
-    _check_cap("pairing enumeration", ground.size, cap, DEFAULT_PAIRING_CAP)
-    inner = (Pairing._make(ground, img) for img in _pairing_images(ground.size))
-    return _budgeted(inner, budget, f"pairings of {ground!r}")
+    """All pairings of an arbitrary ground set, smallest-label-first order.
+
+    The smallest unmatched label is paired with each larger unmatched
+    label in ascending order, recursively.
+    """
+    return _members(Pairing, ground, _pairings_of_blocks(ground, cap, budget))
 
 
 def pairings(
@@ -208,36 +426,6 @@ def signed_pairings(
 # signed symmetric pairings
 # ---------------------------------------------------------------------------
 
-def _mirror_pair_images(
-    n: int, twist_tuples: Callable[[list[tuple[int, int]]], Iterable]
-) -> Iterator[tuple[int, ...]]:
-    """Index images of mirror-symmetric pairings of ±[n] with no (r,−r) pair.
-
-    Every such pairing is an unsigned pairing of [n] together with a
-    twist bit per pair.  For a pair {a, b} (a < b): untwisted
-    contributes the 2-cycles (a,−b)(−a,b), twisted contributes
-    (a,b)(−a,−b).  ``twist_tuples(pairs)`` gives the twist tuples to
-    expand for one unsigned pairing, bits aligned with its index pairs
-    (i, j), i < j, sorted by i.  Order: unsigned pairings in
-    :func:`pairings` order; within one, ``twist_tuples`` order.  In
-    index space +a sits at n+a−1 and −a at n−a, so the pair (i, j)
-    becomes (n+i, n−1−j)(n−1−i, n+j) untwisted and (n+i, n+j)(n−1−i,
-    n−1−j) twisted.
-    """
-    for img in _pairing_images(n):
-        pairs = [(i, j) for i, j in enumerate(img) if i < j]
-        for twists in twist_tuples(pairs):
-            out = [-1] * (2 * n)
-            for (i, j), twisted in zip(pairs, twists):
-                if twisted:
-                    x, y, z, w = n + i, n + j, n - 1 - i, n - 1 - j
-                else:
-                    x, y, z, w = n + i, n - 1 - j, n - 1 - i, n + j
-                out[x], out[y] = y, x
-                out[z], out[w] = w, z
-            yield tuple(out)
-
-
 def signed_symmetric_pairings(
     n: int,
     *,
@@ -252,15 +440,8 @@ def signed_symmetric_pairings(
     twist tuples in lexicographic order with untwisted (False) first,
     bits aligned with the pairs sorted by smaller element.
     """
-    _check_cap(
-        "signed symmetric pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP
-    )
-    ground = signed_ground(n)
-    images = _mirror_pair_images(
-        n, lambda pairs: _iter_product((False, True), repeat=len(pairs))
-    )
-    inner = (Pairing._make(ground, img) for img in images)
-    return _budgeted(inner, budget, f"signed symmetric pairings of ±[{n}]")
+    blocks = _signed_symmetric_pairings_blocks(n, cap, budget)
+    return _members(Pairing, signed_ground(n), blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +457,12 @@ def bipartite_pairing_images(
     """Index images of the (n/2)! pairings of [n] joining odd to even labels.
 
     Exactly the images of ``p in pairings(n) if is_bipartite_pairing(p)``,
-    in the same order, built by the pruned search of
-    :func:`_pairing_images` (empty stream for odd n).  The cap applies
+    in the same order, built by the pruned expansion of
+    :func:`_pairing_blocks` (empty stream for odd n).  The cap applies
     to the ground size n, as for :func:`pairings`; a budget counts the
     bipartite elements built.
     """
-    _check_cap("bipartite pairing enumeration", n, cap, DEFAULT_PAIRING_CAP)
-    return _budgeted(_pairing_images(n, 2), budget, f"bipartite pairings of [{n}]")
+    return _rows(_bipartite_pairing_blocks(n, cap, budget))
 
 
 def bipartite_signed_symmetric_pairing_images(
@@ -301,15 +481,7 @@ def bipartite_signed_symmetric_pairing_images(
     (empty for odd n).  The cap applies to the ground size 2n, as for
     :func:`signed_symmetric_pairings`; a budget counts the elements built.
     """
-    _check_cap(
-        "bipartite signed symmetric pairing enumeration",
-        2 * n,
-        cap,
-        DEFAULT_PAIRING_CAP,
-    )
-    # one twist tuple: twisted exactly where the labels agree in parity
-    images = _mirror_pair_images(n, lambda pairs: ([(j - i) % 2 == 0 for i, j in pairs],))
-    return _budgeted(images, budget, f"bipartite signed symmetric pairings of ±[{n}]")
+    return _rows(_bipartite_signed_symmetric_pairing_blocks(n, cap, budget))
 
 
 def white_to_black_pairing_images(
@@ -328,8 +500,8 @@ def white_to_black_pairing_images(
     counts the elements built.
     """
     _check_cap("white-to-black pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP)
-    images = _mirror_pair_images(n, lambda pairs: ([(j - i) % 2 == 1 for i, j in pairs],))
-    return _budgeted(images, budget, f"white-to-black pairings of ±[{n}]")
+    blocks = _mirror_pair_blocks(n, "differ")
+    return _rows(_budgeted(blocks, budget, f"white-to-black pairings of ±[{n}]"))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +515,7 @@ def permutations_of(
     budget: EnumerationBudget | None = None,
 ) -> Iterator[Permutation]:
     """All permutations of a ground set in lexicographic image order."""
-    _check_cap("permutation enumeration", ground.size, cap, DEFAULT_PERMUTATION_CAP)
-    inner = (
-        Permutation._make(ground, img)
-        for img in _iter_permutations(range(ground.size))
-    )
-    return _budgeted(inner, budget, f"permutations of {ground!r}")
+    return _members(Permutation, ground, _permutations_of_blocks(ground, cap, budget))
 
 
 def permutations(
@@ -372,18 +539,9 @@ def signed_symmetric_permutations(
     These are exactly the δ-symmetric permutations of ±[n]: the two
     conditions say that σ = τ₀τ is a pairing of ±[n], so the stream is
     {τ₀σ : σ a pairing of ±[n]}, (2n−1)!! elements.  In index space,
-    with the mirror M(i) = 2n−1−i, τ has image M(σ(i)).  The images are
-    sorted, which gives lexicographic image order.  At n=1 the stream is
-    exactly {identity}.
+    with the mirror M(i) = 2n−1−i, τ has image M(σ(i)), and the stream
+    is in lexicographic image order.  At n=1 the stream is exactly
+    {identity}.
     """
-    _check_cap(
-        "signed symmetric permutation enumeration",
-        n,
-        cap,
-        DEFAULT_SIGNED_PERMUTATION_CAP,
-    )
-    ground = signed_ground(n)
-    last = 2 * n - 1
-    images = sorted(tuple(last - j for j in img) for img in _pairing_images(2 * n))
-    inner = (Permutation._make(ground, img) for img in images)
-    return _budgeted(inner, budget, f"signed symmetric permutations of ±[{n}]")
+    blocks = _signed_symmetric_permutations_blocks(n, cap, budget)
+    return _members(Permutation, signed_ground(n), blocks)

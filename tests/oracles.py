@@ -1,14 +1,18 @@
 """Independent naive reference implementations used as test oracles.
 
 Everything here works on plain dicts mapping label -> label, so that it
-shares no code path with the package under test.  The implementations
-favour obviousness over speed and are only used at very small sizes.
+shares no code path with the package under test, except the two
+index-space recursions that the stream block builders replaced
+(``ref_pairing_images`` and ``ref_mirror_pair_images``), which are the
+reference for their order.  The implementations favour obviousness over
+speed and are only used at small sizes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as iter_permutations
+from itertools import product
 from math import comb
 
 
@@ -85,6 +89,62 @@ def ref_all_pairings(items: list) -> list[list[tuple]]:
         for sub in ref_all_pairings(rest[:k] + rest[k + 1:]):
             out.append([(first, other)] + sub)
     return out
+
+
+def ref_pairing_images(size: int, step: int = 1):
+    """Index images of all matchings of 0..size-1, by depth-first recursion.
+
+    The order the block builders of ``annular.streams`` must reproduce:
+    the smallest unmatched index is paired with each larger unmatched
+    index in ascending order, recursively; with ``step=2`` only with
+    indices at odd distance.  Index space, not dicts: this is the
+    recursion the blocks replace, kept as their reference.
+    """
+    if size % 2:
+        return
+    image = [-1] * size
+
+    def rec(start: int):
+        i = start
+        while i < size and image[i] != -1:
+            i += 1
+        if i == size:
+            yield tuple(image)
+            return
+        for j in range(i + 1, size, step):
+            if image[j] == -1:
+                image[i], image[j] = j, i
+                yield from rec(i + 1)
+                image[i], image[j] = -1, -1
+
+    yield from rec(0)
+
+
+def ref_mirror_pair_images(n: int, rule: str):
+    """Index images of mirror-symmetric pairings of ±[n], one pairing of [n] at a time.
+
+    For each image of :func:`ref_pairing_images` (n), its pairs (i, j),
+    i < j, sorted by i, each untwisted ((n+i, n−1−j)(n−1−i, n+j)) or
+    twisted ((n+i, n+j)(n−1−i, n−1−j)): all twist tuples in
+    lexicographic order, untwisted first, for ``rule="every"``; twisted
+    exactly where j − i is even for ``"agree"``, odd for ``"differ"``.
+    """
+    for img in ref_pairing_images(n):
+        pairs = [(i, j) for i, j in enumerate(img) if i < j]
+        if rule == "every":
+            twist_tuples = product((False, True), repeat=len(pairs))
+        else:
+            twist_tuples = [[(j - i) % 2 == (rule == "differ") for i, j in pairs]]
+        for twists in twist_tuples:
+            out = [-1] * (2 * n)
+            for (i, j), twisted in zip(pairs, twists):
+                if twisted:
+                    x, y, z, w = n + i, n + j, n - 1 - i, n - 1 - j
+                else:
+                    x, y, z, w = n + i, n - 1 - j, n - 1 - i, n + j
+                out[x], out[y] = y, x
+                out[z], out[w] = w, z
+            yield tuple(out)
 
 
 def pairing_to_map(pairs) -> dict:

@@ -171,7 +171,17 @@ def test_verify_grades_equals_verify_at_each_grade(tag, budget):
             lambda: [verify(tag, n, p, budget=budget) for p in range(1, n + 1)]
         )
         assert _payloads_or_error(lambda: verify_grades(tag, n, budget=budget)) == per_grade
-    assert verify_grades(tag, 0) == ()
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            verify_grades(tag, bad)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_lemma3_and_conjecture_table_reject_n_below_1(n):
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        verify_lemma3(n)
+    with pytest.raises(ValueError, match="^max_n must be a positive integer$"):
+        conjecture_table(n)
 
 
 def test_verify_grades_rejects_ungraded_entries():
@@ -300,13 +310,13 @@ def test_conjecture_table_rows():
 
 def test_conjecture_table_builds_each_twisted_side_once(monkeypatch):
     calls = []
-    stream = annular.maps.bipartite_signed_symmetric_pairing_images
+    stream = annular.maps._bipartite_signed_symmetric_pairing_blocks
 
     def counted(*args, **kwargs):
         calls.append(args)
         return stream(*args, **kwargs)
 
-    monkeypatch.setattr(annular.maps, "bipartite_signed_symmetric_pairing_images", counted)
+    monkeypatch.setattr(annular.maps, "_bipartite_signed_symmetric_pairing_blocks", counted)
     conjecture_table(3)
     assert len(calls) == 3  # one b̃ histogram per n, not one family per (n, p)
 

@@ -203,27 +203,36 @@ def test_verify_lemma3(capsys):
     assert len(rec["result"]["reports"]) == 7
 
 
-SOURCE_STREAMS = (
-    "pairings",
-    "permutations",
-    "signed_symmetric_pairings",
-    "signed_symmetric_permutations",
-    "bipartite_pairing_images",
-    "bipartite_signed_symmetric_pairing_images",
-    "white_to_black_pairing_images",
-)
+#: The source streams each side binds: the gluing side reads block
+#: streams, the non-crossing side the public element streams.
+SOURCE_STREAMS = {
+    annular.maps: (
+        "_pairings_of_blocks",
+        "_permutations_of_blocks",
+        "_signed_symmetric_pairings_blocks",
+        "_signed_symmetric_permutations_blocks",
+        "_bipartite_pairing_blocks",
+        "_bipartite_signed_symmetric_pairing_blocks",
+    ),
+    annular.noncrossing: (
+        "pairings",
+        "permutations",
+        "signed_symmetric_pairings",
+        "signed_symmetric_permutations",
+        "bipartite_pairing_images",
+        "white_to_black_pairing_images",
+    ),
+}
 
 
 @pytest.fixture
 def stream_calls(monkeypatch):
     """Calls of the source streams each side binds, by side: maps, noncrossing."""
     calls = {"maps": 0, "noncrossing": 0}
-    for module in (annular.maps, annular.noncrossing):
+    for module, names in SOURCE_STREAMS.items():
         side = module.__name__.rpartition(".")[2]
-        for name in SOURCE_STREAMS:
-            stream = getattr(module, name, None)
-            if stream is None:
-                continue
+        for name in names:
+            stream = getattr(module, name)
 
             def counted(*args, stream=stream, side=side, **kwargs):
                 calls[side] += 1

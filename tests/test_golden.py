@@ -99,6 +99,18 @@ def _moment_requests(kind: str):
     yield ("moment", "--ensemble", kind, "--order", "4", "--symbolic", "--max-elements", "-1")
 
 
+#: One Wick order per ensemble whose stream spans several blocks, and its
+#: stream length: (n−1)!!, (n−1)!!·2^(n/2), n! and (2n−1)!!·2^n elements.
+BUDGET_ORDERS = {"gue": (12, 10395), "goe": (8, 1680), "lue": (7, 5040), "loe": (4, 1680)}
+
+
+def _moment_budget_requests(kind: str):
+    order, length = BUDGET_ORDERS[kind]
+    for k in (length - 1, length):
+        yield ("moment", "--ensemble", kind, "--order", str(order), "--symbolic",
+               "--max-elements", str(k))
+
+
 def _conjecture_requests():
     for max_n in range(-1, 4):
         yield ("conjecture", "--max-n", str(max_n))
@@ -150,6 +162,10 @@ def _values() -> dict[str, object]:
         values[f"cli/verify/{tag}"] = lambda tag=tag: _battery(_verify_requests(tag))
     for kind in ("gue", "goe", "lue", "loe"):
         values[f"cli/moment/{kind}"] = lambda kind=kind: _battery(_moment_requests(kind))
+    for kind in BUDGET_ORDERS:
+        values[f"cli/moment-budget/{kind}"] = lambda kind=kind: _battery(
+            _moment_budget_requests(kind)
+        )
     values["cli/conjecture"] = lambda: _battery(_conjecture_requests())
     values["cli/classify/5"] = lambda: _battery(_classify_requests(5, False))
     values["cli/classify/signed-3"] = lambda: _battery(_classify_requests(3, True))

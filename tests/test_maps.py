@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import annular.maps
 from annular.frames import annulus_cycle, black_labels, full_cycle, white_labels
 from annular.maps import (
     GLUINGS,
@@ -45,6 +46,14 @@ from annular.perms import (
 from annular.streams import (
     CapExceeded,
     EnumerationBudget,
+    _bipartite_pairing_blocks,
+    _bipartite_signed_symmetric_pairing_blocks,
+    _mirror_pair_blocks,
+    _pairing_blocks,
+    _pairings_of_blocks,
+    _permutations_of_blocks,
+    _signed_symmetric_pairings_blocks,
+    _signed_symmetric_permutations_blocks,
     double_factorial,
     pairings,
     signed_symmetric_pairings,
@@ -61,6 +70,8 @@ from oracles import (
     ref_family_b_tilde_counts,
     ref_narayana,
 )
+from test_golden import GLUING_SIZES
+from test_streams import block_boundary_budgets
 
 
 # ---------------------------------------------------------------------------
@@ -443,3 +454,61 @@ def test_reduction_anchor_values():
     s4 = signed_ground(4)
     t = Pairing.from_pairs(s4, [(1, 3), (-1, -3), (2, 4), (-2, -4)])
     assert hypermap_from_bipartite_nonorientable(t).cycle_string() == "(-2,1)(-1,2)"
+
+
+# ---------------------------------------------------------------------------
+# the batched keys against the per-image keys
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tag", GLUINGS)
+def test_gluing_counts_equal_the_histogram_of_gluing_groups(tag):
+    # gluing_counts reads blocks through the batched kernels, gluing_groups
+    # rows through the per-image ones: same grades, sizes and order
+    for n in range(1, GLUING_SIZES[tag] + 1):
+        groups = gluing_groups(tag, n)
+        assert list(gluing_counts(tag, n).items()) == [(k, len(v)) for k, v in groups.items()]
+
+
+@pytest.mark.parametrize(
+    "tag, source, n, stream",
+    [
+        ("a-tilde", "_bipartite_pairing_blocks", 3, lambda size: _pairing_blocks(size)),
+        (
+            "b-tilde",
+            "_bipartite_signed_symmetric_pairing_blocks",
+            2,
+            lambda size: _mirror_pair_blocks(size, "every"),
+        ),
+    ],
+)
+def test_batched_key_raises_the_per_image_error_on_a_mixed_row(monkeypatch, tag, source, n, stream):
+    # fed every pairing, not only the bipartite ones, both passes meet a
+    # walk that mixes the colour classes at the same row
+    monkeypatch.setattr(annular.maps, source, lambda size, cap, budget: stream(size))
+    with pytest.raises(MonochromaticityError) as per_image:
+        gluing_groups(tag, n)
+    with pytest.raises(MonochromaticityError) as batched:
+        gluing_counts(tag, n)
+    assert str(batched.value) == str(per_image.value)
+
+
+@pytest.mark.parametrize(
+    "tag, n, blocks",
+    [
+        ("a", 10, lambda: _pairings_of_blocks(unsigned_ground(10))),
+        ("b", 8, lambda: _signed_symmetric_pairings_blocks(8)),
+        ("a-tilde", 6, lambda: _bipartite_pairing_blocks(12)),
+        ("b-tilde", 5, lambda: _bipartite_signed_symmetric_pairing_blocks(10, cap=20)),
+        ("a-hat", 7, lambda: _permutations_of_blocks(unsigned_ground(7))),
+        ("b-hat", 5, lambda: _signed_symmetric_permutations_blocks(5, cap=5)),
+    ],
+)
+def test_gluing_counts_budget_contract_at_block_boundaries(tag, n, blocks):
+    length, budgets = block_boundary_budgets(blocks())
+    cap = {"b-tilde": 20, "b-hat": 5}.get(tag)
+    for k in budgets:
+        with pytest.raises(CapExceeded, match=rf"exceeded the element budget \({k}\)$") as info:
+            gluing_counts(tag, n, cap=cap, budget=EnumerationBudget(k))
+        assert (info.value.requested, info.value.cap) == (k + 1, k)
+    full = gluing_counts(tag, n, cap=cap, budget=EnumerationBudget(length))
+    assert full == gluing_counts(tag, n, cap=cap)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import annular.moments
 from annular.moments import (
     DEFAULT_ORDER_CAPS,
     Ensemble,
@@ -12,10 +13,18 @@ from annular.moments import (
     wick_moment,
     wick_oracle_smallN,
 )
+from annular.perms import unsigned_ground
 from annular.polynomial import MomentPolynomial
-from annular.streams import CapExceeded, EnumerationBudget
+from annular.streams import (
+    CapExceeded,
+    EnumerationBudget,
+    _pairings_of_blocks,
+    _permutations_of_blocks,
+    _signed_symmetric_pairings_blocks,
+)
 
 from oracles import ref_catalan, ref_lagrange_coefficients, ref_narayana
+from test_streams import block_boundary_budgets
 
 
 def poly(coeffs):
@@ -247,3 +256,32 @@ def test_budget_propagates():
         genus_expansion_moment("LUE", 4, budget=tight)
     with pytest.raises(CapExceeded):
         genus_expansion_moment("LOE", 3, budget=tight)
+
+
+@pytest.mark.parametrize(
+    "ensemble, n, blocks",
+    [
+        ("GUE", 10, lambda: _pairings_of_blocks(unsigned_ground(10))),
+        ("GOE", 8, lambda: _signed_symmetric_pairings_blocks(8)),
+        ("LUE", 7, lambda: _permutations_of_blocks(unsigned_ground(7))),
+        ("LOE", 4, lambda: _signed_symmetric_pairings_blocks(8)),
+    ],
+)
+def test_wick_budget_contract_at_block_boundaries(ensemble, n, blocks):
+    # the budget counts the stream's elements, whichever block holds element K + 1
+    length, budgets = block_boundary_budgets(blocks())
+    for k in budgets:
+        with pytest.raises(CapExceeded, match=rf"exceeded the element budget \({k}\)$") as info:
+            wick_moment(ensemble, n, budget=EnumerationBudget(k))
+        assert (info.value.requested, info.value.cap) == (k + 1, k)
+    assert wick_moment(ensemble, n, budget=EnumerationBudget(length)) == wick_moment(ensemble, n)
+
+
+def test_loe_wick_raises_on_a_mixed_boundary_walk(monkeypatch):
+    # a colour split that every boundary walk crosses: the invariant check
+    # raises with its message (it used to fail unpacking None)
+    monkeypatch.setattr(
+        annular.moments, "black_mask", lambda n: ((), bytes([1]) + bytes(2 * n - 1))
+    )
+    with pytest.raises(AssertionError, match="mixes black and white labels"):
+        wick_moment("LOE", 2)

@@ -4,12 +4,15 @@ Expected values are either hand-checked tiny cases or come from the
 naive dict-based oracles in ``oracles.py``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from annular.perms import (
     GroundSet,
     _coloured_cycle_count,
+    _cycle_count,
+    _cycle_counts,
     Pairing,
     Permutation,
     compose,
@@ -254,3 +257,27 @@ def test_hash_and_equality():
     assert p1 == p2 and hash(p1) == hash(p2)
     assert p1 != parse_cycles("(1,3)", g)
     assert len({p1, p2}) == 1
+
+
+@st.composite
+def _kernel_inputs(draw):
+    size = draw(st.integers(1, 24))
+    image = st.permutations(list(range(size)))
+    outer = draw(image)
+    rows = draw(st.lists(image, max_size=50))
+    colour = bytes(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+    return outer, np.array(rows, dtype=np.intp).reshape(len(rows), size), colour
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_inputs())
+def test_batched_cycle_counts_equal_the_per_image_kernels(inputs):
+    outer, block, colour = inputs
+    rows = [tuple(row) for row in block.tolist()]
+    assert _cycle_counts(outer, block).tolist() == [_cycle_count(outer, row) for row in rows]
+    cycles, inside, mixed = _cycle_counts(outer, block, colour)
+    for k, row in enumerate(rows):
+        want = _coloured_cycle_count(outer, row, colour)
+        assert bool(mixed[k]) == (want is None)
+        if want is not None:
+            assert (cycles[k], inside[k]) == want

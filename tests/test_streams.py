@@ -1,22 +1,33 @@
 """Stream tests: deterministic orders, counts, caps, budgets."""
 
-from itertools import product
+from itertools import islice, product
 from math import factorial
 
+import numpy as np
 import pytest
 
 from annular.frames import black_labels, white_labels
 from annular.maps import is_bipartite_pairing, is_bipartite_signed_pairing
 from annular.perms import Pairing, signed_ground, unsigned_ground
 from annular.streams import (
+    _ROWS,
     CapExceeded,
     EnumerationBudget,
+    _bipartite_pairing_blocks,
+    _bipartite_signed_symmetric_pairing_blocks,
+    _mirror_pair_blocks,
+    _pairing_blocks,
+    _pairings_of_blocks,
+    _permutations_of_blocks,
+    _signed_symmetric_pairings_blocks,
+    _signed_symmetric_permutations_blocks,
     bipartite_pairing_images,
     bipartite_signed_symmetric_pairing_images,
     double_factorial,
     pairings,
     pairings_of,
     permutations,
+    permutations_of,
     signed_pairings,
     signed_symmetric_pairings,
     signed_symmetric_permutations,
@@ -173,6 +184,46 @@ def test_bipartite_stream_budget_counts_built_elements():
         list(bipartite_pairing_images(8, budget=EnumerationBudget(23)))
 
 
+# ------------------------------------------------------------ block builders
+def _block_rows(blocks) -> list[tuple[int, ...]]:
+    """The rows of ``blocks``; each block is non-empty, intp and within the row bound."""
+    rows = []
+    for block in blocks:
+        assert block.dtype == np.intp and 0 < len(block) <= _ROWS
+        rows += map(tuple, block.tolist())
+    return rows
+
+
+@pytest.mark.parametrize("step, top", [(1, 14), (2, 16)])
+def test_pairing_blocks_equal_the_recursion_in_order(step, top):
+    for size in range(-2, top + 1):
+        want = list(oracles.ref_pairing_images(size, step))
+        assert _block_rows(_pairing_blocks(size, step)) == want
+
+
+@pytest.mark.parametrize("rule, top", [("every", 10), ("agree", 12), ("differ", 12)])
+def test_mirror_pair_blocks_equal_the_expansion_in_order(rule, top):
+    for n in range(-2, top + 1):
+        want = list(oracles.ref_mirror_pair_images(n, rule))
+        assert _block_rows(_mirror_pair_blocks(n, rule)) == want
+
+
+def test_one_block_streams_are_built_once_and_read_only():
+    (block,) = _pairing_blocks(8)  # 105 matchings: one block, kept
+    assert next(_pairing_blocks(8)) is block and not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 0
+    # 945 matchings span two blocks and are built anew
+    assert next(_pairing_blocks(10)) is not next(_pairing_blocks(10))
+
+
+def test_twist_tuples_of_one_pairing_split_across_blocks():
+    # 2^10 twist tuples per unsigned pairing of [20], more than one block holds
+    got = _block_rows(islice(_mirror_pair_blocks(20, "every"), 2 * 1024 // _ROWS + 1))
+    assert len(got) > 2**10
+    assert got == list(islice(oracles.ref_mirror_pair_images(20, "every"), len(got)))
+
+
 # ------------------------------------------------------------- permutations
 def test_permutations_lexicographic_identity_first():
     stream = permutations(3)
@@ -262,6 +313,85 @@ def test_budget_overflow_contract(stream, size, what):
         assert (info.value.requested, info.value.cap) == (k + 1, k)
         assert str(info.value) == f"{what} exceeded the element budget ({k})"
     assert len(list(stream(EnumerationBudget(size)))) == size
+
+
+#: Each public stream at a size its blocks split: (stream under a budget,
+#: its blocks without one, budget message).
+BLOCK_BUDGET_STREAMS = {
+    "pairings": (
+        lambda budget: pairings(10, budget=budget),
+        lambda: _pairings_of_blocks(unsigned_ground(10)),
+        "pairings of GroundSet([10])",
+    ),
+    "pairings_of": (
+        lambda budget: pairings_of(unsigned_ground(10), budget=budget),
+        lambda: _pairings_of_blocks(unsigned_ground(10)),
+        "pairings of GroundSet([10])",
+    ),
+    "signed_pairings": (
+        lambda budget: signed_pairings(5, budget=budget),
+        lambda: _pairings_of_blocks(signed_ground(5)),
+        "pairings of GroundSet(±[5])",
+    ),
+    "signed_symmetric_pairings": (
+        lambda budget: signed_symmetric_pairings(8, budget=budget),
+        lambda: _signed_symmetric_pairings_blocks(8),
+        "signed symmetric pairings of ±[8]",
+    ),
+    "bipartite_pairing_images": (
+        lambda budget: bipartite_pairing_images(12, budget=budget),
+        lambda: _bipartite_pairing_blocks(12),
+        "bipartite pairings of [12]",
+    ),
+    "bipartite_signed_symmetric_pairing_images": (
+        lambda budget: bipartite_signed_symmetric_pairing_images(10, cap=20, budget=budget),
+        lambda: _bipartite_signed_symmetric_pairing_blocks(10, cap=20),
+        "bipartite signed symmetric pairings of ±[10]",
+    ),
+    "white_to_black_pairing_images": (
+        lambda budget: white_to_black_pairing_images(10, cap=20, budget=budget),
+        lambda: _mirror_pair_blocks(10, "differ"),
+        "white-to-black pairings of ±[10]",
+    ),
+    "permutations": (
+        lambda budget: permutations(7, budget=budget),
+        lambda: _permutations_of_blocks(unsigned_ground(7)),
+        "permutations of GroundSet([7])",
+    ),
+    "permutations_of": (
+        lambda budget: permutations_of(unsigned_ground(7), budget=budget),
+        lambda: _permutations_of_blocks(unsigned_ground(7)),
+        "permutations of GroundSet([7])",
+    ),
+    "signed_symmetric_permutations": (
+        lambda budget: signed_symmetric_permutations(5, cap=5, budget=budget),
+        lambda: _signed_symmetric_permutations_blocks(5, cap=5),
+        "signed symmetric permutations of ±[5]",
+    ),
+}
+
+
+def block_boundary_budgets(blocks) -> tuple[int, list[int]]:
+    """The stream length, and budgets 0, the first block boundary ±1 and length − 1."""
+    first = len(next(blocks))
+    length = first + sum(map(len, blocks))
+    assert first < length  # the stream spans at least two blocks
+    return length, sorted({0, first - 1, first, first + 1, length - 1})
+
+
+@pytest.mark.parametrize("name", BLOCK_BUDGET_STREAMS)
+def test_budget_overflow_contract_at_block_boundaries(name):
+    stream, blocks, what = BLOCK_BUDGET_STREAMS[name]
+    length, budgets = block_boundary_budgets(blocks())
+    unbudgeted = list(stream(None))
+    for k in budgets:
+        # a consumer that takes K elements under budget K never raises
+        assert list(islice(stream(EnumerationBudget(k)), k)) == unbudgeted[:k]
+        with pytest.raises(CapExceeded) as info:
+            list(stream(EnumerationBudget(k)))
+        assert (info.value.requested, info.value.cap) == (k + 1, k)
+        assert str(info.value) == f"{what} exceeded the element budget ({k})"
+    assert list(stream(EnumerationBudget(length))) == unbudgeted
 
 
 def test_budget_validation():
