@@ -39,10 +39,11 @@ non-crossing side read; this module imports neither of those routes.
 
 Each gluing family is one entry of :data:`GLUINGS`, keyed by its CLI
 tag: a source of numpy blocks of index images (``ã``/``b̃`` read the
-constructive bipartite streams of :mod:`annular.streams`, which build
-only these gluings instead of filtering all pairings), a ground, grade
-names, a key kernel mapping one image to its grades and its batched
-form mapping a block to its members' grade rows.  :func:`gluing_groups`
+colour-class block functions ``_bipartite_pairing_blocks`` and
+``_bipartite_signed_symmetric_pairing_blocks`` of :mod:`annular.streams`,
+which build only these gluings instead of filtering all pairings), a
+ground, grade names, a key kernel mapping one image to its grades and
+its batched form mapping a block to its members' grade rows.  :func:`gluing_groups`
 runs the rows through the per-image key in one pass, and
 :func:`gluing_counts` the blocks through the batched one; a row the
 per-image key would reject with an error is handed to it, so both raise

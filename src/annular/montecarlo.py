@@ -11,8 +11,8 @@ route: draw Ginibre matrices, symmetrize (Gaussian cases) or square up
 (Laguerre cases), and take the trace of the n-th matrix power.  The
 models need about 2N variates per sample instead of 2N² or 2MN, and
 Tr Tⁿ comes from a banded power of T (``_band_trace_power``).  The
-literal route stays as a private reference (``_dense_traces``) that the
-tests run through the same block loop.
+literal route lives in the tests as the reference, which they run
+through the same block loop (``_estimate`` takes the sampler).
 
 Entry variances follow the ensemble definitions: every real Gaussian
 component of the dense matrices has variance 1/2, so complex entries
@@ -40,10 +40,7 @@ the gamma variate from ``Generator.standard_gamma``.  Within a block of
 * Hermite: the (size, N) diagonal normals, then the (size, N−1) gamma
   variates of the off-diagonal, row-major;
 * Laguerre: the (size, n) gamma variates of B's diagonal, then the
-  (size, n−1) ones of its sub-diagonal, each row-major;
-* the dense reference: the Ginibre entries as one (size, N, N) or
-  (size, M, N) array, row-major; for complex matrices all real parts
-  before all imaginary parts.
+  (size, n−1) ones of its sub-diagonal, each row-major.
 
 The variance merges per-block (count, mean, M2) summaries, so a large
 mean cannot cancel it.
@@ -102,35 +99,6 @@ class McEstimate:
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, block_index], np.uint64)))
-
-
-def _draw_real(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) * _ROOT_HALF
-
-
-def _draw_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    real = rng.standard_normal(shape)
-    imag = rng.standard_normal(shape)
-    return (real + 1j * imag) * _ROOT_HALF
-
-
-def _trace_power(matrices: np.ndarray, n: int) -> np.ndarray:
-    power = matrices
-    for _ in range(n - 1):
-        power = power @ matrices
-    traces = np.einsum("bii->b", power)
-    return traces.real if np.iscomplexobj(traces) else traces
-
-
-def _dense_traces(rng, ensemble: Ensemble, n: int, N: int, M, size: int) -> np.ndarray:
-    draw = _draw_complex if ensemble.is_complex else _draw_real
-    if ensemble.is_gaussian:
-        g = draw(rng, (size, N, N))
-        matrices = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
-    else:
-        g = draw(rng, (size, M, N))
-        matrices = np.conj(np.transpose(g, (0, 2, 1))) @ g
-    return _trace_power(matrices, n)
 
 
 def _draw_tridiagonal(rng, ensemble: Ensemble, N: int, M, size: int):
@@ -221,7 +189,7 @@ def _estimate(block_traces, ensemble, n, N, M, *, samples, seed) -> McEstimate:
     """``mc_moment`` with the per-block trace sampler as a parameter.
 
     ``block_traces(rng, ensemble, n, N, M, size)`` returns one block's
-    traces; ``_dense_traces`` gives the literal route's estimates.
+    traces; the tests pass the literal route's sampler.
     """
     ensemble = Ensemble.parse(ensemble)
     ensemble.check_dimensions(n, N, M)

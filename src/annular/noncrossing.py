@@ -57,8 +57,10 @@ Each family is defined once, as one entry of :data:`NONCROSSING`: its
 CLI tag, the stream of index images that builds it, its cut (none,
 torus or Klein) and anchor (π, or π⁻¹ for the hypermap unions), its
 grade kernel, and whether it needs an even n.  The bipartite tags read
-the colour-class streams of :mod:`annular.streams`, which build only
-the pairings joining the two classes.  :class:`NCFamilyId`, the CLI's
+the rows of the colour-class block functions of :mod:`annular.streams`
+(``_bipartite_pairing_blocks``, ``_white_to_black_pairing_blocks``),
+which build only the pairings joining the two classes; the other tags
+read the images of the public element streams.  :class:`NCFamilyId`, the CLI's
 ``enumerate`` and ``classify`` and the test below all read that entry.
 A member passes one test on one element: the source conditions, the
 grade its kernel reads, and the non-crossing condition.
@@ -109,13 +111,14 @@ from .perms import (
 )
 from .streams import (
     EnumerationBudget,
+    _bipartite_pairing_blocks,
     _images,
-    bipartite_pairing_images,
+    _rows,
+    _white_to_black_pairing_blocks,
     pairings,
     permutations,
     signed_symmetric_pairings,
     signed_symmetric_permutations,
-    white_to_black_pairing_images,
 )
 
 __all__ = [
@@ -248,15 +251,15 @@ class NCEntry:
 
 #: Library tag -> non-crossing family: the unsigned families, then the
 #: signed ones, each in the order ``classify`` reports them.  Each source
-#: is a lambda over a module-level stream name, looked up at call time,
-#: so a wrapper rebound over that name (a tracer's) is seen.
+#: is a lambda over a module-level stream or block-function name, looked
+#: up at call time, so a wrapper rebound over that name (a tracer's) is seen.
 NONCROSSING: dict[str, NCEntry] = {
     "NC": NCEntry("nc", lambda n, budget: _images(permutations(n, budget=budget))),
     "NC2": NCEntry("nc2", lambda n, budget: _images(pairings(n, budget=budget)), pairs=True),
     "NC2T": NCEntry(
         "nc2-t", lambda n, budget: _images(pairings(n, budget=budget)), pairs=True, cut="torus"),
     "NC2T_bip": NCEntry(
-        "nc2-t-bip", lambda n, budget: bipartite_pairing_images(n, budget=budget),
+        "nc2-t-bip", lambda n, budget: _rows(_bipartite_pairing_blocks(n, None, budget)),
         pairs=True, cut="torus", grade=_odd_grade, even_n=True),
     "NCT_p": NCEntry(
         "nc-t-p", lambda n, budget: _images(permutations(n, budget=budget)),
@@ -274,13 +277,13 @@ NONCROSSING: dict[str, NCEntry] = {
         "nc2-k", lambda n, budget: _images(signed_symmetric_pairings(n, budget=budget)),
         signed=True, pairs=True, cut="klein"),
     "NC2K_bip": NCEntry(
-        "nc2-k-bip", lambda n, budget: white_to_black_pairing_images(n, budget=budget),
+        "nc2-k-bip", lambda n, budget: _rows(_white_to_black_pairing_blocks(n, None, budget)),
         signed=True, pairs=True, cut="klein", grade=_black_grade, even_n=True),
     "NCK_p": NCEntry(
         "nc-k-p", lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget)),
         signed=True, cut="klein", hypermap=True, grade=_half_cycles),
     "NC2delta_bip": NCEntry(
-        "nc2-delta-bip", lambda n, budget: white_to_black_pairing_images(n, budget=budget),
+        "nc2-delta-bip", lambda n, budget: _rows(_white_to_black_pairing_blocks(n, None, budget)),
         signed=True, pairs=True, grade=_black_grade, even_n=True),
 }
 

@@ -1,7 +1,12 @@
 """Deterministic enumeration streams with caps and budgets.
 
-Four element streams feed the Wick sums and the non-bipartite gluing
-and non-crossing families:
+A stream has two forms.  Inside the package it is a capped, budgeted
+block function (``_*_blocks``): numpy blocks of index images, one
+element per row and at most ``_ROWS`` rows a block, which the exact
+routes of :mod:`annular.moments` and :mod:`annular.maps` and the
+bipartite non-crossing sources of :mod:`annular.noncrossing` read.  At
+the API it is a stream of :class:`~annular.perms.Pairing` /
+:class:`~annular.perms.Permutation` objects built from those rows:
 
 * :func:`pairings` — perfect matchings of a ground set;
 * :func:`signed_symmetric_pairings` — mirror-symmetric matchings of ±[n]
@@ -11,32 +16,26 @@ and non-crossing families:
   cycle set is mirror-closed in the strong sense τ₀ττ₀ = τ⁻¹ with
   τ₀τ fixed-point free, built as τ₀σ over the pairings σ of ±[n].
 
-Three constructive streams build the bipartite families directly, as
-index images for the kernels of :mod:`annular.maps` and
-:mod:`annular.noncrossing`:
+Three block functions build the bipartite families directly, one per
+colour class:
 
-* :func:`bipartite_pairing_images` — the (n/2)! pairings of [n] whose
+* :func:`_bipartite_pairing_blocks` — the (n/2)! pairings of [n] whose
   pairs join an odd label to an even one (ã and NC2T_bip);
-* :func:`bipartite_signed_symmetric_pairing_images` /
-  :func:`white_to_black_pairing_images` — the (n−1)!! mirror-symmetric
+* :func:`_bipartite_signed_symmetric_pairing_blocks` /
+  :func:`_white_to_black_pairing_blocks` — the (n−1)!! mirror-symmetric
   pairings of ±[n] that keep the black set B(n/2) (b̃) / send the white
   labels into it (NC2delta_bip and NC2K_bip), one per unsigned pairing
   of [n] with every twist forced by label parity.
 
-Each yields exactly the elements of the corresponding filter of
+Each yields exactly the rows of the corresponding filter of
 :func:`pairings` / :func:`signed_symmetric_pairings`, in the same order,
 without visiting the rejected ones.
 
-Every stream is built as numpy blocks of index images, one element per
-row and at most ``_ROWS`` rows a block, and yields the rows.  There is
-one block builder per construction: :func:`_pairing_blocks` (matchings,
-optionally only the bipartite ones), :func:`_mirror_pair_blocks` (the
-three mirror-symmetric streams, which differ only in the twist rule they
-pass it) and :func:`_permutation_blocks`.  The exact routes of
-:mod:`annular.moments` and :mod:`annular.maps` read the capped,
-budgeted blocks (the ``_*_blocks`` functions named after each stream);
-the public streams are their rows, as tuples or as
-:class:`~annular.perms.Pairing`/:class:`~annular.perms.Permutation`.
+There is one block builder per construction: :func:`_pairing_blocks`
+(matchings, optionally only the bipartite ones), :func:`_mirror_pair_blocks`
+(the three mirror-symmetric streams, which differ only in the twist rule
+they pass it), :func:`_mirrored_pairings` (the matchings of ±[n] last
+to first, mirrored) and :func:`_permutation_blocks`.
 
 Each stream has a documented deterministic order, an ``n``-cap guarding
 against accidental combinatorial explosions (overridable per call), and
@@ -49,11 +48,10 @@ raises only when that element is asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial, wraps
+from functools import partial, wraps
 from itertools import chain, islice, permutations as _iter_permutations
-from math import factorial
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -69,12 +67,8 @@ __all__ = [
     "pairings_of",
     "signed_pairings",
     "signed_symmetric_pairings",
-    "bipartite_pairing_images",
-    "bipartite_signed_symmetric_pairing_images",
-    "white_to_black_pairing_images",
     "permutations",
     "signed_symmetric_permutations",
-    "double_factorial",
 ]
 
 #: Largest ground-set size for which matchings are enumerated by default.
@@ -169,52 +163,39 @@ def _members(cls: type[Permutation], ground: GroundSet, blocks) -> Iterator[Perm
     return map(partial(cls._make, ground), _rows(blocks))
 
 
-def double_factorial(m: int) -> int:
-    """(m)!! — the number of pairings of an m-set is (m-1)!! for even m."""
-    out = 1
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # block builders (index space, no cap or budget)
 # ---------------------------------------------------------------------------
 
-def _once_when_small(count: Callable[..., int]):
-    """Decorate a block builder: a stream of one block is built once per process.
+def _once_when_small(build):
+    """Decorate a block builder: a stream of at most one block is built once per process.
 
-    ``count(*args)`` is the number of elements the builder yields.  At
-    most ``_ROWS`` of them make one block, which is kept, read-only,
-    like the frames of :mod:`annular.frames`: a small stream then costs
-    no numpy calls after its first use.  Longer streams are built anew.
+    The first call reads up to two blocks of ``build(*args)``; when the
+    builder finishes within one, its blocks (none, for an empty stream)
+    are kept, read-only, like the frames of :mod:`annular.frames`, so a
+    small stream then costs no numpy calls.  Longer streams are built
+    anew on each call.
     """
-    def decorate(build):
-        @cache
-        def built(*args) -> tuple[np.ndarray, ...]:
-            blocks = tuple(build(*args))
-            for block in blocks:
+    kept: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def first(args) -> Iterator[np.ndarray]:
+        stream = build(*args)
+        head = tuple(islice(stream, 2))
+        if len(head) < 2:
+            for block in head:
                 block.flags.writeable = False
-            return blocks
+            kept[args] = head
+        yield from head
+        yield from stream
 
-        @wraps(build)
-        def blocks(*args) -> Iterator[np.ndarray]:
-            return iter(built(*args)) if count(*args) <= _ROWS else build(*args)
+    @wraps(build)
+    def blocks(*args) -> Iterator[np.ndarray]:
+        return iter(kept[args]) if args in kept else first(args)
 
-        return blocks
-
-    return decorate
-
-
-def _matchings(size: int, step: int = 1) -> int:
-    """How many matchings :func:`_pairing_blocks` builds."""
-    if size < 0 or size % 2:
-        return 0
-    return double_factorial(size - 1) if step == 1 else factorial(size // 2)
+    return blocks
 
 
-@_once_when_small(_matchings)
+@_once_when_small
 def _pairing_blocks(size: int, step: int = 1) -> Iterator[np.ndarray]:
     """Blocks of the index images of all matchings of 0..size-1.
 
@@ -232,16 +213,21 @@ def _pairing_blocks(size: int, step: int = 1) -> Iterator[np.ndarray]:
         yield from _extend(np.full((1, size), -1, dtype=np.intp), step)
 
 
-def _extend(level: np.ndarray, step: int) -> Iterator[np.ndarray]:
-    """The full matchings below the rows of ``level``, in order (-1: unmatched)."""
+def _extend(level: np.ndarray, step: int, reverse: bool = False) -> Iterator[np.ndarray]:
+    """The full matchings below the rows of ``level``, in order (-1: unmatched).
+
+    With ``reverse`` the same matchings come last to first: the row
+    ranges are walked backwards and each leaf level is yielded reversed.
+    """
     unmatched = int((level[0] < 0).sum())  # the same on every row of a level
     if not unmatched:
-        yield level
+        yield level[::-1] if reverse else level
         return
     width = unmatched - 1 if step == 1 else unmatched // 2  # children per row
     parents = max(1, _ROWS // width)
     columns = np.arange(level.shape[1])
-    for lo in range(0, len(level), parents):
+    starts = range(0, len(level), parents)
+    for lo in reversed(starts) if reverse else starts:
         rows = level[lo : lo + parents]
         free = rows < 0
         first = free.argmax(axis=1)
@@ -254,10 +240,10 @@ def _extend(level: np.ndarray, step: int) -> Iterator[np.ndarray]:
         at = np.arange(len(child))
         child[at, first[parent]] = partner
         child[at, partner] = first[parent]
-        yield from _extend(child, step)
+        yield from _extend(child, step, reverse)
 
 
-@_once_when_small(lambda n, rule: _matchings(n) * (2 ** (n // 2) if rule == "every" else 1))
+@_once_when_small
 def _mirror_pair_blocks(n: int, rule: str) -> Iterator[np.ndarray]:
     """Blocks of the index images of mirror-symmetric pairings of ±[n] with no (r,−r) pair.
 
@@ -308,7 +294,7 @@ def _mirror(n: int, i: np.ndarray, j: np.ndarray, twisted: np.ndarray) -> np.nda
     return out
 
 
-@_once_when_small(factorial)
+@_once_when_small
 def _permutation_blocks(size: int) -> Iterator[np.ndarray]:
     """Blocks of all images of 0..size-1 in lexicographic order."""
     if not size:
@@ -321,10 +307,11 @@ def _permutation_blocks(size: int) -> Iterator[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# capped, budgeted block streams (what the exact routes read)
+# capped, budgeted block streams (what the package reads)
 #
 # Each checks its cap when called and counts its budget in elements.  The
-# public stream of the same name yields their rows.
+# public stream of the same name, where there is one, builds its objects
+# from their rows.
 # ---------------------------------------------------------------------------
 
 def _pairings_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:
@@ -355,6 +342,13 @@ def _bipartite_signed_symmetric_pairing_blocks(
     )
 
 
+def _white_to_black_pairing_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
+    _check_cap("white-to-black pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP)
+    return _budgeted(
+        _mirror_pair_blocks(n, "differ"), budget, f"white-to-black pairings of ±[{n}]"
+    )
+
+
 def _permutations_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:
     _check_cap("permutation enumeration", ground.size, cap, DEFAULT_PERMUTATION_CAP)
     return _budgeted(_permutation_blocks(ground.size), budget, f"permutations of {ground!r}")
@@ -369,7 +363,7 @@ def _signed_symmetric_permutations_blocks(n: int, cap=None, budget=None) -> Iter
     )
 
 
-@_once_when_small(lambda n: _matchings(2 * n))
+@_once_when_small
 def _mirrored_pairings(n: int) -> Iterator[np.ndarray]:
     """τ₀σ over the pairings σ of ±[n], in lexicographic image order.
 
@@ -377,11 +371,10 @@ def _mirrored_pairings(n: int) -> Iterator[np.ndarray]:
     come in lexicographic image order (two of them first differ at the
     smallest index still unmatched where they branch, ascending), and M
     reverses it, so the stream is the mirrored pairings last to first,
-    built whole before its first block.
+    expanded in that order a block at a time.
     """
-    images = (2 * n - 1 - np.concatenate(list(_pairing_blocks(2 * n))))[::-1]
-    for lo in range(0, len(images), _ROWS):
-        yield images[lo : lo + _ROWS]
+    for block in _extend(np.full((1, 2 * n), -1, dtype=np.intp), 1, reverse=True):
+        yield 2 * n - 1 - block
 
 
 # ---------------------------------------------------------------------------
@@ -442,66 +435,6 @@ def signed_symmetric_pairings(
     """
     blocks = _signed_symmetric_pairings_blocks(n, cap, budget)
     return _members(Pairing, signed_ground(n), blocks)
-
-
-# ---------------------------------------------------------------------------
-# bipartite pairings (constructive, index images)
-# ---------------------------------------------------------------------------
-
-def bipartite_pairing_images(
-    n: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Index images of the (n/2)! pairings of [n] joining odd to even labels.
-
-    Exactly the images of ``p in pairings(n) if is_bipartite_pairing(p)``,
-    in the same order, built by the pruned expansion of
-    :func:`_pairing_blocks` (empty stream for odd n).  The cap applies
-    to the ground size n, as for :func:`pairings`; a budget counts the
-    bipartite elements built.
-    """
-    return _rows(_bipartite_pairing_blocks(n, cap, budget))
-
-
-def bipartite_signed_symmetric_pairing_images(
-    n: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Index images of the (n−1)!! bipartite mirror-symmetric pairings of ±[n].
-
-    Exactly the images of ``t in signed_symmetric_pairings(n) if
-    is_bipartite_signed_pairing(t)``, in the same order: a pair keeps
-    the black set B = odd positives ∪ even negatives only when it is
-    twisted exactly if its labels agree in parity, so there is one
-    element per unsigned pairing of [n], in :func:`pairings` order
-    (empty for odd n).  The cap applies to the ground size 2n, as for
-    :func:`signed_symmetric_pairings`; a budget counts the elements built.
-    """
-    return _rows(_bipartite_signed_symmetric_pairing_blocks(n, cap, budget))
-
-
-def white_to_black_pairing_images(
-    n: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> Iterator[tuple[int, ...]]:
-    """Index images of the (n−1)!! mirror-symmetric pairings of ±[n] sending W into B.
-
-    Exactly the images of the elements of :func:`signed_symmetric_pairings`
-    that send every white label to a black one, in the same order: each
-    pair is twisted exactly if its labels differ in parity, the rule
-    opposite to :func:`bipartite_signed_symmetric_pairing_images`'s
-    (empty for odd n).  The cap applies to the ground size 2n; a budget
-    counts the elements built.
-    """
-    _check_cap("white-to-black pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP)
-    blocks = _mirror_pair_blocks(n, "differ")
-    return _rows(_budgeted(blocks, budget, f"white-to-black pairings of ±[{n}]"))
 
 
 # ---------------------------------------------------------------------------

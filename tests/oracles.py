@@ -4,16 +4,20 @@ Everything here works on plain dicts mapping label -> label, so that it
 shares no code path with the package under test, except the two
 index-space recursions that the stream block builders replaced
 (``ref_pairing_images`` and ``ref_mirror_pair_images``), which are the
-reference for their order.  The implementations favour obviousness over
-speed and are only used at small sizes.
+reference for their order, and the literal Monte Carlo route on dense
+numpy matrices (``ref_dense_traces``).  The implementations favour
+obviousness over speed and are only used at small sizes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product
 from math import comb
+
+import numpy as np
 
 
 def ref_compose(p: dict, q: dict) -> dict:
@@ -321,6 +325,11 @@ def ref_union_witnesses(
     return out
 
 
+def ref_double_factorial(m: int) -> int:
+    """m!! — the number of pairings of an m-set is (m−1)!! for even m."""
+    return math.prod(range(m, 1, -2))
+
+
 def ref_catalan(n: int) -> int:
     value = Fraction(1)
     for k in range(n):
@@ -473,3 +482,48 @@ def ref_lagrange_coefficients(points: list[tuple]) -> list:
         for d, coeff in enumerate(basis):
             coeffs[d] += coeff * scale
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# the literal Monte Carlo route
+# ---------------------------------------------------------------------------
+
+_ROOT_HALF = math.sqrt(0.5)
+
+
+def ref_draw_real(rng, shape):
+    """Real Gaussian entries of variance ½."""
+    return rng.standard_normal(shape) * _ROOT_HALF
+
+
+def ref_draw_complex(rng, shape):
+    """Complex Gaussian entries of total variance 1: all real parts, then all imaginary."""
+    real = rng.standard_normal(shape)
+    imag = rng.standard_normal(shape)
+    return (real + 1j * imag) * _ROOT_HALF
+
+
+def ref_trace_power(matrices, n: int):
+    """Tr Mⁿ of each matrix of a batch, by repeated products."""
+    power = matrices
+    for _ in range(n - 1):
+        power = power @ matrices
+    traces = np.einsum("bii->b", power)
+    return traces.real if np.iscomplexobj(traces) else traces
+
+
+def ref_dense_traces(rng, ensemble, n: int, N: int, M, size: int):
+    """One block of Tr Mⁿ on dense matrices: a sampler for ``montecarlo._estimate``.
+
+    H = (G + G*)/2 for an N×N Ginibre G (Gaussian cases) or W = G*G for
+    an M×N one (Laguerre cases).  The Ginibre entries are drawn as one
+    (size, N, N) or (size, M, N) array, row-major.
+    """
+    draw = ref_draw_complex if ensemble.is_complex else ref_draw_real
+    if ensemble.is_gaussian:
+        g = draw(rng, (size, N, N))
+        matrices = 0.5 * (g + np.conj(np.transpose(g, (0, 2, 1))))
+    else:
+        g = draw(rng, (size, M, N))
+        matrices = np.conj(np.transpose(g, (0, 2, 1))) @ g
+    return ref_trace_power(matrices, n)

@@ -204,7 +204,8 @@ def test_verify_lemma3(capsys):
 
 
 #: The source streams each side binds: the gluing side reads block
-#: streams, the non-crossing side the public element streams.
+#: streams, the non-crossing side the public element streams and the
+#: colour-class block streams.
 SOURCE_STREAMS = {
     annular.maps: (
         "_pairings_of_blocks",
@@ -219,8 +220,8 @@ SOURCE_STREAMS = {
         "permutations",
         "signed_symmetric_pairings",
         "signed_symmetric_permutations",
-        "bipartite_pairing_images",
-        "white_to_black_pairing_images",
+        "_bipartite_pairing_blocks",
+        "_white_to_black_pairing_blocks",
     ),
 }
 

@@ -14,6 +14,8 @@ from annular import montecarlo as mc
 from annular.moments import wick_moment
 from annular.montecarlo import BLOCK_SIZE, McEstimate, mc_moment
 
+import oracles
+
 #: Dense-route estimates recorded while it was ``mc_moment``'s sampler,
 #: as (ensemble, n, N, M, samples, seed, mean, std_error).
 DENSE_PINS = (
@@ -33,7 +35,7 @@ def _exact(ensemble, n, N, M=None) -> float:
 
 def _dense(ensemble, n, N, M=None, *, samples, seed):
     """The literal route's estimate: Ginibre matrices through the same block loop."""
-    return mc._estimate(mc._dense_traces, ensemble, n, N, M, samples=samples, seed=seed)
+    return mc._estimate(oracles.ref_dense_traces, ensemble, n, N, M, samples=samples, seed=seed)
 
 
 def _tridiagonal(diagonal, off):
@@ -105,9 +107,9 @@ def test_block_partition_contract():
     small = _dense("GOE", 2, N, samples=BLOCK_SIZE, seed=seed)
     big = _dense("GOE", 2, N, samples=BLOCK_SIZE + extra_n, seed=seed)
     rng = mc._block_rng(seed, 1)
-    g = mc._draw_real(rng, (extra_n, N, N))
+    g = oracles.ref_draw_real(rng, (extra_n, N, N))
     h = 0.5 * (g + np.transpose(g, (0, 2, 1)))
-    extra = mc._trace_power(h, 2)
+    extra = oracles.ref_trace_power(h, 2)
     reconstructed = (small.mean * BLOCK_SIZE + extra.sum()) / (BLOCK_SIZE + extra_n)
     assert math.isclose(reconstructed, big.mean, rel_tol=1e-12)
 
@@ -139,7 +141,7 @@ def test_block_partition_contract_tridiagonal(ensemble, N, M):
         b[:, i, i] = math.sqrt(0.5) * chi_diagonal
         b[:, i[1:], i[:-1]] = math.sqrt(0.5) * chi_sub
         t = b @ np.transpose(b, (0, 2, 1))
-    extra = mc._trace_power(t, n)
+    extra = oracles.ref_trace_power(t, n)
     reconstructed = (small.mean * BLOCK_SIZE + extra.sum()) / (BLOCK_SIZE + extra_n)
     assert math.isclose(reconstructed, big.mean, rel_tol=1e-12)
 
@@ -165,10 +167,10 @@ def test_band_trace_power_matches_dense_power(matrices, n):
     diagonal, off = matrices
     t = _tridiagonal(diagonal, off)
     band = mc._band_trace_power(diagonal, off, n)
-    dense = mc._trace_power(t, n)
+    dense = oracles.ref_trace_power(t, n)
     # Both sum the same closed walks in different orders; bound the
     # rounding by the sum of their absolute weights.
-    scale = mc._trace_power(np.abs(t), n)
+    scale = oracles.ref_trace_power(np.abs(t), n)
     assert np.all(np.abs(band - dense) <= 1e-12 * scale)
 
 

@@ -1,5 +1,7 @@
 """Stream tests: deterministic orders, counts, caps, budgets."""
 
+import tracemalloc
+from inspect import isgenerator
 from itertools import islice, product
 from math import factorial
 
@@ -16,14 +18,15 @@ from annular.streams import (
     _bipartite_pairing_blocks,
     _bipartite_signed_symmetric_pairing_blocks,
     _mirror_pair_blocks,
+    _mirrored_pairings,
     _pairing_blocks,
     _pairings_of_blocks,
+    _permutation_blocks,
     _permutations_of_blocks,
+    _rows,
     _signed_symmetric_pairings_blocks,
     _signed_symmetric_permutations_blocks,
-    bipartite_pairing_images,
-    bipartite_signed_symmetric_pairing_images,
-    double_factorial,
+    _white_to_black_pairing_blocks,
     pairings,
     pairings_of,
     permutations,
@@ -31,7 +34,6 @@ from annular.streams import (
     signed_pairings,
     signed_symmetric_pairings,
     signed_symmetric_permutations,
-    white_to_black_pairing_images,
 )
 
 import oracles
@@ -59,9 +61,9 @@ def test_pairings_match_oracle_order():
 
 def test_pairing_counts_are_double_factorials():
     for n in (2, 4, 6, 8, 10):
-        assert sum(1 for _ in pairings(n)) == double_factorial(n - 1)
-    assert double_factorial(5) == 15
-    assert double_factorial(7) == 105
+        assert sum(1 for _ in pairings(n)) == oracles.ref_double_factorial(n - 1)
+    assert oracles.ref_double_factorial(5) == 15
+    assert oracles.ref_double_factorial(7) == 105
 
 
 def test_pairings_odd_empty_and_types():
@@ -72,7 +74,7 @@ def test_pairings_odd_empty_and_types():
 
 
 def test_signed_pairings_count():
-    assert sum(1 for _ in signed_pairings(3)) == double_factorial(5)
+    assert sum(1 for _ in signed_pairings(3)) == oracles.ref_double_factorial(5)
 
 
 # ------------------------------------------------- signed symmetric pairings
@@ -123,9 +125,9 @@ def test_signed_symmetric_pairings_all_delta_symmetric():
 
 # ------------------------------------------------------- bipartite streams
 @pytest.mark.parametrize("n", range(0, 8))
-def test_bipartite_pairing_images_equal_filtered_stream_in_order(n):
+def test_bipartite_pairing_blocks_equal_filtered_stream_in_order(n):
     filtered = [p.image for p in pairings(2 * n) if is_bipartite_pairing(p)]
-    built = list(bipartite_pairing_images(2 * n))
+    built = list(_rows(_bipartite_pairing_blocks(2 * n)))
     assert built == filtered
     assert len(built) == factorial(n)
 
@@ -139,9 +141,9 @@ def test_forced_twist_stream_equals_filtered_stream_in_order(m):
     # with signed_symmetric_pairings
     ground = signed_ground(2 * m)
     streams = {
-        True: (bipartite_signed_symmetric_pairing_images, is_bipartite_signed_pairing),
+        True: (_bipartite_signed_symmetric_pairing_blocks, is_bipartite_signed_pairing),
         False: (
-            white_to_black_pairing_images,
+            _white_to_black_pairing_blocks,
             lambda t: {t(w) for w in white_labels(m)} <= set(black_labels(m)),
         ),
     }
@@ -155,33 +157,33 @@ def test_forced_twist_stream_equals_filtered_stream_in_order(m):
             want.append(Pairing.from_pairs(ground, cycles))
         filtered = [t for t in signed_symmetric_pairings(2 * m, cap=20) if keeps(t)]
         assert filtered == want
-        built = list(stream(2 * m, cap=20))
+        built = list(_rows(stream(2 * m, cap=20)))
         assert built == [t.image for t in want]
-        assert len(built) == double_factorial(2 * m - 1)
+        assert len(built) == oracles.ref_double_factorial(2 * m - 1)
 
 
 def test_bipartite_streams_odd_sizes_are_empty():
-    assert list(bipartite_pairing_images(5)) == []
-    assert list(bipartite_signed_symmetric_pairing_images(3)) == []
-    assert list(white_to_black_pairing_images(3)) == []
+    assert list(_rows(_bipartite_pairing_blocks(5))) == []
+    assert list(_rows(_bipartite_signed_symmetric_pairing_blocks(3))) == []
+    assert list(_rows(_white_to_black_pairing_blocks(3))) == []
 
 
 def test_bipartite_streams_caps_apply_to_ground_size():
     with pytest.raises(CapExceeded):
-        bipartite_pairing_images(18)
-    for stream in (bipartite_signed_symmetric_pairing_images, white_to_black_pairing_images):
+        _bipartite_pairing_blocks(18)
+    for stream in (_bipartite_signed_symmetric_pairing_blocks, _white_to_black_pairing_blocks):
         with pytest.raises(CapExceeded) as info:
             stream(10)
         assert (info.value.requested, info.value.cap) == (20, 16)
         stream(10, cap=20)
-    bipartite_pairing_images(18, cap=18)
+    _bipartite_pairing_blocks(18, cap=18)
 
 
 def test_bipartite_stream_budget_counts_built_elements():
     # 24 bipartite pairings of [8] are built; none of the other 81 is visited
-    assert len(list(bipartite_pairing_images(8, budget=EnumerationBudget(24)))) == 24
+    assert len(list(_rows(_bipartite_pairing_blocks(8, budget=EnumerationBudget(24))))) == 24
     with pytest.raises(CapExceeded):
-        list(bipartite_pairing_images(8, budget=EnumerationBudget(23)))
+        list(_rows(_bipartite_pairing_blocks(8, budget=EnumerationBudget(23))))
 
 
 # ------------------------------------------------------------ block builders
@@ -209,12 +211,32 @@ def test_mirror_pair_blocks_equal_the_expansion_in_order(rule, top):
 
 
 def test_one_block_streams_are_built_once_and_read_only():
-    (block,) = _pairing_blocks(8)  # 105 matchings: one block, kept
-    assert next(_pairing_blocks(8)) is block and not block.flags.writeable
-    with pytest.raises(ValueError):
-        block[0, 0] = 0
-    # 945 matchings span two blocks and are built anew
-    assert next(_pairing_blocks(10)) is not next(_pairing_blocks(10))
+    # each decorated builder keeps a stream that fits one block, read-only
+    one_block = {
+        _pairing_blocks: (8,),  # 105 matchings
+        _mirror_pair_blocks: (6, "every"),  # 120 signed symmetric pairings
+        _permutation_blocks: (5,),  # 120 permutations
+        _mirrored_pairings: (4,),  # 105 signed symmetric permutations
+    }
+    for build, args in one_block.items():
+        (block,) = build(*args)
+        kept = build(*args)
+        assert not isgenerator(kept) and next(kept) is block and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0, 0] = 0
+    # an empty stream is kept too: no builder runs on the second call
+    assert list(_pairing_blocks(7)) == []
+    assert not isgenerator(_pairing_blocks(7)) and list(_pairing_blocks(7)) == []
+    # 945 / 1,680 / 720 / 945 elements span two blocks and are built anew
+    several_blocks = {
+        _pairing_blocks: (10,),
+        _mirror_pair_blocks: (8, "every"),
+        _permutation_blocks: (6,),
+        _mirrored_pairings: (5,),
+    }
+    for build, args in several_blocks.items():
+        assert isgenerator(build(*args))
+        assert next(build(*args)) is not next(build(*args))
 
 
 def test_twist_tuples_of_one_pairing_split_across_blocks():
@@ -250,8 +272,28 @@ def test_signed_symmetric_permutations_match_reference():
     for n in (1, 2, 3, 4):
         got = [p.mapping() for p in signed_symmetric_permutations(n)]
         want = oracles.ref_signed_symmetric_permutations(n)
-        assert len(got) == double_factorial(2 * n - 1)
+        assert len(got) == oracles.ref_double_factorial(2 * n - 1)
         assert got == want
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_signed_symmetric_permutations_order_across_block_seams(n):
+    # 945 and 10,395 elements, several blocks each: the pairings of ±[n]
+    # mirrored, in lexicographic image order
+    got = [p.image for p in signed_symmetric_permutations(n, cap=n)]
+    mirrored = (tuple(2 * n - 1 - i for i in img) for img in oracles.ref_pairing_images(2 * n))
+    assert got == sorted(mirrored)
+
+
+def test_signed_symmetric_permutations_first_element_is_not_built_whole():
+    # the first of 135,135 elements costs one block, not the whole stream
+    tracemalloc.start()
+    try:
+        next(signed_symmetric_permutations(7, cap=7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_signed_symmetric_permutations_contains_pairing_stream():
@@ -293,17 +335,17 @@ def test_budget_overflow_raises():
     [
         (lambda budget: pairings(6, budget=budget), 15, "pairings of GroundSet([6])"),
         (
-            lambda budget: bipartite_pairing_images(6, budget=budget),
+            lambda budget: _rows(_bipartite_pairing_blocks(6, budget=budget)),
             6,
             "bipartite pairings of [6]",
         ),
         (
-            lambda budget: white_to_black_pairing_images(6, budget=budget),
+            lambda budget: _rows(_white_to_black_pairing_blocks(6, budget=budget)),
             15,
             "white-to-black pairings of ±[6]",
         ),
     ],
-    ids=["pairings", "bipartite_pairing_images", "white_to_black_pairing_images"],
+    ids=["pairings", "_bipartite_pairing_blocks", "_white_to_black_pairing_blocks"],
 )
 def test_budget_overflow_contract(stream, size, what):
     # every budget K below the stream length: requested K + 1, cap K
@@ -315,8 +357,9 @@ def test_budget_overflow_contract(stream, size, what):
     assert len(list(stream(EnumerationBudget(size)))) == size
 
 
-#: Each public stream at a size its blocks split: (stream under a budget,
-#: its blocks without one, budget message).
+#: Each public stream, and the rows of each colour-class block function,
+#: at a size its blocks split: (stream under a budget, its blocks without
+#: one, budget message).
 BLOCK_BUDGET_STREAMS = {
     "pairings": (
         lambda budget: pairings(10, budget=budget),
@@ -338,19 +381,19 @@ BLOCK_BUDGET_STREAMS = {
         lambda: _signed_symmetric_pairings_blocks(8),
         "signed symmetric pairings of ±[8]",
     ),
-    "bipartite_pairing_images": (
-        lambda budget: bipartite_pairing_images(12, budget=budget),
+    "_bipartite_pairing_blocks": (
+        lambda budget: _rows(_bipartite_pairing_blocks(12, budget=budget)),
         lambda: _bipartite_pairing_blocks(12),
         "bipartite pairings of [12]",
     ),
-    "bipartite_signed_symmetric_pairing_images": (
-        lambda budget: bipartite_signed_symmetric_pairing_images(10, cap=20, budget=budget),
+    "_bipartite_signed_symmetric_pairing_blocks": (
+        lambda budget: _rows(_bipartite_signed_symmetric_pairing_blocks(10, 20, budget)),
         lambda: _bipartite_signed_symmetric_pairing_blocks(10, cap=20),
         "bipartite signed symmetric pairings of ±[10]",
     ),
-    "white_to_black_pairing_images": (
-        lambda budget: white_to_black_pairing_images(10, cap=20, budget=budget),
-        lambda: _mirror_pair_blocks(10, "differ"),
+    "_white_to_black_pairing_blocks": (
+        lambda budget: _rows(_white_to_black_pairing_blocks(10, 20, budget)),
+        lambda: _white_to_black_pairing_blocks(10, cap=20),
         "white-to-black pairings of ±[10]",
     ),
     "permutations": (
