@@ -24,9 +24,10 @@ the cycles of τ₂τ₁ supported on the white labels (non-orientable).
 Hypermap forms shrink the white vertices to points: an orientable
 bipartite pairing of [2n] becomes a permutation of [n]; a
 non-orientable bipartite gluing of ±[2n] becomes a mirror-symmetric
-permutation of ±[n].  ``hypermap_*`` implement these reductions, and
-the families â and b̂ are defined directly on permutations — the test
-suite checks that the reductions are grade-preserving bijections.
+permutation of ±[n].  ``hypermap_*`` implement these reductions on
+index images, and the families â and b̂ are defined directly on
+permutations — the test suite checks that the reductions are
+grade-preserving bijections.
 
 Every statistic (genus, Euler genus, both twists, both white grades)
 has one private kernel working on raw index images against the cached
@@ -43,22 +44,24 @@ colour-class block functions ``_bipartite_pairing_blocks`` and
 ``_bipartite_signed_symmetric_pairing_blocks`` of :mod:`annular.streams`,
 which build only these gluings instead of filtering all pairings), a
 ground, grade names, a key kernel mapping one image to its grades and
-its batched form mapping a block to its members' grade rows.  :func:`gluing_groups`
-runs the rows through the per-image key in one pass, and
-:func:`gluing_counts` the blocks through the batched one; a row the
-per-image key would reject with an error is handed to it, so both raise
-the same error.  They and :func:`gluing_family` check the tag and n ≥ 1
-first, in one helper, so a bad input raises ``ValueError`` before any
-stream starts.  :func:`gluing_key` checks the stream's
-conditions on one permutation and applies the same kernel, so a
-membership it reports is exactly a builder's.  The ``family_*`` names
-are one-line shorthands over the table.
+its batched form mapping a block to its member rows and their grade rows.
+Every stream pass reads blocks through the batched kernel:
+:func:`gluing_groups` builds each grade's members from them in one pass,
+and :func:`gluing_counts` only tallies the grades; a row the per-image
+key would reject with an error is handed to it, so both raise its error.
+They and :func:`gluing_family` check the tag and n ≥ 1 first, in one
+helper, so a bad input raises ``ValueError`` before any stream starts.
+The per-image key answers one-permutation questions: :func:`gluing_key`
+checks the stream's conditions on one permutation and applies it; the
+tests hold it to the batched kernel row by row, so a membership it
+reports is exactly a builder's.  The ``family_*`` names are one-line
+shorthands over the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -96,7 +99,6 @@ from .streams import (
     _bipartite_signed_symmetric_pairing_blocks,
     _pairings_of_blocks,
     _permutations_of_blocks,
-    _rows,
     _signed_symmetric_pairings_blocks,
     _signed_symmetric_permutations_blocks,
 )
@@ -294,8 +296,8 @@ def nonorientable_white_grade(tau1: Pairing) -> int:
 # ---------------------------------------------------------------------------
 # the gluing families: one table
 #
-# Each family is a source stream of index images and one key kernel
-# mapping an image to its grade tuple (None: in no family of the tag).
+# Each family is a source stream of index images and a key kernel mapping
+# an image to its grade tuple (None: in no family of the tag), batched below.
 # ---------------------------------------------------------------------------
 
 def _a_key(img: tuple[int, ...]) -> tuple[int]:
@@ -341,9 +343,10 @@ def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
     return (k, cycles // 2) if k >= 1 else None
 
 
-# The same keys, batched: each maps a block of images to the grade rows of
-# its members, in row order.  A row the per-image key would reject with an
-# error is handed to that key, so the error and its message are the same.
+# The same keys, batched: each maps a block of images to the rows of its
+# members and their grade rows, in row order.  A row the per-image key would
+# reject with an error is handed to that key, so the error and its message
+# are the same.
 
 def _raise_at_first(key: Callable, block: np.ndarray, bad: np.ndarray) -> None:
     """Run the per-image ``key`` on the first ``bad`` row of ``block``, which raises."""
@@ -356,31 +359,31 @@ def _odd(values: np.ndarray) -> np.ndarray:
     return values % 2 == 1
 
 
-def _a_keys(block: np.ndarray) -> np.ndarray:
+def _a_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size = block.shape[1]
     twice_genus = size // 2 + 1 - _cycle_counts(gamma_walk(full_cycle(size))[0], block)
     _raise_at_first(_a_key, block, (twice_genus < 0) | _odd(twice_genus))
-    return (twice_genus // 2)[:, None]
+    return block, (twice_genus // 2)[:, None]
 
 
-def _b_keys(block: np.ndarray) -> np.ndarray:
+def _b_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1] // 2
     block = block[(block[:, n:] >= n).any(axis=1)]  # twisted
     twice_k = n + 2 - _cycle_counts(tau2(n).image, block)
     _raise_at_first(_b_key, block, (twice_k < 0) | _odd(twice_k))
-    return (twice_k // 2)[:, None]
+    return block, (twice_k // 2)[:, None]
 
 
-def _a_tilde_keys(block: np.ndarray) -> np.ndarray:
+def _a_tilde_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     size = block.shape[1]
     walk = gamma_walk(full_cycle(size))[0]
     faces, p, mixed = _cycle_counts(walk, block, odd_mask(size))
     twice_genus = size // 2 + 1 - faces
     _raise_at_first(_a_tilde_key, block, mixed | (twice_genus < 0) | _odd(twice_genus))
-    return np.column_stack((twice_genus // 2, p))
+    return block, np.column_stack((twice_genus // 2, p))
 
 
-def _b_tilde_keys(block: np.ndarray) -> np.ndarray:
+def _b_tilde_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1] // 2
     block = block[(block[:, n:] >= n).any(axis=1)]  # twisted
     boundary, black_cycles, mixed = _cycle_counts(tau2(n).image, block, black_mask(n)[1])
@@ -388,24 +391,24 @@ def _b_tilde_keys(block: np.ndarray) -> np.ndarray:
     twice_k = n + 2 - boundary
     bad = mixed | _odd(white_cycles) | (twice_k < 0) | _odd(twice_k)
     _raise_at_first(_b_tilde_key, block, bad)
-    return np.column_stack((twice_k // 2, white_cycles // 2))
+    return block, np.column_stack((twice_k // 2, white_cycles // 2))
 
 
-def _a_hat_keys(block: np.ndarray) -> np.ndarray:
+def _a_hat_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1]
     p = _cycle_counts(range(n), block)
     faces = _cycle_counts(gamma_walk(full_cycle(n))[0], block)
-    return np.column_stack(((n - p + 1 - faces) // 2, p))
+    return block, np.column_stack(((n - p + 1 - faces) // 2, p))
 
 
-def _b_hat_keys(block: np.ndarray) -> np.ndarray:
+def _b_hat_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1] // 2
     block = block[(block[:, n:] < n).any(axis=1)]  # hypermap twist
     cycles = _cycle_counts(range(2 * n), block)
     boundary = _cycle_counts(annulus_cycle(n).image, block)
     k = n - cycles // 2 + 1 - boundary // 2
     member = ~_odd(cycles) & ~_odd(boundary) & (k >= 1)
-    return np.column_stack((k, cycles // 2))[member]
+    return block[member], np.column_stack((k, cycles // 2))[member]
 
 
 @dataclass(frozen=True)
@@ -417,8 +420,9 @@ class Gluing:
     (the bipartite families) and n otherwise.  Its elements are pairings
     when ``pairs``, δ-symmetric when ``signed``, bipartite when
     ``doubled``.  ``key`` maps one image to its grades, named by
-    ``grades`` (None: in no family of the tag); ``keys`` maps a block to
-    the grade rows of its members, in row order.
+    ``grades`` (None: in no family of the tag); it answers one-permutation
+    questions.  ``keys`` maps a block to its member rows and their grade
+    rows, in row order (b, b̃ and b̂ drop rows); every stream pass reads it.
     """
 
     source: Callable[..., Iterator[np.ndarray]]
@@ -427,7 +431,7 @@ class Gluing:
     pairs: bool
     grades: tuple[str, ...]
     key: Callable[[tuple[int, ...]], tuple[int, ...] | None]
-    keys: Callable[[np.ndarray], np.ndarray]
+    keys: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 #: CLI tag -> gluing family, in CLI order.  Each source is a lambda over
@@ -492,17 +496,17 @@ def gluing_groups(
 ) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
     """Grade tuple -> members of family ``tag`` at size n, in stream order.
 
-    One pass over the source stream; members are Pairings if the family
-    holds pairings.
+    One pass over the source blocks through the batched key kernel, as in
+    :func:`gluing_counts`; members are Pairings if the family holds
+    pairings.
     """
     entry = _entry(tag, n)
     size = 2 * n if entry.doubled else n
     ground = signed_ground(size) if entry.signed else unsigned_ground(size)
     member = partial(Pairing._make if entry.pairs else Permutation._make, ground)
     groups: dict[tuple[int, ...], list[Permutation]] = {}
-    for img in _rows(entry.source(n, cap, budget)):
-        key = entry.key(img)
-        if key is not None:
+    for rows, keys in map(entry.keys, entry.source(n, cap, budget)):
+        for img, key in zip(map(tuple, rows.tolist()), zip(*keys.T.tolist())):
             groups.setdefault(key, []).append(member(img))
     return {key: tuple(members) for key, members in groups.items()}
 
@@ -521,7 +525,7 @@ def gluing_counts(
     :func:`gluing_groups`.
     """
     entry = _entry(tag, n)
-    return _key_counts(map(entry.keys, entry.source(n, cap, budget)))
+    return _key_counts(keys for _, keys in map(entry.keys, entry.source(n, cap, budget)))
 
 
 def gluing_family(
@@ -557,9 +561,9 @@ def gluing_key(tag: str, pi: Permutation) -> tuple[int, ...] | None:
     The size comes from π's ground.  The conditions of the source stream
     (ground, pairing, δ-symmetry — on a pairing, mirror symmetry with no
     (r,−r) pair, which forces an even n — and the bipartite colouring)
-    are checked first, then the key kernel of :func:`gluing_groups`: π
-    is a member of ``gluing_groups(tag, n)[key]`` exactly when this
-    returns key.
+    are checked first, then the per-image key kernel, the one-row form of
+    the batched kernel of :func:`gluing_groups`: π is a member of
+    ``gluing_groups(tag, n)[key]`` exactly when this returns key.
     """
     entry = GLUINGS[tag]
     if pi.domain.kind != (GroundSet.SIGNED if entry.signed else GroundSet.UNSIGNED):
@@ -633,22 +637,17 @@ def hypermap_from_bipartite_orientable(pi: Pairing) -> Permutation:
     """Shrink white vertices of a bipartite pairing of [2n]: π'(u) = (π(2u)+1)/2."""
     if not is_bipartite_pairing(pi):
         raise ValueError("reduction requires a bipartite pairing of [2n]")
-    n = pi.domain.n // 2
-    ground = unsigned_ground(n)
-    image = []
-    for u in range(1, n + 1):
-        odd = pi(2 * u)
-        image.append(ground.index((odd + 1) // 2))
-    return Permutation(ground, image)
+    # label 2u sits at index 2u − 1, an odd o at o − 1, and (o + 1)/2 at (o − 1)/2
+    return Permutation(unsigned_ground(pi.domain.n // 2), [j // 2 for j in pi.image[1::2]])
 
 
-def _white_relabel(m: int) -> dict[int, int]:
-    """h: W(m) -> ±[m]; odd |w| to (|w|+1)/2, even |w| to −|w|/2."""
-    h = {}
-    for w in white_labels(m):
-        a = abs(w)
-        h[w] = (a + 1) // 2 if a % 2 else -(a // 2)
-    return h
+@cache
+def _white_walk(m: int) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+    """The relabelling h: W(m) -> ±[m] on indices, as the index in ±[2m] of h⁻¹
+    of each index of ±[m], and h·τ₂ as an index table on ±[2m] (None off W(m))."""
+    big, small = signed_ground(2 * m), signed_ground(m)
+    h = {big.index(w): small.index((1 - w) // 2 if w % 2 else -w // 2) for w in white_labels(m)}
+    return tuple(sorted(h, key=h.get)), tuple(h.get(j) for j in tau2(2 * m).image)
 
 
 def hypermap_from_bipartite_nonorientable(tau1: Pairing) -> Permutation:
@@ -658,11 +657,8 @@ def hypermap_from_bipartite_nonorientable(tau1: Pairing) -> Permutation:
     relabelling h(w) = (|w|+1)/2 for odd |w|, −|w|/2 for even |w|,
     which is a bijection from W(n) onto ±[n].
     """
-    if not is_bipartite_signed_pairing(tau1):
-        raise ValueError("reduction requires a bipartite gluing of ±[2n]")
     m = tau1.domain.n // 2
-    walk = compose(tau2(2 * m), tau1)
-    h = _white_relabel(m)
-    ground = signed_ground(m)
-    mapping = {h[w]: h[walk(w)] for w in h}
-    return Permutation.from_mapping(ground, mapping)
+    if tau1.domain != signed_ground(2 * m) or not is_bipartite_signed_pairing(tau1):
+        raise ValueError("reduction requires a bipartite gluing of ±[2n]")
+    white, walk = _white_walk(m)
+    return Permutation(signed_ground(m), [walk[tau1.image[w]] for w in white])

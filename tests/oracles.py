@@ -429,6 +429,22 @@ def ref_family_b_tilde_counts(n: int) -> dict[tuple[int, int], int]:
     return counts
 
 
+def ref_hypermap_orientable(p: dict, n: int) -> dict:
+    """Shrink the white vertices of a bipartite pairing of [2n]: u -> (p(2u) + 1)/2."""
+    return {u: (p[2 * u] + 1) // 2 for u in range(1, n + 1)}
+
+
+def ref_hypermap_nonorientable(p: dict, m: int) -> dict:
+    """The white half of τ₂τ₁ on ±[2m], relabelled onto ±[m] by h.
+
+    h(w) = (|w| + 1)/2 for odd |w| and −|w|/2 for even |w|.
+    """
+    _, white = ref_black_white(m)
+    h = {w: (abs(w) + 1) // 2 if abs(w) % 2 else -(abs(w) // 2) for w in white}
+    walk = ref_compose(ref_tau2(2 * m), p)
+    return {h[w]: h[walk[w]] for w in white}
+
+
 def ref_family_a_hat_counts(n: int) -> dict[tuple[int, int], int]:
     counts: dict[tuple[int, int], int] = {}
     for p in ref_permutations(range(1, n + 1)):

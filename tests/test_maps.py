@@ -23,6 +23,7 @@ from annular.maps import (
     gluing_counts,
     gluing_family,
     gluing_groups,
+    gluing_key,
     has_twist,
     hypermap_from_bipartite_nonorientable,
     hypermap_from_bipartite_orientable,
@@ -52,6 +53,7 @@ from annular.streams import (
     _pairing_blocks,
     _pairings_of_blocks,
     _permutations_of_blocks,
+    _rows,
     _signed_symmetric_pairings_blocks,
     _signed_symmetric_permutations_blocks,
     pairings,
@@ -68,6 +70,8 @@ from oracles import (
     ref_family_b_counts,
     ref_family_b_hat_counts,
     ref_family_b_tilde_counts,
+    ref_hypermap_nonorientable,
+    ref_hypermap_orientable,
     ref_narayana,
 )
 from test_golden import GLUING_SIZES
@@ -432,6 +436,27 @@ def test_nonorientable_reduction_preserves_grades(n):
     assert len(images) == count  # injective
 
 
+def _as_map(perm: Permutation) -> dict:
+    return {x: perm(x) for x in perm.domain.labels()}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orientable_reduction_equals_the_label_space_reference(n):
+    for pi in pairings(2 * n):
+        if is_bipartite_pairing(pi):
+            got = hypermap_from_bipartite_orientable(pi)
+            assert _as_map(got) == ref_hypermap_orientable(_as_map(pi), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nonorientable_reduction_equals_the_label_space_reference(n):
+    # every bipartite gluing, twisted or not
+    for t in signed_symmetric_pairings(2 * n):
+        if is_bipartite_signed_pairing(t):
+            got = hypermap_from_bipartite_nonorientable(t)
+            assert _as_map(got) == ref_hypermap_nonorientable(_as_map(t), n)
+
+
 def test_orientable_reduction_rejects_non_bipartite():
     g = unsigned_ground(4)
     with pytest.raises(ValueError):
@@ -443,6 +468,16 @@ def test_nonorientable_reduction_rejects_non_bipartite():
     t = Pairing.from_pairs(g, [(1, 2), (-1, -2), (3, 4), (-3, -4)])
     with pytest.raises(ValueError):
         hypermap_from_bipartite_nonorientable(t)
+
+
+def test_nonorientable_reduction_rejects_a_ground_other_than_an_even_signed_one():
+    # the index kernel reads its relabelling of ±[2m]; another ground is refused
+    for t in (
+        Pairing.from_pairs(unsigned_ground(4), [(1, 2), (3, 4)]),
+        Pairing.from_pairs(signed_ground(3), [(1, -2), (-1, 2), (3, -3)]),
+    ):
+        with pytest.raises(ValueError):
+            hypermap_from_bipartite_nonorientable(t)
 
 
 def test_reduction_anchor_values():
@@ -462,11 +497,28 @@ def test_reduction_anchor_values():
 
 @pytest.mark.parametrize("tag", GLUINGS)
 def test_gluing_counts_equal_the_histogram_of_gluing_groups(tag):
-    # gluing_counts reads blocks through the batched kernels, gluing_groups
-    # rows through the per-image ones: same grades, sizes and order
+    # the tally and the grouping of one batched pass: same grades, sizes and order
     for n in range(1, GLUING_SIZES[tag] + 1):
         groups = gluing_groups(tag, n)
         assert list(gluing_counts(tag, n).items()) == [(k, len(v)) for k, v in groups.items()]
+
+
+@pytest.mark.parametrize("tag", GLUINGS)
+def test_per_image_key_equals_the_batched_key_on_every_row(tag):
+    # gluing_key reads one permutation through the per-image kernel,
+    # gluing_groups the source blocks through the batched one
+    entry = GLUINGS[tag]
+    member = Pairing if entry.pairs else Permutation
+    for n in range(1, GLUING_SIZES[tag] + 1):
+        size = 2 * n if entry.doubled else n
+        ground = signed_ground(size) if entry.signed else unsigned_ground(size)
+        group_of = {
+            pi.image: key for key, members in gluing_groups(tag, n).items() for pi in members
+        }
+        rows = list(_rows(entry.source(n, None, None)))
+        assert group_of.keys() <= set(rows)
+        for img in rows:
+            assert gluing_key(tag, member(ground, img)) == group_of.get(img)
 
 
 @pytest.mark.parametrize(
@@ -482,14 +534,17 @@ def test_gluing_counts_equal_the_histogram_of_gluing_groups(tag):
     ],
 )
 def test_batched_key_raises_the_per_image_error_on_a_mixed_row(monkeypatch, tag, source, n, stream):
-    # fed every pairing, not only the bipartite ones, both passes meet a
-    # walk that mixes the colour classes at the same row
+    # fed every pairing, not only the bipartite ones, a pass meets a walk
+    # that mixes the colour classes; both batched passes raise what the
+    # per-image key raises on the first row that it rejects
     monkeypatch.setattr(annular.maps, source, lambda size, cap, budget: stream(size))
     with pytest.raises(MonochromaticityError) as per_image:
-        gluing_groups(tag, n)
-    with pytest.raises(MonochromaticityError) as batched:
-        gluing_counts(tag, n)
-    assert str(batched.value) == str(per_image.value)
+        for row in _rows(stream(2 * n)):
+            GLUINGS[tag].key(row)
+    for call in (gluing_groups, gluing_counts):
+        with pytest.raises(MonochromaticityError) as batched:
+            call(tag, n)
+        assert str(batched.value) == str(per_image.value)
 
 
 @pytest.mark.parametrize(

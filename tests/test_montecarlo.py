@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from annular import montecarlo as mc
@@ -153,6 +153,31 @@ def test_dense_route_reproduces_recorded_estimates(pin):
     assert (est.mean, est.std_error) == (mean, std_error)
 
 
+def _underflow_floor(t, n):
+    """The most absolute error gradual underflow adds to Tr Tⁿ, both routes together.
+
+    A sum whose result is subnormal is exact; a product is off by at most
+    half the subnormal spacing s on top of its relative error, which the
+    relative term bounds.  An error in an entry of T^j reaches the trace
+    weighted by at most w_{n−j}, where w_k = 1ᵀ|T|ᵏ1.  The dense route
+    forms each entry of T^j (j = 2..n) from N products.  The band route
+    forms each band entry of T^j (j = 2..⌈n/2⌉) from 3, which the final
+    inner product reads twice, and that product adds (⌊n/2⌋ + 1)·N more,
+    doubled off the diagonal.
+    """
+    batch, N, _ = t.shape
+    half = n // 2
+    weights = [np.full(batch, float(N))]  # w_0 = 1ᵀI1
+    power = np.abs(t)
+    for _ in range(n - 2):
+        weights.append(power.sum(axis=(1, 2)))
+        power = power @ np.abs(t)
+    dense = N * sum(weights[: n - 1])
+    band = 6 * sum(weights[half : n - 1]) + 2 * (half + 1) * N
+    # halve the count, not s: s/2 rounds to 0
+    return np.finfo(float).smallest_subnormal * ((dense + band) / 2)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(1, 8).flatmap(
@@ -163,15 +188,18 @@ def test_dense_route_reproduces_recorded_estimates(pin):
     ),
     st.integers(1, 9),
 )
+# a subnormal diagonal: the routes differ by 2 subnormal ulps, 1e-12 * scale is 1 ulp
+@example((np.full((3, 2), 2.2e-311), np.full((3, 1), 0.5)), 7)
 def test_band_trace_power_matches_dense_power(matrices, n):
     diagonal, off = matrices
     t = _tridiagonal(diagonal, off)
     band = mc._band_trace_power(diagonal, off, n)
     dense = oracles.ref_trace_power(t, n)
     # Both sum the same closed walks in different orders; bound the
-    # rounding by the sum of their absolute weights.
+    # rounding by the sum of their absolute weights, and the underflow
+    # by its own floor.
     scale = oracles.ref_trace_power(np.abs(t), n)
-    assert np.all(np.abs(band - dense) <= 1e-12 * scale)
+    assert np.all(np.abs(band - dense) <= 1e-12 * scale + _underflow_floor(t, n))
 
 
 @pytest.mark.parametrize(
