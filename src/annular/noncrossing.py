@@ -54,37 +54,46 @@ members and measure grades against the canonical disk/annulus frames,
 exactly as the displayed conditions state.
 
 Each family is defined once, as one entry of :data:`NONCROSSING`: its
-CLI tag, the stream of index images that builds it, its cut (none,
+CLI tag, the blocks of index images that build it, its cut (none,
 torus or Klein) and anchor (π, or π⁻¹ for the hypermap unions), its
-grade kernel, and whether it needs an even n.  The bipartite tags read
-the rows of the colour-class block functions of :mod:`annular.streams`
+grade kernels (per image and per block), and whether it needs an even n.  The bipartite tags read
+the colour-class block functions of :mod:`annular.streams`
 (``_bipartite_pairing_blocks``, ``_white_to_black_pairing_blocks``),
 which build only the pairings joining the two classes; the other tags
-read the images of the public element streams.  :class:`NCFamilyId`, the CLI's
-``enumerate`` and ``classify`` and the test below all read that entry.
-A member passes one test on one element: the source conditions, the
-grade its kernel reads, and the non-crossing condition.
+stack the images of the public element streams back into blocks.
+:class:`NCFamilyId`, the CLI's ``enumerate`` and ``classify`` and the
+test below all read that entry.  A member passes one test: the source
+conditions, the grade its kernel reads, and the non-crossing condition.
 :func:`member_witnesses` applies the test to any permutation.
-:func:`nc_groups` runs the source stream through it once for every
-grade; :func:`family_nc` is the same pass at one grade, which skips an
-element of another grade before building a frame.  Only the kept
-images become members.
+:func:`nc_groups` runs the source blocks through its batched form once
+for every grade; :func:`family_nc` is the same pass at one grade, which
+drops the rows of another grade before building a frame.  Only the
+kept images become members.
 
-The test reads only the element's index image.  One kernel decides
-"non-crossing with respect to γ" from three cycle counts against the
-cached image of γ⁻¹ (and, if they fit, the join); one colour kernel
-checks the bipartite colouring and counts the grade.  Both count cycles
-through the shared kernels of :mod:`annular.perms` and read the frames,
-walks, colour masks and colour tests of :mod:`annular.frames`; nothing
-here comes from the gluing side (:mod:`annular.maps`), so the bijection
-checks between the two remain a cross-check.
+The test reads only index images, and has two forms.  The batched form
+decides a block at a time: the batched grade kernels count cycles with
+:func:`annular.perms._cycle_counts` (with the colour mask, for the
+bipartite grades), the count #(π) + #(γ⁻¹π) + #(γ) = size + 2 takes
+two more of its calls, and the join reads which γ-cycle each index
+lies on, since every frame of the scan has one or two cycles.  A union
+tag reads, for each u, one v per row from the anchor column, masks the head
+condition, and tests the rows naming one (u, v) against that frame
+together.  The per-image form (the per-image grade kernels, the count
+through :func:`annular.perms._cycle_count` and the join by union-find)
+answers one-permutation questions: :func:`member_witnesses`,
+:func:`is_noncrossing` and :func:`euler_defect`.  Both read the frames,
+walks and colour masks of :mod:`annular.frames`; nothing here comes
+from the gluing side (:mod:`annular.maps`), so the bijection checks
+between the two remain a cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterator
+
+import numpy as np
 
 from .frames import (
     annulus_cycle,
@@ -102,6 +111,7 @@ from .perms import (
     Permutation,
     _coloured_cycle_count,
     _cycle_count,
+    _cycle_counts,
     _inverse_image,
     _is_delta_symmetric,
     _join_block_count_images,
@@ -113,7 +123,6 @@ from .streams import (
     EnumerationBudget,
     _bipartite_pairing_blocks,
     _images,
-    _rows,
     _white_to_black_pairing_blocks,
     pairings,
     permutations,
@@ -222,30 +231,62 @@ def _half_cycles(img: tuple[int, ...]) -> int | None:
     return None if cycles % 2 else cycles // 2
 
 
+# The same grades, batched: each maps a block of images to the grade p of
+# each row.  Grades start at 1, so 0 marks a row in no grade.
+
+def _block_cycles(block: np.ndarray) -> np.ndarray:
+    """#(π) per row."""
+    return _cycle_counts(range(block.shape[1]), block)
+
+
+def _block_colour_grades(block: np.ndarray, *, signed: bool) -> np.ndarray:
+    """:func:`_colour_grade` per row: the colour test is a mask, the counts one kernel call."""
+    n = block.shape[1] // 2 if signed else block.shape[1]
+    colour = black_mask(n)[1] if signed else odd_mask(n)
+    walk = gamma_walk(annulus_cycle(n) if signed else full_cycle(n))[0]
+    _, inside, mixed = _cycle_counts(walk, block, colour)
+    mask = np.frombuffer(colour, dtype=np.bool_)
+    bipartite = (mask | mask[block]).all(axis=1) & ~mixed  # sends_into
+    if signed:
+        bipartite &= inside % 2 == 0
+        inside = inside // 2
+    return np.where(bipartite, inside, 0)
+
+
+def _block_half_cycles(block: np.ndarray) -> np.ndarray:
+    """:func:`_half_cycles` per row."""
+    cycles = _block_cycles(block)
+    return np.where(cycles % 2, 0, cycles // 2)
+
+
 _odd_grade = partial(_colour_grade, signed=False)
 _black_grade = partial(_colour_grade, signed=True)
+_odd_grades = partial(_block_colour_grades, signed=False)
+_black_grades = partial(_block_colour_grades, signed=True)
 
 
 @dataclass(frozen=True)
 class NCEntry:
-    """One non-crossing family: its CLI tag, source stream, cut and grade.
+    """One non-crossing family: its CLI tag, source blocks, cut and grade kernels.
 
-    ``source(n, budget)`` yields index images of permutations (or, with
-    ``pairs``, pairings) of [n], or of δ-symmetric ones of ±[n] when
-    ``signed``.  ``cut`` is None for the disk/annulus frame, else
-    ``"torus"`` or ``"klein"``: a union over the cuts (u, v), anchored
-    on π, or on π⁻¹ when ``hypermap``.  ``grade`` maps an image to its
-    grade p (None: in no grade); it is None for an ungraded family.
-    ``even_n`` families exist only for even n.
+    ``source(n, budget)`` yields blocks of index images, one row per
+    permutation (or, with ``pairs``, pairing) of [n], or per δ-symmetric
+    one of ±[n] when ``signed``.  ``cut`` is None for the disk/annulus
+    frame, else ``"torus"`` or ``"klein"``: a union over the cuts (u, v),
+    anchored on π, or on π⁻¹ when ``hypermap``.  ``grade`` maps an image
+    to its grade p (None: in no grade), and ``grades`` a block to the
+    grade of each row (0: in no grade); both are None for an ungraded
+    family.  ``even_n`` families exist only for even n.
     """
 
     cli: str
-    source: Callable[..., Iterator[tuple[int, ...]]]
+    source: Callable[..., Iterator[np.ndarray]]
     signed: bool = False
     pairs: bool = False
     cut: str | None = None
     hypermap: bool = False
     grade: Callable[[tuple[int, ...]], int | None] | None = None
+    grades: Callable[[np.ndarray], np.ndarray] | None = None
     even_n: bool = False
 
 
@@ -254,37 +295,43 @@ class NCEntry:
 #: is a lambda over a module-level stream or block-function name, looked
 #: up at call time, so a wrapper rebound over that name (a tracer's) is seen.
 NONCROSSING: dict[str, NCEntry] = {
-    "NC": NCEntry("nc", lambda n, budget: _images(permutations(n, budget=budget))),
-    "NC2": NCEntry("nc2", lambda n, budget: _images(pairings(n, budget=budget)), pairs=True),
+    "NC": NCEntry("nc", lambda n, budget: _images(permutations(n, budget=budget), n)),
+    "NC2": NCEntry("nc2", lambda n, budget: _images(pairings(n, budget=budget), n), pairs=True),
     "NC2T": NCEntry(
-        "nc2-t", lambda n, budget: _images(pairings(n, budget=budget)), pairs=True, cut="torus"),
+        "nc2-t", lambda n, budget: _images(pairings(n, budget=budget), n),
+        pairs=True, cut="torus"),
     "NC2T_bip": NCEntry(
-        "nc2-t-bip", lambda n, budget: _rows(_bipartite_pairing_blocks(n, None, budget)),
-        pairs=True, cut="torus", grade=_odd_grade, even_n=True),
+        "nc2-t-bip", lambda n, budget: _bipartite_pairing_blocks(n, None, budget),
+        pairs=True, cut="torus", grade=_odd_grade, grades=_odd_grades, even_n=True),
     "NCT_p": NCEntry(
-        "nc-t-p", lambda n, budget: _images(permutations(n, budget=budget)),
-        cut="torus", hypermap=True, grade=_num_cycles_image),
+        "nc-t-p", lambda n, budget: _images(permutations(n, budget=budget), n),
+        cut="torus", hypermap=True, grade=_num_cycles_image, grades=_block_cycles),
     "NCdelta": NCEntry(
-        "nc-delta", lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget)),
+        "nc-delta",
+        lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget), 2 * n),
         signed=True),
     "NC2delta": NCEntry(
-        "nc2-delta", lambda n, budget: _images(signed_symmetric_pairings(n, budget=budget)),
+        "nc2-delta", lambda n, budget: _images(signed_symmetric_pairings(n, budget=budget), 2 * n),
         signed=True, pairs=True),
     "NCdelta_p": NCEntry(
-        "nc-delta-p", lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget)),
-        signed=True, grade=_half_cycles),
+        "nc-delta-p",
+        lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget), 2 * n),
+        signed=True, grade=_half_cycles, grades=_block_half_cycles),
     "NC2K": NCEntry(
-        "nc2-k", lambda n, budget: _images(signed_symmetric_pairings(n, budget=budget)),
+        "nc2-k", lambda n, budget: _images(signed_symmetric_pairings(n, budget=budget), 2 * n),
         signed=True, pairs=True, cut="klein"),
     "NC2K_bip": NCEntry(
-        "nc2-k-bip", lambda n, budget: _rows(_white_to_black_pairing_blocks(n, None, budget)),
-        signed=True, pairs=True, cut="klein", grade=_black_grade, even_n=True),
+        "nc2-k-bip", lambda n, budget: _white_to_black_pairing_blocks(n, None, budget),
+        signed=True, pairs=True, cut="klein",
+        grade=_black_grade, grades=_black_grades, even_n=True),
     "NCK_p": NCEntry(
-        "nc-k-p", lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget)),
-        signed=True, cut="klein", hypermap=True, grade=_half_cycles),
+        "nc-k-p",
+        lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget), 2 * n),
+        signed=True, cut="klein", hypermap=True,
+        grade=_half_cycles, grades=_block_half_cycles),
     "NC2delta_bip": NCEntry(
-        "nc2-delta-bip", lambda n, budget: _rows(_white_to_black_pairing_blocks(n, None, budget)),
-        signed=True, pairs=True, grade=_black_grade, even_n=True),
+        "nc2-delta-bip", lambda n, budget: _white_to_black_pairing_blocks(n, None, budget),
+        signed=True, pairs=True, grade=_black_grade, grades=_black_grades, even_n=True),
 }
 
 
@@ -404,16 +451,6 @@ def _union_witnesses(
     return tuple(found) or None
 
 
-def _noncrossing_test(
-    entry: NCEntry, n: int, img: tuple[int, ...]
-) -> tuple[tuple[int, int], ...] | None:
-    """The non-crossing test of an element of the tag's source stream, at any grade."""
-    if entry.cut is not None:
-        return _union_witnesses(entry, n, img)
-    gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
-    return () if _noncrossing(img, gamma) else None
-
-
 def member_witnesses(
     family_id: NCFamilyId, pi: Permutation
 ) -> tuple[tuple[int, int], ...] | None:
@@ -422,9 +459,9 @@ def member_witnesses(
     Returns None for a non-member.  For a member it returns the sorted
     (u, v) witnesses of a union tag, and () for any other tag.  The
     conditions of the family's source stream (ground set, pairing,
-    δ-symmetry) are checked here, and then the same per-element test
-    that :func:`family_nc` applies to its stream: the grade, then the
-    non-crossing condition.
+    δ-symmetry) are checked here, and then the per-image form of the
+    test that :func:`family_nc` applies to its blocks: the grade, then
+    the non-crossing condition.
     """
     entry = NONCROSSING[family_id.tag]
     n = family_id.n
@@ -436,7 +473,80 @@ def member_witnesses(
         return None
     if entry.grade is not None and entry.grade(pi.image) != family_id.p:
         return None
-    return _noncrossing_test(entry, n, pi.image)
+    if entry.cut is not None:
+        return _union_witnesses(entry, n, pi.image)
+    gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
+    return () if _noncrossing(pi.image, gamma) else None
+
+
+# The same test, batched over a block of images for the pass of a source.
+
+@cache
+def _sides(gamma: Permutation) -> np.ndarray:
+    """Per index, whether it lies off the γ-cycle through index 0."""
+    side = np.ones(gamma.domain.size, dtype=bool)
+    j = 0
+    while side[j]:
+        side[j] = False
+        j = gamma.image[j]
+    side.flags.writeable = False
+    return side
+
+
+def _frame_test(block: np.ndarray, cycles: np.ndarray, gamma: Permutation) -> np.ndarray:
+    """Per row π of ``block``, #(π) in ``cycles``: whether π is non-crossing w.r.t. γ.
+
+    The count of :func:`_noncrossing` on every row, then the join on the
+    rows that pass it.  Every frame of the scan has one or two cycles:
+    with one, the join is one block; with two, π joins them iff it sends
+    some index from one to the other.
+    """
+    walk, gamma_cycles = gamma_walk(gamma)
+    if gamma_cycles > 2:
+        raise ValueError(f"the batched join reads frames of one or two cycles, not {gamma_cycles}")
+    fits = cycles + _cycle_counts(walk, block) + gamma_cycles == block.shape[1] + 2
+    if gamma_cycles == 2:
+        side = _sides(gamma)
+        fits[fits] = (side[block[fits]] != side).any(axis=1)
+    return fits
+
+
+def _union_witness_rows(
+    entry: NCEntry, n: int, block: np.ndarray, cycles: np.ndarray
+) -> dict[int, list[tuple[int, int]]]:
+    """Row of ``block`` -> the cuts (u, v) whose frame admits it, in (u, v) order.
+
+    :func:`_union_witnesses` over a block: for each u the anchor column
+    names v per row, the head condition is a mask (Klein: a running
+    "some a < u has a negative anchor"), and the rows naming one v are
+    tested against that frame together.  Rows no frame admits are absent.
+    """
+    rows, size = block.shape
+    klein = entry.cut == "klein"
+    anchor = block
+    if entry.hypermap:
+        anchor = np.empty_like(block)
+        anchor[np.arange(rows)[:, None], block] = np.arange(size)
+    top = n if klein else n - 1
+    first = n if klein else 0
+    found: dict[int, list[tuple[int, int]]] = {}
+    negative = np.zeros(rows, dtype=bool)
+    for u in range(1, top + 1):
+        j = anchor[:, first + u - 1]
+        v = n - j if klein else j + 1
+        open_ = (u < v) & (v <= top)
+        if klein:
+            open_ &= ~negative
+            negative |= j < n
+        else:
+            head = anchor[:, :u - 1] + 1
+            open_ &= ~((u <= head) & (head <= v[:, None])).any(axis=1)
+        for cut in np.flatnonzero(np.bincount(v[open_], minlength=top + 1)).tolist():
+            at = np.flatnonzero(open_ & (v == cut))
+            gamma = (klein_frame if klein else torus_frame)(n, u, cut).gamma
+            for i in at[_frame_test(block[at], cycles[at], gamma)].tolist():
+                found.setdefault(i, []).append((u, cut))
+    return found
 
 
 def _scan(
@@ -444,19 +554,28 @@ def _scan(
 ) -> dict[int | None, dict[tuple[int, ...], tuple]]:
     """Grade -> {member image: witnesses} of ``tag`` at size n, from one pass.
 
-    With ``p`` set, only grade p is kept, and an element of another
-    grade is skipped before any frame is built.  An ungraded tag's key
-    is None.
+    The source is read and tested a block at a time.  With ``p`` set,
+    only grade p is kept, and a row of another grade drops before any
+    frame is built.  An ungraded tag's key is None.
     """
     entry = NONCROSSING[tag]
+    gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
     found: dict[int | None, dict[tuple[int, ...], tuple]] = {}
-    for img in entry.source(n, budget):
-        grade = entry.grade(img) if entry.grade else None
-        if entry.grade and (grade is None or p is not None and grade != p):
-            continue
-        witnesses = _noncrossing_test(entry, n, img)
-        if witnesses is not None:
-            found.setdefault(grade, {})[img] = witnesses
+    for block in entry.source(n, budget):
+        grades = None
+        if entry.grades is not None:
+            grades = entry.grades(block)
+            keep = grades > 0 if p is None else grades == p
+            block, grades = block[keep], grades[keep]
+        cycles = _block_cycles(block)
+        if entry.cut is None:
+            kept = dict.fromkeys(np.flatnonzero(_frame_test(block, cycles, gamma)).tolist(), ())
+        else:
+            kept = _union_witness_rows(entry, n, block, cycles)
+        at = list(kept)
+        keys = [None] * len(at) if grades is None else grades[at].tolist()
+        for key, image, ws in zip(keys, block[at].tolist(), kept.values()):
+            found.setdefault(key, {})[tuple(image)] = tuple(ws)
     return found
 
 

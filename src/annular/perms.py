@@ -265,7 +265,7 @@ def _cycle_counts(outer: Sequence[int], block: np.ndarray, colour: bytes | None 
     cycles = heads.sum(axis=1)
     if colour is None:
         return cycles
-    mask = np.tile(np.frombuffer(colour, dtype=np.uint8).astype(bool), rows)
+    mask = np.frombuffer(colour * rows, dtype=np.bool_)
     mixed = (mask != mask[least]).reshape(rows, size).any(axis=1)
     return cycles, (heads & mask.reshape(rows, size)).sum(axis=1), mixed
 

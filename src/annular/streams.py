@@ -144,13 +144,23 @@ def _check_cap(what: str, n: int, cap: int | None, default_cap: int) -> None:
         )
 
 
-#: The index images of a stream of permutations.
-_images = partial(map, attrgetter("image"))
-
 #: Most rows in one block, whatever the stream's length: 4 kB per column
 #: of intp (80 kB on ±[10]).  Larger blocks raise the peak memory of the
 #: exact routes more than they save time.
 _ROWS = 512
+
+
+def _images(elements: Iterable[Permutation], size: int) -> Iterator[np.ndarray]:
+    """The index images of a stream of permutations of a ``size``-point set, in blocks.
+
+    The inverse of :func:`_members`: the non-crossing sources that read a
+    public element stream stack its images back into blocks of at most
+    ``_ROWS`` rows.
+    """
+    images = map(attrgetter("image"), elements)
+    row = np.dtype((np.intp, size))
+    while len(block := np.fromiter(islice(images, _ROWS), dtype=row)):
+        yield block
 
 
 def _rows(blocks: Iterable[np.ndarray]) -> Iterator[tuple[int, ...]]:

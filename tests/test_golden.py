@@ -4,11 +4,12 @@ Each key of ``golden.json`` holds the SHA-256 of one value written as
 canonical JSON (sorted keys, no spaces) of ints, strings, booleans and
 nulls: every grade group of :func:`annular.maps.gluing_groups` and of
 :func:`annular.noncrossing.nc_groups` (at the ``GROUPED_SIZES`` of
-``tests/test_noncrossing.py``; members in stream order as cycle strings,
-with their witnesses), every Wick and genus-expansion moment
-polynomial up to each order cap, and a battery of CLI requests read as
-(exit code, stdout without ``timing_ms``).  Stderr is left out: usage
-messages are diagnostics, not part of the record contract.
+``tests/test_noncrossing.py`` and the ``NC_LARGE_SIZES`` below; members
+in stream order as cycle strings, with their witnesses), every Wick and
+genus-expansion moment polynomial up to each order cap, and a battery of
+CLI requests read as (exit code, stdout without ``timing_ms``).  Stderr
+is left out: usage messages are diagnostics, not part of the record
+contract.
 
 Regenerate the file only for an intended output change::
 
@@ -40,6 +41,10 @@ GOLDEN = Path(__file__).with_name("golden.json")
 
 #: Largest n at which each gluing family's groups are recorded.
 GLUING_SIZES = {"a": 10, "b": 8, "a-tilde": 6, "a-hat": 6, "b-tilde": 4, "b-hat": 4}
+
+#: Sizes past ``GROUPED_SIZES`` at which non-crossing groups are recorded
+#: too: the largest passes of the perfbench verify workload.
+NC_LARGE_SIZES = {"NC2T": range(9, 11), "NC2delta": range(7, 9), "NC2K": range(7, 9)}
 
 
 def _digest(value) -> str:
@@ -141,7 +146,7 @@ def _values() -> dict[str, object]:
                 for key, members in sorted(gluing_groups(tag, n).items())
             ]
     for tag, sizes in GROUPED_SIZES.items():
-        for n in sizes:
+        for n in (*sizes, *NC_LARGE_SIZES.get(tag, ())):
             values[f"nc_groups/{tag}/{n}"] = lambda tag=tag, n=n: [
                 [
                     p,

@@ -1,5 +1,6 @@
 """Non-crossing predicates and annular families."""
 
+import numpy as np
 import pytest
 
 from annular.frames import annulus_cycle, full_cycle, klein_frame, torus_frame
@@ -12,6 +13,8 @@ from annular.maps import (
 from annular.noncrossing import (
     NONCROSSING,
     NCFamilyId,
+    _block_cycles,
+    _frame_test,
     euler_defect,
     family_nc,
     is_delta_symmetric,
@@ -240,13 +243,69 @@ def test_nc_groups_equal_family_nc_grade_by_grade(tag):
             assert got.witness_table == want.witness_table
     # a budget one below the source size fails both alike; the size itself passes
     n = GROUPED_SIZES[tag][1]
-    size = sum(1 for _ in NONCROSSING[tag].source(n, None))
+    size = sum(len(block) for block in NONCROSSING[tag].source(n, None))
     fid = NCFamilyId(tag, n, 1 if graded else None)
     below = EnumerationBudget(size - 1)
     assert _raised(lambda: nc_groups(tag, n, budget=below)) == _raised(
         lambda: family_nc(fid, budget=below)
     )
     assert nc_groups(tag, n, budget=EnumerationBudget(size)).keys() == nc_groups(tag, n).keys()
+
+
+@pytest.mark.parametrize("tag", GROUPED_SIZES)
+def test_per_image_test_equals_the_batched_scan_on_every_row(tag):
+    # member_witnesses reads one permutation through the per-image kernels,
+    # nc_groups the source blocks through the batched ones: a kept row has
+    # the same witnesses at its grade and is refused at every other grade,
+    # a dropped row is refused at every grade
+    entry = NONCROSSING[tag]
+    member = Pairing if entry.pairs else Permutation
+    for n in GROUPED_SIZES[tag]:
+        ground = signed_ground(n) if entry.signed else unsigned_ground(n)
+        kept = {
+            pi.image: (p, ws)
+            for p, family in nc_groups(tag, n).items()
+            for pi, ws in zip(family.members, family.witness_table or [()] * len(family))
+        }
+        rows = [tuple(row) for block in entry.source(n, None) for row in block.tolist()]
+        assert kept.keys() <= set(rows)
+        for img in rows:
+            pi = member(ground, img)
+            p, ws = kept.get(img, (None, None))
+            for q in range(1, n + 2) if entry.grade else [None]:
+                assert member_witnesses(NCFamilyId(tag, n, q), pi) == (ws if q == p else None)
+
+
+@pytest.mark.parametrize("tag, n", [("NC2", 10), ("NC2T_bip", 12)])
+def test_budget_cuts_at_the_block_seams(tag, n):
+    # 945 and 720 rows: two blocks of at most 512; the budget counts rows
+    # across the seam, and a budget of the whole stream changes nothing
+    length = sum(len(block) for block in NONCROSSING[tag].source(n, None))
+    assert length > 512
+    fid = NCFamilyId(tag, n, 1 if NONCROSSING[tag].grade else None)
+    for k in (0, 511, 512, 513, length - 1):
+        budget = EnumerationBudget(k)
+        with pytest.raises(CapExceeded) as grouped:
+            nc_groups(tag, n, budget=budget)
+        with pytest.raises(CapExceeded) as single:
+            family_nc(fid, budget=budget)
+        for info in (grouped, single):
+            assert (info.value.requested, info.value.cap) == (k + 1, k)
+
+    def contents(family):
+        return family.members, family.witness_table
+
+    budget = EnumerationBudget(length)
+    assert contents(family_nc(fid, budget=budget)) == contents(family_nc(fid))
+    groups, budgeted = nc_groups(tag, n), nc_groups(tag, n, budget=budget)
+    assert groups.keys() == budgeted.keys()
+    assert all(contents(budgeted[p]) == contents(family) for p, family in groups.items())
+
+
+def test_batched_frame_test_reads_frames_of_one_or_two_cycles():
+    block = np.array([[1, 0, 2]])
+    with pytest.raises(ValueError, match="one or two cycles, not 3"):
+        _frame_test(block, _block_cycles(block), Permutation.identity(unsigned_ground(3)))
 
 
 @pytest.mark.parametrize("tag", GROUPED_SIZES)
