@@ -2,19 +2,17 @@
 
 ``wick_moment`` expands the trace with the Isserlis–Wick theorem and sums
 an exact weight over raw gluing candidates (pairings, twisted
-mirror-symmetric gluings, permutations).  ``genus_expansion_moment``
+mirror-symmetric gluings, permutations, and for LOE the pairings of the
+2n real factors of Tr (XXᵀ)ⁿ, the Wishart sum).  ``genus_expansion_moment``
 instead multiplies family counts by the dimension powers their genus
 dictates.  Both raise ``CapExceeded`` above ``DEFAULT_ORDER_CAPS``
 before enumerating anything.  The two share no family construction:
-the Wick sum reads the blocks of its own streams (LOE filters the
-gluings that keep the black set itself, as a mask per block) and keys
-each row with the batched cycle kernel of :mod:`annular.perms` against
-the cached walks and colour masks of :mod:`annular.frames`, while the
-genus route reads only the ``family_*_counts`` histograms of
+the Wick sum reads the blocks of its own streams and keys each row with
+the batched cycle kernel of :mod:`annular.perms` against cached walks,
+while the genus route reads only the ``family_*_counts`` histograms of
 :mod:`annular.maps`.  Only that low-level algebra is shared, so their
-agreement (enforced in tests) cross-checks both.  The invariants the sum
-relies on (even boundary counts, monochromatic walks of a bipartite
-gluing) are explicit raises.
+agreement (enforced in tests) cross-checks both.  The invariant the sum
+relies on, even cycle counts, is an explicit raise.
 
 ``wick_oracle_smallN`` is the ground truth for everything else: it sums
 covariances over literal matrix index tuples, never touching the
@@ -38,7 +36,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from .frames import black_mask, full_cycle, gamma_walk, tau2
+from .frames import full_cycle, gamma_walk, tau2
 from .maps import (
     family_a_counts,
     family_a_tilde_counts,
@@ -143,10 +141,9 @@ def wick_moment(
 
     GUE sums N^(boundary count) over pairings of [n]; GOE over twisted
     and untwisted mirror-symmetric gluings of ±[n]; LUE sums
-    c^#(π)·N^(#(π)+boundaries) over permutations of [n]; LOE over
-    bipartite mirror-symmetric gluings of ±[2n] with black/white
-    boundary counts split between N and c.  Odd Gaussian moments are
-    identically zero.
+    c^#(π)·N^(#(π)+boundaries) over permutations of [n]; LOE sums
+    N^r·M^c over the pairings of the 2n factors of Tr (XXᵀ)ⁿ, for r row
+    and c column index cycles.  Odd Gaussian moments are identically zero.
     """
     ensemble = Ensemble.parse(ensemble)
     _check_order(ensemble, n)
@@ -172,9 +169,9 @@ def wick_moment(
         prefactor = Fraction(1)
 
     else:  # LOE
-        mirror_shift = tau2(2 * n).image
-        blocks = _signed_symmetric_pairings_blocks(2 * n, 4 * n, budget)
-        keys = (_loe_keys(mirror_shift, black_mask(2 * n), block) for block in blocks)
+        rows, cols = _wishart_involutions(n)
+        blocks = _pairings_of_blocks(unsigned_ground(2 * n), 2 * n, budget)
+        keys = (_wishart_keys(rows, cols, block) for block in blocks)
         prefactor = Fraction(1, 2**n)
 
     return MomentPolynomial(
@@ -201,20 +198,24 @@ def _lue_keys(walk: tuple[int, ...], block: np.ndarray) -> np.ndarray:
     return np.column_stack((parts + _cycle_counts(walk, block), parts))
 
 
-def _loe_keys(
-    mirror_shift: tuple[int, ...], black: tuple[tuple[int, ...], bytes], block: np.ndarray
-) -> np.ndarray:
-    """Keys of the rows that keep the black set; the others are no LOE gluing."""
-    indices, mask = black
-    block = block[np.frombuffer(mask, dtype=np.uint8)[block[:, indices]].all(axis=1)]
-    doubled, black_doubled, mixed = _cycle_counts(mirror_shift, block, mask)
-    if mixed.any():
-        raise AssertionError("a boundary walk of a bipartite gluing mixes black and white labels")
-    # B(n) and W(n) split ±[2n], so the white cycles are the others
-    white_doubled = doubled - black_doubled
-    if (white_doubled % 2).any() or (black_doubled % 2).any():
-        raise AssertionError("split boundary counts must be even")
-    return np.column_stack((doubled // 2, white_doubled // 2))
+def _wishart_involutions(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """ρ_r = ∏ (2t+1, 2t+2 mod 2n) and ρ_c = ∏ (2t, 2t+1) on the factors of Tr (XXᵀ)ⁿ.
+
+    Factor 2t is X_{i_t j_t} and factor 2t+1 is X_{i_{t+1} j_t}: ρ_r
+    joins the factors that share a row index, ρ_c those sharing a column.
+    """
+    factors = range(2 * n)
+    rows = tuple((i + 1 if i % 2 else i - 1) % (2 * n) for i in factors)
+    return rows, tuple(i ^ 1 for i in factors)
+
+
+def _wishart_keys(rows: tuple[int, ...], cols: tuple[int, ...], block: np.ndarray) -> np.ndarray:
+    """(r + c, c) per pairing π, with r = #(ρ_r π)/2 row and c = #(ρ_c π)/2 column indices."""
+    doubled_r, doubled_c = _cycle_counts(rows, block), _cycle_counts(cols, block)
+    # a product of two fixed-point-free involutions has an even cycle count
+    if (doubled_r % 2).any() or (doubled_c % 2).any():
+        raise AssertionError("a pairing of the Wishart factors must close an even number of cycles")
+    return np.column_stack(((doubled_r + doubled_c) // 2, doubled_c // 2))
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,14 @@ drops the rows of another grade before building a frame.  Only the
 kept images become members.
 
 The test reads only index images, and has two forms.  The batched form
-decides a block at a time: the batched grade kernels count cycles with
-:func:`annular.perms._cycle_counts` (with the colour mask, for the
-bipartite grades), the count #(π) + #(γ⁻¹π) + #(γ) = size + 2 takes
-two more of its calls, and the join reads which γ-cycle each index
-lies on, since every frame of the scan has one or two cycles.  A union
-tag reads, for each u, one v per row from the anchor column, masks the head
-condition, and tests the rows naming one (u, v) against that frame
+decides a block at a time: #(π) is counted once per block with
+:func:`annular.perms._cycle_counts` (a pairing has size/2), the grade
+kernels read it or call the kernel with the colour mask, the count
+#(π) + #(γ⁻¹π) + #(γ) = size + 2 takes one more call, and the join
+reads which γ-cycle each index lies on, since every frame of the scan
+has one or two cycles.  A union tag reads, for each u, one v per row
+from the anchor column, masks the head condition, and tests the rows
+naming one (u, v) against that frame
 together.  The per-image form (the per-image grade kernels, the count
 through :func:`annular.perms._cycle_count` and the join by union-find)
 answers one-permutation questions: :func:`member_witnesses`,
@@ -231,15 +232,15 @@ def _half_cycles(img: tuple[int, ...]) -> int | None:
     return None if cycles % 2 else cycles // 2
 
 
-# The same grades, batched: each maps a block of images to the grade p of
-# each row.  Grades start at 1, so 0 marks a row in no grade.
+# The same grades, batched: each maps a block of images and #(π) per row
+# to the grade p of each row.  Grades start at 1, so 0 marks a row in no grade.
 
 def _block_cycles(block: np.ndarray) -> np.ndarray:
     """#(π) per row."""
     return _cycle_counts(range(block.shape[1]), block)
 
 
-def _block_colour_grades(block: np.ndarray, *, signed: bool) -> np.ndarray:
+def _block_colour_grades(block: np.ndarray, cycles: np.ndarray, *, signed: bool) -> np.ndarray:
     """:func:`_colour_grade` per row: the colour test is a mask, the counts one kernel call."""
     n = block.shape[1] // 2 if signed else block.shape[1]
     colour = black_mask(n)[1] if signed else odd_mask(n)
@@ -253,9 +254,8 @@ def _block_colour_grades(block: np.ndarray, *, signed: bool) -> np.ndarray:
     return np.where(bipartite, inside, 0)
 
 
-def _block_half_cycles(block: np.ndarray) -> np.ndarray:
+def _block_half_cycles(block: np.ndarray, cycles: np.ndarray) -> np.ndarray:
     """:func:`_half_cycles` per row."""
-    cycles = _block_cycles(block)
     return np.where(cycles % 2, 0, cycles // 2)
 
 
@@ -274,9 +274,9 @@ class NCEntry:
     one of ±[n] when ``signed``.  ``cut`` is None for the disk/annulus
     frame, else ``"torus"`` or ``"klein"``: a union over the cuts (u, v),
     anchored on π, or on π⁻¹ when ``hypermap``.  ``grade`` maps an image
-    to its grade p (None: in no grade), and ``grades`` a block to the
-    grade of each row (0: in no grade); both are None for an ungraded
-    family.  ``even_n`` families exist only for even n.
+    to its grade p (None: in no grade), and ``grades`` a block and #(π)
+    per row to the grade of each row (0: in no grade); both are None for
+    an ungraded family.  ``even_n`` families exist only for even n.
     """
 
     cli: str
@@ -286,7 +286,7 @@ class NCEntry:
     cut: str | None = None
     hypermap: bool = False
     grade: Callable[[tuple[int, ...]], int | None] | None = None
-    grades: Callable[[np.ndarray], np.ndarray] | None = None
+    grades: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     even_n: bool = False
 
 
@@ -305,7 +305,7 @@ NONCROSSING: dict[str, NCEntry] = {
         pairs=True, cut="torus", grade=_odd_grade, grades=_odd_grades, even_n=True),
     "NCT_p": NCEntry(
         "nc-t-p", lambda n, budget: _images(permutations(n, budget=budget), n),
-        cut="torus", hypermap=True, grade=_num_cycles_image, grades=_block_cycles),
+        cut="torus", hypermap=True, grade=_num_cycles_image, grades=lambda block, cycles: cycles),
     "NCdelta": NCEntry(
         "nc-delta",
         lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget), 2 * n),
@@ -562,12 +562,12 @@ def _scan(
     gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
     found: dict[int | None, dict[tuple[int, ...], tuple]] = {}
     for block in entry.source(n, budget):
+        cycles = np.full(len(block), block.shape[1] // 2) if entry.pairs else _block_cycles(block)
         grades = None
         if entry.grades is not None:
-            grades = entry.grades(block)
+            grades = entry.grades(block, cycles)
             keep = grades > 0 if p is None else grades == p
-            block, grades = block[keep], grades[keep]
-        cycles = _block_cycles(block)
+            block, grades, cycles = block[keep], grades[keep], cycles[keep]
         if entry.cut is None:
             kept = dict.fromkeys(np.flatnonzero(_frame_test(block, cycles, gamma)).tolist(), ())
         else:

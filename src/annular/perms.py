@@ -258,9 +258,10 @@ def _cycle_counts(outer: Sequence[int], block: np.ndarray, colour: bytes | None 
     offsets = np.arange(rows)[:, None] * size
     step = (np.asarray(outer, dtype=np.intp)[block] + offsets).ravel()
     least = np.arange(rows * size)
-    for _ in range((size - 1).bit_length()):
+    for left in range((size - 1).bit_length(), 0, -1):
         np.minimum(least, least.take(step), out=least)
-        step = step.take(step)
+        if left > 1:  # the last round's doubled step is never read
+            step = step.take(step)
     heads = (least == np.arange(rows * size)).reshape(rows, size)
     cycles = heads.sum(axis=1)
     if colour is None:

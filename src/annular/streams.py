@@ -16,26 +16,18 @@ the API it is a stream of :class:`~annular.perms.Pairing` /
   cycle set is mirror-closed in the strong sense τ₀ττ₀ = τ⁻¹ with
   τ₀τ fixed-point free, built as τ₀σ over the pairings σ of ±[n].
 
-Three block functions build the bipartite families directly, one per
-colour class:
-
-* :func:`_bipartite_pairing_blocks` — the (n/2)! pairings of [n] whose
-  pairs join an odd label to an even one (ã and NC2T_bip);
-* :func:`_bipartite_signed_symmetric_pairing_blocks` /
-  :func:`_white_to_black_pairing_blocks` — the (n−1)!! mirror-symmetric
-  pairings of ±[n] that keep the black set B(n/2) (b̃) / send the white
-  labels into it (NC2delta_bip and NC2K_bip), one per unsigned pairing
-  of [n] with every twist forced by label parity.
-
-Each yields exactly the rows of the corresponding filter of
-:func:`pairings` / :func:`signed_symmetric_pairings`, in the same order,
-without visiting the rejected ones.
-
-There is one block builder per construction: :func:`_pairing_blocks`
-(matchings, optionally only the bipartite ones), :func:`_mirror_pair_blocks`
-(the three mirror-symmetric streams, which differ only in the twist rule
-they pass it), :func:`_mirrored_pairings` (the matchings of ±[n] last
-to first, mirrored) and :func:`_permutation_blocks`.
+Matchings (all, or only those joining the two parity classes: ã and
+NC2T_bip) and permutations come from one builder, :func:`_tail_blocks`: the first
+steps of the recursion run in Python, and each such prefix is completed
+by one gather from a small cached table of the rest.
+:func:`_mirror_pair_blocks` expands the matchings of [n] into the three
+mirror-symmetric streams of ±[n], which differ only in the twist rule:
+every twist (GOE), or the twists that keep the black set B(n/2) (b̃) or
+send the white labels into it (NC2delta_bip and NC2K_bip), forced by
+label parity.  Each colour-class stream yields exactly the rows of the
+corresponding filter, in the same order, without visiting the rejected
+ones.  :func:`_mirrored_pairings` walks the matchings of ±[n] last to
+first, mirrored.
 
 Each stream has a documented deterministic order, an ``n``-cap guarding
 against accidental combinatorial explosions (overridable per call), and
@@ -47,9 +39,10 @@ raises only when that element is asked for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial, wraps
-from itertools import chain, islice, permutations as _iter_permutations
+from functools import cache, partial, wraps
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -209,48 +202,96 @@ def _once_when_small(build):
 def _pairing_blocks(size: int, step: int = 1) -> Iterator[np.ndarray]:
     """Blocks of the index images of all matchings of 0..size-1.
 
-    Built level by level: each partial matching pairs its smallest
-    unmatched index with each larger unmatched one in ascending order,
-    and children follow their parent row by row, which is the
-    depth-first order of that recursion.  With ``step=2`` only indices
-    at odd distance (opposite parity) are paired; every partial matching
-    of that kind still extends to a full one, so this builds exactly the
-    bipartite matchings, in the order of the unrestricted stream.  A
-    level is expanded in row ranges, so no block exceeds ``_ROWS`` rows.
-    Empty for odd or negative size.
+    The smallest unmatched index is paired with each larger unmatched one
+    in ascending order, recursively; with ``step=2`` only with those at
+    odd distance (opposite parity).  Every partial matching of that kind
+    extends to a full one, so this is exactly the bipartite matchings, in
+    the order of the unrestricted stream.  Empty for odd or negative size.
     """
     if size >= 0 and size % 2 == 0:
-        yield from _extend(np.full((1, size), -1, dtype=np.intp), step)
+        yield from _tail_blocks(step, bytes(i % step for i in range(size)))
 
 
-def _extend(level: np.ndarray, step: int, reverse: bool = False) -> Iterator[np.ndarray]:
-    """The full matchings below the rows of ``level``, in order (-1: unmatched).
+def _table_rows(step: int, m: int) -> int:
+    """Rows of the stream on m points: m!, (m−1)!! or (m/2)! for ``step`` 0, 1, 2."""
+    return math.prod(range(m - 1, 0, -2)) if step == 1 else math.factorial(m // 2 if step else m)
 
-    With ``reverse`` the same matchings come last to first: the row
-    ranges are walked backwards and each leaf level is yielded reversed.
+
+#: Most entries in one tail table (8 kB).  The bipartite tables are one per
+#: colour pattern: 50 kB of them for [16], 0.5 MB at one size larger.
+_TABLE_ENTRIES = 2 * _ROWS
+
+
+@cache
+def _table(step: int, colours: bytes) -> np.ndarray:
+    """The whole stream on the points 0..m−1 with ``colours``, as one read-only block."""
+    table = next(_tail_blocks(step, colours, 1)) if colours else np.zeros((1, 0), np.intp)
+    table.flags.writeable = False
+    return table
+
+
+def _prefixes(step, colours, free, depth, reverse, at=(), values=()):
+    """Each run of ``depth`` first steps below ``free``, in order.
+
+    Step 0 (permutations): the next position takes each free value.
+    Steps 1 and 2 (matchings): the least free point is paired with each
+    larger one, with step 2 only with those of the other colour.  A run
+    is one tuple: the positions it fills, their values, the free points.
     """
-    unmatched = int((level[0] < 0).sum())  # the same on every row of a level
-    if not unmatched:
-        yield level[::-1] if reverse else level
+    if not depth:
+        yield at + values + free
         return
-    width = unmatched - 1 if step == 1 else unmatched // 2  # children per row
-    parents = max(1, _ROWS // width)
-    columns = np.arange(level.shape[1])
-    starts = range(0, len(level), parents)
-    for lo in reversed(starts) if reverse else starts:
-        rows = level[lo : lo + parents]
-        free = rows < 0
-        first = free.argmax(axis=1)
-        free[np.arange(len(rows)), first] = False
-        if step == 2:
-            free &= (columns - first[:, None]) % 2 == 1
-        partner = np.nonzero(free)[1]  # row by row, ascending
-        parent = np.repeat(np.arange(len(rows)), width)
-        child = rows[parent]
-        at = np.arange(len(child))
-        child[at, first[parent]] = partner
-        child[at, partner] = first[parent]
-        yield from _extend(child, step, reverse)
+    if step:
+        a = free[0]
+        moves = [((a, b), (b, a), free[1:j] + free[j + 1 :]) for j, b in enumerate(free)
+                 if j and (step == 1 or colours[a] != colours[b])]
+    else:
+        moves = [((len(at),), (v,), free[:j] + free[j + 1 :]) for j, v in enumerate(free)]
+    for more, image, rest in reversed(moves) if reverse else moves:
+        yield from _prefixes(step, colours, rest, depth - 1, reverse, at + more, values + image)
+
+
+def _tail_blocks(step: int, colours: bytes, depth=None, reverse=False) -> Iterator[np.ndarray]:
+    """The stream of ``step`` on the points 0..m−1 with ``colours``, in blocks.
+
+    Each run of ``depth`` first steps is a prefix, by default the fewest
+    that leave a table of at most ``_TABLE_ENTRIES`` entries (so at most
+    ``_ROWS`` rows): the rest of the stream on its free points, keyed by
+    their colours (all 0 unless ``step`` is 2) and gathered as
+    ``free[table]``.  A block stacks as many prefixes as fit in ``_ROWS``
+    rows.  With ``reverse`` the stream comes last to first.
+    """
+    size, width = len(colours), 2 if step else 1
+    if depth is None:
+        depth = 0
+        while _table_rows(step, size - width * depth) * (size - width * depth) > _TABLE_ENTRIES:
+            depth += 1
+    tail, head = size - width * depth, width * depth
+    rows = _table_rows(step, tail)
+    table = _table(step, colours[:tail]) if step < 2 else None  # all colours 0
+    prefixes = _prefixes(step, colours, tuple(range(size)), depth, reverse)
+    while chunk := tuple(islice(prefixes, _ROWS // rows)):
+        k, prefix = len(chunk), np.array(chunk, dtype=np.intp)
+        positions, values, free = prefix[:, :head], prefix[:, head : 2 * head], prefix[:, 2 * head :]
+        if step == 2:  # flipping every colour leaves the table as it is
+            shades = np.frombuffer(colours, dtype=np.uint8)[free]
+            keys = (shades ^ shades[:, :1]).tobytes()
+            tables = np.array([_table(2, keys[i * tail : i * tail + tail]) for i in range(k)])
+            tails = free.reshape(-1).take(tables + tail * np.arange(k).reshape(k, 1, 1))
+        else:
+            tails = free.take(table, axis=1)
+        if reverse:
+            tails = tails[:, ::-1]
+        # the tail sits at the free points of a matching, after a permutation's prefix
+        base = np.empty((k, size), dtype=np.intp)
+        base[np.arange(k)[:, None], positions] = values
+        block = base[:, None].repeat(rows, axis=1)
+        if step:
+            cells = free[:, None] + size * np.arange(k * rows).reshape(k, rows, 1)
+            block.reshape(-1)[cells] = tails
+        else:
+            block[..., head:] = tails
+        yield block.reshape(k * rows, size)
 
 
 @_once_when_small
@@ -307,13 +348,7 @@ def _mirror(n: int, i: np.ndarray, j: np.ndarray, twisted: np.ndarray) -> np.nda
 @_once_when_small
 def _permutation_blocks(size: int) -> Iterator[np.ndarray]:
     """Blocks of all images of 0..size-1 in lexicographic order."""
-    if not size:
-        yield np.zeros((1, 0), dtype=np.intp)
-        return
-    images = _iter_permutations(range(size))
-    row = np.dtype((np.intp, size))
-    while len(block := np.fromiter(islice(images, _ROWS), dtype=row)):
-        yield block
+    return _tail_blocks(0, bytes(size))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +418,7 @@ def _mirrored_pairings(n: int) -> Iterator[np.ndarray]:
     reverses it, so the stream is the mirrored pairings last to first,
     expanded in that order a block at a time.
     """
-    for block in _extend(np.full((1, 2 * n), -1, dtype=np.intp), 1, reverse=True):
+    for block in _tail_blocks(1, bytes(2 * n), reverse=True):
         yield 2 * n - 1 - block
 
 

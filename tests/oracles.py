@@ -429,6 +429,27 @@ def ref_family_b_tilde_counts(n: int) -> dict[tuple[int, int], int]:
     return counts
 
 
+def ref_loe_signed_pairing_terms(n: int) -> dict[tuple[int, int], int]:
+    """(N power, c power) -> count of the LOE Wick sum over signed symmetric gluings.
+
+    The route the Wishart pairing sum replaced: every signed symmetric
+    pairing of ±[2n] that keeps the black set B(n) contributes N^b c^w
+    for b boundary walks of τ₂π, w of them white (each walk counted once
+    of its mirror pair); the moment is the sum over 2ⁿ.
+    """
+    black, white = ref_black_white(n)
+    counts: dict[tuple[int, int], int] = {}
+    for p in ref_signed_symmetric_pairings(2 * n):
+        if any(p[b] not in black for b in black):
+            continue
+        walk = ref_compose(ref_tau2(2 * n), p)
+        boundaries, white_walks = ref_num_cycles(walk), ref_cycle_count_on(walk, white)
+        assert boundaries % 2 == 0 and white_walks % 2 == 0
+        key = (boundaries // 2, white_walks // 2)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def ref_hypermap_orientable(p: dict, n: int) -> dict:
     """Shrink the white vertices of a bipartite pairing of [2n]: u -> (p(2u) + 1)/2."""
     return {u: (p[2 * u] + 1) // 2 for u in range(1, n + 1)}

@@ -105,8 +105,8 @@ def _moment_requests(kind: str):
 
 
 #: One Wick order per ensemble whose stream spans several blocks, and its
-#: stream length: (n−1)!!, (n−1)!!·2^(n/2), n! and (2n−1)!!·2^n elements.
-BUDGET_ORDERS = {"gue": (12, 10395), "goe": (8, 1680), "lue": (7, 5040), "loe": (4, 1680)}
+#: stream length: (n−1)!!, (n−1)!!·2^(n/2), n! and (2n−1)!! elements.
+BUDGET_ORDERS = {"gue": (12, 10395), "goe": (8, 1680), "lue": (7, 5040), "loe": (5, 945)}
 
 
 def _moment_budget_requests(kind: str):

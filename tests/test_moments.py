@@ -1,6 +1,10 @@
 """Exact moments: Wick sums, genus expansions, and the index-sum oracle."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +27,12 @@ from annular.streams import (
     _signed_symmetric_pairings_blocks,
 )
 
-from oracles import ref_catalan, ref_lagrange_coefficients, ref_narayana
+from oracles import (
+    ref_catalan,
+    ref_lagrange_coefficients,
+    ref_loe_signed_pairing_terms,
+    ref_narayana,
+)
 from test_streams import block_boundary_budgets
 
 
@@ -264,7 +273,7 @@ def test_budget_propagates():
         ("GUE", 10, lambda: _pairings_of_blocks(unsigned_ground(10))),
         ("GOE", 8, lambda: _signed_symmetric_pairings_blocks(8)),
         ("LUE", 7, lambda: _permutations_of_blocks(unsigned_ground(7))),
-        ("LOE", 4, lambda: _signed_symmetric_pairings_blocks(8)),
+        ("LOE", 5, lambda: _pairings_of_blocks(unsigned_ground(10))),
     ],
 )
 def test_wick_budget_contract_at_block_boundaries(ensemble, n, blocks):
@@ -277,11 +286,39 @@ def test_wick_budget_contract_at_block_boundaries(ensemble, n, blocks):
     assert wick_moment(ensemble, n, budget=EnumerationBudget(length)) == wick_moment(ensemble, n)
 
 
-def test_loe_wick_raises_on_a_mixed_boundary_walk(monkeypatch):
-    # a colour split that every boundary walk crosses: the invariant check
-    # raises with its message (it used to fail unpacking None)
-    monkeypatch.setattr(
-        annular.moments, "black_mask", lambda n: ((), bytes([1]) + bytes(2 * n - 1))
+def _monochromatic_involutions(n):
+    # the identity twice: each cycle count is #(π) = n, odd for odd n
+    return (tuple(range(2 * n)),) * 2
+
+
+def test_loe_wick_raises_on_an_odd_cycle_count(monkeypatch):
+    monkeypatch.setattr(annular.moments, "_wishart_involutions", _monochromatic_involutions)
+    with pytest.raises(AssertionError, match="even number of cycles"):
+        wick_moment("LOE", 1)
+    # at even n every count is even: the three pairings of 4 factors give r = c = 1
+    assert wick_moment("LOE", 2).coefficients == {(2, 1): Fraction(3, 4)}
+
+
+def test_loe_wick_odd_count_raise_survives_python_O():
+    script = (
+        "import annular.moments as m\n"
+        "m._wishart_involutions = lambda n: (tuple(range(2 * n)),) * 2\n"
+        "try:\n"
+        "    m.wick_moment('LOE', 3)\n"
+        "except AssertionError as error:\n"
+        "    print(error)\n"
     )
-    with pytest.raises(AssertionError, match="mixes black and white labels"):
-        wick_moment("LOE", 2)
+    src = str(Path(annular.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "a pairing of the Wishart factors must close an even number of cycles\n"
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_loe_wishart_sum_equals_the_signed_pairing_sum(n):
+    # term by term against the route it replaced: the signed symmetric
+    # pairings of ±[2n] that keep the black set, keyed by their boundary walks
+    want = {key: Fraction(count, 2**n) for key, count in ref_loe_signed_pairing_terms(n).items()}
+    assert wick_moment("LOE", n).coefficients == want

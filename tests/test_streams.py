@@ -3,11 +3,13 @@
 import tracemalloc
 from inspect import isgenerator
 from itertools import islice, product
+from itertools import permutations as iter_permutations
 from math import factorial
 
 import numpy as np
 import pytest
 
+import annular.streams
 from annular.frames import black_labels, white_labels
 from annular.maps import is_bipartite_pairing, is_bipartite_signed_pairing
 from annular.perms import Pairing, signed_ground, unsigned_ground
@@ -244,6 +246,32 @@ def test_twist_tuples_of_one_pairing_split_across_blocks():
     got = _block_rows(islice(_mirror_pair_blocks(20, "every"), 2 * 1024 // _ROWS + 1))
     assert len(got) > 2**10
     assert got == list(islice(oracles.ref_mirror_pair_images(20, "every"), len(got)))
+
+
+@pytest.mark.parametrize("size", range(10))
+def test_permutation_blocks_equal_itertools_in_order(size):
+    want = iter_permutations(range(size))
+    for block in _permutation_blocks(size):
+        assert block.dtype == np.intp and 0 < len(block) <= _ROWS
+        expected = np.array(list(islice(want, len(block))), dtype=np.intp).reshape(len(block), size)
+        assert np.array_equal(block, expected)
+    assert next(want, None) is None
+
+
+@pytest.mark.parametrize(
+    "blocks", [lambda: _permutation_blocks(9), lambda: _pairing_blocks(16, 2)], ids=["9!", "8!"]
+)
+def test_first_block_builds_no_table_of_the_whole_stream(blocks):
+    # the first block of 362,880 permutations / 40,320 bipartite matchings
+    # costs under 1 MB, its tail tables built from nothing included
+    annular.streams._table.cache_clear()
+    tracemalloc.start()
+    try:
+        next(blocks())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ------------------------------------------------------------- permutations
