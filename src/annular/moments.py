@@ -5,14 +5,16 @@ an exact weight over raw gluing candidates (pairings, twisted
 mirror-symmetric gluings, permutations, and for LOE the pairings of the
 2n real factors of Tr (XXᵀ)ⁿ, the Wishart sum).  ``genus_expansion_moment``
 instead multiplies family counts by the dimension powers their genus
-dictates.  Both raise ``CapExceeded`` above ``DEFAULT_ORDER_CAPS``
-before enumerating anything.  The two share no family construction:
-the Wick sum reads the blocks of its own streams and keys each row with
-the batched cycle kernel of :mod:`annular.perms` against cached walks,
-while the genus route reads only the ``family_*_counts`` histograms of
-:mod:`annular.maps`.  Only that low-level algebra is shared, so their
-agreement (enforced in tests) cross-checks both.  The invariant the sum
-relies on, even cycle counts, is an explicit raise.
+dictates.  Neither has an order cap of its own: the caps of the streams
+it reads refuse an order with ``CapExceeded`` before any row is built
+(the GOE and LOE genus routes read first the stream whose cap binds
+first), and odd Gaussian orders read no stream.  The two share no family
+construction: the Wick sum reads the blocks of its own streams and keys
+each row with the batched cycle kernel of :mod:`annular.perms` against
+cached walks, while the genus route reads only the ``family_*_counts``
+histograms of :mod:`annular.maps`.  Only that low-level algebra is
+shared, so their agreement (enforced in tests) cross-checks both.  The
+invariant the sum relies on, even cycle counts, is an explicit raise.
 
 ``wick_oracle_smallN`` is the ground truth for everything else: it sums
 covariances over literal matrix index tuples, never touching the
@@ -54,7 +56,6 @@ from .streams import (
 )
 
 __all__ = [
-    "DEFAULT_ORDER_CAPS",
     "ORACLE_FEASIBILITY_CAP",
     "Ensemble",
     "wick_moment",
@@ -62,8 +63,6 @@ __all__ = [
     "correction_coefficient",
     "wick_oracle_smallN",
 ]
-
-DEFAULT_ORDER_CAPS = {"GUE": 12, "GOE": 10, "LUE": 8, "LOE": 5}
 
 ORACLE_FEASIBILITY_CAP = 10_000_000
 
@@ -76,11 +75,9 @@ class Ensemble:
 
     def __post_init__(self):
         kind = self.kind.upper()
-        if kind not in DEFAULT_ORDER_CAPS:
-            raise ValueError(
-                f"unknown ensemble {self.kind!r}; expected one of "
-                + ", ".join(sorted(DEFAULT_ORDER_CAPS))
-            )
+        kinds = ("GOE", "GUE", "LOE", "LUE")
+        if kind not in kinds:
+            raise ValueError(f"unknown ensemble {self.kind!r}; expected one of {', '.join(kinds)}")
         object.__setattr__(self, "kind", kind)
 
     @classmethod
@@ -118,15 +115,6 @@ def _check_positive(name: str, value: int) -> None:
         raise ValueError(f"{name} must be a positive integer")
 
 
-def _check_order(ensemble: Ensemble, n: int) -> None:
-    _check_positive("moment order", n)
-    cap = DEFAULT_ORDER_CAPS[ensemble.kind]
-    if n > cap:
-        raise CapExceeded(
-            f"moment order {n} exceeds the {ensemble.kind} cap of {cap}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Wick sums over gluing candidates
 # ---------------------------------------------------------------------------
@@ -146,31 +134,32 @@ def wick_moment(
     and c column index cycles.  Odd Gaussian moments are identically zero.
     """
     ensemble = Ensemble.parse(ensemble)
-    _check_order(ensemble, n)
+    _check_positive("moment order", n)
     if ensemble.is_gaussian and n % 2:
         return MomentPolynomial.zero()
 
+    # each stream checks its cap before the walks of size n are built
     if ensemble.kind == "GUE":
+        blocks = _pairings_of_blocks(unsigned_ground(n), budget=budget)
         walk = gamma_walk(full_cycle(n))[0]
-        blocks = _pairings_of_blocks(unsigned_ground(n), n, budget)
         keys = (_gue_keys(walk, block) for block in blocks)
         prefactor = Fraction(1, 2 ** (n // 2))
 
     elif ensemble.kind == "GOE":
+        blocks = _signed_symmetric_pairings_blocks(n, budget=budget)
         mirror_shift = tau2(n).image
-        blocks = _signed_symmetric_pairings_blocks(n, 2 * n, budget)
         keys = (_goe_keys(mirror_shift, block) for block in blocks)
         prefactor = Fraction(1, 2**n)
 
     elif ensemble.kind == "LUE":
+        blocks = _permutations_of_blocks(unsigned_ground(n), budget=budget)
         walk = gamma_walk(full_cycle(n))[0]
-        blocks = _permutations_of_blocks(unsigned_ground(n), n, budget)
         keys = (_lue_keys(walk, block) for block in blocks)
         prefactor = Fraction(1)
 
     else:  # LOE
+        blocks = _pairings_of_blocks(unsigned_ground(2 * n), budget=budget)
         rows, cols = _wishart_involutions(n)
-        blocks = _pairings_of_blocks(unsigned_ground(2 * n), 2 * n, budget)
         keys = (_wishart_keys(rows, cols, block) for block in blocks)
         prefactor = Fraction(1, 2**n)
 
@@ -236,36 +225,37 @@ def genus_expansion_moment(
     respectively for GUE, GOE, LUE, LOE.
     """
     ensemble = Ensemble.parse(ensemble)
-    _check_order(ensemble, n)
+    _check_positive("moment order", n)
     if ensemble.is_gaussian and n % 2:
         return MomentPolynomial.zero()
 
-    terms: list[tuple[tuple[int, int], Fraction]] = []
+    terms: list[tuple[tuple[int, int], int]] = []
 
     if ensemble.kind == "GUE":
-        prefactor = Fraction(1, 2 ** (n // 2))
-        for g, cnt in family_a_counts(n, cap=n, budget=budget).items():
-            terms.append(((n // 2 + 1 - 2 * g, 0), prefactor * cnt))
+        for g, cnt in family_a_counts(n, budget=budget).items():
+            terms.append(((n // 2 + 1 - 2 * g, 0), cnt))
 
     elif ensemble.kind == "GOE":
-        prefactor = Fraction(1, 2**n)
-        for g, cnt in family_a_counts(n, cap=n, budget=budget).items():
-            terms.append(((n // 2 + 1 - 2 * g, 0), prefactor * cnt))
-        for k, cnt in family_b_counts(n, cap=2 * n, budget=budget).items():
-            terms.append(((n // 2 + 1 - k, 0), prefactor * cnt))
+        # b's cap binds before a's, so b is read first
+        for k, cnt in family_b_counts(n, budget=budget).items():
+            terms.append(((n // 2 + 1 - k, 0), cnt))
+        for g, cnt in family_a_counts(n, budget=budget).items():
+            terms.append(((n // 2 + 1 - 2 * g, 0), cnt))
 
     elif ensemble.kind == "LUE":
-        for (g, p), cnt in family_a_tilde_counts(n, cap=2 * n, budget=budget).items():
-            terms.append(((n + 1 - 2 * g, p), Fraction(cnt)))
+        for (g, p), cnt in family_a_tilde_counts(n, budget=budget).items():
+            terms.append(((n + 1 - 2 * g, p), cnt))
 
     else:  # LOE
-        prefactor = Fraction(1, 2**n)
-        for (g, p), cnt in family_a_tilde_counts(n, cap=2 * n, budget=budget).items():
-            terms.append(((n + 1 - 2 * g, p), prefactor * cnt))
-        for (k, p), cnt in family_b_tilde_counts(n, cap=4 * n, budget=budget).items():
-            terms.append(((n + 1 - k, p), prefactor * cnt))
+        # b̃'s cap binds before ã's, so b̃ is read first
+        for (k, p), cnt in family_b_tilde_counts(n, budget=budget).items():
+            terms.append(((n + 1 - k, p), cnt))
+        for (g, p), cnt in family_a_tilde_counts(n, budget=budget).items():
+            terms.append(((n + 1 - 2 * g, p), cnt))
 
-    return MomentPolynomial(tuple(terms))
+    # built after the counts, whose caps refuse an order before 2ⁿ is computed
+    prefactor = Fraction(1, 2 ** {"GUE": n // 2, "LUE": 0}.get(ensemble.kind, n))
+    return MomentPolynomial(tuple((key, prefactor * cnt) for key, cnt in terms))
 
 
 def correction_coefficient(

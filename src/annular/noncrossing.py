@@ -559,9 +559,10 @@ def _scan(
     frame is built.  An ungraded tag's key is None.
     """
     entry = NONCROSSING[tag]
+    blocks = entry.source(n, budget)  # checks its cap before the frame of size n is built
     gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
     found: dict[int | None, dict[tuple[int, ...], tuple]] = {}
-    for block in entry.source(n, budget):
+    for block in blocks:
         cycles = np.full(len(block), block.shape[1] // 2) if entry.pairs else _block_cycles(block)
         grades = None
         if entry.grades is not None:

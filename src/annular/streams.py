@@ -29,12 +29,12 @@ corresponding filter, in the same order, without visiting the rejected
 ones.  :func:`_mirrored_pairings` walks the matchings of ±[n] last to
 first, mirrored.
 
-Each stream has a documented deterministic order, an ``n``-cap guarding
-against accidental combinatorial explosions (overridable per call), and
-an optional :class:`EnumerationBudget` limiting the number of elements
-produced; a budget is only ever passed in, never read from elsewhere.
-It cuts the block that holds the first element over the budget and
-raises only when that element is asked for.
+Each stream has a documented deterministic order, a size cap checked
+before any row is built (by default the largest size whose stream holds
+at most ``STREAM_ROW_CAP`` = 15!! rows; ``cap=`` replaces it), and an
+optional :class:`EnumerationBudget` limiting the number of elements
+produced, only ever passed in.  It cuts the block that holds the first
+element over the budget and raises only when that element is asked for.
 """
 
 from __future__ import annotations
@@ -53,9 +53,7 @@ from .perms import GroundSet, Pairing, Permutation, signed_ground, unsigned_grou
 __all__ = [
     "CapExceeded",
     "EnumerationBudget",
-    "DEFAULT_PAIRING_CAP",
-    "DEFAULT_PERMUTATION_CAP",
-    "DEFAULT_SIGNED_PERMUTATION_CAP",
+    "STREAM_ROW_CAP",
     "pairings",
     "pairings_of",
     "signed_pairings",
@@ -64,12 +62,8 @@ __all__ = [
     "signed_symmetric_permutations",
 ]
 
-#: Largest ground-set size for which matchings are enumerated by default.
-DEFAULT_PAIRING_CAP = 16
-#: Largest ground-set size for which all permutations are enumerated.
-DEFAULT_PERMUTATION_CAP = 9
-#: Largest n for the signed symmetric permutation stream.
-DEFAULT_SIGNED_PERMUTATION_CAP = 4
+#: Most rows a stream may hold by default: 15!!, the matchings of [16].
+STREAM_ROW_CAP = 2_027_025
 
 
 class CapExceeded(RuntimeError):
@@ -124,17 +118,6 @@ def _budgeted(
             yield block
 
     return within()
-
-
-def _check_cap(what: str, n: int, cap: int | None, default_cap: int) -> None:
-    effective = default_cap if cap is None else cap
-    if n > effective:
-        raise CapExceeded(
-            f"{what} requested for size {n}, above the cap {effective}; "
-            f"pass an explicit cap to override",
-            requested=n,
-            cap=effective,
-        )
 
 
 #: Most rows in one block, whatever the stream's length: 4 kB per column
@@ -213,7 +196,9 @@ def _pairing_blocks(size: int, step: int = 1) -> Iterator[np.ndarray]:
 
 
 def _table_rows(step: int, m: int) -> int:
-    """Rows of the stream on m points: m!, (m−1)!! or (m/2)! for ``step`` 0, 1, 2."""
+    """Rows of the stream on m points: m!, (m−1)!! or (m/2)! for ``step`` 0, 1, 2 (odd m: 0)."""
+    if step and m % 2:
+        return 0
     return math.prod(range(m - 1, 0, -2)) if step == 1 else math.factorial(m // 2 if step else m)
 
 
@@ -359,53 +344,75 @@ def _permutation_blocks(size: int) -> Iterator[np.ndarray]:
 # from their rows.
 # ---------------------------------------------------------------------------
 
+#: Each capped stream's exact length at a size, 0 where it is empty.  The
+#: size is that of the ground, 2n on ±[n], but n for the permutations of ±[n].
+_LENGTHS = {
+    "pairing": partial(_table_rows, 1),
+    "signed symmetric pairing": lambda s: 0 if s % 2 else _table_rows(1, s // 2) << s // 4,
+    "bipartite pairing": partial(_table_rows, 2),
+    "bipartite signed symmetric pairing": lambda s: 0 if s % 2 else _table_rows(1, s // 2),
+    "white-to-black pairing": lambda s: 0 if s % 2 else _table_rows(1, s // 2),
+    "permutation": math.factorial,
+    "signed symmetric permutation": lambda n: _table_rows(1, 2 * n),
+}
+
+
+@cache
+def _default_cap(noun: str) -> int:
+    """The largest size whose stream holds 1 to ``STREAM_ROW_CAP`` rows (nonempty lengths grow)."""
+    length, cap, size = _LENGTHS[noun], 0, 0
+    while (rows := length(size)) <= STREAM_ROW_CAP:
+        cap, size = size if rows else cap, size + 1
+    return cap
+
+
+def _capped(noun: str, ground: GroundSet, size: int, cap, budget, blocks):
+    """Lazy ``blocks`` of ``noun``s on ``ground``, refused above the cap before any is built."""
+    effective = _default_cap(noun) if cap is None else cap
+    if size > effective:
+        raise CapExceeded(
+            f"{noun} enumeration requested for size {size}, above the cap {effective}; "
+            f"pass an explicit cap to override",
+            requested=size,
+            cap=effective,
+        )
+    where = f"±[{ground.n}]" if ground.kind == GroundSet.SIGNED else f"[{ground.n}]"
+    return _budgeted(blocks, budget, f"{noun}s of {where}")
+
+
 def _pairings_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:
-    _check_cap("pairing enumeration", ground.size, cap, DEFAULT_PAIRING_CAP)
-    return _budgeted(_pairing_blocks(ground.size), budget, f"pairings of {ground!r}")
+    return _capped("pairing", ground, ground.size, cap, budget, _pairing_blocks(ground.size))
 
 
 def _signed_symmetric_pairings_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
-    _check_cap("signed symmetric pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP)
-    return _budgeted(
-        _mirror_pair_blocks(n, "every"), budget, f"signed symmetric pairings of ±[{n}]"
-    )
+    blocks = _mirror_pair_blocks(n, "every")
+    return _capped("signed symmetric pairing", signed_ground(n), 2 * n, cap, budget, blocks)
 
 
 def _bipartite_pairing_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
-    _check_cap("bipartite pairing enumeration", n, cap, DEFAULT_PAIRING_CAP)
-    return _budgeted(_pairing_blocks(n, 2), budget, f"bipartite pairings of [{n}]")
+    return _capped("bipartite pairing", unsigned_ground(n), n, cap, budget, _pairing_blocks(n, 2))
 
 
 def _bipartite_signed_symmetric_pairing_blocks(
     n: int, cap=None, budget=None
 ) -> Iterator[np.ndarray]:
-    _check_cap(
-        "bipartite signed symmetric pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP
-    )
-    return _budgeted(
-        _mirror_pair_blocks(n, "agree"), budget, f"bipartite signed symmetric pairings of ±[{n}]"
-    )
+    blocks, pm = _mirror_pair_blocks(n, "agree"), signed_ground(n)
+    return _capped("bipartite signed symmetric pairing", pm, 2 * n, cap, budget, blocks)
 
 
 def _white_to_black_pairing_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
-    _check_cap("white-to-black pairing enumeration", 2 * n, cap, DEFAULT_PAIRING_CAP)
-    return _budgeted(
-        _mirror_pair_blocks(n, "differ"), budget, f"white-to-black pairings of ±[{n}]"
-    )
+    blocks = _mirror_pair_blocks(n, "differ")
+    return _capped("white-to-black pairing", signed_ground(n), 2 * n, cap, budget, blocks)
 
 
 def _permutations_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:
-    _check_cap("permutation enumeration", ground.size, cap, DEFAULT_PERMUTATION_CAP)
-    return _budgeted(_permutation_blocks(ground.size), budget, f"permutations of {ground!r}")
+    blocks = _permutation_blocks(ground.size)
+    return _capped("permutation", ground, ground.size, cap, budget, blocks)
 
 
 def _signed_symmetric_permutations_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
-    _check_cap(
-        "signed symmetric permutation enumeration", n, cap, DEFAULT_SIGNED_PERMUTATION_CAP
-    )
-    return _budgeted(
-        _mirrored_pairings(n), budget, f"signed symmetric permutations of ±[{n}]"
-    )
+    blocks = _mirrored_pairings(n)
+    return _capped("signed symmetric permutation", signed_ground(n), n, cap, budget, blocks)
 
 
 @_once_when_small

@@ -270,6 +270,44 @@ def ref_signed_symmetric_permutations(n: int) -> list[dict]:
     ]
 
 
+def ref_delta_symmetric_permutations(n: int):
+    """Delta-symmetric permutations of ±[n] (as dicts), by a pruned search.
+
+    The least unassigned label x takes each unused y != -x in ascending
+    order, and p(x) = y forces p(-y) = -x: a branch is cut where -y
+    already maps elsewhere or -x is already an image.  So the dicts come
+    in lexicographic image order, like :func:`ref_signed_symmetric_permutations`,
+    which filters all (2n)! permutations, and nothing is built from pairings.
+    """
+    labels = [x for x in range(-n, n + 1) if x != 0]
+    p: dict = {}
+    images: set = set()
+
+    def extend():
+        x = next((x for x in labels if x not in p), None)
+        if x is None:
+            yield dict(p)
+            return
+        for y in labels:
+            if y == -x or y in images:
+                continue
+            p[x] = y
+            images.add(y)
+            if -y in p:
+                if p[-y] == -x:
+                    yield from extend()
+            elif -x not in images:
+                p[-y] = -x
+                images.add(-x)
+                yield from extend()
+                del p[-y]
+                images.discard(-x)
+            del p[x]
+            images.discard(y)
+
+    yield from extend()
+
+
 def ref_from_cycles(n: int, cycles, signed: bool = False) -> dict:
     """The permutation with the given cycles on [n] or ±[n]; fixed elsewhere."""
     labels = range(-n, n + 1) if signed else range(1, n + 1)

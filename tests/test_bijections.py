@@ -308,6 +308,18 @@ def test_conjecture_table_rows():
             assert counts[(n, p)][0] == hist.get((1, p), 0)
 
 
+def test_conjecture_table_reaches_n_5_on_both_sides():
+    # ±[10] and ±[20] are within the caps of both sides now
+    rows = [row for row in conjecture_table(5) if row.n == 5]
+    assert [(r.p, r.twisted_count, r.annular_count) for r in rows] == [
+        (1, 10, 10), (2, 55, 55), (3, 55, 55), (4, 10, 10), (5, 0, 0)
+    ]
+    reports = verify_grades("phi1-tilde", 5)
+    assert [(r.domain_size, r.codomain_size) for r in reports] == [
+        (r.twisted_count, r.annular_count) for r in rows
+    ]
+
+
 def test_conjecture_table_builds_each_twisted_side_once(monkeypatch):
     calls = []
     stream = annular.maps._bipartite_signed_symmetric_pairing_blocks

@@ -1,16 +1,27 @@
 """Command-line surface: exit codes, payload schema, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import annular.maps
 import annular.noncrossing
 from annular.bijections import BIJECTIONS, conjecture_table
-from annular.cli import SCHEMA_VERSION, build_parser, classify_permutation, main
+from annular.cli import (
+    BIJECTION_TAGS,
+    FAMILY_TAGS,
+    SCHEMA_VERSION,
+    build_parser,
+    classify_permutation,
+    main,
+)
 from annular.frames import tau0
 from annular.maps import (
     GLUINGS,
@@ -392,11 +403,30 @@ def test_moment_mc_payload_and_reproducibility(capsys):
 
 
 def test_moment_order_above_cap_exits_1(capsys):
+    # 18 is the first GUE order whose pairings of [18] are over the cap 16
     code, rec, _, _ = run(
-        capsys, "moment", "--ensemble", "gue", "--order", "14", "--symbolic"
+        capsys, "moment", "--ensemble", "gue", "--order", "18", "--symbolic"
     )
     assert code == 1
     assert rec["result"]["error"]["type"] == "cap-exceeded"
+    assert (rec["result"]["error"]["requested"], rec["result"]["error"]["cap"]) == (18, 16)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--family", "a", "--n", "1000000000", "--genus", "0"),
+        ("enumerate", "--family", "nc-k-p", "--n", "1000000000", "--p", "1"),
+        ("moment", "--ensemble", "gue", "--order", "1000000000", "--symbolic"),
+        ("moment", "--ensemble", "loe", "--order", "1000000000", "--symbolic"),
+    ],
+)
+def test_huge_sizes_exit_1_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, rec, _, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    assert rec["result"]["error"]["requested"] >= 10**9
 
 
 @pytest.mark.parametrize(
@@ -695,3 +725,96 @@ def test_console_script_entry_point():
 def test_help_exits_zero(capsys):
     code = main(["--help"])
     assert code == 0
+
+
+# -- fuzz -------------------------------------------------------------------
+
+#: Values no numeric flag accepts, or that a handler refuses as a usage error.
+JUNK = ("", "x", "1.5", "--", "(1,2", "-")
+HUGE = "1000000000"
+
+
+def _values(*good):
+    """Mostly good values, now and then junk."""
+    return st.sampled_from(tuple(map(str, good)) * 4 + JUNK)
+
+
+#: Subcommand -> flag -> its value strategy (None: a flag without a value).
+#: Sizes stay below 6 and moment orders below 7, so every request is
+#: cheap; 10⁹ is drawn only where the caps refuse it at once or where it
+#: costs nothing (``classify --n`` builds its ground, and ``--dim`` with
+#: ``--mc`` draws matrices of that size, so neither draws it).
+FUZZ_FLAGS = {
+    "enumerate": {
+        "--family": _values(*FAMILY_TAGS, "zz"),
+        "--n": _values(*range(-1, 6), HUGE),
+        "--genus": _values(-1, 0, 1, 2, HUGE),
+        "--k": _values(0, 1, 2, HUGE),
+        "--p": _values(0, 1, 2, 3, HUGE),
+        "--limit": _values(-1, 0, 1, HUGE),
+        "--format": _values("json", "csv"),
+        "--max-elements": _values(-1, 0, 3, HUGE),
+    },
+    "verify": {
+        "--bijection": _values(*BIJECTION_TAGS, "zz"),
+        "--n": _values(*range(-1, 6), HUGE),
+        "--p": _values(0, 1, 2, 3, HUGE),
+        "--max-elements": _values(-1, 0, 3, HUGE),
+    },
+    "moment": {
+        "--ensemble": _values("gue", "goe", "lue", "loe", "wishart"),
+        "--order": _values(*range(-1, 7), HUGE),
+        "--symbolic": None,
+        "--dim": _values(-1, 0, 1, 2, 3),
+        "--rect-dim": _values(-1, 0, 1, 2, 4),
+        "--mc": None,
+        "--samples": _values(-1, 0, 1, 50),
+        "--seed": _values(-1, 0, 7, HUGE, 2**64),
+        "--max-elements": _values(-1, 0, 3, HUGE),
+    },
+    "classify": {
+        "--perm": _values("(1,2)", "(1,2)(3,4)", "(-1,1)", "(-1,2)(1,-2)", "()", "(1,1)", "(9,9)"),
+        "--n": _values(-1, 0, 1, 2, 3, 4),
+        "--signed": None,
+    },
+    "conjecture": {
+        "--max-n": _values(-1, 0, 1, 2, 3),
+        "--format": _values("json", "csv"),
+        "--max-elements": _values(-1, 0, 3, HUGE),
+    },
+}
+
+
+#: The flags each subcommand requires, drawn first unless the draw drops them.
+REQUIRED = {
+    "enumerate": ("--family", "--n"),
+    "verify": ("--bijection", "--n"),
+    "moment": ("--ensemble", "--order"),
+    "classify": ("--perm", "--n"),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from((*FUZZ_FLAGS, "bogus")))
+    flags = FUZZ_FLAGS.get(command, {"--n": _values(1)})
+    required = REQUIRED.get(command, ()) if draw(st.integers(0, 9)) else ()
+    others = st.lists(st.sampled_from(tuple(flags)), max_size=4, unique=True)
+    argv = [command]
+    for flag in dict.fromkeys((*required, *draw(others))):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_cli_fuzz_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 1:  # a cap or budget: the record names it
+        assert json.loads(out.getvalue())["result"]["error"]["type"] == "cap-exceeded"

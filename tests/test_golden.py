@@ -6,9 +6,10 @@ nulls: every grade group of :func:`annular.maps.gluing_groups` and of
 :func:`annular.noncrossing.nc_groups` (at the ``GROUPED_SIZES`` of
 ``tests/test_noncrossing.py`` and the ``NC_LARGE_SIZES`` below; members
 in stream order as cycle strings, with their witnesses), every Wick and
-genus-expansion moment polynomial up to each order cap, and a battery of
-CLI requests read as (exit code, stdout without ``timing_ms``).  Stderr
-is left out: usage messages are diagnostics, not part of the record
+genus-expansion moment polynomial up to the largest order each
+ensemble's streams admit (``ORDER_REACH``), and a battery of CLI
+requests read as (exit code, stdout without ``timing_ms``).  Stderr is
+left out: usage messages are diagnostics, not part of the record
 contract.
 
 Regenerate the file only for an intended output change::
@@ -31,7 +32,7 @@ import pytest
 from annular.bijections import BIJECTIONS
 from annular.cli import FAMILY_TAGS, NC_TAGS, main
 from annular.maps import GLUINGS, gluing_groups
-from annular.moments import DEFAULT_ORDER_CAPS, genus_expansion_moment, wick_moment
+from annular.moments import genus_expansion_moment, wick_moment
 from annular.noncrossing import NONCROSSING, nc_groups
 from annular.perms import Permutation, signed_ground, unsigned_ground
 
@@ -45,6 +46,11 @@ GLUING_SIZES = {"a": 10, "b": 8, "a-tilde": 6, "a-hat": 6, "b-tilde": 4, "b-hat"
 #: Sizes past ``GROUPED_SIZES`` at which non-crossing groups are recorded
 #: too: the largest passes of the perfbench verify workload.
 NC_LARGE_SIZES = {"NC2T": range(9, 11), "NC2delta": range(7, 9), "NC2K": range(7, 9)}
+
+#: Per ensemble, the largest moment order its routes read and the first
+#: order their streams refuse (a Gaussian order between them is odd, zero
+#: without any stream).
+ORDER_REACH = {"GUE": (16, 18), "GOE": (12, 14), "LUE": (9, 10), "LOE": (8, 9)}
 
 
 def _digest(value) -> str:
@@ -97,8 +103,8 @@ def _verify_requests(tag: str):
 
 
 def _moment_requests(kind: str):
-    cap = DEFAULT_ORDER_CAPS[kind.upper()]
-    for order in (-1, 0, 1, 2, 3, 4, cap + 1):
+    refused = ORDER_REACH[kind.upper()][1]
+    for order in (-1, 0, 1, 2, 3, 4, refused):
         yield ("moment", "--ensemble", kind, "--order", str(order), "--symbolic")
     yield ("moment", "--ensemble", kind, "--order", "4", "--symbolic", "--max-elements", "3")
     yield ("moment", "--ensemble", kind, "--order", "4", "--symbolic", "--max-elements", "-1")
@@ -155,9 +161,9 @@ def _values() -> dict[str, object]:
                 ]
                 for p, family in nc_groups(tag, n).items()
             ]
-    for kind, cap in DEFAULT_ORDER_CAPS.items():
+    for kind, (top, _) in ORDER_REACH.items():
         for route, moment in (("wick", wick_moment), ("genus", genus_expansion_moment)):
-            for order in range(1, cap + 1):
+            for order in range(1, top + 1):
                 values[f"{route}_moment/{kind}/{order}"] = (
                     lambda moment=moment, kind=kind, order=order: moment(kind, order).to_json_dict()
                 )

@@ -1,5 +1,6 @@
 """Gluing families: genus counts, bipartite refinements, hypermap reductions."""
 
+import time
 from math import factorial
 
 import pytest
@@ -249,14 +250,26 @@ def test_family_b_tilde_counts_match_reference(n):
 
 
 def test_tilde_family_caps_apply_to_the_ground_size():
-    with pytest.raises(CapExceeded):
-        family_a_tilde_counts(9)
-    with pytest.raises(CapExceeded):
-        family_b_tilde_counts(5)
-    with pytest.raises(CapExceeded):
-        family_a_tilde(9, 0, 1)
-    with pytest.raises(CapExceeded):
-        family_b_tilde(5, 1, 1)
+    # the first refused n: ã reads [2n] (cap 18), b̃ reads ±[2n] (cap 32)
+    for build, sizes in (
+        (lambda: family_a_tilde_counts(10), (20, 18)),
+        (lambda: family_b_tilde_counts(9), (36, 32)),
+        (lambda: family_a_tilde(10, 0, 1), (20, 18)),
+        (lambda: family_b_tilde(9, 1, 1), (36, 32)),
+    ):
+        with pytest.raises(CapExceeded) as info:
+            build()
+        assert (info.value.requested, info.value.cap) == sizes
+
+
+@pytest.mark.parametrize("tag", GLUINGS)
+def test_huge_sizes_are_refused_at_once(tag):
+    # one compare of sizes, before any frame of size n is built
+    for count in (gluing_counts, gluing_groups):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="above the cap"):
+            count(tag, 10**9)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_tilde_family_budget_counts_built_gluings():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,6 @@ import pytest
 
 import annular.moments
 from annular.moments import (
-    DEFAULT_ORDER_CAPS,
     Ensemble,
     correction_coefficient,
     genus_expansion_moment,
@@ -239,14 +239,44 @@ def test_correction_coefficient_lue():
 # caps and budgets
 # ---------------------------------------------------------------------------
 
-def test_order_caps_enforced():
-    # before any enumeration: an empty budget would raise its own
+#: Per ensemble and route, the first refused order and the stream whose
+#: cap refuses it: (order, noun, size, default cap).  The GOE and LOE
+#: genus routes read b and b̃ first, whose caps bind before those of a and ã.
+FIRST_REFUSED = {
+    ("GUE", "wick"): (18, "pairing", 18, 16),
+    ("GUE", "genus"): (18, "pairing", 18, 16),
+    ("GOE", "wick"): (14, "signed symmetric pairing", 28, 24),
+    ("GOE", "genus"): (14, "signed symmetric pairing", 28, 24),
+    ("LUE", "wick"): (10, "permutation", 10, 9),
+    ("LUE", "genus"): (10, "bipartite pairing", 20, 18),
+    ("LOE", "wick"): (9, "pairing", 18, 16),
+    ("LOE", "genus"): (9, "bipartite signed symmetric pairing", 36, 32),
+}
+ROUTES = {"wick": wick_moment, "genus": genus_expansion_moment}
+
+
+@pytest.mark.parametrize("ensemble, route", FIRST_REFUSED)
+def test_order_caps_enforced(ensemble, route):
+    # before any row is read: an empty budget would raise its own
     # CapExceeded at the first element
-    for ensemble, cap in DEFAULT_ORDER_CAPS.items():
-        message = f"^moment order {cap + 1} exceeds the {ensemble} cap of {cap}$"
-        for route in (wick_moment, genus_expansion_moment):
-            with pytest.raises(CapExceeded, match=message):
-                route(ensemble, cap + 1, budget=EnumerationBudget(0))
+    order, noun, size, cap = FIRST_REFUSED[ensemble, route]
+    message = f"^{noun} enumeration requested for size {size}, above the cap {cap}; "
+    with pytest.raises(CapExceeded, match=message) as info:
+        ROUTES[route](ensemble, order, budget=EnumerationBudget(0))
+    assert (info.value.requested, info.value.cap) == (size, cap)
+
+
+@pytest.mark.parametrize("ensemble", ["GUE", "GOE", "LUE", "LOE"])
+def test_huge_orders_are_refused_at_once(ensemble):
+    # one compare of sizes, before any walk or frame of the order is built;
+    # an odd Gaussian order reads no stream and is zero
+    for route in ROUTES.values():
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="above the cap"):
+            route(ensemble, 10**9)
+        assert time.perf_counter() - start < 0.1
+        if ensemble in ("GUE", "GOE"):
+            assert route(ensemble, 10**9 + 1).is_zero()
 
 
 def test_invalid_order():

@@ -1,5 +1,7 @@
 """Non-crossing predicates and annular families."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -197,8 +199,17 @@ def test_delta_family_budget_counts_delta_symmetric_elements():
     with pytest.raises(CapExceeded):
         family_nc(NCFamilyId("NCdelta", 4), budget=EnumerationBudget(104))
     with pytest.raises(CapExceeded) as info:
-        family_nc(NCFamilyId("NCK_p", 5, 1))
-    assert (info.value.requested, info.value.cap) == (5, 4)
+        family_nc(NCFamilyId("NCK_p", 9, 1))
+    assert (info.value.requested, info.value.cap) == (9, 8)
+
+
+@pytest.mark.parametrize("tag", NONCROSSING)
+def test_huge_sizes_are_refused_at_once(tag):
+    # one compare of sizes, before the frame of size n is built
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="above the cap"):
+        nc_groups(tag, 10**9)
+    assert time.perf_counter() - start < 0.1
 
 
 #: The sizes at which the family tests of this file build each family.

@@ -1,5 +1,6 @@
 """Stream tests: deterministic orders, counts, caps, budgets."""
 
+import time
 import tracemalloc
 from inspect import isgenerator
 from itertools import islice, product
@@ -171,14 +172,16 @@ def test_bipartite_streams_odd_sizes_are_empty():
 
 
 def test_bipartite_streams_caps_apply_to_ground_size():
-    with pytest.raises(CapExceeded):
-        _bipartite_pairing_blocks(18)
+    # the first refused sizes: [19] and ±[17], whose streams would be empty
+    with pytest.raises(CapExceeded) as info:
+        _bipartite_pairing_blocks(19)
+    assert (info.value.requested, info.value.cap) == (19, 18)
     for stream in (_bipartite_signed_symmetric_pairing_blocks, _white_to_black_pairing_blocks):
         with pytest.raises(CapExceeded) as info:
-            stream(10)
-        assert (info.value.requested, info.value.cap) == (20, 16)
-        stream(10, cap=20)
-    _bipartite_pairing_blocks(18, cap=18)
+            stream(17)
+        assert (info.value.requested, info.value.cap) == (34, 32)
+        stream(17, cap=34)
+    _bipartite_pairing_blocks(19, cap=19)
 
 
 def test_bipartite_stream_budget_counts_built_elements():
@@ -304,6 +307,20 @@ def test_signed_symmetric_permutations_match_reference():
         assert got == want
 
 
+def test_pruned_delta_search_equals_the_filter_over_all_permutations():
+    for n in (1, 2, 3, 4):
+        want = oracles.ref_signed_symmetric_permutations(n)
+        assert list(oracles.ref_delta_symmetric_permutations(n)) == want
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_signed_symmetric_permutations_equal_the_pruned_search_in_order(n):
+    # 945 and 10,395 elements, against a search over δ-symmetric
+    # permutations that builds nothing from pairings
+    got = [p.mapping() for p in signed_symmetric_permutations(n)]
+    assert got == list(oracles.ref_delta_symmetric_permutations(n))
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_signed_symmetric_permutations_order_across_block_seams(n):
     # 945 and 10,395 elements, several blocks each: the pairings of ±[n]
@@ -332,17 +349,83 @@ def test_signed_symmetric_permutations_contains_pairing_stream():
 
 # ------------------------------------------------------------ caps, budgets
 def test_caps_raise_eagerly():
-    with pytest.raises(CapExceeded):
-        pairings(18)
-    with pytest.raises(CapExceeded):
-        permutations(10)
-    with pytest.raises(CapExceeded):
-        signed_symmetric_permutations(5)
-    with pytest.raises(CapExceeded):
-        signed_symmetric_pairings(9)
+    # each at its first refused size, with the size and the default cap
+    refused = [
+        (lambda: pairings(17), (17, 16)),
+        (lambda: permutations(10), (10, 9)),
+        (lambda: signed_symmetric_permutations(9), (9, 8)),
+        (lambda: signed_symmetric_pairings(13), (26, 24)),
+    ]
+    for stream, sizes in refused:
+        with pytest.raises(CapExceeded) as info:
+            stream()
+        assert (info.value.requested, info.value.cap) == sizes
+    assert str(info.value) == (
+        "signed symmetric pairing enumeration requested for size 26, above the cap 24; "
+        "pass an explicit cap to override"
+    )
     # explicit override allows construction without consuming
     pairings(18, cap=18)
     permutations(10, cap=10)
+    signed_symmetric_permutations(9, cap=9)
+
+
+#: Each capped stream's largest default size and the exact length there:
+#: the largest size whose stream holds at most 15!! rows.
+DEFAULT_CAPS = {
+    "pairing": (16, 2_027_025),
+    "signed symmetric pairing": (24, 665_280),
+    "bipartite pairing": (18, 362_880),
+    "bipartite signed symmetric pairing": (32, 2_027_025),
+    "white-to-black pairing": (32, 2_027_025),
+    "permutation": (9, 362_880),
+    "signed symmetric permutation": (8, 2_027_025),
+}
+
+
+@pytest.mark.parametrize("noun", DEFAULT_CAPS)
+def test_default_caps_follow_from_the_row_limit(noun):
+    cap, rows = DEFAULT_CAPS[noun]
+    length = annular.streams._LENGTHS[noun]
+    assert annular.streams.STREAM_ROW_CAP == oracles.ref_double_factorial(15) == 2_027_025
+    assert annular.streams._default_cap(noun) == cap
+    assert length(cap) == rows <= annular.streams.STREAM_ROW_CAP
+    # the next nonempty stream is over the limit (an empty one sits between on ±[n])
+    after = next(length(size) for size in range(cap + 1, cap + 5) if length(size))
+    assert after > annular.streams.STREAM_ROW_CAP
+
+
+def test_signed_symmetric_permutations_reach_the_row_limit():
+    # the default cap admits ±[8]: 15!! rows, read here only to the first block
+    first = next(signed_symmetric_permutations(8))
+    assert first.is_identity()
+
+
+#: Every public stream and colour-class block function at n = 10⁹.
+HUGE = 10**9
+HUGE_STREAMS = {
+    "pairings": lambda: pairings(HUGE),
+    "pairings_of": lambda: pairings_of(unsigned_ground(HUGE)),
+    "signed_pairings": lambda: signed_pairings(HUGE),
+    "signed_symmetric_pairings": lambda: signed_symmetric_pairings(HUGE),
+    "permutations": lambda: permutations(HUGE),
+    "permutations_of": lambda: permutations_of(signed_ground(HUGE)),
+    "signed_symmetric_permutations": lambda: signed_symmetric_permutations(HUGE),
+    "_bipartite_pairing_blocks": lambda: _bipartite_pairing_blocks(HUGE),
+    "_bipartite_signed_symmetric_pairing_blocks": (
+        lambda: _bipartite_signed_symmetric_pairing_blocks(HUGE)
+    ),
+    "_white_to_black_pairing_blocks": lambda: _white_to_black_pairing_blocks(HUGE),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_STREAMS)
+def test_huge_sizes_are_refused_at_once(name):
+    # one compare of sizes: no length of the refused stream, no row
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded, match="above the cap"):
+        HUGE_STREAMS[name]()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_budget_overflow_raises():
@@ -361,7 +444,7 @@ def test_budget_overflow_raises():
 @pytest.mark.parametrize(
     "stream, size, what",
     [
-        (lambda budget: pairings(6, budget=budget), 15, "pairings of GroundSet([6])"),
+        (lambda budget: pairings(6, budget=budget), 15, "pairings of [6]"),
         (
             lambda budget: _rows(_bipartite_pairing_blocks(6, budget=budget)),
             6,
@@ -392,17 +475,17 @@ BLOCK_BUDGET_STREAMS = {
     "pairings": (
         lambda budget: pairings(10, budget=budget),
         lambda: _pairings_of_blocks(unsigned_ground(10)),
-        "pairings of GroundSet([10])",
+        "pairings of [10]",
     ),
     "pairings_of": (
         lambda budget: pairings_of(unsigned_ground(10), budget=budget),
         lambda: _pairings_of_blocks(unsigned_ground(10)),
-        "pairings of GroundSet([10])",
+        "pairings of [10]",
     ),
     "signed_pairings": (
         lambda budget: signed_pairings(5, budget=budget),
         lambda: _pairings_of_blocks(signed_ground(5)),
-        "pairings of GroundSet(±[5])",
+        "pairings of ±[5]",
     ),
     "signed_symmetric_pairings": (
         lambda budget: signed_symmetric_pairings(8, budget=budget),
@@ -427,12 +510,12 @@ BLOCK_BUDGET_STREAMS = {
     "permutations": (
         lambda budget: permutations(7, budget=budget),
         lambda: _permutations_of_blocks(unsigned_ground(7)),
-        "permutations of GroundSet([7])",
+        "permutations of [7]",
     ),
     "permutations_of": (
         lambda budget: permutations_of(unsigned_ground(7), budget=budget),
         lambda: _permutations_of_blocks(unsigned_ground(7)),
-        "permutations of GroundSet([7])",
+        "permutations of [7]",
     ),
     "signed_symmetric_permutations": (
         lambda budget: signed_symmetric_permutations(5, cap=5, budget=budget),
