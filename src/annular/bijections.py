@@ -387,10 +387,14 @@ def conjecture_table(
     """Tabulate |twisted Euler-genus-1 bipartite gluings of ±[2n], grade p|
     against |graded mirror-symmetric annular pairings of ±[2n]| for
     n ≤ max_n and every p.  The equality is only surmised, so rows carry
-    an ``equal`` flag and no verdict.  ``ValueError`` for max_n < 1."""
+    an ``equal`` flag and no verdict.  ``ValueError`` for max_n < 1, and
+    ``CapExceeded`` before any n is computed when max_n is above a cap."""
     if max_n < 1:
         raise ValueError("max_n must be a positive integer")
     entry = BIJECTIONS["phi1-tilde"]
+    # both sides' streams at max_n: a cap refuses it before any n is computed
+    GLUINGS[entry.gluing].source(max_n, None, budget)
+    NONCROSSING[entry.nc].source(entry.annular_n(max_n), budget)
     rows: list[ConjectureRow] = []
     for n in range(1, max_n + 1):
         twisted = gluing_counts(entry.gluing, n, budget=budget)

@@ -31,6 +31,7 @@ in N and c after the exact substitution M = cN.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
@@ -110,8 +111,18 @@ class Ensemble:
             raise ValueError("M applies to the Laguerre ensembles only")
 
 
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; numpy integers pass, bools and non-integers raise ``ValueError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_positive(name: str, value: int) -> None:
-    if value < 1:
+    if _check_integer(name, value) < 1:
         raise ValueError(f"{name} must be a positive integer")
 
 

@@ -30,8 +30,10 @@ tridiagonal models carry the same scale:
 
 Reproducibility contract: samples are partitioned into fixed blocks of
 ``BLOCK_SIZE``; block ``b`` of a run with seed ``s`` uses the
-counter-based Philox generator keyed by the pair (s, b), so the estimate
-depends only on (seed, samples) — never on scheduling or worker count.
+counter-based Philox generator keyed by the pair (s, b); blocks run on up
+to one thread per usable CPU and merge in block order, so the estimate
+depends only on (seed, samples) — never on scheduling or worker count —
+and peak memory grows with the blocks in flight.
 Normal variates come from numpy's ziggurat implementation
 (``Generator.standard_normal``); a χ_k variate is √(2·Gamma(k/2)), with
 the gamma variate from ``Generator.standard_gamma``.  Within a block of
@@ -49,11 +51,13 @@ mean cannot cancel it.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import Ensemble
+from .moments import Ensemble, _check_integer
 
 __all__ = ["BLOCK_SIZE", "GENERATOR_NAME", "McEstimate", "mc_moment"]
 
@@ -65,6 +69,8 @@ GENERATOR_NAME = (
 )
 
 _ROOT_HALF = math.sqrt(0.5)
+
+_CHUNK = 1024  # samples per ``_band_trace_power`` call: its bands stay in cache
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,10 @@ def _band_trace_power(diagonal: np.ndarray, off: np.ndarray, n: int) -> np.ndarr
 
 
 def _tridiagonal_traces(rng, ensemble: Ensemble, n: int, N: int, M, size: int) -> np.ndarray:
-    return _band_trace_power(*_draw_tridiagonal(rng, ensemble, N, M, size), n)
+    diagonal, off = _draw_tridiagonal(rng, ensemble, N, M, size)
+    parts = -(-size // _CHUNK)  # near-equal chunks: one row alone sums its trace in another order
+    chunks = zip(np.array_split(diagonal, parts), np.array_split(off, parts))
+    return np.concatenate([_band_trace_power(d, e, n) for d, e in chunks])
 
 
 def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
@@ -164,6 +173,39 @@ def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
     (na, mean_a, m2_a), (nb, mean_b, m2_b) = a, b
     n, delta = na + nb, mean_b - mean_a
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
+
+
+def _in_order(call, count: int):
+    """Yield call(0), …, call(count − 1), running up to one call per usable CPU on threads."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(count, cpus or 1)
+    if workers == 1:
+        yield from map(call, range(count))
+        return
+    outcomes, running = {}, []
+
+    def run(index):
+        try:
+            outcomes[index] = True, call(index)
+        except BaseException as error:
+            outcomes[index] = False, error
+
+    try:
+        for index in range(count + workers):
+            if index >= workers:  # result i is taken before call i + workers starts
+                running[0].join()  # still in ``running`` if the join is interrupted
+                del running[0]
+                done, value = outcomes.pop(index - workers)
+                if not done:
+                    raise value
+                yield value
+            if index < count:
+                thread = threading.Thread(target=run, args=(index,))
+                thread.start()
+                running.append(thread)
+    finally:
+        for thread in running:
+            thread.join()
 
 
 def mc_moment(
@@ -193,24 +235,24 @@ def _estimate(block_traces, ensemble, n, N, M, *, samples, seed) -> McEstimate:
     """
     ensemble = Ensemble.parse(ensemble)
     ensemble.check_dimensions(n, N, M)
+    samples, seed = _check_integer("samples", samples), _check_integer("seed", seed)
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
-    total = 0.0
-    moments = (0, 0.0, 0.0)
-    done = 0
-    block_index = 0
-    while done < samples:
-        size = min(BLOCK_SIZE, samples - done)
-        traces = block_traces(_block_rng(seed, block_index), ensemble, n, N, M, size)
-        total += float(traces.sum())
+    def block(index):
+        size = min(BLOCK_SIZE, samples - index * BLOCK_SIZE)
+        traces = block_traces(_block_rng(seed, index), ensemble, n, N, M, size)
         block_mean = float(traces.mean())
         deviations = traces - block_mean
-        moments = _merge_moments(moments, (size, block_mean, float(deviations @ deviations)))
-        done += size
-        block_index += 1
+        return float(traces.sum()), (size, block_mean, float(deviations @ deviations))
+
+    total = 0.0
+    moments = (0, 0.0, 0.0)
+    for block_sum, block_moments in _in_order(block, -(-samples // BLOCK_SIZE)):
+        total += block_sum
+        moments = _merge_moments(moments, block_moments)
 
     mean = total / samples
     variance = moments[2] / (samples - 1)

@@ -330,7 +330,9 @@ def test_conjecture_table_builds_each_twisted_side_once(monkeypatch):
 
     monkeypatch.setattr(annular.maps, "_bipartite_signed_symmetric_pairing_blocks", counted)
     conjecture_table(3)
-    assert len(calls) == 3  # one b̃ histogram per n, not one family per (n, p)
+    # the cap check at max_n (it reads no row), then one b̃ histogram per n,
+    # not one family per (n, p); b̃ at n reads ±[2n]
+    assert [args[0] for args in calls] == [6, 2, 4, 6]
 
 
 def test_conjecture_row_payload():

@@ -264,7 +264,9 @@ def test_graded_verify_runs_each_side_once(capsys, stream_calls, tag):
 
 def test_conjecture_table_runs_the_annular_source_once_per_n(stream_calls):
     conjecture_table(3)
-    assert stream_calls == {"maps": 3, "noncrossing": 3}  # not one per (n, p)
+    # not one per (n, p); the fourth call of each side is the cap check at
+    # max_n, which reads no row
+    assert stream_calls == {"maps": 4, "noncrossing": 4}
 
 
 def test_parser_is_built_once_and_reused_across_calls(capsys):
@@ -684,6 +686,16 @@ def test_conjecture_table_json(capsys):
         (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3),
     ]
     assert rec["result"]["all_equal"] is True
+
+
+def test_conjecture_above_the_caps_exits_1_at_once(capsys):
+    # both sides' caps are checked at max_n before n = 1 is computed
+    start = time.perf_counter()
+    code, rec, _, _ = run(capsys, "conjecture", "--max-n", "1000000000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert rec["result"]["error"]["type"] == "cap-exceeded"
+    assert rec["result"]["error"]["requested"] == 4 * 10**9
 
 
 def test_conjecture_table_csv(capsys):

@@ -284,6 +284,13 @@ def test_invalid_order():
         wick_moment("GUE", 0)
 
 
+@pytest.mark.parametrize("route", ROUTES.values())
+@pytest.mark.parametrize("order", [2.0, True, "2"])
+def test_non_integer_order_is_refused(route, order):
+    with pytest.raises(ValueError, match="moment order must be an integer"):
+        route("GUE", order)
+
+
 def test_budget_propagates():
     tight = EnumerationBudget(max_elements=2)
     with pytest.raises(CapExceeded):

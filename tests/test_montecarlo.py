@@ -1,6 +1,8 @@
 """Monte Carlo sampling: reproducibility and statistical agreement."""
 
 import math
+import threading
+import time
 import warnings
 
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from annular import montecarlo as mc
-from annular.moments import wick_moment
+from annular.moments import Ensemble, wick_moment
 from annular.montecarlo import BLOCK_SIZE, McEstimate, mc_moment
 
 import oracles
@@ -25,6 +27,20 @@ DENSE_PINS = (
     ("LOE", 2, 4, 2, 8193, 7, 13.819833292636266, 0.16223463949448316),
     ("GUE", 2, 1, None, 300, 0, 0.47264763840308605, 0.0391008291681587),
     ("LOE", 5, 2, 3, 16401, 1099511627779, 1282.70173832187, 67.1558842617479),
+)
+
+#: ``mc_moment`` estimates recorded from the sequential block loop, as
+#: (ensemble, n, N, M, samples, seed, mean, std_error): criterion 11's
+#: four configurations, then three blocks (the last one ragged) per ensemble.
+TRIDIAGONAL_PINS = (
+    ("GUE", 4, 10, None, 100_000, 2026, 502.15323375820503, 0.4789037211428047),
+    ("GOE", 4, 10, None, 100_000, 2026, 159.04775758808873, 0.20666292362510433),
+    ("LUE", 2, 10, 20, 100_000, 2026, 5998.740936717835, 2.81890002342348),
+    ("LOE", 2, 10, 20, 100_000, 2026, 1548.848047516463, 1.0385437909162998),
+    ("GUE", 3, 3, None, 2 * BLOCK_SIZE + 1, 17, -0.048858341776991776, 0.04998850471941595),
+    ("GOE", 5, 4, None, 2 * BLOCK_SIZE + 1, 17, -0.4710078321794157, 0.31076417361004494),
+    ("LUE", 3, 3, 5, 2 * BLOCK_SIZE + 1, 17, 1198.0654461388851, 8.50447762794944),
+    ("LOE", 3, 4, 2, 2 * BLOCK_SIZE + 1, 17, 65.82659721073662, 1.0663045774774305),
 )
 
 
@@ -151,6 +167,121 @@ def test_dense_route_reproduces_recorded_estimates(pin):
     ensemble, n, N, M, samples, seed, mean, std_error = pin
     est = _dense(ensemble, n, N, M, samples=samples, seed=seed)
     assert (est.mean, est.std_error) == (mean, std_error)
+
+
+@pytest.mark.parametrize("pin", TRIDIAGONAL_PINS)
+def test_mc_moment_reproduces_recorded_estimates(pin):
+    # the blocks may run concurrently; their merge in block order keeps every bit
+    ensemble, n, N, M, samples, seed, mean, std_error = pin
+    est = mc_moment(ensemble, n, N, M, samples=samples, seed=seed)
+    assert (est.mean, est.std_error) == (mean, std_error)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 64])
+def test_estimate_has_the_same_bits_on_any_cpu_count(monkeypatch, cpus):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    for ensemble, n, N, M, samples, seed, mean, std_error in TRIDIAGONAL_PINS[4:]:
+        est = mc_moment(ensemble, n, N, M, samples=samples, seed=seed)
+        assert (est.mean, est.std_error) == (mean, std_error)
+
+
+# chunk + 1 and 2·chunk + 1 would end in a lone row with fixed-size chunks,
+# and a batch of one row sums its trace in another order
+CHUNK_SIZES = [
+    1, 2, mc._CHUNK - 1, mc._CHUNK, mc._CHUNK + 1, 2 * mc._CHUNK + 1, 3 * mc._CHUNK + 5, BLOCK_SIZE
+]
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+@pytest.mark.parametrize("parity", [0, 1])
+@settings(max_examples=6, deadline=None)
+@given(
+    st.sampled_from(["GUE", "GOE", "LUE", "LOE"]),
+    st.integers(1, 4),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**64 - 1),
+)
+def test_chunked_traces_equal_one_band_call(size, parity, ensemble, half, N, M, seed):
+    # the chunks of a block, ragged last one included, hold the same bits
+    ensemble, n = Ensemble.parse(ensemble), 2 * half - parity
+    M = M if ensemble.is_laguerre else None
+    chunked = mc._tridiagonal_traces(mc._block_rng(seed, 0), ensemble, n, N, M, size)
+    draws = mc._draw_tridiagonal(mc._block_rng(seed, 0), ensemble, N, M, size)
+    assert np.array_equal(chunked, mc._band_trace_power(*draws, n))
+
+
+def test_mc_moment_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    before = threading.active_count()
+    mc_moment("GOE", 3, 4, samples=5 * BLOCK_SIZE + 3, seed=8)
+    assert threading.active_count() == before
+
+
+def test_one_block_runs_inline(monkeypatch):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threads = []
+
+    def sampler(rng, ensemble, n, N, M, size):
+        threads.append(threading.current_thread())
+        return mc._tridiagonal_traces(rng, ensemble, n, N, M, size)
+
+    mc._estimate(sampler, "GUE", 2, 2, None, samples=100, seed=0)
+    assert threads == [threading.main_thread()]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_failing_block_stops_the_run(monkeypatch, cpus):
+    started, failure = [], RuntimeError("block 3 failed")
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(mc, "_block_rng", lambda seed, index: index)
+
+    def sampler(index, ensemble, n, N, M, size):
+        started.append(index)
+        time.sleep(0.01)
+        if index == 3:
+            raise failure
+        return np.ones(size)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        mc._estimate(sampler, "GUE", 2, 2, None, samples=20 * BLOCK_SIZE, seed=0)
+    assert raised.value is failure
+    assert threading.active_count() == before
+    assert sorted(started) == list(range(len(started)))
+    assert 4 <= len(started) <= 3 + cpus
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        (("GUE", 2, 4), {"samples": 200, "seed": 1.5}),
+        (("GUE", 2, 4), {"samples": 200, "seed": True}),
+        (("GUE", 2, 4), {"samples": 10_000.0, "seed": 1}),
+        (("GUE", 2, 4), {"samples": True, "seed": 1}),
+        (("GUE", 2.0, 4), {"samples": 200, "seed": 1}),
+        (("GUE", 2, 4.0), {"samples": 200, "seed": 1}),
+        (("LUE", 2, 4, 5.0), {"samples": 200, "seed": 1}),
+        (("GUE", 2, np.float64(4)), {"samples": 200, "seed": 1}),
+    ],
+)
+def test_non_integers_are_refused_before_any_draw(args, kwargs):
+    calls = []
+
+    def sampler(*block):
+        calls.append(block)
+        return np.zeros(block[-1])
+
+    ensemble, n, N, *M = args
+    with pytest.raises(ValueError, match="must be an integer"):
+        mc._estimate(sampler, ensemble, n, N, *(M or [None]), **kwargs)
+    assert calls == []
+
+
+def test_numpy_integers_pass():
+    est = mc_moment("GUE", np.int64(2), np.int32(4), samples=np.int64(200), seed=np.uint64(1))
+    assert est == mc_moment("GUE", 2, 4, samples=200, seed=1)
+    assert type(est.seed) is int and type(est.samples) is int
 
 
 def _underflow_floor(t, n):
