@@ -29,10 +29,11 @@ same cycles and those inside one colour class of a 0/1 mask, None when
 a cycle mixes the classes) and ``_is_delta_symmetric``.
 ``_cycle_counts`` is the batched form of the two walk kernels for a
 numpy block of images, one row per image, and ``_key_counts`` tallies
-the key rows computed from such blocks.  Every cycle count in the
-package goes through them.  ``compose``, ``inverse``,
-``conjugate``, ``num_cycles`` and ``restricted_cycle_count`` are the
-algebra of :class:`Permutation` objects: plain functions over them.
+the key rows computed from such blocks with ``np.bincount``.  Every
+cycle count in the package goes through them.  ``compose``,
+``inverse``, ``conjugate``, ``num_cycles`` and
+``restricted_cycle_count`` are the algebra of :class:`Permutation`
+objects: plain functions over them.
 
 Composition convention
 ----------------------
@@ -60,8 +61,7 @@ insensitive to cycle rotation/order.
 from __future__ import annotations
 
 import re
-from collections import Counter
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -173,6 +173,12 @@ def signed_ground(n: int) -> GroundSet:
     return GroundSet(GroundSet.SIGNED, n)
 
 
+@lru_cache(maxsize=16)
+def _labels(ground: GroundSet) -> tuple[int, ...]:
+    """``ground.labels()``, one tuple kept for each of the last grounds asked for."""
+    return ground.labels()
+
+
 # ---------------------------------------------------------------------------
 # raw image-tuple helpers (index space)
 #
@@ -249,37 +255,61 @@ def _cycle_counts(outer: Sequence[int], block: np.ndarray, colour: bytes | None 
     :func:`_coloured_cycle_count` (with it), for a 2-D block of index
     images.  Each position takes the least index of its orbit by
     pointer doubling, ⌈log₂ size⌉ rounds over the flattened block, and
-    a cycle is counted at its least index.  With a 0/1 ``colour`` mask
-    it returns (cycles, colour-1 cycles, mixed), where mixed flags the
-    rows with a cycle that meets both colour classes; their counts are
-    meaningless.
+    a cycle is counted at its least index.  The block is flattened
+    column by column (position x of row r at x·rows + r), so the least
+    index of an orbit is still its least position and the heads of a
+    row are summed down a column, not along a short row.  The first
+    round reads no gather (every position starts as its own least), and
+    the last doubles no step.  With a 0/1 ``colour`` mask it returns
+    (cycles, colour-1 cycles, mixed), where mixed flags the rows with a
+    cycle that meets both colour classes; their counts are meaningless.
     """
     rows, size = block.shape
-    offsets = np.arange(rows)[:, None] * size
-    step = (np.asarray(outer, dtype=np.intp)[block] + offsets).ravel()
-    least = np.arange(rows * size)
-    for left in range((size - 1).bit_length(), 0, -1):
+    step = (np.asarray(outer, dtype=np.intp) * rows).take(block.T)
+    step += np.arange(rows)
+    step = step.reshape(rows * size)
+    index = np.arange(rows * size)
+    least = np.minimum(index, step)
+    for _ in range((size - 1).bit_length() - 1):
+        step = step.take(step)
         np.minimum(least, least.take(step), out=least)
-        if left > 1:  # the last round's doubled step is never read
-            step = step.take(step)
-    heads = (least == np.arange(rows * size)).reshape(rows, size)
-    cycles = heads.sum(axis=1)
+    heads = (least == index).reshape(size, rows)
+    cycles = heads.sum(axis=0)
     if colour is None:
         return cycles
-    mask = np.frombuffer(colour * rows, dtype=np.bool_)
-    mixed = (mask != mask[least]).reshape(rows, size).any(axis=1)
-    return cycles, (heads & mask.reshape(rows, size)).sum(axis=1), mixed
+    mask = np.frombuffer(colour, dtype=np.bool_).repeat(rows)
+    mixed = (mask != mask.take(least)).reshape(size, rows).any(axis=0)
+    return cycles, (heads & mask.reshape(size, rows)).sum(axis=0), mixed
 
 
 def _key_counts(keys: Iterable[np.ndarray]) -> dict[tuple[int, ...], int]:
-    """Key tuple -> rows carrying it, over blocks of rows of int keys.
+    """Key tuple -> rows carrying it, over 2-D blocks of rows of non-negative int keys.
 
-    Keys appear in the order of their first row.
+    Each block's rows are read as numbers in base (its largest key + 1),
+    one code a row, and tallied by ``np.bincount``; keys appear in the
+    order of their first row.  A block that is not 2-D with at least one
+    column, or a negative key, raises ``ValueError``.
     """
-    counts: Counter[tuple[int, ...]] = Counter()
+    counts: dict[tuple[int, ...], int] = {}
     for block in keys:
-        counts.update(zip(*block.T.tolist()))
-    return dict(counts)
+        if block.ndim != 2 or not block.shape[1]:
+            raise ValueError(f"a key block must be 2-D with a column or more, not {block.shape}")
+        if not len(block):
+            continue
+        if (low := block.min()) < 0:
+            raise ValueError(f"keys must be non-negative, got {low}")
+        digits = (int(block.max()) + 1,) * block.shape[1]
+        codes = np.ravel_multi_index(tuple(block.T), digits)
+        tally = np.bincount(codes)
+        present = tally.nonzero()[0]
+        found = list(zip(*(d.tolist() for d in np.unravel_index(present, digits))))
+        new = [(key, code) for key, code in zip(found, present.tolist()) if key not in counts]
+        if len(new) > 1:  # codes ascend: the block's new keys go in by their first row
+            new.sort(key=lambda kc: int((codes == kc[1]).argmax()))
+        counts.update((key, 0) for key, _ in new)
+        for key, count in zip(found, tally[present].tolist()):
+            counts[key] += count
+    return counts
 
 
 def _is_delta_symmetric(img: Sequence[int]) -> bool:
@@ -435,25 +465,21 @@ class Permutation:
 
         Each cycle starts at its minimal label; cycles are sorted by
         minimal label (plain integer order, so on signed sets negative
-        labels come first).
+        labels come first).  Label order is index order on both
+        grounds, so these are the index cycles of
+        :func:`_cycles_of_image`, relabelled.
         """
-        dom = self.domain
-        out = []
-        for idx_cycle in _cycles_of_image(self.image):
-            lab = [dom.label(i) for i in idx_cycle]
-            m = min(range(len(lab)), key=lab.__getitem__)
-            out.append(tuple(lab[m:] + lab[:m]))
-        out.sort(key=lambda c: c[0])
-        return tuple(out)
+        labels = _labels(self.domain)
+        return tuple(tuple(map(labels.__getitem__, cyc)) for cyc in _cycles_of_image(self.image))
 
     def cycle_string(self) -> str:
         """Canonical cycle notation; fixed points omitted; identity = ''."""
-        parts = [
-            "(" + ",".join(map(str, cyc)) + ")"
-            for cyc in self.cycles()
+        labels = _labels(self.domain)
+        return "".join(
+            "(" + ",".join(map(str, map(labels.__getitem__, cyc))) + ")"
+            for cyc in _cycles_of_image(self.image)
             if len(cyc) > 1
-        ]
-        return "".join(parts)
+        )
 
     def mapping(self) -> dict[int, int]:
         """The full label->label mapping as a dict."""

@@ -17,17 +17,22 @@ the API it is a stream of :class:`~annular.perms.Pairing` /
   τ₀τ fixed-point free, built as τ₀σ over the pairings σ of ±[n].
 
 Matchings (all, or only those joining the two parity classes: ã and
-NC2T_bip) and permutations come from one builder, :func:`_tail_blocks`: the first
-steps of the recursion run in Python, and each such prefix is completed
-by one gather from a small cached table of the rest.
-:func:`_mirror_pair_blocks` expands the matchings of [n] into the three
-mirror-symmetric streams of ±[n], which differ only in the twist rule:
-every twist (GOE), or the twists that keep the black set B(n/2) (b̃) or
-send the white labels into it (NC2delta_bip and NC2K_bip), forced by
-label parity.  Each colour-class stream yields exactly the rows of the
-corresponding filter, in the same order, without visiting the rejected
-ones.  :func:`_mirrored_pairings` walks the matchings of ±[n] last to
-first, mirrored.
+NC2T_bip) and permutations come from one builder, :func:`_tail_blocks`.
+Every step of the recursion has as many choices whatever came before,
+so the first steps of each prefix are read off the prefix's number in
+mixed radix, in numpy, for a batch of prefixes at once; each prefix is
+then completed by one gather from a small cached table of the rest (a
+bipartite table is the matchings' table filtered to the rows that join
+the colours).  :func:`_mirror_pair_blocks` expands the matchings of
+[n] into the three mirror-symmetric streams of ±[n], which differ only
+in the twist rule: every twist (GOE), or the twists that keep the black
+set B(n/2) (b̃) or send the white labels into it (NC2delta_bip and
+NC2K_bip), forced by label parity.  A twisted image is the untwisted
+one read right to left, so each row picks, point by point, between the
+two by its twist bit.  Each colour-class stream yields exactly the rows
+of the corresponding filter, in the same order, without visiting the
+rejected ones.  :func:`_mirrored_pairings` walks the matchings of ±[n]
+last to first (prefix numbers counted down), mirrored.
 
 Each stream has a documented deterministic order, a size cap checked
 before any row is built (by default the largest size whose stream holds
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, partial, wraps
+from functools import cache, lru_cache, partial, wraps
 from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -209,31 +214,65 @@ _TABLE_ENTRIES = 2 * _ROWS
 
 @cache
 def _table(step: int, colours: bytes) -> np.ndarray:
-    """The whole stream on the points 0..m−1 with ``colours``, as one read-only block."""
-    table = next(_tail_blocks(step, colours, 1)) if colours else np.zeros((1, 0), np.intp)
+    """The whole stream on the points 0..m−1 with ``colours``, as one read-only block.
+
+    A bipartite table (step 2) is the matchings' table on m points
+    filtered to the rows that join the two colours, which keeps their
+    order.
+    """
+    if step == 2:
+        matchings = _table(1, bytes(len(colours)))
+        shade = np.frombuffer(colours, dtype=np.uint8)
+        table = matchings[(shade[matchings] != shade).all(axis=1)]
+    else:
+        table = next(_tail_blocks(step, colours, 1)) if colours else np.zeros((1, 0), np.intp)
     table.flags.writeable = False
     return table
 
 
-def _prefixes(step, colours, free, depth, reverse, at=(), values=()):
-    """Each run of ``depth`` first steps below ``free``, in order.
+def _runs(step: int, colours: bytes, depth: int, start: int, count: int, down: bool):
+    """``count`` runs of ``depth`` first steps from number ``start``: (positions, values, free).
 
-    Step 0 (permutations): the next position takes each free value.
-    Steps 1 and 2 (matchings): the least free point is paired with each
-    larger one, with step 2 only with those of the other colour.  A run
-    is one tuple: the positions it fills, their values, the free points.
+    Step 0 (permutations): the next position takes a free value.  Steps
+    1 and 2 (matchings): the least free point is paired with a larger
+    one, with step 2 only with one of the other colour.  Each step has
+    as many choices whatever came before (the free values; the free
+    points but one; half of them, the other colour on a balanced set),
+    so a run's number in stream order, read in that mixed radix with the
+    first step most significant, names its choice at every step.  The
+    digits of ``start`` are taken in Python, so any stream length works,
+    and those of the runs after it (before it, with ``down``) by adding
+    0, 1, 2, ... with carries: all the runs of a batch are built
+    together, one numpy pass per step.
     """
-    if not depth:
-        yield at + values + free
-        return
-    if step:
-        a = free[0]
-        moves = [((a, b), (b, a), free[1:j] + free[j + 1 :]) for j, b in enumerate(free)
-                 if j and (step == 1 or colours[a] != colours[b])]
-    else:
-        moves = [((len(at),), (v,), free[:j] + free[j + 1 :]) for j, v in enumerate(free)]
-    for more, image, rest in reversed(moves) if reverse else moves:
-        yield from _prefixes(step, colours, rest, depth - 1, reverse, at + more, values + image)
+    size = len(colours)
+    free_at = [size - (2 if step else 1) * t for t in range(depth)]  # before step t
+    radix = [f - 1 if step == 1 else f // 2 if step else f for f in free_at]
+    digits, carry = [0] * depth, -np.arange(count) if down else np.arange(count)
+    for t in reversed(range(depth)):
+        start, low = divmod(start, radix[t])
+        carry, digits[t] = np.divmod(low + carry, radix[t])
+    shade, at = np.frombuffer(colours, dtype=np.uint8), np.arange(count)[:, None]
+    free = np.broadcast_to(np.arange(size), (count, size))
+    positions, values = [], []
+    for digit in digits:
+        if step == 2:  # the digit-th point of the other colour
+            other = shade[free[:, 1:]] != shade[free[:, :1]]
+            j = np.nonzero(other)[1].reshape(count, -1)[at[:, 0], digit] + 1
+        else:
+            j = digit + step
+        chosen = free[at[:, 0], j]
+        if step:
+            positions += [free[:, 0], chosen]
+            values += [chosen, free[:, 0]]
+        else:
+            values.append(chosen)
+        kept = np.arange(1 if step else 0, free.shape[1] - 1)
+        free = free[at, kept + (kept >= j[:, None])]
+    head = len(values)
+    values = np.column_stack(values) if head else np.empty((count, 0), np.intp)
+    positions = np.column_stack(positions) if step and head else np.arange(head)
+    return positions, values, free
 
 
 def _tail_blocks(step: int, colours: bytes, depth=None, reverse=False) -> Iterator[np.ndarray]:
@@ -244,39 +283,52 @@ def _tail_blocks(step: int, colours: bytes, depth=None, reverse=False) -> Iterat
     ``_ROWS`` rows): the rest of the stream on its free points, keyed by
     their colours (all 0 unless ``step`` is 2) and gathered as
     ``free[table]``.  A block stacks as many prefixes as fit in ``_ROWS``
-    rows.  With ``reverse`` the stream comes last to first.
+    rows.  The prefixes are built by :func:`_runs` from their numbers,
+    up to ``_ROWS`` of them at once.  With ``reverse`` the stream comes
+    last to first.
     """
     size, width = len(colours), 2 if step else 1
     if depth is None:
         depth = 0
         while _table_rows(step, size - width * depth) * (size - width * depth) > _TABLE_ENTRIES:
             depth += 1
-    tail, head = size - width * depth, width * depth
+    tail = size - width * depth
     rows = _table_rows(step, tail)
+    total, per = _table_rows(step, size) // rows, _ROWS // rows
     table = _table(step, colours[:tail]) if step < 2 else None  # all colours 0
-    prefixes = _prefixes(step, colours, tuple(range(size)), depth, reverse)
-    while chunk := tuple(islice(prefixes, _ROWS // rows)):
-        k, prefix = len(chunk), np.array(chunk, dtype=np.intp)
-        positions, values, free = prefix[:, :head], prefix[:, head : 2 * head], prefix[:, 2 * head :]
+    batch = per * max(1, _ROWS // per)
+    for first in range(0, total, batch):
+        count = min(batch, total - first)
+        start = total - 1 - first if reverse else first
+        positions, values, free = _runs(step, colours, depth, start, count, reverse)
         if step == 2:  # flipping every colour leaves the table as it is
             shades = np.frombuffer(colours, dtype=np.uint8)[free]
-            keys = (shades ^ shades[:, :1]).tobytes()
-            tables = np.array([_table(2, keys[i * tail : i * tail + tail]) for i in range(k)])
-            tails = free.reshape(-1).take(tables + tail * np.arange(k).reshape(k, 1, 1))
-        else:
-            tails = free.take(table, axis=1)
-        if reverse:
-            tails = tails[:, ::-1]
-        # the tail sits at the free points of a matching, after a permutation's prefix
-        base = np.empty((k, size), dtype=np.intp)
-        base[np.arange(k)[:, None], positions] = values
-        block = base[:, None].repeat(rows, axis=1)
-        if step:
-            cells = free[:, None] + size * np.arange(k * rows).reshape(k, rows, 1)
-            block.reshape(-1)[cells] = tails
-        else:
-            block[..., head:] = tails
-        yield block.reshape(k * rows, size)
+            codes, slots = np.unique((shades ^ shades[:, :1]) @ (1 << np.arange(tail)),
+                                     return_inverse=True)
+            stack = np.array([_table(2, bytes(code >> b & 1 for b in range(tail)))
+                              for code in codes.tolist()])
+        if step:  # the tail sits at the free points of a matching
+            base = np.empty((count, size), dtype=np.intp)
+            base[np.arange(count)[:, None], positions] = values
+        for lo in range(0, count, per):
+            here = free[lo : lo + per]
+            k = len(here)
+            if step == 2:
+                tables = stack[slots[lo : lo + per]]
+                tails = here.reshape(-1).take(tables + tail * np.arange(k)[:, None, None])
+            else:
+                tails = here.take(table, axis=1)
+            if reverse:
+                tails = tails[:, ::-1]
+            if step:
+                block = base[lo : lo + per, None].repeat(rows, axis=1)
+                cells = here[:, None] + size * np.arange(k * rows).reshape(k, rows, 1)
+                block.reshape(-1)[cells] = tails
+            else:  # after a permutation's prefix
+                block = np.empty((k, rows, size), dtype=np.intp)
+                block[..., : size - tail] = values[lo : lo + per, None]
+                block[..., size - tail :] = tails
+            yield block.reshape(k * rows, size)
 
 
 @_once_when_small
@@ -294,40 +346,53 @@ def _mirror_pair_blocks(n: int, rule: str) -> Iterator[np.ndarray]:
     Order: unsigned pairings in :func:`pairings` order, then twist
     tuples.  In index space +a sits at n+a−1 and −a at n−a, so the pair
     (i, j) becomes (n+i, n−1−j)(n−1−i, n+j) untwisted and (n+i, n+j)
-    (n−1−i, n−1−j) twisted.
+    (n−1−i, n−1−j) twisted: a twisted point's image is 2n−1 minus its
+    untwisted one.  Each image is therefore the untwisted one plus, at
+    the points whose pair is twisted, that difference: for ``"every"``
+    each point reads its bit in every twist tuple from a cached table of
+    the tuples by its pair's rank, for a whole chunk of rows at once.
     """
-    half = n // 2
+    if n < 0:
+        return
+    half, points = n // 2, np.arange(n)
     tuples = 2**half if rule == "every" else 1
-    parents = max(1, _ROWS // tuples)
-    shifts = np.arange(half - 1, -1, -1)
+    parents, width = max(1, _ROWS // tuples), min(tuples, _ROWS)
+    if rule == "every":  # row t of a parent reads the bit of a point's pair (rank r) at r + half·t
+        offsets = np.tile(np.repeat(half * np.arange(width), 2 * n), parents)
+        offsets = offsets.reshape(parents * width, 2 * n)
     for block in _pairing_blocks(n):
+        untwisted = np.concatenate(((n + block)[:, ::-1], n - 1 - block), axis=1)
+        flip = 2 * n - 1 - 2 * untwisted  # twisted minus untwisted
+        if rule != "every":
+            bit = (block - points) % 2 == (rule == "differ")
+            yield untwisted + flip * np.concatenate((bit[:, ::-1], bit), axis=1)
+            continue
+        # each point's pair, ranked by the pair's least point: its bit in a twist tuple
+        rank = np.cumsum(block > points, axis=1) - 1
+        rank = np.take_along_axis(rank, np.minimum(block, points), axis=1)
+        rank = np.concatenate((rank[:, ::-1], rank), axis=1)
         for lo in range(0, len(block), parents):
-            rows = block[lo : lo + parents]
-            i = np.nonzero(rows > np.arange(n))[1].reshape(len(rows), half)
-            j = np.take_along_axis(rows, i, axis=1)
-            if rule != "every":
-                yield _mirror(n, i, j, (j - i) % 2 == (rule == "differ"))
-                continue
+            hi = lo + parents
             for first in range(0, tuples, _ROWS):
-                t = np.arange(first, min(tuples, first + _ROWS))
-                bits = (t[:, None] >> shifts) & 1 == 1
-                yield _mirror(
-                    n,
-                    np.repeat(i, len(t), axis=0),
-                    np.repeat(j, len(t), axis=0),
-                    np.tile(bits, (len(rows), 1)),
-                )
+                index = rank[lo:hi].repeat(width, axis=0)
+                index += offsets[: len(index)]
+                rows = flip[lo:hi].repeat(width, axis=0)
+                rows *= _twist_bits(half, first).reshape(-1).take(index)
+                rows += untwisted[lo:hi].repeat(width, axis=0)
+                yield rows
 
 
-def _mirror(n: int, i: np.ndarray, j: np.ndarray, twisted: np.ndarray) -> np.ndarray:
-    """One image per row of the pairs (i, j) of [n] and their twist bits."""
-    out = np.empty((len(i), 2 * n), dtype=np.intp)
-    row = np.arange(len(i))[:, None]
-    out[row, n + i] = np.where(twisted, n + j, n - 1 - j)
-    out[row, n + j] = np.where(twisted, n + i, n - 1 - i)
-    out[row, n - 1 - i] = np.where(twisted, n - 1 - j, n + j)
-    out[row, n - 1 - j] = np.where(twisted, n - 1 - i, n + i)
-    return out
+@lru_cache(maxsize=8)
+def _twist_bits(half: int, first: int) -> np.ndarray:
+    """The twist tuples of ``half`` pairs numbered ``first`` on, ``_ROWS`` at most, one row each.
+
+    Tuple t twists pair c (pairs ranked by their least point) where bit
+    half−1−c of t is set, so the tuples run in lexicographic order.
+    """
+    t = np.arange(first, min(2**half, first + _ROWS))
+    bits = t[:, None] >> np.arange(half - 1, -1, -1) & 1 == 1
+    bits.flags.writeable = False
+    return bits
 
 
 @_once_when_small

@@ -4,6 +4,8 @@ Expected values are either hand-checked tiny cases or come from the
 naive dict-based oracles in ``oracles.py``.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from annular.perms import (
     _coloured_cycle_count,
     _cycle_count,
     _cycle_counts,
+    _key_counts,
     Pairing,
     Permutation,
     compose,
@@ -150,6 +153,25 @@ def test_compose_and_cycles_match_oracle_random(img_p, img_q):
     assert inverse(p).mapping() == oracles.ref_inverse(p.mapping())
 
 
+@st.composite
+def _ground_and_image(draw):
+    ground = draw(st.sampled_from([unsigned_ground, signed_ground]))(draw(st.integers(0, 6)))
+    return ground, draw(st.permutations(list(range(ground.size))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ground_and_image())
+def test_cycles_and_cycle_string_match_oracle_on_both_grounds(inputs):
+    ground, image = inputs
+    p = Permutation(ground, image)
+    want = tuple(oracles.ref_cycles(p.mapping()))
+    assert p.cycles() == want
+    assert p.cycle_string() == "".join(
+        "(" + ",".join(map(str, cyc)) + ")" for cyc in want if len(cyc) > 1
+    )
+    assert parse_cycles(p.cycle_string(), ground) == p
+
+
 # ------------------------------------------------------------------ restrict
 def test_restrict_invariant_subset():
     g = unsigned_ground(6)
@@ -281,3 +303,84 @@ def test_batched_cycle_counts_equal_the_per_image_kernels(inputs):
         assert bool(mixed[k]) == (want is None)
         if want is not None:
             assert (cycles[k], inside[k]) == want
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33])
+def test_batched_cycle_counts_at_the_round_count_edges(size):
+    # one cycle through every point needs all ⌈log₂ size⌉ doubling rounds;
+    # each row's walk x -> outer[row[x]] is a full cycle, or the identity
+    rng = np.random.default_rng(size)
+    shift = [(x + 1) % size for x in range(size)]
+    order = rng.permutation(size).tolist()
+    scrambled = [0] * size
+    for a, b in zip(order, order[1:] + order[:1]):
+        scrambled[a] = b
+    identity = list(range(size))
+    outer_rows = [
+        (identity, [shift, scrambled, identity]),
+        (shift, [identity]),  # the walk is outer itself
+        (scrambled, [identity, shift]),
+    ]
+    colours = [bytes(size), bytes([1]) * size, bytes(x % 2 for x in range(size))]
+    for outer, rows in outer_rows:
+        for block in (np.array(rows, dtype=np.intp).reshape(len(rows), size),
+                      np.empty((0, size), dtype=np.intp)):
+            images = [tuple(row) for row in block.tolist()]
+            got = _cycle_counts(outer, block)
+            assert got.tolist() == [_cycle_count(outer, row) for row in images]
+            for colour in colours:
+                cycles, inside, mixed = _cycle_counts(outer, block, colour)
+                for k, row in enumerate(images):
+                    want = _coloured_cycle_count(outer, row, colour)
+                    assert bool(mixed[k]) == (want is None)
+                    if want is not None:
+                        assert (cycles[k], inside[k]) == want
+    # the premise: the shift is one cycle through every point
+    assert _cycle_counts(identity, np.array([shift], dtype=np.intp)).tolist() == [min(size, 1)]
+
+
+@st.composite
+def _key_streams(draw):
+    width = draw(st.integers(1, 2))
+    sizes = draw(st.lists(st.integers(0, 6), max_size=6))
+    late = draw(st.lists(st.integers(0, 40), min_size=width, max_size=width))
+    blocks = []
+    for b, rows in enumerate(sizes):
+        values = draw(st.lists(st.integers(0, 4), min_size=rows * width, max_size=rows * width))
+        block = np.array(values, dtype=np.intp).reshape(rows, width)
+        if b == len(sizes) - 1 and rows:  # a key first seen in the last block
+            block[-1] = late
+        blocks.append(block)
+    return blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_key_streams())
+def test_key_counts_equal_a_counter_of_row_tuples_in_first_row_order(blocks):
+    want = Counter(tuple(row) for block in blocks for row in block.tolist())
+    got = _key_counts(iter(blocks))
+    assert got == dict(want)
+    assert list(got) == list(want)  # Counter keeps first-insertion order
+
+
+def test_key_counts_edge_streams():
+    assert _key_counts(iter(())) == {}
+    assert _key_counts([np.empty((0, 2), dtype=np.intp)] * 3) == {}
+    one = np.array([[3, 0]], dtype=np.intp)
+    assert _key_counts([one]) == {(3, 0): 1}
+    blocks = [np.array([[1], [1]]), np.empty((0, 1), dtype=np.intp), np.array([[7], [1], [0]])]
+    assert list(_key_counts(blocks).items()) == [((1,), 3), ((7,), 1), ((0,), 1)]
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        (np.array([[0, 1], [2, -1]]), "non-negative"),
+        (np.array([1, 2, 3]), "2-D"),
+        (np.zeros((2, 2, 2), dtype=np.intp), "2-D"),
+        (np.zeros((3, 0), dtype=np.intp), "2-D"),
+    ],
+)
+def test_key_counts_refuse_bad_blocks_with_value_error(block, message):
+    with pytest.raises(ValueError, match=message):
+        _key_counts([np.array([[0, 0]]), block])

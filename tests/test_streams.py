@@ -29,6 +29,7 @@ from annular.streams import (
     _rows,
     _signed_symmetric_pairings_blocks,
     _signed_symmetric_permutations_blocks,
+    _tail_blocks,
     _white_to_black_pairing_blocks,
     pairings,
     pairings_of,
@@ -242,6 +243,27 @@ def test_one_block_streams_are_built_once_and_read_only():
     for build, args in several_blocks.items():
         assert isgenerator(build(*args))
         assert next(build(*args)) is not next(build(*args))
+
+
+@pytest.mark.parametrize("step, top", [(0, 7), (1, 12), (2, 12)])
+def test_reversed_tail_blocks_are_the_stream_last_to_first(step, top):
+    # the reversed stream (read by the signed symmetric permutations) is built
+    # from run numbers counted down, not by reversing a built stream
+    for size in range(0, top + 1, 2 if step else 1):
+        colours = bytes(i % 2 if step == 2 else 0 for i in range(size))
+        forward = _block_rows(_tail_blocks(step, colours))
+        assert _block_rows(_tail_blocks(step, colours, reverse=True)) == forward[::-1]
+
+
+def test_streams_past_2_to_the_63_runs_build_their_first_blocks():
+    # 37!!/7!! prefixes of [38] and 22!/5! of 22 points are run numbers past
+    # 2**63: the first blocks still come out, in order, both ways
+    got = _block_rows(islice(_tail_blocks(1, bytes(40)), 2))
+    assert got == list(islice(oracles.ref_pairing_images(40), len(got)))
+    got = _block_rows(islice(_tail_blocks(0, bytes(24)), 2))
+    assert got == list(islice(iter_permutations(range(24)), len(got)))
+    last = _block_rows(islice(_tail_blocks(1, bytes(40), reverse=True), 2))
+    assert last[0] == tuple(range(39, -1, -1)) and last == sorted(last, reverse=True)
 
 
 def test_twist_tuples_of_one_pairing_split_across_blocks():
