@@ -51,6 +51,14 @@ and :func:`gluing_counts` only tallies the grades; a row the per-image
 key would reject with an error is handed to it, so both raise its error.
 They and :func:`gluing_family` check the tag and n ≥ 1 first, in one
 helper, so a bad input raises ``ValueError`` before any stream starts.
+A :func:`gluing_groups` pass over a source that ends within one block is
+kept for the process, as the one-block streams of :mod:`annular.streams`
+are: :func:`gluing_family` and later calls read it, each from a new
+dict over the same immutable members.  A source of two or more blocks is
+read again on every call, a call with a cap or a budget neither reads
+nor fills what is kept, and a pass that raises keeps nothing.  The
+non-crossing side keeps its own passes, so the bijection checks between
+the two still compare independent results.
 The per-image key answers one-permutation questions: :func:`gluing_key`
 checks the stream's conditions on one permutation and applies it; the
 tests hold it to the batched kernel row by row, so a membership it
@@ -97,6 +105,7 @@ from .streams import (
     EnumerationBudget,
     _bipartite_pairing_blocks,
     _bipartite_signed_symmetric_pairing_blocks,
+    _ends_within_one,
     _pairings_of_blocks,
     _permutations_of_blocks,
     _signed_symmetric_pairings_blocks,
@@ -343,10 +352,16 @@ def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
     return (k, cycles // 2) if k >= 1 else None
 
 
-# The same keys, batched: each maps a block of images to the rows of its
-# members and their grade rows, in row order.  A row the per-image key would
-# reject with an error is handed to that key, so the error and its message
-# are the same.
+# The same keys, batched: each maps a block of images to its member rows, as
+# an index into the block (a row mask, or every row), and their grade rows, in
+# row order.  The b and b̂ kernels walk the whole block, since few of its rows
+# drop, so a pass that only tallies grades copies no rows; b̃ drops its many
+# untwisted rows first.  A member row the per-image key would reject with an
+# error is handed to that key, so the error and its message are the same.
+
+#: The index of every row of a block.
+_EVERY = slice(None)
+
 
 def _raise_at_first(key: Callable, block: np.ndarray, bad: np.ndarray) -> None:
     """Run the per-image ``key`` on the first ``bad`` row of ``block``, which raises."""
@@ -359,56 +374,63 @@ def _odd(values: np.ndarray) -> np.ndarray:
     return values % 2 == 1
 
 
-def _a_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _twisted(block: np.ndarray) -> np.ndarray:
+    """Per row on ±[n]: some positive label maps to a positive one (:func:`_has_twist`)."""
+    n = block.shape[1] // 2
+    return (block[:, n:] >= n).any(axis=1)
+
+
+def _a_keys(block: np.ndarray) -> tuple[slice, np.ndarray]:
     size = block.shape[1]
     twice_genus = size // 2 + 1 - _cycle_counts(gamma_walk(full_cycle(size))[0], block)
     _raise_at_first(_a_key, block, (twice_genus < 0) | _odd(twice_genus))
-    return block, (twice_genus // 2)[:, None]
+    return _EVERY, (twice_genus // 2)[:, None]
 
 
 def _b_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1] // 2
-    block = block[(block[:, n:] >= n).any(axis=1)]  # twisted
+    twisted = _twisted(block)
     twice_k = n + 2 - _cycle_counts(tau2(n).image, block)
-    _raise_at_first(_b_key, block, (twice_k < 0) | _odd(twice_k))
-    return block, (twice_k // 2)[:, None]
+    _raise_at_first(_b_key, block, twisted & ((twice_k < 0) | _odd(twice_k)))
+    return twisted, (twice_k[twisted] // 2)[:, None]
 
 
-def _a_tilde_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _a_tilde_keys(block: np.ndarray) -> tuple[slice, np.ndarray]:
     size = block.shape[1]
     walk = gamma_walk(full_cycle(size))[0]
     faces, p, mixed = _cycle_counts(walk, block, odd_mask(size))
     twice_genus = size // 2 + 1 - faces
     _raise_at_first(_a_tilde_key, block, mixed | (twice_genus < 0) | _odd(twice_genus))
-    return block, np.column_stack((twice_genus // 2, p))
+    return _EVERY, np.column_stack((twice_genus // 2, p))
 
 
 def _b_tilde_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1] // 2
-    block = block[(block[:, n:] >= n).any(axis=1)]  # twisted
+    twisted = _twisted(block)
+    block = block[twisted]  # (n/2)! of (n − 1)!! rows are untwisted, 23 % on ±[8]: skip their walk
     boundary, black_cycles, mixed = _cycle_counts(tau2(n).image, block, black_mask(n)[1])
     white_cycles = boundary - black_cycles  # B and W split ±[n]
     twice_k = n + 2 - boundary
     bad = mixed | _odd(white_cycles) | (twice_k < 0) | _odd(twice_k)
     _raise_at_first(_b_tilde_key, block, bad)
-    return block, np.column_stack((twice_k // 2, white_cycles // 2))
+    return twisted, np.column_stack((twice_k // 2, white_cycles // 2))
 
 
-def _a_hat_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _a_hat_keys(block: np.ndarray) -> tuple[slice, np.ndarray]:
     n = block.shape[1]
     p = _cycle_counts(range(n), block)
     faces = _cycle_counts(gamma_walk(full_cycle(n))[0], block)
-    return block, np.column_stack(((n - p + 1 - faces) // 2, p))
+    return _EVERY, np.column_stack(((n - p + 1 - faces) // 2, p))
 
 
 def _b_hat_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1] // 2
-    block = block[(block[:, n:] < n).any(axis=1)]  # hypermap twist
     cycles = _cycle_counts(range(2 * n), block)
     boundary = _cycle_counts(annulus_cycle(n).image, block)
     k = n - cycles // 2 + 1 - boundary // 2
-    member = ~_odd(cycles) & ~_odd(boundary) & (k >= 1)
-    return block[member], np.column_stack((k, cycles // 2))[member]
+    hat_twist = (block[:, n:] < n).any(axis=1)
+    member = hat_twist & ~_odd(cycles) & ~_odd(boundary) & (k >= 1)
+    return member, np.column_stack((k, cycles // 2))[member]
 
 
 @dataclass(frozen=True)
@@ -421,8 +443,10 @@ class Gluing:
     when ``pairs``, δ-symmetric when ``signed``, bipartite when
     ``doubled``.  ``key`` maps one image to its grades, named by
     ``grades`` (None: in no family of the tag); it answers one-permutation
-    questions.  ``keys`` maps a block to its member rows and their grade
-    rows, in row order (b, b̃ and b̂ drop rows); every stream pass reads it.
+    questions.  ``keys`` maps a block to its member rows, as an index into
+    the block (a row mask for b, b̃ and b̂, which drop rows; every row
+    for the others), and their grade rows, in row order; every stream pass
+    reads it.
     """
 
     source: Callable[..., Iterator[np.ndarray]]
@@ -487,6 +511,12 @@ def _entry(tag: str, n: int) -> Gluing:
     return entry
 
 
+#: (tag, n) -> the :func:`gluing_groups` pass of a source that ends within
+#: one block, kept for the process.  Its members are immutable, and the
+#: one-block rule bounds it as it bounds the block caches of the streams.
+_GROUPS: dict[tuple[str, int], dict[tuple[int, ...], tuple[Permutation, ...]]] = {}
+
+
 def gluing_groups(
     tag: str,
     n: int,
@@ -498,17 +528,30 @@ def gluing_groups(
 
     One pass over the source blocks through the batched key kernel, as in
     :func:`gluing_counts`; members are Pairings if the family holds
-    pairings.
+    pairings.  A pass over a source that ends within one block, with no
+    ``cap`` or ``budget``, is kept for the process: later such calls
+    return a new dict over the same members.  A call with a cap or a
+    budget neither reads nor fills what is kept.
     """
     entry = _entry(tag, n)
+    unbounded = cap is None and budget is None
+    if unbounded and (tag, n) in _GROUPS:
+        return dict(_GROUPS[tag, n])
+    blocks, small = entry.source(n, cap, budget), False
+    if unbounded:
+        blocks, small = _ends_within_one(blocks)
     size = 2 * n if entry.doubled else n
     ground = signed_ground(size) if entry.signed else unsigned_ground(size)
     member = partial(Pairing._make if entry.pairs else Permutation._make, ground)
     groups: dict[tuple[int, ...], list[Permutation]] = {}
-    for rows, keys in map(entry.keys, entry.source(n, cap, budget)):
-        for img, key in zip(map(tuple, rows.tolist()), zip(*keys.T.tolist())):
+    for block in blocks:
+        kept, keys = entry.keys(block)
+        for img, key in zip(map(tuple, block[kept].tolist()), zip(*keys.T.tolist())):
             groups.setdefault(key, []).append(member(img))
-    return {key: tuple(members) for key, members in groups.items()}
+    result = {key: tuple(members) for key, members in groups.items()}
+    if small:
+        _GROUPS[tag, n] = result
+    return dict(result)
 
 
 def gluing_counts(
@@ -525,7 +568,7 @@ def gluing_counts(
     :func:`gluing_groups`.
     """
     entry = _entry(tag, n)
-    return _key_counts(keys for _, keys in map(entry.keys, entry.source(n, cap, budget)))
+    return _key_counts(entry.keys(block)[1] for block in entry.source(n, cap, budget))
 
 
 def gluing_family(

@@ -66,9 +66,15 @@ test below all read that entry.  A member passes one test: the source
 conditions, the grade its kernel reads, and the non-crossing condition.
 :func:`member_witnesses` applies the test to any permutation.
 :func:`nc_groups` runs the source blocks through its batched form once
-for every grade; :func:`family_nc` is the same pass at one grade, which
-drops the rows of another grade before building a frame.  Only the
-kept images become members.
+for every grade.  A pass over a source that ends within one block, with
+no budget, is kept for the process, as the one-block streams of
+:mod:`annular.streams` are: :func:`family_nc` reads its grade from that
+pass, and later calls return the same immutable families.  Over a source
+of two or more blocks, read again on every call, :func:`family_nc` runs
+the pass at one grade, which drops the rows of another grade before
+building a frame.  A budget neither reads nor fills what is kept, and a
+pass that raises keeps nothing.  Only the images that pass the test
+become members.
 
 The test reads only index images, and has two forms.  The batched form
 decides a block at a time: #(π) is counted once per block with
@@ -77,9 +83,10 @@ kernels read it or call the kernel with the colour mask, the count
 #(π) + #(γ⁻¹π) + #(γ) = size + 2 takes one more call, and the join
 reads which γ-cycle each index lies on, since every frame of the scan
 has one or two cycles.  A union tag reads, for each u, one v per row
-from the anchor column, masks the head condition, and tests the rows
-naming one (u, v) against that frame
-together.  The per-image form (the per-image grade kernels, the count
+from the anchor column and masks the head condition; it then composes
+every open (row, u, v) candidate of the block with the γ⁻¹ walk of its
+frame and counts the cycles of all the products in one kernel call.
+The per-image form (the per-image grade kernels, the count
 through :func:`annular.perms._cycle_count` and the join by union-find)
 answers one-permutation questions: :func:`member_witnesses`,
 :func:`is_noncrossing` and :func:`euler_defect`.  Both read the frames,
@@ -123,6 +130,7 @@ from .perms import (
 from .streams import (
     EnumerationBudget,
     _bipartite_pairing_blocks,
+    _ends_within_one,
     _images,
     _white_to_black_pairing_blocks,
     pairings,
@@ -516,10 +524,15 @@ def _union_witness_rows(
 ) -> dict[int, list[tuple[int, int]]]:
     """Row of ``block`` -> the cuts (u, v) whose frame admits it, in (u, v) order.
 
-    :func:`_union_witnesses` over a block: for each u the anchor column
-    names v per row, the head condition is a mask (Klein: a running
-    "some a < u has a negative anchor"), and the rows naming one v are
-    tested against that frame together.  Rows no frame admits are absent.
+    :func:`_union_witnesses` over a block.  For each u the anchor column
+    names v per row and the head condition is a mask (Klein: a running
+    "some a < u has a negative anchor"); the rows passing both are the
+    open (row, u, v) candidates, u by u.  Each candidate's row is then
+    composed with the γ⁻¹ walk of its frame, gathered from the distinct
+    frames the candidates name, and one kernel call counts the cycles of
+    every product: the count of :func:`_frame_test`, with its two-cycle
+    join read from the frames' stacked sides.  Rows no frame admits are
+    absent.
     """
     rows, size = block.shape
     klein = entry.cut == "klein"
@@ -529,7 +542,7 @@ def _union_witness_rows(
         anchor[np.arange(rows)[:, None], block] = np.arange(size)
     top = n if klein else n - 1
     first = n if klein else 0
-    found: dict[int, list[tuple[int, int]]] = {}
+    candidates, cuts = [], []  # per u: the open rows, and u·(top + 1) + v on each
     negative = np.zeros(rows, dtype=bool)
     for u in range(1, top + 1):
         j = anchor[:, first + u - 1]
@@ -541,25 +554,40 @@ def _union_witness_rows(
         else:
             head = anchor[:, :u - 1] + 1
             open_ &= ~((u <= head) & (head <= v[:, None])).any(axis=1)
-        for cut in np.flatnonzero(np.bincount(v[open_], minlength=top + 1)).tolist():
-            at = np.flatnonzero(open_ & (v == cut))
-            gamma = (klein_frame if klein else torus_frame)(n, u, cut).gamma
-            for i in at[_frame_test(block[at], cycles[at], gamma)].tolist():
-                found.setdefault(i, []).append((u, cut))
+        candidates.append(np.flatnonzero(open_))
+        cuts.append(u * (top + 1) + v[open_])
+    at = np.concatenate(candidates) if candidates else np.empty(0, np.intp)
+    if not at.size:  # no cut is open, as on [1], [2] and ±[1]
+        return {}
+    distinct, which = np.unique(np.concatenate(cuts), return_inverse=True)
+    frame = klein_frame if klein else torus_frame
+    gammas = [frame(n, *divmod(cut, top + 1)).gamma for cut in distinct.tolist()]
+    walks = np.array([gamma_walk(gamma)[0] for gamma in gammas])
+    gamma_cycles = np.array([gamma_walk(gamma)[1] for gamma in gammas])
+    if (most := int(gamma_cycles.max())) > 2:
+        raise ValueError(f"the batched join reads frames of one or two cycles, not {most}")
+    images = block[at]
+    products = np.take_along_axis(walks[which], images, axis=1)
+    fits = cycles[at] + _cycle_counts(range(size), products) + gamma_cycles[which] == size + 2
+    two = fits & (gamma_cycles[which] == 2)
+    sides = np.array([_sides(gamma) for gamma in gammas])[which[two]]
+    fits[two] = (np.take_along_axis(sides, images[two], axis=1) != sides).any(axis=1)
+    found: dict[int, list[tuple[int, int]]] = {}
+    for i, cut in zip(at[fits].tolist(), distinct[which[fits]].tolist()):
+        found.setdefault(i, []).append(divmod(cut, top + 1))
     return found
 
 
 def _scan(
-    tag: str, n: int, p: int | None, budget: EnumerationBudget | None
+    tag: str, n: int, p: int | None, blocks: Iterator[np.ndarray]
 ) -> dict[int | None, dict[tuple[int, ...], tuple]]:
-    """Grade -> {member image: witnesses} of ``tag`` at size n, from one pass.
+    """Grade -> {member image: witnesses} of ``tag`` at size n, from one pass over ``blocks``.
 
-    The source is read and tested a block at a time.  With ``p`` set,
-    only grade p is kept, and a row of another grade drops before any
-    frame is built.  An ungraded tag's key is None.
+    The blocks of the tag's source are tested one at a time.  With ``p``
+    set, only grade p is kept, and a row of another grade drops before
+    any frame is built.  An ungraded tag's key is None.
     """
     entry = NONCROSSING[tag]
-    blocks = entry.source(n, budget)  # checks its cap before the frame of size n is built
     gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
     found: dict[int | None, dict[tuple[int, ...], tuple]] = {}
     for block in blocks:
@@ -589,6 +617,36 @@ def _family(family_id: NCFamilyId, found: dict[tuple[int, ...], tuple]) -> NCFam
     return NCFamily(family_id, tuple(make(ground, img) for img in images), table)
 
 
+#: (tag, n) -> every grade's family, from a pass over a source that ends
+#: within one block, kept for the process.  The families are immutable, and
+#: the one-block rule bounds it as it bounds the block caches of the streams.
+_GROUPS: dict[tuple[str, int], dict[int | None, NCFamily]] = {}
+
+
+def _groups(
+    tag: str, n: int, p: int | None, budget: EnumerationBudget | None
+) -> dict[int | None, NCFamily]:
+    """Grade -> family of ``tag`` at size n, from one pass: every grade, or only p.
+
+    Without a budget, a source that ends within one block is read for
+    every grade, whatever ``p``, and the result is kept in
+    :data:`_GROUPS` for later calls.  A longer source, or any source
+    under a budget, is read again on each call, keeping only grade p when
+    p is set.
+    """
+    if budget is None and (tag, n) in _GROUPS:
+        return _GROUPS[tag, n]
+    blocks = NONCROSSING[tag].source(n, budget)  # checks its cap before any frame of size n
+    small = False
+    if budget is None:
+        blocks, small = _ends_within_one(blocks)
+    found = _scan(tag, n, None if small else p, blocks)
+    groups = {q: _family(NCFamilyId(tag, n, q), found[q]) for q in sorted(found)}
+    if small:
+        _GROUPS[tag, n] = groups
+    return groups
+
+
 def nc_groups(
     tag: str, n: int, *, budget: EnumerationBudget | None = None
 ) -> dict[int | None, NCFamily]:
@@ -596,12 +654,13 @@ def nc_groups(
 
     One pass over the tag's source stream; each family equals the one
     :func:`family_nc` builds.  An ungraded tag's one key is None.  A
-    budget counts the source elements.
+    budget counts the source elements.  Without one, the pass over a
+    source that ends within one block is kept for the process, and later
+    calls return a new dict over the same families.
     """
     entry = NONCROSSING.get(tag)  # NCFamilyId checks the tag and n before the stream
     NCFamilyId(tag, n, 1 if entry and entry.grade else None)
-    found = _scan(tag, n, None, budget)
-    return {p: _family(NCFamilyId(tag, n, p), found[p]) for p in sorted(found)}
+    return dict(_groups(tag, n, None, budget))
 
 
 def family_nc(
@@ -614,8 +673,10 @@ def family_nc(
     Members are the elements of the tag's source stream that pass the
     membership test of :func:`member_witnesses`, returned in a canonical
     sorted order; union families also carry their (u, v) witnesses.  A
-    budget counts the source elements.  This is the pass of
-    :func:`nc_groups` at one grade.
+    budget counts the source elements.  This is the family of grade p
+    in :func:`nc_groups`, read from its kept pass over a source that
+    ends within one block.
     """
-    found = _scan(family_id.tag, family_id.n, family_id.p, budget)
-    return _family(family_id, found.get(family_id.p, {}))
+    groups = _groups(family_id.tag, family_id.n, family_id.p, budget)
+    family = groups.get(family_id.p)
+    return _family(family_id, {}) if family is None else family

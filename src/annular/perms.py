@@ -179,6 +179,12 @@ def _labels(ground: GroundSet) -> tuple[int, ...]:
     return ground.labels()
 
 
+@lru_cache(maxsize=16)
+def _label_strings(ground: GroundSet) -> tuple[str, ...]:
+    """The labels of ``ground`` as decimal strings, in index order, as :func:`_labels` keeps them."""
+    return tuple(map(str, _labels(ground)))
+
+
 # ---------------------------------------------------------------------------
 # raw image-tuple helpers (index space)
 #
@@ -390,17 +396,17 @@ class Permutation:
     def __init__(self, domain: GroundSet, image: Sequence[int]):
         image = tuple(image)
         _validate_image(image, domain.size)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "_hash", None)
+        _set_domain(self, domain)
+        _set_image(self, image)
+        _set_hash(self, None)
 
     @classmethod
     def _make(cls, domain: GroundSet, image: tuple[int, ...]) -> "Permutation":
         """Trusted constructor: skips validation (image must be a bijection)."""
         self = object.__new__(cls)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "_hash", None)
+        _set_domain(self, domain)
+        _set_image(self, image)
+        _set_hash(self, None)
         return self
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
@@ -474,9 +480,9 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Canonical cycle notation; fixed points omitted; identity = ''."""
-        labels = _labels(self.domain)
+        strings = _label_strings(self.domain)
         return "".join(
-            "(" + ",".join(map(str, map(labels.__getitem__, cyc))) + ")"
+            "(" + ",".join(map(strings.__getitem__, cyc)) + ")"
             for cyc in _cycles_of_image(self.image)
             if len(cyc) > 1
         )
@@ -496,7 +502,7 @@ class Permutation:
         h = self._hash
         if h is None:
             h = hash((self.domain, self.image))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -506,6 +512,14 @@ class Permutation:
     def sort_key(self) -> tuple[int, ...]:
         """Deterministic total order for permutations on one ground set."""
         return self.image
+
+
+# The slots are written through their descriptors, which skip the
+# immutability guard of ``__setattr__`` at half the cost of
+# ``object.__setattr__``.
+_set_domain = Permutation.domain.__set__
+_set_image = Permutation.image.__set__
+_set_hash = Permutation._hash.__set__
 
 
 class Pairing(Permutation):

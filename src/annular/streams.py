@@ -144,6 +144,12 @@ def _images(elements: Iterable[Permutation], size: int) -> Iterator[np.ndarray]:
         yield block
 
 
+def _ends_within_one(blocks: Iterator[np.ndarray]) -> tuple[Iterator[np.ndarray], bool]:
+    """The same ``blocks``, and whether they end within one block: up to two are read first."""
+    head = tuple(islice(blocks, 2))
+    return chain(head, blocks), len(head) < 2
+
+
 def _rows(blocks: Iterable[np.ndarray]) -> Iterator[tuple[int, ...]]:
     """The rows of ``blocks`` as image tuples, one block at a time."""
     return chain.from_iterable(map(tuple, block.tolist()) for block in blocks)

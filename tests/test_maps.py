@@ -76,7 +76,7 @@ from oracles import (
     ref_narayana,
 )
 from test_golden import GLUING_SIZES
-from test_streams import block_boundary_budgets
+from test_streams import block_boundary_budgets, one_block_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -580,3 +580,80 @@ def test_gluing_counts_budget_contract_at_block_boundaries(tag, n, blocks):
         assert (info.value.requested, info.value.cap) == (k + 1, k)
     full = gluing_counts(tag, n, cap=cap, budget=EnumerationBudget(length))
     assert full == gluing_counts(tag, n, cap=cap)
+
+
+# ---------------------------------------------------------------------------
+# one-block passes kept per process
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tag", GLUINGS)
+def test_a_kept_gluing_pass_equals_a_fresh_one(tag):
+    # at every size whose source ends within one block, the second call is
+    # served from the kept pass and equals a pass with nothing kept: the
+    # same grades in the same order, the same members in stream order
+    sizes = one_block_sizes(lambda n: GLUINGS[tag].source(n, None, None))
+    assert sizes
+    for n in sizes:
+        gluing_groups(tag, n)
+        assert (tag, n) in annular.maps._GROUPS
+        kept = gluing_groups(tag, n)
+        annular.maps._GROUPS.clear()
+        fresh = gluing_groups(tag, n)
+        assert list(kept.items()) == list(fresh.items())
+        assert all(type(pi) is type(fresh_pi)
+                   for key in fresh for pi, fresh_pi in zip(kept[key], fresh[key]))
+
+
+def test_a_kept_gluing_pass_is_not_changed_through_a_returned_dict():
+    want = gluing_groups("a", 6)
+    got = gluing_groups("a", 6)
+    got.clear()
+    got[(7,)] = ()
+    assert gluing_groups("a", 6) == want
+    assert family_a(6, 1) == want[(1,)]
+
+
+def test_a_budget_or_a_cap_bypasses_the_kept_gluing_pass():
+    # the pass at ±[4] is kept; a budget still counts its rows and raises on
+    # every repeat, and a cap is checked before anything kept is read
+    assert gluing_groups("b", 4)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match=r"element budget \(3\)"):
+            gluing_groups("b", 4, budget=EnumerationBudget(3))
+        with pytest.raises(CapExceeded, match="above the cap 7"):
+            gluing_groups("b", 4, cap=7)
+        with pytest.raises(CapExceeded, match=r"element budget \(3\)"):
+            family_b(4, 1, budget=EnumerationBudget(3))
+    annular.maps._GROUPS.clear()
+    gluing_groups("b", 4, budget=EnumerationBudget(12))
+    gluing_groups("b", 4, cap=8)
+    assert not annular.maps._GROUPS
+
+
+@pytest.mark.parametrize("n, kept", [(4, True), (8, False)])
+def test_a_gluing_source_of_two_blocks_is_read_on_every_call(monkeypatch, n, kept):
+    # ±[4] holds 12 gluings, one block: read once; ±[8] holds 1680: read each time
+    calls = []
+    original = annular.maps._signed_symmetric_pairings_blocks
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(annular.maps, "_signed_symmetric_pairings_blocks", counted)
+    first = gluing_groups("b", n)
+    assert gluing_groups("b", n) == first
+    assert len(calls) == (1 if kept else 2)
+    assert (("b", n) in annular.maps._GROUPS) == kept
+
+
+def test_a_failed_gluing_pass_is_not_kept(monkeypatch):
+    def broken(size, cap, budget):
+        yield next(_pairing_blocks(size))
+        raise RuntimeError("source failed")
+
+    monkeypatch.setattr(annular.maps, "_bipartite_pairing_blocks", broken)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="source failed"):
+            gluing_groups("a-tilde", 2)
+    assert not annular.maps._GROUPS

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from annular import noncrossing
 from annular.frames import annulus_cycle, full_cycle, klein_frame, torus_frame
 from annular.maps import (
     family_a,
@@ -17,6 +18,7 @@ from annular.noncrossing import (
     NCFamilyId,
     _block_cycles,
     _frame_test,
+    _union_witness_rows,
     euler_defect,
     family_nc,
     is_delta_symmetric,
@@ -62,6 +64,7 @@ from oracles import (
     ref_signed_symmetric_permutations,
     ref_union_witnesses,
 )
+from test_streams import one_block_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +314,121 @@ def test_budget_cuts_at_the_block_seams(tag, n):
     groups, budgeted = nc_groups(tag, n), nc_groups(tag, n, budget=budget)
     assert groups.keys() == budgeted.keys()
     assert all(contents(budgeted[p]) == contents(family) for p, family in groups.items())
+
+
+def _contents(family):
+    return family.family_id, family.members, family.witness_table
+
+
+@pytest.mark.parametrize("tag", GROUPED_SIZES)
+def test_a_kept_noncrossing_pass_equals_a_fresh_one(tag):
+    # at every size whose source ends within one block, a repeat of
+    # nc_groups or family_nc is served from the kept pass and equals a pass
+    # with nothing kept: members, their order and witness tables
+    entry = NONCROSSING[tag]
+    sizes = [n for n in one_block_sizes(lambda n: entry.source(n, None))
+             if not (entry.even_n and n % 2)]
+    assert sizes
+    for n in sizes:
+        grades = [None] if entry.grade is None else range(1, n + 2)
+        first = {p: _contents(family_nc(NCFamilyId(tag, n, p))) for p in grades}
+        assert (tag, n) in noncrossing._GROUPS
+        kept = {p: _contents(family) for p, family in nc_groups(tag, n).items()}
+        noncrossing._GROUPS.clear()
+        fresh = {p: _contents(family) for p, family in nc_groups(tag, n).items()}
+        assert list(kept.items()) == list(fresh.items())
+        for p in grades:
+            empty = (NCFamilyId(tag, n, p), (), () if entry.cut else None)
+            assert first[p] == fresh.get(p, empty)
+            assert _contents(family_nc(NCFamilyId(tag, n, p))) == first[p]
+
+
+def test_a_kept_noncrossing_pass_is_not_changed_through_a_returned_dict():
+    want = nc_groups("NCdelta_p", 3)
+    got = nc_groups("NCdelta_p", 3)
+    assert got == want and got is not want
+    got.clear()
+    assert nc_groups("NCdelta_p", 3) == want
+    assert family_nc(NCFamilyId("NCdelta_p", 3, 1)) is want[1]
+
+
+def test_a_budget_bypasses_the_kept_noncrossing_pass():
+    # NC2K on ±[4]: 12 rows, one block, kept; a budget still counts them
+    # and raises on every repeat
+    assert nc_groups("NC2K", 4)
+    for _ in range(2):
+        with pytest.raises(CapExceeded, match=r"element budget \(11\)"):
+            nc_groups("NC2K", 4, budget=EnumerationBudget(11))
+        with pytest.raises(CapExceeded, match=r"element budget \(11\)"):
+            family_nc(NCFamilyId("NC2K", 4), budget=EnumerationBudget(11))
+    noncrossing._GROUPS.clear()
+    family_nc(NCFamilyId("NC2K", 4), budget=EnumerationBudget(12))
+    assert not noncrossing._GROUPS
+
+
+@pytest.mark.parametrize("n, kept", [(8, True), (10, False)])
+def test_a_noncrossing_source_of_two_blocks_is_read_on_every_call(monkeypatch, n, kept):
+    # NC2 on [8] reads 105 pairings, one block: read once for every grade
+    # asked; on [10], 945 pairings: read on each call
+    calls = []
+    original = noncrossing.pairings
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(noncrossing, "pairings", counted)
+    first = family_nc(NCFamilyId("NC2", n))
+    assert family_nc(NCFamilyId("NC2", n)).members == first.members
+    assert nc_groups("NC2", n)[None].members == first.members
+    assert len(calls) == (1 if kept else 3)
+    assert (("NC2", n) in noncrossing._GROUPS) == kept
+
+
+def test_a_long_source_keeps_the_early_grade_filter():
+    # NCT_p on [7]: 5040 permutations, ten blocks; one grade is read from a
+    # pass that keeps only that grade, and equals the grouped pass's
+    assert not noncrossing._GROUPS
+    family = family_nc(NCFamilyId("NCT_p", 7, 3))
+    assert not noncrossing._GROUPS
+    grouped = nc_groups("NCT_p", 7)[3]
+    assert _contents(family) == _contents(grouped)
+
+
+#: The union tags, whose members carry their (u, v) witnesses.
+UNION_TAGS = [tag for tag, entry in NONCROSSING.items() if entry.cut]
+
+
+@pytest.mark.parametrize("tag", UNION_TAGS)
+def test_batched_union_scan_equals_the_witness_oracle_on_every_row(tag):
+    # every row of the source, of any grade, against the dict oracle: the
+    # cuts whose frame admits it, in (u, v) order, and no entry when none
+    # does; no frame admits a row at n = 1 or 2 (where [1], [2] and ±[1]
+    # open no cut at all), and the torus unions hold rows that several
+    # cuts admit
+    entry = NONCROSSING[tag]
+    kind = {"klein": entry.cut == "klein", "hypermap": entry.hypermap}
+    ground = signed_ground if entry.signed else unsigned_ground
+    several = 0
+    for n in GROUPED_SIZES[tag]:
+        for block in entry.source(n, None):
+            cycles = _block_cycles(block)
+            found = _union_witness_rows(entry, n, block, cycles)
+            for i, row in enumerate(block.tolist()):
+                want = ref_union_witnesses(Permutation(ground(n), row).mapping(), n, **kind)
+                assert found.get(i, []) == want
+                several += len(want) > 1
+            if n <= 2:
+                assert found == {}
+    assert several or entry.cut == "klein"
+
+
+def test_batched_union_scan_of_an_empty_block():
+    for tag in UNION_TAGS:
+        entry = NONCROSSING[tag]
+        size = 12 if entry.signed else 6
+        empty = np.empty((0, size), dtype=np.intp)
+        assert _union_witness_rows(entry, 6, empty, _block_cycles(empty)) == {}
 
 
 def test_batched_frame_test_reads_frames_of_one_or_two_cycles():

@@ -555,6 +555,19 @@ def block_boundary_budgets(blocks) -> tuple[int, list[int]]:
     return length, sorted({0, first - 1, first, first + 1, length - 1})
 
 
+def one_block_sizes(source) -> list[int]:
+    """The sizes n ≤ 11 at which ``source(n)`` ends within one block (under its cap)."""
+    sizes = []
+    for n in range(1, 12):
+        try:
+            blocks = source(n)
+        except CapExceeded:
+            continue
+        if len(list(islice(blocks, 2))) < 2:
+            sizes.append(n)
+    return sizes
+
+
 @pytest.mark.parametrize("name", BLOCK_BUDGET_STREAMS)
 def test_budget_overflow_contract_at_block_boundaries(name):
     stream, blocks, what = BLOCK_BUDGET_STREAMS[name]
