@@ -3,29 +3,31 @@
 Every moment contribution can be listed two ways: as a gluing of edge
 labels around one or two vertices (the families of
 :data:`annular.maps.GLUINGS`) or as a non-crossing annular object (the
-families of :data:`annular.noncrossing.NONCROSSING`).  This module holds
-the conversion maps and one table, :data:`BIJECTIONS`, naming each
-claimed bijection by its CLI tag as a row over those two tables: a
-gluing tag and its leading grade (g or k), a non-crossing tag, and the
-map between them.  Whether a claim is graded by a part count p, and
-whether it lives on ±[2n] / [2n], is read from the tables, not restated.
-:func:`verify` checks one entry exhaustively at one size and grade; the
-``verify_*`` names are one-line shorthands for it.  :func:`verify_grades`,
-:func:`verify_lemma3` and :func:`conjecture_table` read every grade p in
-:func:`grades` from one grouped pass per side
-(:func:`annular.maps.gluing_groups`, :func:`annular.noncrossing.nc_groups`).
+families of :data:`annular.noncrossing.NONCROSSING`).
+:data:`BIJECTIONS` names each claimed bijection by its CLI tag as a row
+over those two tables: a gluing tag and its leading grade (g or k), a
+non-crossing tag, and the map between them; whether a claim is graded by
+a part count p, and whether it lives on ±[2n] / [2n], is read from the
+tables.  :func:`verify` checks one entry exhaustively at one size and
+grade (the ``verify_*`` names are shorthands for it);
+:func:`verify_grades`, :func:`verify_lemma3` and
+:func:`conjecture_table` read every grade from one grouped pass per
+side.
 
-The two code paths share no family-construction logic: the gluing side
-selects from enumeration streams by cycle-count statistics, while the
-annular side passes each element of its source stream through the
-geometric non-crossing membership test of
-:func:`annular.noncrossing.member_witnesses`.  Agreement is therefore a
-genuine cross-check, and :func:`verify` reports any discrepancy (a
-non-injective image, an image outside the target family, or a target
-member never hit) rather than raising.  The one stream both sides read,
+Members stay rows until a report needs text: each side hands over its
+members as an array of index images, each map is an array operation on
+rows, the sides are compared as sets of row tuples, and only the capped
+witnesses and failures are printed.  The tests hold each row map to its
+public object form (:func:`phi1`, :func:`phi2`, the reductions of
+:mod:`annular.maps`).  The two sides share no family-construction logic
+(the gluing side selects rows by cycle-count statistics, the annular
+side by the geometric non-crossing test), so agreement is a genuine
+cross-check, and :func:`verify` reports any discrepancy (a non-injective
+image, an image outside the target family, or a target member never hit)
+rather than raising.  The one stream both sides read,
 :func:`annular.streams.signed_symmetric_permutations` (b̂ versus
 NCdelta_p / NCK_p), is checked element by element against a brute-force
-oracle in the test suite, so an element missing from it cannot hide.
+oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -33,18 +35,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable
 
+import numpy as np
+
 from .frames import tau0
-from .maps import (
-    GLUINGS,
-    gluing_counts,
-    gluing_family,
-    gluing_groups,
-    gluing_key,
-    hypermap_from_bipartite_nonorientable,
-    hypermap_from_bipartite_orientable,
-)
+from .maps import GLUINGS, _grade_rows, _gluing_rows, _white_walk, gluing_counts, gluing_key
 from .noncrossing import NONCROSSING, NCFamilyId, family_nc, nc_groups
-from .perms import Pairing, Permutation, compose, inverse
+from .perms import Pairing, Permutation, _cycle_text, compose, signed_ground, unsigned_ground
 from .streams import EnumerationBudget
 
 __all__ = [
@@ -166,57 +162,81 @@ def phi2(tau1: Pairing) -> Permutation:
     return _glue_with_negation(tau1)
 
 
+def _negate_rows(rows: np.ndarray) -> np.ndarray:
+    """τ₁ ↦ τ₁τ₀ on rows, one index image each: a column gather by τ₀."""
+    return rows.take(tau0(rows.shape[1] // 2).image, axis=1)
+
+
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """π ↦ π⁻¹ per row: a scatter."""
+    out = np.empty_like(rows)
+    out[np.arange(len(rows))[:, None], rows] = np.arange(rows.shape[1])
+    return out
+
+
+def _same_rows(rows: np.ndarray) -> np.ndarray:
+    return rows
+
+
+def _orientable_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`hypermap_from_bipartite_orientable` per row."""
+    return rows[:, 1::2] // 2
+
+
+def _nonorientable_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`hypermap_from_bipartite_nonorientable` per row: the walk table read at W(m)."""
+    white, walk = _white_walk(rows.shape[1] // 4)
+    return np.array(walk)[rows[:, white]]
+
+
 # ---------------------------------------------------------------------------
 # verification core
 # ---------------------------------------------------------------------------
 
-def _verify(name: str, n: int, domain, codomain, fn) -> BijectionReport:
-    """Exhaustively map ``domain`` through ``fn`` and compare against
-    ``codomain`` two-sidedly.  Discrepancies become report failures; a
-    report keeps at most :data:`WITNESS_CAP` witnesses and failures."""
-    domain = tuple(domain)
-    codomain_set = frozenset(codomain)
-    witnesses: list[tuple[str, str]] = []
+def _text(row: list[int], signed: bool) -> str:
+    """The cycle notation of one row on ±[size/2] (when ``signed``) or [size]."""
+    return _cycle_text(row, signed_ground(len(row) // 2) if signed else unsigned_ground(len(row)))
+
+
+def _verify(name: str, n: int, domain, codomain, fn, signed: bool) -> BijectionReport:
+    """Map the rows of ``domain`` through the row map ``fn`` and compare them
+    with the rows of ``codomain`` two-sidedly, on signed grounds when
+    ``signed``.  Discrepancies become failures; a report prints at most
+    :data:`WITNESS_CAP` witnesses and failures, and no other row."""
+    images = fn(domain).tolist()
+    domain = domain.tolist()
+    target = set(map(tuple, codomain.tolist()))
+    first: dict[tuple[int, ...], int] = {}  # image -> the first domain index hitting it
     failures: list[str] = []
-    hit: dict[Permutation, Permutation] = {}
-    injective = True
-    for t in domain:
-        image = fn(t)
-        if len(witnesses) < WITNESS_CAP:
-            witnesses.append((t.cycle_string(), image.cycle_string()))
-        previous = hit.get(image)
-        if previous is not None:
-            injective = False
+    for i, image in enumerate(map(tuple, images)):
+        j = first.setdefault(image, i)
+        if len(failures) >= WITNESS_CAP or (j == i and image in target):
+            continue
+        t, image_text = _text(domain[i], signed), _text(images[i], signed)
+        if j != i:
             failures.append(
-                f"not injective: {previous.cycle_string()} and "
-                f"{t.cycle_string()} share the image {image.cycle_string()}"
+                f"not injective: {_text(domain[j], signed)} and {t} share the image {image_text}"
             )
-        else:
-            hit[image] = t
-        if image not in codomain_set:
-            failures.append(
-                f"image {image.cycle_string()} of {t.cycle_string()} "
-                "lies outside the target family"
-            )
-    missed = sorted(codomain_set - set(hit), key=lambda p: p.sort_key())
-    for pi in missed:
-        failures.append(f"target member {pi.cycle_string()} is never hit")
-    surjective = not missed
-    failures = failures[:WITNESS_CAP]
+        if image not in target:
+            failures.append(f"image {image_text} of {t} lies outside the target family")
+    missed = sorted(target.difference(first))  # lexicographic rows: the members' sort key
+    failures += (f"target member {_text(pi, signed)} is never hit" for pi in missed[:WITNESS_CAP])
+    witnesses = [(_text(t, signed), _text(i, signed)) for t, i in zip(domain, images[:WITNESS_CAP])]
     return BijectionReport(
         name=name,
         n=n,
         domain_size=len(domain),
-        codomain_size=len(codomain_set),
-        injective=injective,
-        surjective=surjective,
+        codomain_size=len(target),
+        injective=len(first) == len(domain),
+        surjective=not missed,
         witnesses=tuple(witnesses),
-        failures=tuple(failures),
+        failures=tuple(failures[:WITNESS_CAP]),
     )
 
 
-def _identity(x: Permutation) -> Permutation:
-    return x
+def _no_rows(signed: bool, size: int) -> np.ndarray:
+    """An empty block of rows on ±[size] (when ``signed``) or [size]."""
+    return np.empty((0, 2 * size if signed else size), dtype=np.intp)
 
 
 def grades(n: int) -> range:
@@ -234,13 +254,13 @@ class Bijection:
 
     The domain is the gluing family ``GLUINGS[gluing]`` at leading grade
     ``first`` (g or k), the codomain the non-crossing family
-    ``NONCROSSING[nc]``, and ``map`` carries the one onto the other.
+    ``NONCROSSING[nc]``, and ``map`` carries the one's rows onto the other's.
     """
 
     gluing: str
     first: int
     nc: str
-    map: Callable[[Permutation], Permutation]
+    map: Callable[[np.ndarray], np.ndarray]
 
     @property
     def graded(self) -> bool:
@@ -255,21 +275,21 @@ class Bijection:
 #: CLI tag -> bijection, in CLI order.
 BIJECTIONS: dict[str, Bijection] = {
     # twisted Euler-genus-1 gluings of ±[n] -> mirror-symmetric annular pairings
-    "phi1": Bijection("b", 1, "NC2delta", _glue_with_negation),
+    "phi1": Bijection("b", 1, "NC2delta", _negate_rows),
     # twisted Euler-genus-2 gluings of ±[n] -> Klein-frame annular pairings
-    "phi2": Bijection("b", 2, "NC2K", _glue_with_negation),
+    "phi2": Bijection("b", 2, "NC2K", _negate_rows),
     # genus-1 gluings of [n] and torus-frame annular pairings: equal sets
-    "torus-eq": Bijection("a", 1, "NC2T", _identity),
+    "torus-eq": Bijection("a", 1, "NC2T", _same_rows),
     # graded bipartite variants: gluings of ±[2n] / [2n]
-    "phi1-tilde": Bijection("b-tilde", 1, "NC2delta_bip", _glue_with_negation),
-    "phi2-tilde": Bijection("b-tilde", 2, "NC2K_bip", _glue_with_negation),
-    "a-tilde-eq": Bijection("a-tilde", 1, "NC2T_bip", _identity),
+    "phi1-tilde": Bijection("b-tilde", 1, "NC2delta_bip", _negate_rows),
+    "phi2-tilde": Bijection("b-tilde", 2, "NC2K_bip", _negate_rows),
+    "a-tilde-eq": Bijection("a-tilde", 1, "NC2T_bip", _same_rows),
     # graded hypermap variants on ±[n] / [n]: on mirror-symmetric
     # permutations, conjugating by label negation equals inversion, so the
     # image is simply the inverse
-    "phi1-hat": Bijection("b-hat", 1, "NCdelta_p", inverse),
-    "phi2-hat": Bijection("b-hat", 2, "NCK_p", inverse),
-    "a-hat-eq": Bijection("a-hat", 1, "NCT_p", _identity),
+    "phi1-hat": Bijection("b-hat", 1, "NCdelta_p", _inverse_rows),
+    "phi2-hat": Bijection("b-hat", 2, "NCK_p", _inverse_rows),
+    "a-hat-eq": Bijection("a-hat", 1, "NCT_p", _same_rows),
 }
 
 
@@ -294,9 +314,9 @@ def verify(
         raise ValueError("n must be a positive even integer")
     name = f"{tag}(p={p})" if entry.graded else tag
     grade = (entry.first, p) if entry.graded else (entry.first,)
-    domain = gluing_family(entry.gluing, n, grade, budget=budget)
+    domain = _grade_rows(entry.gluing, n, grade, budget=budget)
     codomain = family_nc(NCFamilyId(entry.nc, entry.annular_n(n), p), budget=budget)
-    return _verify(name, n, domain, codomain, entry.map)
+    return _verify(name, n, domain, codomain.rows, entry.map, GLUINGS[entry.gluing].signed)
 
 
 def _driver(tag: str) -> Callable[..., BijectionReport]:
@@ -333,12 +353,14 @@ def verify_grades(
     entry = BIJECTIONS[tag]
     if not entry.graded:
         raise ValueError(f"bijection {tag!r} takes no grade p")
-    domains = gluing_groups(entry.gluing, n, budget=budget)
+    signed = GLUINGS[entry.gluing].signed
+    domains = _gluing_rows(entry.gluing, n, budget=budget)
     codomains = nc_groups(entry.nc, entry.annular_n(n), budget=budget)
+    none = _no_rows(signed, entry.annular_n(n))  # both sides' ground
     return tuple(
         _verify(
-            f"{tag}(p={p})", n,
-            domains.get((entry.first, p), ()), codomains.get(p, ()), entry.map,
+            f"{tag}(p={p})", n, domains.get((entry.first, p), none),
+            codomains[p].rows if p in codomains else none, entry.map, signed,
         )
         for p in grades(n)
     )
@@ -362,16 +384,17 @@ def verify_lemma3(
     side rejects n < 1 with ``ValueError`` before any stream starts.
     """
     reports: list[BijectionReport] = []
-    for bipartite, hypermap, reduction, side, grade in (
-        ("a-tilde", "a-hat", hypermap_from_bipartite_orientable, "orientable", "g"),
-        ("b-tilde", "b-hat", hypermap_from_bipartite_nonorientable, "nonorientable", "k"),
+    for bipartite, hypermap, reduction, side, grade, signed in (
+        ("a-tilde", "a-hat", _orientable_rows, "orientable", "g", False),
+        ("b-tilde", "b-hat", _nonorientable_rows, "nonorientable", "k", True),
     ):
-        domains = gluing_groups(bipartite, n, budget=budget)
-        codomains = gluing_groups(hypermap, n, budget=budget)
+        domains = _gluing_rows(bipartite, n, budget=budget)
+        codomains = _gluing_rows(hypermap, n, budget=budget)
         for key in sorted(domains.keys() | codomains.keys()):
             name = f"lemma3-{side}({grade}={key[0]},p={key[1]})"
-            domain, codomain = domains.get(key, ()), codomains.get(key, ())
-            reports.append(_verify(name, n, domain, codomain, reduction))
+            domain = domains.get(key, _no_rows(signed, 2 * n))
+            codomain = codomains.get(key, _no_rows(signed, n))
+            reports.append(_verify(name, n, domain, codomain, reduction, signed))
     return tuple(reports)
 
 

@@ -39,31 +39,21 @@ cached in :mod:`annular.frames`, the same ones the Wick sum and the
 non-crossing side read; this module imports neither of those routes.
 
 Each gluing family is one entry of :data:`GLUINGS`, keyed by its CLI
-tag: a source of numpy blocks of index images (``ã``/``b̃`` read the
-colour-class block functions ``_bipartite_pairing_blocks`` and
-``_bipartite_signed_symmetric_pairing_blocks`` of :mod:`annular.streams`,
-which build only these gluings instead of filtering all pairings), a
-ground, grade names, a key kernel mapping one image to its grades and
-its batched form mapping a block to its member rows and their grade rows.
-Every stream pass reads blocks through the batched kernel:
-:func:`gluing_groups` builds each grade's members from them in one pass,
-and :func:`gluing_counts` only tallies the grades; a row the per-image
-key would reject with an error is handed to it, so both raise its error.
-They and :func:`gluing_family` check the tag and n ≥ 1 first, in one
-helper, so a bad input raises ``ValueError`` before any stream starts.
-A :func:`gluing_groups` pass over a source that ends within one block is
-kept for the process, as the one-block streams of :mod:`annular.streams`
-are: :func:`gluing_family` and later calls read it, each from a new
-dict over the same immutable members.  A source of two or more blocks is
-read again on every call, a call with a cap or a budget neither reads
-nor fills what is kept, and a pass that raises keeps nothing.  The
-non-crossing side keeps its own passes, so the bijection checks between
-the two still compare independent results.
-The per-image key answers one-permutation questions: :func:`gluing_key`
-checks the stream's conditions on one permutation and applies it; the
-tests hold it to the batched kernel row by row, so a membership it
-reports is exactly a builder's.  The ``family_*`` names are one-line
-shorthands over the table.
+tag: a source of numpy blocks of index images (ã/b̃ read colour-class
+block functions that build only these gluings), a ground, grade names,
+a key kernel mapping one image to its grades, and its batched form
+mapping a block to its member rows and their grades; a row the
+per-image key would reject is handed to it, so both raise its error.
+:func:`gluing_counts` only tallies the grades.  The private row pass
+gives each grade's members as a read-only array of index images in
+stream order, and members stay rows until the public edge:
+:func:`gluing_groups` and :func:`gluing_family` (which builds only its
+grade) make objects from them.  All check the tag and n ≥ 1 before any
+stream starts.  A row pass over a source that ends within one block,
+with no cap or budget, is kept for the process; a longer source is read
+on every call, and a pass that raises keeps nothing.  :func:`gluing_key`
+applies the per-image key to one permutation; the tests hold it to the
+batched kernel row by row.  The ``family_*`` names are shorthands.
 """
 
 from __future__ import annotations
@@ -511,10 +501,52 @@ def _entry(tag: str, n: int) -> Gluing:
     return entry
 
 
-#: (tag, n) -> the :func:`gluing_groups` pass of a source that ends within
-#: one block, kept for the process.  Its members are immutable, and the
+def _ground(entry: Gluing, n: int) -> GroundSet:
+    """The ground of ``entry``'s members at size n: ±[size] or [size], size 2n when doubled."""
+    size = 2 * n if entry.doubled else n
+    return signed_ground(size) if entry.signed else unsigned_ground(size)
+
+
+def _members(entry: Gluing, n: int, rows: np.ndarray) -> tuple[Permutation, ...]:
+    """The members of ``rows``, in row order: Pairings if the family holds pairings."""
+    make = partial(Pairing._make if entry.pairs else Permutation._make, _ground(entry, n))
+    return tuple(map(make, map(tuple, rows.tolist())))
+
+
+#: (tag, n) -> the :func:`_gluing_rows` pass of a source that ends within
+#: one block, kept for the process.  Its rows are read-only, and the
 #: one-block rule bounds it as it bounds the block caches of the streams.
-_GROUPS: dict[tuple[str, int], dict[tuple[int, ...], tuple[Permutation, ...]]] = {}
+_GROUPS: dict[tuple[str, int], dict[tuple[int, ...], np.ndarray]] = {}
+
+
+def _gluing_rows(tag: str, n: int, cap=None, budget=None) -> dict[tuple[int, ...], np.ndarray]:
+    """Grade tuple -> the members of family ``tag`` at size n as a read-only
+    (m, size) intp array of index images, in stream order, from one pass
+    through the batched key kernel; grades appear by their first member.
+    A pass over a source of one block, with no cap or budget, is kept."""
+    entry = _entry(tag, n)
+    unbounded = cap is None and budget is None
+    if unbounded and (tag, n) in _GROUPS:
+        return _GROUPS[tag, n]
+    blocks, small = entry.source(n, cap, budget), False
+    if unbounded:
+        blocks, small = _ends_within_one(blocks)
+    rows = [np.empty((0, _ground(entry, n).size), np.intp)]
+    keys = [np.empty((0, len(entry.grades)), np.intp)]
+    for block in blocks:
+        kept, grades = entry.keys(block)
+        rows.append(block[kept])
+        keys.append(grades)
+    rows, keys = np.concatenate(rows), np.concatenate(keys)
+    codes = np.ravel_multi_index(tuple(keys.T), tuple(keys.max(axis=0, initial=0) + 1))
+    result = {}
+    for code in dict.fromkeys(codes.tolist()):  # grades in the order of their first member
+        grade = codes == code
+        result[tuple(keys[grade.argmax()].tolist())] = group = rows[grade]
+        group.flags.writeable = False
+    if small:
+        _GROUPS[tag, n] = result
+    return result
 
 
 def gluing_groups(
@@ -524,34 +556,10 @@ def gluing_groups(
     cap: int | None = None,
     budget: EnumerationBudget | None = None,
 ) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
-    """Grade tuple -> members of family ``tag`` at size n, in stream order.
-
-    One pass over the source blocks through the batched key kernel, as in
-    :func:`gluing_counts`; members are Pairings if the family holds
-    pairings.  A pass over a source that ends within one block, with no
-    ``cap`` or ``budget``, is kept for the process: later such calls
-    return a new dict over the same members.  A call with a cap or a
-    budget neither reads nor fills what is kept.
-    """
-    entry = _entry(tag, n)
-    unbounded = cap is None and budget is None
-    if unbounded and (tag, n) in _GROUPS:
-        return dict(_GROUPS[tag, n])
-    blocks, small = entry.source(n, cap, budget), False
-    if unbounded:
-        blocks, small = _ends_within_one(blocks)
-    size = 2 * n if entry.doubled else n
-    ground = signed_ground(size) if entry.signed else unsigned_ground(size)
-    member = partial(Pairing._make if entry.pairs else Permutation._make, ground)
-    groups: dict[tuple[int, ...], list[Permutation]] = {}
-    for block in blocks:
-        kept, keys = entry.keys(block)
-        for img, key in zip(map(tuple, block[kept].tolist()), zip(*keys.T.tolist())):
-            groups.setdefault(key, []).append(member(img))
-    result = {key: tuple(members) for key, members in groups.items()}
-    if small:
-        _GROUPS[tag, n] = result
-    return dict(result)
+    """Grade tuple -> members of family ``tag`` at size n, in stream order, from
+    one :func:`_gluing_rows` pass; Pairings if the family holds pairings."""
+    groups = _gluing_rows(tag, n, cap, budget).items()
+    return {key: _members(GLUINGS[tag], n, rows) for key, rows in groups}
 
 
 def gluing_counts(
@@ -571,20 +579,9 @@ def gluing_counts(
     return _key_counts(entry.keys(block)[1] for block in entry.source(n, cap, budget))
 
 
-def gluing_family(
-    tag: str,
-    n: int,
-    grade: tuple[int, ...],
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> tuple[Permutation, ...]:
-    """Members of family ``tag`` at size n and grades ``grade``, in stream order.
-
-    The group of ``grade`` in one :func:`gluing_groups` pass.  A family
-    graded by genus needs g ≥ 0, one graded by Euler genus k ≥ 1, and
-    one graded by p needs p ≥ 1.
-    """
+def _grade_rows(tag: str, n: int, grade: tuple[int, ...], cap=None, budget=None) -> np.ndarray:
+    """The rows of :func:`gluing_family`: grade ``grade`` of one :func:`_gluing_rows`
+    pass.  A genus needs g ≥ 0, an Euler genus k ≥ 1, and a grade p ≥ 1."""
     entry = _entry(tag, n)
     if entry.grades[0] == "genus" and grade[0] < 0:
         raise ValueError("genus g must be >= 0")
@@ -593,9 +590,24 @@ def gluing_family(
         raise ValueError(f"Euler genus k must be >= 1 for twisted {twisted}")
     if entry.grades[-1] == "p" and grade[-1] < 1:
         raise ValueError(f"family {tag} requires a grade p >= 1")
+    none = np.empty((0, _ground(entry, n).size), np.intp)
     if tag == "a" and n % 2:
-        return ()  # [n] has no pairing: empty before any cap check
-    return gluing_groups(tag, n, cap=cap, budget=budget).get(tuple(grade), ())
+        return none  # [n] has no pairing: empty before any cap check
+    return _gluing_rows(tag, n, cap, budget).get(tuple(grade), none)
+
+
+def gluing_family(
+    tag: str,
+    n: int,
+    grade: tuple[int, ...],
+    *,
+    cap: int | None = None,
+    budget: EnumerationBudget | None = None,
+) -> tuple[Permutation, ...]:
+    """Members of family ``tag`` at size n and grades ``grade``, in stream order:
+    the members of its :func:`_grade_rows`, built for this grade only."""
+    rows = _grade_rows(tag, n, grade, cap, budget)
+    return _members(GLUINGS[tag], n, rows)
 
 
 def gluing_key(tag: str, pi: Permutation) -> tuple[int, ...] | None:
@@ -687,10 +699,10 @@ def hypermap_from_bipartite_orientable(pi: Pairing) -> Permutation:
 @cache
 def _white_walk(m: int) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
     """The relabelling h: W(m) -> ±[m] on indices, as the index in ±[2m] of h⁻¹
-    of each index of ±[m], and h·τ₂ as an index table on ±[2m] (None off W(m))."""
+    of each index of ±[m], and h·τ₂ as an index table on ±[2m] (−1 off W(m))."""
     big, small = signed_ground(2 * m), signed_ground(m)
     h = {big.index(w): small.index((1 - w) // 2 if w % 2 else -w // 2) for w in white_labels(m)}
-    return tuple(sorted(h, key=h.get)), tuple(h.get(j) for j in tau2(2 * m).image)
+    return tuple(sorted(h, key=h.get)), tuple(h.get(j, -1) for j in tau2(2 * m).image)
 
 
 def hypermap_from_bipartite_nonorientable(tau1: Pairing) -> Permutation:

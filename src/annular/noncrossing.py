@@ -54,51 +54,36 @@ members and measure grades against the canonical disk/annulus frames,
 exactly as the displayed conditions state.
 
 Each family is defined once, as one entry of :data:`NONCROSSING`: its
-CLI tag, the blocks of index images that build it, its cut (none,
-torus or Klein) and anchor (π, or π⁻¹ for the hypermap unions), its
-grade kernels (per image and per block), and whether it needs an even n.  The bipartite tags read
-the colour-class block functions of :mod:`annular.streams`
-(``_bipartite_pairing_blocks``, ``_white_to_black_pairing_blocks``),
-which build only the pairings joining the two classes; the other tags
-stack the images of the public element streams back into blocks.
-:class:`NCFamilyId`, the CLI's ``enumerate`` and ``classify`` and the
-test below all read that entry.  A member passes one test: the source
-conditions, the grade its kernel reads, and the non-crossing condition.
-:func:`member_witnesses` applies the test to any permutation.
-:func:`nc_groups` runs the source blocks through its batched form once
-for every grade.  A pass over a source that ends within one block, with
-no budget, is kept for the process, as the one-block streams of
-:mod:`annular.streams` are: :func:`family_nc` reads its grade from that
-pass, and later calls return the same immutable families.  Over a source
-of two or more blocks, read again on every call, :func:`family_nc` runs
-the pass at one grade, which drops the rows of another grade before
-building a frame.  A budget neither reads nor fills what is kept, and a
-pass that raises keeps nothing.  Only the images that pass the test
-become members.
+CLI tag, the blocks of index images that build it (the bipartite tags
+read the colour-class block functions of :mod:`annular.streams`; the
+others stack the images of the public element streams back into
+blocks), its cut (none, torus or Klein) and anchor (π, or π⁻¹ for the
+hypermap unions), its grade kernels, and whether it needs an even n.
+A member passes one test: the source conditions, its grade and the
+non-crossing condition.  :func:`member_witnesses` and
+:func:`is_noncrossing` apply its per-image form to one permutation.
+The batched form decides a block at a time: #(π), the grades and the
+count #(π) + #(γ⁻¹π) + #(γ) = size + 2 each take one kernel call, and
+the join reads which γ-cycle each index lies on, since every frame of
+the scan has one or two cycles; a union tag finds every open
+(row, u, v) cut of a block from its anchor columns at once and counts
+all their products with the γ⁻¹ walks in one call.
 
-The test reads only index images, and has two forms.  The batched form
-decides a block at a time: #(π) is counted once per block with
-:func:`annular.perms._cycle_counts` (a pairing has size/2), the grade
-kernels read it or call the kernel with the colour mask, the count
-#(π) + #(γ⁻¹π) + #(γ) = size + 2 takes one more call, and the join
-reads which γ-cycle each index lies on, since every frame of the scan
-has one or two cycles.  A union tag reads, for each u, one v per row
-from the anchor column and masks the head condition; it then composes
-every open (row, u, v) candidate of the block with the γ⁻¹ walk of its
-frame and counts the cycles of all the products in one kernel call.
-The per-image form (the per-image grade kernels, the count
-through :func:`annular.perms._cycle_count` and the join by union-find)
-answers one-permutation questions: :func:`member_witnesses`,
-:func:`is_noncrossing` and :func:`euler_defect`.  Both read the frames,
-walks and colour masks of :mod:`annular.frames`; nothing here comes
-from the gluing side (:mod:`annular.maps`), so the bijection checks
-between the two remain a cross-check.
+:func:`nc_groups` runs a source through it once for every grade and
+keeps each grade's members as rows: an :class:`NCFamily` holds them as
+a sorted array of index images and builds member objects only on first
+use.  A pass over a source that ends within one block, with no budget,
+is kept for the process; over a longer source, :func:`family_nc` keeps
+one grade, dropping other rows before any frame is built.  A pass that
+raises keeps nothing.  Both forms read the frames, walks and colour
+masks of :mod:`annular.frames`; nothing here comes from the gluing side
+(:mod:`annular.maps`), so the bijection checks remain a cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -379,20 +364,29 @@ class NCFamilyId:
 class NCFamily:
     """A materialized non-crossing family, canonically ordered.
 
-    ``witness_table`` (union families only) aligns with ``members``:
-    entry i lists every (u, v) whose frame admitted ``members[i]``.
+    ``rows`` holds the members' index images, a read-only (m, size) intp
+    array in lexicographic order; ``members``, membership and ``member_set``
+    build objects from it on first use.  ``witness_table`` (union families
+    only): entry i lists every (u, v) whose frame admitted row i.
     """
 
     family_id: NCFamilyId
-    members: tuple[Permutation, ...]
+    rows: np.ndarray = field(repr=False)
     witness_table: tuple[tuple[tuple[int, int], ...], ...] | None = None
-    _index: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._index.update({pi: i for i, pi in enumerate(self.members)})
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.rows)
+
+    @cached_property
+    def members(self) -> tuple[Permutation, ...]:
+        entry = NONCROSSING[self.family_id.tag]
+        ground = (signed_ground if entry.signed else unsigned_ground)(self.family_id.n)
+        make = partial(Pairing._make if entry.pairs else Permutation._make, ground)
+        return tuple(map(make, map(tuple, self.rows.tolist())))
+
+    @cached_property
+    def _index(self) -> dict[Permutation, int]:
+        return {pi: i for i, pi in enumerate(self.members)}
 
     def __iter__(self):
         return iter(self.members)
@@ -400,7 +394,7 @@ class NCFamily:
     def __contains__(self, pi: object) -> bool:
         return pi in self._index
 
-    @property
+    @cached_property
     def member_set(self) -> frozenset:
         return frozenset(self.members)
 
@@ -524,15 +518,13 @@ def _union_witness_rows(
 ) -> dict[int, list[tuple[int, int]]]:
     """Row of ``block`` -> the cuts (u, v) whose frame admits it, in (u, v) order.
 
-    :func:`_union_witnesses` over a block.  For each u the anchor column
-    names v per row and the head condition is a mask (Klein: a running
-    "some a < u has a negative anchor"); the rows passing both are the
-    open (row, u, v) candidates, u by u.  Each candidate's row is then
-    composed with the γ⁻¹ walk of its frame, gathered from the distinct
-    frames the candidates name, and one kernel call counts the cycles of
-    every product: the count of :func:`_frame_test`, with its two-cycle
-    join read from the frames' stacked sides.  Rows no frame admits are
-    absent.
+    :func:`_union_witnesses` over a block.  The anchor columns name v for
+    every (row, u) at once, and the head condition is one mask over
+    (row, u, a < u); the pairs passing both are the open candidates.  Each
+    is composed with the γ⁻¹ walk of its frame, and one kernel call counts
+    the cycles of every product: the count of :func:`_frame_test`, with
+    its two-cycle join read from the frames' stacked sides.  Rows no
+    frame admits are absent.
     """
     rows, size = block.shape
     klein = entry.cut == "klein"
@@ -542,28 +534,23 @@ def _union_witness_rows(
         anchor[np.arange(rows)[:, None], block] = np.arange(size)
     top = n if klein else n - 1
     first = n if klein else 0
-    candidates, cuts = [], []  # per u: the open rows, and u·(top + 1) + v on each
-    negative = np.zeros(rows, dtype=bool)
-    for u in range(1, top + 1):
-        j = anchor[:, first + u - 1]
-        v = n - j if klein else j + 1
-        open_ = (u < v) & (v <= top)
-        if klein:
-            open_ &= ~negative
-            negative |= j < n
-        else:
-            head = anchor[:, :u - 1] + 1
-            open_ &= ~((u <= head) & (head <= v[:, None])).any(axis=1)
-        candidates.append(np.flatnonzero(open_))
-        cuts.append(u * (top + 1) + v[open_])
-    at = np.concatenate(candidates) if candidates else np.empty(0, np.intp)
+    j = anchor[:, first:first + top]  # per row, the anchor of each label u = 1..top
+    u = np.arange(1, top + 1)
+    v = n - j if klein else j + 1
+    open_ = (u < v) & (v <= top)
+    if klein:  # some a < u has a negative anchor
+        open_[:, 1:] &= ~np.logical_or.accumulate(j < n, axis=1)[:, :-1]
+    else:  # some a < u has anchor(a) in [u, v]: [row, u, a]
+        head = j[:, None, :] + 1
+        below = np.arange(top) < u[:, None] - 1
+        open_ &= ~(below & (u[:, None] <= head) & (head <= v[:, :, None])).any(axis=2)
+    at, col = np.nonzero(open_)  # the open (row, u) candidates, u by u within a row
     if not at.size:  # no cut is open, as on [1], [2] and ±[1]
         return {}
-    distinct, which = np.unique(np.concatenate(cuts), return_inverse=True)
+    distinct, which = np.unique((col + 1) * (top + 1) + v[at, col], return_inverse=True)
     frame = klein_frame if klein else torus_frame
     gammas = [frame(n, *divmod(cut, top + 1)).gamma for cut in distinct.tolist()]
-    walks = np.array([gamma_walk(gamma)[0] for gamma in gammas])
-    gamma_cycles = np.array([gamma_walk(gamma)[1] for gamma in gammas])
+    walks, gamma_cycles = map(np.array, zip(*map(gamma_walk, gammas)))
     if (most := int(gamma_cycles.max())) > 2:
         raise ValueError(f"the batched join reads frames of one or two cycles, not {most}")
     images = block[at]
@@ -580,41 +567,42 @@ def _union_witness_rows(
 
 def _scan(
     tag: str, n: int, p: int | None, blocks: Iterator[np.ndarray]
-) -> dict[int | None, dict[tuple[int, ...], tuple]]:
-    """Grade -> {member image: witnesses} of ``tag`` at size n, from one pass over ``blocks``.
+) -> dict[int | None, tuple[np.ndarray, tuple | None]]:
+    """Grade -> (member rows, witness table) of ``tag`` at size n, from one pass over ``blocks``.
 
-    The blocks of the tag's source are tested one at a time.  With ``p``
-    set, only grade p is kept, and a row of another grade drops before
-    any frame is built.  An ungraded tag's key is None.
+    The blocks are tested one at a time.  With ``p`` set, only grade p
+    is kept, and a row of another grade drops before any frame is built.
+    An ungraded tag's key is None.  Each grade's rows are sorted by image,
+    the members' sort key; its witness table (None off the unions) follows.
     """
     entry = NONCROSSING[tag]
     gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
-    found: dict[int | None, dict[tuple[int, ...], tuple]] = {}
+    images, keys, table = [np.empty((0, gamma.domain.size), np.intp)], [np.empty(0, np.intp)], []
     for block in blocks:
         cycles = np.full(len(block), block.shape[1] // 2) if entry.pairs else _block_cycles(block)
-        grades = None
+        grades = np.zeros(len(block), np.intp)
         if entry.grades is not None:
             grades = entry.grades(block, cycles)
             keep = grades > 0 if p is None else grades == p
             block, grades, cycles = block[keep], grades[keep], cycles[keep]
         if entry.cut is None:
-            kept = dict.fromkeys(np.flatnonzero(_frame_test(block, cycles, gamma)).tolist(), ())
+            at = np.flatnonzero(_frame_test(block, cycles, gamma))
         else:
             kept = _union_witness_rows(entry, n, block, cycles)
-        at = list(kept)
-        keys = [None] * len(at) if grades is None else grades[at].tolist()
-        for key, image, ws in zip(keys, block[at].tolist(), kept.values()):
-            found.setdefault(key, {})[tuple(image)] = tuple(ws)
+            at = np.fromiter(kept, np.intp, len(kept))
+            table += map(tuple, kept.values())
+        images.append(block[at])
+        keys.append(grades[at])
+    images, keys = np.concatenate(images), np.concatenate(keys)
+    order = np.lexsort(images.T[::-1])
+    found = {}
+    for q in np.flatnonzero(np.bincount(keys)).tolist():
+        at = order[keys[order] == q]
+        rows = images[at]
+        rows.flags.writeable = False
+        witnesses = tuple(map(table.__getitem__, at)) if entry.cut else None
+        found[q if entry.grades else None] = rows, witnesses
     return found
-
-
-def _family(family_id: NCFamilyId, found: dict[tuple[int, ...], tuple]) -> NCFamily:
-    entry = NONCROSSING[family_id.tag]
-    ground = (signed_ground if entry.signed else unsigned_ground)(family_id.n)
-    make = Pairing._make if entry.pairs else Permutation._make
-    images = sorted(found)  # by image, the members' sort key
-    table = tuple(found[img] for img in images) if entry.cut else None
-    return NCFamily(family_id, tuple(make(ground, img) for img in images), table)
 
 
 #: (tag, n) -> every grade's family, from a pass over a source that ends
@@ -641,7 +629,7 @@ def _groups(
     if budget is None:
         blocks, small = _ends_within_one(blocks)
     found = _scan(tag, n, None if small else p, blocks)
-    groups = {q: _family(NCFamilyId(tag, n, q), found[q]) for q in sorted(found)}
+    groups = {q: NCFamily(NCFamilyId(tag, n, q), *found[q]) for q in sorted(found)}
     if small:
         _GROUPS[tag, n] = groups
     return groups
@@ -678,5 +666,8 @@ def family_nc(
     ends within one block.
     """
     groups = _groups(family_id.tag, family_id.n, family_id.p, budget)
-    family = groups.get(family_id.p)
-    return _family(family_id, {}) if family is None else family
+    if family_id.p in groups:
+        return groups[family_id.p]
+    entry = NONCROSSING[family_id.tag]
+    none = np.empty((0, (2 if entry.signed else 1) * family_id.n), np.intp)
+    return NCFamily(family_id, none, () if entry.cut else None)

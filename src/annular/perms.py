@@ -343,6 +343,27 @@ def _cycles_of_image(p: Sequence[int]) -> list[list[int]]:
     return cycles
 
 
+def _cycle_text(img: Sequence[int], ground: GroundSet) -> str:
+    """:meth:`Permutation.cycle_string` of an image on ``ground``, in one walk: a cycle
+    is printed at its least index i, its one unseen index with img[i] > i."""
+    strings = _label_strings(ground)
+    seen = bytearray(len(img))
+    out = []
+    for i, j in enumerate(img):
+        if j <= i or seen[i]:
+            continue
+        if img[j] == i:
+            out.append(f"({strings[i]},{strings[j]})")
+            continue
+        cyc = [strings[i]]
+        while j != i:
+            seen[j] = 1
+            cyc.append(strings[j])
+            j = img[j]
+        out.append("(" + ",".join(cyc) + ")")
+    return "".join(out)
+
+
 def _join_block_count_images(p: Sequence[int], q: Sequence[int]) -> int:
     """Number of blocks of the finest partition joining p- and q-orbits.
 
@@ -480,12 +501,7 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Canonical cycle notation; fixed points omitted; identity = ''."""
-        strings = _label_strings(self.domain)
-        return "".join(
-            "(" + ",".join(map(strings.__getitem__, cyc)) + ")"
-            for cyc in _cycles_of_image(self.image)
-            if len(cyc) > 1
-        )
+        return _cycle_text(self.image, self.domain)
 
     def mapping(self) -> dict[int, int]:
         """The full label->label mapping as a dict."""

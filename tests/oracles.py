@@ -5,8 +5,11 @@ shares no code path with the package under test, except the two
 index-space recursions that the stream block builders replaced
 (``ref_pairing_images`` and ``ref_mirror_pair_images``), which are the
 reference for their order, and the literal Monte Carlo route on dense
-numpy matrices (``ref_dense_traces``).  The implementations favour
-obviousness over speed and are only used at small sizes.
+numpy matrices (``ref_dense_traces``), and the object forms of cycle
+printing and bijection checking (``ref_cycle_string``, ``ref_verify``),
+which the package replaced by one-walk and row forms and which read its
+``Permutation`` and ``BijectionReport`` types.  The implementations
+favour obviousness over speed and are only used at small sizes.
 """
 
 from __future__ import annotations
@@ -602,3 +605,78 @@ def ref_dense_traces(rng, ensemble, n: int, N: int, M, size: int):
         g = draw(rng, (size, M, N))
         matrices = np.conj(np.transpose(g, (0, 2, 1))) @ g
     return ref_trace_power(matrices, n)
+
+
+# ---------------------------------------------------------------------------
+# the object forms of cycle printing and bijection checking
+# ---------------------------------------------------------------------------
+
+def ref_cycle_string(perm) -> str:
+    """Canonical cycle notation of a ``Permutation``, built from its index cycles.
+
+    Each cycle starts at its least index, cycles are sorted by it, fixed
+    points are omitted and the identity prints as ''.
+    """
+    labels = perm.domain.labels()
+    image = perm.image
+    seen = set()
+    cycles = []
+    for start in range(len(image)):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        j = image[start]
+        while j != start:
+            cycle.append(j)
+            seen.add(j)
+            j = image[j]
+        cycles.append(cycle)
+    return "".join(
+        "(" + ",".join(str(labels[i]) for i in cycle) + ")" for cycle in cycles if len(cycle) > 1
+    )
+
+
+def ref_verify(name: str, n: int, domain, codomain, fn):
+    """A ``BijectionReport`` from mapping the ``Permutation`` objects of
+    ``domain`` through the object map ``fn`` and comparing them with
+    ``codomain`` two-sidedly: witnesses in domain order, then failures per
+    element in domain order (a repeated image, an image outside the
+    target), then the missed target members in image order, all capped.
+    """
+    from annular.bijections import WITNESS_CAP, BijectionReport
+
+    domain = tuple(domain)
+    codomain_set = frozenset(codomain)
+    witnesses, failures, hit = [], [], {}
+    injective = True
+    for t in domain:
+        image = fn(t)
+        if len(witnesses) < WITNESS_CAP:
+            witnesses.append((ref_cycle_string(t), ref_cycle_string(image)))
+        previous = hit.get(image)
+        if previous is not None:
+            injective = False
+            failures.append(
+                f"not injective: {ref_cycle_string(previous)} and "
+                f"{ref_cycle_string(t)} share the image {ref_cycle_string(image)}"
+            )
+        else:
+            hit[image] = t
+        if image not in codomain_set:
+            failures.append(
+                f"image {ref_cycle_string(image)} of {ref_cycle_string(t)} "
+                "lies outside the target family"
+            )
+    missed = sorted(codomain_set - set(hit), key=lambda p: p.image)
+    failures += (f"target member {ref_cycle_string(pi)} is never hit" for pi in missed)
+    return BijectionReport(
+        name=name,
+        n=n,
+        domain_size=len(domain),
+        codomain_size=len(codomain_set),
+        injective=injective,
+        surjective=not missed,
+        witnesses=tuple(witnesses),
+        failures=tuple(failures[:WITNESS_CAP]),
+    )

@@ -1,13 +1,17 @@
 """Bijection maps and their exhaustive verification drivers."""
 
+import numpy as np
 import pytest
 
 import annular.maps
+import annular.noncrossing
+from annular import bijections
 from annular.bijections import (
     BIJECTIONS,
     WITNESS_CAP,
     BijectionReport,
     conjecture_table,
+    grades,
     phi1,
     phi1_inverse,
     phi2,
@@ -21,12 +25,27 @@ from annular.bijections import (
     verify_torus_equality,
     _verify,
 )
-from annular.maps import GLUINGS, family_b, family_b_tilde_counts, gluing_groups
-from annular.noncrossing import NONCROSSING
-from annular.perms import Pairing, parse_cycles, signed_ground, unsigned_ground
+from annular.maps import (
+    GLUINGS,
+    family_b,
+    family_b_tilde_counts,
+    gluing_family,
+    gluing_groups,
+    hypermap_from_bipartite_nonorientable,
+    hypermap_from_bipartite_orientable,
+)
+from annular.noncrossing import NONCROSSING, NCFamily, NCFamilyId, family_nc
+from annular.perms import (
+    Pairing,
+    Permutation,
+    inverse,
+    parse_cycles,
+    signed_ground,
+    unsigned_ground,
+)
 from annular.streams import CapExceeded, EnumerationBudget, permutations
 
-from oracles import ref_family_b_hat_counts, ref_narayana
+from oracles import ref_family_b_hat_counts, ref_narayana, ref_verify
 
 
 # ---------------------------------------------------------------------------
@@ -242,16 +261,23 @@ def test_lemma3_skips_empty_grades():
 # report mechanics
 # ---------------------------------------------------------------------------
 
+def _rows(*perms):
+    """The images of ``perms``, one row each."""
+    return np.array([p.image for p in perms], dtype=np.intp)
+
+
 def test_report_failure_paths_are_recorded():
     a = parse_cycles("(1,2)", unsigned_ground(2))
     b = parse_cycles("", unsigned_ground(2))
-    collapse = _verify("collapse", 2, [a, b], [a], lambda _: a)
+    collapse = _verify(
+        "collapse", 2, _rows(a, b), _rows(a), lambda rows: np.repeat(_rows(a), len(rows), 0), False
+    )
     assert not collapse.injective
     assert collapse.surjective
     assert not collapse.verified
     assert any("not injective" in f for f in collapse.failures)
 
-    off_target = _verify("off-target", 2, [a], [b], lambda x: x)
+    off_target = _verify("off-target", 2, _rows(a), _rows(b), lambda rows: rows, False)
     assert off_target.injective
     assert not off_target.surjective
     assert any("outside the target family" in f for f in off_target.failures)
@@ -267,7 +293,8 @@ def test_report_witness_cap():
     # below the cap every domain element is a witness
     assert len(verify_phi1(6).witnesses) == 22
     # failures are capped alike: 120 images outside an empty target
-    off_target = _verify("x", 5, permutations(5), (), lambda t: t)
+    none = np.empty((0, 5), dtype=np.intp)
+    off_target = _verify("x", 5, _rows(*permutations(5)), none, lambda t: t, False)
     assert len(off_target.failures) == WITNESS_CAP
 
 
@@ -344,3 +371,165 @@ def test_conjecture_row_payload():
         "annular_count": 1,
         "equal": True,
     }
+
+
+# ---------------------------------------------------------------------------
+# the row path against the object reference
+# ---------------------------------------------------------------------------
+
+#: Tag -> the public object function its row map stands for.
+OBJECT_MAPS = {
+    "phi1": phi1,
+    "phi2": phi2,
+    "torus-eq": lambda x: x,
+    "phi1-tilde": phi1,
+    "phi2-tilde": phi2,
+    "a-tilde-eq": lambda x: x,
+    "phi1-hat": inverse,
+    "phi2-hat": inverse,
+    "a-hat-eq": lambda x: x,
+}
+
+#: (bipartite, hypermap, object reduction, report side, grade name) of lemma 3.
+LEMMA3 = (
+    ("a-tilde", "a-hat", hypermap_from_bipartite_orientable, "orientable", "g"),
+    ("b-tilde", "b-hat", hypermap_from_bipartite_nonorientable, "nonorientable", "k"),
+)
+
+#: Every size at which the suite verifies an ungraded entry.
+UNGRADED_SIZES = {"phi1": (2, 4, 6, 8), "phi2": (2, 4, 6, 8), "torus-eq": (2, 4, 6, 8, 10)}
+
+
+def _graded_sizes(tag):
+    return range(1, 6 if tag == "phi1-tilde" else 5)
+
+
+def _reference(tag, n, p=None):
+    entry = BIJECTIONS[tag]
+    name = f"{tag}(p={p})" if entry.graded else tag
+    grade = (entry.first, p) if entry.graded else (entry.first,)
+    codomain = family_nc(NCFamilyId(entry.nc, entry.annular_n(n), p)).members
+    domain = gluing_family(entry.gluing, n, grade)
+    return ref_verify(name, n, domain, codomain, OBJECT_MAPS[tag])
+
+
+def _lemma3_reference(n):
+    reports = []
+    for bipartite, hypermap, reduction, side, grade in LEMMA3:
+        domains, codomains = gluing_groups(bipartite, n), gluing_groups(hypermap, n)
+        for key in sorted(domains.keys() | codomains.keys()):
+            name = f"lemma3-{side}({grade}={key[0]},p={key[1]})"
+            reports.append(ref_verify(
+                name, n, domains.get(key, ()), codomains.get(key, ()), reduction
+            ))
+    return [report.to_payload() for report in reports]
+
+
+@pytest.mark.parametrize("tag", BIJECTIONS)
+def test_every_report_equals_the_object_reference(tag):
+    entry = BIJECTIONS[tag]
+    if not entry.graded:
+        for n in UNGRADED_SIZES[tag]:
+            assert verify(tag, n).to_payload() == _reference(tag, n).to_payload()
+        return
+    for n in _graded_sizes(tag):
+        want = [_reference(tag, n, p).to_payload() for p in grades(n)]
+        assert [r.to_payload() for r in verify_grades(tag, n)] == want
+        assert [verify(tag, n, p).to_payload() for p in grades(n)] == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lemma3_reports_equal_the_object_reference(n):
+    assert [r.to_payload() for r in verify_lemma3(n)] == _lemma3_reference(n)
+
+
+def _objects(rows, signed):
+    ground = signed_ground(rows.shape[1] // 2) if signed else unsigned_ground(rows.shape[1])
+    return [Permutation(ground, row) for row in rows.tolist()]
+
+
+def _one_row_at_a_time(row_map, signed):
+    """The object map a row map gives, one object at a time."""
+    def fn(pi):
+        return _objects(row_map(np.array([pi.image], dtype=np.intp)), signed)[0]
+    return fn
+
+
+def _both(name, n, domain, codomain, row_map, signed):
+    """The row report and the object reference on the same inputs, as payloads."""
+    got = _verify(name, n, domain, codomain, row_map, signed)
+    want = ref_verify(
+        name, n, _objects(domain, signed), _objects(codomain, signed),
+        _one_row_at_a_time(row_map, signed),
+    )
+    return got.to_payload(), want.to_payload()
+
+
+def test_failure_reports_equal_the_object_reference():
+    a = _rows(parse_cycles("(1,2)", unsigned_ground(2)))
+    b = _rows(Permutation.identity(unsigned_ground(2)))
+    cases = [
+        ("collapse", 2, np.concatenate((a, b)), a, lambda rows: np.repeat(a, len(rows), 0), False),
+        ("off-target", 2, a, b, lambda rows: rows, False),
+        ("cap", 5, _rows(*permutations(5)), np.empty((0, 5), dtype=np.intp), lambda rows: rows, False),
+    ]
+    entry = BIJECTIONS["phi1"]
+    domain = _rows(*gluing_family(entry.gluing, 8, (entry.first,)))
+    codomain = family_nc(NCFamilyId(entry.nc, 8)).rows
+    swap = np.arange(16)
+    swap[[3, 12]] = swap[[12, 3]]
+    cases += [
+        ("swapped", 8, domain, codomain, lambda rows: entry.map(rows)[:, swap], True),
+        ("dropped", 8, domain, np.delete(codomain, 40, axis=0), entry.map, True),
+    ]
+    for case in cases:
+        got, want = _both(*case)
+        assert got == want, case[0]
+        assert not got["verified"], case[0]
+
+
+@pytest.mark.parametrize("tag", BIJECTIONS)
+def test_each_row_map_equals_its_object_function(tag):
+    entry = BIJECTIONS[tag]
+    for n in UNGRADED_SIZES.get(tag, _graded_sizes(tag)):
+        for key, members in gluing_groups(entry.gluing, n).items():
+            if key[0] != entry.first:
+                continue
+            images = entry.map(_rows(*members)).tolist()
+            assert images == [list(OBJECT_MAPS[tag](pi).image) for pi in members], (tag, n, key)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_lemma3_row_map_equals_its_reduction(n):
+    for (bipartite, _, reduction, _, _), row_map in zip(
+        LEMMA3, (bijections._orientable_rows, bijections._nonorientable_rows)
+    ):
+        for members in gluing_groups(bipartite, n).values():
+            images = row_map(_rows(*members)).tolist()
+            assert images == [list(reduction(pi).image) for pi in members]
+
+
+def test_the_row_path_builds_no_members(monkeypatch):
+    # with building gluing members and NCFamily.members refused, every driver
+    # still reports what the object reference reports
+    def refuse(*args):
+        raise AssertionError("a member object was built")
+
+    monkeypatch.setattr(annular.maps, "_members", refuse)
+    monkeypatch.setattr(NCFamily, "members", property(refuse))
+    got = (
+        verify("phi1", 4).to_payload(),
+        [r.to_payload() for r in verify_grades("phi1-hat", 4)],
+        [r.to_payload() for r in verify_lemma3(3)],
+        [row.to_payload() for row in conjecture_table(3)],
+    )
+    monkeypatch.undo()
+    annular.maps._GROUPS.clear()
+    annular.noncrossing._GROUPS.clear()
+    want = (
+        _reference("phi1", 4).to_payload(),
+        [_reference("phi1-hat", 4, p).to_payload() for p in grades(4)],
+        _lemma3_reference(3),
+        [row.to_payload() for row in conjecture_table(3)],
+    )
+    assert got == want

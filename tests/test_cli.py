@@ -16,6 +16,7 @@ import annular.noncrossing
 from annular.bijections import BIJECTIONS, conjecture_table
 from annular.cli import (
     BIJECTION_TAGS,
+    CLASSIFY_MAX_N,
     FAMILY_TAGS,
     SCHEMA_VERSION,
     build_parser,
@@ -650,6 +651,24 @@ def test_classify_rejects_removed_options(capsys):
                "--symbolic", "--threads", "1")[0] == 2
 
 
+@pytest.mark.parametrize("signed", [(), ("--signed",)])
+def test_classify_caps_n_before_it_parses(capsys, signed):
+    # above the cap the request exits 1 with the cap record, even when the
+    # text would not parse; at the cap it runs
+    for perm in ("(1,2)", "(1,2"):
+        code, rec, _, _ = run(capsys, "classify", "--perm", perm, "--n", str(CLASSIFY_MAX_N + 1), *signed)
+        assert code == 1
+        assert rec["result"]["error"] == {
+            "type": "cap-exceeded",
+            "message": f"classify requested for n = {CLASSIFY_MAX_N + 1}, above the cap {CLASSIFY_MAX_N}",
+            "requested": CLASSIFY_MAX_N + 1,
+            "cap": CLASSIFY_MAX_N,
+        }
+    code, rec, _, _ = run(capsys, "classify", "--perm", "(1,2)", "--n", str(CLASSIFY_MAX_N), *signed)
+    assert code == 0
+    assert rec["result"]["n"] == CLASSIFY_MAX_N
+
+
 @pytest.mark.xfail(strict=True, reason="classify does not report NC2delta_bip")
 def test_classify_reports_bipartite_annular_membership(capsys):
     perm = "(-1,3)(1,-3)(-2,4)(2,-4)"
@@ -753,9 +772,9 @@ def _values(*good):
 
 #: Subcommand -> flag -> its value strategy (None: a flag without a value).
 #: Sizes stay below 6 and moment orders below 7, so every request is
-#: cheap; 10⁹ is drawn only where the caps refuse it at once or where it
-#: costs nothing (``classify --n`` builds its ground, and ``--dim`` with
-#: ``--mc`` draws matrices of that size, so neither draws it).
+#: cheap; 10⁹ is drawn only where the caps refuse it at once (``classify
+#: --n`` among them) or where it costs nothing (``--dim`` with ``--mc``
+#: draws matrices of that size, so it does not draw it).
 FUZZ_FLAGS = {
     "enumerate": {
         "--family": _values(*FAMILY_TAGS, "zz"),
@@ -786,7 +805,7 @@ FUZZ_FLAGS = {
     },
     "classify": {
         "--perm": _values("(1,2)", "(1,2)(3,4)", "(-1,1)", "(-1,2)(1,-2)", "()", "(1,1)", "(9,9)"),
-        "--n": _values(-1, 0, 1, 2, 3, 4),
+        "--n": _values(-1, 0, 1, 2, 3, 4, CLASSIFY_MAX_N + 1, HUGE),
         "--signed": None,
     },
     "conjecture": {

@@ -171,7 +171,9 @@ def test_routes_do_not_import_each_other():
     assert _imports_from("maps", "moments") == set()
     # the CLI reads the gluing table, never a gluing-side kernel
     assert _imports_from("cli", "maps") == {"GLUINGS", "gluing_family", "gluing_key"}
-    # the bijection rows name both tables, never a family shorthand
+    # the bijection rows name both tables, never a family shorthand; the
+    # gluing side is read as rows, and the non-orientable reduction's
+    # relabelling table is read at the white columns
     assert _imports_from("bijections", "noncrossing") == {
         "NONCROSSING",
         "NCFamilyId",
@@ -180,12 +182,11 @@ def test_routes_do_not_import_each_other():
     }
     assert _imports_from("bijections", "maps") == {
         "GLUINGS",
+        "_grade_rows",
+        "_gluing_rows",
+        "_white_walk",
         "gluing_counts",
-        "gluing_family",
-        "gluing_groups",
         "gluing_key",
-        "hypermap_from_bipartite_orientable",
-        "hypermap_from_bipartite_nonorientable",
     }
 
 

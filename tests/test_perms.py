@@ -172,6 +172,34 @@ def test_cycles_and_cycle_string_match_oracle_on_both_grounds(inputs):
     assert parse_cycles(p.cycle_string(), ground) == p
 
 
+@st.composite
+def _printed_permutations(draw):
+    """A permutation of a ground of size up to 12 on either kind: the
+    identity, a pairing, or a permutation of a random part of the ground
+    with the rest fixed."""
+    signed = draw(st.booleans())
+    ground = signed_ground(draw(st.integers(0, 6))) if signed else unsigned_ground(draw(st.integers(0, 12)))
+    image = list(range(ground.size))
+    kind = draw(st.sampled_from(("identity", "pairing", "part")))
+    if kind == "pairing" and ground.size % 2 == 0:
+        order = draw(st.permutations(image))
+        for x, y in zip(order[::2], order[1::2]):
+            image[x], image[y] = y, x
+    elif kind == "part":
+        moved = draw(st.lists(st.sampled_from(image), unique=True)) if image else []
+        for x, y in zip(moved, draw(st.permutations(moved))):
+            image[x] = y
+    return Permutation(ground, image)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_printed_permutations())
+def test_cycle_string_equals_the_generic_form(p):
+    assert p.cycle_string() == oracles.ref_cycle_string(p)
+    if p.is_identity():
+        assert p.cycle_string() == ""
+
+
 # ------------------------------------------------------------------ restrict
 def test_restrict_invariant_subset():
     g = unsigned_ground(6)
