@@ -44,9 +44,11 @@ import time
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from .bijections import BIJECTIONS, conjecture_table, grades, verify, verify_grades, verify_lemma3
 from .frames import tau0
-from .maps import GLUINGS, gluing_family, gluing_key
+from .maps import GLUINGS, _grade_rows, gluing_key
 from .moments import Ensemble, wick_moment
 from .montecarlo import GENERATOR_NAME, mc_moment
 from .noncrossing import (
@@ -58,6 +60,7 @@ from .noncrossing import (
 )
 from .perms import (
     Permutation,
+    _cycle_text,
     conjugate,
     inverse,
     num_cycles,
@@ -218,22 +221,25 @@ def cmd_enumerate(args) -> tuple[dict, int, list | None]:
         names = GLUINGS[tag].grades
         _require_grade_args(tag, args, names)
         grade = tuple(getattr(args, name) for name in names)
-        members = gluing_family(tag, args.n, grade, budget=budget)
-        members = tuple(sorted(members, key=lambda q: q.sort_key()))
+        rows = _grade_rows(tag, args.n, grade, budget=budget)
+        rows = rows[np.lexsort(rows.T[::-1])]  # the members' sort key: their images
+        signed = GLUINGS[tag].signed
     else:
         lib_tag = NC_TAGS[tag]
         _require_grade_args(tag, args, ("p",) if NONCROSSING[lib_tag].grade else ())
         family = family_nc(NCFamilyId(lib_tag, args.n, args.p), budget=budget)
-        members = family.members
-        witness_table = family.witness_table
+        rows, witness_table = family.rows, family.witness_table  # already in that order
+        signed = NONCROSSING[lib_tag].signed
 
-    count = len(members)
+    count = len(rows)
     shown = count if args.limit is None else min(args.limit, count)
+    size = rows.shape[1]
+    ground = signed_ground(size // 2) if signed else unsigned_ground(size)
     result = {
         "family": tag,
         "n": args.n,
         "count": count,
-        "elements": [q.cycle_string() for q in members[:shown]],
+        "elements": [_cycle_text(row, ground) for row in rows[:shown].tolist()],
         "listed": shown,
         "truncated_listing": shown < count,
     }

@@ -80,6 +80,7 @@ from .perms import (
     GroundSet,
     Pairing,
     Permutation,
+    _check_integer,
     _coloured_cycle_count,
     _cycle_count,
     _cycle_counts,
@@ -496,7 +497,7 @@ def _entry(tag: str, n: int) -> Gluing:
     entry = GLUINGS.get(tag)
     if entry is None:
         raise ValueError(f"unknown gluing family {tag!r}; known: {(*GLUINGS,)}")
-    if n < 1:
+    if _check_integer("n", n) < 1:
         raise ValueError("n must be a positive integer")
     return entry
 
@@ -515,7 +516,7 @@ def _members(entry: Gluing, n: int, rows: np.ndarray) -> tuple[Permutation, ...]
 
 #: (tag, n) -> the :func:`_gluing_rows` pass of a source that ends within
 #: one block, kept for the process.  Its rows are read-only, and the
-#: one-block rule bounds it as it bounds the block caches of the streams.
+#: one-block rule bounds it.
 _GROUPS: dict[tuple[str, int], dict[tuple[int, ...], np.ndarray]] = {}
 
 
@@ -581,8 +582,12 @@ def gluing_counts(
 
 def _grade_rows(tag: str, n: int, grade: tuple[int, ...], cap=None, budget=None) -> np.ndarray:
     """The rows of :func:`gluing_family`: grade ``grade`` of one :func:`_gluing_rows`
-    pass.  A genus needs g ≥ 0, an Euler genus k ≥ 1, and a grade p ≥ 1."""
+    pass.  ``grade`` holds one integer per name in the entry's grades; a
+    genus needs g ≥ 0, an Euler genus k ≥ 1, and a grade p ≥ 1."""
     entry = _entry(tag, n)
+    if len(grade) != len(entry.grades):
+        raise ValueError(f"family {tag} takes the grades {entry.grades}, got {grade!r}")
+    grade = tuple(map(_check_integer, entry.grades, grade))
     if entry.grades[0] == "genus" and grade[0] < 0:
         raise ValueError("genus g must be >= 0")
     if entry.grades[0] == "k" and grade[0] < 1:
@@ -593,7 +598,7 @@ def _grade_rows(tag: str, n: int, grade: tuple[int, ...], cap=None, budget=None)
     none = np.empty((0, _ground(entry, n).size), np.intp)
     if tag == "a" and n % 2:
         return none  # [n] has no pairing: empty before any cap check
-    return _gluing_rows(tag, n, cap, budget).get(tuple(grade), none)
+    return _gluing_rows(tag, n, cap, budget).get(grade, none)
 
 
 def gluing_family(

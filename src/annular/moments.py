@@ -31,7 +31,6 @@ in N and c after the exact substitution M = cN.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
@@ -46,7 +45,7 @@ from .maps import (
     family_b_counts,
     family_b_tilde_counts,
 )
-from .perms import _cycle_counts, _key_counts, unsigned_ground
+from .perms import _check_integer, _cycle_counts, _key_counts, unsigned_ground
 from .polynomial import MomentPolynomial
 from .streams import (
     CapExceeded,
@@ -109,16 +108,6 @@ class Ensemble:
             _check_positive("dimension M", M)
         elif M is not None:
             raise ValueError("M applies to the Laguerre ensembles only")
-
-
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; numpy integers pass, bools and non-integers raise ``ValueError``."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_positive(name: str, value: int) -> None:

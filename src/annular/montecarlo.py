@@ -57,7 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import Ensemble, _check_integer
+from .moments import Ensemble
+from .perms import _check_integer
 
 __all__ = ["BLOCK_SIZE", "GENERATOR_NAME", "McEstimate", "mc_moment"]
 

@@ -102,6 +102,7 @@ from .perms import (
     GroundSet,
     Pairing,
     Permutation,
+    _check_integer,
     _coloured_cycle_count,
     _cycle_count,
     _cycle_counts,
@@ -344,10 +345,10 @@ class NCFamilyId:
         entry = NONCROSSING.get(self.tag)
         if entry is None:
             raise ValueError(f"unknown family tag {self.tag!r}; known: {(*NONCROSSING,)}")
-        if self.n < 1:
+        if _check_integer("n", self.n) < 1:
             raise ValueError("n must be a positive integer")
         graded = entry.grade is not None
-        if graded and (self.p is None or self.p < 1):
+        if graded and (self.p is None or _check_integer("p", self.p) < 1):
             raise ValueError(f"family {self.tag} requires a grade p >= 1")
         if not graded and self.p is not None:
             raise ValueError(f"family {self.tag} takes no grade")
@@ -607,7 +608,7 @@ def _scan(
 
 #: (tag, n) -> every grade's family, from a pass over a source that ends
 #: within one block, kept for the process.  The families are immutable, and
-#: the one-block rule bounds it as it bounds the block caches of the streams.
+#: the one-block rule bounds it.
 _GROUPS: dict[tuple[str, int], dict[int | None, NCFamily]] = {}
 
 

@@ -60,8 +60,9 @@ insensitive to cycle rotation/order.
 
 from __future__ import annotations
 
+import operator
 import re
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -80,6 +81,16 @@ __all__ = [
     "join_block_count",
     "parse_cycles",
 ]
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; numpy integers pass, bools and non-integers raise ``ValueError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class GroundSet:
@@ -101,6 +112,7 @@ class GroundSet:
     def __init__(self, kind: str, n: int):
         if kind not in (self.UNSIGNED, self.SIGNED):
             raise ValueError(f"unknown ground-set kind: {kind!r}")
+        n = _check_integer("ground-set parameter n", n)
         if n < 0:
             raise ValueError(f"ground-set parameter n must be >= 0, got {n}")
         object.__setattr__(self, "kind", kind)
@@ -161,13 +173,13 @@ class GroundSet:
         return f"GroundSet(±[{self.n}])"
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 and True are refused, not read as 4 and 1
 def unsigned_ground(n: int) -> GroundSet:
     """The ground set [n] (cached, so repeated calls share one object)."""
     return GroundSet(GroundSet.UNSIGNED, n)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def signed_ground(n: int) -> GroundSet:
     """The ground set ±[n] (cached)."""
     return GroundSet(GroundSet.SIGNED, n)

@@ -23,7 +23,9 @@ so the first steps of each prefix are read off the prefix's number in
 mixed radix, in numpy, for a batch of prefixes at once; each prefix is
 then completed by one gather from a small cached table of the rest (a
 bipartite table is the matchings' table filtered to the rows that join
-the colours).  :func:`_mirror_pair_blocks` expands the matchings of
+the colours).  A stream of permutations or matchings short enough to
+need no prefix is its cached table itself, yielded read-only as one
+block.  :func:`_mirror_pair_blocks` expands the matchings of
 [n] into the three mirror-symmetric streams of ±[n], which differ only
 in the twist rule: every twist (GOE), or the twists that keep the black
 set B(n/2) (b̃) or send the white labels into it (NC2delta_bip and
@@ -46,14 +48,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial, wraps
+from functools import cache, lru_cache, partial
 from itertools import chain, islice
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .perms import GroundSet, Pairing, Permutation, signed_ground, unsigned_ground
+from .perms import GroundSet, Pairing, Permutation, _check_integer, signed_ground, unsigned_ground
 
 __all__ = [
     "CapExceeded",
@@ -90,9 +92,7 @@ class EnumerationBudget:
     max_elements: int
 
     def __post_init__(self):
-        if not isinstance(self.max_elements, int):
-            raise ValueError(f"max_elements must be an integer, got {self.max_elements!r}")
-        if self.max_elements < 0:
+        if _check_integer("max_elements", self.max_elements) < 0:
             raise ValueError("max_elements must be >= 0")
 
 
@@ -164,35 +164,6 @@ def _members(cls: type[Permutation], ground: GroundSet, blocks) -> Iterator[Perm
 # block builders (index space, no cap or budget)
 # ---------------------------------------------------------------------------
 
-def _once_when_small(build):
-    """Decorate a block builder: a stream of at most one block is built once per process.
-
-    The first call reads up to two blocks of ``build(*args)``; when the
-    builder finishes within one, its blocks (none, for an empty stream)
-    are kept, read-only, like the frames of :mod:`annular.frames`, so a
-    small stream then costs no numpy calls.  Longer streams are built
-    anew on each call.
-    """
-    kept: dict[tuple, tuple[np.ndarray, ...]] = {}
-
-    def first(args) -> Iterator[np.ndarray]:
-        stream = build(*args)
-        head = tuple(islice(stream, 2))
-        if len(head) < 2:
-            for block in head:
-                block.flags.writeable = False
-            kept[args] = head
-        yield from head
-        yield from stream
-
-    @wraps(build)
-    def blocks(*args) -> Iterator[np.ndarray]:
-        return iter(kept[args]) if args in kept else first(args)
-
-    return blocks
-
-
-@_once_when_small
 def _pairing_blocks(size: int, step: int = 1) -> Iterator[np.ndarray]:
     """Blocks of the index images of all matchings of 0..size-1.
 
@@ -302,6 +273,9 @@ def _tail_blocks(step: int, colours: bytes, depth=None, reverse=False) -> Iterat
     rows = _table_rows(step, tail)
     total, per = _table_rows(step, size) // rows, _ROWS // rows
     table = _table(step, colours[:tail]) if step < 2 else None  # all colours 0
+    if table is not None and not depth:  # the whole stream is its cached table
+        yield table[::-1] if reverse else table
+        return
     batch = per * max(1, _ROWS // per)
     for first in range(0, total, batch):
         count = min(batch, total - first)
@@ -337,7 +311,6 @@ def _tail_blocks(step: int, colours: bytes, depth=None, reverse=False) -> Iterat
             yield block.reshape(k * rows, size)
 
 
-@_once_when_small
 def _mirror_pair_blocks(n: int, rule: str) -> Iterator[np.ndarray]:
     """Blocks of the index images of mirror-symmetric pairings of ±[n] with no (r,−r) pair.
 
@@ -401,7 +374,6 @@ def _twist_bits(half: int, first: int) -> np.ndarray:
     return bits
 
 
-@_once_when_small
 def _permutation_blocks(size: int) -> Iterator[np.ndarray]:
     """Blocks of all images of 0..size-1 in lexicographic order."""
     return _tail_blocks(0, bytes(size))
@@ -486,7 +458,6 @@ def _signed_symmetric_permutations_blocks(n: int, cap=None, budget=None) -> Iter
     return _capped("signed symmetric permutation", signed_ground(n), n, cap, budget, blocks)
 
 
-@_once_when_small
 def _mirrored_pairings(n: int) -> Iterator[np.ndarray]:
     """τ₀σ over the pairings σ of ±[n], in lexicographic image order.
 

@@ -1,5 +1,7 @@
 """Bijection maps and their exhaustive verification drivers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from annular.bijections import (
     verify_torus_equality,
     _verify,
 )
+from annular.cli import main as cli_main
 from annular.maps import (
     GLUINGS,
     family_b,
@@ -509,9 +512,32 @@ def test_each_lemma3_row_map_equals_its_reduction(n):
             assert images == [list(reduction(pi).image) for pi in members]
 
 
-def test_the_row_path_builds_no_members(monkeypatch):
+def _enumerated(capsys, *argv) -> dict:
+    """The result of one ``annular enumerate`` request."""
+    assert cli_main(["enumerate", *argv]) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+#: One ``enumerate`` of a gluing family and one of a non-crossing union family.
+ENUMERATE_REQUESTS = (
+    ("--family", "b", "--n", "6", "--k", "1", "--limit", "7"),
+    ("--family", "nc2-k", "--n", "4"),
+)
+
+
+def _enumerate_reference(argv) -> dict:
+    """The listing of an ``enumerate`` request built from member objects, sorted by their keys."""
+    args = dict(zip(argv[::2], argv[1::2]))
+    if args["--family"] == "b":
+        members = sorted(family_b(int(args["--n"]), int(args["--k"])), key=Permutation.sort_key)
+    else:
+        members = family_nc(NCFamilyId("NC2K", int(args["--n"]))).members
+    return [pi.cycle_string() for pi in members[: int(args.get("--limit", len(members)))]]
+
+
+def test_the_row_path_builds_no_members(monkeypatch, capsys):
     # with building gluing members and NCFamily.members refused, every driver
-    # still reports what the object reference reports
+    # and every enumerate listing still reports what the object reference reports
     def refuse(*args):
         raise AssertionError("a member object was built")
 
@@ -522,6 +548,7 @@ def test_the_row_path_builds_no_members(monkeypatch):
         [r.to_payload() for r in verify_grades("phi1-hat", 4)],
         [r.to_payload() for r in verify_lemma3(3)],
         [row.to_payload() for row in conjecture_table(3)],
+        [_enumerated(capsys, *argv)["elements"] for argv in ENUMERATE_REQUESTS],
     )
     monkeypatch.undo()
     annular.maps._GROUPS.clear()
@@ -531,5 +558,6 @@ def test_the_row_path_builds_no_members(monkeypatch):
         [_reference("phi1-hat", 4, p).to_payload() for p in grades(4)],
         _lemma3_reference(3),
         [row.to_payload() for row in conjecture_table(3)],
+        [_enumerate_reference(argv) for argv in ENUMERATE_REQUESTS],
     )
     assert got == want

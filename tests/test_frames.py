@@ -169,8 +169,8 @@ def test_routes_do_not_import_each_other():
     }
     assert _imports_from("maps", "noncrossing") == set()
     assert _imports_from("maps", "moments") == set()
-    # the CLI reads the gluing table, never a gluing-side kernel
-    assert _imports_from("cli", "maps") == {"GLUINGS", "gluing_family", "gluing_key"}
+    # the CLI reads the gluing table and one grade's rows, never a gluing-side kernel
+    assert _imports_from("cli", "maps") == {"GLUINGS", "_grade_rows", "gluing_key"}
     # the bijection rows name both tables, never a family shorthand; the
     # gluing side is read as rows, and the non-orientable reduction's
     # relabelling table is read at the white columns

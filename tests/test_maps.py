@@ -398,6 +398,23 @@ def test_gluing_side_rejects_a_bad_size_or_tag_before_the_stream(
         GLUING_CALLS[call](tag, n, grade, budget)
 
 
+@pytest.mark.parametrize("budget", [None, EnumerationBudget(0)])
+@pytest.mark.parametrize(
+    "tag, grade, message",
+    [
+        ("a", (0, 1), r"family a takes the grades \('genus',\), got \(0, 1\)"),
+        ("a-tilde", (0,), r"family a-tilde takes the grades \('genus', 'p'\), got \(0,\)"),
+        ("b", (1.0,), "k must be an integer, got 1.0"),
+        ("b-hat", (1, True), "p must be an integer, got True"),
+    ],
+)
+def test_gluing_family_refuses_a_grade_of_the_wrong_length_or_type(tag, grade, message, budget):
+    # a ValueError naming the family's grades, before any stream starts: a
+    # budget of 0 would raise CapExceeded at the first element
+    with pytest.raises(ValueError, match=message):
+        gluing_family(tag, 4, grade, budget=budget)
+
+
 def test_hat_twist_predicate():
     g = signed_ground(2)
     assert _has_hat_twist(parse_cycles("(-2,1)(-1,2)", g).image)

@@ -29,6 +29,10 @@ from annular.perms import (
     unsigned_ground,
 )
 
+from annular.bijections import verify, verify_grades
+from annular.noncrossing import NCFamilyId, family_nc
+from annular.streams import EnumerationBudget, pairings
+
 import oracles
 
 
@@ -63,6 +67,36 @@ def test_ground_equality_and_errors():
         unsigned_ground(4).index(0)
     with pytest.raises(ValueError):
         GroundSet("weird", 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EnumerationBudget(True), "max_elements must be an integer, got True"),
+        (lambda: verify("phi1", 4.0), "n must be an integer, got 4.0"),
+        (lambda: verify_grades("phi1-tilde", 2.0), "n must be an integer, got 2.0"),
+        (lambda: NCFamilyId("NC", 2.5), "n must be an integer, got 2.5"),
+        (lambda: NCFamilyId("NCT_p", 4, 1.5), "p must be an integer, got 1.5"),
+        (lambda: pairings(4.0), "ground-set parameter n must be an integer, got 4.0"),
+        (lambda: unsigned_ground(True), "ground-set parameter n must be an integer, got True"),
+    ],
+    ids=["budget", "verify", "verify_grades", "NCFamilyId-n", "NCFamilyId-p", "pairings", "ground"],
+)
+def test_sizes_grades_and_budgets_must_be_integers(call, message):
+    # one rule where each value enters: bools and floats are refused, even
+    # after the equal int's ground, gluing pass and family are kept
+    unsigned_ground(1)
+    unsigned_ground(4)
+    verify("phi1", 4)
+    verify_grades("phi1-tilde", 2)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_numpy_integers_are_sizes_and_budgets():
+    assert len(list(pairings(np.int64(6), budget=EnumerationBudget(np.int64(15))))) == 15
+    assert unsigned_ground(np.int64(4)) == unsigned_ground(4)
+    assert len(family_nc(NCFamilyId("NCT_p", np.int64(4), np.int64(1)))) == 5
 
 
 # ---------------------------------------------------------------- composition

@@ -216,23 +216,24 @@ def test_mirror_pair_blocks_equal_the_expansion_in_order(rule, top):
         assert _block_rows(_mirror_pair_blocks(n, rule)) == want
 
 
-def test_one_block_streams_are_built_once_and_read_only():
-    # each decorated builder keeps a stream that fits one block, read-only
-    one_block = {
-        _pairing_blocks: (8,),  # 105 matchings
-        _mirror_pair_blocks: (6, "every"),  # 120 signed symmetric pairings
-        _permutation_blocks: (5,),  # 120 permutations
-        _mirrored_pairings: (4,),  # 105 signed symmetric permutations
-    }
-    for build, args in one_block.items():
-        (block,) = build(*args)
-        kept = build(*args)
-        assert not isgenerator(kept) and next(kept) is block and not block.flags.writeable
+def test_one_table_streams_are_their_read_only_tables():
+    # a stream that needs no prefix is its cached tail table, yielded as it is
+    for block, table in (
+        (next(_pairing_blocks(8)), annular.streams._table(1, bytes(8))),  # 105 matchings
+        (next(_permutation_blocks(5)), annular.streams._table(0, bytes(5))),  # 120 permutations
+    ):
+        assert block is table and not block.flags.writeable
         with pytest.raises(ValueError):
             block[0, 0] = 0
-    # an empty stream is kept too: no builder runs on the second call
-    assert list(_pairing_blocks(7)) == []
-    assert not isgenerator(_pairing_blocks(7)) and list(_pairing_blocks(7)) == []
+    # the reversed table, mirrored: 105 signed symmetric permutations, on every call
+    ground = signed_ground(4)
+    want = oracles.ref_signed_symmetric_permutations(4)
+    for _ in range(2):
+        got = [
+            {ground.label(i): ground.label(j) for i, j in enumerate(row)}
+            for row in _block_rows(_mirrored_pairings(4))
+        ]
+        assert got == want
     # 945 / 1,680 / 720 / 945 elements span two blocks and are built anew
     several_blocks = {
         _pairing_blocks: (10,),
