@@ -40,7 +40,9 @@ import numpy as np
 from .frames import tau0
 from .maps import GLUINGS, _grade_rows, _gluing_rows, _white_walk, gluing_counts, gluing_key
 from .noncrossing import NONCROSSING, NCFamilyId, family_nc, nc_groups
-from .perms import Pairing, Permutation, _cycle_text, compose, signed_ground, unsigned_ground
+from .perms import (
+    Pairing, Permutation, _check_integer, _cycle_text, compose, signed_ground, unsigned_ground
+)
 from .streams import EnumerationBudget
 
 __all__ = [
@@ -241,7 +243,7 @@ def _no_rows(signed: bool, size: int) -> np.ndarray:
 
 def grades(n: int) -> range:
     """The part counts p at which a graded claim of size n is read: 1..n."""
-    return range(1, n + 1)
+    return range(1, _check_integer("n", n) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +414,7 @@ def conjecture_table(
     n ≤ max_n and every p.  The equality is only surmised, so rows carry
     an ``equal`` flag and no verdict.  ``ValueError`` for max_n < 1, and
     ``CapExceeded`` before any n is computed when max_n is above a cap."""
-    if max_n < 1:
+    if (max_n := _check_integer("max_n", max_n)) < 1:
         raise ValueError("max_n must be a positive integer")
     entry = BIJECTIONS["phi1-tilde"]
     # both sides' streams at max_n: a cap refuses it before any n is computed

@@ -144,6 +144,23 @@ def annulus_frame(n: int) -> AnnularFrame:
     return AnnularFrame("annulus", n, annulus_cycle(n))
 
 
+def _cycles_image(size: int, *cycles: list[int]) -> tuple[int, ...]:
+    """The image of the permutation of 0..size−1 with the given index cycles."""
+    image = list(range(size))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            image[a] = b
+    return tuple(image)
+
+
+def _swapped(image: tuple[int, ...], *swaps: tuple[int, int]) -> tuple[int, ...]:
+    """The image of γ·(a b)·(c d)···: γ's entries at each pair exchanged in turn."""
+    image = list(image)
+    for a, b in swaps:
+        image[a], image[b] = image[b], image[a]
+    return tuple(image)
+
+
 @cache
 def torus_frame(n: int, u: int, v: int) -> AnnularFrame:
     """The annulus obtained by cutting a torus gluing along (u−1, v).
@@ -155,19 +172,11 @@ def torus_frame(n: int, u: int, v: int) -> AnnularFrame:
         raise ValueError(
             f"torus frame requires 1 <= u < v < n, got (n,u,v)=({n},{u},{v})"
         )
-    g = unsigned_ground(n)
-    cut = u - 1 if u > 1 else n  # (0,v) ≡ (n,v)
-    gamma = compose(full_cycle(n), Permutation.from_cycles(g, [(cut, v)]))
-    displayed = Permutation.from_cycles(
-        g,
-        [
-            tuple(range(u, v + 1)),
-            tuple(range(1, u)) + tuple(range(v + 1, n + 1)),
-        ],
-    )
-    if gamma != displayed:
+    cut = u - 1 if u > 1 else n  # (0,v) ≡ (n,v); label a sits at index a − 1
+    gamma = _cycles_image(n, [*range(u - 1, v)], [*range(u - 1), *range(v, n)])
+    if _swapped(full_cycle(n).image, (cut - 1, v - 1)) != gamma:
         raise AssertionError("torus frame product and displayed forms differ")
-    return AnnularFrame("torus", n, gamma, u, v)
+    return AnnularFrame("torus", n, Permutation._make(unsigned_ground(n), gamma), u, v)
 
 
 @cache
@@ -181,27 +190,17 @@ def klein_frame(n: int, u: int, v: int) -> AnnularFrame:
         raise ValueError(
             f"klein frame requires 1 <= u < v <= n, got (n,u,v)=({n},{u},{v})"
         )
-    g = signed_ground(n)
-    # (−u, v−1) never needs a convention: u < v forces v−1 ≥ 1.
-    swap1 = Permutation.from_cycles(g, [(-u, v - 1)])
-    # (−v, u−1) degenerates to (−v, 0) ≡ (−v, n) when u = 1.
-    swap2 = Permutation.from_cycles(g, [(-v, u - 1) if u > 1 else (-v, n)])
-    gamma = compose(compose(annulus_cycle(n), swap1), swap2)
-
-    upper = (
-        tuple(range(u, v))
-        + tuple(range(1 - u, 0))
-        + tuple(range(-n, -v + 1))
+    # label −a at index n − a and +a at n + a − 1; (−u, v−1) never needs a
+    # convention (u < v forces v−1 ≥ 1), (−v, u−1) is (−v, n) when u = 1
+    gamma = _cycles_image(
+        2 * n,
+        [*range(n + u - 1, n + v - 1), *range(n + 1 - u, n), *range(n - v + 1)],
+        [*range(n + v - 1, 2 * n), *range(n, n + u - 1), *range(n + 1 - v, n - u + 1)],
     )
-    lower = (
-        tuple(range(v, n + 1))
-        + tuple(range(1, u))
-        + tuple(range(1 - v, -u + 1))
-    )
-    displayed = Permutation.from_cycles(g, [upper, lower])
-    if gamma != displayed:
+    swaps = (n - u, n + v - 2), (n - v, n + (u - 1 if u > 1 else n) - 1)
+    if _swapped(annulus_cycle(n).image, *swaps) != gamma:
         raise AssertionError("klein frame product and displayed forms differ")
-    return AnnularFrame("klein", n, gamma, u, v)
+    return AnnularFrame("klein", n, Permutation._make(signed_ground(n), gamma), u, v)
 
 
 @cache

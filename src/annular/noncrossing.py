@@ -54,11 +54,12 @@ members and measure grades against the canonical disk/annulus frames,
 exactly as the displayed conditions state.
 
 Each family is defined once, as one entry of :data:`NONCROSSING`: its
-CLI tag, the blocks of index images that build it (the bipartite tags
-read the colour-class block functions of :mod:`annular.streams`; the
-others stack the images of the public element streams back into
-blocks), its cut (none, torus or Klein) and anchor (π, or π⁻¹ for the
-hypermap unions), its grade kernels, and whether it needs an even n.
+CLI tag, the blocks of index images that build it, its cut (none,
+torus or Klein) and anchor (π, or π⁻¹ for the hypermap unions), its
+grade kernels, and whether it needs an even n.  NC, NC2, NC2delta and
+NC2delta_bip are built from their structure (Biane's blocks, Mingo and
+Nica's through-strings), capped and budgeted as the streams they
+replace; the other sources filter a whole stream of index images.
 A member passes one test: the source conditions, its grade and the
 non-crossing condition.  :func:`member_witnesses` and
 :func:`is_noncrossing` apply its per-image form to one permutation.
@@ -83,7 +84,7 @@ masks of :mod:`annular.frames`; nothing here comes from the gluing side
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -114,8 +115,10 @@ from .perms import (
     unsigned_ground,
 )
 from .streams import (
+    _ROWS,
     EnumerationBudget,
     _bipartite_pairing_blocks,
+    _capped,
     _ends_within_one,
     _images,
     _white_to_black_pairing_blocks,
@@ -259,18 +262,131 @@ _odd_grades = partial(_block_colour_grades, signed=False)
 _black_grades = partial(_block_colour_grades, signed=True)
 
 
+# The disk and annulus families built from their blocks: each table holds
+# index images of 0..m−1, is read-only and is cached per size.
+
+def _frozen(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+def _joined(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Each row of ``left`` followed by each row of ``right`` moved onto the points after it."""
+    a = left.shape[1]
+    rows = np.empty((len(left), len(right), a + right.shape[1]), np.intp)
+    rows[..., :a] = left[:, None]
+    rows[..., a:] = right + a
+    return rows.reshape(-1, rows.shape[2])
+
+
+@cache
+def _chords(m: int, through: bool) -> np.ndarray:
+    """Involutions of 0..m−1 with non-crossing pairs, as one read-only table.
+
+    Without ``through`` they have no fixed point: the non-crossing
+    pairings, Catalan(m/2) rows in lexicographic order.  With it, their
+    fixed points (ends of through-strings) lie inside no pair.  0 is
+    fixed (with ``through``) or paired with each j at odd distance; the
+    points between them are a pairing, those after filled recursively.
+    """
+    if m < 2:
+        return _frozen(np.zeros((1 if through or not m else 0, m), np.intp))
+    parts = [_joined(np.zeros((1, 1), np.intp), _chords(m - 1, True))] if through else []
+    for j in range(1, m, 2):
+        parts.append(_joined(_arches(j), _chords(m - 1 - j, through)))
+    return _frozen(np.concatenate(parts))
+
+
+@cache
+def _arches(j: int) -> np.ndarray:
+    """The pairings of 0..j that pair 0 with j, read-only."""
+    inner = _chords(j - 1, False)
+    ends = np.full((len(inner), 1), j)
+    return _frozen(np.concatenate((ends, inner + 1, ends - j), axis=1))
+
+
+@cache
+def _disk_partitions(m: int) -> np.ndarray:
+    """The permutations of 0..m−1 non-crossing on the disk (Catalan(m) rows).
+
+    Each cycle is an increasing block of a non-crossing partition.  The
+    block of 0 ends at some k: on 0..k, a partition of 0..k−1 with k put
+    last in the cycle of 0; the points after k are filled recursively.
+    """
+    if not m:
+        return _frozen(np.zeros((1, 0), np.intp))
+    parts = []
+    for k in range(m):
+        inner = _disk_partitions(k)  # the point sent to 0 now goes to k, and k to 0
+        closed = np.column_stack((np.where(inner == 0, k, inner), np.zeros(len(inner), np.intp)))
+        parts.append(_joined(closed, _disk_partitions(m - 1 - k)))
+    return _frozen(np.concatenate(parts))
+
+
+@lru_cache(maxsize=4)  # NC2delta_bip reads the rows of NC2delta; ±[16] holds 6.7 MB
+def _annulus_pairings(n: int) -> np.ndarray:
+    """The δ-symmetric pairings of ±[n] non-crossing on the annulus, as (m, 2n) index images.
+
+    On the positive circle (label q + 1 at index n + q) a member is an
+    involution ρ of 0..n−1: its fixed points s_1 < ··· < s_t end the
+    through-strings, s_i joined to −s_(i+t/2), its pairs fill each cyclic
+    gap between them non-crossingly, and their mirrors the negative
+    circle.  ρ is a word (the fixed point 0, then a row of
+    ``_chords(n − 1, True)``) turned by r places, r at most the points
+    after the word's last fixed point (so s_1 = r).  t ≡ n (mod 2): odd n
+    has no member, even n has t ≥ 2.
+    """
+    if n % 2:
+        return _frozen(np.empty((0, 2 * n), np.intp))
+    words = _joined(np.zeros((1, 1), np.intp), _chords(n - 1, True))
+    turns = (words == np.arange(n))[:, ::-1].argmax(axis=1) + 1
+    word = np.repeat(np.arange(len(words)), turns)
+    r = (np.arange(len(word)) - np.repeat(np.cumsum(turns) - turns, turns))[:, None]
+    rho = (words[word[:, None], (np.arange(n) - r) % n] + r) % n
+    at, s = np.nonzero(rho == np.arange(n))  # each row's fixed points, ascending
+    t = np.bincount(at)  # every row has some
+    first = (np.cumsum(t) - t)[at]
+    partner = s[first + (np.arange(len(s)) - first + t[at] // 2) % t[at]]
+    image = np.concatenate(((n - 1 - rho)[:, ::-1], n + rho), axis=1)
+    image[at, n + s] = n - 1 - partner
+    image[at, n - 1 - partner] = n + s
+    return _frozen(image)
+
+
+def _white_to_black(n: int) -> np.ndarray:
+    """The rows of :func:`_annulus_pairings` that send the white labels W(n/2) into B(n/2)."""
+    rows, black = _annulus_pairings(n), np.frombuffer(black_mask(n)[1], dtype=np.bool_)
+    return rows[(black | black[rows]).all(axis=1)]
+
+
+def _built(noun: str, signed: bool, build: Callable[[int], np.ndarray]):
+    """A source of ``build(n)``'s rows in blocks, capped and budgeted as the ``noun`` stream."""
+
+    def source(n: int, budget: EnumerationBudget | None) -> Iterator[np.ndarray]:
+        def blocks():
+            table = build(n)
+            for lo in range(0, len(table), _ROWS):
+                yield table[lo : lo + _ROWS]
+
+        ground = signed_ground(n) if signed else unsigned_ground(n)
+        return _capped(noun, ground, ground.size, None, budget, blocks())
+
+    return source
+
+
 @dataclass(frozen=True)
 class NCEntry:
     """One non-crossing family: its CLI tag, source blocks, cut and grade kernels.
 
-    ``source(n, budget)`` yields blocks of index images, one row per
-    permutation (or, with ``pairs``, pairing) of [n], or per δ-symmetric
-    one of ±[n] when ``signed``.  ``cut`` is None for the disk/annulus
-    frame, else ``"torus"`` or ``"klein"``: a union over the cuts (u, v),
-    anchored on π, or on π⁻¹ when ``hypermap``.  ``grade`` maps an image
-    to its grade p (None: in no grade), and ``grades`` a block and #(π)
-    per row to the grade of each row (0: in no grade); both are None for
-    an ungraded family.  ``even_n`` families exist only for even n.
+    ``source(n, budget)`` yields blocks of index images of permutations
+    (or, with ``pairs``, pairings) of [n], or of δ-symmetric ones of ±[n]
+    when ``signed``: all of them, or a built set holding the family.
+    ``cut`` is None for the disk/annulus frame, else ``"torus"`` or
+    ``"klein"``: a union over the cuts (u, v), anchored on π, or on π⁻¹
+    when ``hypermap``.  ``grade`` maps an image to its grade p (None: in
+    no grade), and ``grades`` a block and #(π) per row to the grade of
+    each row (0: in no grade); both are None for an ungraded family.
+    ``even_n`` families exist only for even n.
     """
 
     cli: str
@@ -285,12 +401,13 @@ class NCEntry:
 
 
 #: Library tag -> non-crossing family: the unsigned families, then the
-#: signed ones, each in the order ``classify`` reports them.  Each source
-#: is a lambda over a module-level stream or block-function name, looked
-#: up at call time, so a wrapper rebound over that name (a tracer's) is seen.
+#: signed ones, each in the order ``classify`` reports them.  NC, NC2,
+#: NC2delta and NC2delta_bip read rows built from their structure; every
+#: other source is a lambda over a module-level stream or block-function
+#: name, looked up at call time, so a wrapper rebound over it (a tracer's) is seen.
 NONCROSSING: dict[str, NCEntry] = {
-    "NC": NCEntry("nc", lambda n, budget: _images(permutations(n, budget=budget), n)),
-    "NC2": NCEntry("nc2", lambda n, budget: _images(pairings(n, budget=budget), n), pairs=True),
+    "NC": NCEntry("nc", _built("permutation", False, _disk_partitions)),
+    "NC2": NCEntry("nc2", _built("pairing", False, partial(_chords, through=False)), pairs=True),
     "NC2T": NCEntry(
         "nc2-t", lambda n, budget: _images(pairings(n, budget=budget), n),
         pairs=True, cut="torus"),
@@ -305,7 +422,7 @@ NONCROSSING: dict[str, NCEntry] = {
         lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget), 2 * n),
         signed=True),
     "NC2delta": NCEntry(
-        "nc2-delta", lambda n, budget: _images(signed_symmetric_pairings(n, budget=budget), 2 * n),
+        "nc2-delta", _built("signed symmetric pairing", True, _annulus_pairings),
         signed=True, pairs=True),
     "NCdelta_p": NCEntry(
         "nc-delta-p",
@@ -324,7 +441,7 @@ NONCROSSING: dict[str, NCEntry] = {
         signed=True, cut="klein", hypermap=True,
         grade=_half_cycles, grades=_block_half_cycles),
     "NC2delta_bip": NCEntry(
-        "nc2-delta-bip", lambda n, budget: _white_to_black_pairing_blocks(n, None, budget),
+        "nc2-delta-bip", _built("white-to-black pairing", True, _white_to_black),
         signed=True, pairs=True, grade=_black_grade, grades=_black_grades, even_n=True),
 }
 
@@ -641,9 +758,9 @@ def nc_groups(
 ) -> dict[int | None, NCFamily]:
     """Grade p -> the family ``NCFamilyId(tag, n, p)``, for every nonempty grade.
 
-    One pass over the tag's source stream; each family equals the one
+    One pass over the tag's source; each family equals the one
     :func:`family_nc` builds.  An ungraded tag's one key is None.  A
-    budget counts the source elements.  Without one, the pass over a
+    budget counts the source rows.  Without one, the pass over a
     source that ends within one block is kept for the process, and later
     calls return a new dict over the same families.
     """
@@ -659,10 +776,10 @@ def family_nc(
 ) -> NCFamily:
     """Materialize the family named by ``family_id``.
 
-    Members are the elements of the tag's source stream that pass the
+    Members are the rows of the tag's source that pass the
     membership test of :func:`member_witnesses`, returned in a canonical
     sorted order; union families also carry their (u, v) witnesses.  A
-    budget counts the source elements.  This is the family of grade p
+    budget counts the source rows.  This is the family of grade p
     in :func:`nc_groups`, read from its kept pass over a source that
     ends within one block.
     """

@@ -411,7 +411,7 @@ def _default_cap(noun: str) -> int:
 
 def _capped(noun: str, ground: GroundSet, size: int, cap, budget, blocks):
     """Lazy ``blocks`` of ``noun``s on ``ground``, refused above the cap before any is built."""
-    effective = _default_cap(noun) if cap is None else cap
+    effective = _default_cap(noun) if cap is None else _check_integer("cap", cap)
     if size > effective:
         raise CapExceeded(
             f"{noun} enumeration requested for size {size}, above the cap {effective}; "

@@ -8,7 +8,9 @@ reference for their order, and the literal Monte Carlo route on dense
 numpy matrices (``ref_dense_traces``), and the object forms of cycle
 printing and bijection checking (``ref_cycle_string``, ``ref_verify``),
 which the package replaced by one-walk and row forms and which read its
-``Permutation`` and ``BijectionReport`` types.  The implementations
+``Permutation`` and ``BijectionReport`` types, and the label form of the
+torus and Klein frames (``ref_frame_from_cycles``), which the frame
+constructors replaced by index images.  The implementations
 favour obviousness over speed and are only used at small sizes.
 """
 
@@ -332,6 +334,32 @@ def ref_klein_frame(n: int, u: int, v: int) -> dict:
     upper = list(range(u, v)) + list(range(1 - u, 0)) + list(range(-n, -v + 1))
     lower = list(range(v, n + 1)) + list(range(1, u)) + list(range(1 - v, -u + 1))
     return ref_from_cycles(n, [upper, lower], signed=True)
+
+
+def ref_frame_from_cycles(n: int, u: int, v: int, *, klein: bool):
+    """The torus / Klein frame γ as a ``Permutation`` built over labels.
+
+    The product formula 1ₙ·(u−1, v) or 1̃ₙ·(−u, v−1)·(−v, u−1) by
+    ``Permutation.from_cycles`` and ``compose``, raising unless it equals
+    the displayed two-cycle form built by ``from_cycles`` too.
+    """
+    from annular.frames import annulus_cycle, full_cycle
+    from annular.perms import Permutation, compose, signed_ground, unsigned_ground
+
+    if klein:
+        ground = signed_ground(n)
+        swap1 = Permutation.from_cycles(ground, [(-u, v - 1)])
+        swap2 = Permutation.from_cycles(ground, [(-v, u - 1) if u > 1 else (-v, n)])
+        gamma = compose(compose(annulus_cycle(n), swap1), swap2)
+        upper = [*range(u, v), *range(1 - u, 0), *range(-n, -v + 1)]
+        lower = [*range(v, n + 1), *range(1, u), *range(1 - v, -u + 1)]
+    else:
+        ground = unsigned_ground(n)
+        gamma = compose(full_cycle(n), Permutation.from_cycles(ground, [(u - 1 or n, v)]))
+        upper, lower = [*range(u, v + 1)], [*range(1, u), *range(v + 1, n + 1)]
+    if gamma != Permutation.from_cycles(ground, [upper, lower]):
+        raise AssertionError(f"product and displayed forms differ at {(n, u, v, klein)}")
+    return gamma
 
 
 def ref_union_witnesses(

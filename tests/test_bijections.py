@@ -206,6 +206,15 @@ def test_lemma3_and_conjecture_table_reject_n_below_1(n):
         conjecture_table(n)
 
 
+def test_grades_and_conjecture_table_check_n_where_it_enters():
+    # the value the caller passed is named, not one derived from it
+    with pytest.raises(ValueError, match=r"^n must be an integer, got 3\.0$"):
+        grades(3.0)
+    with pytest.raises(ValueError, match=r"^max_n must be an integer, got 2\.0$"):
+        conjecture_table(2.0)
+    assert grades(np.int64(3)) == range(1, 4)
+
+
 def test_verify_grades_rejects_ungraded_entries():
     with pytest.raises(ValueError, match="takes no grade p"):
         verify_grades("phi1", 4)

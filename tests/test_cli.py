@@ -7,12 +7,12 @@ import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import annular.maps
-import annular.noncrossing
 from annular.bijections import BIJECTIONS, conjecture_table
 from annular.cli import (
     BIJECTION_TAGS,
@@ -215,43 +215,38 @@ def test_verify_lemma3(capsys):
     assert len(rec["result"]["reports"]) == 7
 
 
-#: The source streams each side binds: the gluing side reads block
-#: streams, the non-crossing side the public element streams and the
-#: colour-class block streams.
-SOURCE_STREAMS = {
-    annular.maps: (
-        "_pairings_of_blocks",
-        "_permutations_of_blocks",
-        "_signed_symmetric_pairings_blocks",
-        "_signed_symmetric_permutations_blocks",
-        "_bipartite_pairing_blocks",
-        "_bipartite_signed_symmetric_pairing_blocks",
-    ),
-    annular.noncrossing: (
-        "pairings",
-        "permutations",
-        "signed_symmetric_pairings",
-        "signed_symmetric_permutations",
-        "_bipartite_pairing_blocks",
-        "_white_to_black_pairing_blocks",
-    ),
-}
+#: The source streams the gluing side binds: block streams.
+SOURCE_STREAMS = (
+    "_pairings_of_blocks",
+    "_permutations_of_blocks",
+    "_signed_symmetric_pairings_blocks",
+    "_signed_symmetric_permutations_blocks",
+    "_bipartite_pairing_blocks",
+    "_bipartite_signed_symmetric_pairing_blocks",
+)
 
 
 @pytest.fixture
 def stream_calls(monkeypatch):
-    """Calls of the source streams each side binds, by side: maps, noncrossing."""
+    """Source calls by side: the gluing side's streams, the non-crossing entries' sources.
+
+    A non-crossing source either calls one stream or builds its family's
+    rows, so its calls count the passes of either kind.
+    """
     calls = {"maps": 0, "noncrossing": 0}
-    for module, names in SOURCE_STREAMS.items():
-        side = module.__name__.rpartition(".")[2]
-        for name in names:
-            stream = getattr(module, name)
 
-            def counted(*args, stream=stream, side=side, **kwargs):
-                calls[side] += 1
-                return stream(*args, **kwargs)
+    def counting(source, side):
+        def counted(*args, **kwargs):
+            calls[side] += 1
+            return source(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+        return counted
+
+    for name in SOURCE_STREAMS:
+        monkeypatch.setattr(annular.maps, name, counting(getattr(annular.maps, name), "maps"))
+    for tag, entry in NONCROSSING.items():
+        counted = replace(entry, source=counting(entry.source, "noncrossing"))
+        monkeypatch.setitem(NONCROSSING, tag, counted)
     return calls
 
 

@@ -23,6 +23,7 @@ from annular.perms import Permutation, compose, num_cycles, signed_ground
 from oracles import (
     ref_annulus_cycle,
     ref_compose,
+    ref_frame_from_cycles,
     ref_full_cycle,
     ref_tau0,
     ref_tau2,
@@ -104,6 +105,16 @@ def test_klein_frames_match_independent_product(n):
             assert dict(f.gamma.mapping()) == expected
             sizes = [len(c) for c in f.gamma.cycles()]
             assert sizes == [n, n]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_frames_equal_their_label_built_oracle(n):
+    # every torus and Klein cut up to n = 10, as built from cycles over labels
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if v < n:
+                assert torus_frame(n, u, v).gamma == ref_frame_from_cycles(n, u, v, klein=False)
+            assert klein_frame(n, u, v).gamma == ref_frame_from_cycles(n, u, v, klein=True)
 
 
 def test_klein_frame_accepts_v_equals_n():
@@ -188,6 +199,30 @@ def test_routes_do_not_import_each_other():
         "gluing_counts",
         "gluing_key",
     }
+
+
+def test_the_gluing_side_never_imports_noncrossing():
+    # maps and moments import nothing that imports noncrossing, where the
+    # disk and annulus tables are built, so neither route reads their rows
+    siblings = {}
+    for path in PACKAGE_MODULES:
+        nodes = ast.walk(ast.parse(path.read_text()))
+        siblings[path.stem] = {
+            node.module
+            for node in nodes
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        }
+
+    def reached(module):
+        seen, todo = set(), [module]
+        while todo:
+            seen.add(name := todo.pop())
+            todo += siblings[name] - seen
+        return seen
+
+    for module in ("maps", "moments"):
+        assert "noncrossing" not in reached(module)
+    assert "noncrossing" in reached("bijections")  # the check sees an import
 
 
 def test_no_module_reads_the_environment():

@@ -1,5 +1,6 @@
 """Non-crossing predicates and annular families."""
 
+import math
 import time
 
 import numpy as np
@@ -290,7 +291,7 @@ def test_per_image_test_equals_the_batched_scan_on_every_row(tag):
                 assert member_witnesses(NCFamilyId(tag, n, q), pi) == (ws if q == p else None)
 
 
-@pytest.mark.parametrize("tag, n", [("NC2", 10), ("NC2T_bip", 12)])
+@pytest.mark.parametrize("tag, n", [("NC2T", 10), ("NC2T_bip", 12)])
 def test_budget_cuts_at_the_block_seams(tag, n):
     # 945 and 720 rows: two blocks of at most 512; the budget counts rows
     # across the seam, and a budget of the whole stream changes nothing
@@ -368,7 +369,7 @@ def test_a_budget_bypasses_the_kept_noncrossing_pass():
 
 @pytest.mark.parametrize("n, kept", [(8, True), (10, False)])
 def test_a_noncrossing_source_of_two_blocks_is_read_on_every_call(monkeypatch, n, kept):
-    # NC2 on [8] reads 105 pairings, one block: read once for every grade
+    # NC2T on [8] reads 105 pairings, one block: read once for every grade
     # asked; on [10], 945 pairings: read on each call
     calls = []
     original = noncrossing.pairings
@@ -378,11 +379,11 @@ def test_a_noncrossing_source_of_two_blocks_is_read_on_every_call(monkeypatch, n
         return original(*args, **kwargs)
 
     monkeypatch.setattr(noncrossing, "pairings", counted)
-    first = family_nc(NCFamilyId("NC2", n))
-    assert family_nc(NCFamilyId("NC2", n)).members == first.members
-    assert nc_groups("NC2", n)[None].members == first.members
+    first = family_nc(NCFamilyId("NC2T", n))
+    assert family_nc(NCFamilyId("NC2T", n)).members == first.members
+    assert nc_groups("NC2T", n)[None].members == first.members
     assert len(calls) == (1 if kept else 3)
-    assert (("NC2", n) in noncrossing._GROUPS) == kept
+    assert (("NC2T", n) in noncrossing._GROUPS) == kept
 
 
 def test_a_long_source_keeps_the_early_grade_filter():
@@ -437,7 +438,11 @@ def test_batched_frame_test_reads_frames_of_one_or_two_cycles():
         _frame_test(block, _block_cycles(block), Permutation.identity(unsigned_ground(3)))
 
 
-@pytest.mark.parametrize("tag", GROUPED_SIZES)
+#: The sizes of the completeness gate below: the built sources further.
+UNFILTERED_SIZES = {**GROUPED_SIZES, "NC": range(1, 7), "NC2delta": range(1, 9)}
+
+
+@pytest.mark.parametrize("tag", UNFILTERED_SIZES)
 def test_families_miss_no_element_of_the_unfiltered_stream(tag):
     # each entry's source must hold every element the membership test
     # accepts: filter the whole stream that its signed/pairs fields name
@@ -447,7 +452,7 @@ def test_families_miss_no_element_of_the_unfiltered_stream(tag):
         unfiltered = signed_symmetric_pairings if entry.signed else pairings
     else:
         unfiltered = signed_symmetric_permutations if entry.signed else permutations
-    for n in GROUPED_SIZES[tag]:
+    for n in UNFILTERED_SIZES[tag]:
         for p in range(1, n + 2) if entry.grade else [None]:
             fid = NCFamilyId(tag, n, p)
             accepted = {}
@@ -504,6 +509,21 @@ def test_disk_permutations_are_catalan(n):
 
 def test_disk_pairings_odd_empty():
     assert len(family_nc(NCFamilyId("NC2", 5))) == 0
+
+
+def test_built_families_have_their_closed_sizes_at_the_caps():
+    # Catalan(8), Catalan(9), (4⁶ − C(12, 6))/2 and 4⁷ − C(15, 7); one size
+    # more is refused with the cap of the stream each source replaces
+    assert len(family_nc(NCFamilyId("NC2", 16))) == ref_catalan(8) == 1430
+    assert len(family_nc(NCFamilyId("NC", 9))) == ref_catalan(9) == 4862
+    assert len(family_nc(NCFamilyId("NC2delta", 12))) == (4**6 - math.comb(12, 6)) // 2 == 1586
+    graded = nc_groups("NC2delta_bip", 16)
+    assert sum(map(len, graded.values())) == 4**7 - math.comb(15, 7) == 9949
+    for tag, n, cap in (("NC2", 17, 16), ("NC", 10, 9), ("NC2delta", 14, 24),
+                        ("NC2delta_bip", 18, 32)):
+        with pytest.raises(CapExceeded) as info:
+            nc_groups(tag, n)
+        assert info.value.cap == cap
 
 
 def test_planar_pairings_equal_genus_zero_gluings():

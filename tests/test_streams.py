@@ -393,6 +393,12 @@ def test_caps_raise_eagerly():
     signed_symmetric_permutations(9, cap=9)
 
 
+@pytest.mark.parametrize("cap", [True, 4.5])
+def test_an_explicit_cap_must_be_an_integer(cap):
+    with pytest.raises(ValueError, match=f"^cap must be an integer, got {cap!r}$"):
+        pairings(4, cap=cap)
+
+
 #: Each capped stream's largest default size and the exact length there:
 #: the largest size whose stream holds at most 15!! rows.
 DEFAULT_CAPS = {
