@@ -54,6 +54,17 @@ with no cap or budget, is kept for the process; a longer source is read
 on every call, and a pass that raises keeps nothing.  :func:`gluing_key`
 applies the per-image key to one permutation; the tests hold it to the
 batched kernel row by row.  The ``family_*`` names are shorthands.
+
+The genus route of :mod:`annular.moments` needs only the sizes of a and
+ã, so :func:`_prefix_grade_counts` counts them without building a row:
+the stream is read by prefix, each prefix contracted onto its tail with
+the face walk (and, for ã, the odd-label mask), and the rest read from a
+table kept per conjugacy class (:func:`annular.perms._prefix_cycle_counts`).
+A prefix whose contraction does not send each colour class to the
+other, or a face count no gluing has, is handed to the row pass, so
+the per-image key's error is raised there.  :func:`gluing_counts` and
+every pass that returns members keep the row pass: they need the rows,
+and grades in the order of their first member.
 """
 
 from __future__ import annotations
@@ -82,13 +93,15 @@ from .perms import (
     Permutation,
     _check_integer,
     _coloured_cycle_count,
+    _compose_images,
     _cycle_count,
     _cycle_counts,
+    _inverse_image,
     _is_delta_symmetric,
     _key_counts,
     _num_cycles_image,
+    _prefix_cycle_counts,
     compose,
-    inverse,
     signed_ground,
     unsigned_ground,
 )
@@ -99,6 +112,7 @@ from .streams import (
     _ends_within_one,
     _pairings_of_blocks,
     _permutations_of_blocks,
+    _prefixes,
     _signed_symmetric_pairings_blocks,
     _signed_symmetric_permutations_blocks,
 )
@@ -192,12 +206,11 @@ def _has_hat_twist(img: tuple[int, ...]) -> bool:
 
 def _orientable_faces(img: tuple[int, ...]) -> tuple[int, int]:
     """(faces, odd-supported faces) of a bipartite pairing, from one face walk."""
-    size = len(img)
-    counts = _coloured_cycle_count(gamma_walk(full_cycle(size))[0], img, odd_mask(size))
-    if counts is None:
-        pi = Permutation._make(unsigned_ground(size), img)
-        faces = compose(inverse(pi), full_cycle(size))
-        _raise_mixed_cycle(faces, range(1, size + 1, 2))
+    size, walk = len(img), gamma_walk(full_cycle(len(img)))[0]
+    counts = _coloured_cycle_count(walk, img, odd_mask(size))
+    if counts is None:  # the faces π⁻¹1ₙ, the inverse of the walk read
+        faces = _inverse_image(_compose_images(walk, img))
+        _raise_mixed_cycle(Permutation._make(unsigned_ground(size), faces), range(1, size + 1, 2))
     return counts
 
 
@@ -561,6 +574,36 @@ def gluing_groups(
     one :func:`_gluing_rows` pass; Pairings if the family holds pairings."""
     groups = _gluing_rows(tag, n, cap, budget).items()
     return {key: _members(GLUINGS[tag], n, rows) for key, rows in groups}
+
+
+def _prefix_grade_counts(tag: str, n: int, budget=None) -> dict[tuple[int, ...], int]:
+    """:func:`gluing_counts` of a (genus) or a-tilde ((genus, p)) counted by stream
+    prefix, building no row, in no promised grade order.
+
+    The pairings of [n], or the bipartite pairings of [2n], are read as
+    prefixes contracted onto a cached tail table
+    (:func:`annular.perms._prefix_cycle_counts`) with the face walk and,
+    for a-tilde, the odd-label mask.  A prefix that mixes the colour
+    classes, or a face count no gluing has, sends the call to the row
+    pass, which raises the per-image key's error on the first row that
+    breaks it.
+    """
+    entry = _entry(tag, n)
+    size = 2 * n if entry.doubled else n
+    noun = "bipartite pairing" if entry.doubled else "pairing"
+    prefixes = _prefixes(noun, unsigned_ground(size), size, budget=budget)
+    walk = gamma_walk(full_cycle(size))[0]
+    colour = odd_mask(size) if entry.doubled else None
+    counts = _prefix_cycle_counts(walk, *prefixes, colour)
+    if counts is not None:
+        if entry.doubled:  # (odd-supported faces, the other faces)
+            twice = {(size // 2 + 1 - odd - even, odd): cnt for (odd, even), cnt in counts.items()}
+        else:
+            twice = {(size // 2 + 1 - faces,): cnt for (faces,), cnt in counts.items()}
+        if all(t >= 0 and t % 2 == 0 for t, *_ in twice):
+            return {(t // 2, *p): cnt for (t, *p), cnt in twice.items()}
+    gluing_counts(tag, n, budget=budget)
+    raise AssertionError("the prefix and row passes disagree")
 
 
 def gluing_counts(

@@ -6,15 +6,35 @@ mirror-symmetric gluings, permutations, and for LOE the pairings of the
 2n real factors of Tr (XXᵀ)ⁿ, the Wishart sum).  ``genus_expansion_moment``
 instead multiplies family counts by the dimension powers their genus
 dictates.  Neither has an order cap of its own: the caps of the streams
-it reads refuse an order with ``CapExceeded`` before any row is built
-(the GOE and LOE genus routes read first the stream whose cap binds
-first), and odd Gaussian orders read no stream.  The two share no family
-construction: the Wick sum reads the blocks of its own streams and keys
-each row with the batched cycle kernel of :mod:`annular.perms` against
-cached walks, while the genus route reads only the ``family_*_counts``
-histograms of :mod:`annular.maps`.  Only that low-level algebra is
-shared, so their agreement (enforced in tests) cross-checks both.  The
-invariant the sum relies on, even cycle counts, is an explicit raise.
+it reads refuse an order with ``CapExceeded`` before any row or table
+is built (the GOE and LOE genus routes read first the stream whose cap
+binds first), and odd Gaussian orders read no stream.
+
+How the sums are taken.  The GOE and LOE Wick sums read the blocks of
+their own streams and key each row with the batched cycle kernel of
+:mod:`annular.perms` against cached walks.  The GUE and LUE Wick sums
+keep only a histogram of cycle counts, so they build no row: the
+pairings or permutations of [n] are read by prefix
+(:func:`annular.streams._prefixes`), and
+:func:`annular.perms._prefix_cycle_counts` contracts each prefix onto
+the tail it leaves and reads the counts of the rest from a table kept
+per conjugacy class: the faces #(γ⁻¹π) of each pairing (GUE), #π and
+#(γ⁻¹π) of each permutation (LUE).  The genus route reads the b and b̃
+histograms of :mod:`annular.maps` (row passes) and its a and ã counts,
+which :func:`annular.maps._prefix_grade_counts` takes the same way by
+prefix, with the face walk, the odd-label mask and the family's grade
+and colour checks.
+
+Why the routes still check each other.  They share no family
+construction: the Wick sum never reads a gluing family, and the genus
+route reads nothing of this module's walks and involutions.  What they
+share is index algebra on stream elements, the prefix runs, the
+contraction, the cycle-type codes and the class tables, as they share
+``_cycle_counts``; that algebra is held to brute force (the row pass
+and the dict oracles of the tests) over the whole range of the caps.
+Their agreement (enforced in tests) then cross-checks the weights and
+grades each applies.  The invariants the sums rely on, even cycle
+counts and non-negative even twice-genera, are explicit raises.
 
 ``wick_oracle_smallN`` is the ground truth for everything else: it sums
 covariances over literal matrix index tuples, never touching the
@@ -39,19 +59,20 @@ from itertools import product as iter_product
 import numpy as np
 
 from .frames import full_cycle, gamma_walk, tau2
-from .maps import (
-    family_a_counts,
-    family_a_tilde_counts,
-    family_b_counts,
-    family_b_tilde_counts,
+from .maps import _prefix_grade_counts, family_b_counts, family_b_tilde_counts
+from .perms import (
+    _check_integer,
+    _cycle_counts,
+    _key_counts,
+    _prefix_cycle_counts,
+    unsigned_ground,
 )
-from .perms import _check_integer, _cycle_counts, _key_counts, unsigned_ground
 from .polynomial import MomentPolynomial
 from .streams import (
     CapExceeded,
     EnumerationBudget,
     _pairings_of_blocks,
-    _permutations_of_blocks,
+    _prefixes,
     _signed_symmetric_pairings_blocks,
 )
 
@@ -139,52 +160,40 @@ def wick_moment(
         return MomentPolynomial.zero()
 
     # each stream checks its cap before the walks of size n are built
-    if ensemble.kind == "GUE":
-        blocks = _pairings_of_blocks(unsigned_ground(n), budget=budget)
+    if ensemble.kind in ("GUE", "LUE"):
+        noun = "pairing" if ensemble.kind == "GUE" else "permutation"
+        prefixes = _prefixes(noun, unsigned_ground(n), n, budget=budget)
         walk = gamma_walk(full_cycle(n))[0]
-        keys = (_gue_keys(walk, block) for block in blocks)
-        prefactor = Fraction(1, 2 ** (n // 2))
+        counts = _prefix_cycle_counts(walk, *prefixes)
+        if ensemble.kind == "GUE":  # (#(γ⁻¹π),) per pairing π
+            counts = {(faces, 0): cnt for (faces,), cnt in counts.items()}
+            prefactor = Fraction(1, 2 ** (n // 2))
+        else:  # (#π, #(γ⁻¹π)) per permutation π
+            counts = {(parts + faces, parts): cnt for (parts, faces), cnt in counts.items()}
+            prefactor = Fraction(1)
 
     elif ensemble.kind == "GOE":
         blocks = _signed_symmetric_pairings_blocks(n, budget=budget)
         mirror_shift = tau2(n).image
-        keys = (_goe_keys(mirror_shift, block) for block in blocks)
+        counts = _key_counts(_goe_keys(mirror_shift, block) for block in blocks)
         prefactor = Fraction(1, 2**n)
-
-    elif ensemble.kind == "LUE":
-        blocks = _permutations_of_blocks(unsigned_ground(n), budget=budget)
-        walk = gamma_walk(full_cycle(n))[0]
-        keys = (_lue_keys(walk, block) for block in blocks)
-        prefactor = Fraction(1)
 
     else:  # LOE
         blocks = _pairings_of_blocks(unsigned_ground(2 * n), budget=budget)
         rows, cols = _wishart_involutions(n)
-        keys = (_wishart_keys(rows, cols, block) for block in blocks)
+        counts = _key_counts(_wishart_keys(rows, cols, block) for block in blocks)
         prefactor = Fraction(1, 2**n)
 
-    return MomentPolynomial(
-        tuple((key, prefactor * cnt) for key, cnt in _key_counts(keys).items())
-    )
+    return MomentPolynomial(tuple((key, prefactor * cnt) for key, cnt in counts.items()))
 
 
 # Each maps a block of stream images to its rows' (N power, c power) keys.
-
-def _gue_keys(walk: tuple[int, ...], block: np.ndarray) -> np.ndarray:
-    faces = _cycle_counts(walk, block)
-    return np.column_stack((faces, np.zeros_like(faces)))
-
 
 def _goe_keys(mirror_shift: tuple[int, ...], block: np.ndarray) -> np.ndarray:
     doubled = _cycle_counts(mirror_shift, block)
     if (doubled % 2).any():
         raise AssertionError("boundary count of a gluing must be even")
     return np.column_stack((doubled // 2, np.zeros_like(doubled)))
-
-
-def _lue_keys(walk: tuple[int, ...], block: np.ndarray) -> np.ndarray:
-    parts = _cycle_counts(range(block.shape[1]), block)
-    return np.column_stack((parts + _cycle_counts(walk, block), parts))
 
 
 def _wishart_involutions(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -232,25 +241,25 @@ def genus_expansion_moment(
     terms: list[tuple[tuple[int, int], int]] = []
 
     if ensemble.kind == "GUE":
-        for g, cnt in family_a_counts(n, budget=budget).items():
+        for (g,), cnt in _prefix_grade_counts("a", n, budget).items():
             terms.append(((n // 2 + 1 - 2 * g, 0), cnt))
 
     elif ensemble.kind == "GOE":
         # b's cap binds before a's, so b is read first
         for k, cnt in family_b_counts(n, budget=budget).items():
             terms.append(((n // 2 + 1 - k, 0), cnt))
-        for g, cnt in family_a_counts(n, budget=budget).items():
+        for (g,), cnt in _prefix_grade_counts("a", n, budget).items():
             terms.append(((n // 2 + 1 - 2 * g, 0), cnt))
 
     elif ensemble.kind == "LUE":
-        for (g, p), cnt in family_a_tilde_counts(n, budget=budget).items():
+        for (g, p), cnt in _prefix_grade_counts("a-tilde", n, budget).items():
             terms.append(((n + 1 - 2 * g, p), cnt))
 
     else:  # LOE
         # b̃'s cap binds before ã's, so b̃ is read first
         for (k, p), cnt in family_b_tilde_counts(n, budget=budget).items():
             terms.append(((n + 1 - k, p), cnt))
-        for (g, p), cnt in family_a_tilde_counts(n, budget=budget).items():
+        for (g, p), cnt in _prefix_grade_counts("a-tilde", n, budget).items():
             terms.append(((n + 1 - 2 * g, p), cnt))
 
     # built after the counts, whose caps refuse an order before 2ⁿ is computed

@@ -30,7 +30,12 @@ a cycle mixes the classes) and ``_is_delta_symmetric``.
 ``_cycle_counts`` is the batched form of the two walk kernels for a
 numpy block of images, one row per image, and ``_key_counts`` tallies
 the key rows computed from such blocks with ``np.bincount``.  Every
-cycle count in the package goes through them.  ``compose``,
+cycle count in the package goes through them, or through their
+counting form for a stream read by prefix, which builds no row:
+``_prefix_cycle_counts`` contracts each prefix onto its tail
+(``_contract``), codes the conjugacy class of what is left
+(``_cycle_types``) and reads the counts of that class against the tail
+table, kept per (m, class) by ``_class_table``.  ``compose``,
 ``inverse``, ``conjugate``, ``num_cycles`` and
 ``restricted_cycle_count`` are the algebra of :class:`Permutation`
 objects: plain functions over them.
@@ -328,6 +333,182 @@ def _key_counts(keys: Iterable[np.ndarray]) -> dict[tuple[int, ...], int]:
         for key, count in zip(found, tally[present].tolist()):
             counts[key] += count
     return counts
+
+
+def _contract(outer, positions, values, tail, free, colour: bytes | None = None):
+    """Each prefix of a stream contracted onto its tail slots, one row a prefix.
+
+    A prefix sends its ``positions`` to its ``values``; the element it
+    starts sends its tail positions ``tail`` (slot j at ``tail[:, j]``)
+    onto its ``free`` values.  Where x ↦ outer[element(x)] enters the
+    tail, ``c`` carries on: c(i) is the first tail slot reached from
+    outer[free[i]] through the prefix positions.  So if the tail sends
+    slot j to free[u(j)], the cycles of x ↦ outer[element(x)] are those
+    closed inside the prefix and those of c∘u.  Returns (c, closed,
+    colour-1 closed, mixed): the last two are None without a 0/1
+    ``colour`` mask.  With one (a bipartite stream, whose tails join the
+    classes), mixed flags the prefixes where a closed cycle meets both
+    classes, or a path from outer[free[i]] to its slot meets free[i]'s
+    class; only where it is false are the cycles of every completion
+    monochromatic.
+    """
+    count, k = free.shape
+    head = positions.shape[1]
+    size = head + k
+    base = size * np.arange(count)[:, None]
+    hop = np.empty(count * size, dtype=np.intp)  # flat: x ↦ outer[element(x)]; the tail stays
+    hop[positions + base] = np.asarray(outer, dtype=np.intp)[values] + base
+    hop[tail + base] = tail + base
+    slot = np.empty(count * size, dtype=np.intp)
+    slot[positions + base] = -1
+    slot[tail + base] = np.arange(k)
+    ends = np.asarray(outer, dtype=np.intp)[free] + base
+    starts = positions + base
+    cycle = hop.take(starts)
+    least = np.minimum(starts, cycle)
+    if colour is not None:
+        shade = np.tile(np.frombuffer(colour, dtype=np.uint8), count)
+        own = shade.take(free + base)
+        crossed = shade.take(ends) == own
+    for _ in range(head):
+        ends = hop.take(ends)
+        cycle = hop.take(cycle)
+        np.minimum(least, cycle, out=least)
+        if colour is not None:
+            crossed |= shade.take(ends) == own
+    kept = slot.take(cycle) < 0  # the positions on closed cycles
+    heads = kept & (least == starts)  # each closed cycle at its least position
+    closed = heads.sum(axis=1)
+    c = slot.take(ends)
+    if colour is None:
+        return c, closed, None, None
+    inside = (heads & (shade.take(starts) == 1)).sum(axis=1)
+    mixed = (kept & (shade.take(least) != shade.take(starts))).any(axis=1)
+    return c, closed, inside, mixed | crossed.any(axis=1)
+
+
+def _cycle_types(perms: np.ndarray) -> np.ndarray:
+    """Per row of permutations of 0..m−1, a code of its cycle type.
+
+    The code is Σ (m+1)^(ℓ(x)−1) over the points x, ℓ(x) the length of
+    x's cycle: in base m+1 its digits count the points on cycles of each
+    length, so two rows share a code exactly when they are conjugate.
+    Each cycle is found at its least point by pointer doubling, as in
+    :func:`_cycle_counts`.
+    """
+    count, m = perms.shape
+    index = np.arange(count * m)
+    step = (perms + m * np.arange(count)[:, None]).reshape(-1)
+    least = np.minimum(index, step)
+    for _ in range((m - 1).bit_length() - 1):
+        step = step.take(step)
+        np.minimum(least, least.take(step), out=least)
+    length = np.bincount(least, minlength=count * m).take(least)
+    return ((m + 1) ** (length - 1)).reshape(count, m).sum(axis=1)
+
+
+#: (pairs, m, cycle-type code) -> the counts of one conjugacy class against
+#: the tail table of m points, kept for the process: at most 42 classes of
+#: S_10 and 11 of S_6 at the depths the streams count at.
+_CLASS_TABLES: dict[tuple[bool, int, int], np.ndarray] = {}
+
+
+def _class_table(tails: np.ndarray, pairs: bool, code: int, w) -> np.ndarray:
+    """The counts of class ``code`` (of the permutation ``w``) against ``tails``.
+
+    Matchings t (``pairs``): entry j counts the t with #(w∘t) = j.
+    Permutations u: entry (i, j) counts the u with #u = i and #(w∘u) = j.
+    Each table is closed under conjugation, so the counts are those of
+    every g·w·g⁻¹ (g·t·g⁻¹ runs over the table as t does).
+    """
+    m = tails.shape[1]
+    key = (pairs, m, code)
+    table = _CLASS_TABLES.get(key)
+    if table is None:
+        walked = _cycle_counts(w, tails)
+        if pairs:
+            table = np.bincount(walked, minlength=m + 1)
+        else:
+            own = _cycle_counts(range(m), tails)
+            table = np.bincount(own * (m + 1) + walked, minlength=(m + 1) ** 2)
+            table = table.reshape(m + 1, m + 1)
+        table.flags.writeable = False
+        _CLASS_TABLES[key] = table
+    return table
+
+
+def _prefix_cycle_counts(outer, step: int, tails: np.ndarray, prefixes, colour=None):
+    """Histogram of the cycles of x ↦ outer[π(x)] over a stream read by prefix.
+
+    ``prefixes`` are batches of (positions, values, tail, free) runs and
+    ``tails`` the table that completes each (see
+    :func:`annular.streams._prefixes`).  Each prefix is contracted once
+    (:func:`_contract`), its cycles closed inside the prefix are
+    offsets, and the rest is read off the cached counts of a class:
+
+    * ``step`` 1, matchings π: key (#(outer∘π),), from the class of c;
+    * ``step`` 0, permutations π: key (#π, #(outer∘π)).  With c₁ the
+      contraction for the identity and c that for ``outer``, #π is
+      #(c₁∘u) and #(outer∘π) is #(c∘u) over the tail table's u, that is
+      #v and #(w∘v) with v = c₁∘u and w = c∘c₁⁻¹;
+    * ``step`` 2, bipartite matchings with the 0/1 ``colour`` mask: key
+      (colour-1 cycles, colour-0 cycles).  c sends the class-0 slots B
+      to class 1 (A) and back (C); a tail joining the classes is a
+      bijection τ: B → W, and with u = A∘τ⁻¹ the colour-1 tail cycles
+      are #u and the colour-0 ones #(C∘τ) = #(w⁻¹∘u), w = A∘C on W, so
+      ``tails`` is S_m and w⁻¹ is in the class of w.  None when a prefix
+      mixes the classes (its counts mean nothing).
+
+    Keys come in ascending order.  No row of the stream is built.
+    """
+    pairs = step == 1
+    classes: dict[int, list] = {}  # offsets and class, coded -> [prefixes, class code, offsets, w]
+    for positions, values, tail, free in prefixes:
+        if colour is None and not positions.shape[1]:
+            # no prefix: the stream is its tail table, c is outer and c₁ the identity
+            w = np.asarray(outer, dtype=np.intp)[None]
+            return _nonzero_counts(_class_table(tails, pairs, int(_cycle_types(w)[0]), w[0]))
+        size = positions.shape[1] + free.shape[1]
+        c, closed, inside, mixed = _contract(outer, positions, values, tail, free, colour)
+        if step == 0:
+            c_id, closed_id = _contract(range(size), positions, values, tail, free)[:2]
+            w = np.empty_like(c)
+            np.put_along_axis(w, c_id, c, axis=1)
+            offsets = (closed_id, closed)
+        elif pairs:
+            w, offsets = c, (closed,)
+        else:
+            if mixed.any():
+                return None
+            m = free.shape[1] // 2
+            order = np.argsort(np.frombuffer(colour, dtype=np.uint8)[free], axis=1, kind="stable")
+            rank = np.empty_like(order)
+            np.put_along_axis(rank, order, np.tile(np.arange(m), 2), axis=1)
+            after = np.take_along_axis(c, np.take_along_axis(c, order[:, m:], axis=1), axis=1)
+            w = np.take_along_axis(rank, after, axis=1)
+            offsets = (inside, closed - inside)
+        codes = coded = _cycle_types(w)
+        for offset in offsets:
+            coded = coded * (size + 1) + offset
+        found, first, counts = np.unique(coded, return_index=True, return_counts=True)
+        for key, i, count in zip(found.tolist(), first.tolist(), counts.tolist()):
+            where = tuple(int(o[i]) for o in offsets)
+            classes.setdefault(key, [0, int(codes[i]), where, w[i]])[0] += count
+    if not classes:
+        return {}
+    shape = (tails.shape[1] + 1,) * (1 if pairs else 2)
+    reach = np.max([where for _, _, where, _ in classes.values()], axis=0)
+    total = np.zeros(tuple(reach + shape), dtype=np.int64)
+    for count, code, where, w in classes.values():
+        at = tuple(slice(o, o + s) for o, s in zip(where, shape))
+        total[at] += count * _class_table(tails, pairs, code, w)
+    return _nonzero_counts(total)
+
+
+def _nonzero_counts(total: np.ndarray) -> dict[tuple[int, ...], int]:
+    """Index tuple -> entry over the nonzero entries of ``total``, in ascending order."""
+    at = np.nonzero(total)
+    return dict(zip(zip(*(i.tolist() for i in at)), total[at].tolist()))
 
 
 def _is_delta_symmetric(img: Sequence[int]) -> bool:

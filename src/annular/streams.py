@@ -34,7 +34,13 @@ one read right to left, so each row picks, point by point, between the
 two by its twist bit.  Each colour-class stream yields exactly the rows
 of the corresponding filter, in the same order, without visiting the
 rejected ones.  :func:`_mirrored_pairings` walks the matchings of ±[n]
-last to first (prefix numbers counted down), mirrored.
+last to first (prefix numbers counted down), mirrored.  The matchings,
+bipartite matchings and permutations also have a counting form,
+:func:`_prefixes`: the same prefix runs in batches and the whole table
+that completes each (``_table`` builds a table whole, or refuses its
+size), for the passes that keep only a histogram of cycle counts
+(:func:`annular.perms._prefix_cycle_counts`), with the same cap and
+budget errors as the block stream.
 
 Each stream has a documented deterministic order, a size cap checked
 before any row is built (by default the largest size whose stream holds
@@ -114,15 +120,18 @@ def _budgeted(
             if len(block) > left:  # the block holds element limit + 1
                 if left:
                     yield block[:left]
-                raise CapExceeded(
-                    f"{what} exceeded the element budget ({limit})",
-                    requested=limit + 1,
-                    cap=limit,
-                )
+                raise _over_budget(what, limit)
             left -= len(block)
             yield block
 
     return within()
+
+
+def _over_budget(what: str, limit: int) -> CapExceeded:
+    """The error of a stream of ``what`` asked for element ``limit`` + 1."""
+    return CapExceeded(
+        f"{what} exceeded the element budget ({limit})", requested=limit + 1, cap=limit
+    )
 
 
 #: Most rows in one block, whatever the stream's length: 4 kB per column
@@ -184,9 +193,14 @@ def _table_rows(step: int, m: int) -> int:
     return math.prod(range(m - 1, 0, -2)) if step == 1 else math.factorial(m // 2 if step else m)
 
 
-#: Most entries in one tail table (8 kB).  The bipartite tables are one per
-#: colour pattern: 50 kB of them for [16], 0.5 MB at one size larger.
+#: Most entries in the tail table of a stream of blocks (8 kB).  The
+#: bipartite tables are one per colour pattern: 50 kB of them for [16],
+#: 0.5 MB at one size larger.
 _TABLE_ENTRIES = 2 * _ROWS
+
+#: Most entries in any table (512 kB): the 5,040 permutations of 7 points
+#: fit, the 10,395 matchings of 12 do not.
+_TABLE_LIMIT = 1 << 16
 
 
 @cache
@@ -195,14 +209,23 @@ def _table(step: int, colours: bytes) -> np.ndarray:
 
     A bipartite table (step 2) is the matchings' table on m points
     filtered to the rows that join the two colours, which keeps their
-    order.
+    order.  A table of the matchings or permutations of m points over
+    ``_TABLE_LIMIT`` entries raises ``ValueError``.
     """
+    size = len(colours)
     if step == 2:
-        matchings = _table(1, bytes(len(colours)))
+        matchings = _table(1, bytes(size))
         shade = np.frombuffer(colours, dtype=np.uint8)
         table = matchings[(shade[matchings] != shade).all(axis=1)]
+    elif (entries := _table_rows(step, size) * size) > _TABLE_LIMIT:
+        raise ValueError(
+            f"the table of the {'matchings' if step else 'permutations'} of {size} points "
+            f"would hold {entries} entries, above {_TABLE_LIMIT}"
+        )
+    elif size:
+        table = np.concatenate(tuple(_tail_blocks(step, colours, 1)))
     else:
-        table = next(_tail_blocks(step, colours, 1)) if colours else np.zeros((1, 0), np.intp)
+        table = np.zeros((1, 0), np.intp)
     table.flags.writeable = False
     return table
 
@@ -260,9 +283,10 @@ def _tail_blocks(step: int, colours: bytes, depth=None, reverse=False) -> Iterat
     ``_ROWS`` rows): the rest of the stream on its free points, keyed by
     their colours (all 0 unless ``step`` is 2) and gathered as
     ``free[table]``.  A block stacks as many prefixes as fit in ``_ROWS``
-    rows.  The prefixes are built by :func:`_runs` from their numbers,
-    up to ``_ROWS`` of them at once.  With ``reverse`` the stream comes
-    last to first.
+    rows, and one prefix when its table is longer (a given ``depth``).
+    The prefixes are built by :func:`_runs` from their numbers, up to
+    ``_ROWS`` of them at once.  With ``reverse`` the stream comes last
+    to first.
     """
     size, width = len(colours), 2 if step else 1
     if depth is None:
@@ -271,7 +295,7 @@ def _tail_blocks(step: int, colours: bytes, depth=None, reverse=False) -> Iterat
             depth += 1
     tail = size - width * depth
     rows = _table_rows(step, tail)
-    total, per = _table_rows(step, size) // rows, _ROWS // rows
+    total, per = _table_rows(step, size) // rows, max(1, _ROWS // rows)
     table = _table(step, colours[:tail]) if step < 2 else None  # all colours 0
     if table is not None and not depth:  # the whole stream is its cached table
         yield table[::-1] if reverse else table
@@ -409,8 +433,8 @@ def _default_cap(noun: str) -> int:
     return cap
 
 
-def _capped(noun: str, ground: GroundSet, size: int, cap, budget, blocks):
-    """Lazy ``blocks`` of ``noun``s on ``ground``, refused above the cap before any is built."""
+def _checked(noun: str, ground: GroundSet, size: int, cap) -> str:
+    """The stream's name for its budget, once ``size`` is checked against the cap."""
     effective = _default_cap(noun) if cap is None else _check_integer("cap", cap)
     if size > effective:
         raise CapExceeded(
@@ -420,7 +444,64 @@ def _capped(noun: str, ground: GroundSet, size: int, cap, budget, blocks):
             cap=effective,
         )
     where = f"±[{ground.n}]" if ground.kind == GroundSet.SIGNED else f"[{ground.n}]"
-    return _budgeted(blocks, budget, f"{noun}s of {where}")
+    return f"{noun}s of {where}"
+
+
+def _capped(noun: str, ground: GroundSet, size: int, cap, budget, blocks):
+    """Lazy ``blocks`` of ``noun``s on ``ground``, refused above the cap before any is built."""
+    return _budgeted(blocks, budget, _checked(noun, ground, size, cap))
+
+
+#: Points a counting pass leaves to the tail table after each prefix, by
+#: step: the 720 permutations of 6 values, the 945 matchings of 10 points,
+#: and the bipartite matchings of 6 + 6 points, counted on the same S_6.
+_COUNTED_TAIL = (6, 10, 12)
+
+#: The step of each stream that has a counting form.
+_STEPS = {"permutation": 0, "pairing": 1, "bipartite pairing": 2}
+
+
+def _prefixes(noun: str, ground: GroundSet, size: int, budget=None):
+    """The counting form of the stream of ``noun``s: (step, tail table, prefix batches).
+
+    The size is refused above the default cap, and a budget below the
+    stream's length, as the block stream refuses them (the same errors),
+    before any table is built; a counting pass reads every element, so
+    none is counted before a budget raises.  Each prefix is a run of
+    :func:`_runs` that leaves ``_COUNTED_TAIL`` points (all of them on a
+    smaller ground), given as (positions, values, tail positions, free
+    values), ``_ROWS`` prefixes a batch; the tail table is the stream on
+    the tail, or S_m for a bipartite tail of m + m points.  The batches
+    are lazy, and empty where the stream is.
+    """
+    what, step = _checked(noun, ground, size, None), _STEPS[noun]
+    length = _LENGTHS[noun](size)
+    if budget is not None and length > budget.max_elements:
+        raise _over_budget(what, budget.max_elements)
+    if not length:  # an odd number of points has no matching
+        return step, np.zeros((0, 0), np.intp), iter(())
+    width, tail = 2 if step else 1, min(size, _COUNTED_TAIL[step])
+    depth = (size - tail) // width
+    tails = _table(0, bytes(tail // 2)) if step == 2 else _table(step, bytes(tail))
+    colours = bytes(i % 2 if step == 2 else 0 for i in range(size))
+    total = length // _table_rows(step, tail)
+
+    def batches():
+        if not depth:  # the stream is its tail table: one empty prefix
+            points = np.arange(size)[None]
+            yield np.empty((1, 0), np.intp), np.empty((1, 0), np.intp), points, points
+            return
+        for first in range(0, total, _ROWS):
+            count = min(_ROWS, total - first)
+            positions, values, free = _runs(step, colours, depth, first, count, False)
+            if step:  # a matching's tail sits at its free points
+                yield positions, values, free, free
+            else:
+                rows = (len(free), depth)
+                tail_at = np.broadcast_to(np.arange(depth, size), free.shape)
+                yield np.broadcast_to(positions, rows), values, tail_at, free
+
+    return step, tails, batches()
 
 
 def _pairings_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:

@@ -427,6 +427,24 @@ def ref_cycle_count_on(p: dict, subset: set) -> int:
     return count
 
 
+def ref_completion_counts(c: dict, completions, *, joint=False, white=None) -> dict:
+    """Histogram over the ``completions`` t (dicts) of the cycles of c∘t.
+
+    The key is #(c∘t); (#t, #(c∘t)) when ``joint``; (cycles of c∘t
+    inside ``white``, the other cycles) when a ``white`` set is given.
+    """
+    counts: dict = {}
+    for t in completions:
+        walk = ref_compose(c, t)
+        if white is not None:
+            inside = ref_cycle_count_on(walk, white)
+            key = (inside, ref_num_cycles(walk) - inside)
+        else:
+            key = (ref_num_cycles(t), ref_num_cycles(walk)) if joint else ref_num_cycles(walk)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def ref_genus_of_pairing(p: dict, n: int) -> int:
     faces = ref_num_cycles(ref_compose(ref_inverse(p), ref_full_cycle(n)))
     twice = n // 2 + 1 - faces

@@ -172,10 +172,10 @@ def test_routes_do_not_import_each_other():
     # The Wick sum, the genus expansion and the non-crossing side must
     # stay independent: they share perms/frames, never each other.
     assert _imports_from("noncrossing", "maps") == set()
+    # the genus route reads family counts only: a and a-tilde counted by prefix
     assert _imports_from("moments", "maps") == {
-        "family_a_counts",
+        "_prefix_grade_counts",
         "family_b_counts",
-        "family_a_tilde_counts",
         "family_b_tilde_counts",
     }
     assert _imports_from("maps", "noncrossing") == set()

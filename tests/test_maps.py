@@ -6,11 +6,13 @@ from math import factorial
 import pytest
 
 import annular.maps
+from annular.moments import genus_expansion_moment
 from annular.frames import annulus_cycle, black_labels, full_cycle, white_labels
 from annular.maps import (
     GLUINGS,
     MonochromaticityError,
     _has_hat_twist,
+    _prefix_grade_counts,
     family_a,
     family_a_counts,
     family_a_hat,
@@ -674,3 +676,39 @@ def test_a_failed_gluing_pass_is_not_kept(monkeypatch):
         with pytest.raises(RuntimeError, match="source failed"):
             gluing_groups("a-tilde", 2)
     assert not annular.maps._GROUPS
+
+
+# ---------------------------------------------------------------- counted by prefix
+@pytest.mark.parametrize(
+    "tag, n", [("a", n) for n in range(2, 17, 2)] + [("a-tilde", n) for n in range(1, 10)]
+)
+def test_prefix_grade_counts_equal_the_row_pass(tag, n):
+    # the genus route's counts of a and a-tilde against the batched row kernels
+    assert _prefix_grade_counts(tag, n) == gluing_counts(tag, n)
+
+
+def _identity_walk(gamma):
+    """A face walk that is no walk: every label stays, so a pairing's faces are its pairs."""
+    return tuple(range(len(gamma.image))), len(gamma.image)
+
+
+@pytest.mark.parametrize("n", [4, 12])  # the tail table alone; one prefix pair before it
+def test_prefix_pass_raises_the_per_image_genus_error(monkeypatch, n):
+    # n/2 faces leave an odd twice-genus on every pairing, the first one included
+    monkeypatch.setattr(annular.maps, "gamma_walk", _identity_walk)
+    with pytest.raises(ValueError, match="impossible face count") as per_image:
+        GLUINGS["a"].key(next(_rows(_pairing_blocks(n))))
+    with pytest.raises(ValueError) as counted:
+        genus_expansion_moment("GUE", n)
+    assert str(counted.value) == str(per_image.value)
+
+
+@pytest.mark.parametrize("n", [3, 7])  # no prefix: only the contraction keeps the colour
+def test_prefix_pass_raises_monochromaticity_error(monkeypatch, n):
+    monkeypatch.setattr(annular.maps, "gamma_walk", _identity_walk)
+    with pytest.raises(MonochromaticityError) as per_image:
+        GLUINGS["a-tilde"].key(next(_rows(_bipartite_pairing_blocks(2 * n))))
+    for call in (lambda: genus_expansion_moment("LUE", n), lambda: gluing_counts("a-tilde", n)):
+        with pytest.raises(MonochromaticityError) as counted:
+            call()
+        assert str(counted.value) == str(per_image.value)

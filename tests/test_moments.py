@@ -1,5 +1,6 @@
 """Exact moments: Wick sums, genus expansions, and the index-sum oracle."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -7,9 +8,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import annular.moments
+import annular.perms
+import annular.streams
+from annular.frames import full_cycle, gamma_walk
 from annular.moments import (
     Ensemble,
     correction_coefficient,
@@ -17,11 +22,12 @@ from annular.moments import (
     wick_moment,
     wick_oracle_smallN,
 )
-from annular.perms import unsigned_ground
+from annular.perms import _cycle_counts, _key_counts, unsigned_ground
 from annular.polynomial import MomentPolynomial
 from annular.streams import (
     CapExceeded,
     EnumerationBudget,
+    _bipartite_pairing_blocks,
     _pairings_of_blocks,
     _permutations_of_blocks,
     _signed_symmetric_pairings_blocks,
@@ -359,3 +365,87 @@ def test_loe_wishart_sum_equals_the_signed_pairing_sum(n):
     # pairings of ±[2n] that keep the black set, keyed by their boundary walks
     want = {key: Fraction(count, 2**n) for key, count in ref_loe_signed_pairing_terms(n).items()}
     assert wick_moment("LOE", n).coefficients == want
+
+
+# ---------------------------------------------------------------------------
+# the GUE and LUE routes, counted by stream prefix
+# ---------------------------------------------------------------------------
+
+def _row_pass_wick(ensemble, n):
+    """The GUE / LUE Wick sum keyed row by row over the block stream, as before
+    the prefix pass: faces per pairing, (#π + faces, #π) per permutation."""
+    walk = gamma_walk(full_cycle(n))[0]
+    if ensemble == "GUE":
+        blocks, prefactor = _pairings_of_blocks(unsigned_ground(n)), Fraction(1, 2 ** (n // 2))
+
+        def keys(block):
+            faces = _cycle_counts(walk, block)
+            return np.column_stack((faces, np.zeros_like(faces)))
+
+    else:
+        blocks, prefactor = _permutations_of_blocks(unsigned_ground(n)), Fraction(1)
+
+        def keys(block):
+            parts = _cycle_counts(range(n), block)
+            return np.column_stack((parts + _cycle_counts(walk, block), parts))
+
+    counts = _key_counts(map(keys, blocks))
+    return MomentPolynomial(tuple((key, prefactor * cnt) for key, cnt in counts.items()))
+
+
+@pytest.mark.parametrize(
+    "ensemble, n", [("GUE", n) for n in range(2, 17, 2)] + [("LUE", n) for n in range(1, 10)]
+)
+def test_prefix_pass_equals_the_row_pass(ensemble, n):
+    # over the whole range of the default caps, with and without prefixes
+    assert wick_moment(ensemble, n) == _row_pass_wick(ensemble, n)
+
+
+#: The streams the counted routes read, as block streams: (ensemble, route) ->
+#: (order, the block stream under a budget).
+COUNTED_STREAMS = {
+    ("GUE", "wick"): (12, lambda n, b: _pairings_of_blocks(unsigned_ground(n), budget=b)),
+    ("GUE", "genus"): (12, lambda n, b: _pairings_of_blocks(unsigned_ground(n), budget=b)),
+    ("LUE", "wick"): (7, lambda n, b: _permutations_of_blocks(unsigned_ground(n), budget=b)),
+    ("LUE", "genus"): (5, lambda n, b: _bipartite_pairing_blocks(2 * n, budget=b)),
+}
+
+
+@pytest.mark.parametrize("ensemble, route", COUNTED_STREAMS)
+def test_counted_routes_keep_the_budget_contract(ensemble, route):
+    # a budget below the stream's length raises the block stream's error
+    # (message, requested, cap); one equal to it changes nothing
+    n, stream = COUNTED_STREAMS[ensemble, route]
+    length = sum(map(len, stream(n, None)))
+    for k in (0, 1, length - 1):
+        with pytest.raises(CapExceeded) as rows:
+            list(stream(n, EnumerationBudget(k)))
+        with pytest.raises(CapExceeded) as counted:
+            ROUTES[route](ensemble, n, budget=EnumerationBudget(k))
+        assert str(counted.value) == str(rows.value)
+        assert (counted.value.requested, counted.value.cap) == (k + 1, k)
+    budgeted = ROUTES[route](ensemble, n, budget=EnumerationBudget(length))
+    assert budgeted == ROUTES[route](ensemble, n)
+
+
+@pytest.mark.parametrize("ensemble, route", COUNTED_STREAMS)
+def test_counted_routes_refuse_an_order_above_the_cap_before_any_table(ensemble, route):
+    order = FIRST_REFUSED[ensemble, route][0]
+    annular.streams._table.cache_clear()
+    annular.perms._CLASS_TABLES.clear()
+    with pytest.raises(CapExceeded, match="above the cap"):
+        ROUTES[route](ensemble, order)
+    assert annular.streams._table.cache_info().currsize == 0
+    assert not annular.perms._CLASS_TABLES
+
+
+def test_the_package_has_no_assert_statements():
+    # invariants raise explicitly, so they hold under python -O as well
+    package = Path(annular.moments.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -4,18 +4,24 @@ Expected values are either hand-checked tiny cases or come from the
 naive dict-based oracles in ``oracles.py``.
 """
 
+import random
 from collections import Counter
+from itertools import permutations as iter_permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annular.frames import odd_mask
 from annular.perms import (
     GroundSet,
+    _class_table,
     _coloured_cycle_count,
     _cycle_count,
     _cycle_counts,
+    _cycle_types,
     _key_counts,
+    _prefix_cycle_counts,
     Pairing,
     Permutation,
     compose,
@@ -31,7 +37,7 @@ from annular.perms import (
 
 from annular.bijections import verify, verify_grades
 from annular.noncrossing import NCFamilyId, family_nc
-from annular.streams import EnumerationBudget, pairings
+from annular.streams import EnumerationBudget, _prefixes, _table, pairings
 
 import oracles
 
@@ -446,3 +452,78 @@ def test_key_counts_edge_streams():
 def test_key_counts_refuse_bad_blocks_with_value_error(block, message):
     with pytest.raises(ValueError, match=message):
         _key_counts([np.array([[0, 0]]), block])
+
+
+# ------------------------------------------------- counting by cycle type
+def _table_counts(table: np.ndarray) -> dict:
+    """A class table's nonzero entries, keyed as ``oracles.ref_completion_counts`` keys them."""
+    return {
+        (tuple(map(int, at)) if len(at) > 1 else int(at[0])): int(table[at])
+        for at in zip(*np.nonzero(table))
+    }
+
+
+@pytest.mark.parametrize(
+    "pairs, k", [(True, k) for k in (2, 4, 6, 8)] + [(False, k) for k in range(1, 9)]
+)
+def test_class_counts_depend_only_on_the_cycle_type(pairs, k):
+    # over every matching (permutation) t of k points, the cycles of c∘t
+    # (with #t) have the histogram of those of g·c·g⁻¹, and the table kept
+    # for the class holds it whichever member built it
+    rng = random.Random(k)
+    points = list(range(k))
+    c = dict(zip(points, rng.sample(points, k)))
+    g = dict(zip(points, rng.sample(points, k)))
+    conj = oracles.ref_compose(oracles.ref_compose(g, c), oracles.ref_inverse(g))
+    if pairs:
+        completions = [oracles.pairing_to_map(m) for m in oracles.ref_all_pairings(points)]
+    else:
+        completions = oracles.ref_permutations(points)
+    want = oracles.ref_completion_counts(c, completions, joint=not pairs)
+    assert oracles.ref_completion_counts(conj, completions, joint=not pairs) == want
+    images = np.array([[c[x] for x in points], [conj[x] for x in points]])
+    code, other = _cycle_types(images).tolist()
+    assert code == other
+    # S_8 is more than a stream table holds; every table is read as a set
+    tails = _table(1, bytes(k)) if pairs else np.array(list(iter_permutations(points)))
+    assert _table_counts(_class_table(tails, pairs, code, images[1])) == want
+
+
+def test_cycle_type_codes_split_exactly_the_conjugacy_classes():
+    rows = _table(0, bytes(6))
+    types = [tuple(sorted(map(len, oracles.ref_cycles(dict(enumerate(r)))))) for r in rows.tolist()]
+    codes = _cycle_types(rows).tolist()
+    assert len(set(types)) == len(set(codes)) == 11  # the partitions of 6
+    assert len(set(zip(types, codes))) == 11
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_bipartite_counts_are_read_at_the_class_of_a_after_c(m):
+    # c sends the black points to the white ones (A) and back (C); over the
+    # matchings t that join the colours, the white and the other cycles of
+    # c∘t are #u and #(w∘u) over the u of S_m, at the class of w = A∘C
+    rng = random.Random(m)
+    points = list(range(2 * m))
+    shade = [1] * m + [0] * m
+    rng.shuffle(shade)
+    white = [x for x in points if shade[x]]
+    black = [x for x in points if not shade[x]]
+    c = {**dict(zip(black, rng.sample(white, m))), **dict(zip(white, rng.sample(black, m)))}
+    completions = [
+        oracles.pairing_to_map(pairs)
+        for pairs in oracles.ref_all_pairings(points)
+        if all(shade[a] != shade[b] for a, b in pairs)
+    ]
+    want = oracles.ref_completion_counts(c, completions, white=set(white))
+    rank = {x: i for i, x in enumerate(white)}
+    w = np.array([[rank[c[c[x]]] for x in white]])
+    table = _class_table(_table(0, bytes(m)), False, int(_cycle_types(w)[0]), w[0])
+    assert _table_counts(table) == want
+
+
+@pytest.mark.parametrize("size", [6, 14])
+def test_a_walk_that_keeps_the_colour_counts_nothing(size):
+    # the identity keeps every point's class: with no prefix (6 points) the
+    # contraction does not reverse colour, with one (14) a closed pair mixes too
+    step, tails, prefixes = _prefixes("bipartite pairing", unsigned_ground(size), size)
+    assert _prefix_cycle_counts(range(size), step, tails, prefixes, odd_mask(size)) is None

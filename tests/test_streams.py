@@ -246,6 +246,20 @@ def test_one_table_streams_are_their_read_only_tables():
         assert next(build(*args)) is not next(build(*args))
 
 
+def test_tables_hold_the_whole_stream_or_refuse_its_size():
+    # a table longer than one block is the whole stream, not its first block
+    table = annular.streams._table
+    for size in (6, 7):
+        want = np.array(list(iter_permutations(range(size))), dtype=np.intp)
+        assert np.array_equal(table(0, bytes(size)), want)
+    assert table(1, bytes(10)).tolist() == list(map(list, oracles.ref_pairing_images(10)))
+    assert not table(0, bytes(7)).flags.writeable
+    # 10,395 matchings of 12 points and 8! permutations are past the limit
+    for step, size, what in [(1, 12, "matchings of 12 points"), (0, 8, "permutations of 8 points")]:
+        with pytest.raises(ValueError, match=what):
+            table(step, bytes(size))
+
+
 @pytest.mark.parametrize("step, top", [(0, 7), (1, 12), (2, 12)])
 def test_reversed_tail_blocks_are_the_stream_last_to_first(step, top):
     # the reversed stream (read by the signed symmetric permutations) is built
