@@ -44,27 +44,27 @@ block functions that build only these gluings), a ground, grade names,
 a key kernel mapping one image to its grades, and its batched form
 mapping a block to its member rows and their grades; a row the
 per-image key would reject is handed to it, so both raise its error.
-:func:`gluing_counts` only tallies the grades.  The private row pass
-gives each grade's members as a read-only array of index images in
-stream order, and members stay rows until the public edge:
-:func:`gluing_groups` and :func:`gluing_family` (which builds only its
-grade) make objects from them.  All check the tag and n ≥ 1 before any
-stream starts.  A row pass over a source that ends within one block,
-with no cap or budget, is kept for the process; a longer source is read
-on every call, and a pass that raises keeps nothing.  :func:`gluing_key`
-applies the per-image key to one permutation; the tests hold it to the
-batched kernel row by row.  The ``family_*`` names are shorthands.
+:func:`gluing_counts` only tallies the grades, and is the one histogram
+of each family.  The private row pass gives each grade's members as a
+read-only array of index images in stream order, and members stay rows
+until the public edge: :func:`gluing_groups` and :func:`gluing_family`
+(which builds only its grade) make objects from them.  Every count and
+group gives its grades in ascending order.  All check the tag and n ≥ 1
+before any stream starts.  A row pass over a source that ends within
+one block, with no cap or budget, is kept for the process; a longer
+source is read on every call, and a pass that raises keeps nothing.
+:func:`gluing_key` applies the per-image key to one permutation; the
+tests hold it to the batched kernel row by row.  The ``family_*`` names
+are shorthands for callers outside the package.
 
-The genus route of :mod:`annular.moments` needs only the sizes of a and
-ã, so :func:`_prefix_grade_counts` counts them without building a row:
+The unsigned families a, ã and â are counted without building a row:
 the stream is read by prefix, each prefix contracted onto its tail with
 the face walk (and, for ã, the odd-label mask), and the rest read from a
 table kept per conjugacy class (:func:`annular.perms._prefix_cycle_counts`).
 A prefix whose contraction does not send each colour class to the
 other, or a face count no gluing has, is handed to the row pass, so
-the per-image key's error is raised there.  :func:`gluing_counts` and
-every pass that returns members keep the row pass: they need the rows,
-and grades in the order of their first member.
+the per-image key's error is raised there.  b, b̃ and b̂ are tallied by
+the row pass.
 """
 
 from __future__ import annotations
@@ -449,8 +449,9 @@ class Gluing:
     ``grades`` (None: in no family of the tag); it answers one-permutation
     questions.  ``keys`` maps a block to its member rows, as an index into
     the block (a row mask for b, b̃ and b̂, which drop rows; every row
-    for the others), and their grade rows, in row order; every stream pass
-    reads it.
+    for the others), and their grade rows, in row order; every row pass
+    reads it.  :func:`gluing_counts` reads the unsigned families' streams
+    by prefix instead, from their ground and pairing kind.
     """
 
     source: Callable[..., Iterator[np.ndarray]]
@@ -536,8 +537,8 @@ _GROUPS: dict[tuple[str, int], dict[tuple[int, ...], np.ndarray]] = {}
 def _gluing_rows(tag: str, n: int, cap=None, budget=None) -> dict[tuple[int, ...], np.ndarray]:
     """Grade tuple -> the members of family ``tag`` at size n as a read-only
     (m, size) intp array of index images, in stream order, from one pass
-    through the batched key kernel; grades appear by their first member.
-    A pass over a source of one block, with no cap or budget, is kept."""
+    through the batched key kernel; grades in ascending order.  A pass
+    over a source of one block, with no cap or budget, is kept."""
     entry = _entry(tag, n)
     unbounded = cap is None and budget is None
     if unbounded and (tag, n) in _GROUPS:
@@ -554,7 +555,7 @@ def _gluing_rows(tag: str, n: int, cap=None, budget=None) -> dict[tuple[int, ...
     rows, keys = np.concatenate(rows), np.concatenate(keys)
     codes = np.ravel_multi_index(tuple(keys.T), tuple(keys.max(axis=0, initial=0) + 1))
     result = {}
-    for code in dict.fromkeys(codes.tolist()):  # grades in the order of their first member
+    for code in np.flatnonzero(np.bincount(codes)).tolist():  # ascending codes: ascending grades
         grade = codes == code
         result[tuple(keys[grade.argmax()].tolist())] = group = rows[grade]
         group.flags.writeable = False
@@ -576,36 +577,6 @@ def gluing_groups(
     return {key: _members(GLUINGS[tag], n, rows) for key, rows in groups}
 
 
-def _prefix_grade_counts(tag: str, n: int, budget=None) -> dict[tuple[int, ...], int]:
-    """:func:`gluing_counts` of a (genus) or a-tilde ((genus, p)) counted by stream
-    prefix, building no row, in no promised grade order.
-
-    The pairings of [n], or the bipartite pairings of [2n], are read as
-    prefixes contracted onto a cached tail table
-    (:func:`annular.perms._prefix_cycle_counts`) with the face walk and,
-    for a-tilde, the odd-label mask.  A prefix that mixes the colour
-    classes, or a face count no gluing has, sends the call to the row
-    pass, which raises the per-image key's error on the first row that
-    breaks it.
-    """
-    entry = _entry(tag, n)
-    size = 2 * n if entry.doubled else n
-    noun = "bipartite pairing" if entry.doubled else "pairing"
-    prefixes = _prefixes(noun, unsigned_ground(size), size, budget=budget)
-    walk = gamma_walk(full_cycle(size))[0]
-    colour = odd_mask(size) if entry.doubled else None
-    counts = _prefix_cycle_counts(walk, *prefixes, colour)
-    if counts is not None:
-        if entry.doubled:  # (odd-supported faces, the other faces)
-            twice = {(size // 2 + 1 - odd - even, odd): cnt for (odd, even), cnt in counts.items()}
-        else:
-            twice = {(size // 2 + 1 - faces,): cnt for (faces,), cnt in counts.items()}
-        if all(t >= 0 and t % 2 == 0 for t, *_ in twice):
-            return {(t // 2, *p): cnt for (t, *p), cnt in twice.items()}
-    gluing_counts(tag, n, budget=budget)
-    raise AssertionError("the prefix and row passes disagree")
-
-
 def gluing_counts(
     tag: str,
     n: int,
@@ -613,13 +584,35 @@ def gluing_counts(
     cap: int | None = None,
     budget: EnumerationBudget | None = None,
 ) -> dict[tuple[int, ...], int]:
-    """Histogram grade tuple -> family size, in one pass, building no members.
+    """Histogram grade tuple -> family size, grades ascending, building no member.
 
-    The source is read a block at a time through the batched key kernel;
-    grades appear in the order of their first member, as in
-    :func:`gluing_groups`.
+    a, ã and â are counted by stream prefix, building no row; a prefix
+    that mixes the colour classes, or a face count no gluing has, sends
+    the call to the row pass, which raises the per-image key's error on
+    the first row that breaks it.  b, b̃ and b̂ are tallied by that pass,
+    a source block at a time.
     """
     entry = _entry(tag, n)
+    if entry.signed:
+        return _row_counts(entry, n, cap, budget)
+    size = 2 * n if entry.doubled else n
+    noun = "permutation" if not entry.pairs else "bipartite pairing" if entry.doubled else "pairing"
+    prefixes = _prefixes(noun, unsigned_ground(size), size, cap, budget)
+    walk = gamma_walk(full_cycle(size))[0]
+    counts = _prefix_cycle_counts(walk, *prefixes, odd_mask(size) if entry.doubled else None)
+    if counts is not None:
+        # 2g = edges + 1 − the cycles counted: faces (a), odd and even faces (ã),
+        # parts and faces (â); the grade p is the first of the last two
+        edges, graded = size // 2 if entry.pairs else size, len(entry.grades) - 1
+        twice = {(edges + 1 - sum(c), *c[:graded]): cnt for c, cnt in counts.items()}
+        if all(t >= 0 and t % 2 == 0 for t, *_ in twice):
+            return dict(sorted(((t // 2, *p), cnt) for (t, *p), cnt in twice.items()))
+    _row_counts(entry, n, cap, budget)
+    raise AssertionError("the prefix and row passes disagree")
+
+
+def _row_counts(entry: Gluing, n: int, cap, budget) -> dict[tuple[int, ...], int]:
+    """:func:`gluing_counts` read through the batched key kernel, a source block at a time."""
     return _key_counts(entry.keys(block)[1] for block in entry.source(n, cap, budget))
 
 

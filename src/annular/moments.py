@@ -19,11 +19,10 @@ pairings or permutations of [n] are read by prefix
 :func:`annular.perms._prefix_cycle_counts` contracts each prefix onto
 the tail it leaves and reads the counts of the rest from a table kept
 per conjugacy class: the faces #(γ⁻¹π) of each pairing (GUE), #π and
-#(γ⁻¹π) of each permutation (LUE).  The genus route reads the b and b̃
-histograms of :mod:`annular.maps` (row passes) and its a and ã counts,
-which :func:`annular.maps._prefix_grade_counts` takes the same way by
-prefix, with the face walk, the odd-label mask and the family's grade
-and colour checks.
+#(γ⁻¹π) of each permutation (LUE).  The genus route reads the four
+histograms it needs from :func:`annular.maps.gluing_counts`, which takes
+a and ã the same way by prefix, with the face walk, the odd-label mask
+and the family's grade and colour checks, and b and b̃ by row passes.
 
 Why the routes still check each other.  They share no family
 construction: the Wick sum never reads a gluing family, and the genus
@@ -59,7 +58,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .frames import full_cycle, gamma_walk, tau2
-from .maps import _prefix_grade_counts, family_b_counts, family_b_tilde_counts
+from .maps import gluing_counts
 from .perms import (
     _check_integer,
     _cycle_counts,
@@ -241,25 +240,25 @@ def genus_expansion_moment(
     terms: list[tuple[tuple[int, int], int]] = []
 
     if ensemble.kind == "GUE":
-        for (g,), cnt in _prefix_grade_counts("a", n, budget).items():
+        for (g,), cnt in gluing_counts("a", n, budget=budget).items():
             terms.append(((n // 2 + 1 - 2 * g, 0), cnt))
 
     elif ensemble.kind == "GOE":
         # b's cap binds before a's, so b is read first
-        for k, cnt in family_b_counts(n, budget=budget).items():
+        for (k,), cnt in gluing_counts("b", n, budget=budget).items():
             terms.append(((n // 2 + 1 - k, 0), cnt))
-        for (g,), cnt in _prefix_grade_counts("a", n, budget).items():
+        for (g,), cnt in gluing_counts("a", n, budget=budget).items():
             terms.append(((n // 2 + 1 - 2 * g, 0), cnt))
 
     elif ensemble.kind == "LUE":
-        for (g, p), cnt in _prefix_grade_counts("a-tilde", n, budget).items():
+        for (g, p), cnt in gluing_counts("a-tilde", n, budget=budget).items():
             terms.append(((n + 1 - 2 * g, p), cnt))
 
     else:  # LOE
         # b̃'s cap binds before ã's, so b̃ is read first
-        for (k, p), cnt in family_b_tilde_counts(n, budget=budget).items():
+        for (k, p), cnt in gluing_counts("b-tilde", n, budget=budget).items():
             terms.append(((n + 1 - k, p), cnt))
-        for (g, p), cnt in _prefix_grade_counts("a-tilde", n, budget).items():
+        for (g, p), cnt in gluing_counts("a-tilde", n, budget=budget).items():
             terms.append(((n + 1 - 2 * g, p), cnt))
 
     # built after the counts, whose caps refuse an order before 2ⁿ is computed

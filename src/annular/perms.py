@@ -309,9 +309,9 @@ def _key_counts(keys: Iterable[np.ndarray]) -> dict[tuple[int, ...], int]:
     """Key tuple -> rows carrying it, over 2-D blocks of rows of non-negative int keys.
 
     Each block's rows are read as numbers in base (its largest key + 1),
-    one code a row, and tallied by ``np.bincount``; keys appear in the
-    order of their first row.  A block that is not 2-D with at least one
-    column, or a negative key, raises ``ValueError``.
+    one code a row, and tallied by ``np.bincount``; keys come in
+    ascending order.  A block that is not 2-D with at least one column,
+    or a negative key, raises ``ValueError``.
     """
     counts: dict[tuple[int, ...], int] = {}
     for block in keys:
@@ -322,17 +322,12 @@ def _key_counts(keys: Iterable[np.ndarray]) -> dict[tuple[int, ...], int]:
         if (low := block.min()) < 0:
             raise ValueError(f"keys must be non-negative, got {low}")
         digits = (int(block.max()) + 1,) * block.shape[1]
-        codes = np.ravel_multi_index(tuple(block.T), digits)
-        tally = np.bincount(codes)
+        tally = np.bincount(np.ravel_multi_index(tuple(block.T), digits))
         present = tally.nonzero()[0]
-        found = list(zip(*(d.tolist() for d in np.unravel_index(present, digits))))
-        new = [(key, code) for key, code in zip(found, present.tolist()) if key not in counts]
-        if len(new) > 1:  # codes ascend: the block's new keys go in by their first row
-            new.sort(key=lambda kc: int((codes == kc[1]).argmax()))
-        counts.update((key, 0) for key, _ in new)
+        found = zip(*(d.tolist() for d in np.unravel_index(present, digits)))
         for key, count in zip(found, tally[present].tolist()):
-            counts[key] += count
-    return counts
+            counts[key] = counts.get(key, 0) + count
+    return dict(sorted(counts.items()))
 
 
 def _contract(outer, positions, values, tail, free, colour: bytes | None = None):

@@ -400,7 +400,7 @@ def _twist_bits(half: int, first: int) -> np.ndarray:
 
 def _permutation_blocks(size: int) -> Iterator[np.ndarray]:
     """Blocks of all images of 0..size-1 in lexicographic order."""
-    return _tail_blocks(0, bytes(size))
+    yield from _tail_blocks(0, bytes(size))
 
 
 # ---------------------------------------------------------------------------
@@ -461,10 +461,10 @@ _COUNTED_TAIL = (6, 10, 12)
 _STEPS = {"permutation": 0, "pairing": 1, "bipartite pairing": 2}
 
 
-def _prefixes(noun: str, ground: GroundSet, size: int, budget=None):
+def _prefixes(noun: str, ground: GroundSet, size: int, cap=None, budget=None):
     """The counting form of the stream of ``noun``s: (step, tail table, prefix batches).
 
-    The size is refused above the default cap, and a budget below the
+    The size is refused above the cap, and a budget below the
     stream's length, as the block stream refuses them (the same errors),
     before any table is built; a counting pass reads every element, so
     none is counted before a budget raises.  Each prefix is a run of
@@ -474,7 +474,7 @@ def _prefixes(noun: str, ground: GroundSet, size: int, budget=None):
     the tail, or S_m for a bipartite tail of m + m points.  The batches
     are lazy, and empty where the stream is.
     """
-    what, step = _checked(noun, ground, size, None), _STEPS[noun]
+    what, step = _checked(noun, ground, size, cap), _STEPS[noun]
     length = _LENGTHS[noun](size)
     if budget is not None and length > budget.max_elements:
         raise _over_budget(what, budget.max_elements)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import annular.frames
+import annular.maps
 
 from annular.frames import (
     annulus_cycle,
@@ -172,12 +173,8 @@ def test_routes_do_not_import_each_other():
     # The Wick sum, the genus expansion and the non-crossing side must
     # stay independent: they share perms/frames, never each other.
     assert _imports_from("noncrossing", "maps") == set()
-    # the genus route reads family counts only: a and a-tilde counted by prefix
-    assert _imports_from("moments", "maps") == {
-        "_prefix_grade_counts",
-        "family_b_counts",
-        "family_b_tilde_counts",
-    }
+    # the genus route reads family counts only, through one public call
+    assert _imports_from("moments", "maps") == {"gluing_counts"}
     assert _imports_from("maps", "noncrossing") == set()
     assert _imports_from("maps", "moments") == set()
     # the CLI reads the gluing table and one grade's rows, never a gluing-side kernel
@@ -223,6 +220,21 @@ def test_the_gluing_side_never_imports_noncrossing():
     for module in ("maps", "moments"):
         assert "noncrossing" not in reached(module)
     assert "noncrossing" in reached("bijections")  # the check sees an import
+
+
+def test_no_module_calls_a_gluing_family_shorthand():
+    # the family_* names of maps are shorthands for callers outside the
+    # package; inside it every gluing count or member list is read through
+    # the gluing table's own calls
+    shorthands = {name for name in annular.maps.__all__ if name.startswith("family_")}
+    assert shorthands
+    for path in PACKAGE_MODULES:
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        assert not called & shorthands, f"{path.name} calls {sorted(called & shorthands)}"
 
 
 def test_no_module_reads_the_environment():

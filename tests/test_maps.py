@@ -12,7 +12,6 @@ from annular.maps import (
     GLUINGS,
     MonochromaticityError,
     _has_hat_twist,
-    _prefix_grade_counts,
     family_a,
     family_a_counts,
     family_a_hat,
@@ -40,6 +39,7 @@ from annular.maps import (
 from annular.perms import (
     Pairing,
     Permutation,
+    _key_counts,
     compose,
     inverse,
     num_cycles,
@@ -567,13 +567,15 @@ def test_per_image_key_equals_the_batched_key_on_every_row(tag):
 )
 def test_batched_key_raises_the_per_image_error_on_a_mixed_row(monkeypatch, tag, source, n, stream):
     # fed every pairing, not only the bipartite ones, a pass meets a walk
-    # that mixes the colour classes; both batched passes raise what the
-    # per-image key raises on the first row that it rejects
+    # that mixes the colour classes; the batched passes raise what the
+    # per-image key raises on the first row that it rejects.  The counts
+    # of a-tilde are read by prefix, not from this source: the prefix
+    # pass's error is tested below with a walk that mixes the classes
     monkeypatch.setattr(annular.maps, source, lambda size, cap, budget: stream(size))
     with pytest.raises(MonochromaticityError) as per_image:
         for row in _rows(stream(2 * n)):
             GLUINGS[tag].key(row)
-    for call in (gluing_groups, gluing_counts):
+    for call in (gluing_groups, gluing_counts) if GLUINGS[tag].signed else (gluing_groups,):
         with pytest.raises(MonochromaticityError) as batched:
             call(tag, n)
         assert str(batched.value) == str(per_image.value)
@@ -679,12 +681,70 @@ def test_a_failed_gluing_pass_is_not_kept(monkeypatch):
 
 
 # ---------------------------------------------------------------- counted by prefix
+#: The reference histograms of the families gluing_counts reads by prefix.
+PREFIX_REFERENCES = {
+    "a": (ref_family_a_counts, range(2, 9, 2)),
+    "a-tilde": (ref_family_a_tilde_counts, range(1, 5)),
+    "a-hat": (ref_family_a_hat_counts, range(1, 7)),
+}
+
+
 @pytest.mark.parametrize(
-    "tag, n", [("a", n) for n in range(2, 17, 2)] + [("a-tilde", n) for n in range(1, 10)]
+    "tag, n",
+    [("a", n) for n in range(2, 17, 2)]
+    + [(tag, n) for tag in ("a-tilde", "a-hat") for n in range(1, 10)],
 )
-def test_prefix_grade_counts_equal_the_row_pass(tag, n):
-    # the genus route's counts of a and a-tilde against the batched row kernels
-    assert _prefix_grade_counts(tag, n) == gluing_counts(tag, n)
+def test_gluing_counts_by_prefix_equal_a_row_pass(tag, n):
+    # a, a-tilde and a-hat are counted by prefix; the batched row kernels,
+    # run here over the whole source, count the same histogram
+    entry = GLUINGS[tag]
+    rows = _key_counts(entry.keys(block)[1] for block in entry.source(n, None, None))
+    assert list(gluing_counts(tag, n).items()) == list(rows.items())
+    reference, sizes = PREFIX_REFERENCES[tag]
+    if n in sizes:
+        want = reference(n)
+        assert gluing_counts(tag, n) == {
+            key if isinstance(key, tuple) else (key,): count for key, count in want.items()
+        }
+
+
+def test_gluing_counts_by_prefix_read_no_block_source(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a block source was read")
+
+    for source in ("_pairings_of_blocks", "_bipartite_pairing_blocks", "_permutations_of_blocks"):
+        monkeypatch.setattr(annular.maps, source, refused)
+    for tag, n, length in (("a", 12, 10_395), ("a-tilde", 6, 720), ("a-hat", 8, 40_320)):
+        assert sum(gluing_counts(tag, n).values()) == length
+
+
+def _refusal(call) -> tuple[str, int, int]:
+    with pytest.raises(CapExceeded) as info:
+        call()
+    return str(info.value), info.value.requested, info.value.cap
+
+
+def test_a_hat_counts_honour_an_explicit_cap():
+    # the budget contract is held by the block-boundary test above; the cap
+    # of the counted stream is replaced by an explicit one as the block
+    # stream's is, both ways
+    want = _refusal(lambda: _permutations_of_blocks(unsigned_ground(9), cap=8))
+    assert _refusal(lambda: gluing_counts("a-hat", 9, cap=8)) == want
+    assert want[1:] == (9, 8)
+    assert _refusal(lambda: gluing_counts("a-hat", 10))[1:] == (10, 9)
+    counts = gluing_counts("a-hat", 10, cap=10)
+    assert sum(counts.values()) == factorial(10)
+    assert {p: c for (g, p), c in counts.items() if g == 0} == {
+        p: ref_narayana(10, p) for p in range(1, 11)
+    }
+
+
+@pytest.mark.parametrize("tag", GLUINGS)
+def test_grades_come_in_ascending_order(tag):
+    for n in range(1, GLUING_SIZES[tag] + 1):
+        counts = gluing_counts(tag, n)
+        assert list(counts) == sorted(counts)
+        assert list(gluing_groups(tag, n)) == sorted(counts)
 
 
 def _identity_walk(gamma):

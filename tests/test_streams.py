@@ -12,7 +12,8 @@ import pytest
 
 import annular.streams
 from annular.frames import black_labels, white_labels
-from annular.maps import is_bipartite_pairing, is_bipartite_signed_pairing
+from annular.maps import gluing_groups, is_bipartite_pairing, is_bipartite_signed_pairing
+from annular.noncrossing import nc_groups
 from annular.perms import Pairing, signed_ground, unsigned_ground
 from annular.streams import (
     _ROWS,
@@ -469,6 +470,27 @@ def test_huge_sizes_are_refused_at_once(name):
     with pytest.raises(CapExceeded, match="above the cap"):
         HUGE_STREAMS[name]()
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: permutations(HUGE),
+        lambda: gluing_groups("a-hat", HUGE),
+        lambda: nc_groups("NCT_p", HUGE),
+    ],
+    ids=["permutations", "gluing_groups a-hat", "nc_groups NCT_p"],
+)
+def test_huge_refusals_allocate_nothing_of_their_size(refuse):
+    # a refused permutation stream builds no buffer of the size it refuses
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="above the cap"):
+            refuse()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_budget_overflow_raises():
