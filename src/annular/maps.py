@@ -38,12 +38,9 @@ index-space kernels of :mod:`annular.perms` (which also holds the
 cached in :mod:`annular.frames`, the same ones the Wick sum and the
 non-crossing side read; this module imports neither of those routes.
 
-Each gluing family is one entry of :data:`GLUINGS`, keyed by its CLI
-tag: a source of numpy blocks of index images (ã/b̃ read colour-class
-block functions that build only these gluings), a ground, grade names,
-a key kernel mapping one image to its grades, and its batched form
-mapping a block to its member rows and their grades; a row the
-per-image key would reject is handed to it, so both raise its error.
+Each gluing family is one :class:`Gluing` of :data:`GLUINGS`, keyed by
+its CLI tag; a row its per-image key would reject is handed to that key
+by the batched form, so both raise its error.
 :func:`gluing_counts` only tallies the grades, and is the one histogram
 of each family.  The private row pass gives each grade's members as a
 read-only array of index images in stream order, and members stay rows
@@ -57,13 +54,10 @@ source is read on every call, and a pass that raises keeps nothing.
 tests hold it to the batched kernel row by row.  The ``family_*`` names
 are shorthands for callers outside the package.
 
-The unsigned families a, ã and â are counted without building a row:
-the stream is read by prefix, each prefix contracted onto its tail with
-the face walk (and, for ã, the odd-label mask), and the rest read from a
-table kept per conjugacy class (:func:`annular.perms._prefix_cycle_counts`).
-A prefix whose contraction does not send each colour class to the
-other, or a face count no gluing has, is handed to the row pass, so
-the per-image key's error is raised there.  b, b̃ and b̂ are tallied by
+:func:`gluing_counts` counts the unsigned families a, ã and â by
+stream prefix (:func:`annular.perms._prefix_cycle_counts`), building no
+row, so their counts are capped on the prefixes run and reach past the
+row pass: a to [20], ã and â to n = 12.  b, b̃ and b̂ are tallied by
 the row pass.
 """
 
@@ -589,15 +583,15 @@ def gluing_counts(
     a, ã and â are counted by stream prefix, building no row; a prefix
     that mixes the colour classes, or a face count no gluing has, sends
     the call to the row pass, which raises the per-image key's error on
-    the first row that breaks it.  b, b̃ and b̂ are tallied by that pass,
-    a source block at a time.
+    the first row that breaks it (above its row cap, its CapExceeded).
+    b, b̃ and b̂ are tallied by that pass, a source block at a time.
     """
     entry = _entry(tag, n)
     if entry.signed:
         return _row_counts(entry, n, cap, budget)
     size = 2 * n if entry.doubled else n
-    noun = "permutation" if not entry.pairs else "bipartite pairing" if entry.doubled else "pairing"
-    prefixes = _prefixes(noun, unsigned_ground(size), size, cap, budget)
+    step = 0 if not entry.pairs else 2 if entry.doubled else 1
+    prefixes = _prefixes(step, unsigned_ground(size), cap, budget)
     walk = gamma_walk(full_cycle(size))[0]
     counts = _prefix_cycle_counts(walk, *prefixes, odd_mask(size) if entry.doubled else None)
     if counts is not None:

@@ -5,32 +5,28 @@ an exact weight over raw gluing candidates (pairings, twisted
 mirror-symmetric gluings, permutations, and for LOE the pairings of the
 2n real factors of Tr (XXᵀ)ⁿ, the Wishart sum).  ``genus_expansion_moment``
 instead multiplies family counts by the dimension powers their genus
-dictates.  Neither has an order cap of its own: the caps of the streams
-it reads refuse an order with ``CapExceeded`` before any row or table
-is built (the GOE and LOE genus routes read first the stream whose cap
-binds first), and odd Gaussian orders read no stream.
+dictates.  Neither has an order cap of its own: the caps of the sources
+it reads (each on its work) refuse an order with ``CapExceeded`` before
+any row or table is built (the GOE and LOE genus routes read first the
+source whose cap binds first), and odd Gaussian orders read no stream.
 
-How the sums are taken.  The GOE and LOE Wick sums read the blocks of
-their own streams and key each row with the batched cycle kernel of
-:mod:`annular.perms` against cached walks.  The GUE and LUE Wick sums
-keep only a histogram of cycle counts, so they build no row: the
-pairings or permutations of [n] are read by prefix
-(:func:`annular.streams._prefixes`), and
-:func:`annular.perms._prefix_cycle_counts` contracts each prefix onto
-the tail it leaves and reads the counts of the rest from a table kept
-per conjugacy class: the faces #(γ⁻¹π) of each pairing (GUE), #π and
-#(γ⁻¹π) of each permutation (LUE).  The genus route reads the four
-histograms it needs from :func:`annular.maps.gluing_counts`, which takes
-a and ã the same way by prefix, with the face walk, the odd-label mask
-and the family's grade and colour checks, and b and b̃ by row passes.
+How the sums are taken.  The GOE and LOE Wick sums key each row of
+their own streams with the batched cycle kernel of :mod:`annular.perms`
+against cached walks.  The GUE and LUE Wick sums build no row: they
+read the pairings or permutations of [n] by prefix
+(:func:`annular.streams._prefixes`, counted by
+:func:`annular.perms._prefix_cycle_counts`) for the faces #(γ⁻¹π) of
+each pairing (GUE), #π and #(γ⁻¹π) of each permutation (LUE).  The
+genus route reads its histograms from :func:`annular.maps.gluing_counts`,
+a and ã by prefix and b and b̃ by row passes.
 
 Why the routes still check each other.  They share no family
 construction: the Wick sum never reads a gluing family, and the genus
 route reads nothing of this module's walks and involutions.  What they
 share is index algebra on stream elements, the prefix runs, the
 contraction, the cycle-type codes and the class tables, as they share
-``_cycle_counts``; that algebra is held to brute force (the row pass
-and the dict oracles of the tests) over the whole range of the caps.
+``_cycle_counts``; the tests hold that algebra to brute force (the row
+pass and dict oracles) and to the Harer–Zagier recursion.
 Their agreement (enforced in tests) then cross-checks the weights and
 grades each applies.  The invariants the sums rely on, even cycle
 counts and non-negative even twice-genera, are explicit raises.
@@ -160,8 +156,8 @@ def wick_moment(
 
     # each stream checks its cap before the walks of size n are built
     if ensemble.kind in ("GUE", "LUE"):
-        noun = "pairing" if ensemble.kind == "GUE" else "permutation"
-        prefixes = _prefixes(noun, unsigned_ground(n), n, budget=budget)
+        step = 1 if ensemble.kind == "GUE" else 0  # pairings or permutations of [n]
+        prefixes = _prefixes(step, unsigned_ground(n), budget=budget)
         walk = gamma_walk(full_cycle(n))[0]
         counts = _prefix_cycle_counts(walk, *prefixes)
         if ensemble.kind == "GUE":  # (#(γ⁻¹π),) per pairing π

@@ -53,36 +53,27 @@ Graded bipartite tags read their inner sets as the ungraded (u, v)
 members and measure grades against the canonical disk/annulus frames,
 exactly as the displayed conditions state.
 
-Each family is defined once, as one entry of :data:`NONCROSSING`: its
-CLI tag, the blocks of index images that build it, its cut (none,
-torus or Klein) and anchor (π, or π⁻¹ for the hypermap unions), its
-grade kernels, and whether it needs an even n.  NC, NC2, NC2delta and
-NC2delta_bip are built from their structure (Biane's blocks, Mingo and
-Nica's through-strings), capped and budgeted as the streams they
-replace; the other sources filter a whole stream of index images.
+Each family is defined once, as one :class:`NCEntry` of
+:data:`NONCROSSING`.  NC, NC2, NC2delta and NC2delta_bip are built from
+their structure (Biane's blocks, Mingo and Nica's through-strings), each
+capped on the entries of the table it holds and budgeted in rows; the
+other sources filter a whole stream.
 A member passes one test: the source conditions, its grade and the
 non-crossing condition.  :func:`member_witnesses` and
-:func:`is_noncrossing` apply its per-image form to one permutation.
-The batched form decides a block at a time: #(π), the grades and the
-count #(π) + #(γ⁻¹π) + #(γ) = size + 2 each take one kernel call, and
-the join reads which γ-cycle each index lies on, since every frame of
-the scan has one or two cycles; a union tag finds every open
-(row, u, v) cut of a block from its anchor columns at once and counts
-all their products with the γ⁻¹ walks in one call.
-
-:func:`nc_groups` runs a source through it once for every grade and
-keeps each grade's members as rows: an :class:`NCFamily` holds them as
-a sorted array of index images and builds member objects only on first
-use.  A pass over a source that ends within one block, with no budget,
-is kept for the process; over a longer source, :func:`family_nc` keeps
-one grade, dropping other rows before any frame is built.  A pass that
-raises keeps nothing.  Both forms read the frames, walks and colour
-masks of :mod:`annular.frames`; nothing here comes from the gluing side
-(:mod:`annular.maps`), so the bijection checks remain a cross-check.
+:func:`is_noncrossing` apply its per-image form to one permutation, and
+:func:`_frame_test` and :func:`_union_witness_rows` its batched form to
+a block.  :func:`nc_groups` runs a source through it once for every
+grade and keeps each grade's members as rows: an :class:`NCFamily`
+holds them as a sorted array of index images and builds member objects
+only on first use (:func:`_groups` says which passes are kept).  Both
+forms read the frames, walks and colour masks of :mod:`annular.frames`;
+nothing here comes from the gluing side (:mod:`annular.maps`), so the
+bijection checks remain a cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Iterator
@@ -359,8 +350,26 @@ def _white_to_black(n: int) -> np.ndarray:
     return rows[(black | black[rows]).all(axis=1)]
 
 
-def _built(noun: str, signed: bool, build: Callable[[int], np.ndarray]):
-    """A source of ``build(n)``'s rows in blocks, capped and budgeted as the ``noun`` stream."""
+# Each built source's work at a ground size: the entries (rows × size) of
+# the table it holds whole, 0 where it is empty.  NC holds Catalan(m) rows,
+# NC2 Catalan(m/2), and NC2delta, whose table NC2delta_bip filters,
+# (4^k − C(2k, k))/2 at n = 2k.
+
+def _disk_entries(m: int) -> int:
+    return math.comb(2 * m, m) // (m + 1) * m
+
+
+def _chord_entries(m: int) -> int:
+    return 0 if m % 2 else math.comb(m, m // 2) // (m // 2 + 1) * m
+
+
+def _annulus_entries(size: int) -> int:
+    k, odd = divmod(size, 4)
+    return 0 if odd else (4**k - math.comb(2 * k, k)) // 2 * size
+
+
+def _built(noun: str, signed: bool, build: Callable[[int], np.ndarray], entries):
+    """A source of ``build(n)``'s rows in blocks, capped on ``entries``, budgeted in ``noun``s."""
 
     def source(n: int, budget: EnumerationBudget | None) -> Iterator[np.ndarray]:
         def blocks():
@@ -369,7 +378,7 @@ def _built(noun: str, signed: bool, build: Callable[[int], np.ndarray]):
                 yield table[lo : lo + _ROWS]
 
         ground = signed_ground(n) if signed else unsigned_ground(n)
-        return _capped(noun, ground, ground.size, None, budget, blocks())
+        return _capped(noun, entries, ground, None, budget, blocks())
 
     return source
 
@@ -406,8 +415,10 @@ class NCEntry:
 #: other source is a lambda over a module-level stream or block-function
 #: name, looked up at call time, so a wrapper rebound over it (a tracer's) is seen.
 NONCROSSING: dict[str, NCEntry] = {
-    "NC": NCEntry("nc", _built("permutation", False, _disk_partitions)),
-    "NC2": NCEntry("nc2", _built("pairing", False, partial(_chords, through=False)), pairs=True),
+    "NC": NCEntry("nc", _built("permutation", False, _disk_partitions, _disk_entries)),
+    "NC2": NCEntry(
+        "nc2", _built("pairing", False, partial(_chords, through=False), _chord_entries),
+        pairs=True),
     "NC2T": NCEntry(
         "nc2-t", lambda n, budget: _images(pairings(n, budget=budget), n),
         pairs=True, cut="torus"),
@@ -422,7 +433,7 @@ NONCROSSING: dict[str, NCEntry] = {
         lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget), 2 * n),
         signed=True),
     "NC2delta": NCEntry(
-        "nc2-delta", _built("signed symmetric pairing", True, _annulus_pairings),
+        "nc2-delta", _built("signed symmetric pairing", True, _annulus_pairings, _annulus_entries),
         signed=True, pairs=True),
     "NCdelta_p": NCEntry(
         "nc-delta-p",
@@ -441,7 +452,7 @@ NONCROSSING: dict[str, NCEntry] = {
         signed=True, cut="klein", hypermap=True,
         grade=_half_cycles, grades=_block_half_cycles),
     "NC2delta_bip": NCEntry(
-        "nc2-delta-bip", _built("white-to-black pairing", True, _white_to_black),
+        "nc2-delta-bip", _built("white-to-black pairing", True, _white_to_black, _annulus_entries),
         signed=True, pairs=True, grade=_black_grade, grades=_black_grades, even_n=True),
 }
 

@@ -16,38 +16,28 @@ the API it is a stream of :class:`~annular.perms.Pairing` /
   cycle set is mirror-closed in the strong sense τ₀ττ₀ = τ⁻¹ with
   τ₀τ fixed-point free, built as τ₀σ over the pairings σ of ±[n].
 
-Matchings (all, or only those joining the two parity classes: ã and
-NC2T_bip) and permutations come from one builder, :func:`_tail_blocks`.
-Every step of the recursion has as many choices whatever came before,
-so the first steps of each prefix are read off the prefix's number in
-mixed radix, in numpy, for a batch of prefixes at once; each prefix is
-then completed by one gather from a small cached table of the rest (a
-bipartite table is the matchings' table filtered to the rows that join
-the colours).  A stream of permutations or matchings short enough to
-need no prefix is its cached table itself, yielded read-only as one
-block.  :func:`_mirror_pair_blocks` expands the matchings of
-[n] into the three mirror-symmetric streams of ±[n], which differ only
-in the twist rule: every twist (GOE), or the twists that keep the black
-set B(n/2) (b̃) or send the white labels into it (NC2delta_bip and
-NC2K_bip), forced by label parity.  A twisted image is the untwisted
-one read right to left, so each row picks, point by point, between the
-two by its twist bit.  Each colour-class stream yields exactly the rows
-of the corresponding filter, in the same order, without visiting the
-rejected ones.  :func:`_mirrored_pairings` walks the matchings of ±[n]
-last to first (prefix numbers counted down), mirrored.  The matchings,
-bipartite matchings and permutations also have a counting form,
-:func:`_prefixes`: the same prefix runs in batches and the whole table
-that completes each (``_table`` builds a table whole, or refuses its
-size), for the passes that keep only a histogram of cycle counts
-(:func:`annular.perms._prefix_cycle_counts`), with the same cap and
-budget errors as the block stream.
+Matchings (all, or only those joining the two parity classes) and
+permutations come from :func:`_tail_blocks`, a batch of prefixes of
+first steps at a time (:func:`_runs`), each completed from a small cached
+table of the rest.  :func:`_mirror_pair_blocks` expands the matchings of
+[n] into the three mirror-symmetric streams of ±[n], and
+:func:`_mirrored_pairings` walks the matchings of ±[n] last to first,
+mirrored.  Each colour-class stream yields exactly the rows of its
+filter, in order, visiting no rejected one.  The matchings, bipartite
+matchings and permutations also have a counting form, :func:`_prefixes`,
+for the passes that keep only a histogram of cycle counts
+(:func:`annular.perms._prefix_cycle_counts`).
 
 Each stream has a documented deterministic order, a size cap checked
-before any row is built (by default the largest size whose stream holds
-at most ``STREAM_ROW_CAP`` = 15!! rows; ``cap=`` replaces it), and an
-optional :class:`EnumerationBudget` limiting the number of elements
-produced, only ever passed in.  It cuts the block that holds the first
-element over the budget and raises only when that element is asked for.
+before any row is built, and an optional :class:`EnumerationBudget`
+limiting the number of elements produced, only ever passed in.  It cuts
+the block that holds the first element over the budget and raises only
+when that element is asked for.  Every source, here and the built
+families of :mod:`annular.noncrossing`, states its work at each size of
+its ground (2n on ±[n]): the rows a block stream yields, the prefixes a
+counting pass runs, or the entries (rows × size) of a table built whole.
+Its default cap is the largest size whose work is at most
+``STREAM_ROW_CAP`` = 15!!, found once per source; ``cap=`` replaces it.
 """
 
 from __future__ import annotations
@@ -57,7 +47,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import chain, islice
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -100,31 +90,6 @@ class EnumerationBudget:
     def __post_init__(self):
         if _check_integer("max_elements", self.max_elements) < 0:
             raise ValueError("max_elements must be >= 0")
-
-
-def _budgeted(
-    blocks: Iterator[np.ndarray], budget: EnumerationBudget | None, what: str
-) -> Iterator[np.ndarray]:
-    """``blocks`` cut to the budget's elements; :class:`CapExceeded` when one more exists.
-
-    The rows within the allowance are yielded first, so a consumer that
-    takes at most the budget's elements never raises.
-    """
-    if budget is None:
-        return blocks
-    limit = budget.max_elements
-
-    def within():
-        left = limit
-        for block in blocks:
-            if len(block) > left:  # the block holds element limit + 1
-                if left:
-                    yield block[:left]
-                raise _over_budget(what, limit)
-            left -= len(block)
-            yield block
-
-    return within()
 
 
 def _over_budget(what: str, limit: int) -> CapExceeded:
@@ -411,45 +376,68 @@ def _permutation_blocks(size: int) -> Iterator[np.ndarray]:
 # from their rows.
 # ---------------------------------------------------------------------------
 
-#: Each capped stream's exact length at a size, 0 where it is empty.  The
-#: size is that of the ground, 2n on ±[n], but n for the permutations of ±[n].
-_LENGTHS = {
-    "pairing": partial(_table_rows, 1),
-    "signed symmetric pairing": lambda s: 0 if s % 2 else _table_rows(1, s // 2) << s // 4,
-    "bipartite pairing": partial(_table_rows, 2),
-    "bipartite signed symmetric pairing": lambda s: 0 if s % 2 else _table_rows(1, s // 2),
-    "white-to-black pairing": lambda s: 0 if s % 2 else _table_rows(1, s // 2),
-    "permutation": math.factorial,
-    "signed symmetric permutation": lambda n: _table_rows(1, 2 * n),
-}
+#: Each block stream's work: the rows it yields at a ground size, 0 where it
+#: is empty.  The signed symmetric permutations of ±[n] are as many as the
+#: matchings of 2n points, the colour-class pairings of ±[n] as those of
+#: n, and the signed symmetric pairings 2^(n/2) times that.
+_pairing_rows = partial(_table_rows, 1)
+_bipartite_rows = partial(_table_rows, 2)
+
+
+def _colour_class_rows(size: int) -> int:
+    return 0 if size % 2 else _pairing_rows(size // 2)
+
+
+def _mirror_rows(size: int) -> int:
+    return _colour_class_rows(size) << size // 4
 
 
 @cache
-def _default_cap(noun: str) -> int:
-    """The largest size whose stream holds 1 to ``STREAM_ROW_CAP`` rows (nonempty lengths grow)."""
-    length, cap, size = _LENGTHS[noun], 0, 0
-    while (rows := length(size)) <= STREAM_ROW_CAP:
-        cap, size = size if rows else cap, size + 1
+def _default_cap(length: Callable[[int], int]) -> int:
+    """The largest size whose work ``length`` is 1 to ``STREAM_ROW_CAP`` (nonempty lengths grow)."""
+    cap, size = 0, 0
+    while (work := length(size)) <= STREAM_ROW_CAP:
+        cap, size = size if work else cap, size + 1
     return cap
 
 
-def _checked(noun: str, ground: GroundSet, size: int, cap) -> str:
-    """The stream's name for its budget, once ``size`` is checked against the cap."""
-    effective = _default_cap(noun) if cap is None else _check_integer("cap", cap)
-    if size > effective:
+def _checked(noun: str, length: Callable[[int], int], ground: GroundSet, cap, budget) -> str:
+    """The stream's name for its budget, once its budget's type and ground's size are checked."""
+    if budget is not None and not isinstance(budget, EnumerationBudget):
+        raise TypeError(f"budget must be an EnumerationBudget or None, got {budget!r}")
+    effective = _default_cap(length) if cap is None else _check_integer("cap", cap)
+    if ground.size > effective:
         raise CapExceeded(
-            f"{noun} enumeration requested for size {size}, above the cap {effective}; "
+            f"{noun} enumeration requested for size {ground.size}, above the cap {effective}; "
             f"pass an explicit cap to override",
-            requested=size,
+            requested=ground.size,
             cap=effective,
         )
     where = f"±[{ground.n}]" if ground.kind == GroundSet.SIGNED else f"[{ground.n}]"
     return f"{noun}s of {where}"
 
 
-def _capped(noun: str, ground: GroundSet, size: int, cap, budget, blocks):
-    """Lazy ``blocks`` of ``noun``s on ``ground``, refused above the cap before any is built."""
-    return _budgeted(blocks, budget, _checked(noun, ground, size, cap))
+def _capped(noun: str, length, ground: GroundSet, cap, budget, blocks):
+    """Lazy ``blocks`` of ``noun``s on ``ground``, refused above the cap before any is built.
+
+    The rows within the budget come first, so a consumer that takes at
+    most its elements never raises; :class:`CapExceeded` when one more exists."""
+    what = _checked(noun, length, ground, cap, budget)
+    if budget is None:
+        return blocks
+    limit = budget.max_elements
+
+    def within():
+        left = limit
+        for block in blocks:
+            if len(block) > left:  # the block holds element limit + 1
+                if left:
+                    yield block[:left]
+                raise _over_budget(what, limit)
+            left -= len(block)
+            yield block
+
+    return within()
 
 
 #: Points a counting pass leaves to the tail table after each prefix, by
@@ -457,25 +445,34 @@ def _capped(noun: str, ground: GroundSet, size: int, cap, budget, blocks):
 #: and the bipartite matchings of 6 + 6 points, counted on the same S_6.
 _COUNTED_TAIL = (6, 10, 12)
 
-#: The step of each stream that has a counting form.
-_STEPS = {"permutation": 0, "pairing": 1, "bipartite pairing": 2}
+
+def _prefix_count(step: int, size: int) -> int:
+    """The prefixes the counting form of stream ``step`` runs on ``size`` points (0: empty)."""
+    rows = _table_rows(step, size)
+    return rows and rows // _table_rows(step, min(size, _COUNTED_TAIL[step]))
 
 
-def _prefixes(noun: str, ground: GroundSet, size: int, cap=None, budget=None):
-    """The counting form of the stream of ``noun``s: (step, tail table, prefix batches).
+#: Each counting form's noun and work (the prefixes it runs), by step.
+_COUNTED_NOUNS = ("permutation", "pairing", "bipartite pairing")
+_PREFIX_COUNTS = tuple(partial(_prefix_count, step) for step in range(3))
 
-    The size is refused above the cap, and a budget below the
-    stream's length, as the block stream refuses them (the same errors),
-    before any table is built; a counting pass reads every element, so
-    none is counted before a budget raises.  Each prefix is a run of
+
+def _prefixes(step: int, ground: GroundSet, cap=None, budget=None):
+    """The counting form of stream ``step`` on ``ground``: (step, tail table, prefix batches).
+
+    The size is refused above the cap, and a budget below the stream's
+    length, as the block stream refuses them (the same errors), before
+    any table is built; a counting pass reads every element, so none is
+    counted before a budget raises.  Each prefix is a run of
     :func:`_runs` that leaves ``_COUNTED_TAIL`` points (all of them on a
     smaller ground), given as (positions, values, tail positions, free
     values), ``_ROWS`` prefixes a batch; the tail table is the stream on
     the tail, or S_m for a bipartite tail of m + m points.  The batches
     are lazy, and empty where the stream is.
     """
-    what, step = _checked(noun, ground, size, cap), _STEPS[noun]
-    length = _LENGTHS[noun](size)
+    what = _checked(_COUNTED_NOUNS[step], _PREFIX_COUNTS[step], ground, cap, budget)
+    size = ground.size
+    length = _table_rows(step, size)
     if budget is not None and length > budget.max_elements:
         raise _over_budget(what, budget.max_elements)
     if not length:  # an odd number of points has no matching
@@ -505,38 +502,40 @@ def _prefixes(noun: str, ground: GroundSet, size: int, cap=None, budget=None):
 
 
 def _pairings_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:
-    return _capped("pairing", ground, ground.size, cap, budget, _pairing_blocks(ground.size))
+    return _capped("pairing", _pairing_rows, ground, cap, budget, _pairing_blocks(ground.size))
 
 
 def _signed_symmetric_pairings_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
     blocks = _mirror_pair_blocks(n, "every")
-    return _capped("signed symmetric pairing", signed_ground(n), 2 * n, cap, budget, blocks)
+    return _capped("signed symmetric pairing", _mirror_rows, signed_ground(n), cap, budget, blocks)
 
 
 def _bipartite_pairing_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
-    return _capped("bipartite pairing", unsigned_ground(n), n, cap, budget, _pairing_blocks(n, 2))
+    blocks = _pairing_blocks(n, 2)
+    return _capped("bipartite pairing", _bipartite_rows, unsigned_ground(n), cap, budget, blocks)
 
 
 def _bipartite_signed_symmetric_pairing_blocks(
     n: int, cap=None, budget=None
 ) -> Iterator[np.ndarray]:
     blocks, pm = _mirror_pair_blocks(n, "agree"), signed_ground(n)
-    return _capped("bipartite signed symmetric pairing", pm, 2 * n, cap, budget, blocks)
+    noun = "bipartite signed symmetric pairing"
+    return _capped(noun, _colour_class_rows, pm, cap, budget, blocks)
 
 
 def _white_to_black_pairing_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
-    blocks = _mirror_pair_blocks(n, "differ")
-    return _capped("white-to-black pairing", signed_ground(n), 2 * n, cap, budget, blocks)
+    blocks, pm = _mirror_pair_blocks(n, "differ"), signed_ground(n)
+    return _capped("white-to-black pairing", _colour_class_rows, pm, cap, budget, blocks)
 
 
 def _permutations_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:
     blocks = _permutation_blocks(ground.size)
-    return _capped("permutation", ground, ground.size, cap, budget, blocks)
+    return _capped("permutation", math.factorial, ground, cap, budget, blocks)
 
 
 def _signed_symmetric_permutations_blocks(n: int, cap=None, budget=None) -> Iterator[np.ndarray]:
-    blocks = _mirrored_pairings(n)
-    return _capped("signed symmetric permutation", signed_ground(n), n, cap, budget, blocks)
+    blocks, pm = _mirrored_pairings(n), signed_ground(n)
+    return _capped("signed symmetric permutation", _pairing_rows, pm, cap, budget, blocks)
 
 
 def _mirrored_pairings(n: int) -> Iterator[np.ndarray]:

@@ -407,6 +407,26 @@ def ref_catalan(n: int) -> int:
     return int(value)
 
 
+def ref_harer_zagier(n: int) -> dict[int, int]:
+    """Genus g -> ε_g(n), the gluings of a 2n-gon into a surface of genus g.
+
+    The Harer–Zagier recursion (Invent. Math. 85, 1986) from ε_0(0) = 1:
+    (n+1)ε_g(n) = 2(2n−1)ε_g(n−1) + (n−1)(2n−1)(2n−3)ε_{g−1}(n−2).
+    """
+    eps: list[dict[int, int]] = [{}, {0: 1}]  # ε(−1), ε(0)
+    for k in range(1, n + 1):
+        before, last = eps[-2], eps[-1]
+        row = {}
+        for g in range(k // 2 + 1):
+            total = 2 * (2 * k - 1) * last.get(g, 0)
+            total += (k - 1) * (2 * k - 1) * (2 * k - 3) * before.get(g - 1, 0)
+            assert total % (k + 1) == 0
+            if total:
+                row[g] = total // (k + 1)
+        eps.append(row)
+    return eps[-1]
+
+
 def ref_narayana(n: int, p: int) -> int:
     value = Fraction(comb(n, p) * comb(n, p - 1), n)
     assert value.denominator == 1

@@ -401,13 +401,14 @@ def test_moment_mc_payload_and_reproducibility(capsys):
 
 
 def test_moment_order_above_cap_exits_1(capsys):
-    # 18 is the first GUE order whose pairings of [18] are over the cap 16
+    # 22 is the first GUE order whose counting pass over the pairings of
+    # [22] runs more prefixes than the cap 20 admits
     code, rec, _, _ = run(
-        capsys, "moment", "--ensemble", "gue", "--order", "18", "--symbolic"
+        capsys, "moment", "--ensemble", "gue", "--order", "22", "--symbolic"
     )
     assert code == 1
     assert rec["result"]["error"]["type"] == "cap-exceeded"
-    assert (rec["result"]["error"]["requested"], rec["result"]["error"]["cap"]) == (18, 16)
+    assert (rec["result"]["error"]["requested"], rec["result"]["error"]["cap"]) == (22, 20)
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,7 @@ from oracles import (
     ref_family_b_counts,
     ref_family_b_hat_counts,
     ref_family_b_tilde_counts,
+    ref_harer_zagier,
     ref_hypermap_nonorientable,
     ref_hypermap_orientable,
     ref_narayana,
@@ -252,9 +253,10 @@ def test_family_b_tilde_counts_match_reference(n):
 
 
 def test_tilde_family_caps_apply_to_the_ground_size():
-    # the first refused n: ã reads [2n] (cap 18), b̃ reads ±[2n] (cap 32)
+    # the first refused n: ã is counted by prefix on [2n] (cap 24) and
+    # built by rows on [2n] (cap 18), b̃ reads ±[2n] (cap 32)
     for build, sizes in (
-        (lambda: family_a_tilde_counts(10), (20, 18)),
+        (lambda: family_a_tilde_counts(13), (26, 24)),
         (lambda: family_b_tilde_counts(9), (36, 32)),
         (lambda: family_a_tilde(10, 0, 1), (20, 18)),
         (lambda: family_b_tilde(9, 1, 1), (36, 32)),
@@ -589,12 +591,12 @@ def test_batched_key_raises_the_per_image_error_on_a_mixed_row(monkeypatch, tag,
         ("a-tilde", 6, lambda: _bipartite_pairing_blocks(12)),
         ("b-tilde", 5, lambda: _bipartite_signed_symmetric_pairing_blocks(10, cap=20)),
         ("a-hat", 7, lambda: _permutations_of_blocks(unsigned_ground(7))),
-        ("b-hat", 5, lambda: _signed_symmetric_permutations_blocks(5, cap=5)),
+        ("b-hat", 5, lambda: _signed_symmetric_permutations_blocks(5, cap=10)),
     ],
 )
 def test_gluing_counts_budget_contract_at_block_boundaries(tag, n, blocks):
     length, budgets = block_boundary_budgets(blocks())
-    cap = {"b-tilde": 20, "b-hat": 5}.get(tag)
+    cap = {"b-tilde": 20, "b-hat": 10}.get(tag)
     for k in budgets:
         with pytest.raises(CapExceeded, match=rf"exceeded the element budget \({k}\)$") as info:
             gluing_counts(tag, n, cap=cap, budget=EnumerationBudget(k))
@@ -727,16 +729,29 @@ def _refusal(call) -> tuple[str, int, int]:
 def test_a_hat_counts_honour_an_explicit_cap():
     # the budget contract is held by the block-boundary test above; the cap
     # of the counted stream is replaced by an explicit one as the block
-    # stream's is, both ways
+    # stream's is, and by default measures the prefixes run
     want = _refusal(lambda: _permutations_of_blocks(unsigned_ground(9), cap=8))
     assert _refusal(lambda: gluing_counts("a-hat", 9, cap=8)) == want
     assert want[1:] == (9, 8)
-    assert _refusal(lambda: gluing_counts("a-hat", 10))[1:] == (10, 9)
-    counts = gluing_counts("a-hat", 10, cap=10)
+    assert _refusal(lambda: gluing_counts("a-hat", 13))[1:] == (13, 12)
+
+
+@pytest.mark.parametrize("tag", ["a-tilde", "a-hat"])
+def test_counted_families_at_ten_hold_every_permutation(tag):
+    # n = 10 is refused by both row streams (bipartite pairings of [20],
+    # permutations of [10]) and admitted by both counting passes
+    counts = gluing_counts(tag, 10)
     assert sum(counts.values()) == factorial(10)
     assert {p: c for (g, p), c in counts.items() if g == 0} == {
         p: ref_narayana(10, p) for p in range(1, 11)
     }
+
+
+def test_genus_counts_follow_the_harer_zagier_recursion():
+    # past [16], where the pairing stream's row cap stops the row pass
+    for m in range(2, 19, 2):
+        want = {(g,): count for g, count in ref_harer_zagier(m // 2).items()}
+        assert gluing_counts("a", m) == want
 
 
 @pytest.mark.parametrize("tag", GLUINGS)

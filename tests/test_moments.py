@@ -245,16 +245,18 @@ def test_correction_coefficient_lue():
 # caps and budgets
 # ---------------------------------------------------------------------------
 
-#: Per ensemble and route, the first refused order and the stream whose
-#: cap refuses it: (order, noun, size, default cap).  The GOE and LOE
-#: genus routes read b and b̃ first, whose caps bind before those of a and ã.
+#: Per ensemble and route, the first refused order and the source whose
+#: cap refuses it: (order, noun, size, default cap).  The GUE and LUE
+#: routes count by prefix, so their caps measure the prefixes run.  The
+#: GOE and LOE genus routes read b and b̃ first, whose caps bind before
+#: those of a and ã.
 FIRST_REFUSED = {
-    ("GUE", "wick"): (18, "pairing", 18, 16),
-    ("GUE", "genus"): (18, "pairing", 18, 16),
+    ("GUE", "wick"): (22, "pairing", 22, 20),
+    ("GUE", "genus"): (22, "pairing", 22, 20),
     ("GOE", "wick"): (14, "signed symmetric pairing", 28, 24),
     ("GOE", "genus"): (14, "signed symmetric pairing", 28, 24),
-    ("LUE", "wick"): (10, "permutation", 10, 9),
-    ("LUE", "genus"): (10, "bipartite pairing", 20, 18),
+    ("LUE", "wick"): (13, "permutation", 13, 12),
+    ("LUE", "genus"): (13, "bipartite pairing", 26, 24),
     ("LOE", "wick"): (9, "pairing", 18, 16),
     ("LOE", "genus"): (9, "bipartite signed symmetric pairing", 36, 32),
 }
@@ -270,6 +272,13 @@ def test_order_caps_enforced(ensemble, route):
     with pytest.raises(CapExceeded, match=message) as info:
         ROUTES[route](ensemble, order, budget=EnumerationBudget(0))
     assert (info.value.requested, info.value.cap) == (size, cap)
+
+
+@pytest.mark.parametrize("ensemble, order", [("GUE", 18), ("LUE", 10)])
+def test_counted_routes_agree_where_the_row_streams_refuse(ensemble, order):
+    # the first orders whose pairing and permutation streams are over
+    # their row caps: both routes count them by prefix
+    assert wick_moment(ensemble, order) == genus_expansion_moment(ensemble, order)
 
 
 @pytest.mark.parametrize("ensemble", ["GUE", "GOE", "LUE", "LOE"])
@@ -397,7 +406,7 @@ def _row_pass_wick(ensemble, n):
     "ensemble, n", [("GUE", n) for n in range(2, 17, 2)] + [("LUE", n) for n in range(1, 10)]
 )
 def test_prefix_pass_equals_the_row_pass(ensemble, n):
-    # over the whole range of the default caps, with and without prefixes
+    # over the whole range of the row streams' caps, with and without prefixes
     assert wick_moment(ensemble, n) == _row_pass_wick(ensemble, n)
 
 

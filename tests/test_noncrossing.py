@@ -204,7 +204,7 @@ def test_delta_family_budget_counts_delta_symmetric_elements():
         family_nc(NCFamilyId("NCdelta", 4), budget=EnumerationBudget(104))
     with pytest.raises(CapExceeded) as info:
         family_nc(NCFamilyId("NCK_p", 9, 1))
-    assert (info.value.requested, info.value.cap) == (9, 8)
+    assert (info.value.requested, info.value.cap) == (18, 16)
 
 
 @pytest.mark.parametrize("tag", NONCROSSING)
@@ -512,18 +512,31 @@ def test_disk_pairings_odd_empty():
 
 
 def test_built_families_have_their_closed_sizes_at_the_caps():
-    # Catalan(8), Catalan(9), (4⁶ − C(12, 6))/2 and 4⁷ − C(15, 7); one size
-    # more is refused with the cap of the stream each source replaces
-    assert len(family_nc(NCFamilyId("NC2", 16))) == ref_catalan(8) == 1430
-    assert len(family_nc(NCFamilyId("NC", 9))) == ref_catalan(9) == 4862
-    assert len(family_nc(NCFamilyId("NC2delta", 12))) == (4**6 - math.comb(12, 6)) // 2 == 1586
+    # Catalan(11) twice, (4⁸ − C(16, 8))/2 and 4⁷ − C(15, 7); one size
+    # more is refused: each cap measures the entries of the table built
+    assert len(family_nc(NCFamilyId("NC2", 22))) == ref_catalan(11) == 58_786
+    assert len(family_nc(NCFamilyId("NC", 11))) == ref_catalan(11)
+    assert len(family_nc(NCFamilyId("NC2delta", 16))) == (4**8 - math.comb(16, 8)) // 2 == 26_333
     graded = nc_groups("NC2delta_bip", 16)
     assert sum(map(len, graded.values())) == 4**7 - math.comb(15, 7) == 9949
-    for tag, n, cap in (("NC2", 17, 16), ("NC", 10, 9), ("NC2delta", 14, 24),
-                        ("NC2delta_bip", 18, 32)):
+    for tag, n, sizes in (("NC2", 23, (23, 22)), ("NC", 12, (12, 11)),
+                          ("NC2delta", 17, (34, 32)), ("NC2delta_bip", 18, (36, 32))):
         with pytest.raises(CapExceeded) as info:
             nc_groups(tag, n)
-        assert info.value.cap == cap
+        assert (info.value.requested, info.value.cap) == sizes
+
+
+@pytest.mark.parametrize(
+    "tag, n, build",
+    [("NC", 12, noncrossing._disk_partitions), ("NC2", 23, noncrossing._chords),
+     ("NC2", 24, noncrossing._chords), ("NC2delta", 17, noncrossing._annulus_pairings),
+     ("NC2delta", 18, noncrossing._annulus_pairings)],
+)
+def test_built_sources_refuse_a_size_above_the_cap_before_any_table(tag, n, build):
+    build.cache_clear()
+    with pytest.raises(CapExceeded, match="above the cap"):
+        nc_groups(tag, n)
+    assert build.cache_info().currsize == 0
 
 
 def test_planar_pairings_equal_genus_zero_gluings():

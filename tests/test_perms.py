@@ -525,5 +525,5 @@ def test_bipartite_counts_are_read_at_the_class_of_a_after_c(m):
 def test_a_walk_that_keeps_the_colour_counts_nothing(size):
     # the identity keeps every point's class: with no prefix (6 points) the
     # contraction does not reverse colour, with one (14) a closed pair mixes too
-    step, tails, prefixes = _prefixes("bipartite pairing", unsigned_ground(size), size)
+    step, tails, prefixes = _prefixes(2, unsigned_ground(size))
     assert _prefix_cycle_counts(range(size), step, tails, prefixes, odd_mask(size)) is None

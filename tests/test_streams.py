@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from functools import partial
 from inspect import isgenerator
 from itertools import islice, product
 from itertools import permutations as iter_permutations
@@ -11,9 +12,16 @@ import numpy as np
 import pytest
 
 import annular.streams
+from annular import noncrossing
 from annular.frames import black_labels, white_labels
-from annular.maps import gluing_groups, is_bipartite_pairing, is_bipartite_signed_pairing
-from annular.noncrossing import nc_groups
+from annular.maps import (
+    gluing_counts,
+    gluing_groups,
+    is_bipartite_pairing,
+    is_bipartite_signed_pairing,
+)
+from annular.moments import wick_moment
+from annular.noncrossing import NONCROSSING, nc_groups
 from annular.perms import Pairing, signed_ground, unsigned_ground
 from annular.streams import (
     _ROWS,
@@ -27,6 +35,7 @@ from annular.streams import (
     _pairings_of_blocks,
     _permutation_blocks,
     _permutations_of_blocks,
+    _prefixes,
     _rows,
     _signed_symmetric_pairings_blocks,
     _signed_symmetric_permutations_blocks,
@@ -363,7 +372,7 @@ def test_signed_symmetric_permutations_equal_the_pruned_search_in_order(n):
 def test_signed_symmetric_permutations_order_across_block_seams(n):
     # 945 and 10,395 elements, several blocks each: the pairings of ±[n]
     # mirrored, in lexicographic image order
-    got = [p.image for p in signed_symmetric_permutations(n, cap=n)]
+    got = [p.image for p in signed_symmetric_permutations(n, cap=2 * n)]
     mirrored = (tuple(2 * n - 1 - i for i in img) for img in oracles.ref_pairing_images(2 * n))
     assert got == sorted(mirrored)
 
@@ -372,7 +381,7 @@ def test_signed_symmetric_permutations_first_element_is_not_built_whole():
     # the first of 135,135 elements costs one block, not the whole stream
     tracemalloc.start()
     try:
-        next(signed_symmetric_permutations(7, cap=7))
+        next(signed_symmetric_permutations(7, cap=14))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,7 +400,7 @@ def test_caps_raise_eagerly():
     refused = [
         (lambda: pairings(17), (17, 16)),
         (lambda: permutations(10), (10, 9)),
-        (lambda: signed_symmetric_permutations(9), (9, 8)),
+        (lambda: signed_symmetric_permutations(9), (18, 16)),
         (lambda: signed_symmetric_pairings(13), (26, 24)),
     ]
     for stream, sizes in refused:
@@ -405,7 +414,20 @@ def test_caps_raise_eagerly():
     # explicit override allows construction without consuming
     pairings(18, cap=18)
     permutations(10, cap=10)
-    signed_symmetric_permutations(9, cap=9)
+    signed_symmetric_permutations(9, cap=18)
+
+
+def test_a_budget_must_be_an_enumeration_budget():
+    # refused where the cap is checked, by the block streams and the
+    # counting passes alike, before any element is read
+    for call in (
+        lambda: pairings(4, budget=5),
+        lambda: gluing_counts("a", 4, budget=5),
+        lambda: wick_moment("GUE", 4, budget=3),
+        lambda: nc_groups("NC", 4, budget=3),
+    ):
+        with pytest.raises(TypeError, match="^budget must be an EnumerationBudget or None, got "):
+            call()
 
 
 @pytest.mark.parametrize("cap", [True, 4.5])
@@ -414,29 +436,87 @@ def test_an_explicit_cap_must_be_an_integer(cap):
         pairings(4, cap=cap)
 
 
-#: Each capped stream's largest default size and the exact length there:
-#: the largest size whose stream holds at most 15!! rows.
-DEFAULT_CAPS = {
-    "pairing": (16, 2_027_025),
-    "signed symmetric pairing": (24, 665_280),
-    "bipartite pairing": (18, 362_880),
-    "bipartite signed symmetric pairing": (32, 2_027_025),
-    "white-to-black pairing": (32, 2_027_025),
-    "permutation": (9, 362_880),
-    "signed symmetric permutation": (8, 2_027_025),
+def _counting(step: int, cap: int, top: int):
+    def source(n):
+        return _prefixes(step, unsigned_ground(n))[2]
+
+    def work(n):
+        return sum(len(values) for _, values, _, _ in source(n))
+
+    return annular.streams._PREFIX_COUNTS[step], cap, False, top, source, work
+
+
+def _built(tag: str, entries, cap: int, build):
+    signed = NONCROSSING[tag].signed
+
+    def work(n):
+        return len(build(n)) * (2 * n if signed else n)
+
+    return entries, cap, signed, 8, partial(NONCROSSING[tag].source, budget=None), work
+
+
+def _block_stream(length, cap: int, signed: bool, source):
+    def work(n):
+        return sum(map(len, source(n)))
+
+    return length, cap, signed, 6 if signed else 8, source, work
+
+
+#: Every capped source: (its length function, its default cap as a ground
+#: size, whether its ground is ±[n], the largest n checked against its
+#: work, the source at n, the work it does at n).  A block stream's work
+#: is the rows it yields, a counting pass's the prefixes it runs, and a
+#: built source's the entries of the table it holds whole.
+SOURCES = {
+    "pairing": _block_stream(
+        annular.streams._pairing_rows, 16, False,
+        lambda n: _pairings_of_blocks(unsigned_ground(n))),
+    "signed symmetric pairing": _block_stream(
+        annular.streams._mirror_rows, 24, True, _signed_symmetric_pairings_blocks),
+    "bipartite pairing": _block_stream(
+        annular.streams._bipartite_rows, 18, False, _bipartite_pairing_blocks),
+    "bipartite signed symmetric pairing": _block_stream(
+        annular.streams._colour_class_rows, 32, True, _bipartite_signed_symmetric_pairing_blocks),
+    "white-to-black pairing": _block_stream(
+        annular.streams._colour_class_rows, 32, True, _white_to_black_pairing_blocks),
+    "permutation": _block_stream(
+        factorial, 9, False, lambda n: _permutations_of_blocks(unsigned_ground(n))),
+    "signed symmetric permutation": _block_stream(
+        annular.streams._pairing_rows, 16, True, _signed_symmetric_permutations_blocks),
+    "counted permutations": _counting(0, 12, 9),
+    "counted pairings": _counting(1, 20, 16),
+    "counted bipartite pairings": _counting(2, 24, 16),
+    "NC": _built("NC", noncrossing._disk_entries, 11, noncrossing._disk_partitions),
+    "NC2": _built(
+        "NC2", noncrossing._chord_entries, 22, partial(noncrossing._chords, through=False)),
+    "NC2delta": _built(
+        "NC2delta", noncrossing._annulus_entries, 32, noncrossing._annulus_pairings),
+    "NC2delta_bip": _built(
+        "NC2delta_bip", noncrossing._annulus_entries, 32, noncrossing._annulus_pairings),
 }
 
 
-@pytest.mark.parametrize("noun", DEFAULT_CAPS)
-def test_default_caps_follow_from_the_row_limit(noun):
-    cap, rows = DEFAULT_CAPS[noun]
-    length = annular.streams._LENGTHS[noun]
-    assert annular.streams.STREAM_ROW_CAP == oracles.ref_double_factorial(15) == 2_027_025
-    assert annular.streams._default_cap(noun) == cap
-    assert length(cap) == rows <= annular.streams.STREAM_ROW_CAP
-    # the next nonempty stream is over the limit (an empty one sits between on ±[n])
-    after = next(length(size) for size in range(cap + 1, cap + 5) if length(size))
-    assert after > annular.streams.STREAM_ROW_CAP
+@pytest.mark.parametrize("name", SOURCES)
+def test_default_caps_follow_from_the_work_limit(name):
+    length, cap, signed, top, source, work = SOURCES[name]
+    limit, width = annular.streams.STREAM_ROW_CAP, 2 if signed else 1
+    assert limit == oracles.ref_double_factorial(15) == 2_027_025
+    # the length at each ground size is the work the source does there,
+    # and 0 at a size no ground of the source has
+    for n in range(1, top + 1):
+        assert length(width * n) == work(n)
+        assert not signed or length(2 * n + 1) == 0
+    # the cap is the largest size whose work is within the limit; the
+    # next nonempty size (an empty one may sit between) is over it
+    assert annular.streams._default_cap(length) == cap
+    assert 0 < length(cap) <= limit
+    after = next(size for size in range(cap + 1, cap + 5) if length(size))
+    assert length(after) > limit
+    # the source admits the cap (building nothing yet) and refuses one more
+    source(cap // width)
+    with pytest.raises(CapExceeded, match="above the cap") as info:
+        source(cap // width + 1)
+    assert (info.value.requested, info.value.cap) == (cap + width, cap)
 
 
 def test_signed_symmetric_permutations_reach_the_row_limit():
@@ -583,8 +663,8 @@ BLOCK_BUDGET_STREAMS = {
         "permutations of [7]",
     ),
     "signed_symmetric_permutations": (
-        lambda budget: signed_symmetric_permutations(5, cap=5, budget=budget),
-        lambda: _signed_symmetric_permutations_blocks(5, cap=5),
+        lambda budget: signed_symmetric_permutations(5, cap=10, budget=budget),
+        lambda: _signed_symmetric_permutations_blocks(5, cap=10),
         "signed symmetric permutations of ±[5]",
     ),
 }
