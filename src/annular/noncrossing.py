@@ -271,7 +271,7 @@ def _joined(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _chords(m: int, through: bool) -> np.ndarray:
+def _chords(m: int, *, through: bool) -> np.ndarray:
     """Involutions of 0..m−1 with non-crossing pairs, as one read-only table.
 
     Without ``through`` they have no fixed point: the non-crossing
@@ -279,19 +279,20 @@ def _chords(m: int, through: bool) -> np.ndarray:
     fixed points (ends of through-strings) lie inside no pair.  0 is
     fixed (with ``through``) or paired with each j at odd distance; the
     points between them are a pairing, those after filled recursively.
+    ``through`` is keyword-only, so each table has one cache entry.
     """
     if m < 2:
         return _frozen(np.zeros((1 if through or not m else 0, m), np.intp))
-    parts = [_joined(np.zeros((1, 1), np.intp), _chords(m - 1, True))] if through else []
+    parts = [_joined(np.zeros((1, 1), np.intp), _chords(m - 1, through=True))] if through else []
     for j in range(1, m, 2):
-        parts.append(_joined(_arches(j), _chords(m - 1 - j, through)))
+        parts.append(_joined(_arches(j), _chords(m - 1 - j, through=through)))
     return _frozen(np.concatenate(parts))
 
 
 @cache
 def _arches(j: int) -> np.ndarray:
     """The pairings of 0..j that pair 0 with j, read-only."""
-    inner = _chords(j - 1, False)
+    inner = _chords(j - 1, through=False)
     ends = np.full((len(inner), 1), j)
     return _frozen(np.concatenate((ends, inner + 1, ends - j), axis=1))
 
@@ -323,13 +324,13 @@ def _annulus_pairings(n: int) -> np.ndarray:
     through-strings, s_i joined to −s_(i+t/2), its pairs fill each cyclic
     gap between them non-crossingly, and their mirrors the negative
     circle.  ρ is a word (the fixed point 0, then a row of
-    ``_chords(n − 1, True)``) turned by r places, r at most the points
-    after the word's last fixed point (so s_1 = r).  t ≡ n (mod 2): odd n
-    has no member, even n has t ≥ 2.
+    ``_chords(n − 1, through=True)``) turned by r places, r at most the
+    points after the word's last fixed point (so s_1 = r).  t ≡ n (mod 2):
+    odd n has no member, even n has t ≥ 2.
     """
     if n % 2:
         return _frozen(np.empty((0, 2 * n), np.intp))
-    words = _joined(np.zeros((1, 1), np.intp), _chords(n - 1, True))
+    words = _joined(np.zeros((1, 1), np.intp), _chords(n - 1, through=True))
     turns = (words == np.arange(n))[:, ::-1].argmax(axis=1) + 1
     word = np.repeat(np.arange(len(words)), turns)
     r = (np.arange(len(word)) - np.repeat(np.cumsum(turns) - turns, turns))[:, None]

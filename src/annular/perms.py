@@ -362,7 +362,7 @@ def _contract(outer, positions, values, tail, free, colour: bytes | None = None)
     cycle = hop.take(starts)
     least = np.minimum(starts, cycle)
     if colour is not None:
-        shade = np.tile(np.frombuffer(colour, dtype=np.uint8), count)
+        shade = np.frombuffer(colour * count, dtype=np.uint8)
         own = shade.take(free + base)
         crossed = shade.take(ends) == own
     for _ in range(head):

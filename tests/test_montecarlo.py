@@ -1,17 +1,22 @@
 """Monte Carlo sampling: reproducibility and statistical agreement."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 import warnings
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import annular
 from annular import montecarlo as mc
 from annular.moments import Ensemble, wick_moment
 from annular.montecarlo import BLOCK_SIZE, McEstimate, mc_moment
@@ -228,6 +233,28 @@ def test_one_block_runs_inline(monkeypatch):
 
     mc._estimate(sampler, "GUE", 2, 2, None, samples=100, seed=0)
     assert threads == [threading.main_thread()]
+
+
+def test_blocks_reuse_one_thread_per_cpu(monkeypatch):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threads = set()
+
+    def sampler(rng, ensemble, n, N, M, size):
+        threads.add(threading.current_thread())
+        return np.ones(size)
+
+    mc._estimate(sampler, "GUE", 2, 2, None, samples=20 * BLOCK_SIZE, seed=0)
+    assert 1 <= len(threads) <= 2
+
+
+def test_importing_annular_loads_no_thread_pool():
+    script = "import sys, annular; print('concurrent.futures' in sys.modules)"
+    src = str(Path(annular.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

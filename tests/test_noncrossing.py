@@ -539,6 +539,16 @@ def test_built_sources_refuse_a_size_above_the_cap_before_any_table(tag, n, buil
     assert build.cache_info().currsize == 0
 
 
+def test_each_chord_table_is_cached_once():
+    # the NC2 source, the recursion and ``_arches`` read one entry per (m, through)
+    noncrossing._chords.cache_clear()
+    nc_groups("NC2", 12)
+    misses = noncrossing._chords.cache_info().misses
+    for m in (12, 10):
+        noncrossing._chords(m, through=False)
+    assert noncrossing._chords.cache_info().misses == misses
+
+
 def test_planar_pairings_equal_genus_zero_gluings():
     for n in (2, 4, 6):
         assert family_nc(NCFamilyId("NC2", n)).member_set == set(family_a(n, 0))
