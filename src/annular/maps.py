@@ -54,11 +54,13 @@ source is read on every call, and a pass that raises keeps nothing.
 tests hold it to the batched kernel row by row.  The ``family_*`` names
 are shorthands for callers outside the package.
 
-:func:`gluing_counts` counts the unsigned families a, ã and â by
-stream prefix (:func:`annular.perms._prefix_cycle_counts`), building no
-row, so their counts are capped on the prefixes run and reach past the
-row pass: a to [20], ã and â to n = 12.  b, b̃ and b̂ are tallied by
-the row pass.
+:func:`gluing_counts` counts a, ã, â and b by stream prefix
+(:func:`annular.perms._prefix_cycle_counts`), building no row.  The
+counts of a, ã and â are capped on the prefixes run and reach past the
+row pass: a to [20], ã and â to n = 12.  b keeps the cap of its row
+stream (±[12]), and counts a prefix with no twisted pair without its
+untwisted completions, so b is not read off the Wick sum.  b̃ and b̂
+are tallied by the row pass.
 """
 
 from __future__ import annotations
@@ -103,6 +105,7 @@ from .streams import (
     EnumerationBudget,
     _bipartite_pairing_blocks,
     _bipartite_signed_symmetric_pairing_blocks,
+    _completions,
     _ends_within_one,
     _pairings_of_blocks,
     _permutations_of_blocks,
@@ -444,7 +447,7 @@ class Gluing:
     questions.  ``keys`` maps a block to its member rows, as an index into
     the block (a row mask for b, b̃ and b̂, which drop rows; every row
     for the others), and their grade rows, in row order; every row pass
-    reads it.  :func:`gluing_counts` reads the unsigned families' streams
+    reads it.  :func:`gluing_counts` reads the streams of a, ã, â and b
     by prefix instead, from their ground and pairing kind.
     """
 
@@ -580,29 +583,45 @@ def gluing_counts(
 ) -> dict[tuple[int, ...], int]:
     """Histogram grade tuple -> family size, grades ascending, building no member.
 
-    a, ã and â are counted by stream prefix, building no row; a prefix
-    that mixes the colour classes, or a face count no gluing has, sends
-    the call to the row pass, which raises the per-image key's error on
-    the first row that breaks it (above its row cap, its CapExceeded).
-    b, b̃ and b̂ are tallied by that pass, a source block at a time.
+    a, ã, â and b are counted by stream prefix, building no row.  A prefix
+    that mixes the colour classes, or a cycle count no gluing has, sends
+    the call to the error path: the completions of the first prefix that
+    does so, one tail table of rows, go to the batched key, which raises
+    the per-image key's error on the first row that breaks it.  b̃ and b̂
+    are tallied by the row pass, a source block at a time.
     """
     entry = _entry(tag, n)
-    if entry.signed:
+    if entry.signed and (entry.doubled or not entry.pairs):
         return _row_counts(entry, n, cap, budget)
-    size = 2 * n if entry.doubled else n
-    step = 0 if not entry.pairs else 2 if entry.doubled else 1
-    prefixes = _prefixes(step, unsigned_ground(size), cap, budget)
-    walk = gamma_walk(full_cycle(size))[0]
-    counts = _prefix_cycle_counts(walk, *prefixes, odd_mask(size) if entry.doubled else None)
+    step = 3 if entry.signed else 2 if entry.doubled else int(entry.pairs)
+    size, ground = 2 * n if entry.doubled else n, _ground(entry, n)
+    _, tails, prefixes = _prefixes(step, ground, cap, budget)
+    # 2g = top − the cycles counted: faces (a), odd and even faces (ã), parts and
+    # faces (â); 2k = n + 2 − the boundaries (b).  The grade p is the first count
+    if entry.signed:
+        walk, top = tau2(n).image, n + 2
+    else:
+        walk, top = gamma_walk(full_cycle(size))[0], (size // 2 if entry.pairs else size) + 1
+    colour = odd_mask(size) if entry.doubled else None
+
+    def counted(prefixes) -> dict[tuple[int, ...], int] | None:
+        """The counts of ``prefixes``; None if one mixes the colours or a count fits no gluing."""
+        counts = _prefix_cycle_counts(walk, step, tails, prefixes, colour, entry.signed)
+        keys = np.array([*(counts or ())], np.intp).reshape(-1, len(entry.grades))
+        twice = top - keys.sum(axis=1)  # a key holds a count per grade
+        return None if counts is None or (twice < 0).any() or _odd(twice).any() else counts
+
+    counts = counted(prefixes)
     if counts is not None:
-        # 2g = edges + 1 − the cycles counted: faces (a), odd and even faces (ã),
-        # parts and faces (â); the grade p is the first of the last two
-        edges, graded = size // 2 if entry.pairs else size, len(entry.grades) - 1
-        twice = {(edges + 1 - sum(c), *c[:graded]): cnt for c, cnt in counts.items()}
-        if all(t >= 0 and t % 2 == 0 for t, *_ in twice):
-            return dict(sorted(((t // 2, *p), cnt) for (t, *p), cnt in twice.items()))
-    _row_counts(entry, n, cap, budget)
-    raise AssertionError("the prefix and row passes disagree")
+        graded = len(entry.grades) - 1
+        return dict(sorted((((top - sum(c)) // 2, *c[:graded]), cnt) for c, cnt in counts.items()))
+    # the error path: the pass again, a prefix at a time, to the first one not
+    # counted; the batched key raises on one of its completions
+    each = (prefix for batch in _prefixes(step, ground, cap, budget)[2] for prefix in zip(*batch))
+    prefix = next((p for p in each if counted([[part[None] for part in p]]) is None), None)
+    if prefix is not None:
+        entry.keys(_completions(step, *prefix))
+    raise AssertionError("the prefix pass and the batched key disagree")
 
 
 def _row_counts(entry: Gluing, n: int, cap, budget) -> dict[tuple[int, ...], int]:

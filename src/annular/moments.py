@@ -10,15 +10,16 @@ it reads (each on its work) refuse an order with ``CapExceeded`` before
 any row or table is built (the GOE and LOE genus routes read first the
 source whose cap binds first), and odd Gaussian orders read no stream.
 
-How the sums are taken.  The GOE and LOE Wick sums key each row of
-their own streams with the batched cycle kernel of :mod:`annular.perms`
-against cached walks.  The GUE and LUE Wick sums build no row: they
-read the pairings or permutations of [n] by prefix
-(:func:`annular.streams._prefixes`, counted by
+How the sums are taken.  The LOE Wick sum keys each row of its
+stream with the batched cycle kernel of :mod:`annular.perms` against
+cached walks.  The GUE, GOE and LUE Wick sums build no row: they read
+the pairings or permutations of [n], or the signed symmetric pairings
+of ±[n], by prefix (:func:`annular.streams._prefixes`, counted by
 :func:`annular.perms._prefix_cycle_counts`) for the faces #(γ⁻¹π) of
-each pairing (GUE), #π and #(γ⁻¹π) of each permutation (LUE).  The
-genus route reads its histograms from :func:`annular.maps.gluing_counts`,
-a and ã by prefix and b and b̃ by row passes.
+each pairing (GUE), the boundary walks #(τ₂π) of each gluing (GOE), #π
+and #(γ⁻¹π) of each permutation (LUE).  The genus route reads its
+histograms from :func:`annular.maps.gluing_counts`, a, ã and b by
+prefix and b̃ by a row pass.
 
 Why the routes still check each other.  They share no family
 construction: the Wick sum never reads a gluing family, and the genus
@@ -26,7 +27,9 @@ route reads nothing of this module's walks and involutions.  What they
 share is index algebra on stream elements, the prefix runs, the
 contraction, the cycle-type codes and the class tables, as they share
 ``_cycle_counts``; the tests hold that algebra to brute force (the row
-pass and dict oracles) and to the Harer–Zagier recursion.
+pass and dict oracles) and to the Harer–Zagier recursion.  On GOE both
+read the class tables of ±[6], but the genus route drops each untwisted
+gluing from b on its own prefix and reads those gluings as a, on [n].
 Their agreement (enforced in tests) then cross-checks the weights and
 grades each applies.  The invariants the sums rely on, even cycle
 counts and non-negative even twice-genera, are explicit raises.
@@ -60,6 +63,7 @@ from .perms import (
     _cycle_counts,
     _key_counts,
     _prefix_cycle_counts,
+    signed_ground,
     unsigned_ground,
 )
 from .polynomial import MomentPolynomial
@@ -68,7 +72,6 @@ from .streams import (
     EnumerationBudget,
     _pairings_of_blocks,
     _prefixes,
-    _signed_symmetric_pairings_blocks,
 )
 
 __all__ = [
@@ -167,10 +170,12 @@ def wick_moment(
             counts = {(parts + faces, parts): cnt for (parts, faces), cnt in counts.items()}
             prefactor = Fraction(1)
 
-    elif ensemble.kind == "GOE":
-        blocks = _signed_symmetric_pairings_blocks(n, budget=budget)
-        mirror_shift = tau2(n).image
-        counts = _key_counts(_goe_keys(mirror_shift, block) for block in blocks)
+    elif ensemble.kind == "GOE":  # (#(τ₂π),) per signed symmetric pairing π
+        prefixes = _prefixes(3, signed_ground(n), budget=budget)
+        counts = _prefix_cycle_counts(tau2(n).image, *prefixes)
+        if any(doubled % 2 for doubled, in counts):
+            raise AssertionError("boundary count of a gluing must be even")
+        counts = {(doubled // 2, 0): cnt for (doubled,), cnt in counts.items()}
         prefactor = Fraction(1, 2**n)
 
     else:  # LOE
@@ -180,15 +185,6 @@ def wick_moment(
         prefactor = Fraction(1, 2**n)
 
     return MomentPolynomial(tuple((key, prefactor * cnt) for key, cnt in counts.items()))
-
-
-# Each maps a block of stream images to its rows' (N power, c power) keys.
-
-def _goe_keys(mirror_shift: tuple[int, ...], block: np.ndarray) -> np.ndarray:
-    doubled = _cycle_counts(mirror_shift, block)
-    if (doubled % 2).any():
-        raise AssertionError("boundary count of a gluing must be even")
-    return np.column_stack((doubled // 2, np.zeros_like(doubled)))
 
 
 def _wishart_involutions(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -33,9 +33,10 @@ the key rows computed from such blocks with ``np.bincount``.  Every
 cycle count in the package goes through them, or through their
 counting form for a stream read by prefix, which builds no row:
 ``_prefix_cycle_counts`` contracts each prefix onto its tail
-(``_contract``), codes the conjugacy class of what is left
-(``_cycle_types``) and reads the counts of that class against the tail
-table, kept per (m, class) by ``_class_table``.  ``compose``,
+(``_contract``), codes the class of what is left (``_cycle_types``: a
+conjugacy class, or on a signed tail the class of the pair it makes with
+the mirror) and reads the counts of that class against the tail table,
+kept per tail table and class by ``_class_table``.  ``compose``,
 ``inverse``, ``conjugate``, ``num_cycles`` and
 ``restricted_cycle_count`` are the algebra of :class:`Permutation`
 objects: plain functions over them.
@@ -382,7 +383,7 @@ def _contract(outer, positions, values, tail, free, colour: bytes | None = None)
     return c, closed, inside, mixed | crossed.any(axis=1)
 
 
-def _cycle_types(perms: np.ndarray) -> np.ndarray:
+def _cycle_types(perms: np.ndarray, mirrored: bool = False) -> np.ndarray:
     """Per row of permutations of 0..m−1, a code of its cycle type.
 
     The code is Σ (m+1)^(ℓ(x)−1) over the points x, ℓ(x) the length of
@@ -390,38 +391,55 @@ def _cycle_types(perms: np.ndarray) -> np.ndarray:
     length, so two rows share a code exactly when they are conjugate.
     Each cycle is found at its least point by pointer doubling, as in
     :func:`_cycle_counts`.
+
+    With ``mirrored`` each row is an involution c of m = 2t points, and
+    two rows share a code exactly when they are conjugate by the
+    centraliser of the mirror δ: s ↦ 2t−1−s, that is when the pairs
+    (c, δ) are conjugate.  The orbits of a pair are alternating cycles
+    and paths, one class per bipartition of t.  An alternating cycle with
+    ℓ c-edges is two ℓ-cycles of c∘δ, a path on 2ℓ points one 2ℓ-cycle
+    that meets a fixed point of c.  So the code is the cycle type of c∘δ,
+    a flagged 2ℓ-cycle counted at digit t + ℓ − 1, past the unflagged
+    lengths (at most t).
     """
     count, m = perms.shape
     index = np.arange(count * m)
-    step = (perms + m * np.arange(count)[:, None]).reshape(-1)
+    step = ((perms[:, ::-1] if mirrored else perms) + m * np.arange(count)[:, None]).reshape(-1)
     least = np.minimum(index, step)
     for _ in range((m - 1).bit_length() - 1):
         step = step.take(step)
         np.minimum(least, least.take(step), out=least)
     length = np.bincount(least, minlength=count * m).take(least)
+    if mirrored:
+        fixed = (perms == np.arange(m)).reshape(-1)
+        flagged = np.bincount(least, fixed, minlength=count * m).take(least) > 0
+        length = np.where(flagged, m // 2 + length // 2, length)
     return ((m + 1) ** (length - 1)).reshape(count, m).sum(axis=1)
 
 
-#: (pairs, m, cycle-type code) -> the counts of one conjugacy class against
-#: the tail table of m points, kept for the process: at most 42 classes of
-#: S_10 and 11 of S_6 at the depths the streams count at.
-_CLASS_TABLES: dict[tuple[bool, int, int], np.ndarray] = {}
+#: (kind, m, class code) -> the counts of one class against the tail table
+#: of m points, kept for the process: at the depths the streams count at,
+#: at most 42 classes of S_10 (matchings, kind 1), 11 of S_6 (permutations
+#: and bipartite matchings, kind 0) and 65 pairs (c, δ) on ±[6] (kind 3).
+_CLASS_TABLES: dict[tuple[int, int, int], np.ndarray] = {}
 
 
-def _class_table(tails: np.ndarray, pairs: bool, code: int, w) -> np.ndarray:
+def _class_table(tails: np.ndarray, step: int, code: int, w) -> np.ndarray:
     """The counts of class ``code`` (of the permutation ``w``) against ``tails``.
 
-    Matchings t (``pairs``): entry j counts the t with #(w∘t) = j.
-    Permutations u: entry (i, j) counts the u with #u = i and #(w∘u) = j.
-    Each table is closed under conjugation, so the counts are those of
+    Matchings t (odd ``step``: of m points, or signed symmetric of ±[m/2]):
+    entry j counts the t with #(w∘t) = j.  Permutations u (even step):
+    entry (i, j) counts the u with #u = i and #(w∘u) = j.  Each table is
+    closed under conjugation by the group that keeps the class (all of
+    S_m, or the centraliser of the mirror), so the counts are those of
     every g·w·g⁻¹ (g·t·g⁻¹ runs over the table as t does).
     """
     m = tails.shape[1]
-    key = (pairs, m, code)
+    key = (step if step % 2 else 0, m, code)  # steps 0 and 2 read the same S_m
     table = _CLASS_TABLES.get(key)
     if table is None:
         walked = _cycle_counts(w, tails)
-        if pairs:
+        if step % 2:
             table = np.bincount(walked, minlength=m + 1)
         else:
             own = _cycle_counts(range(m), tails)
@@ -432,7 +450,8 @@ def _class_table(tails: np.ndarray, pairs: bool, code: int, w) -> np.ndarray:
     return table
 
 
-def _prefix_cycle_counts(outer, step: int, tails: np.ndarray, prefixes, colour=None):
+def _prefix_cycle_counts(outer, step: int, tails: np.ndarray, prefixes, colour=None,
+                         twisted=False):
     """Histogram of the cycles of x ↦ outer[π(x)] over a stream read by prefix.
 
     ``prefixes`` are batches of (positions, values, tail, free) runs and
@@ -442,6 +461,11 @@ def _prefix_cycle_counts(outer, step: int, tails: np.ndarray, prefixes, colour=N
     offsets, and the rest is read off the cached counts of a class:
 
     * ``step`` 1, matchings π: key (#(outer∘π),), from the class of c;
+    * ``step`` 3, signed symmetric pairings π: the same key, from the
+      class of the pair (c, δ), since the tail table is closed under the
+      centraliser of δ.  With ``twisted`` only the π with a twisted pair
+      are counted: a prefix with none drops the keys of its untwisted
+      completions, walked here;
     * ``step`` 0, permutations π: key (#π, #(outer∘π)).  With c₁ the
       contraction for the identity and c that for ``outer``, #π is
       #(c₁∘u) and #(outer∘π) is #(c∘u) over the tail table's u, that is
@@ -456,13 +480,14 @@ def _prefix_cycle_counts(outer, step: int, tails: np.ndarray, prefixes, colour=N
 
     Keys come in ascending order.  No row of the stream is built.
     """
-    pairs = step == 1
     classes: dict[int, list] = {}  # offsets and class, coded -> [prefixes, class code, offsets, w]
+    dropped = []  # the keys of the untwisted completions, not counted
     for positions, values, tail, free in prefixes:
-        if colour is None and not positions.shape[1]:
+        if colour is None and not twisted and not positions.shape[1]:
             # no prefix: the stream is its tail table, c is outer and c₁ the identity
             w = np.asarray(outer, dtype=np.intp)[None]
-            return _nonzero_counts(_class_table(tails, pairs, int(_cycle_types(w)[0]), w[0]))
+            code = int(_cycle_types(w, step == 3)[0])
+            return _nonzero_counts(_class_table(tails, step, code, w[0]))
         size = positions.shape[1] + free.shape[1]
         c, closed, inside, mixed = _contract(outer, positions, values, tail, free, colour)
         if step == 0:
@@ -470,9 +495,7 @@ def _prefix_cycle_counts(outer, step: int, tails: np.ndarray, prefixes, colour=N
             w = np.empty_like(c)
             np.put_along_axis(w, c_id, c, axis=1)
             offsets = (closed_id, closed)
-        elif pairs:
-            w, offsets = c, (closed,)
-        else:
+        elif step == 2:
             if mixed.any():
                 return None
             m = free.shape[1] // 2
@@ -482,7 +505,16 @@ def _prefix_cycle_counts(outer, step: int, tails: np.ndarray, prefixes, colour=N
             after = np.take_along_axis(c, np.take_along_axis(c, order[:, m:], axis=1), axis=1)
             w = np.take_along_axis(rank, after, axis=1)
             offsets = (inside, closed - inside)
-        codes = coded = _cycle_types(w)
+        else:
+            w, offsets = c, (closed,)
+        if twisted:  # a twisted pair sends a positive point (index ≥ n on ±[n]) to one
+            half, t = size // 2, tails.shape[1] // 2
+            plain = ~((positions >= half) & (values >= half)).any(axis=1)
+            straight = tails[~(tails[:, t:] >= t).any(axis=1)]
+            walks = c[plain][:, straight].reshape(-1, 2 * t)  # c∘u per (prefix, untwisted u)
+            keys = _cycle_counts(range(2 * t), walks).reshape(-1, len(straight))
+            dropped.append((closed[plain, None] + keys).reshape(-1))
+        codes = coded = _cycle_types(w, step == 3)
         for offset in offsets:
             coded = coded * (size + 1) + offset
         found, first, counts = np.unique(coded, return_index=True, return_counts=True)
@@ -491,12 +523,15 @@ def _prefix_cycle_counts(outer, step: int, tails: np.ndarray, prefixes, colour=N
             classes.setdefault(key, [0, int(codes[i]), where, w[i]])[0] += count
     if not classes:
         return {}
-    shape = (tails.shape[1] + 1,) * (1 if pairs else 2)
+    shape = (tails.shape[1] + 1,) * (2 - step % 2)
     reach = np.max([where for _, _, where, _ in classes.values()], axis=0)
     total = np.zeros(tuple(reach + shape), dtype=np.int64)
     for count, code, where, w in classes.values():
         at = tuple(slice(o, o + s) for o, s in zip(where, shape))
-        total[at] += count * _class_table(tails, pairs, code, w)
+        total[at] += count * _class_table(tails, step, code, w)
+    if dropped:
+        tally = np.bincount(np.concatenate(dropped), minlength=1)
+        total[: len(tally)] -= tally
     return _nonzero_counts(total)
 
 

@@ -24,9 +24,10 @@ table of the rest.  :func:`_mirror_pair_blocks` expands the matchings of
 :func:`_mirrored_pairings` walks the matchings of ±[n] last to first,
 mirrored.  Each colour-class stream yields exactly the rows of its
 filter, in order, visiting no rejected one.  The matchings, bipartite
-matchings and permutations also have a counting form, :func:`_prefixes`,
-for the passes that keep only a histogram of cycle counts
-(:func:`annular.perms._prefix_cycle_counts`).
+matchings, permutations and signed symmetric pairings also have a
+counting form, :func:`_prefixes`, for the passes that keep only a
+histogram of cycle counts (:func:`annular.perms._prefix_cycle_counts`);
+:func:`_completions` builds the rows of one prefix, for their error path.
 
 Each stream has a documented deterministic order, a size cap checked
 before any row is built, and an optional :class:`EnumerationBudget`
@@ -174,11 +175,15 @@ def _table(step: int, colours: bytes) -> np.ndarray:
 
     A bipartite table (step 2) is the matchings' table on m points
     filtered to the rows that join the two colours, which keeps their
-    order.  A table of the matchings or permutations of m points over
-    ``_TABLE_LIMIT`` entries raises ``ValueError``.
+    order; a step-3 table holds the signed symmetric pairings of ±[m/2]
+    (m/2 even), in their stream's order.  A table of the matchings or
+    permutations of m points over ``_TABLE_LIMIT`` entries raises
+    ``ValueError``.
     """
     size = len(colours)
-    if step == 2:
+    if step == 3:
+        table = np.concatenate(tuple(_mirror_pair_blocks(size // 2, "every")))
+    elif step == 2:
         matchings = _table(1, bytes(size))
         shade = np.frombuffer(colours, dtype=np.uint8)
         table = matchings[(shade[matchings] != shade).all(axis=1)]
@@ -442,8 +447,9 @@ def _capped(noun: str, length, ground: GroundSet, cap, budget, blocks):
 
 #: Points a counting pass leaves to the tail table after each prefix, by
 #: step: the 720 permutations of 6 values, the 945 matchings of 10 points,
-#: and the bipartite matchings of 6 + 6 points, counted on the same S_6.
-_COUNTED_TAIL = (6, 10, 12)
+#: the bipartite matchings of 6 + 6 points, counted on the same S_6, and
+#: the 120 signed symmetric pairings of ±[6].
+_COUNTED_TAIL = (6, 10, 12, 12)
 
 
 def _prefix_count(step: int, size: int) -> int:
@@ -452,42 +458,48 @@ def _prefix_count(step: int, size: int) -> int:
     return rows and rows // _table_rows(step, min(size, _COUNTED_TAIL[step]))
 
 
-#: Each counting form's noun and work (the prefixes it runs), by step.
-_COUNTED_NOUNS = ("permutation", "pairing", "bipartite pairing")
-_PREFIX_COUNTS = tuple(partial(_prefix_count, step) for step in range(3))
+#: Each counting form's noun and work, by step: the prefixes it runs, but
+#: the rows of the block stream for the signed symmetric pairings, whose
+#: refusals stay those of that stream.
+_COUNTED_NOUNS = ("permutation", "pairing", "bipartite pairing", "signed symmetric pairing")
+_PREFIX_COUNTS = (*(partial(_prefix_count, step) for step in range(3)), _mirror_rows)
 
 
 def _prefixes(step: int, ground: GroundSet, cap=None, budget=None):
     """The counting form of stream ``step`` on ``ground``: (step, tail table, prefix batches).
 
-    The size is refused above the cap, and a budget below the stream's
-    length, as the block stream refuses them (the same errors), before
-    any table is built; a counting pass reads every element, so none is
-    counted before a budget raises.  Each prefix is a run of
-    :func:`_runs` that leaves ``_COUNTED_TAIL`` points (all of them on a
-    smaller ground), given as (positions, values, tail positions, free
-    values), ``_ROWS`` prefixes a batch; the tail table is the stream on
-    the tail, or S_m for a bipartite tail of m + m points.  The batches
-    are lazy, and empty where the stream is.
+    Step 3 is the signed symmetric pairings of ±[n].  The size is refused
+    above the cap, and a budget below the stream's length, as the block
+    stream refuses them (the same errors), before any table is built; a
+    counting pass reads every element, so none is counted before a budget
+    raises.  Each prefix is a run of :func:`_runs` that leaves
+    ``_COUNTED_TAIL`` points (all of them on a smaller ground), given as
+    (positions, values, tail positions, free values), ``_ROWS`` prefixes
+    a batch (:func:`_signed_prefixes` for step 3); the tail table is the
+    stream on the tail, or S_m for a bipartite tail of m + m points.  The
+    batches are lazy, and empty where the stream is.
     """
     what = _checked(_COUNTED_NOUNS[step], _PREFIX_COUNTS[step], ground, cap, budget)
     size = ground.size
-    length = _table_rows(step, size)
+    length = _mirror_rows(size) if step == 3 else _table_rows(step, size)
     if budget is not None and length > budget.max_elements:
         raise _over_budget(what, budget.max_elements)
     if not length:  # an odd number of points has no matching
         return step, np.zeros((0, 0), np.intp), iter(())
-    width, tail = 2 if step else 1, min(size, _COUNTED_TAIL[step])
+    width, tail = (1, 2, 2, 4)[step], min(size, _COUNTED_TAIL[step])
     depth = (size - tail) // width
     tails = _table(0, bytes(tail // 2)) if step == 2 else _table(step, bytes(tail))
-    colours = bytes(i % 2 if step == 2 else 0 for i in range(size))
-    total = length // _table_rows(step, tail)
 
     def batches():
         if not depth:  # the stream is its tail table: one empty prefix
             points = np.arange(size)[None]
             yield np.empty((1, 0), np.intp), np.empty((1, 0), np.intp), points, points
             return
+        if step == 3:
+            yield from _signed_prefixes(ground.n, depth)
+            return
+        colours = bytes(i % 2 if step == 2 else 0 for i in range(size))
+        total = length // _table_rows(step, tail)
         for first in range(0, total, _ROWS):
             count = min(_ROWS, total - first)
             positions, values, free = _runs(step, colours, depth, first, count, False)
@@ -499,6 +511,50 @@ def _prefixes(step: int, ground: GroundSet, cap=None, budget=None):
                 yield np.broadcast_to(positions, rows), values, tail_at, free
 
     return step, tails, batches()
+
+
+def _signed_prefixes(n: int, depth: int):
+    """Prefix batches of the signed symmetric pairings of ±[n]: ``depth`` pairs of [n], twisted.
+
+    Each run of ``depth`` first pairs of the matchings of [n] comes with
+    each of its 2^depth twist tuples, on its 4·depth signed points: in
+    index space +p sits at n+p and −p at n−1−p, so an untwisted p ↦ v
+    sends n+p to n−1−v and n−1−p to n+v, a twisted one n+p to n+v and
+    n−1−p to n−1−v.  The tail slots are those of the free points f, slot
+    s < t at −f_{t−1−s} and slot s ≥ t at +f_{s−t}, so the mirror is
+    s ↦ 2t−1−s on them as on ±[t], and the tail table is the stream on
+    ±[t].  At most ``_ROWS`` prefixes a batch.
+    """
+    twists = 1 << depth
+    bits = (np.arange(twists)[:, None] >> np.arange(depth) & 1).repeat(2, axis=1) == 1
+    total, per = _table_rows(1, n) // _table_rows(1, n - 2 * depth), max(1, _ROWS >> depth)
+    for first in range(0, total, per):
+        count = min(per, total - first)
+        positions, values, free = _runs(1, bytes(n), depth, first, count, False)
+        plus = np.where(bits, n + values[:, None], n - 1 - values[:, None])  # pair j // 2's bit
+        values = np.concatenate((plus, 2 * n - 1 - plus), axis=2).reshape(count * twists, -1)
+        positions = np.concatenate((n + positions, n - 1 - positions), axis=1)
+        slots = np.concatenate(((n - 1 - free)[:, ::-1], n + free), axis=1).repeat(twists, axis=0)
+        yield positions.repeat(twists, axis=0), values, slots, slots
+
+
+def _completions(step: int, positions, values, tail, free) -> np.ndarray:
+    """The rows of stream ``step`` that start with one prefix of :func:`_prefixes`.
+
+    The prefix is given as a row of each of its arrays; the rows complete
+    it by the stream on its tail, in that stream's order (for a bipartite
+    tail, its matchings that join the colours).
+    """
+    m = len(free)
+    if step == 3:
+        table = _table(3, bytes(m))
+    else:
+        colours = bytes(f % 2 for f in free.tolist()) if step == 2 else bytes(m)
+        table = np.concatenate(tuple(_tail_blocks(step, colours)))
+    rows = np.empty((len(table), len(positions) + m), np.intp)
+    rows[:, positions] = values
+    rows[:, tail] = free[table]
+    return rows
 
 
 def _pairings_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:

@@ -2,12 +2,13 @@
 
 import time
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
 import annular.maps
 from annular.moments import genus_expansion_moment
-from annular.frames import annulus_cycle, black_labels, full_cycle, white_labels
+from annular.frames import annulus_cycle, black_labels, full_cycle, tau2, white_labels
 from annular.maps import (
     GLUINGS,
     MonochromaticityError,
@@ -39,6 +40,7 @@ from annular.maps import (
 from annular.perms import (
     Pairing,
     Permutation,
+    _cycle_counts,
     _key_counts,
     compose,
     inverse,
@@ -131,6 +133,18 @@ def test_family_b_known_counts():
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_family_b_counts_match_reference(n):
     assert family_b_counts(n) == ref_family_b_counts(n)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_b_counted_by_prefix_equals_the_row_pass(n):
+    # the twisted rows of the block stream, keyed by their Euler genus one by
+    # one, up to the stream's cap (±[12]); the prefix pass builds none of them
+    def keys(block):
+        twisted = (block[:, n:] >= n).any(axis=1)
+        boundary = _cycle_counts(tau2(n).image, block[twisted])
+        return ((n + 2 - boundary) // 2)[:, None]
+
+    assert gluing_counts("b", n) == _key_counts(map(keys, _signed_symmetric_pairings_blocks(n)))
 
 
 def test_family_b2_of_4_exact_elements():
@@ -767,15 +781,36 @@ def _identity_walk(gamma):
     return tuple(range(len(gamma.image))), len(gamma.image)
 
 
-@pytest.mark.parametrize("n", [4, 12])  # the tail table alone; one prefix pair before it
+# the tail table alone; one prefix pair before it; past the pairing stream's row cap
+@pytest.mark.parametrize("n", [4, 12, 18])
 def test_prefix_pass_raises_the_per_image_genus_error(monkeypatch, n):
-    # n/2 faces leave an odd twice-genus on every pairing, the first one included
+    # n/2 faces leave an odd twice-genus on every pairing, the first one included;
+    # only the completions of the first prefix are keyed, so no size is refused
     monkeypatch.setattr(annular.maps, "gamma_walk", _identity_walk)
     with pytest.raises(ValueError, match="impossible face count") as per_image:
         GLUINGS["a"].key(next(_rows(_pairing_blocks(n))))
-    with pytest.raises(ValueError) as counted:
-        genus_expansion_moment("GUE", n)
-    assert str(counted.value) == str(per_image.value)
+    for call in (lambda: gluing_counts("a", n), lambda: genus_expansion_moment("GUE", n)):
+        with pytest.raises(ValueError) as counted:
+            call()
+        assert str(counted.value) == str(per_image.value)
+
+
+def _odd_boundary_walk(n):
+    """A walk that is no boundary walk: one transposition, so every count #(walk∘τ₁) is odd."""
+    return SimpleNamespace(image=(1, 0, *range(2, 2 * n)))
+
+
+@pytest.mark.parametrize("n", [4, 12])  # the tail table alone; three prefix pairs before it
+def test_prefix_pass_raises_the_per_image_euler_genus_error(monkeypatch, n):
+    # the first twisted row of the stream is the first the error path keys
+    monkeypatch.setattr(annular.maps, "tau2", _odd_boundary_walk)
+    first = next(row for row in _rows(_mirror_pair_blocks(n, "every")) if max(row[n:]) >= n)
+    with pytest.raises(ValueError, match="impossible boundary count") as per_image:
+        GLUINGS["b"].key(first)
+    for call in (lambda: gluing_counts("b", n), lambda: genus_expansion_moment("GOE", n)):
+        with pytest.raises(ValueError) as counted:
+            call()
+        assert str(counted.value) == str(per_image.value)
 
 
 @pytest.mark.parametrize("n", [3, 7])  # no prefix: only the contraction keeps the colour

@@ -14,7 +14,7 @@ import pytest
 import annular.moments
 import annular.perms
 import annular.streams
-from annular.frames import full_cycle, gamma_walk
+from annular.frames import full_cycle, gamma_walk, tau2
 from annular.moments import (
     Ensemble,
     correction_coefficient,
@@ -35,10 +35,15 @@ from annular.streams import (
 
 from oracles import (
     ref_catalan,
+    ref_compose,
     ref_lagrange_coefficients,
     ref_loe_signed_pairing_terms,
     ref_narayana,
+    ref_num_cycles,
+    ref_signed_symmetric_pairings,
+    ref_tau2,
 )
+from test_maps import _odd_boundary_walk
 from test_streams import block_boundary_budgets
 
 
@@ -410,6 +415,34 @@ def test_prefix_pass_equals_the_row_pass(ensemble, n):
     assert wick_moment(ensemble, n) == _row_pass_wick(ensemble, n)
 
 
+@pytest.mark.parametrize("n", range(2, 13, 2))
+def test_goe_prefix_pass_equals_the_row_pass(n):
+    # the boundary walks of every signed symmetric pairing, keyed row by row,
+    # up to the stream's cap (±[12]); the prefix pass builds no row
+    def keys(block):
+        return _cycle_counts(tau2(n).image, block)[:, None] // 2
+
+    counts = _key_counts(map(keys, _signed_symmetric_pairings_blocks(n)))
+    want = {(doubled, 0): Fraction(cnt, 2**n) for (doubled,), cnt in counts.items()}
+    assert wick_moment("GOE", n).coefficients == want
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_goe_wick_equals_the_dict_oracle(n):
+    counts = {}
+    for pairing in ref_signed_symmetric_pairings(n):
+        boundary = ref_num_cycles(ref_compose(ref_tau2(n), pairing))
+        counts[boundary // 2, 0] = counts.get((boundary // 2, 0), 0) + Fraction(1, 2**n)
+    assert wick_moment("GOE", n).coefficients == counts
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_goe_wick_raises_on_an_odd_boundary_count(monkeypatch, n):
+    monkeypatch.setattr(annular.moments, "tau2", _odd_boundary_walk)
+    with pytest.raises(AssertionError, match="^boundary count of a gluing must be even$"):
+        wick_moment("GOE", n)
+
+
 #: The streams the counted routes read, as block streams: (ensemble, route) ->
 #: (order, the block stream under a budget).
 COUNTED_STREAMS = {
@@ -417,6 +450,8 @@ COUNTED_STREAMS = {
     ("GUE", "genus"): (12, lambda n, b: _pairings_of_blocks(unsigned_ground(n), budget=b)),
     ("LUE", "wick"): (7, lambda n, b: _permutations_of_blocks(unsigned_ground(n), budget=b)),
     ("LUE", "genus"): (5, lambda n, b: _bipartite_pairing_blocks(2 * n, budget=b)),
+    ("GOE", "wick"): (8, lambda n, b: _signed_symmetric_pairings_blocks(n, budget=b)),
+    ("GOE", "genus"): (8, lambda n, b: _signed_symmetric_pairings_blocks(n, budget=b)),
 }
 
 

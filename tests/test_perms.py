@@ -486,7 +486,7 @@ def test_class_counts_depend_only_on_the_cycle_type(pairs, k):
     assert code == other
     # S_8 is more than a stream table holds; every table is read as a set
     tails = _table(1, bytes(k)) if pairs else np.array(list(iter_permutations(points)))
-    assert _table_counts(_class_table(tails, pairs, code, images[1])) == want
+    assert _table_counts(_class_table(tails, int(pairs), code, images[1])) == want
 
 
 def test_cycle_type_codes_split_exactly_the_conjugacy_classes():
@@ -517,7 +517,7 @@ def test_bipartite_counts_are_read_at_the_class_of_a_after_c(m):
     want = oracles.ref_completion_counts(c, completions, white=set(white))
     rank = {x: i for i, x in enumerate(white)}
     w = np.array([[rank[c[c[x]]] for x in white]])
-    table = _class_table(_table(0, bytes(m)), False, int(_cycle_types(w)[0]), w[0])
+    table = _class_table(_table(0, bytes(m)), 2, int(_cycle_types(w)[0]), w[0])
     assert _table_counts(table) == want
 
 
@@ -527,3 +527,63 @@ def test_a_walk_that_keeps_the_colour_counts_nothing(size):
     # contraction does not reverse colour, with one (14) a closed pair mixes too
     step, tails, prefixes = _prefixes(2, unsigned_ground(size))
     assert _prefix_cycle_counts(range(size), step, tails, prefixes, odd_mask(size)) is None
+
+
+def _involutions(points: list) -> list[dict]:
+    """Every involution of ``points`` (fixed points allowed), as dicts."""
+    if not points:
+        return [{}]
+    first, rest = points[0], points[1:]
+    out = [{first: first, **inv} for inv in _involutions(rest)]
+    for k, other in enumerate(rest):
+        out += [{first: other, other: first, **inv} for inv in _involutions(rest[:k] + rest[k + 1:])]
+    return out
+
+
+def _mirror_class_histograms(t: int, involutions: list[dict]) -> dict[int, set]:
+    """Mirrored class code -> the histograms of #(c∘u) over the signed symmetric
+    pairings u of ±[t], from the dict oracles, of the ``involutions`` c of its
+    2t points (index i of ±[t] is its label there; the mirror is i ↦ 2t−1−i)."""
+    ground = signed_ground(t)
+    completions = [
+        {ground.index(x): ground.index(y) for x, y in u.items()}
+        for u in oracles.ref_signed_symmetric_pairings(t)
+    ]
+    images = np.array([[c[i] for i in range(2 * t)] for c in involutions])
+    found: dict[int, set] = {}
+    for code, c, image in zip(_cycle_types(images, mirrored=True).tolist(), involutions, images):
+        want = oracles.ref_completion_counts(c, completions)
+        found.setdefault(code, set()).add(tuple(sorted(want.items())))
+        assert _table_counts(_class_table(_table(3, bytes(2 * t)), 3, code, image)) == want
+    return found
+
+
+@pytest.mark.parametrize("t, classes", [(2, 5), (4, 20)])  # the bipartitions of t
+def test_mirrored_codes_split_the_classes_of_an_involution_and_the_mirror(t, classes):
+    # over every involution c of 2t points (764 at t = 4), the histogram of
+    # #(c∘u) over the signed symmetric pairings u of ±[t] is one per code,
+    # and the codes are as many as the classes of the pair (c, δ)
+    found = _mirror_class_histograms(t, _involutions(list(range(2 * t))))
+    assert len(found) == classes
+    assert all(len(histograms) == 1 for histograms in found.values())
+
+
+def test_mirrored_codes_of_a_sample_at_six():
+    # a seeded sample of involutions of 12 points, each with a conjugate by a
+    # signed permutation (one that commutes with the mirror), which keeps its class
+    rng, t = random.Random(6), 6
+    sample = []
+    for _ in range(60):
+        points = rng.sample(range(2 * t), 2 * rng.randrange(t + 1))
+        c = {i: i for i in range(2 * t)}
+        for a, b in zip(points[::2], points[1::2]):
+            c[a], c[b] = b, a
+        g = {}
+        for i, j in enumerate(rng.sample(range(t), t)):
+            flip = rng.random() < 0.5
+            g[i], g[2 * t - 1 - i] = (2 * t - 1 - j, j) if flip else (j, 2 * t - 1 - j)
+        sample += [c, oracles.ref_compose(oracles.ref_compose(g, c), oracles.ref_inverse(g))]
+    found = _mirror_class_histograms(t, sample)
+    assert all(len(histograms) == 1 for histograms in found.values())
+    codes = _cycle_types(np.array([[c[i] for i in range(2 * t)] for c in sample]), mirrored=True)
+    assert (codes[::2] == codes[1::2]).all()

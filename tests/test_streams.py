@@ -29,6 +29,7 @@ from annular.streams import (
     EnumerationBudget,
     _bipartite_pairing_blocks,
     _bipartite_signed_symmetric_pairing_blocks,
+    _completions,
     _mirror_pair_blocks,
     _mirrored_pairings,
     _pairing_blocks,
@@ -517,6 +518,35 @@ def test_default_caps_follow_from_the_work_limit(name):
     with pytest.raises(CapExceeded, match="above the cap") as info:
         source(cap // width + 1)
     assert (info.value.requested, info.value.cap) == (cap + width, cap)
+
+
+#: Each counting form's block stream, by step.
+COUNTED_BLOCKS = (
+    lambda n: _permutations_of_blocks(unsigned_ground(n)),
+    lambda n: _pairings_of_blocks(unsigned_ground(n)),
+    _bipartite_pairing_blocks,
+    _signed_symmetric_pairings_blocks,
+)
+
+
+@pytest.mark.parametrize(
+    "step, n", [(0, 5), (0, 8), (1, 8), (1, 12), (2, 10), (2, 16), (3, 4), (3, 10)]
+)
+def test_the_completions_of_the_prefixes_are_the_stream(step, n):
+    # a tail table of rows per prefix, with no prefix and with some: in
+    # stream order, but as a set for the signed symmetric pairings, whose
+    # stream takes the twist bits of every pair after the pairs
+    ground = signed_ground(n) if step == 3 else unsigned_ground(n)
+    rows = np.concatenate([
+        _completions(step, *(part[i] for part in batch))
+        for batch in _prefixes(step, ground)[2]
+        for i in range(len(batch[0]))
+    ])
+    stream = np.concatenate(tuple(COUNTED_BLOCKS[step](n)))
+    assert rows.shape == stream.shape
+    if step == 3:
+        rows, stream = (np.unique(r, axis=0) for r in (rows, stream))
+    assert rows.shape == stream.shape and (rows == stream).all()
 
 
 def test_signed_symmetric_permutations_reach_the_row_limit():
