@@ -56,11 +56,10 @@ are shorthands for callers outside the package.
 
 :func:`gluing_counts` counts a, ã, â and b by stream prefix
 (:func:`annular.perms._prefix_cycle_counts`), building no row.  The
-counts of a, ã and â are capped on the prefixes run and reach past the
-row pass: a to [20], ã and â to n = 12.  b keeps the cap of its row
-stream (±[12]), and counts a prefix with no twisted pair without its
-untwisted completions, so b is not read off the Wick sum.  b̃ and b̂
-are tallied by the row pass.
+counts of a, ã, â and b are capped on the prefixes run and reach past
+the row pass: a to [20], ã and â to n = 12, b to ±[14].  b counts a
+prefix with no twisted pair without its untwisted completions, so b is
+not read off the Wick sum.  b̃ and b̂ are tallied by the row pass.
 """
 
 from __future__ import annotations

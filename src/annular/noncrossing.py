@@ -112,10 +112,10 @@ from .streams import (
     _capped,
     _ends_within_one,
     _images,
+    _signed_symmetric_pairings_blocks,
     _white_to_black_pairing_blocks,
     pairings,
     permutations,
-    signed_symmetric_pairings,
     signed_symmetric_permutations,
 )
 
@@ -412,9 +412,11 @@ class NCEntry:
 
 #: Library tag -> non-crossing family: the unsigned families, then the
 #: signed ones, each in the order ``classify`` reports them.  NC, NC2,
-#: NC2delta and NC2delta_bip read rows built from their structure; every
-#: other source is a lambda over a module-level stream or block-function
-#: name, looked up at call time, so a wrapper rebound over it (a tracer's) is seen.
+#: NC2delta and NC2delta_bip read built rows; every other source is a
+#: lambda over a block function or, for NC2T, NCT_p, NCdelta, NCdelta_p
+#: and NCK_p, a public stream (perfbench's traced verify run counts only
+#: its elements as scanned, and asserts scanned >= kept), looked up at
+#: call time, so a wrapper rebound over it (a tracer's) is seen.
 NONCROSSING: dict[str, NCEntry] = {
     "NC": NCEntry("nc", _built("permutation", False, _disk_partitions, _disk_entries)),
     "NC2": NCEntry(
@@ -441,7 +443,7 @@ NONCROSSING: dict[str, NCEntry] = {
         lambda n, budget: _images(signed_symmetric_permutations(n, budget=budget), 2 * n),
         signed=True, grade=_half_cycles, grades=_block_half_cycles),
     "NC2K": NCEntry(
-        "nc2-k", lambda n, budget: _images(signed_symmetric_pairings(n, budget=budget), 2 * n),
+        "nc2-k", lambda n, budget: _signed_symmetric_pairings_blocks(n, None, budget),
         signed=True, pairs=True, cut="klein"),
     "NC2K_bip": NCEntry(
         "nc2-k-bip", lambda n, budget: _white_to_black_pairing_blocks(n, None, budget),

@@ -109,9 +109,8 @@ _ROWS = 512
 def _images(elements: Iterable[Permutation], size: int) -> Iterator[np.ndarray]:
     """The index images of a stream of permutations of a ``size``-point set, in blocks.
 
-    The inverse of :func:`_members`: the non-crossing sources that read a
-    public element stream stack its images back into blocks of at most
-    ``_ROWS`` rows.
+    The inverse of :func:`_members`, for the five non-crossing sources that
+    read a public element stream (NC2T, NCT_p, NCdelta, NCdelta_p, NCK_p).
     """
     images = map(attrgetter("image"), elements)
     row = np.dtype((np.intp, size))
@@ -454,15 +453,15 @@ _COUNTED_TAIL = (6, 10, 12, 12)
 
 def _prefix_count(step: int, size: int) -> int:
     """The prefixes the counting form of stream ``step`` runs on ``size`` points (0: empty)."""
-    rows = _table_rows(step, size)
-    return rows and rows // _table_rows(step, min(size, _COUNTED_TAIL[step]))
+    rows = _COUNTED_ROWS[step](size)
+    return rows and rows // _COUNTED_ROWS[step](min(size, _COUNTED_TAIL[step]))
 
 
-#: Each counting form's noun and work, by step: the prefixes it runs, but
-#: the rows of the block stream for the signed symmetric pairings, whose
-#: refusals stay those of that stream.
+#: Each counting form's noun, stream length (rows at a ground size) and
+#: work (the prefixes it runs), by step.
 _COUNTED_NOUNS = ("permutation", "pairing", "bipartite pairing", "signed symmetric pairing")
-_PREFIX_COUNTS = (*(partial(_prefix_count, step) for step in range(3)), _mirror_rows)
+_COUNTED_ROWS = (*(partial(_table_rows, step) for step in range(3)), _mirror_rows)
+_PREFIX_COUNTS = tuple(partial(_prefix_count, step) for step in range(4))
 
 
 def _prefixes(step: int, ground: GroundSet, cap=None, budget=None):
@@ -481,7 +480,7 @@ def _prefixes(step: int, ground: GroundSet, cap=None, budget=None):
     """
     what = _checked(_COUNTED_NOUNS[step], _PREFIX_COUNTS[step], ground, cap, budget)
     size = ground.size
-    length = _mirror_rows(size) if step == 3 else _table_rows(step, size)
+    length = _COUNTED_ROWS[step](size)
     if budget is not None and length > budget.max_elements:
         raise _over_budget(what, budget.max_elements)
     if not length:  # an odd number of points has no matching

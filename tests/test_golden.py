@@ -52,7 +52,7 @@ NC_LARGE_SIZES = {"NC2T": range(9, 11), "NC2delta": range(7, 9), "NC2K": range(7
 #: order between the two is odd, zero without any stream); the counted
 #: GUE and LUE routes reach 20 and 12, and are recorded to the first
 #: orders their row streams refuse.
-ORDER_REACH = {"GUE": (18, 22), "GOE": (12, 14), "LUE": (10, 13), "LOE": (8, 9)}
+ORDER_REACH = {"GUE": (18, 22), "GOE": (14, 16), "LUE": (10, 13), "LOE": (8, 9)}
 
 
 def _digest(value) -> str:

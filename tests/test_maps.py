@@ -1,7 +1,7 @@
 """Gluing families: genus counts, bipartite refinements, hypermap reductions."""
 
 import time
-from math import factorial
+from math import comb, factorial
 from types import SimpleNamespace
 
 import pytest
@@ -145,6 +145,17 @@ def test_b_counted_by_prefix_equals_the_row_pass(n):
         return ((n + 2 - boundary) // 2)[:, None]
 
     assert gluing_counts("b", n) == _key_counts(map(keys, _signed_symmetric_pairings_blocks(n)))
+
+
+def test_b_is_counted_past_the_row_stream_cap():
+    # ±[14]: the row stream is refused, the prefix pass runs 144,144
+    # prefixes.  Every twisted gluing is counted once, and the one-face ones
+    # number (4⁷ − C(14, 7))/2
+    with pytest.raises(CapExceeded, match="above the cap 24"):
+        _signed_symmetric_pairings_blocks(14)
+    counts = gluing_counts("b", 14)
+    assert counts[1,] == (4**7 - comb(14, 7)) // 2 == 6476
+    assert sum(counts.values()) == ref_double_factorial(13) * (2**7 - 1)
 
 
 def test_family_b2_of_4_exact_elements():

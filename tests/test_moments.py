@@ -251,15 +251,15 @@ def test_correction_coefficient_lue():
 # ---------------------------------------------------------------------------
 
 #: Per ensemble and route, the first refused order and the source whose
-#: cap refuses it: (order, noun, size, default cap).  The GUE and LUE
-#: routes count by prefix, so their caps measure the prefixes run.  The
+#: cap refuses it: (order, noun, size, default cap).  The GUE, GOE and
+#: LUE routes count by prefix, so their caps measure the prefixes run.  The
 #: GOE and LOE genus routes read b and b̃ first, whose caps bind before
 #: those of a and ã.
 FIRST_REFUSED = {
     ("GUE", "wick"): (22, "pairing", 22, 20),
     ("GUE", "genus"): (22, "pairing", 22, 20),
-    ("GOE", "wick"): (14, "signed symmetric pairing", 28, 24),
-    ("GOE", "genus"): (14, "signed symmetric pairing", 28, 24),
+    ("GOE", "wick"): (16, "signed symmetric pairing", 32, 28),
+    ("GOE", "genus"): (16, "signed symmetric pairing", 32, 28),
     ("LUE", "wick"): (13, "permutation", 13, 12),
     ("LUE", "genus"): (13, "bipartite pairing", 26, 24),
     ("LOE", "wick"): (9, "pairing", 18, 16),
@@ -279,10 +279,11 @@ def test_order_caps_enforced(ensemble, route):
     assert (info.value.requested, info.value.cap) == (size, cap)
 
 
-@pytest.mark.parametrize("ensemble, order", [("GUE", 18), ("LUE", 10)])
+@pytest.mark.parametrize("ensemble, order", [("GUE", 18), ("GOE", 14), ("LUE", 10)])
 def test_counted_routes_agree_where_the_row_streams_refuse(ensemble, order):
-    # the first orders whose pairing and permutation streams are over
-    # their row caps: both routes count them by prefix
+    # the first orders whose pairing, signed symmetric pairing and
+    # permutation streams are over their row caps: both routes count them
+    # by prefix
     assert wick_moment(ensemble, order) == genus_expansion_moment(ensemble, order)
 
 

@@ -19,6 +19,7 @@ from annular.noncrossing import (
     NCFamilyId,
     _block_cycles,
     _frame_test,
+    _scan,
     _union_witness_rows,
     euler_defect,
     family_nc,
@@ -38,6 +39,7 @@ from annular.perms import (
 from annular.streams import (
     CapExceeded,
     EnumerationBudget,
+    _images,
     pairings,
     permutations,
     permutations_of,
@@ -365,6 +367,37 @@ def test_a_budget_bypasses_the_kept_noncrossing_pass():
     noncrossing._GROUPS.clear()
     family_nc(NCFamilyId("NC2K", 4), budget=EnumerationBudget(12))
     assert not noncrossing._GROUPS
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_nc2k_block_source_equals_the_pairing_object_route(n):
+    # NC2K reads the δ-symmetric pairing blocks; the Pairing objects of the
+    # public stream, stacked back into blocks, give the same rows, grades
+    # and witness tables
+    objects = _scan("NC2K", n, None, _images(signed_symmetric_pairings(n), 2 * n))
+    groups = nc_groups("NC2K", n)
+    assert groups.keys() == objects.keys()
+    for p, (rows, witnesses) in objects.items():
+        assert np.array_equal(groups[p].rows, rows)
+        assert groups[p].witness_table == witnesses
+
+
+def test_nc2k_builds_no_pairing_object(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a Pairing was built")
+
+    monkeypatch.setattr(Pairing, "_make", refuse)
+    assert len(nc_groups("NC2K", 8)[None]) > 0
+
+
+def test_nc2k_is_refused_above_the_stream_cap():
+    # the block source keeps the cap and message of the public stream
+    message = ("signed symmetric pairing enumeration requested for size 26, above the cap 24; "
+               "pass an explicit cap to override")
+    for call in (lambda: nc_groups("NC2K", 13), lambda: signed_symmetric_pairings(13)):
+        with pytest.raises(CapExceeded) as info:
+            call()
+        assert (str(info.value), info.value.requested, info.value.cap) == (message, 26, 24)
 
 
 @pytest.mark.parametrize("n, kept", [(8, True), (10, False)])

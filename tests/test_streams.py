@@ -438,13 +438,15 @@ def test_an_explicit_cap_must_be_an_integer(cap):
 
 
 def _counting(step: int, cap: int, top: int):
+    signed = step == 3
+
     def source(n):
-        return _prefixes(step, unsigned_ground(n))[2]
+        return _prefixes(step, (signed_ground if signed else unsigned_ground)(n))[2]
 
     def work(n):
         return sum(len(values) for _, values, _, _ in source(n))
 
-    return annular.streams._PREFIX_COUNTS[step], cap, False, top, source, work
+    return annular.streams._PREFIX_COUNTS[step], cap, signed, top, source, work
 
 
 def _built(tag: str, entries, cap: int, build):
@@ -487,6 +489,7 @@ SOURCES = {
     "counted permutations": _counting(0, 12, 9),
     "counted pairings": _counting(1, 20, 16),
     "counted bipartite pairings": _counting(2, 24, 16),
+    "counted signed symmetric pairings": _counting(3, 28, 10),
     "NC": _built("NC", noncrossing._disk_entries, 11, noncrossing._disk_partitions),
     "NC2": _built(
         "NC2", noncrossing._chord_entries, 22, partial(noncrossing._chords, through=False)),
