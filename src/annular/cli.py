@@ -47,9 +47,10 @@ from functools import cache
 import numpy as np
 
 from .bijections import BIJECTIONS, conjecture_table, grades, verify, verify_grades, verify_lemma3
+from .ensembles import Ensemble
 from .frames import tau0
 from .maps import GLUINGS, _grade_rows, gluing_key
-from .moments import Ensemble, wick_moment
+from .moments import wick_moment
 from .montecarlo import GENERATOR_NAME, mc_moment
 from .noncrossing import (
     NONCROSSING,

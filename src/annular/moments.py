@@ -39,7 +39,8 @@ covariances over literal matrix index tuples, never touching the
 combinatorial machinery.  It is exponentially slow and refuses more
 than ``ORACLE_FEASIBILITY_CAP`` index tuples.  It, ``mc_moment`` and
 the CLI's numeric mode check n, N and M through one method,
-``Ensemble.check_dimensions``; each positivity message is written once.
+``Ensemble.check_dimensions`` of :mod:`annular.ensembles`; each
+positivity message is written once.
 
 Conventions (checked against the oracle): every real Gaussian entry has
 variance 1/2; complex entries add an independent imaginary part of
@@ -49,17 +50,16 @@ in N and c after the exact substitution M = cN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product as iter_product
 
 import numpy as np
 
+from .ensembles import Ensemble, _check_positive
 from .frames import full_cycle, gamma_walk, tau2
 from .maps import gluing_counts
 from .perms import (
-    _check_integer,
     _cycle_counts,
     _key_counts,
     _prefix_cycle_counts,
@@ -76,7 +76,6 @@ from .streams import (
 
 __all__ = [
     "ORACLE_FEASIBILITY_CAP",
-    "Ensemble",
     "wick_moment",
     "genus_expansion_moment",
     "correction_coefficient",
@@ -84,54 +83,6 @@ __all__ = [
 ]
 
 ORACLE_FEASIBILITY_CAP = 10_000_000
-
-
-@dataclass(frozen=True)
-class Ensemble:
-    """One of the four ensembles, normalized to its upper-case tag."""
-
-    kind: str
-
-    def __post_init__(self):
-        kind = self.kind.upper()
-        kinds = ("GOE", "GUE", "LOE", "LUE")
-        if kind not in kinds:
-            raise ValueError(f"unknown ensemble {self.kind!r}; expected one of {', '.join(kinds)}")
-        object.__setattr__(self, "kind", kind)
-
-    @classmethod
-    def parse(cls, value: "Ensemble | str") -> "Ensemble":
-        if isinstance(value, Ensemble):
-            return value
-        return cls(str(value))
-
-    @property
-    def is_gaussian(self) -> bool:
-        return self.kind in ("GOE", "GUE")
-
-    @property
-    def is_laguerre(self) -> bool:
-        return self.kind in ("LOE", "LUE")
-
-    @property
-    def is_complex(self) -> bool:
-        return self.kind in ("GUE", "LUE")
-
-    def check_dimensions(self, n: int, N: int, M: int | None) -> None:
-        """Raise ``ValueError`` unless n, N ≥ 1 and M ≥ 1 is given exactly when Laguerre."""
-        _check_positive("moment order", n)
-        _check_positive("dimension N", N)
-        if self.is_laguerre:
-            if M is None:
-                raise ValueError(f"{self.kind} requires the rectangular dimension M")
-            _check_positive("dimension M", M)
-        elif M is not None:
-            raise ValueError("M applies to the Laguerre ensembles only")
-
-
-def _check_positive(name: str, value: int) -> None:
-    if _check_integer(name, value) < 1:
-        raise ValueError(f"{name} must be a positive integer")
 
 
 # ---------------------------------------------------------------------------

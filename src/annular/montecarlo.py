@@ -34,7 +34,10 @@ counter-based Philox generator keyed by the pair (s, b); blocks start in
 order on a pool of at most one reused thread per usable CPU, at most that
 many in flight, and merge in block order, so the estimate depends only
 on (seed, samples) — never on scheduling or worker count — and peak
-memory grows with the blocks in flight.
+memory grows with the blocks in flight.  A block peaks near 64 kB per
+band entry of one sample, (⌈n/2⌉ + 3)·(size + 2) for a model of that
+size; above ``MC_ENTRY_CAP`` entries, ``CapExceeded`` is raised before
+any draw.
 Normal variates come from numpy's ziggurat implementation
 (``Generator.standard_normal``); a χ_k variate is √(2·Gamma(k/2)), with
 the gamma variate from ``Generator.standard_gamma``.  Within a block of
@@ -47,6 +50,12 @@ the gamma variate from ``Generator.standard_gamma``.  Within a block of
 
 The variance merges per-block (count, mean, M2) summaries, so a large
 mean cannot cancel it.
+
+The module imports numpy, :mod:`annular.perms` (the integer checks) and
+:mod:`annular.ensembles` (the ensemble tags and dimension checks), and
+nothing of the streams, families or exact moment routes it is meant to
+check; the thread pool and the refusal's ``CapExceeded`` are imported
+where they are used.
 """
 
 from __future__ import annotations
@@ -58,12 +67,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .moments import Ensemble
+from .ensembles import Ensemble
 from .perms import _check_integer
 
-__all__ = ["BLOCK_SIZE", "GENERATOR_NAME", "McEstimate", "mc_moment"]
+__all__ = ["BLOCK_SIZE", "GENERATOR_NAME", "MC_ENTRY_CAP", "McEstimate", "mc_moment"]
 
 BLOCK_SIZE = 8192
+
+#: Most band entries one sample may need: at the cap a block peaks near 0.5 GB.
+MC_ENTRY_CAP = 2**13
 
 GENERATOR_NAME = (
     "tridiagonal Dumitriu-Edelman models, banded trace; "
@@ -211,7 +223,8 @@ def mc_moment(
     Each sample is a Dumitriu–Edelman model with the eigenvalue law of
     H = (G + G*)/2 for an N×N Ginibre matrix G (Gaussian cases) or of
     W = G*G for an M×N one (Laguerre cases).  Deterministic for a given
-    (seed, samples) regardless of execution order.
+    (seed, samples) regardless of execution order.  Raises ``CapExceeded``
+    before any draw when a sample needs more than ``MC_ENTRY_CAP`` band entries.
     """
     return _estimate(_tridiagonal_traces, ensemble, n, N, M, samples=samples, seed=seed)
 
@@ -229,6 +242,15 @@ def _estimate(block_traces, ensemble, n, N, M, *, samples, seed) -> McEstimate:
         raise ValueError("need at least 100 samples for a meaningful estimate")
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
+    entries = (n // 2 + n % 2 + 3) * (min(N, M or N) + 2)
+    if entries > MC_ENTRY_CAP:
+        from .streams import CapExceeded  # here: a run that draws loads no streams
+
+        raise CapExceeded(
+            f"Monte Carlo requested {entries} band entries a sample, above the cap {MC_ENTRY_CAP}",
+            requested=entries,
+            cap=MC_ENTRY_CAP,
+        )
 
     def block(index):
         size = min(BLOCK_SIZE, samples - index * BLOCK_SIZE)

@@ -418,6 +418,7 @@ def test_moment_order_above_cap_exits_1(capsys):
         ("enumerate", "--family", "nc-k-p", "--n", "1000000000", "--p", "1"),
         ("moment", "--ensemble", "gue", "--order", "1000000000", "--symbolic"),
         ("moment", "--ensemble", "loe", "--order", "1000000000", "--symbolic"),
+        ("moment", "--ensemble", "gue", "--order", "2", "--dim", "1000000000", "--mc"),
     ],
 )
 def test_huge_sizes_exit_1_at_once(capsys, argv):

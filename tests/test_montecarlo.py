@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 from fractions import Fraction
@@ -19,7 +20,8 @@ from hypothesis.extra.numpy import arrays
 import annular
 from annular import montecarlo as mc
 from annular.moments import Ensemble, wick_moment
-from annular.montecarlo import BLOCK_SIZE, McEstimate, mc_moment
+from annular.montecarlo import BLOCK_SIZE, MC_ENTRY_CAP, McEstimate, mc_moment
+from annular.streams import CapExceeded
 
 import oracles
 
@@ -303,6 +305,47 @@ def test_non_integers_are_refused_before_any_draw(args, kwargs):
     with pytest.raises(ValueError, match="must be an integer"):
         mc._estimate(sampler, ensemble, n, N, *(M or [None]), **kwargs)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "args", [("GUE", 2, 10**9), ("LOE", 10**9, 4, 5)], ids=["huge N", "huge n"]
+)
+def test_huge_sizes_are_refused_before_any_draw(args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded, match="above the cap") as raised:
+            mc_moment(*args, samples=10**6, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert raised.value.requested >= 10**9 and raised.value.cap == MC_ENTRY_CAP
+
+
+@pytest.mark.parametrize(
+    "ensemble, n, N, M, entries",
+    [
+        ("GUE", 2, MC_ENTRY_CAP // 4 - 2, None, MC_ENTRY_CAP),
+        ("GUE", 2, MC_ENTRY_CAP // 4 - 1, None, MC_ENTRY_CAP + 4),
+        ("GOE", 3, MC_ENTRY_CAP // 5 - 1, None, (MC_ENTRY_CAP // 5 + 1) * 5),  # ⌈n/2⌉
+        ("LUE", 4, 10**9, 3, 25),  # the model's size is min(N, M)
+        ("LOE", 4, 3, 10**9, 25),
+    ],
+)
+def test_the_entry_cap_counts_one_samples_bands(ensemble, n, N, M, entries):
+    calls = []
+
+    def sampler(*block):
+        calls.append(block)
+        return np.zeros(block[-1])
+
+    if entries > MC_ENTRY_CAP:
+        with pytest.raises(CapExceeded, match=f"{entries} band entries a sample, above the cap"):
+            mc._estimate(sampler, ensemble, n, N, M, samples=200, seed=1)
+        assert calls == []
+    else:
+        mc._estimate(sampler, ensemble, n, N, M, samples=200, seed=1)
+        assert len(calls) == 1
 
 
 def test_numpy_integers_pass():
