@@ -133,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p_enum)
+    p_enum.set_defaults(handler=cmd_enumerate)
 
     p_verify = sub.add_parser(
         "verify", help="exhaustively check one bijection / set equality"
@@ -143,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--p", type=int, default=None, help="one grade (default: all grades, one pass per side)"
     )
     _add_common(p_verify)
+    p_verify.set_defaults(handler=cmd_verify)
 
     p_moment = sub.add_parser(
         "moment", help="an ensemble moment: symbolic, exact numeric, or Monte Carlo"
@@ -168,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_moment.add_argument("--samples", type=int, default=100_000)
     p_moment.add_argument("--seed", type=int, default=0)
     _add_common(p_moment)
+    p_moment.set_defaults(handler=cmd_moment)
 
     p_classify = sub.add_parser(
         "classify", help="report every family membership of one permutation"
@@ -181,6 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="read the permutation on the signed set {-n..-1, 1..n}",
     )
+    p_classify.set_defaults(handler=cmd_classify)
 
     p_conj = sub.add_parser(
         "conjecture",
@@ -190,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--max-n", type=int, default=3)
     p_conj.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p_conj)
+    p_conj.set_defaults(handler=cmd_conjecture)
 
     return parser
 
@@ -443,20 +448,6 @@ def cmd_conjecture(args) -> tuple[dict, int, list | None]:
 # driver
 # ---------------------------------------------------------------------------
 
-#: Subcommand -> (handler, the arguments its record echoes as parameters).
-_HANDLERS = {
-    "enumerate": (cmd_enumerate, ("family", "n", "genus", "k", "p", "limit", "max_elements")),
-    "verify": (cmd_verify, ("bijection", "n", "p", "max_elements")),
-    "moment": (
-        cmd_moment,
-        ("ensemble", "order", "symbolic", "dim", "rect_dim", "mc", "samples", "seed",
-         "max_elements"),
-    ),
-    "classify": (cmd_classify, ("perm", "n", "signed")),
-    "conjecture": (cmd_conjecture, ("max_n", "max_elements")),
-}
-
-
 def _emit(record: dict, csv_rows: list | None, stdout) -> None:
     if csv_rows is not None:
         writer = csv.writer(stdout, lineterminator="\n")
@@ -471,13 +462,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage, 0 on --help
         return int(exc.code or 0)
 
-    handler, names = _HANDLERS[args.command]
-    parameters = {name: getattr(args, name) for name in names}
+    # the record echoes every argument of the subcommand but its output format
+    parameters = {k: v for k, v in vars(args).items() if k not in ("command", "format", "handler")}
     if args.command == "moment" and not args.mc:  # the sampler's settings are unused
         parameters.update(samples=None, seed=None)
     start = time.perf_counter()
     try:
-        result, code, csv_rows = handler(args)
+        result, code, csv_rows = args.handler(args)
     except CapExceeded as exc:
         result = {
             "error": {

@@ -47,9 +47,8 @@ read-only array of index images in stream order, and members stay rows
 until the public edge: :func:`gluing_groups` and :func:`gluing_family`
 (which builds only its grade) make objects from them.  Every count and
 group gives its grades in ascending order.  All check the tag and n ≥ 1
-before any stream starts.  A row pass over a source that ends within
-one block, with no cap or budget, is kept for the process; a longer
-source is read on every call, and a pass that raises keeps nothing.
+before any stream starts.  A row pass is kept for the process by the
+one-block rule of :func:`annular.streams._kept_pass`.
 :func:`gluing_key` applies the per-image key to one permutation; the
 tests hold it to the batched kernel row by row.  The ``family_*`` names
 are shorthands for callers outside the package.
@@ -105,7 +104,7 @@ from .streams import (
     _bipartite_pairing_blocks,
     _bipartite_signed_symmetric_pairing_blocks,
     _completions,
-    _ends_within_one,
+    _kept_pass,
     _pairings_of_blocks,
     _permutations_of_blocks,
     _prefixes,
@@ -339,17 +338,18 @@ def _a_hat_key(img: tuple[int, ...]) -> tuple[int, int]:
 def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
     """(k, p) with #(τ₁) = 2p, #(1̃ₙτ₁) = 2(n − p + 1 − k) and k ≥ 1.
 
-    None as well without the hypermap twist.
+    None as well without the hypermap twist.  Both counts are even on a
+    δ-symmetric τ₁: #(τ₁) by its mirror-paired cycles, and 1̃ₙτ₁ = τ₂σ
+    for the pairing σ = τ₀τ₁, a product of two fixed-point-free
+    involutions.  An odd one raises ``ValueError``.
     """
-    if not _has_hat_twist(img):
-        return None
     n = len(img) // 2
     cycles = _num_cycles_image(img)
     boundary = _cycle_count(annulus_cycle(n).image, img)
     if cycles % 2 or boundary % 2:
-        return None
+        raise ValueError(f"odd cycle count #(τ₁) = {cycles} or #(1̃ₙτ₁) = {boundary} on ±[{n}]")
     k = n - cycles // 2 + 1 - boundary // 2
-    return (k, cycles // 2) if k >= 1 else None
+    return (k, cycles // 2) if k >= 1 and _has_hat_twist(img) else None
 
 
 # The same keys, batched: each maps a block of images to its member rows, as
@@ -427,9 +427,9 @@ def _b_hat_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1] // 2
     cycles = _cycle_counts(range(2 * n), block)
     boundary = _cycle_counts(annulus_cycle(n).image, block)
+    _raise_at_first(_b_hat_key, block, _odd(cycles) | _odd(boundary))
     k = n - cycles // 2 + 1 - boundary // 2
-    hat_twist = (block[:, n:] < n).any(axis=1)
-    member = hat_twist & ~_odd(cycles) & ~_odd(boundary) & (k >= 1)
+    member = (block[:, n:] < n).any(axis=1) & (k >= 1)  # the hypermap twist
     return member, np.column_stack((k, cycles // 2))[member]
 
 
@@ -524,40 +524,35 @@ def _members(entry: Gluing, n: int, rows: np.ndarray) -> tuple[Permutation, ...]
     return tuple(map(make, map(tuple, rows.tolist())))
 
 
-#: (tag, n) -> the :func:`_gluing_rows` pass of a source that ends within
-#: one block, kept for the process.  Its rows are read-only, and the
-#: one-block rule bounds it.
+#: (tag, n) -> the :func:`_gluing_rows` pass kept by the rule of
+#: :func:`annular.streams._kept_pass`.  Its rows are read-only.
 _GROUPS: dict[tuple[str, int], dict[tuple[int, ...], np.ndarray]] = {}
 
 
 def _gluing_rows(tag: str, n: int, cap=None, budget=None) -> dict[tuple[int, ...], np.ndarray]:
     """Grade tuple -> the members of family ``tag`` at size n as a read-only
     (m, size) intp array of index images, in stream order, from one pass
-    through the batched key kernel; grades in ascending order.  A pass
-    over a source of one block, with no cap or budget, is kept."""
+    through the batched key kernel; grades in ascending order."""
     entry = _entry(tag, n)
-    unbounded = cap is None and budget is None
-    if unbounded and (tag, n) in _GROUPS:
-        return _GROUPS[tag, n]
-    blocks, small = entry.source(n, cap, budget), False
-    if unbounded:
-        blocks, small = _ends_within_one(blocks)
-    rows = [np.empty((0, _ground(entry, n).size), np.intp)]
-    keys = [np.empty((0, len(entry.grades)), np.intp)]
-    for block in blocks:
-        kept, grades = entry.keys(block)
-        rows.append(block[kept])
-        keys.append(grades)
-    rows, keys = np.concatenate(rows), np.concatenate(keys)
-    codes = np.ravel_multi_index(tuple(keys.T), tuple(keys.max(axis=0, initial=0) + 1))
-    result = {}
-    for code in np.flatnonzero(np.bincount(codes)).tolist():  # ascending codes: ascending grades
-        grade = codes == code
-        result[tuple(keys[grade.argmax()].tolist())] = group = rows[grade]
-        group.flags.writeable = False
-    if small:
-        _GROUPS[tag, n] = result
-    return result
+
+    def grouped(blocks: Iterator[np.ndarray], _kept: bool) -> dict[tuple[int, ...], np.ndarray]:
+        rows = [np.empty((0, _ground(entry, n).size), np.intp)]
+        keys = [np.empty((0, len(entry.grades)), np.intp)]
+        for block in blocks:
+            member, grades = entry.keys(block)
+            rows.append(block[member])
+            keys.append(grades)
+        rows, keys = np.concatenate(rows), np.concatenate(keys)
+        codes = np.ravel_multi_index(tuple(keys.T), tuple(keys.max(axis=0, initial=0) + 1))
+        result = {}
+        for code in np.flatnonzero(np.bincount(codes)).tolist():  # ascending codes and grades
+            grade = codes == code
+            result[tuple(keys[grade.argmax()].tolist())] = group = rows[grade]
+            group.flags.writeable = False
+        return result
+
+    source, bounded = partial(entry.source, n, cap, budget), cap is not None or budget is not None
+    return _kept_pass(_GROUPS, (tag, n), source, grouped, bounded=bounded)
 
 
 def gluing_groups(

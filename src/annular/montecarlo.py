@@ -37,7 +37,8 @@ on (seed, samples) — never on scheduling or worker count — and peak
 memory grows with the blocks in flight.  A block peaks near 64 kB per
 band entry of one sample, (⌈n/2⌉ + 3)·(size + 2) for a model of that
 size; above ``MC_ENTRY_CAP`` entries, ``CapExceeded`` is raised before
-any draw.
+any draw, and below it at most ``MC_ENTRY_CAP`` // entries blocks are
+in flight, so a run peaks near one block at the cap.
 Normal variates come from numpy's ziggurat implementation
 (``Generator.standard_normal``); a χ_k variate is √(2·Gamma(k/2)), with
 the gamma variate from ``Generator.standard_gamma``.  Within a block of
@@ -182,8 +183,8 @@ def _merge_moments(a: tuple[int, float, float], b: tuple[int, float, float]):
     return n, mean_a + delta * nb / n, m2_a + m2_b + delta * delta * na * nb / n
 
 
-def _in_order(call, count: int):
-    """Yield call(0), …, call(count − 1), running up to one call per usable CPU.
+def _in_order(call, count: int, most: int):
+    """Yield call(0), …, call(count − 1), running up to ``most`` calls, one per usable CPU.
 
     Past one worker the calls run on a thread pool in a window: call
     i + workers is submitted only after result i is taken.  A failing
@@ -191,7 +192,7 @@ def _in_order(call, count: int):
     no further call.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(count, cpus or 1)
+    workers = min(count, cpus or 1, most)
     if workers == 1:
         yield from map(call, range(count))
         return
@@ -261,7 +262,8 @@ def _estimate(block_traces, ensemble, n, N, M, *, samples, seed) -> McEstimate:
 
     total = 0.0
     moments = (0, 0.0, 0.0)
-    for block_sum, block_moments in _in_order(block, -(-samples // BLOCK_SIZE)):
+    in_flight = max(1, MC_ENTRY_CAP // entries)  # together, at most one block at the cap
+    for block_sum, block_moments in _in_order(block, -(-samples // BLOCK_SIZE), in_flight):
         total += block_sum
         moments = _merge_moments(moments, block_moments)
 

@@ -60,13 +60,15 @@ capped on the entries of the table it holds and budgeted in rows; the
 other sources filter a whole stream.
 A member passes one test: the source conditions, its grade and the
 non-crossing condition.  :func:`member_witnesses` and
-:func:`is_noncrossing` apply its per-image form to one permutation, and
-:func:`_frame_test` and :func:`_union_witness_rows` its batched form to
-a block.  :func:`nc_groups` runs a source through it once for every
-grade and keeps each grade's members as rows: an :class:`NCFamily`
-holds them as a sorted array of index images and builds member objects
-only on first use (:func:`_groups` says which passes are kept).  Both
-forms read the frames, walks and colour masks of :mod:`annular.frames`;
+:func:`is_noncrossing` apply its per-image form, :func:`_noncrossing`,
+to one permutation; :func:`_scan` applies its batched form,
+:func:`_noncrossing_rows`, to each row of a block against the disk or
+annulus frame, or against a union's open cuts (:func:`_open_frames`).
+:func:`nc_groups` runs a source through it once for every grade and
+keeps each grade's members as rows: an :class:`NCFamily` holds them as
+a sorted array of index images and builds member objects only on first
+use.  Passes are kept by the rule of :func:`annular.streams._kept_pass`.
+Both forms read the frames, walks and colour masks of :mod:`annular.frames`;
 nothing here comes from the gluing side (:mod:`annular.maps`), so the
 bijection checks remain a cross-check.
 """
@@ -81,6 +83,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .frames import (
+    _FRAME_CACHE,
     annulus_cycle,
     black_mask,
     full_cycle,
@@ -110,8 +113,8 @@ from .streams import (
     EnumerationBudget,
     _bipartite_pairing_blocks,
     _capped,
-    _ends_within_one,
     _images,
+    _kept_pass,
     _signed_symmetric_pairings_blocks,
     _white_to_black_pairing_blocks,
     pairings,
@@ -613,9 +616,9 @@ def member_witnesses(
     return () if _noncrossing(pi.image, gamma) else None
 
 
-# The same test, batched over a block of images for the pass of a source.
+# The same test, batched over the rows of a block, each against its own frame.
 
-@cache
+@lru_cache(maxsize=_FRAME_CACHE)
 def _sides(gamma: Permutation) -> np.ndarray:
     """Per index, whether it lies off the γ-cycle through index 0."""
     side = np.ones(gamma.domain.size, dtype=bool)
@@ -627,38 +630,46 @@ def _sides(gamma: Permutation) -> np.ndarray:
     return side
 
 
-def _frame_test(block: np.ndarray, cycles: np.ndarray, gamma: Permutation) -> np.ndarray:
-    """Per row π of ``block``, #(π) in ``cycles``: whether π is non-crossing w.r.t. γ.
+def _noncrossing_rows(
+    images: np.ndarray, cycles: np.ndarray, gammas: list[Permutation], which: np.ndarray
+) -> np.ndarray:
+    """Per row π of ``images``, #(π) in ``cycles``: whether π is non-crossing w.r.t. its frame.
 
-    The count of :func:`_noncrossing` on every row, then the join on the
-    rows that pass it.  Every frame of the scan has one or two cycles:
-    with one, the join is one block; with two, π joins them iff it sends
-    some index from one to the other.
+    The batched :func:`_noncrossing`, row i against γ = ``gammas[which[i]]``:
+    one kernel call counts the cycles of every row composed with its γ⁻¹
+    walk.  On the rows that pass the count, π joins a two-cycle γ iff it
+    sends some index across.  A γ of more cycles raises ``ValueError``.
     """
-    walk, gamma_cycles = gamma_walk(gamma)
-    if gamma_cycles > 2:
-        raise ValueError(f"the batched join reads frames of one or two cycles, not {gamma_cycles}")
-    fits = cycles + _cycle_counts(walk, block) + gamma_cycles == block.shape[1] + 2
-    if gamma_cycles == 2:
-        side = _sides(gamma)
-        fits[fits] = (side[block[fits]] != side).any(axis=1)
+    if not len(images):
+        return np.zeros(0, dtype=bool)
+    walks, counts = zip(*map(gamma_walk, gammas))
+    if (most := max(counts)) > 2:
+        raise ValueError(f"the batched join reads frames of one or two cycles, not {most}")
+    size, frame, gamma_cycles = images.shape[1], which[:, None], np.array(counts)[which]
+    total = cycles + _cycle_counts(range(size), np.array(walks)[frame, images]) + gamma_cycles
+    fits = total == size + 2
+    if most == 2:
+        two = fits & (gamma_cycles == 2)
+        sides = np.array([_sides(gamma) for gamma in gammas])
+        fits[two] = (sides[frame[two], images[two]] != sides[which[two]]).any(axis=1)
     return fits
 
 
-def _union_witness_rows(
-    entry: NCEntry, n: int, block: np.ndarray, cycles: np.ndarray
-) -> dict[int, list[tuple[int, int]]]:
-    """Row of ``block`` -> the cuts (u, v) whose frame admits it, in (u, v) order.
+def _open_frames(
+    entry: NCEntry, n: int, block: np.ndarray
+) -> tuple[np.ndarray, list[Permutation], list[tuple[int, int]] | None, np.ndarray]:
+    """The (row, frame) pairs of ``block`` to test: rows, distinct γ, their cuts, each pair's γ.
 
-    :func:`_union_witnesses` over a block.  The anchor columns name v for
-    every (row, u) at once, and the head condition is one mask over
-    (row, u, a < u); the pairs passing both are the open candidates.  Each
-    is composed with the γ⁻¹ walk of its frame, and one kernel call counts
-    the cycles of every product: the count of :func:`_frame_test`, with
-    its two-cycle join read from the frames' stacked sides.  Rows no
-    frame admits are absent.
+    Off the unions: every row with the disk or annulus frame, and no cut.
+    On a union: the open cuts of :func:`_union_witnesses` over a block,
+    where the anchor columns name v for every (row, u) at once and the
+    head condition is one mask over (row, u, a < u).  Pairs come row by
+    row, u by u within a row; the cuts are in (u, v) order.
     """
     rows, size = block.shape
+    if entry.cut is None:
+        gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
+        return np.arange(rows), [gamma], None, np.zeros(rows, np.intp)
     klein = entry.cut == "klein"
     anchor = block
     if entry.hypermap:
@@ -676,25 +687,11 @@ def _union_witness_rows(
         head = j[:, None, :] + 1
         below = np.arange(top) < u[:, None] - 1
         open_ &= ~(below & (u[:, None] <= head) & (head <= v[:, :, None])).any(axis=2)
-    at, col = np.nonzero(open_)  # the open (row, u) candidates, u by u within a row
-    if not at.size:  # no cut is open, as on [1], [2] and ±[1]
-        return {}
+    at, col = np.nonzero(open_)  # no cut is open on [1], [2] and ±[1]
     distinct, which = np.unique((col + 1) * (top + 1) + v[at, col], return_inverse=True)
-    frame = klein_frame if klein else torus_frame
-    gammas = [frame(n, *divmod(cut, top + 1)).gamma for cut in distinct.tolist()]
-    walks, gamma_cycles = map(np.array, zip(*map(gamma_walk, gammas)))
-    if (most := int(gamma_cycles.max())) > 2:
-        raise ValueError(f"the batched join reads frames of one or two cycles, not {most}")
-    images = block[at]
-    products = np.take_along_axis(walks[which], images, axis=1)
-    fits = cycles[at] + _cycle_counts(range(size), products) + gamma_cycles[which] == size + 2
-    two = fits & (gamma_cycles[which] == 2)
-    sides = np.array([_sides(gamma) for gamma in gammas])[which[two]]
-    fits[two] = (np.take_along_axis(sides, images[two], axis=1) != sides).any(axis=1)
-    found: dict[int, list[tuple[int, int]]] = {}
-    for i, cut in zip(at[fits].tolist(), distinct[which[fits]].tolist()):
-        found.setdefault(i, []).append(divmod(cut, top + 1))
-    return found
+    cuts = [divmod(cut, top + 1) for cut in distinct.tolist()]
+    build = klein_frame if klein else torus_frame
+    return at, [build(n, *cut).gamma for cut in cuts], cuts, which
 
 
 def _scan(
@@ -702,14 +699,14 @@ def _scan(
 ) -> dict[int | None, tuple[np.ndarray, tuple | None]]:
     """Grade -> (member rows, witness table) of ``tag`` at size n, from one pass over ``blocks``.
 
-    The blocks are tested one at a time.  With ``p`` set, only grade p
-    is kept, and a row of another grade drops before any frame is built.
-    An ungraded tag's key is None.  Each grade's rows are sorted by image,
-    the members' sort key; its witness table (None off the unions) follows.
+    The blocks are tested one at a time.  With ``p`` set, only grade p is
+    kept, and a row of another grade drops before any frame is built.  An
+    ungraded tag's key is None.  Each grade's rows are sorted by image; its
+    witness table (None off the unions) lists each row's admitting cuts.
     """
     entry = NONCROSSING[tag]
-    gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
-    images, keys, table = [np.empty((0, gamma.domain.size), np.intp)], [np.empty(0, np.intp)], []
+    size = 2 * n if entry.signed else n
+    images, keys, table = [np.empty((0, size), np.intp)], [np.empty(0, np.intp)], []
     for block in blocks:
         cycles = np.full(len(block), block.shape[1] // 2) if entry.pairs else _block_cycles(block)
         grades = np.zeros(len(block), np.intp)
@@ -717,14 +714,17 @@ def _scan(
             grades = entry.grades(block, cycles)
             keep = grades > 0 if p is None else grades == p
             block, grades, cycles = block[keep], grades[keep], cycles[keep]
-        if entry.cut is None:
-            at = np.flatnonzero(_frame_test(block, cycles, gamma))
-        else:
-            kept = _union_witness_rows(entry, n, block, cycles)
-            at = np.fromiter(kept, np.intp, len(kept))
-            table += map(tuple, kept.values())
-        images.append(block[at])
-        keys.append(grades[at])
+        at, gammas, cuts, which = _open_frames(entry, n, block)
+        admitted = _noncrossing_rows(block[at], cycles[at], gammas, which)
+        at, which = at[admitted], which[admitted]
+        kept = np.flatnonzero(np.bincount(at, minlength=len(block)))
+        images.append(block[kept])
+        keys.append(grades[kept])
+        if cuts is not None:
+            admitting: dict[int, list[tuple[int, int]]] = {}
+            for i, j in zip(at.tolist(), which.tolist()):
+                admitting.setdefault(i, []).append(cuts[j])
+            table += map(tuple, admitting.values())
     images, keys = np.concatenate(images), np.concatenate(keys)
     order = np.lexsort(images.T[::-1])
     found = {}
@@ -737,9 +737,8 @@ def _scan(
     return found
 
 
-#: (tag, n) -> every grade's family, from a pass over a source that ends
-#: within one block, kept for the process.  The families are immutable, and
-#: the one-block rule bounds it.
+#: (tag, n) -> every grade's family, from a pass kept by the rule of
+#: :func:`annular.streams._kept_pass`.  The families are immutable.
 _GROUPS: dict[tuple[str, int], dict[int | None, NCFamily]] = {}
 
 
@@ -748,23 +747,17 @@ def _groups(
 ) -> dict[int | None, NCFamily]:
     """Grade -> family of ``tag`` at size n, from one pass: every grade, or only p.
 
-    Without a budget, a source that ends within one block is read for
-    every grade, whatever ``p``, and the result is kept in
-    :data:`_GROUPS` for later calls.  A longer source, or any source
-    under a budget, is read again on each call, keeping only grade p when
-    p is set.
+    A pass kept in :data:`_GROUPS` reads every grade, whatever ``p``;
+    any other pass keeps only grade p when p is set.
     """
-    if budget is None and (tag, n) in _GROUPS:
-        return _GROUPS[tag, n]
-    blocks = NONCROSSING[tag].source(n, budget)  # checks its cap before any frame of size n
-    small = False
-    if budget is None:
-        blocks, small = _ends_within_one(blocks)
-    found = _scan(tag, n, None if small else p, blocks)
-    groups = {q: NCFamily(NCFamilyId(tag, n, q), *found[q]) for q in sorted(found)}
-    if small:
-        _GROUPS[tag, n] = groups
-    return groups
+
+    def scan(blocks: Iterator[np.ndarray], kept: bool) -> dict[int | None, NCFamily]:
+        found = _scan(tag, n, None if kept else p, blocks)
+        return {q: NCFamily(NCFamilyId(tag, n, q), *found[q]) for q in sorted(found)}
+
+    # the source checks its cap before any frame of size n
+    source = partial(NONCROSSING[tag].source, n, budget)
+    return _kept_pass(_GROUPS, (tag, n), source, scan, bounded=budget is not None)
 
 
 def nc_groups(
@@ -774,9 +767,9 @@ def nc_groups(
 
     One pass over the tag's source; each family equals the one
     :func:`family_nc` builds.  An ungraded tag's one key is None.  A
-    budget counts the source rows.  Without one, the pass over a
-    source that ends within one block is kept for the process, and later
-    calls return a new dict over the same families.
+    budget counts the source rows.  A kept pass (see
+    :func:`annular.streams._kept_pass`) answers later calls with a new
+    dict over the same families.
     """
     entry = NONCROSSING.get(tag)  # NCFamilyId checks the tag and n before the stream
     NCFamilyId(tag, n, 1 if entry and entry.grade else None)
@@ -794,8 +787,7 @@ def family_nc(
     membership test of :func:`member_witnesses`, returned in a canonical
     sorted order; union families also carry their (u, v) witnesses.  A
     budget counts the source rows.  This is the family of grade p
-    in :func:`nc_groups`, read from its kept pass over a source that
-    ends within one block.
+    in :func:`nc_groups`, read from its pass when that is kept.
     """
     groups = _groups(family_id.tag, family_id.n, family_id.p, budget)
     if family_id.p in groups:

@@ -39,6 +39,7 @@ its ground (2n on ±[n]): the rows a block stream yields, the prefixes a
 counting pass runs, or the entries (rows × size) of a table built whole.
 Its default cap is the largest size whose work is at most
 ``STREAM_ROW_CAP`` = 15!!, found once per source; ``cap=`` replaces it.
+:func:`_kept_pass` is the rule by which a family pass is kept per process.
 """
 
 from __future__ import annotations
@@ -118,10 +119,23 @@ def _images(elements: Iterable[Permutation], size: int) -> Iterator[np.ndarray]:
         yield block
 
 
-def _ends_within_one(blocks: Iterator[np.ndarray]) -> tuple[Iterator[np.ndarray], bool]:
-    """The same ``blocks``, and whether they end within one block: up to two are read first."""
-    head = tuple(islice(blocks, 2))
-    return chain(head, blocks), len(head) < 2
+def _kept_pass(memo: dict, key, source: Callable[[], Iterator[np.ndarray]], run, *, bounded: bool):
+    """``run(blocks, kept)`` over ``source()``: the one rule by which a family pass is kept.
+
+    A pass with no cap or budget (not ``bounded``) over a source that ends
+    within one block, up to two of which are read first, is kept in
+    ``memo[key]`` and answers later unbounded calls; ``kept`` lets it read
+    every grade.  Any other pass, or one that raises, keeps nothing.
+    """
+    if not bounded and key in memo:
+        return memo[key]
+    blocks = source()
+    head = () if bounded else tuple(islice(blocks, 2))
+    kept = not bounded and len(head) < 2
+    result = run(chain(head, blocks), kept)
+    if kept:
+        memo[key] = result
+    return result
 
 
 def _rows(blocks: Iterable[np.ndarray]) -> Iterator[tuple[int, ...]]:

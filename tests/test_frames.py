@@ -9,6 +9,7 @@ import annular.frames
 import annular.maps
 
 from annular.frames import (
+    _FRAME_CACHE,
     annulus_cycle,
     annulus_frame,
     disk_frame,
@@ -19,6 +20,7 @@ from annular.frames import (
     tau2,
     torus_frame,
 )
+from annular.noncrossing import _sides, nc_groups
 from annular.perms import Permutation, compose, num_cycles, signed_ground
 
 from oracles import (
@@ -261,3 +263,22 @@ def test_frames_are_cached():
     assert annulus_cycle(6) is annulus_cycle(6)
     assert klein_frame(6, 2, 4) is klein_frame(6, 2, 4)
     assert gamma_walk(full_cycle(6)) is gamma_walk(full_cycle(6))
+
+
+def test_cut_frame_caches_are_bounded():
+    # every cut of [n] and ±[n] for n ≤ 20, 1,140 of each kind: more than
+    # each cache keeps, as a long-running membership caller meets them
+    caches = (torus_frame, klein_frame, gamma_walk, _sides)
+    for n in range(2, 21):
+        for u in range(1, n):
+            for v in range(u + 1, n + 1):
+                for frame in (klein_frame(n, u, v), *([torus_frame(n, u, v)] if v < n else ())):
+                    gamma_walk(frame.gamma)
+                    _sides(frame.gamma)
+    for cache in caches:
+        assert cache.cache_info().currsize == cache.cache_info().maxsize == _FRAME_CACHE
+    # every frame a union pass reads fits: a second pass builds none
+    nc_groups("NC2T", 10)  # two blocks: read again on every call
+    misses = [cache.cache_info().misses for cache in caches]
+    nc_groups("NC2T", 10)
+    assert [cache.cache_info().misses for cache in caches] == misses

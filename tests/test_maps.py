@@ -824,6 +824,20 @@ def test_prefix_pass_raises_the_per_image_euler_genus_error(monkeypatch, n):
         assert str(counted.value) == str(per_image.value)
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_b_hat_raises_on_an_odd_cycle_count(monkeypatch, n):
+    # one transposition for 1̃ₙ makes every #(1̃ₙτ₁) odd, which no δ-symmetric
+    # τ₁ has; both key forms raise on the first row of the stream
+    monkeypatch.setattr(annular.maps, "annulus_cycle", _odd_boundary_walk)
+    first = next(_rows(_signed_symmetric_permutations_blocks(n)))
+    with pytest.raises(ValueError, match="odd cycle count") as per_image:
+        GLUINGS["b-hat"].key(first)
+    for call in (lambda: gluing_counts("b-hat", n), lambda: gluing_groups("b-hat", n)):
+        with pytest.raises(ValueError) as batched:
+            call()
+        assert str(batched.value) == str(per_image.value)
+
+
 @pytest.mark.parametrize("n", [3, 7])  # no prefix: only the contraction keeps the colour
 def test_prefix_pass_raises_monochromaticity_error(monkeypatch, n):
     monkeypatch.setattr(annular.maps, "gamma_walk", _identity_walk)

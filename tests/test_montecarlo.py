@@ -1,5 +1,6 @@
 """Monte Carlo sampling: reproducibility and statistical agreement."""
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -247,6 +248,30 @@ def test_blocks_reuse_one_thread_per_cpu(monkeypatch):
 
     mc._estimate(sampler, "GUE", 2, 2, None, samples=20 * BLOCK_SIZE, seed=0)
     assert 1 <= len(threads) <= 2
+
+
+@pytest.mark.parametrize("N, window", [(MC_ENTRY_CAP // 4 - 2, 1), (MC_ENTRY_CAP // 8 - 2, 2)])
+def test_blocks_in_flight_hold_at_most_one_block_at_the_cap(monkeypatch, N, window):
+    # GUE order 2 has 4·(N + 2) band entries a sample: the cap, then half of it
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    pools, threads = [], set()
+
+    class Pool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+
+    def sampler(rng, ensemble, n, N, M, size):
+        threads.add(threading.current_thread())
+        return np.ones(size)
+
+    mc._estimate(sampler, "GUE", 2, N, None, samples=8 * BLOCK_SIZE, seed=0)
+    assert pools == ([] if window == 1 else [window])
+    assert len(threads) <= window
+    if window == 1:
+        assert threads == {threading.main_thread()}
 
 
 def test_importing_annular_loads_no_thread_pool():

@@ -18,9 +18,11 @@ from annular.noncrossing import (
     NONCROSSING,
     NCFamilyId,
     _block_cycles,
-    _frame_test,
+    _cycle_total,
+    _noncrossing,
+    _noncrossing_rows,
+    _open_frames,
     _scan,
-    _union_witness_rows,
     euler_defect,
     family_nc,
     is_delta_symmetric,
@@ -31,6 +33,7 @@ from annular.noncrossing import (
 from annular.perms import (
     Pairing,
     Permutation,
+    _join_block_count_images,
     num_cycles,
     parse_cycles,
     signed_ground,
@@ -433,6 +436,21 @@ def test_a_long_source_keeps_the_early_grade_filter():
 UNION_TAGS = [tag for tag, entry in NONCROSSING.items() if entry.cut]
 
 
+def _admitted_cuts(entry, n, block):
+    """Row -> the cuts whose frame admits it: the block's open frames through the batched kernel.
+
+    Each (row, frame) pair's answer is also held to the per-image kernel.
+    """
+    at, gammas, cuts, which = _open_frames(entry, n, block)
+    admitted = _noncrossing_rows(block[at], _block_cycles(block)[at], gammas, which)
+    found = {}
+    for i, j, fits in zip(at.tolist(), which.tolist(), admitted.tolist()):
+        assert fits == _noncrossing(tuple(block[i].tolist()), gammas[j])
+        if fits:
+            found.setdefault(i, []).append(cuts[j])
+    return found
+
+
 @pytest.mark.parametrize("tag", UNION_TAGS)
 def test_batched_union_scan_equals_the_witness_oracle_on_every_row(tag):
     # every row of the source, of any grade, against the dict oracle: the
@@ -446,8 +464,7 @@ def test_batched_union_scan_equals_the_witness_oracle_on_every_row(tag):
     several = 0
     for n in GROUPED_SIZES[tag]:
         for block in entry.source(n, None):
-            cycles = _block_cycles(block)
-            found = _union_witness_rows(entry, n, block, cycles)
+            found = _admitted_cuts(entry, n, block)
             for i, row in enumerate(block.tolist()):
                 want = ref_union_witnesses(Permutation(ground(n), row).mapping(), n, **kind)
                 assert found.get(i, []) == want
@@ -462,13 +479,49 @@ def test_batched_union_scan_of_an_empty_block():
         entry = NONCROSSING[tag]
         size = 12 if entry.signed else 6
         empty = np.empty((0, size), dtype=np.intp)
-        assert _union_witness_rows(entry, 6, empty, _block_cycles(empty)) == {}
+        at, gammas, cuts, which = _open_frames(entry, 6, empty)
+        assert (at.size, gammas, cuts, which.size) == (0, [], [], 0)
+        assert _admitted_cuts(entry, 6, empty) == {}
 
 
-def test_batched_frame_test_reads_frames_of_one_or_two_cycles():
+#: Frames of the batched kernel, each row of a call against one of them:
+#: the disk, the annulus, a torus cut, a Klein cut, and the disk among two
+#: torus cuts.
+KERNEL_FRAMES = {
+    "disk": lambda: [full_cycle(5)],
+    "annulus": lambda: [annulus_cycle(3)],
+    "torus": lambda: [torus_frame(5, 2, 4).gamma],
+    "klein": lambda: [klein_frame(3, 1, 2).gamma],
+    "disk-and-torus": lambda: [
+        full_cycle(5), *(torus_frame(5, *cut).gamma for cut in ((1, 2), (2, 4)))
+    ],
+}
+
+
+@pytest.mark.parametrize("frames", KERNEL_FRAMES)
+def test_batched_noncrossing_rows_equal_the_per_image_kernel(frames):
+    # every permutation of the frames' ground, each against its own frame;
+    # on the two-cycle frames some rows meet the count but not the join
+    gammas = KERNEL_FRAMES[frames]()
+    ground = gammas[0].domain
+    block = np.array([pi.image for pi in permutations_of(ground)], dtype=np.intp)
+    which = np.arange(len(block)) % len(gammas)
+    got = _noncrossing_rows(block, _block_cycles(block), gammas, which)
+    rows = [tuple(row) for row in block.tolist()]
+    assert got.tolist() == [_noncrossing(row, gammas[j]) for row, j in zip(rows, which.tolist())]
+    unjoined = sum(
+        _cycle_total(row, gammas[j]) == ground.size + 2
+        and _join_block_count_images(row, gammas[j].image) > 1
+        for row, j in zip(rows, which.tolist())
+    )
+    assert got.any() and (unjoined > 0) == (frames != "disk")
+
+
+def test_batched_noncrossing_rows_read_frames_of_one_or_two_cycles():
     block = np.array([[1, 0, 2]])
+    identity = Permutation.identity(unsigned_ground(3))
     with pytest.raises(ValueError, match="one or two cycles, not 3"):
-        _frame_test(block, _block_cycles(block), Permutation.identity(unsigned_ground(3)))
+        _noncrossing_rows(block, _block_cycles(block), [full_cycle(3), identity], np.array([1]))
 
 
 #: The sizes of the completeness gate below: the built sources further.
