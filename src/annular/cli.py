@@ -55,12 +55,13 @@ from .montecarlo import GENERATOR_NAME, mc_moment
 from .noncrossing import (
     NONCROSSING,
     NCFamilyId,
+    _membership,
     family_nc,
     is_delta_symmetric,
-    member_witnesses,
 )
 from .perms import (
     Permutation,
+    _check_integer,
     _cycle_text,
     conjugate,
     inverse,
@@ -368,12 +369,10 @@ def _nc_memberships(pi: Permutation, n: int, signed: bool) -> list[dict]:
     for tag, entry in NONCROSSING.items():
         if entry.signed != signed or tag in _UNREPORTED or (entry.even_n and n % 2):
             continue
-        p = entry.grade(pi.image) if entry.grade else None
-        if entry.grade and (p is None or p < 1):
+        member = _membership(tag, n, pi)
+        if member is None:
             continue
-        witnesses = member_witnesses(NCFamilyId(tag, n, p), pi)
-        if witnesses is None:
-            continue
+        p, witnesses = member
         found: dict = {"family": tag, "n": n}
         if p is not None:
             found["p"] = p
@@ -387,13 +386,14 @@ def classify_permutation(text: str, n: int, *, signed: bool = False) -> dict:
     """Parse ``text`` on [n] or ±[n] and report every family membership.
 
     Each membership is decided by the family's own membership test —
-    :func:`annular.maps.gluing_key` for a gluing family,
-    :func:`annular.noncrossing.member_witnesses` for a non-crossing one —
-    so no family is built and no stream cap applies; an n above
+    :func:`annular.maps.gluing_key` for a gluing family, the function
+    behind :func:`annular.noncrossing.member_witnesses` for a non-crossing
+    one — so no family is built and no stream cap applies; an n above
     :data:`CLASSIFY_MAX_N` raises ``CapExceeded`` before ``text`` is read.
     Union memberships carry their (u, v) witnesses, graded ones their
-    grades.  Raises ``ValueError`` on a parse failure.
+    grades.  Raises ``ValueError`` on a parse failure or a non-integer n.
     """
+    n = _check_integer("n", n)
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > CLASSIFY_MAX_N:

@@ -20,8 +20,8 @@ class Ensemble:
     kind: str
 
     def __post_init__(self):
-        kind = self.kind.upper()
         kinds = ("GOE", "GUE", "LOE", "LUE")
+        kind = self.kind.upper() if isinstance(self.kind, str) else None
         if kind not in kinds:
             raise ValueError(f"unknown ensemble {self.kind!r}; expected one of {', '.join(kinds)}")
         object.__setattr__(self, "kind", kind)

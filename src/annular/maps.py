@@ -535,7 +535,7 @@ def _gluing_rows(tag: str, n: int, cap=None, budget=None) -> dict[tuple[int, ...
     through the batched key kernel; grades in ascending order."""
     entry = _entry(tag, n)
 
-    def grouped(blocks: Iterator[np.ndarray], _kept: bool) -> dict[tuple[int, ...], np.ndarray]:
+    def grouped(blocks: Iterator[np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
         rows = [np.empty((0, _ground(entry, n).size), np.intp)]
         keys = [np.empty((0, len(entry.grades)), np.intp)]
         for block in blocks:

@@ -4,7 +4,7 @@
 an exact weight over raw gluing candidates (pairings, twisted
 mirror-symmetric gluings, permutations, and for LOE the pairings of the
 2n real factors of Tr (XXᵀ)ⁿ, the Wishart sum).  ``genus_expansion_moment``
-instead multiplies family counts by the dimension powers their genus
+instead weighs each family count by the dimension power its Euler genus
 dictates.  Neither has an order cap of its own: the caps of the sources
 it reads (each on its work) refuse an order with ``CapExceeded`` before
 any row or table is built (the GOE and LOE genus routes read first the
@@ -162,6 +162,18 @@ def _wishart_keys(rows: tuple[int, ...], cols: tuple[int, ...], block: np.ndarra
 # genus expansions from family counts
 # ---------------------------------------------------------------------------
 
+#: Per ensemble, the gluing families its genus expansion reads, each with
+#: the factor that turns its first grade into an Euler genus: 1 for the
+#: twisted b and b̃ (graded by k), 2 for a and ã (graded by g).  A twisted
+#: family comes first, since its cap binds first.
+_GENUS_FAMILIES = {
+    "GUE": (("a", 2),),
+    "GOE": (("b", 1), ("a", 2)),
+    "LUE": (("a-tilde", 2),),
+    "LOE": (("b-tilde", 1), ("a-tilde", 2)),
+}
+
+
 def genus_expansion_moment(
     ensemble: Ensemble | str,
     n: int,
@@ -170,39 +182,23 @@ def genus_expansion_moment(
 ) -> MomentPolynomial:
     """Exact moment polynomial assembled from enumerated family sizes.
 
-    Each family of a given (Euler) genus and part count contributes its
-    cardinality at one power of N (and of c in the Laguerre cases);
-    prefactors are (N/2)^(n/2), (N/4)^(n/2), N^n, and (N/2)^n
-    respectively for GUE, GOE, LUE, LOE.
+    A family of Euler genus e contributes its count at N^(top − e), times
+    c^p for its grade p in the Laguerre cases, with top = n/2 + 1 for the
+    Gaussian ensembles and n + 1 for the Laguerre ones; prefactors are
+    (N/2)^(n/2), (N/4)^(n/2), N^n, and (N/2)^n respectively for GUE,
+    GOE, LUE, LOE.
     """
     ensemble = Ensemble.parse(ensemble)
     _check_positive("moment order", n)
     if ensemble.is_gaussian and n % 2:
         return MomentPolynomial.zero()
 
+    top = n // 2 + 1 if ensemble.is_gaussian else n + 1
     terms: list[tuple[tuple[int, int], int]] = []
-
-    if ensemble.kind == "GUE":
-        for (g,), cnt in gluing_counts("a", n, budget=budget).items():
-            terms.append(((n // 2 + 1 - 2 * g, 0), cnt))
-
-    elif ensemble.kind == "GOE":
-        # b's cap binds before a's, so b is read first
-        for (k,), cnt in gluing_counts("b", n, budget=budget).items():
-            terms.append(((n // 2 + 1 - k, 0), cnt))
-        for (g,), cnt in gluing_counts("a", n, budget=budget).items():
-            terms.append(((n // 2 + 1 - 2 * g, 0), cnt))
-
-    elif ensemble.kind == "LUE":
-        for (g, p), cnt in gluing_counts("a-tilde", n, budget=budget).items():
-            terms.append(((n + 1 - 2 * g, p), cnt))
-
-    else:  # LOE
-        # b̃'s cap binds before ã's, so b̃ is read first
-        for (k, p), cnt in gluing_counts("b-tilde", n, budget=budget).items():
-            terms.append(((n + 1 - k, p), cnt))
-        for (g, p), cnt in gluing_counts("a-tilde", n, budget=budget).items():
-            terms.append(((n + 1 - 2 * g, p), cnt))
+    for tag, factor in _GENUS_FAMILIES[ensemble.kind]:
+        for key, cnt in gluing_counts(tag, n, budget=budget).items():
+            p = key[-1] if ensemble.is_laguerre else 0  # ã and b̃ are graded (genus, p)
+            terms.append(((top - factor * key[0], p), cnt))
 
     # built after the counts, whose caps refuse an order before 2ⁿ is computed
     prefactor = Fraction(1, 2 ** {"GUE": n // 2, "LUE": 0}.get(ensemble.kind, n))

@@ -59,13 +59,15 @@ their structure (Biane's blocks, Mingo and Nica's through-strings), each
 capped on the entries of the table it holds and budgeted in rows; the
 other sources filter a whole stream.
 A member passes one test: the source conditions, its grade and the
-non-crossing condition.  :func:`member_witnesses` and
-:func:`is_noncrossing` apply its per-image form, :func:`_noncrossing`,
-to one permutation; :func:`_scan` applies its batched form,
-:func:`_noncrossing_rows`, to each row of a block against the disk or
-annulus frame, or against a union's open cuts (:func:`_open_frames`).
-:func:`nc_groups` runs a source through it once for every grade and
-keeps each grade's members as rows: an :class:`NCFamily` holds them as
+non-crossing condition.  :func:`_membership` applies its per-image form
+to one permutation (the grade by the family's kernel, the condition by
+:func:`_noncrossing`, which :func:`is_noncrossing` wraps); it answers
+:func:`member_witnesses` and the CLI's ``classify``.  :func:`_scan`
+applies the batched form, :func:`_noncrossing_rows`, to each row of a
+block against the disk or annulus frame, or against a union's open cuts
+(:func:`_open_frames`).  :func:`nc_groups` runs a source through it
+once, keeping every grade's members as rows, and :func:`family_nc`
+looks one grade up in that pass: an :class:`NCFamily` holds the rows as
 a sorted array of index images and builds member objects only on first
 use.  Passes are kept by the rule of :func:`annular.streams._kept_pass`.
 Both forms read the frames, walks and colour masks of :mod:`annular.frames`;
@@ -588,32 +590,45 @@ def _union_witnesses(
     return tuple(found) or None
 
 
-def member_witnesses(
-    family_id: NCFamilyId, pi: Permutation
-) -> tuple[tuple[int, int], ...] | None:
-    """Whether ``pi`` belongs to the family, without building the family.
+def _membership(tag: str, n: int, pi: Permutation) -> tuple[int | None, tuple] | None:
+    """(p, witnesses) of ``pi`` in family ``tag`` at size n, or None for a non-member.
 
-    Returns None for a non-member.  For a member it returns the sorted
-    (u, v) witnesses of a union tag, and () for any other tag.  The
-    conditions of the family's source stream (ground set, pairing,
-    δ-symmetry) are checked here, and then the per-image form of the
-    test that :func:`family_nc` applies to its blocks: the grade, then
-    the non-crossing condition.
+    p is the grade the family's own kernel reads off π (None for an
+    ungraded tag), and the witnesses are the sorted (u, v) of a union tag,
+    () for any other.  The conditions of the family's source stream
+    (ground set, pairing, δ-symmetry) are checked here, and then the
+    per-image form of the test that :func:`_scan` applies to its blocks:
+    a grade of at least 1, then the non-crossing condition.
     """
-    entry = NONCROSSING[family_id.tag]
-    n = family_id.n
+    entry = NONCROSSING[tag]
     if pi.domain != (signed_ground(n) if entry.signed else unsigned_ground(n)):
         return None
     if entry.pairs and not (pi.is_involution() and pi.is_fixed_point_free()):
         return None
     if entry.signed and not _is_delta_symmetric(pi.image):
         return None
-    if entry.grade is not None and entry.grade(pi.image) != family_id.p:
+    p = entry.grade(pi.image) if entry.grade else None
+    if entry.grade and (p is None or p < 1):
         return None
     if entry.cut is not None:
-        return _union_witnesses(entry, n, pi.image)
-    gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
-    return () if _noncrossing(pi.image, gamma) else None
+        witnesses = _union_witnesses(entry, n, pi.image)
+    else:
+        gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
+        witnesses = () if _noncrossing(pi.image, gamma) else None
+    return None if witnesses is None else (p, witnesses)
+
+
+def member_witnesses(
+    family_id: NCFamilyId, pi: Permutation
+) -> tuple[tuple[int, int], ...] | None:
+    """Whether ``pi`` belongs to the family, without building the family.
+
+    Returns None for a non-member.  For a member it returns the sorted
+    (u, v) witnesses of a union tag, and () for any other tag: those of
+    :func:`_membership` when the grade it reads is the family's p.
+    """
+    found = _membership(family_id.tag, family_id.n, pi)
+    return found[1] if found is not None and found[0] == family_id.p else None
 
 
 # The same test, batched over the rows of a block, each against its own frame.
@@ -695,14 +710,14 @@ def _open_frames(
 
 
 def _scan(
-    tag: str, n: int, p: int | None, blocks: Iterator[np.ndarray]
+    tag: str, n: int, blocks: Iterator[np.ndarray]
 ) -> dict[int | None, tuple[np.ndarray, tuple | None]]:
     """Grade -> (member rows, witness table) of ``tag`` at size n, from one pass over ``blocks``.
 
-    The blocks are tested one at a time.  With ``p`` set, only grade p is
-    kept, and a row of another grade drops before any frame is built.  An
-    ungraded tag's key is None.  Each grade's rows are sorted by image; its
-    witness table (None off the unions) lists each row's admitting cuts.
+    The blocks are tested one at a time, and every grade ≥ 1 is kept: a
+    row in no grade drops before any frame is built.  An ungraded tag's
+    key is None.  Each grade's rows are sorted by image; its witness table
+    (None off the unions) lists each row's admitting cuts.
     """
     entry = NONCROSSING[tag]
     size = 2 * n if entry.signed else n
@@ -712,7 +727,7 @@ def _scan(
         grades = np.zeros(len(block), np.intp)
         if entry.grades is not None:
             grades = entry.grades(block, cycles)
-            keep = grades > 0 if p is None else grades == p
+            keep = grades > 0
             block, grades, cycles = block[keep], grades[keep], cycles[keep]
         at, gammas, cuts, which = _open_frames(entry, n, block)
         admitted = _noncrossing_rows(block[at], cycles[at], gammas, which)
@@ -742,38 +757,27 @@ def _scan(
 _GROUPS: dict[tuple[str, int], dict[int | None, NCFamily]] = {}
 
 
-def _groups(
-    tag: str, n: int, p: int | None, budget: EnumerationBudget | None
-) -> dict[int | None, NCFamily]:
-    """Grade -> family of ``tag`` at size n, from one pass: every grade, or only p.
-
-    A pass kept in :data:`_GROUPS` reads every grade, whatever ``p``;
-    any other pass keeps only grade p when p is set.
-    """
-
-    def scan(blocks: Iterator[np.ndarray], kept: bool) -> dict[int | None, NCFamily]:
-        found = _scan(tag, n, None if kept else p, blocks)
-        return {q: NCFamily(NCFamilyId(tag, n, q), *found[q]) for q in sorted(found)}
-
-    # the source checks its cap before any frame of size n
-    source = partial(NONCROSSING[tag].source, n, budget)
-    return _kept_pass(_GROUPS, (tag, n), source, scan, bounded=budget is not None)
-
-
 def nc_groups(
     tag: str, n: int, *, budget: EnumerationBudget | None = None
 ) -> dict[int | None, NCFamily]:
     """Grade p -> the family ``NCFamilyId(tag, n, p)``, for every nonempty grade.
 
-    One pass over the tag's source; each family equals the one
-    :func:`family_nc` builds.  An ungraded tag's one key is None.  A
+    One pass over the tag's source keeps every grade; :func:`family_nc`
+    looks its family up here.  An ungraded tag's one key is None.  A
     budget counts the source rows.  A kept pass (see
     :func:`annular.streams._kept_pass`) answers later calls with a new
     dict over the same families.
     """
     entry = NONCROSSING.get(tag)  # NCFamilyId checks the tag and n before the stream
     NCFamilyId(tag, n, 1 if entry and entry.grade else None)
-    return dict(_groups(tag, n, None, budget))
+
+    def scan(blocks: Iterator[np.ndarray]) -> dict[int | None, NCFamily]:
+        found = _scan(tag, n, blocks)
+        return {q: NCFamily(NCFamilyId(tag, n, q), *found[q]) for q in sorted(found)}
+
+    # the source checks its cap before any frame of size n
+    source = partial(entry.source, n, budget)
+    return dict(_kept_pass(_GROUPS, (tag, n), source, scan, bounded=budget is not None))
 
 
 def family_nc(
@@ -787,9 +791,9 @@ def family_nc(
     membership test of :func:`member_witnesses`, returned in a canonical
     sorted order; union families also carry their (u, v) witnesses.  A
     budget counts the source rows.  This is the family of grade p
-    in :func:`nc_groups`, read from its pass when that is kept.
+    in :func:`nc_groups`.
     """
-    groups = _groups(family_id.tag, family_id.n, family_id.p, budget)
+    groups = nc_groups(family_id.tag, family_id.n, budget=budget)
     if family_id.p in groups:
         return groups[family_id.p]
     entry = NONCROSSING[family_id.tag]

@@ -120,20 +120,19 @@ def _images(elements: Iterable[Permutation], size: int) -> Iterator[np.ndarray]:
 
 
 def _kept_pass(memo: dict, key, source: Callable[[], Iterator[np.ndarray]], run, *, bounded: bool):
-    """``run(blocks, kept)`` over ``source()``: the one rule by which a family pass is kept.
+    """``run(blocks)`` over ``source()``: the one rule by which a family pass is kept.
 
     A pass with no cap or budget (not ``bounded``) over a source that ends
     within one block, up to two of which are read first, is kept in
-    ``memo[key]`` and answers later unbounded calls; ``kept`` lets it read
-    every grade.  Any other pass, or one that raises, keeps nothing.
+    ``memo[key]`` and answers later unbounded calls.  Any other pass, or
+    one that raises, keeps nothing.
     """
     if not bounded and key in memo:
         return memo[key]
     blocks = source()
     head = () if bounded else tuple(islice(blocks, 2))
-    kept = not bounded and len(head) < 2
-    result = run(chain(head, blocks), kept)
-    if kept:
+    result = run(chain(head, blocks))
+    if not bounded and len(head) < 2:
         memo[key] = result
     return result
 
@@ -426,8 +425,7 @@ def _checked(noun: str, length: Callable[[int], int], ground: GroundSet, cap, bu
     effective = _default_cap(length) if cap is None else _check_integer("cap", cap)
     if ground.size > effective:
         raise CapExceeded(
-            f"{noun} enumeration requested for size {ground.size}, above the cap {effective}; "
-            f"pass an explicit cap to override",
+            f"{noun} enumeration requested for size {ground.size}, above the cap {effective}",
             requested=ground.size,
             cap=effective,
         )

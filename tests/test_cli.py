@@ -9,6 +9,7 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -664,6 +665,15 @@ def test_classify_caps_n_before_it_parses(capsys, signed):
     code, rec, _, _ = run(capsys, "classify", "--perm", "(1,2)", "--n", str(CLASSIFY_MAX_N), *signed)
     assert code == 0
     assert rec["result"]["n"] == CLASSIFY_MAX_N
+
+
+def test_classify_reads_a_numpy_integer_n_as_an_int():
+    # the report is JSON, so n enters it as an int whatever integer type it came as
+    report = classify_permutation("(1,2)", np.int64(2))
+    assert json.loads(json.dumps(report)) == report == classify_permutation("(1,2)", 2)
+    assert type(report["n"]) is int
+    with pytest.raises(ValueError, match="n must be an integer"):
+        classify_permutation("(1,2)", 2.0)
 
 
 @pytest.mark.xfail(strict=True, reason="classify does not report NC2delta_bip")

@@ -377,7 +377,7 @@ def test_nc2k_block_source_equals_the_pairing_object_route(n):
     # NC2K reads the δ-symmetric pairing blocks; the Pairing objects of the
     # public stream, stacked back into blocks, give the same rows, grades
     # and witness tables
-    objects = _scan("NC2K", n, None, _images(signed_symmetric_pairings(n), 2 * n))
+    objects = _scan("NC2K", n, _images(signed_symmetric_pairings(n), 2 * n))
     groups = nc_groups("NC2K", n)
     assert groups.keys() == objects.keys()
     for p, (rows, witnesses) in objects.items():
@@ -395,8 +395,7 @@ def test_nc2k_builds_no_pairing_object(monkeypatch):
 
 def test_nc2k_is_refused_above_the_stream_cap():
     # the block source keeps the cap and message of the public stream
-    message = ("signed symmetric pairing enumeration requested for size 26, above the cap 24; "
-               "pass an explicit cap to override")
+    message = "signed symmetric pairing enumeration requested for size 26, above the cap 24"
     for call in (lambda: nc_groups("NC2K", 13), lambda: signed_symmetric_pairings(13)):
         with pytest.raises(CapExceeded) as info:
             call()
@@ -422,9 +421,9 @@ def test_a_noncrossing_source_of_two_blocks_is_read_on_every_call(monkeypatch, n
     assert (("NC2T", n) in noncrossing._GROUPS) == kept
 
 
-def test_a_long_source_keeps_the_early_grade_filter():
-    # NCT_p on [7]: 5040 permutations, ten blocks; one grade is read from a
-    # pass that keeps only that grade, and equals the grouped pass's
+def test_one_grade_of_a_long_source_equals_the_grouped_pass():
+    # NCT_p on [7]: 5040 permutations, ten blocks; one grade is looked up in
+    # an every-grade pass that is not kept, and equals the grouped pass's
     assert not noncrossing._GROUPS
     family = family_nc(NCFamilyId("NCT_p", 7, 3))
     assert not noncrossing._GROUPS

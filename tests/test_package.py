@@ -1,5 +1,6 @@
 """The package surface: lazy names, and what each route imports."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -117,3 +118,16 @@ def test_the_wick_route_loads_no_noncrossing_bijection_or_sampler():
     loaded = _loaded_after("annular.wick_moment('GUE', 4)")
     assert "annular.moments" in loaded
     assert not loaded & {"annular.noncrossing", "annular.bijections", "annular.montecarlo"}
+
+
+def test_the_package_has_no_assert_statements():
+    # invariants raise explicitly, so they hold under python -O as well; the
+    # -O test runs cannot see an assert, since pytest's own are stripped too
+    package = Path(annular.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

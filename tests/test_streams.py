@@ -409,8 +409,7 @@ def test_caps_raise_eagerly():
             stream()
         assert (info.value.requested, info.value.cap) == sizes
     assert str(info.value) == (
-        "signed symmetric pairing enumeration requested for size 26, above the cap 24; "
-        "pass an explicit cap to override"
+        "signed symmetric pairing enumeration requested for size 26, above the cap 24"
     )
     # explicit override allows construction without consuming
     pairings(18, cap=18)
