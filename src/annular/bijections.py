@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .frames import tau0
-from .maps import GLUINGS, _grade_rows, _gluing_rows, _white_walk, gluing_counts, gluing_key
+from .maps import GLUINGS, _grade_rows, _white_walk, gluing_counts, gluing_groups, gluing_key
 from .noncrossing import NONCROSSING, NCFamilyId, family_nc, nc_groups
 from .perms import (
     Pairing, Permutation, _check_integer, _cycle_text, compose, signed_ground, unsigned_ground
@@ -295,6 +295,14 @@ BIJECTIONS: dict[str, Bijection] = {
 }
 
 
+def _bijection(tag: str) -> Bijection:
+    """``BIJECTIONS[tag]``; ``ValueError`` for an unknown tag."""
+    entry = BIJECTIONS.get(tag)
+    if entry is None:
+        raise ValueError(f"unknown bijection {tag!r}; known: {(*BIJECTIONS,)}")
+    return entry
+
+
 def verify(
     tag: str,
     n: int,
@@ -308,7 +316,7 @@ def verify(
     ``"<tag>(p=<p>)"``; an ungraded one takes no p, needs a positive
     even n, and names its report by the bare tag.
     """
-    entry = BIJECTIONS[tag]
+    entry = _bijection(tag)
     if entry.graded == (p is None):
         need = "needs a grade p" if entry.graded else "takes no grade p"
         raise ValueError(f"bijection {tag!r} {need}")
@@ -352,11 +360,11 @@ def verify_grades(
     budget raises as :func:`verify` does at p = 1.  The gluing side
     rejects n < 1 with ``ValueError`` before any stream starts.
     """
-    entry = BIJECTIONS[tag]
+    entry = _bijection(tag)
     if not entry.graded:
         raise ValueError(f"bijection {tag!r} takes no grade p")
     signed = GLUINGS[entry.gluing].signed
-    domains = _gluing_rows(entry.gluing, n, budget=budget)
+    domains = gluing_groups(entry.gluing, n, budget=budget)
     codomains = nc_groups(entry.nc, entry.annular_n(n), budget=budget)
     none = _no_rows(signed, entry.annular_n(n))  # both sides' ground
     return tuple(
@@ -390,8 +398,8 @@ def verify_lemma3(
         ("a-tilde", "a-hat", _orientable_rows, "orientable", "g", False),
         ("b-tilde", "b-hat", _nonorientable_rows, "nonorientable", "k", True),
     ):
-        domains = _gluing_rows(bipartite, n, budget=budget)
-        codomains = _gluing_rows(hypermap, n, budget=budget)
+        domains = gluing_groups(bipartite, n, budget=budget)
+        codomains = gluing_groups(hypermap, n, budget=budget)
         for key in sorted(domains.keys() | codomains.keys()):
             name = f"lemma3-{side}({grade}={key[0]},p={key[1]})"
             domain = domains.get(key, _no_rows(signed, 2 * n))

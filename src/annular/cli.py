@@ -331,7 +331,10 @@ def cmd_moment(args) -> tuple[dict, int, list | None]:
         c = Fraction(args.rect_dim, args.dim)
     value = poly.evaluate(args.dim, c)
     result["value"] = {"num": str(value.numerator), "den": str(value.denominator)}
-    result["value_float"] = float(value)
+    try:
+        result["value_float"] = float(value)
+    except OverflowError:  # past the float range; the exact value stands
+        result["value_float"] = None
 
     if args.mc:
         estimate = mc_moment(

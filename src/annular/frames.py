@@ -18,9 +18,9 @@ The two canonical involutions on ±[n] are τ₀ = (1,−1)(2,−2)···(n,−n
 walks of one-vertex gluings are cycles of τ₂τ₁.
 
 Frames are immutable, so every constructor caches its result, and
-:func:`gamma_walk` caches what the cycle kernels of :mod:`annular.perms`
-read of a frame γ: the image of γ⁻¹ and #(γ).  Cuts come at any n, so
-the cut frames and walks keep the ``_FRAME_CACHE`` most recently used.
+:func:`gamma_walk` keeps one record of all the kernels read of a frame
+γ: the image of γ⁻¹, #(γ) and its sides.  Cuts come at any n, so the
+cut frames and walks keep the ``_FRAME_CACHE`` most recently used.
 The bipartite colourings are cached too: the label sets B(m),
 W(m) of ±[2m], the index mask of B (W is the rest, since the two split
 ±[2m]), and the odd-label mask of [n].  The two colour tests every
@@ -49,6 +49,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
+
+import numpy as np
 
 from .perms import (
     Permutation,
@@ -209,14 +211,23 @@ def klein_frame(n: int, u: int, v: int) -> AnnularFrame:
 
 
 @lru_cache(maxsize=_FRAME_CACHE)
-def gamma_walk(gamma: Permutation) -> tuple[tuple[int, ...], int]:
-    """The image of γ⁻¹ and #(γ), once per reference permutation γ.
+def gamma_walk(gamma: Permutation) -> tuple[tuple[int, ...], int, np.ndarray]:
+    """The image of γ⁻¹, #(γ) and the sides of γ, once per reference permutation γ.
 
     The cycle kernels count π⁻¹γ as its inverse γ⁻¹π, so π is never
-    inverted.  The ``_FRAME_CACHE`` most recent γ are held: frames, and
-    any γ passed to :func:`annular.noncrossing.is_noncrossing`.
+    inverted.  The sides, a read-only bool array, hold per index whether
+    it lies off the γ-cycle through index 0: π joins a two-cycle γ iff it
+    sends some index across.  The ``_FRAME_CACHE`` most recent γ are
+    held: frames, and any γ passed to :func:`annular.noncrossing.is_noncrossing`.
     """
-    return _inverse_image(gamma.image), _num_cycles_image(gamma.image)
+    image = gamma.image
+    off, j = [True] * len(image), 0
+    while image and off[j]:
+        off[j] = False
+        j = image[j]
+    sides = np.array(off)
+    sides.flags.writeable = False
+    return _inverse_image(image), _num_cycles_image(image), sides
 
 
 # ---------------------------------------------------------------------------

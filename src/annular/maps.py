@@ -42,13 +42,12 @@ Each gluing family is one :class:`Gluing` of :data:`GLUINGS`, keyed by
 its CLI tag; a row its per-image key would reject is handed to that key
 by the batched form, so both raise its error.
 :func:`gluing_counts` only tallies the grades, and is the one histogram
-of each family.  The private row pass gives each grade's members as a
-read-only array of index images in stream order, and members stay rows
-until the public edge: :func:`gluing_groups` and :func:`gluing_family`
-(which builds only its grade) make objects from them.  Every count and
-group gives its grades in ascending order.  All check the tag and n ≥ 1
-before any stream starts.  A row pass is kept for the process by the
-one-block rule of :func:`annular.streams._kept_pass`.
+of each family.  :func:`gluing_groups` is the one row pass: each grade's
+members as a read-only array of index images in stream order.  Only
+:func:`gluing_family` builds member objects, for its one grade.  Every
+count and group gives its grades in ascending order.  All check the tag
+and n ≥ 1 before any stream starts.  A row pass is kept for the process
+by the one-block rule of :func:`annular.streams._kept_pass`.
 :func:`gluing_key` applies the per-image key to one permutation; the
 tests hold it to the batched kernel row by row.  The ``family_*`` names
 are shorthands for callers outside the package.
@@ -502,12 +501,12 @@ GLUINGS: dict[str, Gluing] = {
 }
 
 
-def _entry(tag: str, n: int) -> Gluing:
-    """``GLUINGS[tag]``; ``ValueError`` for an unknown tag or n < 1, before any stream."""
+def _entry(tag: str, n: int | None = None) -> Gluing:
+    """``GLUINGS[tag]``; ``ValueError`` for an unknown tag or a given n < 1, before any stream."""
     entry = GLUINGS.get(tag)
     if entry is None:
         raise ValueError(f"unknown gluing family {tag!r}; known: {(*GLUINGS,)}")
-    if _check_integer("n", n) < 1:
+    if n is not None and _check_integer("n", n) < 1:
         raise ValueError("n must be a positive integer")
     return entry
 
@@ -518,21 +517,22 @@ def _ground(entry: Gluing, n: int) -> GroundSet:
     return signed_ground(size) if entry.signed else unsigned_ground(size)
 
 
-def _members(entry: Gluing, n: int, rows: np.ndarray) -> tuple[Permutation, ...]:
-    """The members of ``rows``, in row order: Pairings if the family holds pairings."""
-    make = partial(Pairing._make if entry.pairs else Permutation._make, _ground(entry, n))
-    return tuple(map(make, map(tuple, rows.tolist())))
-
-
-#: (tag, n) -> the :func:`_gluing_rows` pass kept by the rule of
+#: (tag, n) -> the :func:`gluing_groups` pass kept by the rule of
 #: :func:`annular.streams._kept_pass`.  Its rows are read-only.
 _GROUPS: dict[tuple[str, int], dict[tuple[int, ...], np.ndarray]] = {}
 
 
-def _gluing_rows(tag: str, n: int, cap=None, budget=None) -> dict[tuple[int, ...], np.ndarray]:
+def gluing_groups(
+    tag: str,
+    n: int,
+    *,
+    cap: int | None = None,
+    budget: EnumerationBudget | None = None,
+) -> dict[tuple[int, ...], np.ndarray]:
     """Grade tuple -> the members of family ``tag`` at size n as a read-only
     (m, size) intp array of index images, in stream order, from one pass
-    through the batched key kernel; grades in ascending order."""
+    through the batched key kernel; grades in ascending order.  A kept pass
+    answers later calls with a new dict over the same arrays."""
     entry = _entry(tag, n)
 
     def grouped(blocks: Iterator[np.ndarray]) -> dict[tuple[int, ...], np.ndarray]:
@@ -552,20 +552,7 @@ def _gluing_rows(tag: str, n: int, cap=None, budget=None) -> dict[tuple[int, ...
         return result
 
     source, bounded = partial(entry.source, n, cap, budget), cap is not None or budget is not None
-    return _kept_pass(_GROUPS, (tag, n), source, grouped, bounded=bounded)
-
-
-def gluing_groups(
-    tag: str,
-    n: int,
-    *,
-    cap: int | None = None,
-    budget: EnumerationBudget | None = None,
-) -> dict[tuple[int, ...], tuple[Permutation, ...]]:
-    """Grade tuple -> members of family ``tag`` at size n, in stream order, from
-    one :func:`_gluing_rows` pass; Pairings if the family holds pairings."""
-    groups = _gluing_rows(tag, n, cap, budget).items()
-    return {key: _members(GLUINGS[tag], n, rows) for key, rows in groups}
+    return dict(_kept_pass(_GROUPS, (tag, n), source, grouped, bounded=bounded))
 
 
 def gluing_counts(
@@ -624,7 +611,7 @@ def _row_counts(entry: Gluing, n: int, cap, budget) -> dict[tuple[int, ...], int
 
 
 def _grade_rows(tag: str, n: int, grade: tuple[int, ...], cap=None, budget=None) -> np.ndarray:
-    """The rows of :func:`gluing_family`: grade ``grade`` of one :func:`_gluing_rows`
+    """The rows of :func:`gluing_family`: grade ``grade`` of one :func:`gluing_groups`
     pass.  ``grade`` holds one integer per name in the entry's grades; a
     genus needs g ≥ 0, an Euler genus k ≥ 1, and a grade p ≥ 1."""
     entry = _entry(tag, n)
@@ -641,7 +628,7 @@ def _grade_rows(tag: str, n: int, grade: tuple[int, ...], cap=None, budget=None)
     none = np.empty((0, _ground(entry, n).size), np.intp)
     if tag == "a" and n % 2:
         return none  # [n] has no pairing: empty before any cap check
-    return _gluing_rows(tag, n, cap, budget).get(grade, none)
+    return gluing_groups(tag, n, cap=cap, budget=budget).get(grade, none)
 
 
 def gluing_family(
@@ -653,9 +640,11 @@ def gluing_family(
     budget: EnumerationBudget | None = None,
 ) -> tuple[Permutation, ...]:
     """Members of family ``tag`` at size n and grades ``grade``, in stream order:
-    the members of its :func:`_grade_rows`, built for this grade only."""
-    rows = _grade_rows(tag, n, grade, cap, budget)
-    return _members(GLUINGS[tag], n, rows)
+    the rows of its :func:`_grade_rows` built as objects, Pairings if the
+    family holds pairings.  The one builder of gluing members."""
+    rows, entry = _grade_rows(tag, n, grade, cap, budget), GLUINGS[tag]
+    make = partial(Pairing._make if entry.pairs else Permutation._make, _ground(entry, n))
+    return tuple(map(make, map(tuple, rows.tolist())))
 
 
 def gluing_key(tag: str, pi: Permutation) -> tuple[int, ...] | None:
@@ -665,10 +654,10 @@ def gluing_key(tag: str, pi: Permutation) -> tuple[int, ...] | None:
     (ground, pairing, δ-symmetry — on a pairing, mirror symmetry with no
     (r,−r) pair, which forces an even n — and the bipartite colouring)
     are checked first, then the per-image key kernel, the one-row form of
-    the batched kernel of :func:`gluing_groups`: π is a member of
+    the batched kernel of :func:`gluing_groups`: π's image is a row of
     ``gluing_groups(tag, n)[key]`` exactly when this returns key.
     """
-    entry = GLUINGS[tag]
+    entry = _entry(tag)
     if pi.domain.kind != (GroundSet.SIGNED if entry.signed else GroundSet.UNSIGNED):
         return None
     if entry.pairs and not (pi.is_involution() and pi.is_fixed_point_free()):

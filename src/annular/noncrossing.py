@@ -70,7 +70,8 @@ once, keeping every grade's members as rows, and :func:`family_nc`
 looks one grade up in that pass: an :class:`NCFamily` holds the rows as
 a sorted array of index images and builds member objects only on first
 use.  Passes are kept by the rule of :func:`annular.streams._kept_pass`.
-Both forms read the frames, walks and colour masks of :mod:`annular.frames`;
+Both forms read the frames, colour masks and :func:`gamma_walk` records
+(walk, cycle count and sides of each γ) of :mod:`annular.frames`;
 nothing here comes from the gluing side (:mod:`annular.maps`), so the
 bijection checks remain a cross-check.
 """
@@ -85,7 +86,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .frames import (
-    _FRAME_CACHE,
     annulus_cycle,
     black_mask,
     full_cycle,
@@ -154,7 +154,7 @@ def _cycle_total(img: tuple[int, ...], gamma: Permutation) -> int:
 
     #(π⁻¹γ) is read as #(γ⁻¹π), its inverse, so π is never inverted.
     """
-    walk, cycles = gamma_walk(gamma)
+    walk, cycles, _ = gamma_walk(gamma)
     return _num_cycles_image(img) + _cycle_count(walk, img) + cycles
 
 
@@ -633,18 +633,6 @@ def member_witnesses(
 
 # The same test, batched over the rows of a block, each against its own frame.
 
-@lru_cache(maxsize=_FRAME_CACHE)
-def _sides(gamma: Permutation) -> np.ndarray:
-    """Per index, whether it lies off the γ-cycle through index 0."""
-    side = np.ones(gamma.domain.size, dtype=bool)
-    j = 0
-    while side[j]:
-        side[j] = False
-        j = gamma.image[j]
-    side.flags.writeable = False
-    return side
-
-
 def _noncrossing_rows(
     images: np.ndarray, cycles: np.ndarray, gammas: list[Permutation], which: np.ndarray
 ) -> np.ndarray:
@@ -657,7 +645,7 @@ def _noncrossing_rows(
     """
     if not len(images):
         return np.zeros(0, dtype=bool)
-    walks, counts = zip(*map(gamma_walk, gammas))
+    walks, counts, sides = zip(*map(gamma_walk, gammas))
     if (most := max(counts)) > 2:
         raise ValueError(f"the batched join reads frames of one or two cycles, not {most}")
     size, frame, gamma_cycles = images.shape[1], which[:, None], np.array(counts)[which]
@@ -665,7 +653,7 @@ def _noncrossing_rows(
     fits = total == size + 2
     if most == 2:
         two = fits & (gamma_cycles == 2)
-        sides = np.array([_sides(gamma) for gamma in gammas])
+        sides = np.array(sides)
         fits[two] = (sides[frame[two], images[two]] != sides[which[two]]).any(axis=1)
     return fits
 

@@ -1,6 +1,7 @@
 """Bijection maps and their exhaustive verification drivers."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from annular.perms import (
 from annular.streams import CapExceeded, EnumerationBudget, permutations
 
 from oracles import ref_family_b_hat_counts, ref_narayana, ref_verify
+from test_golden import gluing_members
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +146,12 @@ def test_registry_order_and_grades():
         verify("phi1", 4, 1)
     with pytest.raises(ValueError, match="needs a grade"):
         verify("phi1-hat", 3)
+
+
+@pytest.mark.parametrize("call", [lambda: verify("zz", 4), lambda: verify_grades("zz", 4)])
+def test_an_unknown_bijection_tag_raises_value_error(call):
+    with pytest.raises(ValueError, match=r"unknown bijection 'zz'; known: \('phi1', 'phi2', "):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +439,9 @@ def _lemma3_reference(n):
         domains, codomains = gluing_groups(bipartite, n), gluing_groups(hypermap, n)
         for key in sorted(domains.keys() | codomains.keys()):
             name = f"lemma3-{side}({grade}={key[0]},p={key[1]})"
-            reports.append(ref_verify(
-                name, n, domains.get(key, ()), codomains.get(key, ()), reduction
-            ))
+            domain = gluing_members(bipartite, n, domains[key]) if key in domains else ()
+            codomain = gluing_members(hypermap, n, codomains[key]) if key in codomains else ()
+            reports.append(ref_verify(name, n, domain, codomain, reduction))
     return [report.to_payload() for report in reports]
 
 
@@ -504,10 +512,12 @@ def test_failure_reports_equal_the_object_reference():
 def test_each_row_map_equals_its_object_function(tag):
     entry = BIJECTIONS[tag]
     for n in UNGRADED_SIZES.get(tag, _graded_sizes(tag)):
-        for key, members in gluing_groups(entry.gluing, n).items():
+        for key, rows in gluing_groups(entry.gluing, n).items():
             if key[0] != entry.first:
                 continue
-            images = entry.map(_rows(*members)).tolist()
+            members = gluing_members(entry.gluing, n, rows)
+            assert _rows(*members).tolist() == rows.tolist()
+            images = entry.map(rows).tolist()
             assert images == [list(OBJECT_MAPS[tag](pi).image) for pi in members], (tag, n, key)
 
 
@@ -516,8 +526,9 @@ def test_each_lemma3_row_map_equals_its_reduction(n):
     for (bipartite, _, reduction, _, _), row_map in zip(
         LEMMA3, (bijections._orientable_rows, bijections._nonorientable_rows)
     ):
-        for members in gluing_groups(bipartite, n).values():
-            images = row_map(_rows(*members)).tolist()
+        for rows in gluing_groups(bipartite, n).values():
+            members = gluing_members(bipartite, n, rows)
+            images = row_map(rows).tolist()
             assert images == [list(reduction(pi).image) for pi in members]
 
 
@@ -550,7 +561,9 @@ def test_the_row_path_builds_no_members(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a member object was built")
 
-    monkeypatch.setattr(annular.maps, "_members", refuse)
+    refusing = SimpleNamespace(_make=refuse)  # the classes the gluing side builds members of
+    monkeypatch.setattr(annular.maps, "Pairing", refusing)
+    monkeypatch.setattr(annular.maps, "Permutation", refusing)
     monkeypatch.setattr(NCFamily, "members", property(refuse))
     got = (
         verify("phi1", 4).to_payload(),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -369,6 +370,23 @@ def test_moment_numeric_exact(capsys):
     assert result["mode"] == "numeric"
     assert result["value"] == {"num": "3", "den": "1"}  # (9 + 3) / 4
     assert result["value_float"] == 3.0
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("--ensemble", "gue", "--order", "2", "--dim", str(10**200)), Fraction(10**400, 2)),
+        (
+            ("--ensemble", "lue", "--order", "2", "--dim", str(10**110), "--rect-dim", str(10**110)),
+            2 * Fraction(10**330),
+        ),
+    ],
+)
+def test_moment_value_past_the_float_range_is_exact_with_a_null_float(capsys, argv, value):
+    code, rec, _, err = run(capsys, "moment", *argv)
+    assert (code, err) == (0, "")
+    assert rec["result"]["value"] == {"num": str(value.numerator), "den": str(value.denominator)}
+    assert rec["result"]["value_float"] is None
 
 
 def test_moment_numeric_laguerre(capsys):

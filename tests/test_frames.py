@@ -20,8 +20,8 @@ from annular.frames import (
     tau2,
     torus_frame,
 )
-from annular.noncrossing import _sides, nc_groups
-from annular.perms import Permutation, compose, num_cycles, signed_ground
+from annular.noncrossing import nc_groups
+from annular.perms import Permutation, compose, num_cycles, signed_ground, unsigned_ground
 
 from oracles import (
     ref_annulus_cycle,
@@ -193,9 +193,9 @@ def test_routes_do_not_import_each_other():
     assert _imports_from("bijections", "maps") == {
         "GLUINGS",
         "_grade_rows",
-        "_gluing_rows",
         "_white_walk",
         "gluing_counts",
+        "gluing_groups",
         "gluing_key",
     }
 
@@ -265,16 +265,34 @@ def test_frames_are_cached():
     assert gamma_walk(full_cycle(6)) is gamma_walk(full_cycle(6))
 
 
+def test_gamma_walk_sides_are_the_labels_off_the_first_cycle():
+    # every torus and Klein cut up to n = 10, and the disk and annulus frames:
+    # per index, whether its label lies off the γ-cycle through the first label
+    frames = [full_cycle(6), annulus_cycle(6)]
+    for n in range(2, 11):
+        for u in range(1, n):
+            for v in range(u + 1, n + 1):
+                frames += [klein_frame(n, u, v).gamma]
+                frames += [torus_frame(n, u, v).gamma] if v < n else []
+    for gamma in frames:
+        ground = gamma.domain
+        first = next(cycle for cycle in gamma.cycles() if ground.label(0) in cycle)
+        sides = gamma_walk(gamma)[2]
+        assert sides.tolist() == [ground.label(i) not in first for i in range(ground.size)]
+        assert not sides.flags.writeable
+    walk, cycles, sides = gamma_walk(Permutation(unsigned_ground(0), ()))
+    assert (walk, cycles, sides.tolist()) == ((), 0, [])
+
+
 def test_cut_frame_caches_are_bounded():
     # every cut of [n] and ±[n] for n ≤ 20, 1,140 of each kind: more than
     # each cache keeps, as a long-running membership caller meets them
-    caches = (torus_frame, klein_frame, gamma_walk, _sides)
+    caches = (torus_frame, klein_frame, gamma_walk)
     for n in range(2, 21):
         for u in range(1, n):
             for v in range(u + 1, n + 1):
                 for frame in (klein_frame(n, u, v), *([torus_frame(n, u, v)] if v < n else ())):
                     gamma_walk(frame.gamma)
-                    _sides(frame.gamma)
     for cache in caches:
         assert cache.cache_info().currsize == cache.cache_info().maxsize == _FRAME_CACHE
     # every frame a union pass reads fits: a second pass builds none

@@ -2,7 +2,8 @@
 
 Each key of ``golden.json`` holds the SHA-256 of one value written as
 canonical JSON (sorted keys, no spaces) of ints, strings, booleans and
-nulls: every grade group of :func:`annular.maps.gluing_groups` and of
+nulls: every grade group of :func:`annular.maps.gluing_groups` (its rows
+built as member objects) and of
 :func:`annular.noncrossing.nc_groups` (at the ``GROUPED_SIZES`` of
 ``tests/test_noncrossing.py`` and the ``NC_LARGE_SIZES`` below; members
 in stream order as cycle strings, with their witnesses), every Wick and
@@ -34,7 +35,7 @@ from annular.cli import FAMILY_TAGS, NC_TAGS, main
 from annular.maps import GLUINGS, gluing_groups
 from annular.moments import genus_expansion_moment, wick_moment
 from annular.noncrossing import NONCROSSING, nc_groups
-from annular.perms import Permutation, signed_ground, unsigned_ground
+from annular.perms import Pairing, Permutation, signed_ground, unsigned_ground
 
 from test_noncrossing import GROUPED_SIZES
 
@@ -53,6 +54,15 @@ NC_LARGE_SIZES = {"NC2T": range(9, 11), "NC2delta": range(7, 9), "NC2K": range(7
 #: GUE and LUE routes reach 20 and 12, and are recorded to the first
 #: orders their row streams refuse.
 ORDER_REACH = {"GUE": (18, 22), "GOE": (14, 16), "LUE": (10, 13), "LOE": (8, 9)}
+
+
+def gluing_members(tag: str, n: int, rows) -> list[Permutation]:
+    """The member objects of family ``tag`` at size n whose images are ``rows``,
+    built through the validating constructors: Pairings if the family holds pairings."""
+    entry = GLUINGS[tag]
+    size = 2 * n if entry.doubled else n
+    ground = signed_ground(size) if entry.signed else unsigned_ground(size)
+    return [(Pairing if entry.pairs else Permutation)(ground, row) for row in rows.tolist()]
 
 
 def _digest(value) -> str:
@@ -150,8 +160,8 @@ def _values() -> dict[str, object]:
     for tag, top in GLUING_SIZES.items():
         for n in range(1, top + 1):
             values[f"gluing_groups/{tag}/{n}"] = lambda tag=tag, n=n: [
-                [list(key), [pi.cycle_string() for pi in members]]
-                for key, members in sorted(gluing_groups(tag, n).items())
+                [list(key), [pi.cycle_string() for pi in gluing_members(tag, n, rows)]]
+                for key, rows in sorted(gluing_groups(tag, n).items())
             ]
     for tag, sizes in GROUPED_SIZES.items():
         for n in (*sizes, *NC_LARGE_SIZES.get(tag, ())):

@@ -4,6 +4,7 @@ import time
 from math import comb, factorial
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import annular.maps
@@ -427,6 +428,11 @@ def test_gluing_side_rejects_a_bad_size_or_tag_before_the_stream(
         GLUING_CALLS[call](tag, n, grade, budget)
 
 
+def test_gluing_key_rejects_an_unknown_tag():
+    with pytest.raises(ValueError, match=r"unknown gluing family 'zz'; known: \('a', 'b', "):
+        gluing_key("zz", Pairing(unsigned_ground(2), (1, 0)))
+
+
 @pytest.mark.parametrize("budget", [None, EnumerationBudget(0)])
 @pytest.mark.parametrize(
     "tag, grade, message",
@@ -572,7 +578,7 @@ def test_per_image_key_equals_the_batched_key_on_every_row(tag):
         size = 2 * n if entry.doubled else n
         ground = signed_ground(size) if entry.signed else unsigned_ground(size)
         group_of = {
-            pi.image: key for key, members in gluing_groups(tag, n).items() for pi in members
+            tuple(row): key for key, rows in gluing_groups(tag, n).items() for row in rows.tolist()
         }
         rows = list(_rows(entry.source(n, None, None)))
         assert group_of.keys() <= set(rows)
@@ -634,6 +640,11 @@ def test_gluing_counts_budget_contract_at_block_boundaries(tag, n, blocks):
 # one-block passes kept per process
 # ---------------------------------------------------------------------------
 
+def _listed(groups):
+    """A grouped pass as comparable values: (grade, dtype, shape, rows) per grade, in order."""
+    return [(key, rows.dtype, rows.shape, rows.tolist()) for key, rows in groups.items()]
+
+
 @pytest.mark.parametrize("tag", GLUINGS)
 def test_a_kept_gluing_pass_equals_a_fresh_one(tag):
     # at every size whose source ends within one block, the second call is
@@ -647,18 +658,62 @@ def test_a_kept_gluing_pass_equals_a_fresh_one(tag):
         kept = gluing_groups(tag, n)
         annular.maps._GROUPS.clear()
         fresh = gluing_groups(tag, n)
-        assert list(kept.items()) == list(fresh.items())
-        assert all(type(pi) is type(fresh_pi)
-                   for key in fresh for pi, fresh_pi in zip(kept[key], fresh[key]))
+        assert _listed(kept) == _listed(fresh)
+        assert not any(rows.flags.writeable for rows in (*kept.values(), *fresh.values()))
 
 
 def test_a_kept_gluing_pass_is_not_changed_through_a_returned_dict():
-    want = gluing_groups("a", 6)
+    want = _listed(gluing_groups("a", 6))
     got = gluing_groups("a", 6)
     got.clear()
-    got[(7,)] = ()
-    assert gluing_groups("a", 6) == want
-    assert family_a(6, 1) == want[(1,)]
+    got[(7,)] = np.empty((0, 6), np.intp)
+    assert _listed(gluing_groups("a", 6)) == want
+    assert [list(pi.image) for pi in family_a(6, 1)] == want[1][3]
+
+
+@pytest.mark.parametrize("tag", GLUINGS)
+def test_gluing_groups_builds_no_member(monkeypatch, tag):
+    # the row pass hands out index images, fresh or kept: no Permutation or
+    # Pairing is made.  A first pass builds the frames it reads
+    sizes = range(1, GLUING_SIZES[tag] + 1)
+    for n in sizes:
+        gluing_groups(tag, n)
+    annular.maps._GROUPS.clear()
+    made = []
+    make = Permutation._make.__func__
+
+    def counted(cls, domain, image):
+        made.append(cls)
+        return make(cls, domain, image)
+
+    monkeypatch.setattr(Permutation, "_make", classmethod(counted))
+    for n in sizes:
+        gluing_groups(tag, n)
+        gluing_groups(tag, n)
+    assert made == []
+    # gluing_family builds its grade's members, and the count sees them
+    top = GLUING_SIZES[tag]
+    key, rows = next(iter(gluing_groups(tag, top).items()))
+    assert len(gluing_family(tag, top, key)) == len(made) == len(rows)
+
+
+@pytest.mark.parametrize("tag", GLUINGS)
+def test_a_kept_gluing_pass_hands_out_its_read_only_arrays_in_a_new_dict(tag):
+    entry, seen = GLUINGS[tag], 0
+    for n in one_block_sizes(lambda n: entry.source(n, None, None)):
+        first = gluing_groups(tag, n)
+        second = gluing_groups(tag, n)
+        assert first is not second and list(first) == list(second)
+        size = 2 * n if entry.doubled else n
+        for key, rows in first.items():
+            assert second[key] is rows
+            assert rows.dtype == np.intp
+            assert rows.shape[1] == (2 * size if entry.signed else size)
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = rows[0, 0]
+            seen += 1
+    assert seen
 
 
 def test_a_budget_or_a_cap_bypasses_the_kept_gluing_pass():
@@ -689,8 +744,8 @@ def test_a_gluing_source_of_two_blocks_is_read_on_every_call(monkeypatch, n, kep
         return original(*args)
 
     monkeypatch.setattr(annular.maps, "_signed_symmetric_pairings_blocks", counted)
-    first = gluing_groups("b", n)
-    assert gluing_groups("b", n) == first
+    first = _listed(gluing_groups("b", n))
+    assert _listed(gluing_groups("b", n)) == first
     assert len(calls) == (1 if kept else 2)
     assert (("b", n) in annular.maps._GROUPS) == kept
 
@@ -773,8 +828,8 @@ def test_counted_families_at_ten_hold_every_permutation(tag):
 
 
 def test_genus_counts_follow_the_harer_zagier_recursion():
-    # past [16], where the pairing stream's row cap stops the row pass
-    for m in range(2, 19, 2):
+    # past [16], where the pairing stream's row cap stops the row pass, to [20]
+    for m in range(2, 21, 2):
         want = {(g,): count for g, count in ref_harer_zagier(m // 2).items()}
         assert gluing_counts("a", m) == want
 

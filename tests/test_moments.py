@@ -35,6 +35,7 @@ from annular.streams import (
 from oracles import (
     ref_catalan,
     ref_compose,
+    ref_harer_zagier,
     ref_lagrange_coefficients,
     ref_loe_signed_pairing_terms,
     ref_narayana,
@@ -210,6 +211,24 @@ def test_lue_leading_coefficients_are_narayana():
         lead = wick_moment("LUE", n).coefficient(n + 1)
         expected = {(0, p): Fraction(ref_narayana(n, p)) for p in range(1, n + 1)}
         assert lead.coefficients == expected
+
+
+def test_gue_order_20_is_the_harer_zagier_sum():
+    # the top admitted GUE order, read off the recursion with no stream:
+    # E tr X^20 = 2^-10 · Σ_g ε_g(10) · N^(11 − 2g)
+    want = poly({(11 - 2 * g, 0): Fraction(eps, 2**10) for g, eps in ref_harer_zagier(10).items()})
+    assert wick_moment("GUE", 20) == want
+
+
+def test_lue_moments_follow_the_haagerup_thorbjornsen_recursion():
+    # Haagerup–Thorbjørnsen (Expo. Math. 21, 2003), with M = cN and D_0 = N:
+    # (p+2)·D_{p+1} = (2p+1)(M+N)·D_p + (p−1)(p² − (M−N)²)·D_{p−1}, to the top order 12
+    n, m = poly({(1, 0): 1}), poly({(1, 1): 1})
+    moments = [n, *(wick_moment("LUE", p) for p in range(1, 13))]
+    for p in range(1, 12):
+        step = (2 * p + 1) * (m + n) * moments[p]
+        step += (p - 1) * (poly({(0, 0): p * p}) - (m - n) * (m - n)) * moments[p - 1]
+        assert (p + 2) * moments[p + 1] == step, p
 
 
 def test_loe_subleading_matches_twisted_counts():
