@@ -57,7 +57,9 @@ are shorthands for callers outside the package.
 counts of a, ã, â and b are capped on the prefixes run and reach past
 the row pass: a to [20], ã and â to n = 12, b to ±[14].  b counts a
 prefix with no twisted pair without its untwisted completions, so b is
-not read off the Wick sum.  b̃ and b̂ are tallied by the row pass.
+not read off the Wick sum.  Each count goes through the genus kernel of
+the per-image key, which raises its error in place on a count no gluing
+has.  b̃ and b̂ are tallied by the row pass.
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ from .streams import (
     EnumerationBudget,
     _bipartite_pairing_blocks,
     _bipartite_signed_symmetric_pairing_blocks,
-    _completions,
     _kept_pass,
     _pairings_of_blocks,
     _permutations_of_blocks,
@@ -157,11 +158,8 @@ class MonochromaticityError(AssertionError):
 # of π needed); the boundary walk is τ₂τ₁ itself.
 # ---------------------------------------------------------------------------
 
-def _orientable_genus(img: tuple[int, ...], faces: int | None = None) -> int:
-    """g from the face count, walked here unless the caller already has it."""
-    size = len(img)
-    if faces is None:
-        faces = _cycle_count(gamma_walk(full_cycle(size))[0], img)
+def _orientable_genus(size: int, faces: int) -> int:
+    """g of a one-vertex gluing of [size] from its face count."""
     twice_genus = size // 2 + 1 - faces
     if twice_genus < 0 or twice_genus % 2:
         raise ValueError(
@@ -170,11 +168,8 @@ def _orientable_genus(img: tuple[int, ...], faces: int | None = None) -> int:
     return twice_genus // 2
 
 
-def _euler_genus(img: tuple[int, ...], boundary: int | None = None) -> int:
-    """k from the boundary count, walked here unless the caller already has it."""
-    n = len(img) // 2
-    if boundary is None:
-        boundary = _cycle_count(tau2(n).image, img)
+def _euler_genus(n: int, boundary: int) -> int:
+    """k of a gluing of ±[n] from its boundary count."""
     twice_k = n + 2 - boundary
     if twice_k < 0 or twice_k % 2:
         raise ValueError(
@@ -253,7 +248,7 @@ def _same_ground(perm: Permutation, frame: Permutation) -> None:
 def orientable_genus(pi: Pairing) -> int:
     """Genus of the orientable one-vertex gluing encoded by a pairing of [n]."""
     _same_ground(pi, full_cycle(pi.domain.n))
-    return _orientable_genus(pi.image)
+    return _a_key(pi.image)[0]
 
 
 def nonorientable_euler_genus(tau1: Pairing) -> int:
@@ -264,8 +259,9 @@ def nonorientable_euler_genus(tau1: Pairing) -> int:
     at least one twist (otherwise the gluing is orientable and the
     right invariant is :func:`orientable_genus` of its positive part).
     """
-    _same_ground(tau1, tau2(tau1.domain.n))
-    return _euler_genus(tau1.image)
+    n = tau1.domain.n
+    _same_ground(tau1, tau2(n))
+    return _euler_genus(n, _cycle_count(tau2(n).image, tau1.image))
 
 
 def has_twist(tau1: Permutation) -> bool:
@@ -308,23 +304,25 @@ def nonorientable_white_grade(tau1: Pairing) -> int:
 # ---------------------------------------------------------------------------
 
 def _a_key(img: tuple[int, ...]) -> tuple[int]:
-    return (_orientable_genus(img),)
+    size = len(img)
+    return (_orientable_genus(size, _cycle_count(gamma_walk(full_cycle(size))[0], img)),)
 
 
 def _b_key(img: tuple[int, ...]) -> tuple[int] | None:
-    return (_euler_genus(img),) if _has_twist(img, len(img) // 2) else None
+    n = len(img) // 2
+    return (_euler_genus(n, _cycle_count(tau2(n).image, img)),) if _has_twist(img, n) else None
 
 
 def _a_tilde_key(img: tuple[int, ...]) -> tuple[int, int]:
     faces, p = _orientable_faces(img)
-    return _orientable_genus(img, faces), p
+    return _orientable_genus(len(img), faces), p
 
 
 def _b_tilde_key(img: tuple[int, ...]) -> tuple[int, int] | None:
     if not _has_twist(img, len(img) // 2):
         return None
     boundary, p = _nonorientable_boundaries(img)
-    return _euler_genus(img, boundary), p
+    return _euler_genus(len(img) // 2, boundary), p
 
 
 def _a_hat_key(img: tuple[int, ...]) -> tuple[int, int]:
@@ -564,45 +562,34 @@ def gluing_counts(
 ) -> dict[tuple[int, ...], int]:
     """Histogram grade tuple -> family size, grades ascending, building no member.
 
-    a, ã, â and b are counted by stream prefix, building no row.  A prefix
-    that mixes the colour classes, or a cycle count no gluing has, sends
-    the call to the error path: the completions of the first prefix that
-    does so, one tail table of rows, go to the batched key, which raises
-    the per-image key's error on the first row that breaks it.  b̃ and b̂
-    are tallied by the row pass, a source block at a time.
+    a, ã, â and b are counted by stream prefix, building no row, and each
+    count is read by the per-image key's kernel: a cycle count no gluing
+    has raises its ``ValueError``, and a prefix that mixes the colour
+    classes a ``MonochromaticityError``.  b̃ and b̂ are tallied by the row
+    pass, a source block at a time.
     """
     entry = _entry(tag, n)
     if entry.signed and (entry.doubled or not entry.pairs):
         return _row_counts(entry, n, cap, budget)
     step = 3 if entry.signed else 2 if entry.doubled else int(entry.pairs)
-    size, ground = 2 * n if entry.doubled else n, _ground(entry, n)
-    _, tails, prefixes = _prefixes(step, ground, cap, budget)
-    # 2g = top − the cycles counted: faces (a), odd and even faces (ã), parts and
-    # faces (â); 2k = n + 2 − the boundaries (b).  The grade p is the first count
+    size = 2 * n if entry.doubled else n
+    prefixes = _prefixes(step, _ground(entry, n), cap, budget)  # refuses n before any walk is built
+    # k from the boundaries (b); g from the faces (a), the odd and even faces
+    # (ã), or the parts and faces of â, the bipartite gluing of [2n] it reduces
+    # to.  The grade p is the first count
     if entry.signed:
-        walk, top = tau2(n).image, n + 2
+        walk, genus = tau2(n).image, partial(_euler_genus, n)
     else:
-        walk, top = gamma_walk(full_cycle(size))[0], (size // 2 if entry.pairs else size) + 1
+        walk = gamma_walk(full_cycle(size))[0]
+        genus = partial(_orientable_genus, size if entry.pairs else 2 * size)
     colour = odd_mask(size) if entry.doubled else None
-
-    def counted(prefixes) -> dict[tuple[int, ...], int] | None:
-        """The counts of ``prefixes``; None if one mixes the colours or a count fits no gluing."""
-        counts = _prefix_cycle_counts(walk, step, tails, prefixes, colour, entry.signed)
-        keys = np.array([*(counts or ())], np.intp).reshape(-1, len(entry.grades))
-        twice = top - keys.sum(axis=1)  # a key holds a count per grade
-        return None if counts is None or (twice < 0).any() or _odd(twice).any() else counts
-
-    counts = counted(prefixes)
-    if counts is not None:
-        graded = len(entry.grades) - 1
-        return dict(sorted((((top - sum(c)) // 2, *c[:graded]), cnt) for c, cnt in counts.items()))
-    # the error path: the pass again, a prefix at a time, to the first one not
-    # counted; the batched key raises on one of its completions
-    each = (prefix for batch in _prefixes(step, ground, cap, budget)[2] for prefix in zip(*batch))
-    prefix = next((p for p in each if counted([[part[None] for part in p]]) is None), None)
-    if prefix is not None:
-        entry.keys(_completions(step, *prefix))
-    raise AssertionError("the prefix pass and the batched key disagree")
+    counts = _prefix_cycle_counts(walk, *prefixes, colour, entry.signed)
+    if counts is None:
+        raise MonochromaticityError(
+            f"a face walk mixes colour classes on a prefix of the bipartite pairings of [{size}]"
+        )
+    graded = len(entry.grades) - 1
+    return dict(sorted(((genus(sum(c)), *c[:graded]), cnt) for c, cnt in counts.items()))
 
 
 def _row_counts(entry: Gluing, n: int, cap, budget) -> dict[tuple[int, ...], int]:

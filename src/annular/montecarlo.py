@@ -36,9 +36,10 @@ many in flight, and merge in block order, so the estimate depends only
 on (seed, samples) — never on scheduling or worker count — and peak
 memory grows with the blocks in flight.  A block peaks near 64 kB per
 band entry of one sample, (⌈n/2⌉ + 3)·(size + 2) for a model of that
-size; above ``MC_ENTRY_CAP`` entries, ``CapExceeded`` is raised before
-any draw, and below it at most ``MC_ENTRY_CAP`` // entries blocks are
-in flight, so a run peaks near one block at the cap.
+size; above ``MC_ENTRY_CAP`` entries, or with max(N, M) above 2⁵³, where
+the float64 χ shapes stop being exact, ``CapExceeded`` is raised before
+any draw, and below the entry cap at most ``MC_ENTRY_CAP`` // entries
+blocks are in flight, so a run peaks near one block at the cap.
 Normal variates come from numpy's ziggurat implementation
 (``Generator.standard_normal``); a χ_k variate is √(2·Gamma(k/2)), with
 the gamma variate from ``Generator.standard_gamma``.  Within a block of
@@ -77,6 +78,9 @@ BLOCK_SIZE = 8192
 
 #: Most band entries one sample may need: at the cap a block peaks near 0.5 GB.
 MC_ENTRY_CAP = 2**13
+
+#: Largest max(N, M): the χ shapes m, m − 1, … of a model are float64, exact to 2⁵³.
+_LARGEST_DIM = 2**53
 
 GENERATOR_NAME = (
     "tridiagonal Dumitriu-Edelman models, banded trace; "
@@ -225,7 +229,8 @@ def mc_moment(
     H = (G + G*)/2 for an N×N Ginibre matrix G (Gaussian cases) or of
     W = G*G for an M×N one (Laguerre cases).  Deterministic for a given
     (seed, samples) regardless of execution order.  Raises ``CapExceeded``
-    before any draw when a sample needs more than ``MC_ENTRY_CAP`` band entries.
+    before any draw when a sample needs more than ``MC_ENTRY_CAP`` band
+    entries, or max(N, M) is above 2⁵³.
     """
     return _estimate(_tridiagonal_traces, ensemble, n, N, M, samples=samples, seed=seed)
 
@@ -244,14 +249,18 @@ def _estimate(block_traces, ensemble, n, N, M, *, samples, seed) -> McEstimate:
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     entries = (n // 2 + n % 2 + 3) * (min(N, M or N) + 2)
-    if entries > MC_ENTRY_CAP:
-        from .streams import CapExceeded  # here: a run that draws loads no streams
+    for requested, what, cap in (
+        (entries, "band entries a sample", MC_ENTRY_CAP),
+        (max(N, M or N), "as the larger dimension", _LARGEST_DIM),
+    ):
+        if requested > cap:
+            from .streams import CapExceeded  # here: a run that draws loads no streams
 
-        raise CapExceeded(
-            f"Monte Carlo requested {entries} band entries a sample, above the cap {MC_ENTRY_CAP}",
-            requested=entries,
-            cap=MC_ENTRY_CAP,
-        )
+            raise CapExceeded(
+                f"Monte Carlo requested {requested} {what}, above the cap {cap}",
+                requested=requested,
+                cap=cap,
+            )
 
     def block(index):
         size = min(BLOCK_SIZE, samples - index * BLOCK_SIZE)

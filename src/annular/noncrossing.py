@@ -40,9 +40,11 @@ The families built here, keyed by :class:`NCFamilyId` tags:
   twisted gluing — which is what lets these sets receive the
   hypermap families bijectively).
 
-Union families record which (u, v) admitted each member; the unions
-are expected to be disjoint, and any member with several witnesses is
-reported via :attr:`NCFamily.union_collisions` rather than hidden.
+Union families record which (u, v) admitted each member.  The unions
+need not be disjoint: a torus member may have several witnesses (12 of
+the 70 in NC2T on [8], 95 of 420 on [10]), while no Klein member tested
+has (NC2K and NC2K_bip on ±[8], NCK_p on ±[4]).  Every member with
+several witnesses is reported via :attr:`NCFamily.union_collisions`.
 
 The Klein unions run over 1 ≤ u < v ≤ n (the frames with v = n are
 non-degenerate and are needed for the family sizes to match the
@@ -159,10 +161,18 @@ def _cycle_total(img: tuple[int, ...], gamma: Permutation) -> int:
 
 
 def _noncrossing(img: tuple[int, ...], gamma: Permutation) -> bool:
-    """The image kernel of :func:`is_noncrossing`; the join only if the count fits."""
+    """The image kernel of :func:`is_noncrossing`; the join only if the count fits.
+
+    As in :func:`_noncrossing_rows`, π joins a γ of one cycle, and one of
+    two cycles iff it sends some index across its sides.  Only a γ of
+    more cycles, which :func:`is_noncrossing` admits, takes the union-find.
+    """
     if _cycle_total(img, gamma) != len(img) + 2:
         return False
-    return _join_block_count_images(img, gamma.image) <= 1
+    _, cycles, sides = gamma_walk(gamma)
+    if cycles > 2:
+        return _join_block_count_images(img, gamma.image) <= 1
+    return cycles < 2 or bool((sides.take(img) != sides).any())
 
 
 def is_noncrossing(pi: Permutation, gamma: Permutation) -> bool:
@@ -542,7 +552,11 @@ class NCFamily:
 
     @property
     def union_collisions(self) -> tuple[tuple[Permutation, tuple[tuple[int, int], ...]], ...]:
-        """Members admitted by more than one (u, v) frame, if any."""
+        """Members admitted by more than one (u, v) frame, with their witnesses.
+
+        Torus unions have such members (12 of NC2T's 70 on [8]); the Klein
+        unions tested have none.
+        """
         if self.witness_table is None:
             return ()
         return tuple(
@@ -639,31 +653,32 @@ def _noncrossing_rows(
     """Per row π of ``images``, #(π) in ``cycles``: whether π is non-crossing w.r.t. its frame.
 
     The batched :func:`_noncrossing`, row i against γ = ``gammas[which[i]]``:
-    one kernel call counts the cycles of every row composed with its γ⁻¹
-    walk.  On the rows that pass the count, π joins a two-cycle γ iff it
-    sends some index across.  A γ of more cycles raises ``ValueError``.
+    the walks and sides of the frames are stacked one frame a row, and each
+    row's image, offset to its frame's row, gathers both with one ``take``.
+    One kernel call counts the cycles of every row composed with its γ⁻¹
+    walk, and π joins a two-cycle γ iff it sends some index across.  A γ
+    of more cycles raises ``ValueError``.
     """
     if not len(images):
         return np.zeros(0, dtype=bool)
-    walks, counts, sides = zip(*map(gamma_walk, gammas))
-    if (most := max(counts)) > 2:
+    walks, counts, sides = map(np.array, zip(*map(gamma_walk, gammas)))
+    if (most := counts.max()) > 2:
         raise ValueError(f"the batched join reads frames of one or two cycles, not {most}")
-    size, frame, gamma_cycles = images.shape[1], which[:, None], np.array(counts)[which]
-    total = cycles + _cycle_counts(range(size), np.array(walks)[frame, images]) + gamma_cycles
-    fits = total == size + 2
+    size, gamma_cycles = images.shape[1], counts.take(which)
+    at = images + size * which[:, None]
+    fits = cycles + _cycle_counts(range(size), walks.take(at)) + gamma_cycles == size + 2
     if most == 2:
-        two = fits & (gamma_cycles == 2)
-        sides = np.array(sides)
-        fits[two] = (sides[frame[two], images[two]] != sides[which[two]]).any(axis=1)
+        fits &= (gamma_cycles < 2) | (sides.take(at) != sides.take(which, axis=0)).any(axis=1)
     return fits
 
 
 def _open_frames(
     entry: NCEntry, n: int, block: np.ndarray
-) -> tuple[np.ndarray, list[Permutation], list[tuple[int, int]] | None, np.ndarray]:
+) -> tuple[slice | np.ndarray, list[Permutation], list[tuple[int, int]] | None, np.ndarray]:
     """The (row, frame) pairs of ``block`` to test: rows, distinct γ, their cuts, each pair's γ.
 
-    Off the unions: every row with the disk or annulus frame, and no cut.
+    Off the unions: every row, as the whole slice (so the rows are a view
+    of the block), with the disk or annulus frame, and no cut.
     On a union: the open cuts of :func:`_union_witnesses` over a block,
     where the anchor columns name v for every (row, u) at once and the
     head condition is one mask over (row, u, a < u).  Pairs come row by
@@ -672,7 +687,7 @@ def _open_frames(
     rows, size = block.shape
     if entry.cut is None:
         gamma = annulus_cycle(n) if entry.signed else full_cycle(n)
-        return np.arange(rows), [gamma], None, np.zeros(rows, np.intp)
+        return slice(None), [gamma], None, np.zeros(rows, np.intp)
     klein = entry.cut == "klein"
     anchor = block
     if entry.hypermap:
@@ -718,16 +733,16 @@ def _scan(
             keep = grades > 0
             block, grades, cycles = block[keep], grades[keep], cycles[keep]
         at, gammas, cuts, which = _open_frames(entry, n, block)
-        admitted = _noncrossing_rows(block[at], cycles[at], gammas, which)
-        at, which = at[admitted], which[admitted]
-        kept = np.flatnonzero(np.bincount(at, minlength=len(block)))
-        images.append(block[kept])
-        keys.append(grades[kept])
-        if cuts is not None:
+        kept = _noncrossing_rows(block[at], cycles[at], gammas, which)
+        if cuts is not None:  # a row is kept when one of its cuts admits it
+            at, which = at[kept], which[kept]
+            kept = np.flatnonzero(np.bincount(at, minlength=len(block)))
             admitting: dict[int, list[tuple[int, int]]] = {}
             for i, j in zip(at.tolist(), which.tolist()):
                 admitting.setdefault(i, []).append(cuts[j])
             table += map(tuple, admitting.values())
+        images.append(block[kept])
+        keys.append(grades[kept])
     images, keys = np.concatenate(images), np.concatenate(keys)
     order = np.lexsort(images.T[::-1])
     found = {}

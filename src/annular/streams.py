@@ -26,8 +26,7 @@ mirrored.  Each colour-class stream yields exactly the rows of its
 filter, in order, visiting no rejected one.  The matchings, bipartite
 matchings, permutations and signed symmetric pairings also have a
 counting form, :func:`_prefixes`, for the passes that keep only a
-histogram of cycle counts (:func:`annular.perms._prefix_cycle_counts`);
-:func:`_completions` builds the rows of one prefix, for their error path.
+histogram of cycle counts (:func:`annular.perms._prefix_cycle_counts`).
 
 Each stream has a documented deterministic order, a size cap checked
 before any row is built, and an optional :class:`EnumerationBudget`
@@ -547,25 +546,6 @@ def _signed_prefixes(n: int, depth: int):
         positions = np.concatenate((n + positions, n - 1 - positions), axis=1)
         slots = np.concatenate(((n - 1 - free)[:, ::-1], n + free), axis=1).repeat(twists, axis=0)
         yield positions.repeat(twists, axis=0), values, slots, slots
-
-
-def _completions(step: int, positions, values, tail, free) -> np.ndarray:
-    """The rows of stream ``step`` that start with one prefix of :func:`_prefixes`.
-
-    The prefix is given as a row of each of its arrays; the rows complete
-    it by the stream on its tail, in that stream's order (for a bipartite
-    tail, its matchings that join the colours).
-    """
-    m = len(free)
-    if step == 3:
-        table = _table(3, bytes(m))
-    else:
-        colours = bytes(f % 2 for f in free.tolist()) if step == 2 else bytes(m)
-        table = np.concatenate(tuple(_tail_blocks(step, colours)))
-    rows = np.empty((len(table), len(positions) + m), np.intp)
-    rows[:, positions] = values
-    rows[:, tail] = free[table]
-    return rows
 
 
 def _pairings_of_blocks(ground: GroundSet, cap=None, budget=None) -> Iterator[np.ndarray]:

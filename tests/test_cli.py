@@ -438,6 +438,10 @@ def test_moment_order_above_cap_exits_1(capsys):
         ("moment", "--ensemble", "gue", "--order", "1000000000", "--symbolic"),
         ("moment", "--ensemble", "loe", "--order", "1000000000", "--symbolic"),
         ("moment", "--ensemble", "gue", "--order", "2", "--dim", "1000000000", "--mc"),
+        (
+            "moment", "--ensemble", "lue", "--order", "2", "--dim", "1",
+            "--rect-dim", "100000000000000000000", "--mc",
+        ),
     ],
 )
 def test_huge_sizes_exit_1_at_once(capsys, argv):

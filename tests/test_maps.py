@@ -1,5 +1,6 @@
 """Gluing families: genus counts, bipartite refinements, hypermap reductions."""
 
+import re
 import time
 from math import comb, factorial
 from types import SimpleNamespace
@@ -14,6 +15,7 @@ from annular.maps import (
     GLUINGS,
     MonochromaticityError,
     _has_hat_twist,
+    _twisted,
     family_a,
     family_a_counts,
     family_a_hat,
@@ -59,6 +61,7 @@ from annular.streams import (
     _pairing_blocks,
     _pairings_of_blocks,
     _permutations_of_blocks,
+    _prefixes,
     _rows,
     _signed_symmetric_pairings_blocks,
     _signed_symmetric_permutations_blocks,
@@ -847,18 +850,30 @@ def _identity_walk(gamma):
     return tuple(range(len(gamma.image))), len(gamma.image)
 
 
+def _first_row_error(key, blocks, walk, counted: Exception) -> str:
+    """The per-image ``key``'s message on the first row of ``blocks`` whose count
+    #(walk∘row) is the one the ``counted`` error names."""
+    named = int(re.search(r"count (\d+) ", str(counted)).group(1))
+    for block in blocks:
+        if (hit := _cycle_counts(walk, block) == named).any():
+            with pytest.raises(type(counted)) as per_image:
+                key(tuple(block[hit.argmax()].tolist()))
+            return str(per_image.value)
+    raise AssertionError(f"no row has the count {named}")
+
+
 # the tail table alone; one prefix pair before it; past the pairing stream's row cap
 @pytest.mark.parametrize("n", [4, 12, 18])
 def test_prefix_pass_raises_the_per_image_genus_error(monkeypatch, n):
-    # n/2 faces leave an odd twice-genus on every pairing, the first one included;
-    # only the completions of the first prefix are keyed, so no size is refused
+    # n/2 faces leave an odd twice-genus on every pairing; the count is
+    # checked where the prefix pass hands it back, so no row is built
     monkeypatch.setattr(annular.maps, "gamma_walk", _identity_walk)
-    with pytest.raises(ValueError, match="impossible face count") as per_image:
-        GLUINGS["a"].key(next(_rows(_pairing_blocks(n))))
+    walk = annular.maps.gamma_walk(full_cycle(n))[0]
     for call in (lambda: gluing_counts("a", n), lambda: genus_expansion_moment("GUE", n)):
-        with pytest.raises(ValueError) as counted:
+        with pytest.raises(ValueError, match="^impossible face count") as counted:
             call()
-        assert str(counted.value) == str(per_image.value)
+        want = _first_row_error(GLUINGS["a"].key, _pairing_blocks(n), walk, counted.value)
+        assert str(counted.value) == want
 
 
 def _odd_boundary_walk(n):
@@ -866,17 +881,16 @@ def _odd_boundary_walk(n):
     return SimpleNamespace(image=(1, 0, *range(2, 2 * n)))
 
 
-@pytest.mark.parametrize("n", [4, 12])  # the tail table alone; three prefix pairs before it
+# the tail table alone; three prefix pairs before it; the largest ±[n] b counts
+@pytest.mark.parametrize("n", [4, 12, 14])
 def test_prefix_pass_raises_the_per_image_euler_genus_error(monkeypatch, n):
-    # the first twisted row of the stream is the first the error path keys
     monkeypatch.setattr(annular.maps, "tau2", _odd_boundary_walk)
-    first = next(row for row in _rows(_mirror_pair_blocks(n, "every")) if max(row[n:]) >= n)
-    with pytest.raises(ValueError, match="impossible boundary count") as per_image:
-        GLUINGS["b"].key(first)
+    walk = annular.maps.tau2(n).image
     for call in (lambda: gluing_counts("b", n), lambda: genus_expansion_moment("GOE", n)):
-        with pytest.raises(ValueError) as counted:
+        with pytest.raises(ValueError, match="^impossible boundary count") as counted:
             call()
-        assert str(counted.value) == str(per_image.value)
+        twisted = (block[_twisted(block)] for block in _mirror_pair_blocks(n, "every"))
+        assert str(counted.value) == _first_row_error(GLUINGS["b"].key, twisted, walk, counted.value)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -895,10 +909,37 @@ def test_b_hat_raises_on_an_odd_cycle_count(monkeypatch, n):
 
 @pytest.mark.parametrize("n", [3, 7])  # no prefix: only the contraction keeps the colour
 def test_prefix_pass_raises_monochromaticity_error(monkeypatch, n):
+    # the per-image key names the mixed cycle; the prefix pass builds none
     monkeypatch.setattr(annular.maps, "gamma_walk", _identity_walk)
-    with pytest.raises(MonochromaticityError) as per_image:
+    with pytest.raises(MonochromaticityError, match="mixes colour classes"):
         GLUINGS["a-tilde"].key(next(_rows(_bipartite_pairing_blocks(2 * n))))
+    mixed = f"^a face walk mixes colour classes .*\\[{2 * n}\\]$"
     for call in (lambda: genus_expansion_moment("LUE", n), lambda: gluing_counts("a-tilde", n)):
-        with pytest.raises(MonochromaticityError) as counted:
+        with pytest.raises(MonochromaticityError, match=mixed):
             call()
-        assert str(counted.value) == str(per_image.value)
+
+
+@pytest.mark.parametrize(
+    "tag, n, frame, walk, error",
+    [
+        ("a", 12, "gamma_walk", _identity_walk, ValueError),
+        ("a-tilde", 7, "gamma_walk", _identity_walk, MonochromaticityError),
+        ("a-hat", 8, "gamma_walk", _identity_walk, ValueError),  # p parts, p faces: 2p on [16]
+        ("b", 12, "tau2", _odd_boundary_walk, ValueError),
+    ],
+)
+def test_gluing_counts_runs_one_prefix_pass(monkeypatch, tag, n, frame, walk, error):
+    # one pass on the counted path and one on the error path, replayed on neither
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _prefixes(*args)
+
+    monkeypatch.setattr(annular.maps, "_prefixes", counted)
+    assert gluing_counts(tag, n)
+    assert len(calls) == 1
+    monkeypatch.setattr(annular.maps, frame, walk)
+    with pytest.raises(error):
+        gluing_counts(tag, n)
+    assert len(calls) == 2

@@ -333,9 +333,17 @@ def test_non_integers_are_refused_before_any_draw(args, kwargs):
 
 
 @pytest.mark.parametrize(
-    "args", [("GUE", 2, 10**9), ("LOE", 10**9, 4, 5)], ids=["huge N", "huge n"]
+    "args, cap",
+    [
+        (("GUE", 2, 10**9), MC_ENTRY_CAP),
+        (("LOE", 10**9, 4, 5), MC_ENTRY_CAP),
+        (("LOE", 2, 3, 10**30), 2**53),  # one model of size 3, its χ shapes past float64's
+        (("LUE", 2, 10**30, 3), 2**53),
+        (("LUE", 1, 2**53 + 1, 1), 2**53),
+    ],
+    ids=["huge N", "huge n", "huge M", "huge Laguerre N", "Laguerre N past 2**53"],
 )
-def test_huge_sizes_are_refused_before_any_draw(args):
+def test_huge_sizes_are_refused_before_any_draw(args, cap):
     tracemalloc.start()
     try:
         with pytest.raises(CapExceeded, match="above the cap") as raised:
@@ -344,7 +352,12 @@ def test_huge_sizes_are_refused_before_any_draw(args):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert raised.value.requested >= 10**9 and raised.value.cap == MC_ENTRY_CAP
+    assert raised.value.requested >= 10**9 and raised.value.cap == cap
+
+
+def test_a_larger_dimension_of_2_to_the_53_is_drawn():
+    # the largest max(N, M) whose χ shapes float64 holds exactly; one more is refused above
+    assert mc_moment("LUE", 1, 2**53, 1, samples=100, seed=0).mean > 2**52
 
 
 @pytest.mark.parametrize(

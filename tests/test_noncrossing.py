@@ -132,6 +132,16 @@ def test_noncrossing_matches_reference_on_annulus():
         assert is_noncrossing(pi, gamma_perm) == ref_is_noncrossing(d, gamma)
 
 
+@pytest.mark.parametrize("cycles", ["(1,2,3)(4,5)", "(1,4)(2,5)(3,6)", "(1,3,5,6)(2)(4)"])
+def test_noncrossing_matches_reference_on_three_cycle_frames(cycles):
+    # a γ of three cycles takes the union-find join, not the sides of two
+    gamma_perm = parse_cycles(cycles, unsigned_ground(6))
+    assert num_cycles(gamma_perm) == 3
+    gamma = dict(gamma_perm.mapping())
+    for pi in permutations(6):
+        assert is_noncrossing(pi, gamma_perm) == ref_is_noncrossing(dict(pi.mapping()), gamma)
+
+
 def test_delta_symmetric_examples():
     s4 = signed_ground(4)
     assert is_delta_symmetric(parse_cycles("(1,-4)(-1,4)(2,3)(-2,-3)", s4))
@@ -811,6 +821,24 @@ def test_witnesses_unavailable_for_plain_families():
 # ---------------------------------------------------------------------------
 # Klein families
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "tag, n, collided",
+    [
+        ("NC2T", 8, 12),
+        ("NC2T", 10, 95),
+        ("NCT_p", 6, 14),
+        ("NC2T_bip", 8, 1),
+        ("NC2K", 8, 0),
+        ("NCK_p", 4, 0),
+        ("NC2K_bip", 8, 0),
+    ],
+)
+def test_torus_unions_overlap_and_klein_unions_do_not(tag, n, collided):
+    # members with two or more witnesses, over every grade
+    families = nc_groups(tag, n).values()
+    assert sum(len(family.union_collisions) for family in families) == collided
+
 
 def test_klein_family_sizes():
     sizes = {n: len(family_nc(NCFamilyId("NC2K", n))) for n in (2, 3, 4, 5, 6)}

@@ -29,7 +29,6 @@ from annular.streams import (
     EnumerationBudget,
     _bipartite_pairing_blocks,
     _bipartite_signed_symmetric_pairing_blocks,
-    _completions,
     _mirror_pair_blocks,
     _mirrored_pairings,
     _pairing_blocks,
@@ -529,6 +528,22 @@ COUNTED_BLOCKS = (
     _bipartite_pairing_blocks,
     _signed_symmetric_pairings_blocks,
 )
+
+
+def _completions(step: int, positions, values, tail, free) -> np.ndarray:
+    """The rows of stream ``step`` that start with one prefix of ``_prefixes``:
+    the prefix completed by the stream on its tail (for a bipartite tail,
+    its matchings that join the colours), in that stream's order."""
+    m = len(free)
+    if step == 3:
+        table = annular.streams._table(3, bytes(m))
+    else:
+        colours = bytes(f % 2 for f in free.tolist()) if step == 2 else bytes(m)
+        table = np.concatenate(tuple(_tail_blocks(step, colours)))
+    rows = np.empty((len(table), len(positions) + m), np.intp)
+    rows[:, positions] = values
+    rows[:, tail] = free[table]
+    return rows
 
 
 @pytest.mark.parametrize(
