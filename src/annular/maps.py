@@ -39,8 +39,11 @@ cached in :mod:`annular.frames`, the same ones the Wick sum and the
 non-crossing side read; this module imports neither of those routes.
 
 Each gluing family is one :class:`Gluing` of :data:`GLUINGS`, keyed by
-its CLI tag; a row its per-image key would reject is handed to that key
-by the batched form, so both raise its error.
+its CLI tag.  Each Euler relation has one kernel, read by the per-image
+key, the batched key and the prefix pass: ``_orientable_genus`` for a, ã
+and â, ``_euler_genus`` for b, b̃ and b̂ (â and b̂ as the bipartite gluings
+they reduce to), raising ``ValueError`` on a count no gluing has.  A
+batched row failing its colour or parity goes to the per-image key.
 :func:`gluing_counts` only tallies the grades, and is the one histogram
 of each family.  :func:`gluing_groups` is the one row pass: each grade's
 members as a read-only array of index images in stream order.  Only
@@ -57,9 +60,9 @@ are shorthands for callers outside the package.
 counts of a, ã, â and b are capped on the prefixes run and reach past
 the row pass: a to [20], ã and â to n = 12, b to ±[14].  b counts a
 prefix with no twisted pair without its untwisted completions, so b is
-not read off the Wick sum.  Each count goes through the genus kernel of
-the per-image key, which raises its error in place on a count no gluing
-has.  b̃ and b̂ are tallied by the row pass.
+not read off the Wick sum.  Each count goes through the relation kernel
+of the keys, so a count no gluing has raises in place.  b̃ and b̂ are
+tallied by the row pass.
 """
 
 from __future__ import annotations
@@ -158,24 +161,25 @@ class MonochromaticityError(AssertionError):
 # of π needed); the boundary walk is τ₂τ₁ itself.
 # ---------------------------------------------------------------------------
 
-def _orientable_genus(size: int, faces: int) -> int:
-    """g of a one-vertex gluing of [size] from its face count."""
-    twice_genus = size // 2 + 1 - faces
-    if twice_genus < 0 or twice_genus % 2:
-        raise ValueError(
-            f"impossible face count {faces} for a one-vertex gluing of [{size}]"
-        )
-    return twice_genus // 2
+def _half(twice, count, message: str, ground: int):
+    """``twice // 2`` of an int or int array, else ``ValueError`` naming the first bad ``count``."""
+    bad = (twice < 0) | (twice % 2 == 1)
+    many = isinstance(bad, np.ndarray)  # an int makes no numpy call
+    if bad.any() if many else bad:
+        raise ValueError(message.format(count[bad.argmax()] if many else count, ground))
+    return twice // 2
 
 
-def _euler_genus(n: int, boundary: int) -> int:
-    """k of a gluing of ±[n] from its boundary count."""
-    twice_k = n + 2 - boundary
-    if twice_k < 0 or twice_k % 2:
-        raise ValueError(
-            f"impossible boundary count {boundary} for a gluing of ±[{n}]"
-        )
-    return twice_k // 2
+def _orientable_genus(size: int, faces):
+    """g of a one-vertex gluing of [size] from its face count (an int or int array)."""
+    message = "impossible face count {} for a one-vertex gluing of [{}]"
+    return _half(size // 2 + 1 - faces, faces, message, size)
+
+
+def _euler_genus(n: int, boundary):
+    """k of a gluing of ±[n] from its boundary count (an int or int array)."""
+    message = "impossible boundary count {} for a gluing of ±[{}]"
+    return _half(n + 2 - boundary, boundary, message, n)
 
 
 def _has_twist(img: tuple[int, ...], first_positive: int) -> bool:
@@ -241,13 +245,22 @@ def _same_ground(perm: Permutation, frame: Permutation) -> None:
         raise ValueError("compose requires equal ground sets")
 
 
+def _check_gluing(pi: Permutation, frame: Permutation) -> None:
+    """``ValueError`` unless ``pi`` is a pairing on ``frame``'s ground, δ-symmetric on ±[n]."""
+    _same_ground(pi, frame)
+    if not (pi.is_involution() and pi.is_fixed_point_free()):
+        raise ValueError("a genus requires a pairing: a fixed-point-free involution")
+    if pi.domain.kind == GroundSet.SIGNED and not _is_delta_symmetric(pi.image):
+        raise ValueError("an Euler genus requires a δ-symmetric pairing")
+
+
 # ---------------------------------------------------------------------------
 # genus / Euler genus
 # ---------------------------------------------------------------------------
 
 def orientable_genus(pi: Pairing) -> int:
     """Genus of the orientable one-vertex gluing encoded by a pairing of [n]."""
-    _same_ground(pi, full_cycle(pi.domain.n))
+    _check_gluing(pi, full_cycle(pi.domain.n))
     return _a_key(pi.image)[0]
 
 
@@ -260,7 +273,7 @@ def nonorientable_euler_genus(tau1: Pairing) -> int:
     right invariant is :func:`orientable_genus` of its positive part).
     """
     n = tau1.domain.n
-    _same_ground(tau1, tau2(n))
+    _check_gluing(tau1, tau2(n))
     return _euler_genus(n, _cycle_count(tau2(n).image, tau1.image))
 
 
@@ -326,14 +339,14 @@ def _b_tilde_key(img: tuple[int, ...]) -> tuple[int, int] | None:
 
 
 def _a_hat_key(img: tuple[int, ...]) -> tuple[int, int]:
-    """(g, p) with #(π) = p and #(π⁻¹1ₙ) = n − p + 1 − 2g."""
+    """(g, p) with #(π) = p; g is that of the bipartite gluing of [2n] with #π + #(π⁻¹1ₙ) faces."""
     n = len(img)
     p = _num_cycles_image(img)
-    return (n - p + 1 - _cycle_count(gamma_walk(full_cycle(n))[0], img)) // 2, p
+    return _orientable_genus(2 * n, p + _cycle_count(gamma_walk(full_cycle(n))[0], img)), p
 
 
 def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
-    """(k, p) with #(τ₁) = 2p, #(1̃ₙτ₁) = 2(n − p + 1 − k) and k ≥ 1.
+    """(k, p) with #(τ₁) = 2p; k ≥ 1 is that of the gluing of ±[2n] with #τ₁ + #(1̃ₙτ₁) boundaries.
 
     None as well without the hypermap twist.  Both counts are even on a
     δ-symmetric τ₁: #(τ₁) by its mirror-paired cycles, and 1̃ₙτ₁ = τ₂σ
@@ -345,7 +358,7 @@ def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
     boundary = _cycle_count(annulus_cycle(n).image, img)
     if cycles % 2 or boundary % 2:
         raise ValueError(f"odd cycle count #(τ₁) = {cycles} or #(1̃ₙτ₁) = {boundary} on ±[{n}]")
-    k = n - cycles // 2 + 1 - boundary // 2
+    k = _euler_genus(2 * n, cycles + boundary)
     return (k, cycles // 2) if k >= 1 and _has_hat_twist(img) else None
 
 
@@ -353,8 +366,9 @@ def _b_hat_key(img: tuple[int, ...]) -> tuple[int, int] | None:
 # an index into the block (a row mask, or every row), and their grade rows, in
 # row order.  The b and b̂ kernels walk the whole block, since few of its rows
 # drop, so a pass that only tallies grades copies no rows; b̃ drops its many
-# untwisted rows first.  A member row the per-image key would reject with an
-# error is handed to that key, so the error and its message are the same.
+# untwisted rows first.  Each grades its count arrays by the per-image key's
+# kernel, _orientable_genus or _euler_genus; a row that key would reject for
+# its colour or parity is handed to it, so both raise the same error.
 
 #: The index of every row of a block.
 _EVERY = slice(None)
@@ -367,10 +381,6 @@ def _raise_at_first(key: Callable, block: np.ndarray, bad: np.ndarray) -> None:
         raise AssertionError("the batched and per-image keys disagree")
 
 
-def _odd(values: np.ndarray) -> np.ndarray:
-    return values % 2 == 1
-
-
 def _twisted(block: np.ndarray) -> np.ndarray:
     """Per row on ±[n]: some positive label maps to a positive one (:func:`_has_twist`)."""
     n = block.shape[1] // 2
@@ -379,26 +389,21 @@ def _twisted(block: np.ndarray) -> np.ndarray:
 
 def _a_keys(block: np.ndarray) -> tuple[slice, np.ndarray]:
     size = block.shape[1]
-    twice_genus = size // 2 + 1 - _cycle_counts(gamma_walk(full_cycle(size))[0], block)
-    _raise_at_first(_a_key, block, (twice_genus < 0) | _odd(twice_genus))
-    return _EVERY, (twice_genus // 2)[:, None]
+    faces = _cycle_counts(gamma_walk(full_cycle(size))[0], block)
+    return _EVERY, _orientable_genus(size, faces)[:, None]
 
 
 def _b_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1] // 2
     twisted = _twisted(block)
-    twice_k = n + 2 - _cycle_counts(tau2(n).image, block)
-    _raise_at_first(_b_key, block, twisted & ((twice_k < 0) | _odd(twice_k)))
-    return twisted, (twice_k[twisted] // 2)[:, None]
+    return twisted, _euler_genus(n, _cycle_counts(tau2(n).image, block)[twisted])[:, None]
 
 
 def _a_tilde_keys(block: np.ndarray) -> tuple[slice, np.ndarray]:
     size = block.shape[1]
-    walk = gamma_walk(full_cycle(size))[0]
-    faces, p, mixed = _cycle_counts(walk, block, odd_mask(size))
-    twice_genus = size // 2 + 1 - faces
-    _raise_at_first(_a_tilde_key, block, mixed | (twice_genus < 0) | _odd(twice_genus))
-    return _EVERY, np.column_stack((twice_genus // 2, p))
+    faces, p, mixed = _cycle_counts(gamma_walk(full_cycle(size))[0], block, odd_mask(size))
+    _raise_at_first(_a_tilde_key, block, mixed)
+    return _EVERY, np.column_stack((_orientable_genus(size, faces), p))
 
 
 def _b_tilde_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,25 +412,23 @@ def _b_tilde_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     block = block[twisted]  # (n/2)! of (n − 1)!! rows are untwisted, 23 % on ±[8]: skip their walk
     boundary, black_cycles, mixed = _cycle_counts(tau2(n).image, block, black_mask(n)[1])
     white_cycles = boundary - black_cycles  # B and W split ±[n]
-    twice_k = n + 2 - boundary
-    bad = mixed | _odd(white_cycles) | (twice_k < 0) | _odd(twice_k)
-    _raise_at_first(_b_tilde_key, block, bad)
-    return twisted, np.column_stack((twice_k // 2, white_cycles // 2))
+    _raise_at_first(_b_tilde_key, block, mixed | (white_cycles % 2 == 1))
+    return twisted, np.column_stack((_euler_genus(n, boundary), white_cycles // 2))
 
 
 def _a_hat_keys(block: np.ndarray) -> tuple[slice, np.ndarray]:
     n = block.shape[1]
     p = _cycle_counts(range(n), block)
     faces = _cycle_counts(gamma_walk(full_cycle(n))[0], block)
-    return _EVERY, np.column_stack(((n - p + 1 - faces) // 2, p))
+    return _EVERY, np.column_stack((_orientable_genus(2 * n, p + faces), p))
 
 
 def _b_hat_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = block.shape[1] // 2
     cycles = _cycle_counts(range(2 * n), block)
     boundary = _cycle_counts(annulus_cycle(n).image, block)
-    _raise_at_first(_b_hat_key, block, _odd(cycles) | _odd(boundary))
-    k = n - cycles // 2 + 1 - boundary // 2
+    _raise_at_first(_b_hat_key, block, (cycles | boundary) % 2 == 1)
+    k = _euler_genus(2 * n, cycles + boundary)
     member = (block[:, n:] < n).any(axis=1) & (k >= 1)  # the hypermap twist
     return member, np.column_stack((k, cycles // 2))[member]
 
@@ -570,7 +573,7 @@ def gluing_counts(
     """
     entry = _entry(tag, n)
     if entry.signed and (entry.doubled or not entry.pairs):
-        return _row_counts(entry, n, cap, budget)
+        return _key_counts(entry.keys(block)[1] for block in entry.source(n, cap, budget))
     step = 3 if entry.signed else 2 if entry.doubled else int(entry.pairs)
     size = 2 * n if entry.doubled else n
     prefixes = _prefixes(step, _ground(entry, n), cap, budget)  # refuses n before any walk is built
@@ -590,11 +593,6 @@ def gluing_counts(
         )
     graded = len(entry.grades) - 1
     return dict(sorted(((genus(sum(c)), *c[:graded]), cnt) for c, cnt in counts.items()))
-
-
-def _row_counts(entry: Gluing, n: int, cap, budget) -> dict[tuple[int, ...], int]:
-    """:func:`gluing_counts` read through the batched key kernel, a source block at a time."""
-    return _key_counts(entry.keys(block)[1] for block in entry.source(n, cap, budget))
 
 
 def _grade_rows(tag: str, n: int, grade: tuple[int, ...], cap=None, budget=None) -> np.ndarray:

@@ -60,6 +60,7 @@ from .ensembles import Ensemble, _check_positive
 from .frames import full_cycle, gamma_walk, tau2
 from .maps import gluing_counts
 from .perms import (
+    _check_integer,
     _cycle_counts,
     _key_counts,
     _prefix_cycle_counts,
@@ -218,8 +219,8 @@ def correction_coefficient(
     the subleading GOE coefficient times 2^n is the count of twisted
     Euler-genus-1 gluings.
     """
-    poly = wick_moment(ensemble, n, budget=budget)
-    return poly.coefficient(n_power)
+    n_power = _check_integer("n_power", n_power)
+    return wick_moment(ensemble, n, budget=budget).coefficient(n_power)
 
 
 # ---------------------------------------------------------------------------

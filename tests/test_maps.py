@@ -2,6 +2,7 @@
 
 import re
 import time
+from functools import partial
 from math import comb, factorial
 from types import SimpleNamespace
 
@@ -239,6 +240,18 @@ def test_statistics_reject_mismatched_ground_sets():
         (nonorientable_white_grade, odd_signed),
     ):
         with pytest.raises(ValueError, match="equal ground sets"):
+            stat(arg)
+
+
+def test_genus_statistics_refuse_what_is_no_gluing():
+    u4, s4 = unsigned_ground(4), signed_ground(4)
+    for stat, arg, missing in (
+        (orientable_genus, Permutation.identity(u4), "requires a pairing"),
+        (orientable_genus, parse_cycles("(1,2,3,4)", u4), "requires a pairing"),
+        (nonorientable_euler_genus, parse_cycles("(1,2)(-1,3)(-2,4)(-3,-4)", s4), "δ-symmetric"),
+        (nonorientable_euler_genus, parse_cycles("(1,-1)(2,-2)", signed_ground(2)), "δ-symmetric"),
+    ):
+        with pytest.raises(ValueError, match=missing):
             stat(arg)
 
 
@@ -850,12 +863,12 @@ def _identity_walk(gamma):
     return tuple(range(len(gamma.image))), len(gamma.image)
 
 
-def _first_row_error(key, blocks, walk, counted: Exception) -> str:
+def _first_row_error(key, blocks, counts, counted: Exception) -> str:
     """The per-image ``key``'s message on the first row of ``blocks`` whose count
-    #(walk∘row) is the one the ``counted`` error names."""
+    (``counts`` of its block) is the one the ``counted`` error names."""
     named = int(re.search(r"count (\d+) ", str(counted)).group(1))
     for block in blocks:
-        if (hit := _cycle_counts(walk, block) == named).any():
+        if (hit := counts(block) == named).any():
             with pytest.raises(type(counted)) as per_image:
                 key(tuple(block[hit.argmax()].tolist()))
             return str(per_image.value)
@@ -868,11 +881,11 @@ def test_prefix_pass_raises_the_per_image_genus_error(monkeypatch, n):
     # n/2 faces leave an odd twice-genus on every pairing; the count is
     # checked where the prefix pass hands it back, so no row is built
     monkeypatch.setattr(annular.maps, "gamma_walk", _identity_walk)
-    walk = annular.maps.gamma_walk(full_cycle(n))[0]
+    faces = partial(_cycle_counts, annular.maps.gamma_walk(full_cycle(n))[0])
     for call in (lambda: gluing_counts("a", n), lambda: genus_expansion_moment("GUE", n)):
         with pytest.raises(ValueError, match="^impossible face count") as counted:
             call()
-        want = _first_row_error(GLUINGS["a"].key, _pairing_blocks(n), walk, counted.value)
+        want = _first_row_error(GLUINGS["a"].key, _pairing_blocks(n), faces, counted.value)
         assert str(counted.value) == want
 
 
@@ -885,12 +898,54 @@ def _odd_boundary_walk(n):
 @pytest.mark.parametrize("n", [4, 12, 14])
 def test_prefix_pass_raises_the_per_image_euler_genus_error(monkeypatch, n):
     monkeypatch.setattr(annular.maps, "tau2", _odd_boundary_walk)
-    walk = annular.maps.tau2(n).image
+    boundaries = partial(_cycle_counts, annular.maps.tau2(n).image)
     for call in (lambda: gluing_counts("b", n), lambda: genus_expansion_moment("GOE", n)):
         with pytest.raises(ValueError, match="^impossible boundary count") as counted:
             call()
         twisted = (block[_twisted(block)] for block in _mirror_pair_blocks(n, "every"))
-        assert str(counted.value) == _first_row_error(GLUINGS["b"].key, twisted, walk, counted.value)
+        want = _first_row_error(GLUINGS["b"].key, twisted, boundaries, counted.value)
+        assert str(counted.value) == want
+
+
+def _twice_the_parts(block: np.ndarray) -> np.ndarray:
+    """2#π per row: under an identity walk, the faces of â's gluing, or the boundaries of b̂'s."""
+    return 2 * _cycle_counts(range(block.shape[1]), block)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_a_hat_raises_the_per_image_genus_error(monkeypatch, n):
+    # p parts and p faces: 2p faces on [2n] leave an odd twice-genus on every π
+    monkeypatch.setattr(annular.maps, "gamma_walk", _identity_walk)
+    for call in (
+        lambda: gluing_groups("a-hat", n),
+        lambda: GLUINGS["a-hat"].key(next(_rows(_permutations_of_blocks(unsigned_ground(n))))),
+        lambda: gluing_counts("a-hat", n),
+    ):
+        with pytest.raises(ValueError, match="^impossible face count") as counted:
+            call()
+        blocks = _permutations_of_blocks(unsigned_ground(n))
+        want = _first_row_error(GLUINGS["a-hat"].key, blocks, _twice_the_parts, counted.value)
+        assert str(counted.value) == want
+
+
+def _identity_annulus(n):
+    """A frame that is no annulus: #(1̃ₙτ₁) = #τ₁, even, and the two sum past 2n + 2."""
+    return SimpleNamespace(image=tuple(range(2 * n)))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_b_hat_raises_the_per_image_euler_genus_error(monkeypatch, n):
+    monkeypatch.setattr(annular.maps, "annulus_cycle", _identity_annulus)
+    for call in (
+        lambda: gluing_groups("b-hat", n),
+        lambda: GLUINGS["b-hat"].key(next(_rows(_signed_symmetric_permutations_blocks(n)))),
+        lambda: gluing_counts("b-hat", n),
+    ):
+        with pytest.raises(ValueError, match="^impossible boundary count") as counted:
+            call()
+        blocks = _signed_symmetric_permutations_blocks(n)
+        want = _first_row_error(GLUINGS["b-hat"].key, blocks, _twice_the_parts, counted.value)
+        assert str(counted.value) == want
 
 
 @pytest.mark.parametrize("n", [2, 4])

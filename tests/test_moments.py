@@ -270,6 +270,16 @@ def test_correction_coefficient_lue():
     }
 
 
+@pytest.mark.parametrize("power", [2.0, True])
+def test_correction_coefficient_refuses_a_non_integer_power(power):
+    with pytest.raises(ValueError, match=r"^n_power must be an integer, got"):
+        correction_coefficient("GOE", 4, power)
+
+
+def test_correction_coefficient_takes_a_numpy_integer_power():
+    assert correction_coefficient("GOE", 4, np.int64(2)) == correction_coefficient("GOE", 4, 2)
+
+
 # ---------------------------------------------------------------------------
 # caps and budgets
 # ---------------------------------------------------------------------------
